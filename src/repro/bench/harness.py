@@ -86,7 +86,7 @@ def process_stateflow_overrides(**extra: Any) -> dict[str, Any]:
     wall-clock bench exists to measure.  The failure detector is
     relaxed so the initial replica seeding (a real pickle of the whole
     store) cannot trip the watchdog, and snapshot cuts are spaced out
-    because each one is a real deep copy."""
+    because each one is real O(keys) work on the parent's loop."""
     overrides: dict[str, Any] = {
         "spawner": "process",
         "exec_service_ms": 0.0,

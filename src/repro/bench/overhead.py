@@ -112,7 +112,7 @@ def run_overhead_breakdown(state_kbs: list[int] | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Snapshot overhead: dict (deep copy) vs cow (version-chained) backends
+# Snapshot overhead: dict (pointer copy) vs cow (version-chained) backends
 # ---------------------------------------------------------------------------
 
 @dataclass(slots=True)
@@ -133,9 +133,10 @@ def run_snapshot_overhead(key_counts: list[int] | None = None,
 
     Models the coordinator's cadence: between two snapshots a batch
     commits a bounded write set, then the whole committed store
-    snapshots.  The dict backend deep-copies everything (O(total
-    state)); the cow backend freezes its write head (O(recent writes)) —
-    the gap this experiment quantifies.
+    snapshots.  The dict backend copies its map (one reference per key,
+    entries shared); the cow backend freezes its write head (O(recent
+    writes)) — the gap this experiment quantifies.  ``restore`` copies
+    every entry in on dict and adopts the frozen layers on cow.
     """
     rows = []
     for keys in key_counts or [1_000, 10_000]:

@@ -16,6 +16,7 @@ StateFun-style, and StateFlow runtimes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Iterator
 
 from ..compiler.state_machine import StateMachine
@@ -77,9 +78,18 @@ def stable_hash(key: Any) -> int:
     """
     if isinstance(key, int):
         return key & 0x7FFFFFFF
-    data = str(key).encode()
-    value = 2166136261  # FNV-1a
-    for byte in data:
+    return _fnv1a(str(key))
+
+
+@lru_cache(maxsize=1 << 16)
+def _fnv1a(text: str) -> int:
+    """31-bit FNV-1a of *text*.  Memoised: a byte loop in Python costs
+    more than the routing decision it feeds, and one transaction hashes
+    the same few ``"entity|key"`` strings at every hop.  Pure, so the
+    cache changes no value; bounded, so a key space larger than the
+    cache only costs the loop again."""
+    value = 2166136261
+    for byte in text.encode():
         value = ((value ^ byte) * 16777619) & 0xFFFFFFFF
     return value & 0x7FFFFFFF
 

@@ -3,9 +3,9 @@
 Every runtime (Local, StateFun-style, StateFlow) stores committed
 operator state behind the same :class:`StateBackend` contract:
 
-- :class:`DictStateBackend` — a plain hash map whose snapshots are deep
-  copies (the paper's "local HashMap data structure"; simple, but a
-  snapshot costs O(total state));
+- :class:`DictStateBackend` — a plain hash map (the paper's "local
+  HashMap data structure"); a snapshot is a pointer copy of the map,
+  O(keys) references and no entry copied;
 - :class:`CowStateBackend` — copy-on-write version chaining: a snapshot
   freezes the mutable write head into an immutable layer and hands out a
   shared reference, so snapshot cost is O(1) regardless of how much
@@ -17,6 +17,19 @@ operator state behind the same :class:`StateBackend` contract:
   worker truly owns a set of slots: commit-phase writes touch only the
   owning worker's slots and snapshots assemble from per-slot fragments.
 
+**The entry contract.**  A committed entry, once installed, is never
+mutated: a write swaps the whole entry for a new one.  ``put`` (and so
+``create``/``apply_writes``/``apply_delta``) and ``restore`` copy in,
+``get`` (on the store and on every read view),
+:func:`materialize_snapshot` and :meth:`CowSnapshot.materialize` copy
+out, and everything in between — snapshot and delta payloads, pinned
+views' pre-images, frozen cow layers, ``resolve_payload`` /
+``apply_flat_writes`` / ``compact_deltas`` results — may alias the live
+entries.  Whoever holds such a payload reads it and never writes an
+entry of it; whoever wants to mutate goes through one of the copy-out
+calls.  (``CowStateBackend.restore`` adopts a payload's frozen layers
+instead of copying them: they are immutable under this same contract.)
+
 Every backend additionally supports *incremental capture*
 (``capture_base``/``capture_delta``): the backend tracks which keys were
 written since the last capture and hands out a :class:`StateDelta` of
@@ -24,8 +37,8 @@ just those entries instead of a full payload.  Cuts therefore cost
 O(writes since the previous cut), not O(total state): the cow backend
 reuses its O(1) head-freeze (a delta is the tuple of layers frozen since
 the last capture, shared not copied), the dict backend diffs its dirty
-set, and the partitioned store assembles per-slot fragments
-(``None`` for clean slots, a delta for dirtied ones, a
+set (entries shared likewise), and the partitioned store assembles
+per-slot fragments (``None`` for clean slots, a delta for dirtied ones, a
 :class:`FullFragment` for slots whose tracking was invalidated by a
 restore or migration).  ``resolve_payload`` replays a base payload plus
 a delta chain back into a full payload; ``compact_deltas`` collapses a
@@ -47,7 +60,8 @@ overwrite after the pin — O(active views) per write, O(1) per read.
 The slot indirection is what makes the cluster *elastic*: rescaling
 n -> m workers rebalances whole slots (minimal movement — a key only
 moves when its slot does) and migrating a slot is a snapshot/restore of
-one slot backend, which the cow backend captures in O(1).
+one slot backend: the capture copies no entry on either backend (O(1)
+on cow, a pointer copy on dict), the install copies in.
 
 ``make_state_backend`` is the registry-backed factory used by runtime
 configs, the CLI (``--state-backend``) and the benchmark harness.
@@ -59,6 +73,7 @@ import copy
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Protocol, runtime_checkable
 
+from ..core.refs import EntityRef
 from ..ir.dataflow import stable_hash
 
 Key = tuple[str, Any]
@@ -100,9 +115,8 @@ class _Tombstone:
 TOMBSTONE = _Tombstone()
 
 
-#: Types a state value can contain and still skip ``copy.deepcopy``:
-#: immutable scalars, checked by exact type (subclasses may carry
-#: mutable extras, so ``type(v) in`` — not ``isinstance``).
+#: Immutable scalars a copy may share, checked by exact type (subclasses
+#: may carry mutable extras, so ``type(v) in`` — not ``isinstance``).
 _SCALAR_TYPES = (str, int, float, bool, bytes, type(None))
 
 
@@ -115,21 +129,75 @@ def _flat_scalar(value: Any) -> bool:
             and all(type(item) in _SCALAR_TYPES for item in value))
 
 
+class _NotStructural(Exception):
+    """The value leaves the shapes :func:`_copy_tree` handles."""
+
+
+def _copy_tree(value: Any, seen: set[int]) -> Any:
+    """Copy an exact ``dict``/``list``/``tuple``/``set`` tree whose
+    leaves are scalars, :data:`TOMBSTONE` or :class:`EntityRef`.
+
+    Raises :class:`_NotStructural` for anything else and for a mutable
+    container reached a second time (shared or cyclic): *seen* holds the
+    ids of the mutable containers already copied, and only
+    ``copy.deepcopy``'s memo reproduces aliasing.  Tuples need no entry:
+    one that is reached twice and holds a mutable container reaches that
+    container twice.
+    """
+    kind = type(value)
+    if kind in _SCALAR_TYPES or value is TOMBSTONE:
+        return value
+    if kind is EntityRef:
+        # Frozen; sharing it is what a copy would equal as long as its
+        # key is immutable too.
+        if _flat_scalar(value.key):
+            return value
+        raise _NotStructural
+    if kind is tuple:
+        copied = [_copy_tree(item, seen) for item in value]
+        # deepcopy's rule: an all-immutable tuple is returned itself.
+        if all(new is old for new, old in zip(copied, value)):
+            return value
+        return tuple(copied)
+    if kind is not dict and kind is not list and kind is not set:
+        raise _NotStructural
+    if id(value) in seen:
+        raise _NotStructural
+    seen.add(id(value))
+    if kind is dict:
+        return {(key if type(key) in _SCALAR_TYPES
+                 else _copy_tree(key, seen)):
+                (item if type(item) in _SCALAR_TYPES
+                 else _copy_tree(item, seen))
+                for key, item in value.items()}
+    if kind is list:
+        return [item if type(item) in _SCALAR_TYPES
+                else _copy_tree(item, seen) for item in value]
+    return {_copy_tree(item, seen) for item in value}
+
+
 def fast_deepcopy(value: Any) -> Any:
-    """``copy.deepcopy`` with a fast path for the shapes committed
-    entity states overwhelmingly take: immutable scalars pass through,
-    and a flat ``dict`` of scalars (or tuples of scalars) is isolated by
-    a plain ``dict()`` copy — an order of magnitude cheaper than the
-    generic deepcopy machinery.  Anything nested or exotic falls back to
-    ``copy.deepcopy``, so isolation semantics are identical."""
+    """``copy.deepcopy`` for committed entity state, without its
+    machinery for the shapes that state takes: immutable scalars pass
+    through, a flat ``dict`` of scalars (or tuples of scalars) is
+    isolated by a plain ``dict()`` copy, and nested state is copied
+    structurally by :func:`_copy_tree` (frozen ``EntityRef`` leaves are
+    shared instead of rebuilt through ``__reduce_ex__``).  Subclasses,
+    unknown types and values with internal aliasing fall back to
+    ``copy.deepcopy``, so the result is always what deepcopy would
+    give."""
     if type(value) is dict:
         for item in value.values():
             if not _flat_scalar(item):
-                return copy.deepcopy(value)
-        return dict(value)
-    if _flat_scalar(value) or value is TOMBSTONE:
+                break
+        else:
+            return dict(value)
+    elif _flat_scalar(value) or value is TOMBSTONE:
         return value
-    return copy.deepcopy(value)
+    try:
+        return _copy_tree(value, set())
+    except _NotStructural:
+        return copy.deepcopy(value)
 
 
 @dataclass(slots=True, frozen=True)
@@ -417,15 +485,16 @@ class DictReadView:
 
 
 class DictStateBackend:
-    """Plain in-memory state: one dict, deep-copy snapshots.
+    """Plain in-memory state: one dict, pointer-copy snapshots.
 
     This is both the Local runtime's HashMap backend and StateFlow's
-    baseline committed store.  Entries are deep-copied in and out —
-    O(entry) on the hot path, same as the cow backend, so no caller can
-    mutate committed state through an alias and backends stay
-    semantically interchangeable.  Snapshot isolation still costs a full
-    ``copy.deepcopy`` — O(total state) per snapshot, the cost
-    :class:`CowStateBackend` removes.
+    baseline committed store.  Entries are copied in and out — O(entry)
+    on the hot path, same as the cow backend, so no caller can mutate
+    committed state through an alias and backends stay semantically
+    interchangeable.  Because an installed entry is only ever swapped
+    whole (the module's entry contract), a snapshot or delta shares the
+    entries it captures: a cut costs one reference per key, and later
+    writes replace entries in the live map without touching the payload.
     """
 
     def __init__(self, store: dict[Key, State] | None = None):
@@ -481,9 +550,9 @@ class DictStateBackend:
             self.put(entity, key, state)
 
     def snapshot(self) -> dict[Key, State]:
-        """Deep copy of all state (the snapshot payload)."""
-        return {key: fast_deepcopy(state)
-                for key, state in self.store.items()}
+        """The snapshot payload: a new map sharing the committed entries
+        (read-only for the holder — see the module's entry contract)."""
+        return dict(self.store)
 
     def restore(self, snapshot: dict[Key, State]) -> None:
         self.store = {key: fast_deepcopy(state)
@@ -501,8 +570,9 @@ class DictStateBackend:
         return payload
 
     def capture_delta(self) -> StateDelta | None:
-        """Writes since the last capture (``None`` if tracking was
-        invalidated and the caller must take a full fragment)."""
+        """Writes since the last capture, entries shared (``None`` if
+        tracking was invalidated and the caller must take a full
+        fragment)."""
         delta = self.peek_delta()
         if delta is not None:
             self._dirty = set()
@@ -517,7 +587,7 @@ class DictStateBackend:
         layer: dict[Key, Any] = {}
         for composite in self._dirty:
             if composite in self.store:
-                layer[composite] = fast_deepcopy(self.store[composite])
+                layer[composite] = self.store[composite]
             else:
                 layer[composite] = TOMBSTONE
         return StateDelta(layers=(layer,) if layer else ())
@@ -629,9 +699,9 @@ class CowStateBackend:
     head onto the chain and returns the chain itself — no per-entry
     copying, so snapshot cost is independent of total state size.
 
-    Entry immutability is what makes layer sharing safe: ``put`` deep
-    copies the incoming state and ``get`` deep copies the outgoing one,
-    so no caller can mutate a frozen layer through an alias.  The chain
+    Entry immutability is what makes layer sharing safe: ``put`` copies
+    the incoming state and ``get`` copies the outgoing one, so no caller
+    can mutate a frozen layer through an alias.  The chain
     is compacted (layers merged, entries still shared) once it grows
     past ``compact_after`` layers to bound read amplification.
     """

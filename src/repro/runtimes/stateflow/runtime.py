@@ -66,7 +66,7 @@ class StateflowConfig:
     #: "direct" = inter-worker channels; "kafka" = loop back through the
     #: broker on every hop (ablation ABL-COMM).
     channel_mode: str = "direct"
-    #: Committed-state backend per worker partition: "dict" (deep-copy
+    #: Committed-state backend per worker partition: "dict" (pointer-copy
     #: snapshots) or "cow" (copy-on-write version-chained snapshots).
     state_backend: str = "dict"
     #: Hash slots of the committed store (the granularity of elastic

@@ -28,11 +28,14 @@ to its offsets; replayed requests re-execute and the egress dedup set
 suppresses duplicate replies — exactly-once end to end.
 
 The operator-state payload is whatever the committed store's backend
-produced: a deep-copied dict for the ``dict`` backend, a shared chain of
-frozen layers for the ``cow`` backend, or — with the partitioned store —
-a :class:`~repro.runtimes.state.PartitionedSnapshot` of per-slot
-fragments (one incremental payload per hash slot).  ``restore`` is
-symmetric: the store fans fragments back out to their slots.  Keying
+produced: a dict sharing the store's entries for the ``dict`` backend, a
+shared chain of frozen layers for the ``cow`` backend, or — with the
+partitioned store — a
+:class:`~repro.runtimes.state.PartitionedSnapshot` of per-slot fragments
+(one incremental payload per hash slot).  Either way the payload is
+read-only for whoever holds it (the state module's entry contract).
+``restore`` is symmetric: the store fans fragments back out to their
+slots.  Keying
 fragments by slot rather than by worker makes snapshots independent of
 the cluster size, so recovery composes with elastic rescaling; the
 frozen :class:`~repro.runtimes.state.SlotAssignment` rides along in the

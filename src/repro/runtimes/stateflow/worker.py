@@ -157,9 +157,12 @@ class Worker:
 
     # ------------------------------------------------------------------
     def _migration_cost_ms(self, slot: int) -> float:
-        """CPU to capture/install one slot: O(1) for the cow backend
-        (the snapshot is a frozen layer chain), O(keys) for the dict
-        backend (deep copy)."""
+        """*Modelled* CPU to capture/install one slot: O(1) for the cow
+        backend (the snapshot is a frozen layer chain), O(keys) for the
+        dict backend.  The real dict capture copies no entry (one
+        reference per key; only the install copies in), but the virtual
+        clock charges this model, and the committed trace digests are
+        built on it — a cheaper model is a behaviour change."""
         backend = self.store.slot_backend(slot)
         if isinstance(backend, CowStateBackend):
             return self._state_op_ms

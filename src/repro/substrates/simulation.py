@@ -35,8 +35,11 @@ class ScheduledEvent:
     def cancelled(self) -> bool:
         return self.callback is None
 
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+
+#: A calendar entry: ``(time, seq, event)``.  ``seq`` is unique per
+#: kernel, so the heap orders entries by comparing floats and ints in C
+#: and never reaches the event handle.
+QueueEntry = tuple[float, int, ScheduledEvent]
 
 
 class Simulation:
@@ -46,7 +49,7 @@ class Simulation:
         self.seed = seed
         self.rng = random.Random(seed)
         self._now = 0.0
-        self._queue: list[ScheduledEvent] = []
+        self._queue: list[QueueEntry] = []
         self._seq = itertools.count()
         self._processed = 0
 
@@ -66,9 +69,10 @@ class Simulation:
         after already-scheduled same-time events)."""
         if delay_ms < 0:
             raise SimulationError(f"negative delay {delay_ms}")
-        event = ScheduledEvent(time=self._now + delay_ms,
-                               seq=next(self._seq), callback=callback)
-        heapq.heappush(self._queue, event)
+        when = self._now + delay_ms
+        seq = next(self._seq)
+        event = ScheduledEvent(when, seq, callback)
+        heapq.heappush(self._queue, (when, seq, event))
         return event
 
     def schedule_at(self, time_ms: float,
@@ -82,12 +86,13 @@ class Simulation:
     def step(self) -> bool:
         """Execute the next event; False when the calendar is empty."""
         while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
+            when, _, event = heapq.heappop(self._queue)
+            callback = event.callback
+            if callback is None:  # cancelled
                 continue
-            self._now = event.time
-            callback, event.callback = event.callback, None
-            callback()  # type: ignore[misc]
+            self._now = when
+            event.callback = None
+            callback()
             self._processed += 1
             return True
         return False
@@ -98,7 +103,7 @@ class Simulation:
         *until* or after *max_events* callbacks."""
         executed = 0
         while self._queue:
-            if until is not None and self._queue[0].time > until:
+            if until is not None and self._queue[0][0] > until:
                 self._now = until
                 return
             if max_events is not None and executed >= max_events:
@@ -111,14 +116,14 @@ class Simulation:
         """Run until *predicate* holds; False if the calendar drained or
         ``max_time`` passed first."""
         while not predicate():
-            if not self._queue or self._queue[0].time > max_time:
+            if not self._queue or self._queue[0][0] > max_time:
                 return False
             self.step()
         return True
 
     # ------------------------------------------------------------------
     def pending(self) -> int:
-        return sum(1 for event in self._queue if not event.cancelled)
+        return sum(1 for _, _, event in self._queue if not event.cancelled)
 
 
 @dataclass(slots=True, eq=False)

@@ -29,7 +29,7 @@ import time
 from multiprocessing.connection import wait as _conn_wait
 from typing import Any, Callable
 
-from .simulation import ScheduledEvent, SimulationError
+from .simulation import QueueEntry, ScheduledEvent, SimulationError
 
 #: Longest single poll (ms): keeps the loop responsive to newly
 #: scheduled timers and to ``run(until=...)`` bounds.
@@ -58,7 +58,7 @@ class WallClock:
         self.seed = seed
         self.rng = random.Random(seed)
         self._origin = time.monotonic()
-        self._queue: list[ScheduledEvent] = []
+        self._queue: list[QueueEntry] = []
         self._seq = 0
         self.processed_events = 0
         self._connections: dict[Any, Callable[[bytes], None]] = {}
@@ -82,13 +82,14 @@ class WallClock:
 
     def _push(self, when: float,
               callback: Callable[[], None]) -> ScheduledEvent:
-        event = ScheduledEvent(time=when, seq=self._seq, callback=callback)
-        self._seq += 1
-        heapq.heappush(self._queue, event)
+        seq = self._seq
+        self._seq = seq + 1
+        event = ScheduledEvent(when, seq, callback)
+        heapq.heappush(self._queue, (when, seq, event))
         return event
 
     def pending(self) -> int:
-        return sum(1 for event in self._queue if not event.cancelled)
+        return sum(1 for _, _, event in self._queue if not event.cancelled)
 
     # -- connection multiplexing ----------------------------------------
 
@@ -131,8 +132,8 @@ class WallClock:
 
     def _dispatch_due(self) -> int:
         fired = 0
-        while self._queue and self._queue[0].time <= self.now:
-            event = heapq.heappop(self._queue)
+        while self._queue and self._queue[0][0] <= self.now:
+            event = heapq.heappop(self._queue)[2]
             if event.cancelled:
                 continue
             event.callback()
@@ -152,7 +153,7 @@ class WallClock:
 
     def _slice(self) -> float:
         if self._queue:
-            return min(max(self._queue[0].time - self.now, 0.0),
+            return min(max(self._queue[0][0] - self.now, 0.0),
                        _MAX_POLL_MS)
         return _MAX_POLL_MS
 

@@ -212,15 +212,16 @@ def test_run_autoscale_flag_is_noted_and_ignored(module_path, capsys):
     assert "Gadget/g4" in captured.out
 
 
-def test_bench_pipeline_cell_honours_load_flags(capsys):
+def test_bench_pipeline_cell_honours_load_flags(tmp_path, monkeypatch,
+                                                capsys):
+    monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
     assert main(["bench", "--cell", "pipeline", "--rps", "2000",
                  "--duration-ms", "250", "--records", "200",
                  "--state-backend", "cow", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert "pipeline speedup" in out
     assert "wrote" in out and "BENCH_pipeline.json" in out
-    payload = json.loads(
-        __import__("pathlib").Path("BENCH_pipeline.json").read_text())
+    payload = json.loads((tmp_path / "BENCH_pipeline.json").read_text())
     assert payload["rps"] == 2000.0
 
 

@@ -1,6 +1,8 @@
 """State backends (dict / copy-on-write / partitioned) and the
 per-transaction Aria view."""
 
+import pickle
+
 import pytest
 
 from repro.core.errors import EntityAlreadyExistsError
@@ -14,6 +16,7 @@ from repro.runtimes.state import (
     PartitionedStore,
     StateBackend,
     make_state_backend,
+    materialize_snapshot,
 )
 from repro.runtimes.stateflow.state_backend import (
     AriaStateView,
@@ -53,13 +56,6 @@ class TestCommittedStore:
         store.restore(snapshot)
         assert store.get("Account", "a")["balance"] == 10
         assert store.get("Account", "c") is None
-
-    def test_snapshot_is_deep(self, store):
-        store.put("Account", "n", {"nested": {"x": [1, 2]}})
-        snapshot = store.snapshot()
-        store.get("Account", "n")  # copies anyway
-        snapshot[("Account", "n")]["nested"]["x"].append(3)
-        assert store.get("Account", "n")["nested"]["x"] == [1, 2]
 
     def test_apply_writes(self, store):
         store.apply_writes({("Account", "a"): {"balance": 1},
@@ -123,8 +119,6 @@ class TestBackendContract:
         assert any_backend.get("Account", "n")["nested"]["x"] == [1]
 
     def test_materialized_snapshot_is_isolated(self, any_backend):
-        from repro.runtimes.state import materialize_snapshot
-
         any_backend.put("Account", "n", {"nested": {"x": [1]}})
         snapshot = any_backend.snapshot()
         materialize_snapshot(snapshot)[("Account", "n")][
@@ -153,6 +147,110 @@ class TestBackendContract:
         with pytest.raises(ValueError, match="unknown state backend"):
             make_state_backend("rocksdb")
 
+
+def _nested(tag):
+    return {"id": tag, "lines": [{"sku": tag, "qty": [1, 2]}],
+            "meta": {"seen": {tag}}}
+
+
+def _scribble(state):
+    """Mutate a copied-out state at every depth."""
+    state["id"] = "scribbled"
+    state["lines"][0]["qty"].append(99)
+    state["lines"].append("scribbled")
+    state["meta"]["seen"].add("scribbled")
+
+
+class TestEntryContract:
+    """The written contract of ``repro.runtimes.state``: a committed
+    entry is never mutated once installed.  ``put``/``restore`` copy in,
+    ``get``/``materialize*`` copy out, and every payload in between may
+    alias live entries — so a payload must not change under later store
+    operations, and a copied-out state may be mutated freely."""
+
+    @pytest.fixture(params=sorted(BACKENDS))
+    def name(self, request):
+        return request.param
+
+    @staticmethod
+    def _fill(store):
+        for tag in ("a", "b", "c", "d"):
+            store.put("Cart", tag, _nested(tag))
+
+    @staticmethod
+    def _churn(store):
+        """Every kind of later write the contract names."""
+        store.put("Cart", "a", _nested("a2"))
+        store.delete("Cart", "b")
+        store.apply_writes({("Cart", "c"): _nested("c2"),
+                            ("Cart", "e"): _nested("e")})
+        state = store.get("Cart", "d")
+        _scribble(state)
+        store.put("Cart", "d", state)
+
+    def test_payloads_survive_later_writes_and_restores(self, name):
+        backend = make_state_backend(name)
+        self._fill(backend)
+        payloads = [backend.snapshot(), backend.capture_base()]
+        backend.put("Cart", "d", _nested("d1"))
+        backend.delete("Cart", "c")
+        payloads += [backend.peek_delta(), backend.capture_delta()]
+        backend.pin_view(1)
+        prints = [pickle.dumps(payload) for payload in payloads]
+
+        self._churn(backend)
+        payloads.append(backend.snapshot())
+        prints.append(pickle.dumps(payloads[-1]))
+        backend.restore(payloads[0])
+        self._churn(backend)
+        backend.restore(payloads[-1])
+        self._churn(backend)
+
+        assert [pickle.dumps(payload) for payload in payloads] == prints
+        assert backend.get("Cart", "a") == _nested("a2")
+
+    def test_partitioned_payloads_survive_migration_and_rescale(self, name):
+        store = PartitionedStore(2, backend=name, slots=4)
+        self._fill(store)
+        payloads = [store.snapshot(), store.capture_base()]
+        store.put("Cart", "d", _nested("d1"))
+        payloads.append(store.capture_delta())
+        store.put("Cart", "a", _nested("a1"))
+        moved = store.slot_of("Cart", "a")
+        payloads += [store.snapshot_slot(moved),
+                     store.snapshot_slot(moved, mode="delta")]
+        prints = [pickle.dumps(payload) for payload in payloads]
+
+        store.install_slot(moved, payloads[-2])
+        self._churn(store)
+        store.rescale(3)
+        self._churn(store)
+        store.rescale(1)
+        store.restore(payloads[0])
+        self._churn(store)
+
+        assert [pickle.dumps(payload) for payload in payloads] == prints
+
+    def test_copied_out_states_are_the_callers_to_mutate(self, name):
+        backend = make_state_backend(name)
+        self._fill(backend)
+        backend.pin_view(1)
+        payload = backend.snapshot()
+        print_before = pickle.dumps(payload)
+
+        _scribble(backend.get("Cart", "a"))
+        _scribble(backend.view(1).get("Cart", "a"))
+        _scribble(materialize_snapshot(payload)[("Cart", "a")])
+        if isinstance(payload, CowSnapshot):
+            _scribble(payload.materialize()[("Cart", "a")])
+        restored = make_state_backend(name)
+        restored.restore(payload)
+        _scribble(restored.get("Cart", "a"))
+
+        for store in (backend, backend.view(1), restored):
+            assert store.get("Cart", "a") == _nested("a")
+        assert materialize_snapshot(payload)[("Cart", "a")] == _nested("a")
+        assert pickle.dumps(payload) == print_before
 
 class TestCowStateBackend:
     def test_snapshot_shares_layers_not_copies(self):
