@@ -4,6 +4,7 @@ Shows, for the Figure 1 application:
 - the split function blocks (the paper's ``buy_item_0``, ``buy_item_1``,
   ... from Section 2.4) with their read/write variable sets;
 - the state machine (execution graph) of each split method;
+- the one resumable function those blocks are compiled into;
 - the serialized engine-independent IR, and that the IR round-trips:
   deserialised on a "different system", recompiled from shipped source,
   and executed with identical results.
@@ -40,6 +41,12 @@ def main() -> None:
     machine = program.entities["User"].methods["buy_item"].machine
     for node in machine:
         print(f"  {node.node_id}: {node.terminator.to_dict()}")
+
+    print()
+    print("=" * 70)
+    print("Generated code: all blocks in one resumable function")
+    print("=" * 70)
+    print(program.entities["User"].methods["buy_item"].source())
 
     print()
     print("=" * 70)

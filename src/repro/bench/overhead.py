@@ -11,6 +11,13 @@ total overhead."
 We run a synthetic entity whose state is a payload of the requested size
 through the Local runtime with wall-clock instrumentation enabled, and
 report the per-component breakdown.
+
+``function_execution`` is timed, and counted, once per operator visit:
+the single call into the method's compiled function, which runs every
+block up to the next remote call or return (a split method that crosses
+three blocks on one visit counts one, not three).
+``split_instrumentation`` is what it always was — the frame bookkeeping
+when a visit suspends at a remote call or pops on return.
 """
 
 from __future__ import annotations

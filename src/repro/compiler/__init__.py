@@ -17,10 +17,8 @@ from .blocks import (
 )
 from .callgraph import CallGraph, CallSite, build_call_graph
 from .codegen import (
-    CompiledBlock,
     CompiledEntity,
     CompiledMethod,
-    StepOutcome,
     compile_entity,
     materialize_class,
 )
@@ -40,7 +38,6 @@ __all__ = [
     "BranchTerminator",
     "CallGraph",
     "CallSite",
-    "CompiledBlock",
     "CompiledEntity",
     "CompiledMethod",
     "CompiledProgram",
@@ -55,7 +52,6 @@ __all__ = [
     "SplitResult",
     "StateMachine",
     "StateNode",
-    "StepOutcome",
     "analyze_class",
     "build_call_graph",
     "compile_descriptors",

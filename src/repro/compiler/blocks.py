@@ -29,11 +29,14 @@ CONDITION_VAR = "__cond__"
 CALL_ARGS_VAR = "__call_args__"
 CALL_TARGET_VAR = "__call_target__"
 
-#: Local-variable names dropped from the travelling variable store after a
-#: block executes (payloads and the reconstructed instance).
+#: The generated function's position in the state machine (a block index).
+NODE_VAR = "__node__"
+
+#: Locals of a method's generated function that never travel in the
+#: variable store (payloads, position and the reconstructed instance).
 INTERNAL_NAMES = frozenset({
     RETURN_VALUE_VAR, CONDITION_VAR, CALL_ARGS_VAR, CALL_TARGET_VAR,
-    "self", "__builtins__", "__block__", "__outcome__",
+    NODE_VAR, "self",
 })
 
 _BUILTIN_NAMES = frozenset(dir(builtins))

@@ -143,8 +143,8 @@ def recompile_from_ir(dataflow: StatefulDataflow,
     """Rebuild executable artefacts from a (deserialized) IR.
 
     The IR carries each entity's source; analysis and splitting re-run so
-    the code objects exist in this process.  This is what a target system
-    does after receiving the portable IR.
+    the compiled functions exist in this process.  This is what a target
+    system does after receiving the portable IR.
     """
     descriptors = {
         name: analyze_class(source=operator.descriptor.source,

@@ -7,9 +7,9 @@ flow graph of the program."
 
 The :class:`StateMachine` is the serializable, AST-free view of a
 :class:`~repro.compiler.splitting.SplitResult`: nodes are function blocks,
-arcs are the terminators' targets.  It travels inside the IR; the runtime
-traverses it while the compiled code objects (from
-:mod:`~repro.compiler.codegen`) provide each node's behaviour.
+arcs are the terminators' targets.  It travels inside the IR; the
+method's compiled function (from :mod:`~repro.compiler.codegen`) walks it
+inside one operator, and the runtime follows the arcs that leave one.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Engine-independent operator logic.
 
 This is the behaviour of one dataflow operator from Figure 2: reconstruct
-the entity from operator state, execute state-machine blocks until the
-invocation either returns (REPLY / RESUME to the caller) or performs a
+the entity from operator state, run the method's compiled function until
+the invocation either returns (REPLY / RESUME to the caller) or performs a
 remote call (INVOKE / CREATE to another operator), and flush the entity's
 state back.  Every runtime (Local, StateFun-style, StateFlow) wraps this
 executor with its own messaging, partitioning, and consistency machinery.
@@ -14,14 +14,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Protocol
 
-from ..compiler.blocks import (
-    BranchTerminator,
-    ConstructTerminator,
-    InvokeTerminator,
-    JumpTerminator,
-    ReturnTerminator,
-)
-from ..compiler.codegen import CompiledEntity, CompiledMethod
+from ..compiler.blocks import ConstructTerminator, InvokeTerminator
+from ..compiler.codegen import CompiledEntity
 from ..core.errors import (
     EntityNotFoundError,
     InvocationError,
@@ -175,7 +169,8 @@ class OperatorExecutor:
     # ------------------------------------------------------------------
     def _run(self, event: Event, execution: ExecutionState,
              state: StateAccess) -> list[Event]:
-        """Drive the top frame until it leaves this operator."""
+        """Run the top frame until it leaves this operator: one call
+        into the method's compiled function."""
         frame = execution.top
         compiled = self.entity(frame.entity)
         method = compiled.method(frame.method)
@@ -183,7 +178,6 @@ class OperatorExecutor:
 
         started = self._instr.clock() if self._instr else 0.0
         if is_constructor:
-            entity_state: dict[str, Any] | None = {}
             instance = compiled.blank_instance()
         else:
             entity_state = state.get(frame.entity, frame.key)
@@ -195,49 +189,24 @@ class OperatorExecutor:
             self._instr.add("object_construction",
                             self._instr.clock() - started)
 
-        while True:
-            outcome = self._execute_block(method, frame, instance)
-            node = method.machine.node(frame.node)
-            terminator = node.terminator
-
-            if outcome.returned:
-                # Early `return` inside local control flow pre-empts the
-                # block's static terminator.
-                return self._finish_return(event, execution, state, compiled,
-                                           instance, frame, outcome,
-                                           is_constructor)
-            if isinstance(terminator, JumpTerminator):
-                frame.store = outcome.store
-                frame.node = terminator.target
-                continue
-            if isinstance(terminator, BranchTerminator):
-                frame.store = outcome.store
-                frame.node = (terminator.true_target if outcome.condition
-                              else terminator.false_target)
-                continue
-            if isinstance(terminator, ReturnTerminator):
-                return self._finish_return(event, execution, state, compiled,
-                                           instance, frame, outcome,
-                                           is_constructor)
-            if isinstance(terminator, InvokeTerminator):
-                return self._suspend_invoke(event, execution, state, compiled,
-                                            instance, frame, outcome,
-                                            terminator)
-            if isinstance(terminator, ConstructTerminator):
-                return self._suspend_construct(event, execution, state,
-                                               compiled, instance, frame,
-                                               outcome, terminator)
-            raise RuntimeExecutionError(
-                f"unknown terminator {terminator!r}")  # pragma: no cover
-
-    def _execute_block(self, method: CompiledMethod, frame: Frame,
-                       instance: Any):
         started = self._instr.clock() if self._instr else 0.0
-        outcome = method.execute_block(frame.node, instance, frame.store)
+        kind, node_id, value, target, store = method.run(
+            instance, frame.node, frame.store)
         if self._instr:
             self._instr.add("function_execution",
                             self._instr.clock() - started)
-        return outcome
+
+        if kind == "return":
+            return self._finish_return(event, execution, state, compiled,
+                                       instance, frame, value,
+                                       is_constructor)
+        terminator = method.machine.node(node_id).terminator
+        self._flush_state(compiled, instance, frame, state)
+        if kind == "invoke":
+            return self._suspend_invoke(event, execution, frame, store,
+                                        terminator, value, target)
+        return self._suspend_construct(event, execution, frame, store,
+                                       terminator, value)
 
     def _flush_state(self, compiled: CompiledEntity, instance: Any,
                      frame: Frame, state: StateAccess,
@@ -266,9 +235,8 @@ class OperatorExecutor:
     # -- terminator handlers -------------------------------------------------
     def _finish_return(self, event: Event, execution: ExecutionState,
                        state: StateAccess, compiled: CompiledEntity,
-                       instance: Any, frame: Frame, outcome,
+                       instance: Any, frame: Frame, value: Any,
                        is_constructor: bool) -> list[Event]:
-        value: Any = outcome.return_value
         if is_constructor:
             new_state = compiled.extract_state(instance)
             if self._check_serializable:
@@ -301,23 +269,19 @@ class OperatorExecutor:
                       ingress_time=event.ingress_time)]
 
     def _suspend_invoke(self, event: Event, execution: ExecutionState,
-                        state: StateAccess, compiled: CompiledEntity,
-                        instance: Any, frame: Frame, outcome,
-                        terminator: InvokeTerminator) -> list[Event]:
-        self._flush_state(compiled, instance, frame, state)
+                        frame: Frame, store: dict[str, Any],
+                        terminator: InvokeTerminator,
+                        args: tuple, target: Any) -> list[Event]:
         started = self._instr.clock() if self._instr else 0.0
-        frame.store = outcome.store
+        frame.store = store
         frame.node = terminator.continuation
         frame.result_var = terminator.result_var
         if terminator.is_self_call:
             target = EntityRef(entity=frame.entity, key=frame.key)
-        else:
-            target = outcome.call_target
-            if not isinstance(target, EntityRef):
-                raise InvocationError(
-                    f"remote call receiver {terminator.receiver!r} did not "
-                    f"hold an EntityRef (got {type(target).__name__})")
-        args = tuple(outcome.call_args or ())
+        elif not isinstance(target, EntityRef):
+            raise InvocationError(
+                f"remote call receiver {terminator.receiver!r} did not "
+                f"hold an EntityRef (got {type(target).__name__})")
         invoke = Event(kind=EventKind.INVOKE, target=target,
                        method=terminator.method, args=args,
                        execution=execution, request_id=event.request_id,
@@ -328,47 +292,19 @@ class OperatorExecutor:
         return [invoke]
 
     def _suspend_construct(self, event: Event, execution: ExecutionState,
-                           state: StateAccess, compiled: CompiledEntity,
-                           instance: Any, frame: Frame, outcome,
-                           terminator: ConstructTerminator) -> list[Event]:
-        self._flush_state(compiled, instance, frame, state)
-        frame.store = outcome.store
+                           frame: Frame, store: dict[str, Any],
+                           terminator: ConstructTerminator,
+                           args: tuple) -> list[Event]:
+        frame.store = store
         frame.node = terminator.continuation
         frame.result_var = terminator.result_var
         # Run the callee's __init__ locally (validated to be remote-free)
         # to derive the new entity's key, then ship its state to the
         # owning partition.
-        callee = self.entity(terminator.entity_type)
-        init = callee.method("__init__")
-        init_frame = Frame(entity=terminator.entity_type, key=None,
-                           method="__init__", node=init.entry,
-                           store=init.initial_store(
-                               tuple(outcome.call_args or ())))
-        new_instance = callee.blank_instance()
-        while True:
-            init_outcome = init.execute_block(init_frame.node, new_instance,
-                                              init_frame.store)
-            node = init.machine.node(init_frame.node)
-            if init_outcome.returned:
-                break
-            if isinstance(node.terminator, JumpTerminator):
-                init_frame.store = init_outcome.store
-                init_frame.node = node.terminator.target
-                continue
-            if isinstance(node.terminator, BranchTerminator):
-                init_frame.store = init_outcome.store
-                init_frame.node = (node.terminator.true_target
-                                   if init_outcome.condition
-                                   else node.terminator.false_target)
-                continue
-            if isinstance(node.terminator, ReturnTerminator):
-                break
-            raise RuntimeExecutionError(
-                "constructors must not perform remote calls")
-        new_state = callee.extract_state(new_instance)
+        key, new_state = run_constructor(
+            self.entity(terminator.entity_type), args)
         if self._check_serializable:
             check_serializable(new_state)
-        key = callee.key_of_state(new_state)
         create = Event(kind=EventKind.CREATE,
                        target=EntityRef(terminator.entity_type, key),
                        payload=new_state, execution=execution,
@@ -388,29 +324,14 @@ class OperatorExecutor:
 def run_constructor(compiled: CompiledEntity,
                     args: tuple) -> tuple[Any, dict[str, Any]]:
     """Execute an entity's ``__init__`` to completion locally and return
-    ``(key, state)``.  Used for bulk pre-loading benchmark datasets
-    without driving the full protocol for every row (constructors are
-    validated to be remote-free, so this is always safe)."""
+    ``(key, state)``.  Used for in-method construction and for bulk
+    pre-loading benchmark datasets without driving the full protocol for
+    every row (constructors are validated to be remote-free, so this is
+    always safe)."""
     init = compiled.method("__init__")
     instance = compiled.blank_instance()
-    store = init.initial_store(args)
-    node_id = init.entry
-    while True:
-        outcome = init.execute_block(node_id, instance, store)
-        if outcome.returned:
-            break
-        terminator = init.machine.node(node_id).terminator
-        if isinstance(terminator, JumpTerminator):
-            store = outcome.store
-            node_id = terminator.target
-            continue
-        if isinstance(terminator, BranchTerminator):
-            store = outcome.store
-            node_id = (terminator.true_target if outcome.condition
-                       else terminator.false_target)
-            continue
-        if isinstance(terminator, ReturnTerminator):
-            break
+    kind, *_ = init.run(instance, init.entry, init.initial_store(args))
+    if kind != "return":
         raise RuntimeExecutionError(
             "constructors must not perform remote calls")
     state = compiled.extract_state(instance)

@@ -1,4 +1,4 @@
-"""Code generation: block execution, early returns, materialisation."""
+"""Code generation: the resumable function, early returns, materialisation."""
 
 import pytest
 
@@ -20,15 +20,26 @@ class TestBlockExecution:
         with pytest.raises(InvocationError):
             method.initial_store((1,))
 
-    def test_execute_block_updates_instance(self, shop_program):
+    def test_initial_store_arity_error_names_the_parameters(self,
+                                                            shop_program):
+        method = shop_program.entities["User"].methods["buy_item"]
+        assert method.params == ("amount", "item")
+        with pytest.raises(InvocationError) as excinfo:
+            method.initial_store((1,))
+        assert str(excinfo.value) == (
+            "User.buy_item expects 2 argument(s) ['amount', 'item'], got 1")
+
+    def test_run_updates_instance(self, shop_program):
         compiled = shop_program.entities["Item"]
         method = compiled.methods["update_stock"]
         instance = compiled.make_instance(
             {"item_id": "a", "stock": 5, "price_per_unit": 2})
-        outcome = method.execute_block(method.entry, instance,
-                                       {"amount": 3})
+        kind, node, value, target, store = method.run(
+            instance, method.entry, {"amount": 3})
         assert instance.stock == 8
-        assert outcome.return_value is True
+        assert (kind, node, value, target) == (
+            "return", "update_stock_0", True, None)
+        assert store == {"amount": 3}
 
     def test_user_exception_wrapped(self, shop_program):
         compiled = shop_program.entities["Item"]
@@ -36,16 +47,39 @@ class TestBlockExecution:
         instance = compiled.make_instance(
             {"item_id": "a", "stock": 5, "price_per_unit": 2})
         with pytest.raises(InvocationError) as excinfo:
-            method.execute_block(method.entry, instance, {"amount": "oops"})
+            method.run(instance, method.entry, {"amount": "oops"})
         assert "update_stock" in str(excinfo.value)
+
+    def test_failure_in_resumed_block_is_attributed_and_chained(
+            self, shop_program):
+        compiled = shop_program.entities["User"]
+        method = compiled.methods["buy_item"]
+        instance = compiled.make_instance({"username": "u", "balance": 10})
+        result_var = method.machine.node(method.entry).terminator.result_var
+        with pytest.raises(InvocationError) as excinfo:
+            method.run(instance, "buy_item_1",
+                       {"amount": 2, "item": "ref", result_var: None})
+        cause = excinfo.value.__cause__
+        assert isinstance(cause, TypeError)
+        assert str(excinfo.value) == (
+            f"error while executing User.buy_item_1: {cause!r}")
+        assert excinfo.value.cause == repr(cause)
 
     def test_store_survives_conditionally_undefined_names(self, zoo_program):
         compiled = zoo_program.entities["Zoo"]
         method = compiled.methods["local_only"]
         instance = compiled.make_instance({"zid": "z", "calls": 0})
-        outcome = method.execute_block(method.entry, instance, {"x": -5})
-        assert outcome.returned
-        assert outcome.return_value == -1
+        kind, _, value, _, store = method.run(instance, method.entry,
+                                              {"x": -5})
+        # The early return pre-empts the block before `total`/`i` exist.
+        assert (kind, value) == ("return", -1)
+        assert store == {"x": -5}
+
+    def test_unknown_block_rejected(self, shop_program):
+        compiled = shop_program.entities["Item"]
+        with pytest.raises(InvocationError, match="no block 'price_9'"):
+            compiled.methods["price"].run(compiled.blank_instance(),
+                                          "price_9", {})
 
 
 class TestInstanceBridge:

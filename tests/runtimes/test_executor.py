@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.compiler.blocks import JumpTerminator
 from repro.core.errors import EntityNotFoundError
 from repro.core.refs import EntityRef
 from repro.ir.events import Event, EventKind, ExecutionState
@@ -105,6 +106,33 @@ class TestSuspension:
         assert outs2[0].kind is EventKind.INVOKE
         assert outs2[0].method == "update_stock"
         assert outs2[0].args == (-2,)
+
+
+class TestErrorAttribution:
+    def test_failure_after_resume_names_the_block_that_raised(
+            self, zoo_program):
+        """The block in the error is where the exception happened — not
+        the entry block, and not the block the visit resumed at."""
+        executor = OperatorExecutor(zoo_program.entities)
+        state = MapStateAccess()
+        state.put("Zoo", "z", {"zid": "z", "calls": 0})
+        outs = executor.handle(
+            _invoke("Zoo", "z", "branch_else", EntityRef("Counter", "c"), 2),
+            state)
+        resumed_at = outs[0].execution.top.node
+        machine = zoo_program.entities["Zoo"].methods["branch_else"].machine
+        join = machine.node(resumed_at).terminator
+        assert isinstance(join, JumpTerminator)
+        # `result = even` binds the payload; the join block's
+        # `result + x` is the statement that cannot add str and int.
+        resume = Event(kind=EventKind.RESUME, target=EntityRef("Zoo", "z"),
+                       payload="not-a-number", execution=outs[0].execution,
+                       request_id=1)
+        reply = executor.handle(resume, state)[0]
+        assert reply.kind is EventKind.REPLY
+        assert reply.error.startswith(
+            f"error while executing Zoo.{join.target}: TypeError(")
+        assert join.target not in (machine.entry, resumed_at)
 
 
 class TestInstrumentation:

@@ -12,6 +12,10 @@ from __future__ import annotations
 
 from repro import entity, transactional
 
+#: Module global that ``shadowed_global`` also assigns on one branch,
+#: which makes the name local to the whole method.
+LIMIT = 5
+
 # ---------------------------------------------------------------------------
 # Figure 1: the shop
 # ---------------------------------------------------------------------------
@@ -177,6 +181,40 @@ class Zoo:
             rounds += 1
         return rounds
 
+    # -- scope rules across a suspension -----------------------------------
+    def shadowed_global(self, c: Counter, x: int) -> int:
+        c.add(1)
+        if x > 3:
+            LIMIT = 10
+        return LIMIT
+
+    def comprehension_after_call(self, c: Counter, x: int) -> int:
+        scale: int = x + 1
+        base: int = c.add(x)
+        return sum([scale * i for i in range(base % 5)])
+
+    def variable_named_locals(self, c: Counter, x: int) -> int:
+        locals = x * 2
+        got: int = c.add(x)
+        return locals + got
+
+    def deleted_before_call(self, c: Counter, x: int) -> int:
+        scratch = x * 3
+        keep = scratch + 1
+        del scratch
+        got: int = c.add(keep)
+        if x % 4 == 0:
+            return scratch
+        return got + keep
+
+    def deep_early_return(self, c: Counter, x: int) -> int:
+        seen: int = c.add(x)
+        for i in range(seen):
+            if i % 2 == 1:
+                if i * 3 > x:
+                    return i
+        return -1
+
 
 # Plain-Python oracle twins (no decorators, direct execution) -----------------
 
@@ -283,6 +321,39 @@ class OracleZoo:
             rounds += 1
         return rounds
 
+    def shadowed_global(self, c, x):
+        c.add(1)
+        if x > 3:
+            LIMIT = 10
+        return LIMIT
+
+    def comprehension_after_call(self, c, x):
+        scale = x + 1
+        base = c.add(x)
+        return sum([scale * i for i in range(base % 5)])
+
+    def variable_named_locals(self, c, x):
+        locals = x * 2
+        got = c.add(x)
+        return locals + got
+
+    def deleted_before_call(self, c, x):
+        scratch = x * 3
+        keep = scratch + 1
+        del scratch
+        got = c.add(keep)
+        if x % 4 == 0:
+            return scratch
+        return got + keep
+
+    def deep_early_return(self, c, x):
+        seen = c.add(x)
+        for i in range(seen):
+            if i % 2 == 1:
+                if i * 3 > x:
+                    return i
+        return -1
+
 
 #: (method, args-builder) pairs shared by equivalence tests; each args
 #: builder takes an int seed and returns positional args after the
@@ -298,6 +369,17 @@ ZOO_CASES = [
     ("helper_chain", lambda x: (x,)),
     ("remote_in_condition", lambda x: (x,)),
     ("remote_in_while_condition", lambda x: (x % 7 + 2,)),
+]
+
+#: Scope cases: same shape as ``ZOO_CASES``, but the plain-Python twin
+#: may raise (an unbound local), and the compiled method must then fail
+#: with the same exception.
+ZOO_SCOPE_CASES = [
+    ("shadowed_global", lambda x: (x,)),
+    ("comprehension_after_call", lambda x: (x,)),
+    ("variable_named_locals", lambda x: (x,)),
+    ("deleted_before_call", lambda x: (x,)),
+    ("deep_early_return", lambda x: (x,)),
 ]
 
 SHOP_ENTITIES = [Item, User]
