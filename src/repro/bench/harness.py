@@ -86,7 +86,14 @@ def process_stateflow_overrides(**extra: Any) -> dict[str, Any]:
     wall-clock bench exists to measure.  The failure detector is
     relaxed so the initial replica seeding (a real pickle of the whole
     store) cannot trip the watchdog, and snapshot cuts are spaced out
-    because each one is real O(keys) work on the parent's loop."""
+    because each one is real O(keys) work on the parent's loop.
+
+    The idle-seal delay is a modelled cost too: it stands for arrivals
+    that are near-simultaneous in virtual time, and on the real clock it
+    would be a timer every waiting caller sits out.  With it zeroed an
+    idle coordinator seals on the next kernel turn — arrivals of one
+    turn still share a batch, and a busy pipeline batches at
+    execution-finished without any timer."""
     overrides: dict[str, Any] = {
         "spawner": "process",
         "exec_service_ms": 0.0,
@@ -104,6 +111,7 @@ def process_stateflow_overrides(**extra: Any) -> dict[str, Any]:
             failure_detect_ms=5_000.0,
             snapshot_interval_ms=2_000.0,
             release_txn_outputs_at_epoch=False,
+            idle_seal_fraction=0.0,
             # Real round trips make giant batches toxic: more intra-batch
             # conflicts mean more sequential-fallback executions, each a
             # real worker round trip, so an overloaded depth-1 pipeline

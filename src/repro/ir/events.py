@@ -136,7 +136,7 @@ class Event:
 
     kind: EventKind
     target: EntityRef
-    event_id: int = field(default_factory=next_event_id)
+    event_id: int = field(default_factory=_event_ids.__next__)
     #: INVOKE: (method, args); RESUME: return value; CREATE: state dict;
     #: REPLY: return value or error; CONTROL: protocol-specific.
     payload: Any = None

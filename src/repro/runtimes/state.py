@@ -52,10 +52,17 @@ store's contents exactly as they were at pin time, immune to later
 writes.  The pipelined epoch coordinator pins one view per committed
 batch boundary so a batch's execution phase can overlap the previous
 batch's commit phase: workers read through the pinned view while the
-older batch's writes land in the live store.  The cow backend pins in
-O(1) (freeze the write head, share the layer chain); the dict backend
-keeps a per-view undo overlay, capturing a key's pre-image on its first
-overwrite after the pin — O(active views) per write, O(1) per read.
+older batch's writes land in the live store.  There is one mechanism,
+on both backends and on the partitioned store: a pin is one empty
+*pre-image overlay* (:class:`ReadView`), a write records the entry it
+replaces into every active overlay that does not hold the key yet, and
+a view answers overlay first, live store second — O(1) to pin and to
+release, O(active views) per write, O(1) per read.  A
+:class:`PartitionedStore` keeps **one overlay per pinned version for
+the whole store**: every slot backend records into the store's views,
+so pinning or releasing a batch boundary touches no slot, however many
+there are, and a slot backend swapped by ``install_slot`` is covered by
+the pins that predate it.
 
 The slot indirection is what makes the cluster *elastic*: rescaling
 n -> m workers rebalances whole slots (minimal movement — a key only
@@ -452,22 +459,23 @@ class StateBackend(Protocol):
     def release_view(self, version: int) -> None: ...
 
 
-class DictReadView:
-    """A version-pinned read view over a :class:`DictStateBackend`.
+class ReadView:
+    """A version-pinned read view: the pinned contents of ``live`` (a
+    backend, or a whole :class:`PartitionedStore`).
 
-    The backend records a key's *pre-image* into ``overlay`` the first
-    time the key is overwritten after the pin (``None`` marks a key that
-    was absent), so the view always answers with the pinned contents:
-    overlay first, live store for untouched keys.  Cheap by
-    construction — nothing is copied until (and unless) a pinned key is
-    actually overwritten, and then only a reference to the replaced
-    entry is kept.
+    Whoever writes to ``live`` records a key's *pre-image* into
+    ``overlay`` the first time the key is overwritten or deleted after
+    the pin (``None`` marks a key that was absent), so the view always
+    answers with the pinned contents: overlay first, live store for
+    untouched keys.  Cheap by construction — nothing is copied until
+    (and unless) a pinned key is actually overwritten, and then only a
+    reference to the replaced entry is kept.
     """
 
-    __slots__ = ("_backend", "overlay")
+    __slots__ = ("_live", "overlay")
 
-    def __init__(self, backend: "DictStateBackend"):
-        self._backend = backend
+    def __init__(self, live: Any):
+        self._live = live
         self.overlay: dict[Key, State | None] = {}
 
     def get(self, entity: str, key: Any) -> State | None:
@@ -475,13 +483,23 @@ class DictReadView:
         if composite in self.overlay:
             state = self.overlay[composite]
             return fast_deepcopy(state) if state is not None else None
-        return self._backend.get(entity, key)
+        return self._live.get(entity, key)
 
     def exists(self, entity: str, key: Any) -> bool:
         composite = (entity, key)
         if composite in self.overlay:
             return self.overlay[composite] is not None
-        return self._backend.exists(entity, key)
+        return self._live.exists(entity, key)
+
+
+def _record_pre_image(views: "dict[int, ReadView]", composite: Key,
+                      previous: State | None) -> None:
+    """*composite* is about to be overwritten or deleted: keep the entry
+    it held (``None`` = absent) in every active view that has not seen
+    the key written yet.  The entry is leaving the live store, and
+    entries are only ever swapped whole, so aliasing it is safe."""
+    for view in views.values():
+        view.overlay.setdefault(composite, previous)
 
 
 class DictStateBackend:
@@ -499,8 +517,10 @@ class DictStateBackend:
 
     def __init__(self, store: dict[Key, State] | None = None):
         self.store: dict[Key, State] = store if store is not None else {}
-        #: Active version-pinned read views (see :class:`DictReadView`).
-        self._views: dict[int, DictReadView] = {}
+        #: Active version-pinned read views.  A :class:`PartitionedStore`
+        #: points every slot backend's mapping at its own, so a slot's
+        #: writes land in the store-wide overlays.
+        self._views: dict[int, ReadView] = {}
         #: Keys written/deleted since the last incremental capture;
         #: ``None`` = tracking invalidated (a restore rewound the store,
         #: so "since the last capture" no longer describes a delta over
@@ -515,13 +535,8 @@ class DictStateBackend:
     def put(self, entity: str, key: Any, state: State) -> None:
         composite = (entity, key)
         if self._views:
-            # Pre-image capture: the replaced entry is about to leave the
-            # store, so aliasing it into the overlays is safe (entries
-            # are never mutated in place, only swapped whole).
-            previous = self.store.get(composite)
-            for view in self._views.values():
-                if composite not in view.overlay:
-                    view.overlay[composite] = previous
+            _record_pre_image(self._views, composite,
+                              self.store.get(composite))
         self.store[composite] = fast_deepcopy(state)
         if self._dirty is not None:
             self._dirty.add(composite)
@@ -534,11 +549,9 @@ class DictStateBackend:
 
     def delete(self, entity: str, key: Any) -> None:
         composite = (entity, key)
-        if self._views and composite in self.store:
-            previous = self.store[composite]
-            for view in self._views.values():
-                if composite not in view.overlay:
-                    view.overlay[composite] = previous
+        if self._views:
+            _record_pre_image(self._views, composite,
+                              self.store.get(composite))
         self.store.pop(composite, None)
         if self._dirty is not None:
             self._dirty.add(composite)
@@ -598,9 +611,10 @@ class DictStateBackend:
     # -- version-pinned read views --------------------------------------
     def pin_view(self, version: int) -> None:
         """Pin the current contents as read-only *version*."""
-        self._views.setdefault(version, DictReadView(self))
+        if version not in self._views:
+            self._views[version] = ReadView(self)
 
-    def view(self, version: int) -> DictReadView | None:
+    def view(self, version: int) -> ReadView | None:
         return self._views.get(version)
 
     def release_view(self, version: int) -> None:
@@ -662,34 +676,6 @@ class CowSnapshot:
         return len(self.merged())
 
 
-class CowReadView:
-    """A version-pinned read view over a :class:`CowStateBackend`: the
-    frozen layer chain as of the pin, shared (not copied) with the live
-    backend.  Later writes land in a fresh head and newer layers, so the
-    view stays immutable for free."""
-
-    __slots__ = ("_layers",)
-
-    def __init__(self, layers: tuple[dict[Key, State], ...]):
-        self._layers = layers
-
-    def get(self, entity: str, key: Any) -> State | None:
-        composite = (entity, key)
-        for layer in reversed(self._layers):
-            if composite in layer:
-                state = layer[composite]
-                return (fast_deepcopy(state)
-                        if state is not TOMBSTONE else None)
-        return None
-
-    def exists(self, entity: str, key: Any) -> bool:
-        composite = (entity, key)
-        for layer in reversed(self._layers):
-            if composite in layer:
-                return layer[composite] is not TOMBSTONE
-        return False
-
-
 class CowStateBackend:
     """Copy-on-write committed state with version-chained snapshots.
 
@@ -717,16 +703,18 @@ class CowStateBackend:
         self._compact_after = compact_after
         self.snapshots_taken = 0
         self.layers_compacted = 0
-        #: Active version-pinned read views (see :class:`CowReadView`).
-        self._views: dict[int, CowReadView] = {}
+        #: Active version-pinned read views (shared with the owning
+        #: :class:`PartitionedStore`, as on the dict backend).
+        self._views: dict[int, ReadView] = {}
         #: Layers frozen since the last incremental capture (aliases of
         #: the chain's dicts — O(1) per freeze).  ``None`` = tracking
         #: invalidated by a restore; the next capture must be full.
         self._since_capture: list[dict[Key, Any]] | None = []
 
     # -- StateAccess protocol -------------------------------------------
-    def get(self, entity: str, key: Any) -> State | None:
-        composite = (entity, key)
+    def _entry(self, composite: Key) -> State | None:
+        """The resident entry itself (not a copy), newest layer first;
+        ``None`` when the key is absent or tombstoned."""
         if composite in self._head:
             state = self._head[composite]
         else:
@@ -735,29 +723,33 @@ class CowStateBackend:
                 if composite in layer:
                     state = layer[composite]
                     break
-        if state is None or state is TOMBSTONE:
-            return None
-        return fast_deepcopy(state)
+        return None if state is TOMBSTONE else state
+
+    def get(self, entity: str, key: Any) -> State | None:
+        state = self._entry((entity, key))
+        return fast_deepcopy(state) if state is not None else None
 
     def put(self, entity: str, key: Any, state: State) -> None:
-        self._head[(entity, key)] = fast_deepcopy(state)
+        composite = (entity, key)
+        if self._views:
+            _record_pre_image(self._views, composite,
+                              self._entry(composite))
+        self._head[composite] = fast_deepcopy(state)
 
     def create(self, entity: str, key: Any, state: State) -> None:
         self.put(entity, key, state)
 
     def exists(self, entity: str, key: Any) -> bool:
-        composite = (entity, key)
-        if composite in self._head:
-            return self._head[composite] is not TOMBSTONE
-        for layer in reversed(self._layers):
-            if composite in layer:
-                return layer[composite] is not TOMBSTONE
-        return False
+        return self._entry((entity, key)) is not None
 
     def delete(self, entity: str, key: Any) -> None:
         """Delete by tombstone: the marker lands in the head and shadows
         every older layer, so frozen chains stay immutable."""
-        self._head[(entity, key)] = TOMBSTONE
+        composite = (entity, key)
+        if self._views:
+            _record_pre_image(self._views, composite,
+                              self._entry(composite))
+        self._head[composite] = TOMBSTONE
 
     # -- commit / snapshot support --------------------------------------
     def apply_writes(self, writes: dict[Key, State]) -> None:
@@ -823,24 +815,13 @@ class CowStateBackend:
 
     # -- version-pinned read views --------------------------------------
     def pin_view(self, version: int) -> None:
-        """Pin the current contents as read-only *version*: freeze the
-        write head onto the chain (O(1) — no entries are copied) and
-        share the chain with the view.
+        """Pin the current contents as read-only *version*.  The layer
+        chain is not involved: a pinned key's pre-image is whatever
+        entry the chain resolved to when the key was next written."""
+        if version not in self._views:
+            self._views[version] = ReadView(self)
 
-        Pinning every batch boundary (the pipelined coordinator does)
-        grows the layer chain only for backends that were actually
-        written since the last freeze; compaction then bounds read
-        amplification at O(keys in this backend) every
-        ``compact_after`` freezes.  The freeze cannot be deferred to a
-        view's first reader: the pin captures the quiescent batch
-        boundary, and by the time a reader arrives the next batch's
-        commit is already mutating the head."""
-        if version in self._views:
-            return
-        self._freeze_head()
-        self._views[version] = CowReadView(self._layers)
-
-    def view(self, version: int) -> CowReadView | None:
+    def view(self, version: int) -> ReadView | None:
         return self._views.get(version)
 
     def release_view(self, version: int) -> None:
@@ -1018,9 +999,7 @@ class WorkerSlice:
 
     # -- StateAccess protocol -------------------------------------------
     def get(self, entity: str, key: Any) -> State | None:
-        if not self._owned(entity, key):
-            return None
-        return self._store.get(entity, key)
+        return self._store.get(entity, key, owner=self.index)
 
     def put(self, entity: str, key: Any, state: State) -> None:
         self._store.put(entity, key, state)
@@ -1060,29 +1039,15 @@ class WorkerSlice:
                    for slot in self.owned_slots())
 
 
-class PartitionedReadView:
-    """A version-pinned read view over a :class:`PartitionedStore`:
-    routes each read to the owning slot's pinned view.  Routing uses the
-    live assignment — safe because the pipelined coordinator drains all
-    views before a rescale can change the table."""
+class PartitionedReadView(ReadView):
+    """The :class:`ReadView` of a whole :class:`PartitionedStore`: one
+    overlay for all slots, the store itself as the live side (which
+    routes untouched keys to their slot under the live assignment —
+    safe because the pipelined coordinator drains all views before a
+    rescale can change the table).  A class of its own only so that a
+    store-level read is told apart from a slot backend's by name."""
 
-    __slots__ = ("_store", "_version")
-
-    def __init__(self, store: "PartitionedStore", version: int):
-        self._store = store
-        self._version = version
-
-    def _slot_view(self, entity: str, key: Any) -> Any:
-        slot = self._store.assignment.slot_of(entity, key)
-        return self._store.slot_backend(slot).view(self._version)
-
-    def get(self, entity: str, key: Any) -> State | None:
-        view = self._slot_view(entity, key)
-        return view.get(entity, key) if view is not None else None
-
-    def exists(self, entity: str, key: Any) -> bool:
-        view = self._slot_view(entity, key)
-        return view.exists(entity, key) if view is not None else False
+    __slots__ = ()
 
 
 class PartitionedStore:
@@ -1109,10 +1074,23 @@ class PartitionedStore:
                    else lambda: make_state_backend(backend))
         self._factory = factory
         self.assignment = SlotAssignment(workers, slots=slots)
-        self._slots: list[Any] = [factory()
-                                  for _ in range(self.assignment.slots)]
-        #: Active version-pinned read views, one per pinned version.
+        #: Active version-pinned read views: one store-wide pre-image
+        #: overlay per pinned version, which every slot backend records
+        #: into (see :meth:`_new_slot`).
         self._views: dict[int, PartitionedReadView] = {}
+        self._slots: list[Any] = [self._new_slot()
+                                  for _ in range(self.assignment.slots)]
+
+    def _new_slot(self, payload: Any = None) -> Any:
+        """A slot backend (restored from *payload*, if given) whose
+        writes record pre-images into the store's own views.  The
+        restore comes first: it drops the views of the backend it
+        rewinds, and the store's pins must outlive a slot install."""
+        backend = self._factory()
+        if payload is not None:
+            backend.restore(_normalize_payload_for(backend, payload))
+        backend._views = self._views
+        return backend
 
     # -- partition topology ---------------------------------------------
     @property
@@ -1142,8 +1120,15 @@ class PartitionedStore:
     def _backend(self, entity: str, key: Any) -> Any:
         return self._slots[self.assignment.slot_of(entity, key)]
 
-    def get(self, entity: str, key: Any) -> State | None:
-        return self._backend(entity, key).get(entity, key)
+    def get(self, entity: str, key: Any,
+            *, owner: int | None = None) -> State | None:
+        """The committed entry (a copy).  With *owner*, answer as that
+        worker's :class:`WorkerSlice` does — ``None`` for a key whose
+        slot another worker owns — on the one routing of the key."""
+        slot = self.assignment.slot_of(entity, key)
+        if owner is not None and self.assignment.owners[slot] != owner:
+            return None
+        return self._slots[slot].get(entity, key)
 
     def put(self, entity: str, key: Any, state: State) -> None:
         self._backend(entity, key).put(entity, key, state)
@@ -1169,21 +1154,16 @@ class PartitionedStore:
 
     # -- version-pinned read views --------------------------------------
     def pin_view(self, version: int) -> None:
-        """Pin every slot's current contents as read-only *version*."""
-        if version in self._views:
-            return
-        for backend in self._slots:
-            backend.pin_view(version)
-        self._views[version] = PartitionedReadView(self, version)
+        """Pin the whole store's current contents as read-only
+        *version*: one empty overlay, no slot touched."""
+        if version not in self._views:
+            self._views[version] = PartitionedReadView(self)
 
     def view(self, version: int) -> PartitionedReadView | None:
         return self._views.get(version)
 
     def release_view(self, version: int) -> None:
-        if self._views.pop(version, None) is None:
-            return
-        for backend in self._slots:
-            backend.release_view(version)
+        self._views.pop(version, None)
 
     # -- snapshot assembly ----------------------------------------------
     def snapshot(self) -> PartitionedSnapshot:
@@ -1271,10 +1251,14 @@ class PartitionedStore:
         fragment replaces the slot's previous backend.  Idempotent for
         a fragment captured under the rescale barrier (slot contents
         cannot change between capture and install), so an aborted
-        migration can simply be retried."""
-        backend = self._factory()
-        backend.restore(_normalize_payload_for(backend, fragment))
-        self._slots[slot] = backend
+        migration can simply be retried.
+
+        Pinned views survive the swap, but record nothing for it: an
+        install under a pin is defined only for a fragment whose
+        contents equal the slot's (which is what the rescale barrier
+        guarantees); any other fragment would show through every
+        pinned view as if it had been there at the pin."""
+        self._slots[slot] = self._new_slot(fragment)
 
     # -- rescaling --------------------------------------------------------
     def plan_rescale(self, new_workers: int) -> RescaleDelta:

@@ -38,7 +38,7 @@ fallback.  The invariants that keep this serializable and deterministic:
 - **Pinned snapshot views.**  A batch sealed while older batches are
   still in flight records ``base`` — the last *closed* batch id — in its
   transaction contexts; workers read through the committed store's
-  version-pinned view of that boundary (O(1) to pin on the cow backend),
+  version-pinned view of that boundary (O(1) to pin and to release),
   so older batches' writes landing mid-execution stay invisible.
 - **Cross-batch conflict detection.**  At its commit barrier a batch
   checks its read sets against the write footprints of every batch that

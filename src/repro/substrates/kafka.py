@@ -137,9 +137,8 @@ class KafkaBroker:
             copies = 1 + (fault.copies if fault is not None else 0)
             self.records_duplicated += copies - 1
             for _ in range(copies):
-                record = KafkaRecord(topic=topic, partition=partition_index,
-                                     offset=-1, key=key, value=value,
-                                     timestamp=self.sim.now)
+                record = KafkaRecord(topic, partition_index, -1, key, value,
+                                     self.sim.now)
                 offset = partition.append(record)
                 self.records_produced += 1
 

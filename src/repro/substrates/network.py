@@ -14,7 +14,7 @@ so hooks can scope faults to network partitions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .simulation import Simulation
@@ -41,21 +41,27 @@ class DeliveryFault:
 FaultHook = Callable[[str | None, str | None], "DeliveryFault | None"]
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class LatencyModel:
     """Log-normal hop latency with a fixed floor.
 
     ``median_ms`` is the distribution's median; ``sigma`` the log-space
     standard deviation (tail heaviness); ``floor_ms`` a physical minimum.
+    Immutable, so the distribution's location is derived once.
     """
 
     median_ms: float
     sigma: float = 0.3
     floor_ms: float = 0.01
+    #: ``log(median_ms)``: the ``mu`` of every draw.
+    mu: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "mu",
+                           math.log(max(self.median_ms, 1e-9)))
 
     def sample(self, sim: Simulation) -> float:
-        mu = math.log(max(self.median_ms, 1e-9))
-        value = sim.rng.lognormvariate(mu, self.sigma)
+        value = sim.rng.lognormvariate(self.mu, self.sigma)
         return max(value, self.floor_ms)
 
     def scaled(self, factor: float) -> "LatencyModel":

@@ -115,20 +115,28 @@ class Simulation:
                   *, max_time: float = float("inf")) -> bool:
         """Run until *predicate* holds; False if the calendar drained or
         ``max_time`` passed first."""
+        queue = self._queue
+        pop = heapq.heappop
         while not predicate():
-            if not self._queue or self._queue[0][0] > max_time:
+            if not queue or queue[0][0] > max_time:
                 return False
-            self.step()
+            # One :meth:`step`, inlined: this loop runs once per event
+            # of every driven workload.
+            while queue:
+                when, _, event = pop(queue)
+                callback = event.callback
+                if callback is None:  # cancelled
+                    continue
+                self._now = when
+                event.callback = None
+                callback()
+                self._processed += 1
+                break
         return True
 
     # ------------------------------------------------------------------
     def pending(self) -> int:
         return sum(1 for _, _, event in self._queue if not event.cancelled)
-
-
-@dataclass(slots=True, eq=False)
-class CpuCore:
-    busy_until: float = 0.0
 
 
 class CpuPool:
@@ -144,7 +152,8 @@ class CpuPool:
             raise SimulationError("CpuPool needs at least one core")
         self.sim = sim
         self.name = name
-        self.cores = [CpuCore() for _ in range(cores)]
+        #: Per core, the time it is booked until.
+        self.busy_until = [0.0] * cores
         self.busy_ms = 0.0
         self.completed_tasks = 0
 
@@ -153,10 +162,11 @@ class CpuPool:
         """Schedule *service_ms* of work; returns the completion time."""
         if service_ms < 0:
             raise SimulationError(f"negative service time {service_ms}")
-        core = min(self.cores, key=lambda c: c.busy_until)
-        start = max(core.busy_until, self.sim.now)
-        finish = start + service_ms
-        core.busy_until = finish
+        busy_until = self.busy_until
+        # The earliest-free core, the first of them on a tie.
+        earliest = min(busy_until)
+        finish = max(earliest, self.sim.now) + service_ms
+        busy_until[busy_until.index(earliest)] = finish
         self.busy_ms += service_ms
         self.completed_tasks += 1
         self.sim.schedule_at(finish, callback)
@@ -165,13 +175,12 @@ class CpuPool:
     def utilisation(self, elapsed_ms: float) -> float:
         if elapsed_ms <= 0:
             return 0.0
-        return min(self.busy_ms / (elapsed_ms * len(self.cores)), 1.0)
+        return min(self.busy_ms / (elapsed_ms * len(self.busy_until)), 1.0)
 
     @property
     def queue_depth_ms(self) -> float:
         """How far the least-loaded core is booked beyond *now*."""
-        earliest = min(core.busy_until for core in self.cores)
-        return max(0.0, earliest - self.sim.now)
+        return max(0.0, min(self.busy_until) - self.sim.now)
 
 
 @dataclass(slots=True)

@@ -44,6 +44,66 @@ class TestBatching:
         assert runtime.coordinator.stats.batches == before
 
 
+class TestIdleSeal:
+    """``idle_seal_fraction=0.0`` (the real-clock preset): an idle
+    coordinator seals on the kernel turn after an admission, so a
+    request waits out no timer, yet requests admitted in one turn still
+    share a batch."""
+
+    @staticmethod
+    def _admit(runtime, refs):
+        from repro.ir.events import Event, EventKind
+
+        for request_id, ref in enumerate(refs, start=1):
+            runtime.coordinator.on_request(
+                Event(kind=EventKind.INVOKE, target=ref, method="add",
+                      args=(1,), request_id=request_id,
+                      ingress_time=runtime.sim.now),
+                is_transactional_method=False)
+
+    @pytest.fixture()
+    def immediate(self, account_program):
+        runtime = StateflowRuntime(account_program, config=StateflowConfig(
+            coordinator=CoordinatorConfig(idle_seal_fraction=0.0)))
+        runtime._refs = runtime.preload(
+            Account, [(f"a{i}", 100) for i in range(4)])
+        runtime.start()
+        runtime.sim.run(until=7.0)
+        return runtime
+
+    def test_same_instant_admissions_share_one_batch(self, immediate):
+        coordinator = immediate.coordinator
+        self._admit(immediate, immediate._refs)
+        assert not coordinator.inflight  # sealed by the kernel, not inline
+        immediate.sim.run_until(lambda: bool(coordinator.inflight),
+                                max_time=1_000)
+        (batch,) = coordinator.inflight.values()
+        assert len(batch.single) + len(batch.txns) == 4
+        assert batch.started_at == 7.0
+        immediate.sim.run_until(
+            lambda: all(immediate.entity_state(r)["balance"] == 101
+                        for r in immediate._refs), max_time=30_000)
+        assert coordinator.stats.batches == 1
+
+    def test_lone_request_seals_at_its_admission_time(self, immediate):
+        coordinator = immediate.coordinator
+        self._admit(immediate, immediate._refs[:1])
+        immediate.sim.run_until(lambda: bool(coordinator.inflight),
+                                max_time=1_000)
+        (batch,) = coordinator.inflight.values()
+        assert batch.started_at == 7.0 == immediate.sim.now
+
+    def test_default_fraction_waits_a_quarter_interval(self, runtime):
+        coordinator = runtime.coordinator
+        runtime.sim.run(until=7.0)
+        self._admit(runtime, runtime._refs[:1])
+        runtime.sim.run_until(lambda: bool(coordinator.inflight),
+                              max_time=1_000)
+        (batch,) = coordinator.inflight.values()
+        assert batch.started_at == 7.0 + 0.25 * \
+            runtime.config.coordinator.batch_interval_ms
+
+
 class TestReplyDiscipline:
     def test_duplicate_emission_suppressed(self, runtime):
         coordinator = runtime.coordinator

@@ -173,7 +173,7 @@ class TestDeltaShapes:
         backend = CowStateBackend()
         backend.capture_base()
         backend.put("E", "a", {"v": 1})
-        backend.pin_view(0)  # freezes the head into the tracked layers
+        backend.snapshot()  # freezes the head into the tracked layers
         backend.put("E", "a", {"v": 2})
         delta = backend.capture_delta()
         assert len(delta.layers) == 2

@@ -140,6 +140,37 @@ class TestCpuPool:
         # A new task would wait for both booked jobs on the single core.
         assert pool.queue_depth_ms == 20
 
+    def test_core_choice_and_completion_times(self):
+        """The earliest-free core takes the task, the first of them on
+        a tie, and the task starts when that core is free or now,
+        whichever is later."""
+        sim = Simulation()
+        single, quad = CpuPool(sim, 1), CpuPool(sim, 4)
+        done = []
+        finishes = [single.submit(ms, lambda: done.append(("single", sim.now)))
+                    for ms in (10, 5)]
+        assert finishes == [10, 15] and single.busy_until == [15]
+        booked = []
+        for ms in (10, 5, 1, 1, 2, 1):
+            finish = quad.submit(ms, lambda: done.append(("quad", sim.now)))
+            booked.append((finish, list(quad.busy_until)))
+        assert booked == [
+            (10, [10, 0, 0, 0]),    # four idle cores tie: the first
+            (5, [10, 5, 0, 0]),
+            (1, [10, 5, 1, 0]),
+            (1, [10, 5, 1, 1]),
+            (3, [10, 5, 3, 1]),     # cores 2 and 3 tie at 1: core 2
+            (2, [10, 5, 3, 2]),
+        ]
+        sim.run()
+        assert [at for pool, at in done if pool == "quad"] \
+            == [1, 1, 2, 3, 5, 10]
+        assert [at for pool, at in done if pool == "single"] == [10, 15]
+        # Every core idle, none tied: the one free longest, from now.
+        assert sim.now == 15
+        assert quad.submit(4, lambda: None) == 19
+        assert quad.busy_until == [10, 5, 3, 19]
+
 
 class TestMetricRecorder:
     def test_percentiles(self):

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from repro.substrates.simulation import SimulationError
+from repro.substrates.simulation import CpuPool, SimulationError
 from repro.substrates.wallclock import WallClock
 
 
@@ -110,3 +110,26 @@ def test_run_with_until_bound_returns() -> None:
     assert clock.now >= start + 20.0
     assert clock.now < start + 2_000.0
     assert clock.pending() == 1
+
+
+@pytest.mark.parametrize("cores", [1, 4])
+def test_cpu_pool_core_choice_on_the_real_clock(cores: int) -> None:
+    """The pool reads the kernel's public ``now``: an idle core starts a
+    task at the real instant of the submit, a booked one when it is
+    free, and the earliest-free core is chosen, the first on a tie."""
+    clock = WallClock()
+    pool = CpuPool(clock, cores)
+    hour = 3_600_000.0  # booked far beyond any real delay of the test
+    for service_ms in (3 * hour, hour, hour, 2 * hour, hour, hour):
+        busy = list(pool.busy_until)
+        chosen = min(range(cores), key=busy.__getitem__)
+        before = clock.now
+        finish = pool.submit(service_ms, lambda: None)
+        after = clock.now
+        if busy[chosen] > after:
+            assert finish == busy[chosen] + service_ms
+        else:
+            assert before + service_ms <= finish <= after + service_ms
+        busy[chosen] = finish
+        assert pool.busy_until == busy
+    assert clock.pending() == 6
