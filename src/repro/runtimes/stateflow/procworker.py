@@ -9,16 +9,46 @@ dispatch/commit/migration hooks and the coordinator protocol are
 identical across substrates — only what sits behind the method calls
 changes.
 
+A call chain stays where its state is
+-------------------------------------
+
+The child knows what it owns: its :class:`~repro.substrates.wire.Seed`
+carries the routing table (a real
+:class:`~repro.runtimes.state.SlotAssignment`, so ``worker_of`` is the
+one routing function on both sides of the pipe), and the proxy sends the
+table again (:class:`~repro.substrates.wire.Routing`) ahead of the next
+event whenever its epoch has moved.  While handling a ``Deliver`` the
+child keeps executing, in FIFO order, every INVOKE/RESUME/CREATE it
+emits whose target it owns (:func:`run_chains`); its ``Out`` hands back
+only replies and events for other owners, plus the number of executor
+visits it made — exactly as two entities on one simulator ``Worker``
+share one process.  A chain between two owners still relays through the
+parent, hop by hop.  With ``channel_mode="kafka"`` every hop loops
+through the broker by definition: the proxy is built without a table,
+sends none, and the child continues nothing.
+
 State model
 -----------
 
-The child holds a **full-store replica**: a flat ``(entity, key) ->
-state`` dict seeded from a committed-store snapshot and kept current by
-broadcasting every committed write bucket to every live child.  The
-parent's :class:`~repro.runtimes.state.PartitionedStore` stays the
-single authority — snapshots, recovery restores and slot migration all
+The parent's :class:`~repro.runtimes.state.PartitionedStore` is the
+single authority — snapshots, recovery restores and slot captures all
 happen against it in the parent, exactly as in the simulator — so a
-child crash loses nothing but in-flight work.
+child crash loses nothing but in-flight work.  The child holds a flat
+``(entity, key) -> state`` **replica**, seeded from a committed-store
+snapshot, whose guarantee is:
+
+* **current for the keys the child owns** — commit buckets reach the
+  owner acked, single-key write-backs happen in the owner's child, and
+  when a slot changes hands the destination proxy ships the slot's
+  entries to its child (:class:`~repro.substrates.wire.InstallSlot`,
+  un-acked, FIFO ahead of the new table and of any event routed under
+  it);
+* **existence-only elsewhere** — every commit bucket is also broadcast
+  un-acked to the other children, so creates are visible everywhere (a
+  constructor's duplicate-key check runs before its key has an owner),
+  but single-key writes are *not* replicated: another owner's values
+  may be stale, and a child never executes an event for a key it does
+  not own.
 
 Replica reads can be stale relative to an in-flight older batch (the
 child has no version-pinned views), which is exactly the hazard Aria's
@@ -28,8 +58,9 @@ and re-run in the fallback, so stale replica reads never commit.
 
 Incarnation fencing carries over unchanged: every frame is stamped with
 the worker incarnation it was addressed to, a recovery tears the child
-down and respawns it under a bumped incarnation, and responses from the
-old incarnation are dropped by the proxy.
+down and respawns it under a bumped incarnation (re-seeded with the
+current store and table), and responses from the old incarnation are
+dropped by the proxy.
 """
 
 from __future__ import annotations
@@ -37,16 +68,19 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+from collections import deque
 from typing import Any, Callable
 
 from ...compiler.codegen import CompiledEntity
-from ...ir.events import Event
+from ...ir.events import Event, EventKind
 from ...substrates.wire import (
     Ack,
     ApplyWrites,
     Deliver,
     ExecuteSingleKey,
+    InstallSlot,
     Out,
+    Routing,
     Seed,
     Shutdown,
     SingleKeyDone,
@@ -54,7 +88,12 @@ from ...substrates.wire import (
     encode_frame,
 )
 from ..executor import OperatorExecutor
-from ..state import StateBackend, fast_deepcopy, materialize_snapshot
+from ..state import (
+    SlotAssignment,
+    StateBackend,
+    fast_deepcopy,
+    materialize_snapshot,
+)
 from .state_backend import AriaStateView
 
 #: Fork, not spawn: the child inherits the compiled program (closures
@@ -98,6 +137,19 @@ class ReplicaStore:
         for (entity, key), state in writes.items():
             self.put(entity, key, state)
 
+    def install_slot(self, slot: int, entries: dict,
+                     routing: SlotAssignment | None) -> None:
+        """Make the replica hold exactly *entries* for *slot*.  Telling
+        which held keys hash to the slot takes the table's ``slot_of``;
+        a child without one (it continues nothing) only overwrites."""
+        if routing is not None:
+            for composite in [
+                    composite for composite in self.store
+                    if composite not in entries
+                    and routing.slot_of(*composite) == slot]:
+                del self.store[composite]
+        self.apply_writes(entries)
+
 
 class RecordingStore:
     """Write-capture overlay for the single-key phase: reads hit the
@@ -123,6 +175,32 @@ class RecordingStore:
         return self._replica.exists(entity, key)
 
 
+def run_chains(executor: OperatorExecutor, replica: ReplicaStore,
+               routing: SlotAssignment | None, index: int,
+               events: list[Event]) -> tuple[list[Event], int]:
+    """Execute *events* and, in FIFO order, every INVOKE/RESUME/CREATE
+    they emit whose target worker *index* owns under *routing*.  Returns
+    what is left for others — replies and events for other owners — and
+    the number of executor visits made.  Without a table nothing is
+    continued: every emitted event goes back."""
+    queue = deque(events)
+    out: list[Event] = []
+    visits = 0
+    while queue:
+        event = queue.popleft()
+        visits += 1
+        for emitted in executor.handle(
+                event, AriaStateView(replica, event.txn)):
+            if (routing is not None
+                    and emitted.kind is not EventKind.REPLY
+                    and routing.worker_of(emitted.target.entity,
+                                          emitted.target.key) == index):
+                queue.append(emitted)
+            else:
+                out.append(emitted)
+    return out, visits
+
+
 def _worker_main(conn: Any, index: int,
                  entities: dict[str, CompiledEntity],
                  check_state_serializable: bool) -> None:  # pragma: no cover
@@ -135,6 +213,7 @@ def _worker_main(conn: Any, index: int,
     executor = OperatorExecutor(
         entities, check_state_serializable=check_state_serializable)
     replica = ReplicaStore()
+    routing: SlotAssignment | None = None
     while True:
         try:
             frame = conn.recv_bytes()
@@ -143,40 +222,35 @@ def _worker_main(conn: Any, index: int,
         message = decode_frame(frame)
         if isinstance(message, Shutdown):
             return
+        reply: Any = None
         if isinstance(message, Seed):
             replica.replace(message.payload)
+            routing = message.routing
+        elif isinstance(message, Routing):
+            routing = message.routing
+        elif isinstance(message, InstallSlot):
+            replica.install_slot(message.slot, message.payload, routing)
         elif isinstance(message, Deliver):
-            out: list[Event] = []
-            for event in message.events:
-                view = AriaStateView(replica, event.txn)
-                out.extend(executor.handle(event, view))
-            if out:
-                try:
-                    conn.send_bytes(encode_frame(
-                        Out(out, incarnation=message.incarnation)))
-                except (BrokenPipeError, OSError):
-                    return
+            out, visits = run_chains(executor, replica, routing, index,
+                                     message.events)
+            reply = Out(out, message.incarnation, visits)
         elif isinstance(message, ApplyWrites):
             replica.apply_writes(message.writes)
             if message.ack:
-                try:
-                    conn.send_bytes(encode_frame(
-                        Ack(message.seq, incarnation=message.incarnation)))
-                except (BrokenPipeError, OSError):
-                    return
+                reply = Ack(message.seq, incarnation=message.incarnation)
         elif isinstance(message, ExecuteSingleKey):
             recording = RecordingStore(replica)
             replies: list[Event] = []
             for event in message.events:
                 replies.extend(executor.handle(event, recording))
+            reply = SingleKeyDone(
+                message.seq, replies=replies, writes=recording.writes,
+                incarnation=message.incarnation)
+        if reply is not None:
             try:
-                conn.send_bytes(encode_frame(SingleKeyDone(
-                    message.seq, replies=replies, writes=recording.writes,
-                    incarnation=message.incarnation)))
+                conn.send_bytes(encode_frame(reply))
             except (BrokenPipeError, OSError):
                 return
-        # CaptureSlot/InstallSlot never reach the child: slot migration
-        # runs against the parent's authoritative store (see proxy).
 
 
 class ProcessWorkerProxy:
@@ -190,6 +264,10 @@ class ProcessWorkerProxy:
     that a zero-delay flush turns into a single :class:`Deliver` frame —
     an epoch's worth of execution events crosses the pipe as one frame,
     one pickle, instead of one Python object copy per message.
+
+    *routing* is the table the child continues call chains under (the
+    committed store's own :class:`SlotAssignment`, read live); ``None``
+    builds a child that continues nothing.
     """
 
     def __init__(self, index: int, kernel: Any,
@@ -197,6 +275,7 @@ class ProcessWorkerProxy:
                  entities: dict[str, CompiledEntity],
                  emit: Callable[[Event], None],
                  *, check_state_serializable: bool = False,
+                 routing: SlotAssignment | None = None,
                  peers: Callable[[], list["ProcessWorkerProxy"]]
                  = lambda: []):
         self.index = index
@@ -221,6 +300,11 @@ class ProcessWorkerProxy:
         self._emit = emit
         self._check_serializable = check_state_serializable
         self._peers = peers
+        self._routing = routing
+        #: ``routing.epoch`` of the table last sent to a child.  A child
+        #: yet to be seeded holds none, which is the safe side: it
+        #: continues nothing.
+        self._routing_epoch: int | None = None
         self._seq = 0
         self._pending: dict[int, Callable[[Any], None]] = {}
         self._outbox: list[Event] = []
@@ -274,7 +358,18 @@ class ProcessWorkerProxy:
         if not self.alive or self._conn is None:
             return
         payload = materialize_snapshot(self._committed.snapshot())
-        self._send(Seed(payload, incarnation=self.incarnation))
+        if self._routing is not None:
+            self._routing_epoch = self._routing.epoch
+        self._send(Seed(payload, incarnation=self.incarnation,
+                        routing=self._routing))
+
+    def _send_routing_if_moved(self) -> None:
+        """Ahead of anything the child executes: the table it routes
+        under must be the one the event was routed under."""
+        routing = self._routing
+        if routing is not None and routing.epoch != self._routing_epoch:
+            self._routing_epoch = routing.epoch
+            self._send(Routing(routing, incarnation=self.incarnation))
 
     # -- wire plumbing ---------------------------------------------------
     def _send(self, message: Any) -> None:
@@ -299,7 +394,7 @@ class ProcessWorkerProxy:
         if not self.alive:
             return
         if isinstance(message, Out):
-            self.events_processed += len(message.events)
+            self.events_processed += message.visits
             for event in message.events:
                 self._emit(event)
         elif isinstance(message, (Ack, SingleKeyDone)):
@@ -326,6 +421,7 @@ class ProcessWorkerProxy:
             self._outbox.clear()
             return
         events, self._outbox = self._outbox, []
+        self._send_routing_if_moved()
         self._send(Deliver(events, incarnation=self.incarnation))
 
     # -- Worker API: single-key phase -----------------------------------
@@ -347,6 +443,7 @@ class ProcessWorkerProxy:
             on_done(message.replies)
 
         self._pending[seq] = finish
+        self._send_routing_if_moved()
         self._send(ExecuteSingleKey(events, seq=seq,
                                     incarnation=self.incarnation))
 
@@ -361,8 +458,8 @@ class ProcessWorkerProxy:
         # cuts and recovery read this store, exactly as in the simulator.
         self.store.apply_writes(writes)
         self.writes_applied += len(writes)
-        # Replicate the bucket to every live child so all replicas track
-        # the full committed store; only the owner's copy carries an ack.
+        # Replicate the bucket to every live child so every replica
+        # knows which keys exist; only the owner's copy carries an ack.
         for peer in self._peers():
             if peer is not self and peer.alive:
                 peer.replicate_writes(writes)
@@ -383,10 +480,10 @@ class ProcessWorkerProxy:
     def capture_slot(self, slot: int, on_done: Callable[[Any], None],
                      *, incarnation: int | None = None,
                      mode: str = "full") -> None:
-        """Children replicate the *full* store, so migration never has
-        to move data between processes: capture reads the authoritative
-        slice in the parent and acks on the next kernel turn (preserving
-        the hooks' asynchronous shape)."""
+        """The parent's store is the authority, so nothing has to come
+        out of the source's child: capture reads the authoritative slice
+        in the parent and acks on the next kernel turn (preserving the
+        hooks' asynchronous shape)."""
         if not self.alive:
             return
         if incarnation is not None and incarnation != self.incarnation:
@@ -415,6 +512,12 @@ class ProcessWorkerProxy:
                 return
             self.store.install_slot(slot, fragment)
             self.slots_installed += 1
+            # The child becomes the slot's owner: what it holds for it
+            # may lack single-key writes made at the previous owner.
+            # Un-acked: the pipe is FIFO, so the entries are in place
+            # before the new table and any event routed under it.
+            self._send(InstallSlot(slot, materialize_snapshot(fragment),
+                                   incarnation=self.incarnation))
             on_done()
 
         self.sim.schedule(0, install)

@@ -93,6 +93,8 @@ class ProcessSpawner(Spawner):
             (lambda event, sender=index:
              runtime._on_worker_out(event, sender)),
             check_state_serializable=runtime.config.check_state_serializable,
+            routing=(runtime.committed.assignment
+                     if runtime.config.channel_mode == "direct" else None),
             peers=lambda: runtime.workers)
 
     def on_close(self, runtime: "StateflowRuntime") -> None:

@@ -10,6 +10,17 @@ logical deliveries (an epoch's worth of execution events or a whole
 commit bucket), so the per-message overhead is paid per *frame*, not per
 Python object.
 
+**Events travel flat.**  The four messages that carry events
+(:class:`Deliver`, :class:`Out`, :class:`ExecuteSingleKey`,
+:class:`SingleKeyDone`) put each :class:`~repro.ir.events.Event` on the
+wire as one tuple of primitives (:func:`_flatten`) and rebuild the
+dataclasses positionally on the other side (:func:`_event`) — the
+pickler walks tuples, strings and numbers in C instead of reducing six
+slotted dataclasses and an ``Enum`` per event through Python.  The
+layout is decided here alone (``__reduce__`` on those four types); every
+other message, and every frame :mod:`repro.storage` writes, is pickled
+as before, byte for byte.
+
 Frame layout (all integers big-endian)::
 
     magic(2) | length(4) | nbuffers(2) | [buf_len(4) buf_bytes]* | body
@@ -30,6 +41,9 @@ import struct
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..core.refs import EntityRef
+from ..ir.events import Event, EventKind, ExecutionState, Frame, TxnContext
+
 #: Frame preamble: catches stream desync and non-frame garbage early.
 MAGIC = b"SF"
 _LEN = struct.Struct(">I")
@@ -44,6 +58,55 @@ class FrameError(Exception):
 
 
 # ---------------------------------------------------------------------------
+# Events on the wire
+# ---------------------------------------------------------------------------
+
+_KINDS = tuple(EventKind)
+
+
+def _flatten(event: Event) -> tuple:
+    """One event as one tuple of primitives: kind as an index into
+    ``tuple(EventKind)``, the target's entity and key, the call stack
+    as ``(entity, key, method, node, store, result_var)`` tuples, the
+    transaction context as a tuple of its fields.  Payload, args and
+    frame stores hold user values and travel as they are."""
+    target, execution, txn = event.target, event.execution, event.txn
+    return (
+        _KINDS.index(event.kind), target.entity, target.key, event.event_id,
+        event.payload, event.method, event.args,
+        None if execution is None else [
+            (frame.entity, frame.key, frame.method, frame.node, frame.store,
+             frame.result_var) for frame in execution.frames],
+        event.request_id,
+        None if txn is None else (
+            txn.tid, txn.batch_id, txn.read_set, txn.write_set,
+            txn.create_set, txn.attempt, txn.base),
+        event.ingress_time, event.error)
+
+
+def _event(flat: tuple) -> Event:
+    """Inverse of :func:`_flatten`; every dataclass is built
+    positionally, ``event_id`` included (an event keeps its identity
+    across the pipe)."""
+    (kind, entity, key, event_id, payload, method, args, frames,
+     request_id, txn, ingress_time, error) = flat
+    return Event(
+        _KINDS[kind], EntityRef(entity, key), event_id, payload, method, args,
+        None if frames is None else ExecutionState(
+            [Frame(*frame) for frame in frames]),
+        request_id, None if txn is None else TxnContext(*txn),
+        ingress_time, error)
+
+
+def _events(flats: list) -> list:
+    return [_event(flat) for flat in flats]
+
+
+def _flats(events: list) -> list:
+    return [_flatten(event) for event in events]
+
+
+# ---------------------------------------------------------------------------
 # Message types: coordinator/runtime -> worker process
 # ---------------------------------------------------------------------------
 
@@ -51,9 +114,23 @@ class FrameError(Exception):
 @dataclass(slots=True)
 class Seed:
     """Replace the worker's replica with a full committed-store image
-    (initial launch, and re-seeding after a recovery restore)."""
+    (initial launch, and re-seeding after a recovery restore).
+    ``routing`` is the routing table the child continues call chains
+    under (a :class:`~repro.runtimes.state.SlotAssignment`), ``None``
+    for a child that continues nothing."""
 
     payload: dict
+    incarnation: int = 0
+    routing: Any = None
+
+
+@dataclass(slots=True)
+class Routing:
+    """The routing table moved (a rescale committed): replaces the one
+    the :class:`Seed` carried.  Sent ahead of the first event routed
+    under the new table."""
+
+    routing: Any
     incarnation: int = 0
 
 
@@ -64,6 +141,9 @@ class Deliver:
 
     events: list
     incarnation: int = 0
+
+    def __reduce__(self):
+        return _deliver, (_flats(self.events), self.incarnation)
 
 
 @dataclass(slots=True)
@@ -87,24 +167,19 @@ class ExecuteSingleKey:
     seq: int = 0
     incarnation: int = 0
 
-
-@dataclass(slots=True)
-class CaptureSlot:
-    """Capture one hash slot of the replica (migration source side)."""
-
-    slot: int
-    mode: str = "full"
-    seq: int = 0
-    incarnation: int = 0
+    def __reduce__(self):
+        return _execute_single_key, (
+            _flats(self.events), self.seq, self.incarnation)
 
 
 @dataclass(slots=True)
 class InstallSlot:
-    """Install a migrated slot fragment into the replica."""
+    """A slot changed hands: the entries of *slot* as the authoritative
+    store holds them, shipped to the new owner's child.  The child
+    replaces what it held for the slot; no ack."""
 
     slot: int
-    payload: Any = None
-    seq: int = 0
+    payload: dict
     incarnation: int = 0
 
 
@@ -120,16 +195,22 @@ class Shutdown:
 
 @dataclass(slots=True)
 class Out:
-    """Outbound events a Deliver produced: replies and inter-worker
-    hops, relayed through the coordinator-side hub."""
+    """What a Deliver left for others: replies, and events whose target
+    another worker owns, relayed through the coordinator-side hub.
+    ``visits`` counts the executor visits the child made for it —
+    events it emitted to itself and kept executing included."""
 
     events: list
     incarnation: int = 0
+    visits: int = 0
+
+    def __reduce__(self):
+        return _out, (_flats(self.events), self.incarnation, self.visits)
 
 
 @dataclass(slots=True)
 class Ack:
-    """Completion of a sequenced request (ApplyWrites/InstallSlot)."""
+    """Completion of a sequenced request (ApplyWrites)."""
 
     seq: int
     incarnation: int = 0
@@ -144,21 +225,37 @@ class SingleKeyDone:
     writes: dict = field(default_factory=dict)
     incarnation: int = 0
 
+    def __reduce__(self):
+        return _single_key_done, (
+            self.seq, _flats(self.replies), self.writes, self.incarnation)
 
-@dataclass(slots=True)
-class SlotCaptured:
-    """The fragment a CaptureSlot produced."""
 
-    seq: int
-    slot: int = 0
-    fragment: Any = None
-    incarnation: int = 0
+# Unpickle hooks of the four event-carrying messages, one per type so a
+# frame names one global, not a hook and a class.
+
+
+def _deliver(flats: list, incarnation: int) -> Deliver:
+    return Deliver(_events(flats), incarnation)
+
+
+def _execute_single_key(flats: list, seq: int,
+                        incarnation: int) -> ExecuteSingleKey:
+    return ExecuteSingleKey(_events(flats), seq, incarnation)
+
+
+def _out(flats: list, incarnation: int, visits: int) -> Out:
+    return Out(_events(flats), incarnation, visits)
+
+
+def _single_key_done(seq: int, flats: list, writes: dict,
+                     incarnation: int) -> SingleKeyDone:
+    return SingleKeyDone(seq, _events(flats), writes, incarnation)
 
 
 #: Every frameable message type (the property tests sweep this).
 MESSAGE_TYPES: tuple[type, ...] = (
-    Seed, Deliver, ApplyWrites, ExecuteSingleKey, CaptureSlot, InstallSlot,
-    Shutdown, Out, Ack, SingleKeyDone, SlotCaptured)
+    Seed, Routing, Deliver, ApplyWrites, ExecuteSingleKey, InstallSlot,
+    Shutdown, Out, Ack, SingleKeyDone)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ excluded from tier 1 (CI's process-smoke job runs it).
 from __future__ import annotations
 
 import pytest
+from slot_moves import assert_writes_survive_slot_moves
 
 from repro.runtimes.stateflow import (
     CoordinatorConfig,
@@ -36,31 +37,60 @@ def _process_config(**overrides) -> StateflowConfig:
 
 
 def test_transfers_serial_oracle_on_process_substrate(account_program):
-    """A concurrent transfer mix across real processes must end in a
-    state reachable by some serial order: conservation of the total,
-    non-negative balances, and exactly one reply per request."""
+    """A concurrent mix of transfers and single-key deposits across real
+    processes, with the cluster shrinking and growing back mid-history,
+    must end in a state reachable by some serial order: conservation of
+    the total, non-negative balances, and exactly one reply per
+    request."""
     runtime = StateflowRuntime(account_program, config=_process_config())
     try:
         refs = runtime.preload(Account,
                                [(f"acct-{i}", 100) for i in range(6)])
         runtime.start()
-        plan = [(i % 6, (i * 3 + 1) % 6, 7 + i % 11) for i in range(40)]
+        plan = [(i % 6, (i * 3 + 1) % 6, 7 + i % 11) for i in range(60)]
         replies: list[int] = []
-        for source, target, amount in plan:
+        sent = deposited = 0
+
+        def submit(ref, method, args) -> None:
+            nonlocal sent
+            sent += 1
+            runtime.submit(ref, method, args,
+                           on_reply=lambda r: replies.append(r.request_id))
+
+        for step, (source, target, amount) in enumerate(plan):
             if source == target:
                 target = (target + 1) % 6
-            runtime.submit(refs[source], "transfer", (amount, refs[target]),
-                           on_reply=lambda r: replies.append(r.request_id))
+            submit(refs[source], "transfer", (amount, refs[target]))
+            if step % 3 == 0:
+                submit(refs[target], "deposit", (amount,))
+                deposited += amount
+            if step in (20, 40):
+                # Mid-history, with requests queued on both sides of it.
+                runtime.request_rescale(2 if step == 20 else 3)
+                runtime.sim.run_until(lambda: len(replies) >= sent - 10,
+                                      max_time=runtime.sim.now + DEADLINE_MS)
         deadline = runtime.sim.now + DEADLINE_MS
-        assert runtime.sim.run_until(lambda: len(replies) >= len(plan),
+        assert runtime.sim.run_until(lambda: len(replies) >= sent,
                                      max_time=deadline), (
-            f"only {len(replies)}/{len(plan)} replies before the deadline")
+            f"only {len(replies)}/{sent} replies before the deadline")
+        assert runtime.coordinator.rescales == 2
         balances = [runtime.entity_state(ref)["balance"] for ref in refs]
-        assert sum(balances) == 600, balances
+        assert sum(balances) == 600 + deposited, balances
         assert all(balance >= 0 for balance in balances), balances
-        assert len(set(replies)) == len(plan), "duplicated reply"
+        assert len(replies) == len(set(replies)) == sent, "duplicated reply"
+        # The children agree with the authoritative store.
+        for ref, balance in zip(refs, balances):
+            assert runtime.invoke(ref, "read").unwrap() == balance
     finally:
         runtime.close()
+
+
+def test_single_key_writes_follow_their_slot(account_program):
+    """Lost-update regression: single-key write-backs reach only the
+    owner's child, so a slot that moves (3 -> 2 -> 3 workers) must ship
+    its entries to the new owner's child."""
+    assert_writes_survive_slot_moves(account_program, workers=3,
+                                     shrink_to=2)
 
 
 def test_crash_recovery_on_process_substrate(account_program):
