@@ -1,13 +1,16 @@
 """``repro bench --cell views``: incremental maintenance vs full scan.
 
-The cell drives a YCSB-A/zipfian write mix against StateFlow with four
-registered views (filtered count, global sum, per-bucket rollup, top-10)
-and measures, per state size:
+The cell drives YCSB-T/zipfian transfers against StateFlow — every
+commit moves two balances, the field all six registered views (filtered
+count, global sum, per-bucket rollup, min, per-bucket max, top-10)
+aggregate; a mix that writes ``payload`` only would measure folds that
+change nothing, which the operators skip — and measures, per state
+size:
 
 - **per-commit maintenance cost** — the wall-clock nanoseconds the view
   manager spends folding each batch's write footprint into every plan
   (O(changed keys)), straight off the manager's ledger;
-- **full-scan cost** — the wall-clock time recomputing all four views
+- **full-scan cost** — the wall-clock time recomputing all six views
   from the committed store (O(state)), i.e. what every read would pay
   without incremental maintenance;
 - **freshness lag** — simulated milliseconds between a batch commit and
@@ -94,7 +97,7 @@ def run_views_leg(record_count: int, *, seed: int = 42,
                              snapshot_mode="incremental")
     runtime = StateflowRuntime(ycsb_program(), sim=Simulation(seed=seed),
                                config=config)
-    workload = YcsbWorkload("A", record_count=record_count,
+    workload = YcsbWorkload("T", record_count=record_count,
                             distribution="zipfian", seed=seed + 1)
     runtime.preload(Account, workload.dataset_rows())
     runtime.start()
@@ -217,7 +220,7 @@ def run_durable_rehydrate_leg(record_count: int = 10_000, *,
         runtime = StateflowRuntime(ycsb_program(),
                                    sim=Simulation(seed=seed),
                                    config=config)
-        workload = YcsbWorkload("A", record_count=record_count,
+        workload = YcsbWorkload("T", record_count=record_count,
                                 distribution="zipfian", seed=seed + 1)
         runtime.preload(Account, workload.dataset_rows())
         runtime.start()

@@ -17,6 +17,9 @@ from .errors import SerializationError
 from .refs import EntityRef
 
 _SCALARS = (str, int, float, bool, type(None))
+#: The one-key dicts :func:`encode` writes for non-JSON values.
+_TAGS = frozenset(("__bytes__", "__ref__", "__tuple__", "__set__",
+                   "__kdict__"))
 
 
 def check_serializable(value: Any, *, path: str = "state") -> None:
@@ -62,7 +65,10 @@ def encode(value: Any) -> Any:
     if isinstance(value, dict):
         encoded = {}
         for key, item in value.items():
-            if not isinstance(key, str):
+            # A one-key dict spelled like one of the codec's own tags
+            # would decode as that tag; the pair form carries any dict.
+            if not isinstance(key, str) or (len(value) == 1
+                                            and key in _TAGS):
                 return {"__kdict__": [[encode(key), encode(item)]
                                       for key, item in value.items()]}
             encoded[key] = encode(item)

@@ -180,6 +180,9 @@ class CompiledView:
     applied_at_ms: float | None = None
     #: Names of every registered view sharing this plan.
     names: list[str] = field(default_factory=list)
+    #: Out of service: ``(where the fold raised, the exception)``, set
+    #: and cleared by the manager (``None`` = maintained).
+    failure: tuple[str, Exception] | None = None
 
     def entities(self) -> tuple[str, ...]:
         """Every entity whose commit footprints this plan consumes."""
@@ -266,8 +269,8 @@ class CompiledView:
 
     # -- durable-view sidecar -------------------------------------------
     def export_state(self) -> dict[str, Any]:
-        """Picklable copy of every stateful operator's memos (derived
-        ordered indexes excluded — rebuilt on restore)."""
+        """Picklable image of every stateful operator's memos: the
+        containers are copies, the rows in them are shared."""
         state: dict[str, Any] = {"terminal": self.terminal.export_state()}
         if self.join is not None:
             state["join"] = self.join.export_state()

@@ -7,7 +7,26 @@ footprint (absolute post-states, the changelog convention), the manager
 folds the O(changed keys) delta into each registered plan, and push
 subscribers are fanned the resulting view deltas over whatever
 transport the runtime provides (the network substrate on StateFlow —
-commit never waits on a subscriber).
+commit never waits on a subscriber).  A subscriber hears about a batch
+only when its view's output moved: a commit that leaves every key's
+contribution as it was (see :mod:`.operators`) emits nothing, and the
+value and each :class:`ViewUpdate` are built only for names somebody
+subscribed to.
+
+The rows of a footprint are private to the view layer when they arrive
+(the coordinator read them back with a copy-out ``get``) and shared
+from then on — by every plan, the changelog record and every cut's
+sidecar; :mod:`.operators` states the row contract.
+
+Off the commit path also means a view cannot take a commit down: a plan
+whose fold raises — a committed value its kind cannot use is a
+:class:`~.operators.ViewError` before any memo is touched, anything
+else is caught here — is reset and marked failed with the batch and the
+cause, while the commit, the reply and every other plan proceed.
+Reading or subscribing to a failed view raises :class:`ViewError`
+naming the cause; :meth:`on_restore` and re-registration re-hydrate it
+(a hydration that raises marks it failed again), and a failed plan is
+left out of the sidecar.
 
 Rewind semantics: recovery restores the committed store to a snapshot
 and abandons the whole pipeline, so :meth:`on_restore` brings every
@@ -44,8 +63,10 @@ from .compiler import CompiledView, ViewCompiler, ViewSpec
 from .operators import ViewError
 
 #: Version tag of the durable-view sidecar payload riding snapshot
-#: cuts.  Bump when the per-plan state layout changes shape.
-SIDECAR_VERSION = 1
+#: cuts.  Bump when the per-plan state layout changes shape (2: the
+#: ordered index travels as values and per-value entry lists); any other
+#: version indexes to nothing and falls back to scan hydration.
+SIDECAR_VERSION = 2
 
 
 @dataclass(slots=True)
@@ -139,17 +160,21 @@ class ViewManager:
         if spec.name in self._views:
             raise ViewError(f"view {spec.name!r} is already registered")
         compiled = self._compiler.normalize(spec)
-        if not compiled.names:
-            if not self._resume_from_recovery(spec.name, compiled):
-                compiled.hydrate(self._scan(spec.entity),
-                                 join_items=self._join_scan(compiled),
-                                 at_ms=self._clock())
-                compiled.last_applied_batch = self._head()
-                compiled.applied_at_ms = self._clock()
-                if self._recovery is not None:
-                    # A cold start had to fall back to scanning for
-                    # this plan — the sidecar didn't cover it.
-                    self.rehydrations += 1
+        if not compiled.names or compiled.failure is not None:
+            try:
+                if not self._resume_from_recovery(spec.name, compiled):
+                    self._hydrate(compiled, self._head(), self._clock())
+                    if self._recovery is not None:
+                        # A cold start had to fall back to scanning for
+                        # this plan — the sidecar didn't cover it.
+                        self.rehydrations += 1
+            except Exception as exc:
+                # The caller hears why; a plan nobody registered must
+                # not stay behind on the commit path.
+                self._fail(compiled, "registration", exc)
+                if not compiled.names:
+                    self._compiler.forget(compiled)
+                raise
         compiled.names.append(spec.name)
         self._views[spec.name] = compiled
         return self.read(spec.name)
@@ -179,6 +204,25 @@ class ViewManager:
             return None
         return self._scan(compiled.spec.join_entity)
 
+    def _hydrate(self, compiled: CompiledView, last_applied_batch: int,
+                 at_ms: float | None) -> None:
+        """Rebuild one plan from a store scan and put it (back) in
+        service as of *last_applied_batch*."""
+        compiled.hydrate(self._scan(compiled.spec.entity),
+                         join_items=self._join_scan(compiled),
+                         at_ms=at_ms)
+        compiled.last_applied_batch = last_applied_batch
+        compiled.applied_at_ms = at_ms
+        compiled.failure = None
+
+    @staticmethod
+    def _fail(compiled: CompiledView, where: str, cause: Exception) -> None:
+        """Take a plan whose fold raised out of service: its memos may
+        be half applied, so they are dropped, and every read raises
+        until a hydration succeeds."""
+        compiled.reset()
+        compiled.failure = (where, cause)
+
     # -- reads ----------------------------------------------------------
     def _compiled(self, name: str) -> CompiledView:
         compiled = self._views.get(name)
@@ -186,8 +230,17 @@ class ViewManager:
             raise ViewError(f"no registered view {name!r}")
         return compiled
 
+    @staticmethod
+    def _out_of_service(name: str, compiled: CompiledView) -> ViewError:
+        where, cause = compiled.failure
+        error = ViewError(f"view {name!r} failed at {where}: {cause}")
+        error.__cause__ = cause
+        return error
+
     def read(self, name: str) -> ViewSnapshot:
         compiled = self._compiled(name)
+        if compiled.failure is not None:
+            raise self._out_of_service(name, compiled)
         head = self._head()
         return ViewSnapshot(
             name=name, kind=compiled.spec.kind, value=compiled.value(),
@@ -215,7 +268,9 @@ class ViewManager:
     # -- subscriptions --------------------------------------------------
     def subscribe(self, name: str,
                   callback: Callable[[ViewUpdate], None]) -> None:
-        self._compiled(name)  # must exist
+        compiled = self._compiled(name)  # must exist, and be maintained
+        if compiled.failure is not None:
+            raise self._out_of_service(name, compiled)
         self._subscribers.setdefault(name, []).append(callback)
 
     def _publish(self, update: ViewUpdate) -> None:
@@ -234,7 +289,10 @@ class ViewManager:
         state (exactly what the changelog records).  Plans route by
         entity — a join plan consumes both of its entities' footprints
         in one step.  Batches already applied (duplicate delivery) are
-        skipped per plan; an empty footprint still advances freshness."""
+        skipped per plan; an empty footprint still advances freshness.
+        Plans are isolated from each other and from the caller: one
+        that raises is failed (see :meth:`_fail`), nothing propagates
+        into the commit."""
         if not self._views:
             return
         per_entity: dict[str, dict] = {}
@@ -244,9 +302,14 @@ class ViewManager:
         consumed: set[str] = set()
         started = time.perf_counter_ns()
         for compiled in self._compiler.plans:
-            if batch_id <= compiled.last_applied_batch:
-                continue  # duplicate delivery of an applied batch
-            out = compiled.apply_batch(per_entity, at_ms=at_ms)
+            if compiled.failure is not None \
+                    or batch_id <= compiled.last_applied_batch:
+                continue  # out of service, or a batch already applied
+            try:
+                out = compiled.apply_batch(per_entity, at_ms=at_ms)
+            except Exception as exc:
+                self._fail(compiled, f"batch {batch_id}", exc)
+                continue
             compiled.last_applied_batch = batch_id
             compiled.applied_at_ms = at_ms
             consumed.update(compiled.entities())
@@ -260,8 +323,12 @@ class ViewManager:
         if self.probe is not None:
             self.probe(batch_id)
         for compiled, out in outputs:
+            listened = [name for name in compiled.names
+                        if name in self._subscribers]
+            if not listened:
+                continue
             value = compiled.value()
-            for name in compiled.names:
+            for name in listened:
                 self._publish(ViewUpdate(view=name, batch_id=batch_id,
                                          delta=out, value=value,
                                          at_ms=at_ms))
@@ -270,11 +337,14 @@ class ViewManager:
     def export_sidecar(self) -> dict[str, Any] | None:
         """The versioned payload riding each snapshot cut: every live
         plan's operator memos plus its registered names and structural
-        schema.  ``None`` when no views are registered (the common
-        no-views run pays zero cut overhead)."""
+        schema.  Memo containers are copied, rows are shared with the
+        cut (the row contract).  A failed plan has no memos worth
+        keeping and is left out, so a restore re-hydrates it.  ``None``
+        when no views are registered (the common no-views run pays
+        zero cut overhead)."""
         plans = []
         for compiled in self._compiler.plans:
-            if not compiled.names:
+            if not compiled.names or compiled.failure is not None:
                 continue
             plans.append({
                 "names": sorted(compiled.names),
@@ -316,6 +386,7 @@ class ViewManager:
             return False
         compiled.last_applied_batch = last_applied_batch
         compiled.applied_at_ms = at_ms
+        compiled.failure = None
         return True
 
     # -- rewind ---------------------------------------------------------
@@ -336,11 +407,11 @@ class ViewManager:
                     compiled, entry, last_closed, at_ms):
                 self.sidecar_restores += 1
                 continue
-            compiled.hydrate(self._scan(compiled.spec.entity),
-                             join_items=self._join_scan(compiled),
-                             at_ms=at_ms)
-            compiled.last_applied_batch = last_closed
-            compiled.applied_at_ms = at_ms
+            try:
+                self._hydrate(compiled, last_closed, at_ms)
+            except Exception as exc:  # recovery must not die of a view
+                self._fail(compiled, f"rehydration at batch {last_closed}",
+                           exc)
             self.rehydrations += 1
 
     @staticmethod

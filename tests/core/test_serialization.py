@@ -79,6 +79,15 @@ class TestRoundtrip:
         value = {1: "a", (2, 3): "b"}
         assert loads(dumps(value)) == value
 
+    @pytest.mark.parametrize("tag", ["__bytes__", "__ref__", "__tuple__",
+                                     "__set__", "__kdict__"])
+    def test_one_key_dict_spelled_like_a_tag(self, tag):
+        # Found by test_roundtrip_property: {"__ref__": None} decoded as
+        # an EntityRef and raised.
+        for inner in (None, [], "00"):
+            value = {"outer": {tag: inner}}
+            assert loads(dumps(value)) == value
+
     def test_encode_rejects_object(self):
         with pytest.raises(SerializationError):
             encode(object())

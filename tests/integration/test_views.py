@@ -410,6 +410,119 @@ class TestJoinViews:
 
 
 # ---------------------------------------------------------------------------
+# A committed row a plan cannot fold.  Views sit off the commit path, so
+# the commit, the reply and every other view must not notice; the view
+# that choked is out of service until a hydration succeeds.
+# ---------------------------------------------------------------------------
+
+
+@entity
+class PItem:
+    def __init__(self, iid: str, score: int, stock: int):
+        self.iid: str = iid
+        self.score: int = score
+        self.stock: int = stock
+
+    def __key__(self):
+        return self.iid
+
+    def clear(self) -> str:
+        self.score = None
+        return "cleared"
+
+    def rate(self, score: int) -> int:
+        self.score = score
+        return self.score
+
+    def restock(self, units: int) -> int:
+        self.stock += units
+        return self.stock
+
+
+@pytest.fixture(scope="module")
+def item_program():
+    return compile_program([PItem])
+
+
+POISON_SPECS = [
+    ViewSpec("best", "PItem", "top_k", field="score", k=2),
+    ViewSpec("score-sum", "PItem", "sum", field="score"),
+    ViewSpec("stock-sum", "PItem", "sum", field="stock"),
+]
+
+
+class TestPoisonRow:
+    @pytest.mark.parametrize("state_backend", ["dict", "cow"])
+    def test_commit_reply_and_other_views_survive(self, item_program,
+                                                  state_backend):
+        runtime = StateflowRuntime(item_program, config=StateflowConfig(
+            state_backend=state_backend))
+        items = runtime.preload(
+            PItem, [("i0", 8, 1), ("i1", 9, 2), ("i2", 6, 3)])
+        runtime.start()
+        engine = QueryEngine(runtime)
+        for spec in POISON_SPECS:
+            engine.register_view(spec)
+        pushed = []
+        engine.subscribe_view("stock-sum", pushed.append)
+
+        # The transaction commits and its caller gets the reply, not a
+        # TypeError out of the kernel loop.
+        assert runtime.call(items[1], "clear") == "cleared"
+        assert runtime.entity_state(items[1])["score"] is None
+
+        # Both plans over ``score`` are out of service, each naming the
+        # batch and the value; the plan later in plan order was offered
+        # the batch too (it failed on its own, not by never being run).
+        for name in ("best", "score-sum"):
+            with pytest.raises(ViewError, match=r"failed at batch \d+.*None"):
+                engine.view(name)
+            with pytest.raises(ViewError, match="failed at batch"):
+                engine.subscribe_view(name, pushed.append)
+
+        # The view over another field never noticed.
+        assert runtime.call(items[0], "restock", 10) == 11
+        assert engine.view("stock-sum").value == 16 == \
+            runtime.views.expected("stock-sum")
+        assert [update.value for update in pushed] == [16]
+
+        # A failed plan rides no cut, so a recovery re-hydrates it — and
+        # while the store still holds the row, fails it again instead of
+        # raising into recovery.
+        runtime.views.on_restore(runtime.coordinator._last_closed,
+                                 at_ms=runtime.sim.now,
+                                 sidecar=runtime.views.export_sidecar())
+        with pytest.raises(ViewError, match="failed at rehydration"):
+            engine.view("best")
+        assert engine.view("stock-sum").value == 16
+
+        # Once the field is set again, re-registration hydrates from the
+        # store and the view is back on the oracle — and maintained.
+        assert runtime.call(items[1], "rate", 4) == 4
+        for spec in POISON_SPECS[:2]:
+            engine.unregister_view(spec.name)
+            engine.register_view(spec)
+        runtime.call(items[2], "rate", 7)
+        assert_views_match_oracle(runtime)
+        assert engine.view("score-sum").value == 8 + 4 + 7
+        assert [row["__key__"] for row in engine.view("best").value] == \
+            ["i0", "i2"]
+
+    def test_registration_over_a_poisoned_store_leaves_no_plan_behind(
+            self, item_program):
+        runtime = StateflowRuntime(item_program)
+        items = runtime.preload(PItem, [("i0", 8, 1), ("i1", 9, 2)])
+        runtime.start()
+        runtime.call(items[0], "clear")
+        engine = QueryEngine(runtime)
+        with pytest.raises(ViewError, match="cannot be ordered"):
+            engine.register_view(POISON_SPECS[0])
+        assert runtime.views.names() == []
+        assert runtime.views._compiler.plans == []
+        assert runtime.call(items[1], "restock", 1) == 3
+
+
+# ---------------------------------------------------------------------------
 # Windowed aggregates end-to-end.  There is no full-scan oracle for a
 # windowed view (rows carry no timestamps), so the battery pins the
 # conservation invariant instead: a windowed *sum* partitions the very

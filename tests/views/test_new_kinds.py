@@ -147,15 +147,6 @@ class TestOrderedGroupIndex:
             index.add(None, value, key)
         assert [entry[2] for entry in index.top(None, 3)] == ["m", "a", "z"]
 
-    def test_rebuild_matches_incremental_insertion(self):
-        entries = [("g", (i * 7) % 5, f"k{i}") for i in range(20)]
-        incremental = OrderedGroupIndex()
-        for group, value, key in entries:
-            incremental.add(group, value, key)
-        bulk = OrderedGroupIndex()
-        bulk.rebuild(entries)
-        assert bulk._entries == incremental._entries
-
 
 # ---------------------------------------------------------------------------
 # delta-joins

@@ -25,11 +25,17 @@ from repro.views import (
 
 
 class TestFilterMap:
-    def test_passthrough_copies_rows(self):
-        row = {"v": 1}
-        out = FilterMap().apply({"a": row})
-        assert out == {"a": {"v": 1}}
-        assert out["a"] is not row, "operators must not alias input rows"
+    def test_passthrough_shares_rows_projection_builds_new_ones(self):
+        """The row contract: a row is private to the view layer when it
+        arrives and immutable from there, so a stage that does not
+        reshape it passes the row itself; only a projection is a new
+        dict."""
+        row = {"v": 1, "w": 2}
+        assert FilterMap().apply({"a": row})["a"] is row
+        kept = FilterMap(where=lambda r: r["v"] > 0).apply({"a": row})
+        assert kept["a"] is row
+        projected = FilterMap(project=("v",)).apply({"a": row})
+        assert projected == {"a": {"v": 1}} and row == {"v": 1, "w": 2}
 
     def test_failing_rows_become_tombstones(self):
         stage = FilterMap(where=lambda r: r["v"] > 0)

@@ -12,6 +12,15 @@ Each of these reproduced against the PR-9 operators:
 3. float sum/avg retraction used naive ``total -= value``, drifting
    from the full-scan oracle on long-lived groups (now Kahan–Neumaier
    compensated).
+
+And one against the PR-17 operators:
+
+4. staging extracted fields but never tried the value, so a committed
+   ``None`` (or a ``str`` among numbers) raised a raw ``TypeError`` from
+   inside the fold — ``TopK._rows`` held the key while the index did
+   not, a ``sum`` was left half retracted — and took the commit path
+   down with it (the runtime half of this regression is
+   ``tests/integration/test_views.py::TestPoisonRow``).
 """
 
 import math
@@ -184,3 +193,37 @@ class TestFloatRetractionDrift:
         agg.apply({"a": TOMBSTONE})
         result = agg.result()[None]
         assert result == 4 and isinstance(result, int)
+
+
+class TestPoisonValueIsStagedOut:
+    """Bug 4: staging probes the operation the kind will perform, so a
+    value it cannot use is a :class:`ViewError` raised before the first
+    memo is touched."""
+
+    @pytest.mark.parametrize("poison", [None, "seven", float("nan")])
+    def test_top_k_memos_unchanged(self, poison):
+        top = TopK(2, score_of=lambda row: row["v"])
+        top.apply({"a": {"v": 5}, "b": {"v": 9}, "c": {"v": 1}})
+        before = top.export_state()
+        with pytest.raises(ViewError, match="key 'b'.*order"):
+            top.apply({"a": {"v": 7}, "b": {"v": poison}})
+        assert top.export_state() == before, (
+            "rows and index must both be exactly as they were")
+        rows = top.apply({"b": TOMBSTONE})  # and still retract cleanly
+        assert [row["__key__"] for row in rows] == ["a", "c"]
+
+    @pytest.mark.parametrize("poison", [None, "seven"])
+    @pytest.mark.parametrize("kind", ["sum", "avg", "min", "max"])
+    def test_group_aggregate_memos_unchanged(self, kind, poison):
+        agg = GroupAggregate(kind, value_of=lambda row: row["v"])
+        agg.apply({"a": {"v": 3}, "b": {"v": 5}, "c": {"v": 8}})
+        before = agg.export_state()
+        with pytest.raises(ViewError, match="key 'b'"):
+            agg.apply({"a": {"v": 4}, "b": {"v": poison}})
+        assert agg.export_state() == before
+        agg.apply({"a": TOMBSTONE, "c": TOMBSTONE})
+        assert agg.result() == {None: 5}
+
+    def test_count_does_not_care(self):
+        agg = GroupAggregate("count")
+        assert agg.apply({"a": {"v": None}}) == {None: 1}
