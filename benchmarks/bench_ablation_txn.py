@@ -86,7 +86,7 @@ def test_ablation_contention_latency(benchmark):
     emit("ablation_txn_contention", format_table(
         rows, "ABL-TXN: contention effect on transactional latency",
         columns=["system", "workload", "contention", "p50_ms", "p99_ms",
-                 "txn_aborts", "txn_retries", "completed"]))
+                 "txn_aborts", "completed"]))
     hot, cold = rows
     assert hot.extra["txn_aborts"] >= cold.extra["txn_aborts"], (
         "hot keys must produce at least as many aborts")

@@ -12,33 +12,7 @@ from __future__ import annotations
 
 from conftest import emit
 
-from repro.bench import (
-    format_overhead_table,
-    format_snapshot_table,
-    run_overhead_breakdown,
-    run_snapshot_overhead,
-    snapshot_speedups,
-)
-
-
-def test_snapshot_overhead(benchmark):
-    """No backend deep-copies committed state at a snapshot.  The dict
-    backend's cut is a pointer copy of its map (one reference per key);
-    the copy-on-write backend's is a head freeze, independent of the key
-    count — still at least 5x cheaper at >= 10k keys."""
-    rows = benchmark.pedantic(
-        run_snapshot_overhead,
-        kwargs={"key_counts": [1_000, 10_000, 20_000]},
-        rounds=1, iterations=1)
-    emit("snapshot_overhead", format_snapshot_table(rows))
-    speedups = snapshot_speedups(rows)
-    assert {10_000, 20_000} <= set(speedups), (
-        f"speedup cells missing for the large key counts: {speedups}")
-    for keys, speedup in speedups.items():
-        if keys >= 10_000:
-            assert speedup >= 5.0, (
-                f"cow snapshot should be >= 5x cheaper than dict at "
-                f"{keys} keys; got {speedup:.1f}x")
+from repro.bench import format_overhead_table, run_overhead_breakdown
 
 
 def test_overhead_breakdown(benchmark):

@@ -22,7 +22,6 @@ from .harness import (
     build_runtime,
     check_figure3_shape,
     check_figure4_shape,
-    default_state_backend,
     env_ms,
     format_table,
     process_stateflow_overrides,
@@ -56,12 +55,8 @@ from .overhead import (
     COMPONENTS,
     Blob,
     OverheadRow,
-    SnapshotOverheadRow,
     format_overhead_table,
-    format_snapshot_table,
     run_overhead_breakdown,
-    run_snapshot_overhead,
-    snapshot_speedups,
 )
 
 __all__ = [
@@ -89,7 +84,6 @@ __all__ = [
     "run_pipeline_bench",
     "run_pipeline_cell",
     "run_recovery_cell",
-    "SnapshotOverheadRow",
     "build_runtime",
     "run_rescale_cell",
     "trace_state_digest",
@@ -97,10 +91,8 @@ __all__ = [
     "write_bench_artifact",
     "check_figure3_shape",
     "check_figure4_shape",
-    "default_state_backend",
     "env_ms",
     "format_overhead_table",
-    "format_snapshot_table",
     "format_table",
     "format_views_summary",
     "run_views_cell",
@@ -108,8 +100,6 @@ __all__ = [
     "run_figure3",
     "run_figure4",
     "run_overhead_breakdown",
-    "run_snapshot_overhead",
     "run_ycsb_cell",
-    "snapshot_speedups",
     "ycsb_program",
 ]

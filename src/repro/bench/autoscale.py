@@ -33,7 +33,7 @@ from typing import Any
 from ..control import AutoscalePolicy
 from ..workloads.generator import DriverConfig, WorkloadDriver
 from ..workloads.ycsb import Account, YcsbWorkload
-from .harness import build_runtime, default_state_backend, ycsb_program
+from .harness import build_runtime, ycsb_program
 
 #: Tail-latency SLO the autoscaled run must restore (and the fixed
 #: baseline must violate) over the post-scale window.
@@ -150,13 +150,10 @@ def run_autoscale_cell(*, autoscale: bool,
                        ramp: tuple[RampPhase, ...] = DEFAULT_RAMP,
                        workers: int = 2, state_slots: int = 64,
                        record_count: int = 2_000, seed: int = 42,
-                       state_backend: str | None = None,
                        policy: AutoscalePolicy | None = None,
                        drain_ms: float = 30_000.0) -> AutoscaleRunReport:
     """Run the ramp once, with or without the controller."""
-    backend = state_backend or default_state_backend()
-    overrides: dict[str, Any] = dict(
-        workers=workers, state_slots=state_slots, state_backend=backend)
+    overrides: dict[str, Any] = dict(workers=workers, state_slots=state_slots)
     if autoscale:
         overrides["autoscale_policy"] = policy or AutoscalePolicy()
     runtime = build_runtime("stateflow", ycsb_program(), seed=seed,
@@ -244,8 +241,7 @@ def run_autoscale_cell(*, autoscale: bool,
     return report
 
 
-def run_autoscale_bench(*, state_backend: str | None = None,
-                        seed: int = 42,
+def run_autoscale_bench(*, seed: int = 42,
                         ramp: tuple[RampPhase, ...] = DEFAULT_RAMP,
                         workers: int = 2,
                         policy: AutoscalePolicy | None = None,
@@ -256,12 +252,10 @@ def run_autoscale_bench(*, state_backend: str | None = None,
 
     Returns ``(artifact, autoscaled_report, fixed_report)``.
     """
-    backend = state_backend or default_state_backend()
     scaled = run_autoscale_cell(autoscale=True, ramp=ramp, workers=workers,
-                                seed=seed, state_backend=backend,
-                                policy=policy)
+                                seed=seed, policy=policy)
     fixed = run_autoscale_cell(autoscale=False, ramp=ramp, workers=workers,
-                               seed=seed, state_backend=backend)
+                               seed=seed)
     used_policy = policy or AutoscalePolicy()
     gates = {
         "min_rescales": MIN_RESCALES,
@@ -281,7 +275,6 @@ def run_autoscale_bench(*, state_backend: str | None = None,
         "cell": "autoscale",
         "workload": "A",
         "distribution": "zipfian",
-        "state_backend": backend,
         "seed": seed,
         "workers_initial": workers,
         "ramp": [{"rps": phase.rps, "theta": phase.theta,
@@ -315,8 +308,7 @@ def format_autoscale_summary(artifact: dict[str, Any]) -> str:
     scaled = artifact["runs"]["autoscale"]
     fixed = artifact["runs"]["fixed"]
     lines = [
-        f"autoscale ramp ({artifact['state_backend']} backend): "
-        f"{scaled['workers_final']} workers after "
+        f"autoscale ramp: {scaled['workers_final']} workers after "
         f"{gates['autonomous_rescales']} autonomous rescales "
         f"(started at {artifact['workers_initial']})",
         f"post-scale p99: {gates['autoscale_tail_p99_ms']} ms "

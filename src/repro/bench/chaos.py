@@ -30,8 +30,7 @@ from ..runtimes.state import materialize_snapshot
 from ..runtimes.stateflow.coordinator import CoordinatorConfig
 from ..workloads.generator import DriverConfig, WorkloadDriver
 from ..workloads.ycsb import Account, YcsbWorkload
-from .harness import (ExperimentRow, build_runtime, default_state_backend,
-                      ycsb_program)
+from .harness import ExperimentRow, build_runtime, ycsb_program
 
 
 def chaos_coordinator_config() -> CoordinatorConfig:
@@ -141,7 +140,6 @@ def run_chaos_cell(system: str = "stateflow", workload_name: str = "T",
                    distribution: str = "uniform", *, rps: float = 120.0,
                    duration_ms: float = 3_000.0, record_count: int = 50,
                    seed: int = 42, plan: FaultPlan | None = None,
-                   state_backend: str | None = None,
                    pipeline_depth: int | None = None,
                    snapshot_mode: str | None = None,
                    changelog: bool | None = None,
@@ -170,10 +168,7 @@ def run_chaos_cell(system: str = "stateflow", workload_name: str = "T",
                 if event.kind == "messages":
                     event.profile.drop_p = 0.0
                     event.profile.duplicate_p = 0.0
-    overrides: dict[str, Any] = {
-        "fault_plan": plan,
-        "state_backend": state_backend or default_state_backend(),
-    }
+    overrides: dict[str, Any] = {"fault_plan": plan}
     if system == "stateflow":
         overrides["coordinator"] = chaos_coordinator_config()
         if pipeline_depth is not None:
@@ -246,7 +241,6 @@ def run_chaos_cell(system: str = "stateflow", workload_name: str = "T",
                               workload_name=workload_name)
 
     extra = {
-        "state_backend": getattr(runtime.config, "state_backend", "dict"),
         "recoveries": coordinator.recoveries if coordinator else 0,
         "recovery_time_ms": round(recovery_time, 2),
         "availability": round(availability, 3),

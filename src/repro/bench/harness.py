@@ -150,13 +150,6 @@ class ExperimentRow:
         }
 
 
-def default_state_backend() -> str:
-    """Backend used when a cell does not pin one: the
-    ``REPRO_STATE_BACKEND`` environment variable (the CLI/CI surface),
-    falling back to ``dict``."""
-    return os.environ.get("REPRO_STATE_BACKEND", "dict")
-
-
 def write_bench_artifact(cell: str, payload: dict[str, Any],
                          directory: str | Path | None = None) -> Path:
     """Persist one bench cell's results as ``BENCH_<cell>.json``.
@@ -179,7 +172,6 @@ def run_ycsb_cell(system: str, workload_name: str, distribution: str,
                   *, rps: float = 100.0, duration_ms: float = 20_000.0,
                   record_count: int = 1000, seed: int = 42,
                   drain_ms: float = 8_000.0,
-                  state_backend: str | None = None,
                   fault_plan: Any | None = None,
                   runtime_overrides: dict[str, Any] | None = None,
                   spawner: str = "simulator",
@@ -208,8 +200,6 @@ def run_ycsb_cell(system: str, workload_name: str, distribution: str,
         f"{system}|{workload_name}|{distribution}|{rps}") % 997
     program = ycsb_program()
     overrides = dict(runtime_overrides or {})
-    overrides.setdefault("state_backend",
-                         state_backend or default_state_backend())
     if fault_plan is not None:
         overrides.setdefault("fault_plan", fault_plan)
     if wallclock:
@@ -226,7 +216,7 @@ def run_ycsb_cell(system: str, workload_name: str, distribution: str,
         drain_ms=drain_ms, seed=seed + 2,
         stop_when_drained=wallclock))
     result = driver.run()
-    extra: dict[str, Any] = {"state_backend": overrides["state_backend"]}
+    extra: dict[str, Any] = {}
     if wallclock:
         extra["mode"] = "wallclock"
         extra["spawner"] = spawner
@@ -234,7 +224,6 @@ def run_ycsb_cell(system: str, workload_name: str, distribution: str,
     if hasattr(runtime, "coordinator"):
         stats = runtime.coordinator.stats
         extra["txn_aborts"] = stats.aborts_waw + stats.aborts_raw
-        extra["txn_retries"] = stats.retries
         extra["batches"] = stats.batches
         if fault_plan is not None:
             extra["recoveries"] = runtime.coordinator.recoveries
@@ -283,12 +272,11 @@ FIG3_CELLS: list[tuple[str, str, str]] = [
 
 def run_figure3(*, duration_ms: float | None = None,
                 record_count: int = 1000, seed: int = 42,
-                state_backend: str | None = None,
                 ) -> list[ExperimentRow]:
     duration = duration_ms or env_ms("REPRO_FIG3_DURATION_MS", 20_000.0)
     return [run_ycsb_cell(system, workload, distribution, rps=100.0,
                           duration_ms=duration, record_count=record_count,
-                          seed=seed, state_backend=state_backend)
+                          seed=seed)
             for system, workload, distribution in FIG3_CELLS]
 
 
@@ -302,7 +290,6 @@ FIG4_RATES: list[float] = [1000, 1500, 2000, 2500, 3000, 3500, 4000]
 def run_figure4(*, duration_ms: float | None = None,
                 rates: list[float] | None = None,
                 record_count: int = 1000, seed: int = 42,
-                state_backend: str | None = None,
                 ) -> list[ExperimentRow]:
     duration = duration_ms or env_ms("REPRO_FIG4_DURATION_MS", 6_000.0)
     rows = []
@@ -311,7 +298,7 @@ def run_figure4(*, duration_ms: float | None = None,
             rows.append(run_ycsb_cell(
                 system, "M", "zipfian", rps=rate, duration_ms=duration,
                 record_count=record_count, seed=seed,
-                drain_ms=4_000.0, state_backend=state_backend))
+                drain_ms=4_000.0))
     return rows
 
 

@@ -22,7 +22,6 @@ when a visit suspends at a remote call or pops on return.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 from typing import Callable
@@ -31,7 +30,6 @@ from ..compiler.pipeline import compile_program
 from ..core.entity import entity
 from ..runtimes.executor import Instrumentation
 from ..runtimes.local import LocalRuntime
-from ..runtimes.state import make_state_backend
 
 #: Components reported, in presentation order.
 COMPONENTS = ["object_construction", "function_execution", "state_serde",
@@ -116,94 +114,6 @@ def run_overhead_breakdown(state_kbs: list[int] | None = None,
                           in instrumentation.components.items()},
             component_counts=dict(instrumentation.counts)))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Snapshot overhead: dict (pointer copy) vs cow (version-chained) backends
-# ---------------------------------------------------------------------------
-
-@dataclass(slots=True)
-class SnapshotOverheadRow:
-    """Median snapshot cost for one (backend, key count) cell."""
-
-    backend: str
-    keys: int
-    snapshot_ms: float
-    restore_ms: float
-
-
-def run_snapshot_overhead(key_counts: list[int] | None = None,
-                          *, rounds: int = 5, writes_per_round: int = 64,
-                          payload_bytes: int = 64,
-                          ) -> list[SnapshotOverheadRow]:
-    """Measure steady-state snapshot cost per backend and key count.
-
-    Models the coordinator's cadence: between two snapshots a batch
-    commits a bounded write set, then the whole committed store
-    snapshots.  The dict backend copies its map (one reference per key,
-    entries shared); the cow backend freezes its write head (O(recent
-    writes)) — the gap this experiment quantifies.  ``restore`` copies
-    every entry in on dict and adopts the frozen layers on cow.
-    """
-    rows = []
-    for keys in key_counts or [1_000, 10_000]:
-        for name in ("dict", "cow"):
-            backend = make_state_backend(name)
-            payload = "x" * payload_bytes
-            for index in range(keys):
-                backend.put("Blob", f"k{index}",
-                            {"blob_id": f"k{index}", "payload": payload,
-                             "version": 0})
-            snapshot_timings, restore_timings = [], []
-            snapshot = backend.snapshot()  # warm: initial snapshot
-            for round_ in range(rounds):
-                backend.apply_writes({
-                    ("Blob", f"k{(round_ * writes_per_round + i) % keys}"):
-                    {"blob_id": "w", "payload": payload, "version": round_}
-                    for i in range(writes_per_round)})
-                started = time.perf_counter()
-                snapshot = backend.snapshot()
-                snapshot_timings.append(time.perf_counter() - started)
-                started = time.perf_counter()
-                backend.restore(snapshot)
-                restore_timings.append(time.perf_counter() - started)
-            rows.append(SnapshotOverheadRow(
-                backend=name, keys=keys,
-                snapshot_ms=sorted(snapshot_timings)[rounds // 2] * 1000.0,
-                restore_ms=sorted(restore_timings)[rounds // 2] * 1000.0))
-    return rows
-
-
-def snapshot_speedups(rows: list[SnapshotOverheadRow]) -> dict[int, float]:
-    """dict-vs-cow snapshot speedup per key count."""
-    by_cell = {(row.backend, row.keys): row for row in rows}
-    speedups = {}
-    for (backend, keys), row in by_cell.items():
-        if backend != "dict":
-            continue
-        cow = by_cell.get(("cow", keys))
-        if cow is not None:
-            # Clamp: a cow snapshot under the timer's resolution must
-            # count as a huge speedup, not drop the cell.
-            speedups[keys] = row.snapshot_ms / max(cow.snapshot_ms, 1e-6)
-    return speedups
-
-
-def format_snapshot_table(rows: list[SnapshotOverheadRow]) -> str:
-    speedups = snapshot_speedups(rows)
-    lines = ["Snapshot overhead by state backend",
-             "-" * 42,
-             "  ".join(h.ljust(12) for h in
-                       ["backend", "keys", "snapshot_ms", "restore_ms",
-                        "speedup"])]
-    for row in rows:
-        speedup = (f"{speedups[row.keys]:.1f}x"
-                   if row.backend == "cow" and row.keys in speedups else "")
-        lines.append("  ".join([
-            row.backend.ljust(12), str(row.keys).ljust(12),
-            f"{row.snapshot_ms:.3f}".ljust(12),
-            f"{row.restore_ms:.3f}".ljust(12), speedup.ljust(12)]))
-    return "\n".join(lines)
 
 
 def format_overhead_table(rows: list[OverheadRow]) -> str:

@@ -40,12 +40,7 @@ from typing import Any
 
 from ..workloads.generator import DriverConfig, WorkloadDriver
 from ..workloads.ycsb import Account, YcsbWorkload
-from .harness import (
-    build_runtime,
-    default_state_backend,
-    process_stateflow_overrides,
-    ycsb_program,
-)
+from .harness import build_runtime, process_stateflow_overrides, ycsb_program
 
 #: Wall-clock acceptance target: depth-2 committed-txn throughput over
 #: depth-1, binding only when the host has at least MIN_CORES cores.
@@ -98,7 +93,6 @@ class PipelineReport:
     rows: list[PipelineRow]
     workload: str
     distribution: str
-    state_backend: str
     workers: int
     rps: float
     mode: str = "simulator"
@@ -138,7 +132,6 @@ class PipelineReport:
             "cell": "pipeline",
             "workload": self.workload,
             "distribution": self.distribution,
-            "state_backend": self.state_backend,
             "workers": self.workers,
             "rps": self.rps,
             "mode": self.mode,
@@ -178,7 +171,6 @@ def _reply_digest(replies: list[tuple]) -> str:
 def run_pipeline_cell(*, depths: tuple[int, ...] = (1, 2, 4),
                       workload_name: str = "A",
                       distribution: str = "zipfian",
-                      state_backend: str | None = None,
                       rps: float = 36_000.0, duration_ms: float = 1_000.0,
                       record_count: int = 50_000, workers: int = 32,
                       state_slots: int = 128, seed: int = 42,
@@ -186,14 +178,12 @@ def run_pipeline_cell(*, depths: tuple[int, ...] = (1, 2, 4),
                       spawner: str = "simulator") -> PipelineReport:
     """Sweep ``pipeline_depth`` over one YCSB cell on one substrate."""
     program = ycsb_program()
-    backend = state_backend or default_state_backend()
     wallclock = spawner != "simulator"
     rows: list[PipelineRow] = []
     digests: dict[int, str] = {}
     for depth in depths:
         overrides: dict[str, Any] = dict(
-            state_backend=backend, workers=workers,
-            state_slots=state_slots, pipeline_depth=depth)
+            workers=workers, state_slots=state_slots, pipeline_depth=depth)
         if wallclock:
             overrides = process_stateflow_overrides(**overrides)
         runtime = build_runtime("stateflow", program, seed=seed, **overrides)
@@ -228,13 +218,12 @@ def run_pipeline_cell(*, depths: tuple[int, ...] = (1, 2, 4),
             digests[depth] = _reply_digest(replies)
         runtime.close()
     return PipelineReport(rows=rows, workload=workload_name,
-                          distribution=distribution, state_backend=backend,
-                          workers=workers, rps=rps,
+                          distribution=distribution, workers=workers, rps=rps,
                           mode="wallclock" if wallclock else "simulator",
                           reply_digests=digests)
 
 
-def run_pipeline_bench(*, state_backend: str | None = None, seed: int = 42,
+def run_pipeline_bench(*, seed: int = 42,
                        simulator_kwargs: dict[str, Any] | None = None,
                        wallclock_kwargs: dict[str, Any] | None = None,
                        include_wallclock: bool = True,
@@ -246,8 +235,7 @@ def run_pipeline_bench(*, state_backend: str | None = None, seed: int = 42,
     Returns ``(artifact, simulator_report, wallclock_report)`` — the
     wall-clock report is ``None`` when ``include_wallclock`` is off.
     """
-    sim_args: dict[str, Any] = dict(depths=(1, 2, 4), seed=seed,
-                                    state_backend=state_backend)
+    sim_args: dict[str, Any] = dict(depths=(1, 2, 4), seed=seed)
     sim_args.update(simulator_kwargs or {})
     sim_report = run_pipeline_cell(**sim_args)
 
@@ -255,7 +243,6 @@ def run_pipeline_bench(*, state_backend: str | None = None, seed: int = 42,
     if include_wallclock:
         wall_args: dict[str, Any] = dict(
             depths=(1, 2), spawner="process", seed=seed,
-            state_backend=state_backend,
             # Real seconds now, and a different cell than the simulator
             # firehose: transfers (workload T) run in the execute phase
             # — the work depth 2 actually overlaps with the predecessor's

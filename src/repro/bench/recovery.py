@@ -47,7 +47,7 @@ from ..runtimes.stateflow.coordinator import CoordinatorConfig
 from ..workloads.generator import DriverConfig, WorkloadDriver
 from ..workloads.ycsb import Account, YcsbWorkload
 from .chaos import trace_state_digest
-from .harness import build_runtime, default_state_backend, ycsb_program
+from .harness import build_runtime, ycsb_program
 
 #: The acceptance gate: incremental cuts must capture at most this
 #: fraction of full-mode bytes at the gated state size.
@@ -109,7 +109,6 @@ class RecoveryReport:
     """The full sweep (see module docstring)."""
 
     rows: list[RecoveryRow]
-    state_backend: str
     #: records -> incremental/full mean-bytes-per-cut ratio.
     bytes_ratios: dict[int, float]
     #: records -> both modes produced identical trace+state digests.
@@ -133,7 +132,6 @@ class RecoveryReport:
         """JSON-ready payload for ``BENCH_recovery.json`` persistence."""
         return {
             "cell": "recovery",
-            "state_backend": self.state_backend,
             "rows": [row.as_dict() for row in self.rows],
             "bytes_ratios": {str(records): round(ratio, 4)
                              for records, ratio in self.bytes_ratios.items()},
@@ -181,15 +179,14 @@ class RecoveryReport:
         return "\n".join(lines)
 
 
-def _run_one(mode: str, records: int, *, backend: str, seed: int,
+def _run_one(mode: str, records: int, *, seed: int,
              rps: float, duration_ms: float, drain_ms: float,
              durability_dir: str | None = None
              ) -> tuple[RecoveryRow, Any]:
     config = recovery_coordinator_config(mode)
     config.durability_dir = durability_dir
     runtime = build_runtime(
-        "stateflow", ycsb_program(), seed=seed,
-        state_backend=backend, coordinator=config)
+        "stateflow", ycsb_program(), seed=seed, coordinator=config)
     trace: list[tuple] = []
     runtime.reply_tap = lambda reply: trace.append(
         (reply.request_id, repr(reply.payload), reply.error))
@@ -235,7 +232,7 @@ def _run_one(mode: str, records: int, *, backend: str, seed: int,
     return row, runtime
 
 
-def _disk_leg(memory_row: RecoveryRow, *, backend: str, seed: int,
+def _disk_leg(memory_row: RecoveryRow, *, seed: int,
               rps: float, duration_ms: float,
               drain_ms: float) -> tuple[dict[str, Any], list[str]]:
     """Repeat *memory_row*'s incremental run with a real durability
@@ -246,7 +243,7 @@ def _disk_leg(memory_row: RecoveryRow, *, backend: str, seed: int,
     records = memory_row.records
     with tempfile.TemporaryDirectory(prefix="repro-recovery-") as tmp:
         row, runtime = _run_one(
-            "incremental", records, backend=backend, seed=seed, rps=rps,
+            "incremental", records, seed=seed, rps=rps,
             duration_ms=duration_ms, drain_ms=drain_ms, durability_dir=tmp)
         coordinator = runtime.coordinator
         changelog = coordinator.changelog
@@ -313,13 +310,12 @@ def _disk_leg(memory_row: RecoveryRow, *, backend: str, seed: int,
     return disk, problems
 
 
-def run_recovery_cell(*, state_backend: str | None = None, seed: int = 42,
+def run_recovery_cell(*, seed: int = 42,
                       record_counts: tuple[int, ...] = (1_000, GATE_RECORDS),
                       rps: float = 200.0, duration_ms: float = 2_000.0,
                       drain_ms: float = 20_000.0,
                       disk: bool = True) -> RecoveryReport:
     """Run the full-vs-incremental sweep (see module docstring)."""
-    backend = state_backend or default_state_backend()
     rows: list[RecoveryRow] = []
     ratios: dict[int, float] = {}
     matches: dict[int, bool] = {}
@@ -328,7 +324,7 @@ def run_recovery_cell(*, state_backend: str | None = None, seed: int = 42,
     for records in record_counts:
         pair: dict[str, RecoveryRow] = {}
         for mode in ("full", "incremental"):
-            row, _ = _run_one(mode, records, backend=backend, seed=seed,
+            row, _ = _run_one(mode, records, seed=seed,
                               rps=rps, duration_ms=duration_ms,
                               drain_ms=drain_ms)
             rows.append(row)
@@ -355,12 +351,12 @@ def run_recovery_cell(*, state_backend: str | None = None, seed: int = 42,
     if disk and incremental_rows:
         largest = incremental_rows[max(incremental_rows)]
         disk_leg, disk_problems = _disk_leg(
-            largest, backend=backend, seed=seed, rps=rps,
+            largest, seed=seed, rps=rps,
             duration_ms=duration_ms, drain_ms=drain_ms)
         problems.extend(disk_problems)
-    report = RecoveryReport(rows=rows, state_backend=backend,
-                            bytes_ratios=ratios, digests_match=matches,
-                            problems=problems, disk=disk_leg)
+    report = RecoveryReport(rows=rows, bytes_ratios=ratios,
+                            digests_match=matches, problems=problems,
+                            disk=disk_leg)
     gate = report.gate_ratio
     if gate is not None and gate > GATE_MAX_RATIO:
         report.problems.append(

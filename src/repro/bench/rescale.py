@@ -31,8 +31,7 @@ from ..workloads.generator import DriverConfig, WorkloadDriver
 from ..workloads.ycsb import Account, YcsbWorkload
 from .chaos import (chaos_coordinator_config, trace_state_digest,
                     verify_history)
-from .harness import (ExperimentRow, build_runtime, default_state_backend,
-                      ycsb_program)
+from .harness import ExperimentRow, build_runtime, ycsb_program
 
 
 @dataclass(slots=True)
@@ -111,7 +110,6 @@ def run_rescale_cell(workload_name: str = "T",
                      plan: RescalePlan | None = None,
                      rps: float = 150.0, duration_ms: float = 4_000.0,
                      record_count: int = 60, seed: int = 42,
-                     state_backend: str | None = None,
                      fault_plan: FaultPlan | None = None,
                      pipeline_depth: int | None = None,
                      snapshot_mode: str | None = None,
@@ -131,7 +129,6 @@ def run_rescale_cell(workload_name: str = "T",
     runtime = build_runtime(
         "stateflow", ycsb_program(), seed=seed,
         workers=workers,
-        state_backend=state_backend or default_state_backend(),
         rescale_plan=plan, fault_plan=fault_plan,
         pipeline_depth=pipeline_depth,
         snapshot_mode=snapshot_mode, changelog=changelog,
@@ -201,7 +198,6 @@ def run_rescale_cell(workload_name: str = "T",
                             f"workers, plan targeted {wanted}")
 
     extra = {
-        "state_backend": runtime.config.state_backend,
         "rescales": coordinator.rescales,
         "mean_pause_ms": round(sum(pauses) / len(pauses), 3) if pauses else 0.0,
         "keys_moved": coordinator.keys_migrated,

@@ -43,7 +43,7 @@ from ..query import QueryEngine, ViewSpec
 from ..runtimes.stateflow import StateflowConfig, StateflowRuntime
 from ..substrates.simulation import Simulation
 from ..workloads import Account, DriverConfig, WorkloadDriver, YcsbWorkload
-from .harness import default_state_backend, ycsb_program
+from .harness import ycsb_program
 
 #: The speedup the 10k-key leg must clear (incremental refresh vs full
 #: scan) for the cell to pass.
@@ -85,16 +85,13 @@ def cell_views() -> list[ViewSpec]:
 
 
 def run_views_leg(record_count: int, *, seed: int = 42,
-                  state_backend: str | None = None,
                   rps: float = 200.0, duration_ms: float = 6_000.0,
                   drain_ms: float = 6_000.0) -> dict[str, Any]:
     """One leg: drive load at *record_count* keys, return its metrics."""
     from ..ir.dataflow import stable_hash
 
-    backend = state_backend or default_state_backend()
     seed = seed + stable_hash(f"views|{record_count}|{rps}") % 997
-    config = StateflowConfig(state_backend=backend,
-                             snapshot_mode="incremental")
+    config = StateflowConfig(snapshot_mode="incremental")
     runtime = StateflowRuntime(ycsb_program(), sim=Simulation(seed=seed),
                                config=config)
     workload = YcsbWorkload("T", record_count=record_count,
@@ -151,7 +148,6 @@ def run_views_leg(record_count: int, *, seed: int = 42,
     freshness = runtime.views.read("total-balance")
     return {
         "record_count": record_count,
-        "state_backend": backend,
         "rps": rps,
         "duration_ms": duration_ms,
         "requests_completed": result.completed,
@@ -180,8 +176,8 @@ def _timed_full_scan(manager, names: list[str]) -> float:
 
 
 class _FlatScanStore:
-    """Backend-agnostic scan surface over a cold-started flat
-    ``{(entity, key): state}`` mapping."""
+    """Scan surface over a cold-started flat ``{(entity, key): state}``
+    mapping."""
 
     def __init__(self, state: dict) -> None:
         self._state = state
@@ -196,7 +192,6 @@ class _FlatScanStore:
 
 def run_durable_rehydrate_leg(record_count: int = 10_000, *,
                               seed: int = 42,
-                              state_backend: str | None = None,
                               rps: float = 200.0,
                               duration_ms: float = 3_000.0,
                               trials: int = 3) -> dict[str, Any]:
@@ -210,12 +205,10 @@ def run_durable_rehydrate_leg(record_count: int = 10_000, *,
     from ..storage import FileChangelogStore, FileSnapshotStore
     from ..views import ViewManager
 
-    backend = state_backend or default_state_backend()
     seed = seed + stable_hash(f"views-durable|{record_count}") % 997
     directory = tempfile.mkdtemp(prefix="repro-bench-views-")
     try:
-        config = StateflowConfig(state_backend=backend,
-                                 snapshot_mode="incremental",
+        config = StateflowConfig(snapshot_mode="incremental",
                                  durability_dir=directory)
         runtime = StateflowRuntime(ycsb_program(),
                                    sim=Simulation(seed=seed),
@@ -281,7 +274,6 @@ def run_durable_rehydrate_leg(record_count: int = 10_000, *,
         speedup = scan_ms / sidecar_ms if sidecar_ms > 0 else float("inf")
         return {
             "record_count": record_count,
-            "state_backend": backend,
             "suffix_records": len(suffix),
             "sidecar_resume_ms": round(sidecar_ms, 4),
             "scan_rehydrate_ms": round(scan_ms, 4),
@@ -295,16 +287,15 @@ def run_durable_rehydrate_leg(record_count: int = 10_000, *,
         shutil.rmtree(directory, ignore_errors=True)
 
 
-def run_views_cell(*, seed: int = 42, state_backend: str | None = None,
+def run_views_cell(*, seed: int = 42,
                    record_counts: tuple[int, ...] = RECORD_COUNTS,
                    rps: float = 200.0, duration_ms: float = 6_000.0,
                    ) -> dict[str, Any]:
     """Run every leg and assemble the ``BENCH_views.json`` payload."""
-    legs = [run_views_leg(count, seed=seed, state_backend=state_backend,
-                          rps=rps, duration_ms=duration_ms)
+    legs = [run_views_leg(count, seed=seed, rps=rps,
+                          duration_ms=duration_ms)
             for count in record_counts]
     durable = run_durable_rehydrate_leg(record_counts[0], seed=seed,
-                                        state_backend=state_backend,
                                         rps=rps)
     smallest = legs[0]
     max_lags = [leg["freshness"]["max_lag_ms"] for leg in legs

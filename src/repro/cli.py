@@ -9,8 +9,8 @@ Commands:
   operator dataflow or one method's state machine;
 - ``run <module.py> <Entity> <method> <key> [args...]`` — quick local
   execution against a fresh Local runtime (debugging aid);
-- ``bench [--system ...] [--state-backend dict|cow] ...`` — run one
-  YCSB benchmark cell on a simulated runtime and print its row;
+- ``bench [--system ...] ...`` — run one YCSB benchmark cell on a
+  simulated runtime and print its row;
   ``--cell pipeline`` instead sweeps the epoch-pipeline depth
   (1/2/4) on a saturating cell and writes ``BENCH_pipeline.json``;
   ``--cell recovery`` sweeps snapshot mode (full/incremental) against
@@ -24,8 +24,7 @@ Commands:
   cold-start leg, and writes ``BENCH_views.json`` with the >=10x
   incremental-vs-full-scan speedup gate, the freshness-lag gate, and
   the >=10x sidecar-resume-vs-rehydration gate;
-  ``--rps-sweep R1,R2,...`` turns the ycsb cell into a rate sweep
-  across both state backends;
+  ``--rps-sweep R1,R2,...`` turns the ycsb cell into a rate sweep;
 - ``chaos plan --seed N --out plan.json`` — generate a reproducible
   random fault plan;
 - ``chaos run [--plan plan.json] [--seed N] ...`` — execute a workload
@@ -39,15 +38,13 @@ Commands:
   under chaos), verify the committed history, and report migration
   pause times and post-rescale throughput.
 
-``run`` and ``bench`` accept ``--state-backend`` to select the
-committed-state backend (see :mod:`repro.runtimes.state`),
-``--faults plan.json`` to run under a fault plan (see
-:mod:`repro.faults`), and ``--rescale plan.json`` to resize the cluster
-mid-run (StateFlow only; see :mod:`repro.rescale`).  ``bench`` and
-``chaos run`` accept ``--autoscale`` to attach the closed-loop
-controller that sizes the cluster itself (see :mod:`repro.control`);
-it does not compose with ``--rescale`` (two scaling authorities would
-fight over the same barrier).  ``bench``,
+``run`` and ``bench`` accept ``--faults plan.json`` to run under a
+fault plan (see :mod:`repro.faults`), and ``--rescale plan.json`` to
+resize the cluster mid-run (StateFlow only; see :mod:`repro.rescale`).
+``bench`` and ``chaos run`` accept ``--autoscale`` to attach the
+closed-loop controller that sizes the cluster itself (see
+:mod:`repro.control`); it does not compose with ``--rescale`` (two
+scaling authorities would fight over the same barrier).  ``bench``,
 ``chaos run`` and ``rescale run`` accept ``--pipeline-depth N`` to set
 the StateFlow epoch pipeline's bound (1 = the strictly serial
 pre-pipeline batching), ``--snapshot-mode full|incremental`` to pick
@@ -81,7 +78,6 @@ from .ir.dot import dataflow_to_dot, machine_to_dot
 from .ir.serde import dataflow_from_json, dataflow_to_json
 from .rescale import RescalePlan, staged_plan
 from .runtimes.local import LocalRuntime
-from .runtimes.state import BACKENDS
 
 
 def _load_module_entities(path: str) -> list[type]:
@@ -187,8 +183,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("note: the Local runtime keeps no snapshots; --durable "
               "applies to `repro bench` / `repro chaos run` "
               "(stateflow)", file=sys.stderr)
-    runtime = LocalRuntime(program, state_backend=args.state_backend,
-                           fault_plan=_load_fault_plan(args.faults))
+    runtime = LocalRuntime(program, fault_plan=_load_fault_plan(args.faults))
     call_args = [_parse_literal(a) for a in args.args]
     if args.method == "__init__":
         ref = runtime.create(args.entity, *call_args)
@@ -217,16 +212,8 @@ SPAWNER_MATRIX = (
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import (default_state_backend, format_table, run_ycsb_cell,
-                        write_bench_artifact)
+    from .bench import format_table, run_ycsb_cell, write_bench_artifact
 
-    backend = args.state_backend or default_state_backend()
-    if backend not in BACKENDS:
-        # e.g. an unknown backend in $REPRO_STATE_BACKEND (argparse
-        # already validates the --state-backend flag itself)
-        raise SystemExit(
-            f"repro bench: error: unknown state backend {backend!r}; "
-            f"choose from {sorted(BACKENDS)}")
     if args.autoscale and args.rescale is not None:
         raise SystemExit("repro bench: error: --autoscale does not "
                          "compose with --rescale (the closed-loop "
@@ -273,7 +260,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if args.durable is not None:
             raise SystemExit("repro bench: error: --cell autoscale runs "
                              "canonical configurations; drop --durable")
-        return _run_autoscale_cell(args, backend)
+        return _run_autoscale_cell(args)
     if args.cell == "views":
         if args.system != "stateflow":
             raise SystemExit("repro bench: error: --cell views runs on "
@@ -300,7 +287,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                              "durable run timed sidecar-resume vs "
                              "full rehydration); drop "
                              "--changelog/--durable")
-        return _run_views_cell(args, backend)
+        return _run_views_cell(args)
     if args.cell == "pipeline":
         # The sweep owns the depth axis and the saturating deployment;
         # flags it cannot honour are rejected, not silently dropped.
@@ -325,7 +312,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                              "measures the pipeline, not the disk; "
                              "drop --durable (the recovery cell's disk "
                              "leg measures durable runs)")
-        return _run_pipeline_cell(args, backend)
+        return _run_pipeline_cell(args)
     if args.cell == "recovery":
         if args.system != "stateflow":
             raise SystemExit("repro bench: error: --cell recovery runs "
@@ -350,7 +337,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             raise SystemExit("repro bench: error: --cell recovery owns "
                              "its durability directory (the disk leg "
                              "runs in a temp dir); drop --durable")
-        return _run_recovery_cell(args, backend)
+        return _run_recovery_cell(args)
     plan = _load_fault_plan(args.faults)
     rescale_plan = _load_rescale_plan(args.rescale)
     if rescale_plan is not None and args.system != "stateflow":
@@ -382,36 +369,24 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                    else 2_000.0)
     record_count = args.records if args.records is not None else 100
     if args.rps_sweep is not None:
-        # A proper sweep: every requested rate, on both state backends
-        # unless --state-backend pins one.  All rows land in one
+        # A proper sweep: every requested rate.  All rows land in one
         # BENCH_ycsb.json so the rate/latency curve is an artifact, not
         # scrollback.
         rates = _parse_rps_sweep(args.rps_sweep)
-        backends = ([args.state_backend] if args.state_backend
-                    else sorted(BACKENDS))
-        rows = [run_ycsb_cell(args.system, args.workload,
-                              args.distribution, rps=rate,
-                              duration_ms=duration_ms,
-                              record_count=record_count, seed=args.seed,
-                              state_backend=sweep_backend, fault_plan=plan,
-                              spawner=args.spawner,
-                              runtime_overrides=(dict(overrides)
-                                                 if overrides else None))
-                for sweep_backend in backends for rate in rates]
         title = (f"YCSB {args.workload}/{args.distribution} on "
                  f"{args.system}, rps sweep "
-                 f"{'/'.join(str(r) for r in rates)} x "
-                 f"{'/'.join(backends)}")
+                 f"{'/'.join(str(r) for r in rates)}")
     else:
-        rows = [run_ycsb_cell(
-            args.system, args.workload, args.distribution,
-            rps=args.rps if args.rps is not None else 100.0,
-            duration_ms=duration_ms, record_count=record_count,
-            seed=args.seed, state_backend=backend, fault_plan=plan,
-            spawner=args.spawner, runtime_overrides=overrides or None)]
+        rates = [args.rps if args.rps is not None else 100.0]
         title = f"YCSB {args.workload}/{args.distribution} on {args.system}"
-    columns = ["system", "workload", "distribution", "state_backend",
-               "rps", "p50_ms", "p99_ms", "mean_ms", "completed", "errors"]
+    rows = [run_ycsb_cell(args.system, args.workload, args.distribution,
+                          rps=rate, duration_ms=duration_ms,
+                          record_count=record_count, seed=args.seed,
+                          fault_plan=plan, spawner=args.spawner,
+                          runtime_overrides=overrides or None)
+            for rate in rates]
+    columns = ["system", "workload", "distribution", "rps", "p50_ms",
+               "p99_ms", "mean_ms", "completed", "errors"]
     if plan is not None and args.system == "stateflow":
         columns += ["recoveries", "msg_dropped"]
     print(format_table(rows, title, columns=columns))
@@ -434,13 +409,13 @@ def _parse_rps_sweep(text: str) -> list[float]:
     return rates
 
 
-def _run_views_cell(args: argparse.Namespace, backend: str) -> int:
+def _run_views_cell(args: argparse.Namespace) -> int:
     """``repro bench --cell views``: incremental view maintenance vs
     full scans at 10k-100k keys, persisted as ``BENCH_views.json``."""
     from .bench import (format_views_summary, run_views_cell,
                         write_bench_artifact)
 
-    cell_args: dict = {"state_backend": backend, "seed": args.seed}
+    cell_args: dict = {"seed": args.seed}
     if args.rps is not None:
         cell_args["rps"] = args.rps
     if args.duration_ms is not None:
@@ -448,8 +423,7 @@ def _run_views_cell(args: argparse.Namespace, backend: str) -> int:
     if args.records is not None:
         cell_args["record_counts"] = (args.records,)
     artifact = run_views_cell(**cell_args)
-    title = (f"incremental views: maintenance vs full scan, "
-             f"{backend} backend")
+    title = "incremental views: maintenance vs full scan"
     print(title)
     print("-" * len(title))
     print(format_views_summary(artifact))
@@ -469,7 +443,7 @@ def _print_pipeline_rows(report) -> None:
     print("\n".join(lines))
 
 
-def _run_pipeline_cell(args: argparse.Namespace, backend: str) -> int:
+def _run_pipeline_cell(args: argparse.Namespace) -> int:
     """``repro bench --cell pipeline``: sweep the epoch-pipeline depth.
 
     ``--spawner simulator`` (default) runs the virtual-time sweep and
@@ -491,10 +465,9 @@ def _run_pipeline_cell(args: argparse.Namespace, backend: str) -> int:
     sweep_args["distribution"] = args.distribution
     if args.spawner == "process":
         artifact, sim_report, wall_report = run_pipeline_bench(
-            state_backend=backend, seed=args.seed,
-            simulator_kwargs=dict(sweep_args))
+            seed=args.seed, simulator_kwargs=dict(sweep_args))
         title = (f"pipeline sweep: YCSB {sim_report.workload}/"
-                 f"{sim_report.distribution}, {backend} backend, "
+                 f"{sim_report.distribution}, "
                  f"simulator + process substrates")
         print(title)
         print("-" * len(title))
@@ -506,12 +479,10 @@ def _run_pipeline_cell(args: argparse.Namespace, backend: str) -> int:
         ok = (sim_report.replies_identical
               and artifact["wallclock"]["meets_speedup_target"] is not False)
     else:
-        report = run_pipeline_cell(state_backend=backend, seed=args.seed,
-                                   **sweep_args)
+        report = run_pipeline_cell(seed=args.seed, **sweep_args)
         artifact = report.as_artifact()
         title = (f"pipeline sweep: YCSB {report.workload}/"
-                 f"{report.distribution}, {report.workers} workers, "
-                 f"{backend} backend")
+                 f"{report.distribution}, {report.workers} workers")
         print(title)
         print("-" * len(title))
         _print_pipeline_rows(report)
@@ -523,7 +494,7 @@ def _run_pipeline_cell(args: argparse.Namespace, backend: str) -> int:
     return 0 if ok else 1
 
 
-def _run_recovery_cell(args: argparse.Namespace, backend: str) -> int:
+def _run_recovery_cell(args: argparse.Namespace) -> int:
     """``repro bench --cell recovery``: sweep snapshot mode against
     state size and persist ``BENCH_recovery.json``."""
     from .bench import run_recovery_cell, write_bench_artifact
@@ -535,8 +506,7 @@ def _run_recovery_cell(args: argparse.Namespace, backend: str) -> int:
         sweep_args["duration_ms"] = args.duration_ms
     if args.records is not None:
         sweep_args["record_counts"] = (args.records,)
-    report = run_recovery_cell(state_backend=backend, seed=args.seed,
-                               **sweep_args)
+    report = run_recovery_cell(seed=args.seed, **sweep_args)
     lines = ["mode         records  cuts  keys/cut  bytes/cut  "
              "recovery_ms  changelog"]
     for row in report.rows:
@@ -544,7 +514,7 @@ def _run_recovery_cell(args: argparse.Namespace, backend: str) -> int:
             f"{row.mode:<11}  {row.records:<7}  {row.cuts:<4}  "
             f"{row.mean_keys_per_cut:<8.1f}  {row.mean_bytes_per_cut:<9.0f}  "
             f"{row.recovery_ms:<11.2f}  {row.changelog_records}")
-    title = f"recovery sweep: full vs incremental, {backend} backend"
+    title = "recovery sweep: full vs incremental"
     print(title)
     print("-" * len(title))
     print("\n".join(lines))
@@ -555,17 +525,16 @@ def _run_recovery_cell(args: argparse.Namespace, backend: str) -> int:
     return 0 if report.ok else 1
 
 
-def _run_autoscale_cell(args: argparse.Namespace, backend: str) -> int:
+def _run_autoscale_cell(args: argparse.Namespace) -> int:
     """``repro bench --cell autoscale``: the zipfian ramp, autoscaled
     vs fixed, persisted as ``BENCH_autoscale.json``."""
     from .bench import (format_autoscale_summary, run_autoscale_bench,
                         write_bench_artifact)
 
-    artifact, scaled, _fixed = run_autoscale_bench(
-        state_backend=backend, seed=args.seed)
+    artifact, scaled, _fixed = run_autoscale_bench(seed=args.seed)
     title = (f"autoscale ramp: YCSB A/zipfian "
              f"(theta {artifact['ramp'][0]['theta']} -> "
-             f"{artifact['ramp'][-1]['theta']}), {backend} backend")
+             f"{artifact['ramp'][-1]['theta']})")
     print(title)
     print("-" * len(title))
     lines = ["mode       phase  rps    theta  p99_ms   workers  rescales"]
@@ -618,14 +587,13 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
     report = run_chaos_cell(
         args.system, args.workload, args.distribution, rps=args.rps,
         duration_ms=args.duration_ms, record_count=args.records,
-        seed=args.seed, plan=plan, state_backend=args.state_backend,
-        pipeline_depth=args.pipeline_depth,
+        seed=args.seed, plan=plan, pipeline_depth=args.pipeline_depth,
         snapshot_mode=args.snapshot_mode,
         changelog=(None if args.changelog is None
                    else args.changelog == "on"),
         autoscale=args.autoscale,
         durability_dir=args.durable)
-    columns = ["system", "workload", "state_backend", "rps", "p50_ms",
+    columns = ["system", "workload", "rps", "p50_ms",
                "p99_ms", "completed", "errors", "recoveries",
                "recovery_time_ms", "availability"]
     print(format_table([report.row],
@@ -663,13 +631,12 @@ def _cmd_rescale_run(args: argparse.Namespace) -> int:
         args.workload, args.distribution, workers=args.workers, plan=plan,
         rps=args.rps, duration_ms=args.duration_ms,
         record_count=args.records, seed=args.seed,
-        state_backend=args.state_backend,
         fault_plan=_load_fault_plan(args.faults),
         pipeline_depth=args.pipeline_depth,
         snapshot_mode=args.snapshot_mode,
         changelog=(None if args.changelog is None
                    else args.changelog == "on"))
-    columns = ["system", "workload", "state_backend", "rps", "p50_ms",
+    columns = ["system", "workload", "rps", "p50_ms",
                "p99_ms", "completed", "errors", "rescales",
                "mean_pause_ms", "keys_moved", "final_workers"]
     print(format_table(
@@ -715,9 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("method")
     run_cmd.add_argument("key")
     run_cmd.add_argument("args", nargs="*")
-    run_cmd.add_argument("--state-backend", default="dict",
-                         choices=sorted(BACKENDS),
-                         help="committed-state backend")
     run_cmd.add_argument("--faults", default=None, metavar="PLAN_JSON",
                          help="fault plan (Local applies its "
                               "message-reordering subset)")
@@ -755,17 +719,11 @@ def build_parser() -> argparse.ArgumentParser:
     bench_cmd.add_argument("--rps", type=float, default=None)
     bench_cmd.add_argument("--rps-sweep", default=None,
                            metavar="R1,R2,...",
-                           help="run the ycsb cell at each rate (and on "
-                                "both state backends unless "
-                                "--state-backend pins one); all rows "
-                                "land in one BENCH_ycsb.json")
+                           help="run the ycsb cell at each rate; all "
+                                "rows land in one BENCH_ycsb.json")
     bench_cmd.add_argument("--duration-ms", type=float, default=None)
     bench_cmd.add_argument("--records", type=int, default=None)
     bench_cmd.add_argument("--seed", type=int, default=42)
-    bench_cmd.add_argument("--state-backend", default=None,
-                           choices=sorted(BACKENDS),
-                           help="committed-state backend (default: "
-                                "$REPRO_STATE_BACKEND or dict)")
     bench_cmd.add_argument("--faults", default=None, metavar="PLAN_JSON",
                            help="run the cell under a fault plan")
     bench_cmd.add_argument("--rescale", default=None, metavar="PLAN_JSON",
@@ -860,8 +818,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_run_cmd.add_argument("--rps", type=float, default=120.0)
     chaos_run_cmd.add_argument("--duration-ms", type=float, default=3_000.0)
     chaos_run_cmd.add_argument("--records", type=int, default=50)
-    chaos_run_cmd.add_argument("--state-backend", default=None,
-                               choices=sorted(BACKENDS))
     chaos_run_cmd.add_argument("--pipeline-depth", type=int, default=None,
                                metavar="N",
                                help="epoch-pipeline depth (stateflow "
@@ -923,8 +879,6 @@ def build_parser() -> argparse.ArgumentParser:
     rescale_run_cmd.add_argument("--duration-ms", type=float,
                                  default=4_000.0)
     rescale_run_cmd.add_argument("--records", type=int, default=60)
-    rescale_run_cmd.add_argument("--state-backend", default=None,
-                                 choices=sorted(BACKENDS))
     rescale_run_cmd.add_argument("--faults", default=None,
                                  metavar="PLAN_JSON",
                                  help="additionally run under a fault "

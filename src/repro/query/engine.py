@@ -94,9 +94,9 @@ class QueryEngine:
         return store
 
     def _live_items(self) -> Iterable[tuple[tuple[str, Any], dict[str, Any]]]:
-        # keys()/get() is the backend-agnostic surface (dict, cow,
-        # partitioned) and returns copies, keeping predicates from
-        # mutating committed state.
+        # keys()/get() is the surface every store shares (a plain
+        # backend or the partitioned store) and returns copies, keeping
+        # predicates from mutating committed state.
         store = self._live_store()
         return [(key, store.get(*key)) for key in store.keys()]
 

@@ -1,35 +1,23 @@
 """Execution backends for the stateful dataflow IR."""
 
 from .base import InvocationResult, Runtime
-from .executor import (
-    Instrumentation,
-    MapStateAccess,
-    OperatorExecutor,
-)
+from .executor import Instrumentation, OperatorExecutor
 from .local import LocalRuntime
 from .state import (
-    BACKENDS,
-    CowSnapshot,
-    CowStateBackend,
     DictStateBackend,
     PartitionedSnapshot,
     PartitionedStore,
     SlotAssignment,
     StateBackend,
     WorkerSlice,
-    make_state_backend,
     materialize_snapshot,
 )
 
 __all__ = [
-    "BACKENDS",
-    "CowSnapshot",
-    "CowStateBackend",
     "DictStateBackend",
     "Instrumentation",
     "InvocationResult",
     "LocalRuntime",
-    "MapStateAccess",
     "OperatorExecutor",
     "PartitionedSnapshot",
     "PartitionedStore",
@@ -37,6 +25,5 @@ __all__ = [
     "SlotAssignment",
     "StateBackend",
     "WorkerSlice",
-    "make_state_backend",
     "materialize_snapshot",
 ]

@@ -9,9 +9,9 @@ the same create/invoke surface.
 
 The same independence holds one layer down: every runtime keeps its
 committed operator state behind the shared
-:class:`~repro.runtimes.state.StateBackend` contract (re-exported here),
-so backends ("dict", "cow") plug into any runtime and the StateFlow
-runtime can additionally shard them per worker with
+:class:`~repro.runtimes.state.StateBackend` contract (re-exported here)
+in a :class:`~repro.runtimes.state.DictStateBackend`, which the
+StateFlow runtime shards into worker-owned slots with
 :class:`~repro.runtimes.state.PartitionedStore`.
 """
 
@@ -24,10 +24,9 @@ from typing import Any
 from ..compiler.pipeline import CompiledProgram
 from ..core.errors import InvocationError
 from ..core.refs import EntityRef
-from .state import StateBackend, make_state_backend
+from .state import StateBackend
 
-__all__ = ["InvocationResult", "Runtime", "StateBackend",
-           "make_state_backend"]
+__all__ = ["InvocationResult", "Runtime", "StateBackend"]
 
 
 @dataclass(slots=True)

@@ -24,7 +24,6 @@ from ..core.errors import (
 from ..core.refs import EntityRef
 from ..core.serialization import check_serializable, dumps
 from ..ir.events import Event, EventKind, ExecutionState, Frame
-from .state import DictStateBackend
 
 
 class StateAccess(Protocol):
@@ -37,12 +36,6 @@ class StateAccess(Protocol):
     def put(self, entity: str, key: Any, state: dict[str, Any]) -> None: ...
 
     def create(self, entity: str, key: Any, state: dict[str, Any]) -> None: ...
-
-
-#: Plain in-memory state: the Local runtime's HashMap backend.  Kept as
-#: an alias so existing imports keep working; the implementation lives in
-#: the shared state-backend subsystem.
-MapStateAccess = DictStateBackend
 
 
 @dataclass(slots=True)

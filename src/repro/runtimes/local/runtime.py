@@ -6,11 +6,10 @@ HashMap data structure instead of a state management backend.  Local
 execution allows developers to debug, unit test, and validate a StateFlow
 program as they would do for an arbitrary application."
 
-Events are processed synchronously from a FIFO queue in one process; the
-state backend defaults to a plain dict but any registered
-:class:`~repro.runtimes.state.StateBackend` ("dict", "cow") can be
-selected — the same contract the distributed runtimes use.  Latencies
-reported are wall-clock.
+Events are processed synchronously from a FIFO queue in one process;
+state lives in a :class:`~repro.runtimes.state.DictStateBackend`, the
+same map and contract the distributed runtimes use.  Latencies reported
+are wall-clock.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from ...faults import FaultPlan
 from ...ir.events import Event, EventKind
 from ..base import InvocationResult, Runtime
 from ..executor import Instrumentation, OperatorExecutor
-from ..state import make_state_backend
+from ..state import DictStateBackend
 
 
 class LocalRuntime(Runtime):
@@ -49,10 +48,9 @@ class LocalRuntime(Runtime):
     def __init__(self, program: CompiledProgram,
                  *, check_state_serializable: bool = True,
                  instrumentation: Instrumentation | None = None,
-                 state_backend: str = "dict",
                  fault_plan: FaultPlan | None = None):
         super().__init__(program)
-        self.state = make_state_backend(state_backend)
+        self.state = DictStateBackend()
         self.instrumentation = instrumentation
         self._executor = OperatorExecutor(
             program.entities,

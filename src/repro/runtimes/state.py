@@ -1,59 +1,52 @@
-"""Pluggable, partitionable operator-state backends.
+"""Partitionable operator state.
 
 Every runtime (Local, StateFun-style, StateFlow) stores committed
-operator state behind the same :class:`StateBackend` contract:
+operator state behind the same :class:`StateBackend` contract, and one
+class implements it:
 
 - :class:`DictStateBackend` — a plain hash map (the paper's "local
-  HashMap data structure"); a snapshot is a pointer copy of the map,
-  O(keys) references and no entry copied;
-- :class:`CowStateBackend` — copy-on-write version chaining: a snapshot
-  freezes the mutable write head into an immutable layer and hands out a
-  shared reference, so snapshot cost is O(1) regardless of how much
-  state is committed.  Writes after a snapshot land in a fresh head,
-  never touching frozen layers;
-- :class:`PartitionedStore` — shards a backend per *slot* (a fixed
-  number of hash ranges: ``stable_hash("entity|key") % slots``) and maps
-  slots to workers through a :class:`SlotAssignment`, so each StateFlow
-  worker truly owns a set of slots: commit-phase writes touch only the
-  owning worker's slots and snapshots assemble from per-slot fragments.
+  HashMap data structure") with a dirty set and pinned overlays; a
+  snapshot is a pointer copy of the map, O(keys) references and no
+  entry copied;
+- :class:`PartitionedStore` — shards state into *slots* (a fixed
+  number of hash ranges: ``stable_hash("entity|key") % slots``), one
+  :class:`DictStateBackend` each, and maps slots to workers through a
+  :class:`SlotAssignment`, so each StateFlow worker truly owns a set of
+  slots: commit-phase writes touch only the owning worker's slots and
+  snapshots assemble from per-slot fragments.
 
 **The entry contract.**  A committed entry, once installed, is never
 mutated: a write swaps the whole entry for a new one.  ``put`` (and so
 ``create``/``apply_writes``/``apply_delta``) and ``restore`` copy in,
-``get`` (on the store and on every read view),
-:func:`materialize_snapshot` and :meth:`CowSnapshot.materialize` copy
-out, and everything in between — snapshot and delta payloads, pinned
-views' pre-images, frozen cow layers, ``resolve_payload`` /
-``apply_flat_writes`` / ``compact_deltas`` results — may alias the live
-entries.  Whoever holds such a payload reads it and never writes an
-entry of it; whoever wants to mutate goes through one of the copy-out
-calls.  (``CowStateBackend.restore`` adopts a payload's frozen layers
-instead of copying them: they are immutable under this same contract.)
+``get`` (on the store and on every read view) and
+:func:`materialize_snapshot` copy out, and everything in between —
+snapshot and delta payloads, pinned views' pre-images,
+``resolve_payload`` / ``apply_flat_writes`` / ``compact_deltas``
+results — may alias the live entries.  Whoever holds such a payload
+reads it and never writes an entry of it; whoever wants to mutate goes
+through one of the copy-out calls.
 
-Every backend additionally supports *incremental capture*
-(``capture_base``/``capture_delta``): the backend tracks which keys were
-written since the last capture and hands out a :class:`StateDelta` of
-just those entries instead of a full payload.  Cuts therefore cost
-O(writes since the previous cut), not O(total state): the cow backend
-reuses its O(1) head-freeze (a delta is the tuple of layers frozen since
-the last capture, shared not copied), the dict backend diffs its dirty
-set (entries shared likewise), and the partitioned store assembles
-per-slot fragments (``None`` for clean slots, a delta for dirtied ones, a
-:class:`FullFragment` for slots whose tracking was invalidated by a
-restore or migration).  ``resolve_payload`` replays a base payload plus
-a delta chain back into a full payload; ``compact_deltas`` collapses a
-chain into one equivalent delta (the algebra the snapshot store's
-bounded-depth compaction relies on).  Deletes travel as
-:data:`TOMBSTONE` entries inside delta layers.
+The backend additionally supports *incremental capture*
+(``capture_base``/``capture_delta``): it tracks which keys were written
+since the last capture and hands out a :class:`StateDelta` of just
+those entries (shared, not copied) instead of a full payload.  Cuts
+therefore cost O(writes since the previous cut), not O(total state),
+and the partitioned store assembles per-slot fragments (``None`` for
+clean slots, a delta for dirtied ones, a :class:`FullFragment` for
+slots whose tracking was invalidated by a restore or migration).
+``resolve_payload`` replays a base payload plus a delta chain back into
+a full payload; ``compact_deltas`` collapses a chain into one
+equivalent delta (the algebra the snapshot store's bounded-depth
+compaction relies on).  Deletes travel as :data:`TOMBSTONE` entries
+inside delta layers.
 
-Every backend additionally supports *version-pinned read views*
+The backend additionally supports *version-pinned read views*
 (``pin_view``/``view``/``release_view``): a read-only window onto the
 store's contents exactly as they were at pin time, immune to later
 writes.  The pipelined epoch coordinator pins one view per committed
 batch boundary so a batch's execution phase can overlap the previous
 batch's commit phase: workers read through the pinned view while the
-older batch's writes land in the live store.  There is one mechanism,
-on both backends and on the partitioned store: a pin is one empty
+older batch's writes land in the live store.  A pin is one empty
 *pre-image overlay* (:class:`ReadView`), a write records the entry it
 replaces into every active overlay that does not hold the key yet, and
 a view answers overlay first, live store second — O(1) to pin and to
@@ -67,18 +60,14 @@ the pins that predate it.
 The slot indirection is what makes the cluster *elastic*: rescaling
 n -> m workers rebalances whole slots (minimal movement — a key only
 moves when its slot does) and migrating a slot is a snapshot/restore of
-one slot backend: the capture copies no entry on either backend (O(1)
-on cow, a pointer copy on dict), the install copies in.
-
-``make_state_backend`` is the registry-backed factory used by runtime
-configs, the CLI (``--state-backend``) and the benchmark harness.
+one slot backend: the capture is a pointer copy, the install copies in.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Protocol, runtime_checkable
+from typing import Any, Iterator, Protocol, runtime_checkable
 
 from ..core.refs import EntityRef
 from ..ir.dataflow import stable_hash
@@ -90,7 +79,7 @@ RescaleDelta = dict[int, tuple[int, int]]
 
 
 class _Tombstone:
-    """Marker for a deleted key inside delta layers and cow heads.
+    """Marker for a deleted key inside delta layers.
     Identity-compared (``state is TOMBSTONE``), so copies must preserve
     identity."""
 
@@ -118,7 +107,7 @@ class _Tombstone:
         return "<deleted>"
 
 
-#: The one tombstone instance (deletes inside deltas / cow heads).
+#: The one tombstone instance (deletes inside deltas).
 TOMBSTONE = _Tombstone()
 
 
@@ -295,10 +284,9 @@ def duplicate_delta(payload: Any) -> Any:
 
 def resolve_payload(base: Any, deltas: "list[Any]") -> Any:
     """Replay a chain of deltas (oldest first) over a base payload,
-    producing a payload of the base's own kind (a plain mapping, a
-    :class:`CowSnapshot`, or a :class:`PartitionedSnapshot`).  The
-    result shares entries with its inputs; callers hand it to
-    ``restore`` (which copies where the backend requires it)."""
+    producing a payload of the base's own kind (a plain mapping or a
+    :class:`PartitionedSnapshot`).  The result shares entries with its
+    inputs; callers hand it to ``restore``, which copies in."""
     for delta in deltas:
         base = _apply_one_delta(base, delta)
     return base
@@ -319,10 +307,6 @@ def _apply_one_delta(base: Any, delta: Any) -> Any:
             for part, part_delta in zip(base.parts, delta.parts)))
     if not isinstance(delta, StateDelta):
         raise ValueError(f"not a delta payload: {type(delta).__name__}")
-    if isinstance(base, CowSnapshot):
-        # O(layers): the delta's frozen layers chain directly onto the
-        # base's — no entries are touched.
-        return CowSnapshot(layers=base.layers + delta.layers)
     merged = dict(base)
     for layer in delta.layers:
         for key, state in layer.items():
@@ -349,8 +333,6 @@ def apply_flat_writes(payload: Any, writes: dict[Key, State]) -> Any:
             apply_flat_writes(part, buckets[index])
             if index in buckets else part
             for index, part in enumerate(payload.parts)))
-    if isinstance(payload, CowSnapshot):
-        return CowSnapshot(layers=payload.layers + (dict(writes),))
     merged = dict(payload)
     merged.update(writes)
     return merged
@@ -367,8 +349,6 @@ def payload_keys(payload: Any) -> int:
         return sum(payload_keys(part) for part in payload.parts)
     if isinstance(payload, StateDelta):
         return payload.key_count()
-    if isinstance(payload, CowSnapshot):
-        return len(payload.merged())
     return len(payload)
 
 
@@ -396,12 +376,9 @@ def payload_footprint(payload: Any) -> tuple[int, int]:
                 total += len(repr(key)) + (len(repr(state))
                                            if state is not TOMBSTONE else 1)
         return (keys, total)
-    mapping = payload.merged() if isinstance(payload, CowSnapshot) \
-        else payload
-    keys = len(mapping)
     total = sum(len(repr(key)) + len(repr(state))
-                for key, state in mapping.items())
-    return (keys, total)
+                for key, state in payload.items())
+    return (len(payload), total)
 
 
 def _apply_delta_entries(backend: Any, delta: "StateDelta") -> None:
@@ -505,14 +482,14 @@ def _record_pre_image(views: "dict[int, ReadView]", composite: Key,
 class DictStateBackend:
     """Plain in-memory state: one dict, pointer-copy snapshots.
 
-    This is both the Local runtime's HashMap backend and StateFlow's
-    baseline committed store.  Entries are copied in and out — O(entry)
-    on the hot path, same as the cow backend, so no caller can mutate
-    committed state through an alias and backends stay semantically
-    interchangeable.  Because an installed entry is only ever swapped
-    whole (the module's entry contract), a snapshot or delta shares the
-    entries it captures: a cut costs one reference per key, and later
-    writes replace entries in the live map without touching the payload.
+    This is the Local and StateFun runtimes' HashMap and every slot of
+    StateFlow's :class:`PartitionedStore`.  Entries are copied in and
+    out — O(entry) on the hot path — so no caller can mutate committed
+    state through an alias.  Because an installed entry is only ever
+    swapped whole (the module's entry contract), a snapshot or delta
+    shares the entries it captures: a cut costs one reference per key,
+    and later writes replace entries in the live map without touching
+    the payload.
     """
 
     def __init__(self, store: dict[Key, State] | None = None):
@@ -625,228 +602,6 @@ class DictStateBackend:
 
     def __len__(self) -> int:
         return len(self.store)
-
-
-def _merge_layers(layers: tuple[dict[Key, State], ...],
-                  head: dict[Key, State] | None = None) -> dict[Key, State]:
-    """The one encoding of the cow-chain read invariant: iterate layers
-    oldest-first so newer entries shadow older ones, the mutable head
-    last of all.  Entries are shared (aliased), never copied."""
-    merged: dict[Key, State] = {}
-    for layer in layers:
-        merged.update(layer)
-    if head:
-        merged.update(head)
-    return merged
-
-
-def _strip_tombstones(mapping: dict[Key, Any]) -> dict[Key, State]:
-    """Resident entries only (deleted keys carried as tombstones in the
-    layer chain are not content)."""
-    return {key: state for key, state in mapping.items()
-            if state is not TOMBSTONE}
-
-
-@dataclass(slots=True, frozen=True)
-class CowSnapshot:
-    """A consistent cut of a :class:`CowStateBackend`: a chain of frozen
-    layers, shared (not copied) with the live backend.  Newer layers
-    shadow older ones."""
-
-    layers: tuple[dict[Key, State], ...]
-
-    def merged(self) -> dict[Key, State]:
-        """Flatten the chain (newer layers win, tombstoned keys gone)
-        WITHOUT copying states: the result aliases the frozen layers and
-        must not be mutated or handed to consumers — use
-        :meth:`materialize` for that."""
-        return _strip_tombstones(_merge_layers(self.layers))
-
-    def materialize(self) -> dict[Key, State]:
-        """Flatten the chain into one mapping (queries/inspection).
-
-        States are deep-copied: the layers are shared with the live
-        backend, so handing out aliases would let a consumer corrupt
-        committed state and the recovery snapshot through them.
-        """
-        return {key: fast_deepcopy(state)
-                for key, state in self.merged().items()}
-
-    def __len__(self) -> int:
-        return len(self.merged())
-
-
-class CowStateBackend:
-    """Copy-on-write committed state with version-chained snapshots.
-
-    Layout: an ordered chain of immutable ``layers`` (oldest first) plus
-    one mutable write ``head``.  Reads probe head-then-layers newest
-    first; writes only ever touch the head.  ``snapshot`` freezes the
-    head onto the chain and returns the chain itself — no per-entry
-    copying, so snapshot cost is independent of total state size.
-
-    Entry immutability is what makes layer sharing safe: ``put`` copies
-    the incoming state and ``get`` copies the outgoing one, so no caller
-    can mutate a frozen layer through an alias.  The chain
-    is compacted (layers merged, entries still shared) once it grows
-    past ``compact_after`` layers to bound read amplification.
-    """
-
-    #: Frozen-layer references kept for delta tracking are dropped (and
-    #: tracking invalidated) past this bound: a run that never captures
-    #: deltas (full snapshot mode) must not pin every layer forever.
-    MAX_TRACKED_LAYERS = 256
-
-    def __init__(self, *, compact_after: int = 8):
-        self._head: dict[Key, State] = {}
-        self._layers: tuple[dict[Key, State], ...] = ()
-        self._compact_after = compact_after
-        self.snapshots_taken = 0
-        self.layers_compacted = 0
-        #: Active version-pinned read views (shared with the owning
-        #: :class:`PartitionedStore`, as on the dict backend).
-        self._views: dict[int, ReadView] = {}
-        #: Layers frozen since the last incremental capture (aliases of
-        #: the chain's dicts — O(1) per freeze).  ``None`` = tracking
-        #: invalidated by a restore; the next capture must be full.
-        self._since_capture: list[dict[Key, Any]] | None = []
-
-    # -- StateAccess protocol -------------------------------------------
-    def _entry(self, composite: Key) -> State | None:
-        """The resident entry itself (not a copy), newest layer first;
-        ``None`` when the key is absent or tombstoned."""
-        if composite in self._head:
-            state = self._head[composite]
-        else:
-            state = None
-            for layer in reversed(self._layers):
-                if composite in layer:
-                    state = layer[composite]
-                    break
-        return None if state is TOMBSTONE else state
-
-    def get(self, entity: str, key: Any) -> State | None:
-        state = self._entry((entity, key))
-        return fast_deepcopy(state) if state is not None else None
-
-    def put(self, entity: str, key: Any, state: State) -> None:
-        composite = (entity, key)
-        if self._views:
-            _record_pre_image(self._views, composite,
-                              self._entry(composite))
-        self._head[composite] = fast_deepcopy(state)
-
-    def create(self, entity: str, key: Any, state: State) -> None:
-        self.put(entity, key, state)
-
-    def exists(self, entity: str, key: Any) -> bool:
-        return self._entry((entity, key)) is not None
-
-    def delete(self, entity: str, key: Any) -> None:
-        """Delete by tombstone: the marker lands in the head and shadows
-        every older layer, so frozen chains stay immutable."""
-        composite = (entity, key)
-        if self._views:
-            _record_pre_image(self._views, composite,
-                              self._entry(composite))
-        self._head[composite] = TOMBSTONE
-
-    # -- commit / snapshot support --------------------------------------
-    def apply_writes(self, writes: dict[Key, State]) -> None:
-        for (entity, key), state in writes.items():
-            self.put(entity, key, state)
-
-    def _freeze_head(self) -> None:
-        """Freeze the mutable head onto the chain (O(1), no copying) and
-        remember it for delta tracking."""
-        if not self._head:
-            return
-        if self._since_capture is not None:
-            self._since_capture.append(self._head)
-            if len(self._since_capture) > self.MAX_TRACKED_LAYERS:
-                self._since_capture = None
-        self._layers = self._layers + (self._head,)
-        self._head = {}
-        self._maybe_compact()
-
-    def snapshot(self) -> CowSnapshot:
-        self._freeze_head()
-        self.snapshots_taken += 1
-        return CowSnapshot(layers=self._layers)
-
-    def restore(self, snapshot: CowSnapshot) -> None:
-        self._layers = tuple(snapshot.layers)
-        self._head = {}
-        self._views.clear()
-        self._since_capture = None
-
-    # -- incremental capture ---------------------------------------------
-    def capture_base(self) -> CowSnapshot:
-        """Full payload that (re)establishes the delta baseline."""
-        payload = self.snapshot()
-        self._since_capture = []
-        return payload
-
-    def capture_delta(self) -> StateDelta | None:
-        """Layers frozen since the last capture — the O(1) head-freeze
-        reused as an incremental cut (layers are shared, not copied).
-        ``None`` if tracking was invalidated by a restore."""
-        if self._since_capture is None:
-            return None
-        self._freeze_head()
-        if self._since_capture is None:
-            return None  # the freeze overflowed the tracking bound
-        delta = StateDelta(layers=tuple(self._since_capture))
-        self._since_capture = []
-        return delta
-
-    def peek_delta(self) -> StateDelta | None:
-        """Non-destructive :meth:`capture_delta` (slot migration): the
-        head is frozen (semantically neutral) but the baseline stays."""
-        if self._since_capture is None:
-            return None
-        self._freeze_head()
-        if self._since_capture is None:
-            return None
-        return StateDelta(layers=tuple(self._since_capture))
-
-    def apply_delta(self, delta: StateDelta) -> None:
-        _apply_delta_entries(self, delta)
-
-    # -- version-pinned read views --------------------------------------
-    def pin_view(self, version: int) -> None:
-        """Pin the current contents as read-only *version*.  The layer
-        chain is not involved: a pinned key's pre-image is whatever
-        entry the chain resolved to when the key was next written."""
-        if version not in self._views:
-            self._views[version] = ReadView(self)
-
-    def view(self, version: int) -> ReadView | None:
-        return self._views.get(version)
-
-    def release_view(self, version: int) -> None:
-        self._views.pop(version, None)
-
-    def _maybe_compact(self) -> None:
-        if len(self._layers) <= self._compact_after:
-            return
-        # Tombstones can drop here: nothing older remains beneath the
-        # merged layer for them to shadow.  (Frozen chains shared with
-        # snapshots/views keep their own tuples — untouched.)
-        self._layers = (_strip_tombstones(_merge_layers(self._layers)),)
-        self.layers_compacted += 1
-
-    @property
-    def layer_count(self) -> int:
-        return len(self._layers)
-
-    def keys(self) -> list[Key]:
-        return list(_strip_tombstones(
-            _merge_layers(self._layers, self._head)))
-
-    def __len__(self) -> int:
-        return len(_strip_tombstones(
-            _merge_layers(self._layers, self._head)))
 
 
 @dataclass(slots=True, frozen=True)
@@ -1066,29 +821,25 @@ class PartitionedStore:
     ``snapshot_slot`` at the old owner, ``install_slot`` at the new one.
     """
 
-    def __init__(self, workers: int, backend: str | Callable[[], Any] = "dict",
-                 *, slots: int | None = None):
+    def __init__(self, workers: int, *, slots: int | None = None):
         if workers < 1:
             raise ValueError("PartitionedStore needs at least one partition")
-        factory = (backend if callable(backend)
-                   else lambda: make_state_backend(backend))
-        self._factory = factory
         self.assignment = SlotAssignment(workers, slots=slots)
         #: Active version-pinned read views: one store-wide pre-image
         #: overlay per pinned version, which every slot backend records
         #: into (see :meth:`_new_slot`).
         self._views: dict[int, PartitionedReadView] = {}
-        self._slots: list[Any] = [self._new_slot()
-                                  for _ in range(self.assignment.slots)]
+        self._slots: list[DictStateBackend] = [
+            self._new_slot() for _ in range(self.assignment.slots)]
 
-    def _new_slot(self, payload: Any = None) -> Any:
+    def _new_slot(self, payload: Any = None) -> DictStateBackend:
         """A slot backend (restored from *payload*, if given) whose
         writes record pre-images into the store's own views.  The
         restore comes first: it drops the views of the backend it
         rewinds, and the store's pins must outlive a slot install."""
-        backend = self._factory()
+        backend = DictStateBackend()
         if payload is not None:
-            backend.restore(_normalize_payload_for(backend, payload))
+            backend.restore(payload)
         backend._views = self._views
         return backend
 
@@ -1117,7 +868,7 @@ class PartitionedStore:
                 for index in range(self.assignment.workers))
 
     # -- StateAccess protocol (routes to the owning slot) ----------------
-    def _backend(self, entity: str, key: Any) -> Any:
+    def _backend(self, entity: str, key: Any) -> DictStateBackend:
         return self._slots[self.assignment.slot_of(entity, key)]
 
     def get(self, entity: str, key: Any,
@@ -1227,14 +978,14 @@ class PartitionedStore:
         self._slots[index].restore(fragment)
 
     # -- slot migration ---------------------------------------------------
-    def slot_backend(self, slot: int) -> Any:
+    def slot_backend(self, slot: int) -> DictStateBackend:
         return self._slots[slot]
 
     def slot_size(self, slot: int) -> int:
         return len(self._slots[slot])
 
     def snapshot_slot(self, slot: int, mode: str = "full") -> Any:
-        """Capture one slot for migration (O(1) on the cow backend).
+        """Capture one slot for migration (a pointer copy).
 
         ``mode="delta"`` ships only the slot's writes since the last
         durable cut as a :class:`SlotDelta` (the destination composes
@@ -1303,56 +1054,22 @@ class PartitionedStore:
         return sum(len(backend) for backend in self._slots)
 
 
-def _normalize_payload_for(backend: Any, payload: Any) -> Any:
-    """Coerce a restore payload into the shape *backend* expects.  Slot
-    migration can hand a plain mapping (a base+delta composition) to a
-    cow factory, or a cow chain to a dict factory — the two cases the
-    symmetric snapshot()/restore() pairing never produces."""
-    if isinstance(backend, CowStateBackend) and isinstance(payload, dict):
-        return CowSnapshot(layers=(dict(payload),) if payload else ())
-    if isinstance(backend, DictStateBackend) \
-            and isinstance(payload, CowSnapshot):
-        return payload.merged()
-    return payload
-
-
 def materialize_snapshot(payload: Any,
                          entity: str | None = None) -> dict[Key, State]:
-    """Flatten any backend-produced snapshot payload into one
-    ``{(entity, key): state}`` mapping (query engine, inspection).
+    """Flatten a snapshot payload into one ``{(entity, key): state}``
+    mapping (query engine, inspection).
 
-    Handles the dict backend's plain mapping, the cow backend's layer
-    chain, and the partitioned store's per-partition fragments (which
-    recurse into either of the former).  States are copies in every
-    branch: consumers (e.g. query predicates) must not be able to
-    corrupt the stored recovery snapshot through the result.  Pass
-    *entity* to copy only that entity's rows instead of the whole store.
+    Handles a backend's plain mapping and the partitioned store's
+    per-slot fragments.  States are copies: consumers (e.g. query
+    predicates) must not be able to corrupt the stored recovery snapshot
+    through the result.  Pass *entity* to copy only that entity's rows
+    instead of the whole store.
     """
     if isinstance(payload, PartitionedSnapshot):
         merged: dict[Key, State] = {}
         for part in payload.parts:
             merged.update(materialize_snapshot(part, entity))
         return merged
-    if isinstance(payload, CowSnapshot):
-        aliased = payload.merged()
-    else:
-        aliased = payload
-    return {key: fast_deepcopy(state) for key, state in aliased.items()
+    return {key: fast_deepcopy(state) for key, state in payload.items()
             if entity is None or key[0] == entity}
 
-
-#: Registry of selectable backends (CLI/config surface).
-BACKENDS: dict[str, Callable[[], Any]] = {
-    "dict": DictStateBackend,
-    "cow": CowStateBackend,
-}
-
-
-def make_state_backend(name: str) -> Any:
-    """Instantiate a registered backend by name."""
-    try:
-        return BACKENDS[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown state backend {name!r}; "
-            f"choose from {sorted(BACKENDS)}") from None

@@ -2,15 +2,14 @@
 Aria-style deterministic transactions, consistent snapshots)."""
 
 from ..state import (
-    CowStateBackend,
     DictStateBackend,
     PartitionedSnapshot,
     PartitionedStore,
     SlotAssignment,
     StateBackend,
-    make_state_backend,
 )
 from .aria import AriaStats, BatchMember, ConflictReport, TxnOutcome, decide
+from .aria_view import AriaStateView
 from .coordinator import (
     Coordinator,
     CoordinatorConfig,
@@ -19,20 +18,16 @@ from .coordinator import (
 )
 from .runtime import StateflowConfig, StateflowRuntime, default_kafka_config
 from .snapshots import Snapshot, SnapshotStore
-from .state_backend import AriaStateView, CommittedStore
 from .worker import Worker
 
 __all__ = [
     "AriaStateView",
-    "CowStateBackend",
     "DictStateBackend",
     "PartitionedSnapshot",
     "PartitionedStore",
     "StateBackend",
-    "make_state_backend",
     "AriaStats",
     "BatchMember",
-    "CommittedStore",
     "ConflictReport",
     "Coordinator",
     "CoordinatorConfig",

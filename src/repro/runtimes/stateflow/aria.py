@@ -193,7 +193,6 @@ class AriaStats:
     aborts_raw: int = 0
     #: Cross-batch stale-read aborts (pipelined epochs only).
     aborts_stale: int = 0
-    retries: int = 0
     fallback_runs: int = 0
     #: Transactions that took the single-key path (no reservations).
     single_key: int = 0

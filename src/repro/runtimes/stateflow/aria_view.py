@@ -1,18 +1,14 @@
-"""StateFlow's state backend: committed store + transactional views.
+"""StateFlow's transactional view over the committed store.
 
-Two layers:
-
-- the committed store — the authoritative, snapshot-able operator state
-  (what Chandy–Lamport-style snapshots persist).  Since the state-backend
-  refactor this is any :class:`~repro.runtimes.state.StateBackend`
-  (``dict`` or copy-on-write ``cow``), usually one partition of a
-  :class:`~repro.runtimes.state.PartitionedStore` owned by a single
-  worker; :class:`CommittedStore` remains as the dict-backed default.
-- :class:`AriaStateView` — the per-transaction view used during Aria's
-  execution phase: reads come from the batch-start snapshot (the committed
-  store, since batch writes only apply at commit) plus the transaction's
-  own buffered writes; writes/creates are buffered in the travelling
-  :class:`~repro.ir.events.TxnContext`.
+The committed store — the authoritative, snapshot-able operator state
+(what Chandy–Lamport-style snapshots persist) — is a
+:class:`~repro.runtimes.state.PartitionedStore`, each worker reading
+and writing its own slice.  :class:`AriaStateView` is the
+per-transaction view used during Aria's execution phase: reads come
+from the batch-start snapshot (the committed store, since batch writes
+only apply at commit) plus the transaction's own buffered writes;
+writes/creates are buffered in the travelling
+:class:`~repro.ir.events.TxnContext`.
 """
 
 from __future__ import annotations
@@ -21,12 +17,7 @@ from typing import Any
 
 from ...core.errors import EntityAlreadyExistsError
 from ...ir.events import TxnContext
-from ..state import DictStateBackend, StateBackend
-
-
-class CommittedStore(DictStateBackend):
-    """Authoritative entity state, keyed by ``(entity, key)`` — the
-    dict-backed default committed store (see module docstring)."""
+from ..state import StateBackend
 
 
 class AriaStateView:

@@ -11,8 +11,8 @@ Responsibilities:
   while batch N runs its commit phase, up to ``pipeline_depth - 1``
   younger batches are already sealed and executing against pinned
   committed-snapshot views (see "Pipelined epochs" below);
-- retry aborted transactions (conflict, or stale cross-batch reads)
-  with their original priority;
+- re-execute aborted transactions (conflict, or stale cross-batch
+  reads) in Aria's sequential fallback, in TID order;
 - gate transactional outputs on epoch boundaries (exactly-once output
   visibility, paper Section 5) and deduplicate replies;
 - take batch-boundary consistent snapshots and run recovery: restore the
@@ -43,8 +43,7 @@ fallback.  The invariants that keep this serializable and deterministic:
 - **Cross-batch conflict detection.**  At its commit barrier a batch
   checks its read sets against the write footprints of every batch that
   committed after its snapshot (``stale_keys`` in :func:`aria.decide`);
-  stale readers abort and re-execute (sequential fallback) or re-enter
-  the next sealable batch with their original priority.
+  stale readers abort and re-execute in the sequential fallback.
 - **Whole-pipeline drains.**  Recovery and coordinator crashes abandon
   *all* in-flight batches and release every pinned view; the rescale
   barrier waits for the pipeline to empty; snapshot cuts happen at batch
@@ -197,16 +196,10 @@ class CoordinatorConfig:
     snapshot_interval_ms: float = 500.0
     failure_detect_ms: float = 400.0
     recovery_pause_ms: float = 25.0
-    max_txn_attempts: int = 10
     conflict_check_ms_per_txn: float = 0.01
     dispatch_ms_per_txn: float = 0.02
     reordering: bool = True
     release_txn_outputs_at_epoch: bool = True
-    #: "sequential" = Aria's Calvin-style fallback: conflict-aborted
-    #: transactions re-execute serially (in TID order) against live state
-    #: inside the same batch — no retry spiral under hot keys.
-    #: "retry" = re-enqueue into the next batch (ablation baseline).
-    fallback: str = "sequential"
     #: Bounded epoch pipeline: how many batches may be in flight at once
     #: (one in the ordered commit region, the rest executing against
     #: pinned snapshot views).  1 = the strictly serial pre-pipeline
@@ -322,7 +315,6 @@ class Coordinator:
         #: own pauses.  Client-visible outage metrics live in the chaos
         #: bench harness, which measures disruption -> next reply.
         self.recovery_log: list[tuple[float, float]] = []
-        self.failed_txns = 0
         self._epoch_buffer: list[Event] = []
         self._arrival_seq = 0
         self._batch_seq = 0
@@ -697,26 +689,14 @@ class Coordinator:
         for tid, txn in batch.txns.items():
             if tid in aborted:
                 txn.attempt += 1
-                if self.config.fallback == "sequential":
-                    fallback.append(txn)
-                else:
-                    self.stats.retries += 1
-                    if txn.attempt >= self.config.max_txn_attempts:
-                        self.failed_txns += 1
-                        self._enqueue_reply(txn, error=(
-                            f"transaction aborted after {txn.attempt} "
-                            f"attempts ({report.aborts[tid].value})"))
-                    else:
-                        # Re-enters the next *sealable* batch: priority
-                        # (arrival_seq) is preserved by the seal-time
-                        # sort, so retried work still goes first.
-                        self.pending.append(txn)
+                fallback.append(txn)
             else:
                 self._observe_commit(txn.target.entity, txn.target.key)
                 self._enqueue_reply(txn, error=txn.error)
-        # Aria's fallback: re-execute the conflict-aborted transactions
-        # serially, in TID order, against live state — after the
-        # single-key phase has run.
+        # Aria's Calvin-style fallback: re-execute the conflict-aborted
+        # transactions serially, in TID order, against live state inside
+        # the same batch — after the single-key phase has run, and with
+        # no retry spiral under hot keys.
         fallback.sort(key=lambda t: t.ctx.tid if t.ctx else 0)
         self._fallback_queue = fallback
         self._single_key_phase(batch)

@@ -94,7 +94,7 @@ from ..state import (
     fast_deepcopy,
     materialize_snapshot,
 )
-from .state_backend import AriaStateView
+from .aria_view import AriaStateView
 
 #: Fork, not spawn: the child inherits the compiled program (closures
 #: and generated classes are not picklable) and starts in milliseconds.
@@ -104,7 +104,7 @@ _MP_CONTEXT = multiprocessing.get_context("fork")
 class ReplicaStore:
     """The child's flat committed-state replica.
 
-    Same read/write isolation convention as the parent backends: values
+    Same read/write isolation convention as the parent's backend: values
     are isolated with :func:`~repro.runtimes.state.fast_deepcopy` on the
     way in and out, so executor-side mutation of a returned dict can
     never corrupt the replica.

@@ -66,9 +66,6 @@ class StateflowConfig:
     #: "direct" = inter-worker channels; "kafka" = loop back through the
     #: broker on every hop (ablation ABL-COMM).
     channel_mode: str = "direct"
-    #: Committed-state backend per worker partition: "dict" (pointer-copy
-    #: snapshots) or "cow" (copy-on-write version-chained snapshots).
-    state_backend: str = "dict"
     #: Hash slots of the committed store (the granularity of elastic
     #: rescaling).  Fixed for the run; must be >= the largest worker
     #: count the run will rescale to.
@@ -162,7 +159,7 @@ class StateflowRuntime(Runtime):
         #: slots it owns.  Rescaling rebalances the table and migrates
         #: the moved slots.
         self.committed = PartitionedStore(
-            self.config.workers, backend=self.config.state_backend,
+            self.config.workers,
             slots=max(self.config.state_slots, self.config.workers))
         self.metrics = MetricRecorder()
         self._executor = OperatorExecutor(

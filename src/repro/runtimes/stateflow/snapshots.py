@@ -27,17 +27,15 @@ Recovery restores the latest complete snapshot and seeks the source back
 to its offsets; replayed requests re-execute and the egress dedup set
 suppresses duplicate replies — exactly-once end to end.
 
-The operator-state payload is whatever the committed store's backend
-produced: a dict sharing the store's entries for the ``dict`` backend, a
-shared chain of frozen layers for the ``cow`` backend, or — with the
-partitioned store — a
-:class:`~repro.runtimes.state.PartitionedSnapshot` of per-slot fragments
-(one incremental payload per hash slot).  Either way the payload is
-read-only for whoever holds it (the state module's entry contract).
-``restore`` is symmetric: the store fans fragments back out to their
-slots.  Keying
-fragments by slot rather than by worker makes snapshots independent of
-the cluster size, so recovery composes with elastic rescaling; the
+The operator-state payload is a
+:class:`~repro.runtimes.state.PartitionedSnapshot` of per-slot
+fragments, each a pointer copy of one slot's map sharing the store's
+entries (or, in an incremental cut, one delta per dirtied slot).  The
+payload is read-only for whoever holds it (the state module's entry
+contract).  ``restore`` is symmetric: the store fans fragments back out
+to their slots.  Keying fragments by slot rather than by worker makes
+snapshots independent of the cluster size, so recovery composes with
+elastic rescaling; the
 frozen :class:`~repro.runtimes.state.SlotAssignment` rides along in the
 snapshot so replay routes exactly as the original execution did.
 
@@ -97,9 +95,8 @@ class Snapshot:
 
     snapshot_id: int
     taken_at_ms: float
-    #: Backend-produced operator-state payload: a plain
-    #: {(entity, key): state} dict, a CowSnapshot layer chain, or a
-    #: PartitionedSnapshot of per-partition fragments (see module doc).
+    #: Operator-state payload: a plain {(entity, key): state} dict, or
+    #: a PartitionedSnapshot of per-slot fragments (see module doc).
     state: Any
     #: Kafka positions of the ingress consumer group:
     #: {(topic, partition): offset}.

@@ -1,14 +1,14 @@
 """A StateFlow worker: one core executing operator partitions.
 
 Workers own partitions of every operator (partitioning by entity key):
-each worker holds its own partition of the
+each worker holds its own slice (the hash slots it owns) of the
 :class:`~repro.runtimes.state.PartitionedStore`, executes state-machine
 blocks against the transaction's
-:class:`~repro.runtimes.stateflow.state_backend.AriaStateView`, and
+:class:`~repro.runtimes.stateflow.aria_view.AriaStateView`, and
 exchanges events over direct channels — the "internal function-to-function
 communication" that lets StateFlow avoid Kafka round trips (Section 4).
 Commit-phase ``apply_writes`` therefore only ever touches the owning
-worker's partition backend.
+worker's slots.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from typing import Any, Callable
 from ...ir.events import Event
 from ...substrates.simulation import CpuPool, Simulation
 from ..executor import OperatorExecutor
-from ..state import CowStateBackend, StateBackend
-from .state_backend import AriaStateView
+from ..state import StateBackend
+from .aria_view import AriaStateView
 
 
 class Worker:
@@ -138,8 +138,7 @@ class Worker:
                      on_done: Callable[[], None],
                      *, incarnation: int | None = None) -> None:
         """Commit phase: install a batch's write sets for the partitions
-        this worker owns — only this worker's partition backend is
-        touched."""
+        this worker owns — only this worker's slots are touched."""
         if not self.alive:
             return
         if incarnation is not None and incarnation != self.incarnation:
@@ -157,16 +156,12 @@ class Worker:
 
     # ------------------------------------------------------------------
     def _migration_cost_ms(self, slot: int) -> float:
-        """*Modelled* CPU to capture/install one slot: O(1) for the cow
-        backend (the snapshot is a frozen layer chain), O(keys) for the
-        dict backend.  The real dict capture copies no entry (one
-        reference per key; only the install copies in), but the virtual
-        clock charges this model, and the committed trace digests are
-        built on it — a cheaper model is a behaviour change."""
-        backend = self.store.slot_backend(slot)
-        if isinstance(backend, CowStateBackend):
-            return self._state_op_ms
-        return self._state_op_ms * max(len(backend), 1)
+        """*Modelled* CPU to capture/install one slot: O(keys).  The
+        real capture copies no entry (one reference per key; only the
+        install copies in), but the virtual clock charges this model,
+        and the committed trace digests are built on it — a cheaper
+        model is a behaviour change."""
+        return self._state_op_ms * max(len(self.store.slot_backend(slot)), 1)
 
     def capture_slot(self, slot: int, on_done: Callable[[Any], None],
                      *, incarnation: int | None = None,

@@ -41,7 +41,7 @@ from ...substrates.simulation import (
 )
 from ..base import InvocationResult, Runtime
 from ..executor import OperatorExecutor, run_constructor
-from ..state import make_state_backend
+from ..state import DictStateBackend
 from ..stateflow.runtime import default_kafka_config
 
 INGRESS_TOPIC = "statefun-ingress"
@@ -102,9 +102,6 @@ class StatefunConfig:
     #: Raise on @transactional methods instead of running them without
     #: guarantees (the paper simply did not benchmark T on Statefun).
     strict_transactions: bool = False
-    #: Flink-side operator state backend ("dict" or "cow") — shares the
-    #: StateBackend contract with the other runtimes.
-    state_backend: str = "dict"
     ingress_partitions: int = 4
     kafka: KafkaConfig = field(default_factory=default_kafka_config)
     network: NetworkConfig = field(default_factory=NetworkConfig)
@@ -130,7 +127,7 @@ class StatefunRuntime(Runtime):
         self.sim = sim or Simulation()
         self.network = Network(self.sim, self.config.network)
         self.broker = KafkaBroker(self.sim, self.config.kafka)
-        self.state = make_state_backend(self.config.state_backend)
+        self.state = DictStateBackend()
         self.metrics = MetricRecorder()
         self.flink_cpu = CpuPool(self.sim, self.config.flink_cores,
                                  name="flink")

@@ -1,4 +1,4 @@
-"""Schema of the durability directory: layout, manifest, migration.
+"""Schema of the durability directory: layout and manifest.
 
 A durability directory is the on-disk home of one StateFlow
 deployment's recovery state (``StateflowConfig(durability_dir=...)`` /
@@ -15,17 +15,14 @@ Every binary file is a sequence of :mod:`repro.substrates.wire` frames
 bytes a crash landed mid-``write`` — is detected by the same framing
 that detects torn socket streams, and truncated away on open.
 
-The manifest is the versioned part of the schema.  ``open_layout``
-migrates older layouts forward before either store touches the
-directory: version 0 (the flat prototype layout, every file in the
-directory root) is moved into the split subdirectories above; version 1
-cut frames predate the durable-view sidecar slot
-(``Snapshot.views_state``) and are rewritten with the slot
-materialized — ``Snapshot`` is a slots dataclass, so an old pickle
-would otherwise come back with the attribute simply *absent*
-(``AttributeError`` on access, not ``None``).  A manifest from a
-*newer* format is refused — downgrading code must not silently misread
-a layout it does not understand.
+The manifest is the versioned part of the schema, and ``open_layout``
+reads exactly one version, :data:`FORMAT_VERSION`.  A directory written
+in any other format is refused with a :class:`StorageError` naming the
+version it found, before either store touches a file: a manifest from a
+newer format (downgrading code must not silently misread a layout it
+does not understand), a manifest from an older one, and a directory
+with no manifest that holds root-level ``segment-*.log``, ``cut-*.bin``
+or ``ledger.log`` files (the version-0 flat layout).
 """
 
 from __future__ import annotations
@@ -36,18 +33,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from ..substrates.wire import (MAGIC, MAX_FRAME_BYTES, FrameError,
-                               decode_frame, encode_frame)
+from ..substrates.wire import MAGIC, MAX_FRAME_BYTES, FrameError, decode_frame
 
-#: Current layout version (see module docstring for the history).
+#: The one layout version this build reads and writes.
 FORMAT_VERSION = 2
 
 _HEADER = len(MAGIC) + 4  # magic + big-endian u32 payload length
 
 
 class StorageError(RuntimeError):
-    """The durability directory cannot be opened (unknown or newer
-    format, or an unmigratable layout)."""
+    """The durability directory cannot be opened (a format other than
+    :data:`FORMAT_VERSION`)."""
 
 
 @dataclass(slots=True)
@@ -105,73 +101,28 @@ def update_manifest(layout: DurabilityLayout,
     return manifest
 
 
-def _migrate_v0(layout: DurabilityLayout) -> None:
-    """v0 -> v1: the flat prototype layout kept segments, cuts and the
-    ledger in the directory root; v1 splits them into ``changelog/``
-    and ``snapshots/`` so compaction can drop whole segment files
-    without scanning unrelated entries."""
-    layout.changelog_dir.mkdir(exist_ok=True)
-    layout.snapshots_dir.mkdir(exist_ok=True)
-    for path in sorted(layout.root.glob("segment-*.log")):
-        os.replace(path, layout.changelog_dir / path.name)
-    for path in sorted(layout.root.glob("cut-*.bin")):
-        os.replace(path, layout.snapshots_dir / path.name)
-    legacy_ledger = layout.root / "ledger.log"
-    if legacy_ledger.exists():
-        os.replace(legacy_ledger, layout.ledger_path)
-
-
-def _migrate_v1(layout: DurabilityLayout) -> None:
-    """v1 -> v2: cut frames gained the durable-view sidecar slot
-    (``Snapshot.views_state``).  ``Snapshot`` is a slots dataclass, so
-    a v1 pickle unpickles with the slot *uninitialized* — attribute
-    access raises instead of returning ``None`` — and every retained
-    cut is rewritten (atomically, like any cut write) with the slot
-    materialized.  No sidecar was recorded at those cuts: ``None``."""
-    for path in layout.cut_files():
-        try:
-            snapshot = decode_frame(path.read_bytes())
-        except FrameError:
-            continue  # torn/corrupt cut: the store drops it on open
-        if getattr(snapshot, "views_state", None) is None:
-            try:
-                snapshot.views_state = None
-            except AttributeError:
-                continue  # not a Snapshot-shaped frame; leave it be
-        tmp = path.with_suffix(".tmp")
-        tmp.write_bytes(encode_frame(snapshot))
-        os.replace(tmp, path)
-
-
 def open_layout(directory: str | os.PathLike) -> DurabilityLayout:
-    """Open (creating or migrating as needed) a durability directory.
+    """Open (creating as needed) a durability directory.
 
     Idempotent: the changelog and snapshot stores of one deployment
-    both call this on the same directory."""
+    both call this on the same directory.  Refuses, touching nothing,
+    a directory in any format but :data:`FORMAT_VERSION`."""
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
     layout = DurabilityLayout(root)
-    manifest = read_manifest(layout)
-    version = manifest.get("format_version")
+    version = read_manifest(layout).get("format_version")
+    if version is None and (any(root.glob("segment-*.log"))
+                            or any(root.glob("cut-*.bin"))
+                            or (root / "ledger.log").exists()):
+        version = 0  # the flat prototype layout never wrote a manifest
     if version is None:
-        legacy = (list(root.glob("segment-*.log"))
-                  or list(root.glob("cut-*.bin"))
-                  or (root / "ledger.log").exists())
-        if legacy:
-            _migrate_v0(layout)
-            _migrate_v1(layout)
         update_manifest(layout, format_version=FORMAT_VERSION)
-    elif version > FORMAT_VERSION:
+    elif version != FORMAT_VERSION:
+        kind = "newer" if version > FORMAT_VERSION else "legacy"
         raise StorageError(
             f"durability directory {root} has format version {version}; "
-            f"this build reads up to {FORMAT_VERSION} — refusing to "
-            f"touch a newer layout")
-    elif version < FORMAT_VERSION:
-        if version < 1:
-            _migrate_v0(layout)
-        if version < 2:
-            _migrate_v1(layout)
-        update_manifest(layout, format_version=FORMAT_VERSION)
+            f"this build reads only version {FORMAT_VERSION} — refusing "
+            f"to touch a {kind} layout")
     layout.changelog_dir.mkdir(exist_ok=True)
     layout.snapshots_dir.mkdir(exist_ok=True)
     return layout

@@ -109,7 +109,7 @@ class ViewManager:
                  clock: Callable[[], float | None] | None = None,
                  head: Callable[[], int] | None = None):
         #: Committed store exposing ``keys() -> (entity, key)`` tuples
-        #: and ``get(entity, key)`` (the backend-agnostic surface).
+        #: and ``get(entity, key)`` (a backend or the partitioned store).
         self._store = store
         self._clock = clock or (lambda: None)
         #: The coordinator's last closed batch id (freshness anchor);

@@ -33,7 +33,8 @@ from repro.core.errors import InvocationError
 from repro.core.refs import EntityRef
 from repro.ir.events import Event, EventKind, Frame
 from repro.runtimes import LocalRuntime
-from repro.runtimes.executor import MapStateAccess, OperatorExecutor
+from repro.runtimes.executor import OperatorExecutor
+from repro.runtimes.state import DictStateBackend
 from repro.workloads import TPCC_ENTITIES, Account
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
@@ -262,7 +263,7 @@ def test_one_function_call_per_operator_visit(example_entities):
     is ``exec``-ed after compilation."""
     program = compile_program(example_entities["checkout"])
     executor = OperatorExecutor(program.entities)
-    state = MapStateAccess()
+    state = DictStateBackend()
     refs = [EntityRef("Product", f"sku-{i}") for i in range(4)]
     for i, ref in enumerate(refs):
         state.put("Product", ref.key,

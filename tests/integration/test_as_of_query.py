@@ -6,8 +6,9 @@ The oracle is the changelog itself, observed from the outside: a spy on
 state "as of batch N" is the preload folded with every record whose
 ``batch_id <= N`` — plain dict updates, no snapshot machinery.  The
 engine must reproduce that at *every* queryable batch boundary (and at
-every commit timestamp), anchoring on whichever retained cut is nearest
-and replaying the changelog suffix.
+every commit timestamp), with serial and with pipelined batches,
+anchoring on whichever retained cut is nearest and replaying the
+changelog suffix.
 
 Targets older than the retained history must be refused, never answered
 wrong — the aggregate-error satellites (``sum``/``top_k`` naming the
@@ -30,13 +31,13 @@ TOTAL = RECORDS * 1_000
 
 
 def run_traced(account_program, *, snapshot_mode="incremental",
-               unbounded_retention=True, seed=11):
+               unbounded_retention=True, seed=11, pipeline_depth=2):
     """One deterministic YCSB-T run; returns (runtime, initial_state,
     log) where *log* is every changelog append as (batch_id, writes,
     at_ms) — the serial oracle's tape."""
     config = StateflowConfig(
-        workers=3, state_backend="dict", snapshot_mode=snapshot_mode,
-        pipeline_depth=2,
+        workers=3, snapshot_mode=snapshot_mode,
+        pipeline_depth=pipeline_depth,
         coordinator=CoordinatorConfig(snapshot_interval_ms=150.0,
                                       failure_detect_ms=200.0,
                                       snapshot_base_every=3))
@@ -89,9 +90,11 @@ def rows_as_state(result):
             for row in result.rows}
 
 
+@pytest.mark.parametrize("pipeline_depth", [1, 2])
 class TestAsOfMatchesSerialOracle:
-    def test_every_batch_boundary(self, account_program):
-        runtime, initial, log = run_traced(account_program)
+    def test_every_batch_boundary(self, account_program, pipeline_depth):
+        runtime, initial, log = run_traced(account_program,
+                                           pipeline_depth=pipeline_depth)
         engine = QueryEngine(runtime)
         batches = sorted({batch_id for batch_id, _, _ in log})
         assert len(batches) >= 10, "run too small to mean anything"
@@ -110,8 +113,9 @@ class TestAsOfMatchesSerialOracle:
             compared += 1
         assert compared >= 10, (compared, refused)
 
-    def test_every_commit_timestamp(self, account_program):
-        runtime, initial, log = run_traced(account_program)
+    def test_every_commit_timestamp(self, account_program, pipeline_depth):
+        runtime, initial, log = run_traced(account_program,
+                                           pipeline_depth=pipeline_depth)
         engine = QueryEngine(runtime)
         compared = 0
         for batch_id, _, at_ms in log:
@@ -126,10 +130,12 @@ class TestAsOfMatchesSerialOracle:
             compared += 1
         assert compared >= 10
 
-    def test_aggregates_conserve_at_every_boundary(self, account_program):
+    def test_aggregates_conserve_at_every_boundary(self, account_program,
+                                                   pipeline_depth):
         """YCSB-T is pure transfers: the as-of total must equal the
         preloaded total at every queryable point in history."""
-        runtime, _, log = run_traced(account_program)
+        runtime, _, log = run_traced(account_program,
+                                     pipeline_depth=pipeline_depth)
         engine = QueryEngine(runtime)
         checked = 0
         for batch in sorted({batch_id for batch_id, _, _ in log}):
@@ -142,8 +148,10 @@ class TestAsOfMatchesSerialOracle:
             checked += 1
         assert checked >= 10
 
-    def test_result_is_stamped_with_its_time(self, account_program):
-        runtime, _, log = run_traced(account_program)
+    def test_result_is_stamped_with_its_time(self, account_program,
+                                             pipeline_depth):
+        runtime, _, log = run_traced(account_program,
+                                     pipeline_depth=pipeline_depth)
         engine = QueryEngine(runtime)
         last_batch, _, last_at_ms = log[-1]
         result = engine.select("Account", consistency="as_of",

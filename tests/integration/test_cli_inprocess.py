@@ -113,12 +113,6 @@ def test_bench_with_faults_inprocess(tmp_path, monkeypatch, capsys):
     assert "recoveries" in capsys.readouterr().out
 
 
-def test_bench_rejects_unknown_env_backend(monkeypatch):
-    monkeypatch.setenv("REPRO_STATE_BACKEND", "chalkboard")
-    with pytest.raises(SystemExit):
-        main(["bench", "--duration-ms", "500"])
-
-
 def test_bench_pipeline_depth_flag(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
     assert main(["bench", "--duration-ms", "600", "--rps", "80",
@@ -217,7 +211,7 @@ def test_bench_pipeline_cell_honours_load_flags(tmp_path, monkeypatch,
     monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
     assert main(["bench", "--cell", "pipeline", "--rps", "2000",
                  "--duration-ms", "250", "--records", "200",
-                 "--state-backend", "cow", "--seed", "3"]) == 0
+                 "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert "pipeline speedup" in out
     assert "wrote" in out and "BENCH_pipeline.json" in out
@@ -258,24 +252,13 @@ def test_bench_views_cell_flag_rejections(tmp_path):
         main(["bench", "--cell", "views", "--faults", plan_path])
 
 
-def test_bench_rps_sweep_both_backends(tmp_path, monkeypatch, capsys):
+def test_bench_rps_sweep(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
     assert main(["bench", "--rps-sweep", "40,80", "--duration-ms", "600",
                  "--records", "20"]) == 0
     assert "rps sweep" in capsys.readouterr().out
     payload = json.loads((tmp_path / "BENCH_ycsb.json").read_text())
-    rows = payload["rows"]
-    assert len(rows) == 4, "2 rates x 2 backends"
-    assert {row["state_backend"] for row in rows} == {"dict", "cow"}
-    assert {row["rps"] for row in rows} == {40.0, 80.0}
-
-
-def test_bench_rps_sweep_pinned_backend(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
-    assert main(["bench", "--rps-sweep", "40", "--state-backend", "cow",
-                 "--duration-ms", "400", "--records", "20"]) == 0
-    payload = json.loads((tmp_path / "BENCH_ycsb.json").read_text())
-    assert [row["state_backend"] for row in payload["rows"]] == ["cow"]
+    assert [row["rps"] for row in payload["rows"]] == [40.0, 80.0]
 
 
 def test_bench_rps_sweep_rejections():

@@ -108,37 +108,6 @@ class TestHarness:
                             component_ms={}, component_counts={})
         assert empty.share("function_execution") is None
 
-    def test_cell_accepts_state_backend(self):
-        from repro.bench import run_ycsb_cell
-
-        row = run_ycsb_cell("stateflow", "A", "zipfian", rps=100,
-                            duration_ms=1_000, record_count=20,
-                            state_backend="cow")
-        assert row.completed > 0
-        assert row.errors == 0
-        assert row.as_dict()["state_backend"] == "cow"
-
-    def test_state_backend_env_default(self, monkeypatch):
-        from repro.bench import default_state_backend
-
-        monkeypatch.delenv("REPRO_STATE_BACKEND", raising=False)
-        assert default_state_backend() == "dict"
-        monkeypatch.setenv("REPRO_STATE_BACKEND", "cow")
-        assert default_state_backend() == "cow"
-
-    def test_snapshot_overhead_rows(self):
-        from repro.bench import (
-            format_snapshot_table,
-            run_snapshot_overhead,
-            snapshot_speedups,
-        )
-
-        rows = run_snapshot_overhead([200], rounds=2, writes_per_round=16)
-        assert {row.backend for row in rows} == {"dict", "cow"}
-        assert all(row.snapshot_ms >= 0 for row in rows)
-        assert 200 in snapshot_speedups(rows)
-        assert "backend" in format_snapshot_table(rows)
-
     def test_figure3_shape_checker(self):
         from repro.bench import ExperimentRow, check_figure3_shape
 

@@ -24,10 +24,11 @@ def test_claim_imperative_code_runs_event_based(shop_program):
     produces outbound events immediately (no waiting in the executor)."""
     from repro.core.refs import EntityRef
     from repro.ir.events import Event, EventKind
-    from repro.runtimes.executor import MapStateAccess, OperatorExecutor
+    from repro.runtimes.executor import OperatorExecutor
+    from repro.runtimes.state import DictStateBackend
 
     executor = OperatorExecutor(shop_program.entities)
-    state = MapStateAccess()
+    state = DictStateBackend()
     state.put("User", "u", {"username": "u", "balance": 10})
     state.put("Item", "i", {"item_id": "i", "stock": 5,
                             "price_per_unit": 1})

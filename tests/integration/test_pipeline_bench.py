@@ -12,8 +12,7 @@ from repro.bench import run_pipeline_bench, run_pipeline_cell
 def test_pipeline_cell_sweeps_depths_and_reports():
     report = run_pipeline_cell(
         depths=(1, 2), rps=4_000.0, duration_ms=300.0, record_count=300,
-        workers=8, state_slots=64, seed=7, state_backend="cow",
-        drain_ms=30_000.0)
+        workers=8, state_slots=64, seed=7, drain_ms=30_000.0)
     assert [row.depth for row in report.rows] == [1, 2]
     for row in report.rows:
         assert row.completed == row.sent, (
@@ -30,7 +29,6 @@ def test_pipeline_cell_sweeps_depths_and_reports():
 
     artifact = report.as_artifact()
     assert artifact["cell"] == "pipeline"
-    assert artifact["state_backend"] == "cow"
     assert artifact["mode"] == "simulator"
     assert len(artifact["rows"]) == 2
     assert all(row["mode"] == "simulator" for row in artifact["rows"])
@@ -47,15 +45,14 @@ def test_pipeline_cell_sweeps_depths_and_reports():
 def test_pipeline_cell_depth1_only_has_nan_speedup():
     report = run_pipeline_cell(
         depths=(1,), rps=1_000.0, duration_ms=200.0, record_count=100,
-        workers=4, state_slots=16, seed=7, state_backend="dict",
-        drain_ms=20_000.0)
+        workers=4, state_slots=16, seed=7, drain_ms=20_000.0)
     assert report.speedup != report.speedup  # NaN: nothing to compare
     assert not report.mean_latency_improved
 
 
 def test_pipeline_bench_simulator_only_artifact():
     artifact, sim_report, wall_report = run_pipeline_bench(
-        state_backend="dict", seed=7, include_wallclock=False,
+        seed=7, include_wallclock=False,
         simulator_kwargs=dict(depths=(1, 2), rps=2_000.0,
                               duration_ms=200.0, record_count=200,
                               workers=8, state_slots=64,
@@ -72,7 +69,7 @@ def test_pipeline_bench_combined_artifact_with_wallclock():
     gated on identical replies, the wallclock section on real speedup
     (the ≥1.2x target binding only on ≥4 cores, None below)."""
     artifact, sim_report, wall_report = run_pipeline_bench(
-        state_backend="dict", seed=7,
+        seed=7,
         simulator_kwargs=dict(depths=(1, 2), rps=2_000.0,
                               duration_ms=200.0, record_count=200,
                               workers=8, state_slots=64,

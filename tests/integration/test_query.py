@@ -5,6 +5,7 @@ import pytest
 from repro.query import QueryEngine, QueryError
 from repro.runtimes import LocalRuntime
 from repro.runtimes.stateflow import StateflowRuntime
+from repro.runtimes.statefun import StatefunRuntime
 from repro.workloads import Account
 
 
@@ -22,21 +23,17 @@ class TestSelect:
         assert len(result) == 4
         assert result.keys() == [f"acct-{i}" for i in range(4)]
 
-    @pytest.mark.parametrize("backend", ["dict", "cow"])
-    def test_live_scan_over_any_backend(self, account_program, backend):
-        runtime = LocalRuntime(account_program, state_backend=backend)
+    @pytest.mark.parametrize("runtime_cls", [LocalRuntime, StatefunRuntime])
+    def test_live_scan_of_created_entities(self, account_program,
+                                           runtime_cls):
+        runtime = runtime_cls(account_program)
         for index, balance in enumerate([10, 25]):
             runtime.create(Account, f"acct-{index}", balance)
         result = QueryEngine(runtime).select("Account")
         assert sorted(result.scalars("balance")) == [10, 25]
 
-    @pytest.mark.parametrize("backend", ["dict", "cow"])
-    def test_stateflow_queries_over_any_backend(self, account_program,
-                                                backend):
-        from repro.runtimes.stateflow import StateflowConfig
-
-        runtime = StateflowRuntime(
-            account_program, config=StateflowConfig(state_backend=backend))
+    def test_stateflow_queries_live_and_snapshot(self, account_program):
+        runtime = StateflowRuntime(account_program)
         a, b = runtime.preload(Account, [("a", 100), ("b", 100)])
         runtime.start()
         runtime.call(a, "transfer", 30, b)

@@ -5,7 +5,7 @@ Mirrors ``test_serializability.py``: the same serial-order oracles
 (conservation, non-negative balances, exact sums, TPC-C vs the
 fault-free Local runtime) must hold while the cluster resizes
 mid-workload — including the canonical 2 -> 4 -> 3 acceptance scenario
-on both state backends, with byte-identical replays and recorded
+at pipeline depth 1 and 2, with byte-identical replays and recorded
 migration metrics, and with a fault plan layered on top (rescale under
 chaos)."""
 
@@ -22,10 +22,10 @@ from repro.workloads import Account
 
 
 def _rescale_config(targets=(4, 3), *, workers=2, start_ms=300.0,
-                    interval_ms=400.0, state_backend="dict",
+                    interval_ms=400.0, pipeline_depth=None,
                     fault_plan=None) -> StateflowConfig:
     return StateflowConfig(
-        workers=workers, state_backend=state_backend,
+        workers=workers, pipeline_depth=pipeline_depth,
         rescale_plan=staged_plan(targets, start_ms=start_ms,
                                  interval_ms=interval_ms),
         fault_plan=fault_plan,
@@ -41,16 +41,17 @@ transfer_plan = st.lists(
     min_size=1, max_size=30)
 
 
-@pytest.mark.parametrize("state_backend", ["dict", "cow"])
+@pytest.mark.parametrize("pipeline_depth", [1, 2])
 @given(transfer_plan)
 @settings(max_examples=8, deadline=None)
-def test_transfers_serializable_under_rescale(account_program, state_backend,
-                                              plan):
+def test_transfers_serializable_under_rescale(account_program,
+                                              pipeline_depth, plan):
     """Transfer histories spanning a 2 -> 4 -> 3 resize must still
-    check out: conservation, non-negative balances, exactly one commit
-    per submitted request."""
+    check out, with serial and with pipelined batches: conservation,
+    non-negative balances, exactly one commit per submitted request."""
     runtime = StateflowRuntime(
-        account_program, config=_rescale_config(state_backend=state_backend))
+        account_program,
+        config=_rescale_config(pipeline_depth=pipeline_depth))
     refs = runtime.preload(Account,
                            [(f"acct-{i}", 100) for i in range(6)])
     runtime.start()
@@ -253,13 +254,13 @@ def test_rescale_with_message_faults_over_migration_channel(account_program):
 # ---------------------------------------------------------------------------
 
 
-def _acceptance_run(account_program, state_backend: str):
+def _acceptance_run(account_program, pipeline_depth):
     from repro.workloads import DriverConfig, WorkloadDriver, YcsbWorkload
 
     runtime = StateflowRuntime(
         account_program,
         config=_rescale_config(start_ms=400.0, interval_ms=600.0,
-                               state_backend=state_backend))
+                               pipeline_depth=pipeline_depth))
     trace: list[tuple] = []
     runtime.reply_tap = lambda reply: trace.append(
         (reply.request_id, repr(reply.payload), reply.error,
@@ -277,10 +278,10 @@ def _acceptance_run(account_program, state_backend: str):
     return runtime, workload, result, trace, state, state_bytes
 
 
-@pytest.mark.parametrize("state_backend", ["dict", "cow"])
-def test_acceptance_2_4_3_under_load(account_program, state_backend):
+@pytest.mark.parametrize("pipeline_depth", [1, 2])
+def test_acceptance_2_4_3_under_load(account_program, pipeline_depth):
     runtime, workload, result, trace, state, state_bytes = \
-        _acceptance_run(account_program, state_backend)
+        _acceptance_run(account_program, pipeline_depth)
     # Serial oracle: conservation and exactly-once completion.
     total = sum(entry["balance"] for (entity, _), entry in state.items()
                 if entity == "Account")
@@ -296,7 +297,7 @@ def test_acceptance_2_4_3_under_load(account_program, state_backend):
     assert coordinator.keys_migrated > 0
     assert all(record.pause_ms > 0 for record in coordinator.rescale_log)
     # Byte-identical replay from the same seeds.
-    _, _, _, trace2, _, state_bytes2 = _acceptance_run(
-        account_program, state_backend)
+    _, _, _, trace2, _, state_bytes2 = _acceptance_run(account_program,
+                                                       pipeline_depth)
     assert state_bytes == state_bytes2
     assert trace == trace2

@@ -34,17 +34,18 @@ def test_rescale_cell_measures_migration_and_stays_correct():
     assert rerun.trace_digest == report.trace_digest
 
 
-def test_rescale_cell_on_both_state_backends():
-    """The rescale smoke the CI job runs: dict and cow backends resize
-    loss-free under the same plan and agree on the committed history."""
-    digests = {}
-    for backend in ("dict", "cow"):
+def test_rescale_cell_history_is_independent_of_pipeline_depth():
+    """The rescale smoke's history at depth 1 and 2: the resize and the
+    pipeline change when batches commit, never what commits."""
+    digests = set()
+    for depth in (1, 2):
         report = run_rescale_cell(rps=90.0, duration_ms=1_500.0,
                                   record_count=30, seed=33,
-                                  state_backend=backend)
-        assert report.ok, (backend, report.problems)
-        digests[backend] = report.trace_digest
-    assert digests["dict"] == digests["cow"]
+                                  pipeline_depth=depth)
+        assert report.ok, (depth, report.problems)
+        assert report.rescales == 2
+        digests.add(report.trace_digest)
+    assert len(digests) == 1
 
 
 def test_rescale_cell_under_chaos():
@@ -92,7 +93,6 @@ def test_write_bench_artifact_honours_env_dir(tmp_path, monkeypatch):
 
 def test_cli_bench_writes_artifact(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_STATE_BACKEND", "dict")
     assert main(["bench", "--duration-ms", "800", "--records", "20",
                  "--rps", "60"]) == 0
     payload = json.loads((tmp_path / "BENCH_ycsb.json").read_text())

@@ -33,10 +33,10 @@ PLAN = FaultPlan(seed=23, events=[
 ])
 
 
+@pytest.mark.parametrize("pipeline_depth", [1, 2])
 @pytest.mark.parametrize("snapshot_mode", ["full", "incremental"])
-@pytest.mark.parametrize("state_backend", ["dict", "cow"])
 def test_cut_payloads_are_never_written(account_program, monkeypatch,
-                                        state_backend, snapshot_mode):
+                                        snapshot_mode, pipeline_depth):
     cuts: list[tuple[object, bytes]] = []
     take = SnapshotStore.take
 
@@ -46,8 +46,8 @@ def test_cut_payloads_are_never_written(account_program, monkeypatch,
 
     monkeypatch.setattr(SnapshotStore, "take", fingerprinting_take)
     runtime = StateflowRuntime(account_program, config=StateflowConfig(
-        workers=4, state_backend=state_backend,
-        snapshot_mode=snapshot_mode, fault_plan=PLAN,
+        workers=4, snapshot_mode=snapshot_mode, fault_plan=PLAN,
+        pipeline_depth=pipeline_depth,
         coordinator=chaos_coordinator_config()))
     workload = YcsbWorkload("T", record_count=RECORDS,
                             distribution="uniform", seed=5,

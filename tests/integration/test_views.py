@@ -2,8 +2,9 @@
 
 The invariant under test everywhere: after *every* committed batch, each
 registered view is byte-equal to the full-scan oracle over the committed
-store (``ViewManager.expected``), including under chaos fault plans,
-mid-run rescales, and coordinator crash/recovery — where views must
+store (``ViewManager.expected``), at pipeline depth 1 and 2, including
+under chaos fault plans, mid-run rescales, and coordinator
+crash/recovery — where views must
 rewind with the store and never reflect an abandoned pipeline batch.
 A per-batch probe hooks the maintenance path so the equality is checked
 at commit granularity, not just at quiesce.
@@ -32,6 +33,8 @@ from repro.workloads import Account
 ACCOUNTS = 6
 SEED_BALANCE = 100
 TOTAL = ACCOUNTS * SEED_BALANCE
+#: Serial batches, and one batch executing while the previous commits.
+DEPTHS = (1, 2)
 
 
 def _rich(row):
@@ -103,15 +106,16 @@ transfer_plan = st.lists(
 
 
 class TestEveryBatchEquality:
-    @pytest.mark.parametrize("state_backend", ["dict", "cow"])
+    @pytest.mark.parametrize("pipeline_depth", DEPTHS)
     @pytest.mark.parametrize("snapshot_mode", ["full", "incremental"])
-    def test_views_track_every_batch(self, account_program, state_backend,
-                                     snapshot_mode):
+    def test_views_track_every_batch(self, account_program, snapshot_mode,
+                                     pipeline_depth):
         """Deterministic transfer mix: every view equals the oracle at
-        every commit, on both state backends and both snapshot modes
-        (views and the changelog share the commit-path observation)."""
+        every commit, in both snapshot modes (views and the changelog
+        share the commit-path observation), with serial and with
+        pipelined batches."""
         runtime = StateflowRuntime(account_program, config=StateflowConfig(
-            state_backend=state_backend, snapshot_mode=snapshot_mode))
+            snapshot_mode=snapshot_mode, pipeline_depth=pipeline_depth))
         refs = runtime.preload(
             Account, [(f"acct-{i}", SEED_BALANCE) for i in range(ACCOUNTS)])
         runtime.start()
@@ -166,11 +170,14 @@ class TestEveryBatchEquality:
 
 
 class TestSubscriptions:
-    def test_updates_ride_the_network_substrate(self, account_program):
+    @pytest.mark.parametrize("pipeline_depth", DEPTHS)
+    def test_updates_ride_the_network_substrate(self, account_program,
+                                                pipeline_depth):
         """Pushes are delivered as messages through the network, not
         inline on the commit path — and still arrive in batch order
         with the values the view held at publish time."""
-        runtime = StateflowRuntime(account_program)
+        runtime = StateflowRuntime(account_program, config=StateflowConfig(
+            pipeline_depth=pipeline_depth))
         refs = runtime.preload(
             Account, [(f"acct-{i}", SEED_BALANCE) for i in range(ACCOUNTS)])
         runtime.start()
@@ -189,16 +196,18 @@ class TestSubscriptions:
 
 
 class TestChaos:
+    @pytest.mark.parametrize("pipeline_depth", DEPTHS)
     @given(transfer_plan, st.integers(0, 2**20))
     @settings(max_examples=6, deadline=None)
-    def test_views_exact_under_chaos(self, account_program, plan, seed):
+    def test_views_exact_under_chaos(self, account_program, pipeline_depth,
+                                     plan, seed):
         """Worker crashes, dropped messages and partitions: the per-
         batch equality probe must never trip, and the sum view must
         show exact conservation at quiesce (the serial oracle)."""
         fault_plan = random_plan(seed, duration_ms=3_000.0, workers=5,
                                  intensity="medium")
         runtime = StateflowRuntime(account_program, config=StateflowConfig(
-            fault_plan=fault_plan,
+            fault_plan=fault_plan, pipeline_depth=pipeline_depth,
             coordinator=chaos_coordinator_config()))
         refs = runtime.preload(
             Account, [(f"acct-{i}", SEED_BALANCE) for i in range(ACCOUNTS)])
@@ -213,17 +222,17 @@ class TestChaos:
 
 
 class TestCrashRecovery:
-    @pytest.mark.parametrize("state_backend", ["dict", "cow"])
+    @pytest.mark.parametrize("pipeline_depth", DEPTHS)
     @pytest.mark.parametrize("snapshot_mode", ["full", "incremental"])
-    def test_views_rewind_with_the_store(self, account_program,
-                                         state_backend, snapshot_mode):
+    def test_views_rewind_with_the_store(self, account_program, snapshot_mode,
+                                         pipeline_depth):
         """Coordinator fail-stop mid-load: recovery rewinds the
         committed store to a snapshot and abandons the pipeline, so the
         views must rewind too — resuming from the cut's durable sidecar
         (zero store scans), then tracking the replayed batches back to
         an exact final state."""
         runtime = StateflowRuntime(account_program, config=StateflowConfig(
-            state_backend=state_backend, snapshot_mode=snapshot_mode,
+            snapshot_mode=snapshot_mode, pipeline_depth=pipeline_depth,
             coordinator=CoordinatorConfig(snapshot_interval_ms=150.0,
                                           failure_detect_ms=200.0)))
         refs = runtime.preload(
@@ -267,15 +276,15 @@ class TestCrashRecovery:
 
 
 class TestRescale:
-    @pytest.mark.parametrize("state_backend", ["dict", "cow"])
+    @pytest.mark.parametrize("pipeline_depth", DEPTHS)
     def test_views_exact_across_rescale(self, account_program,
-                                        state_backend):
+                                        pipeline_depth):
         """The canonical 2 -> 4 -> 3 resize under transfer load: slot
         ownership moves between workers but the committed contents do
         not, so views need no rescale hook — the per-batch probe proves
         they stay exact through both barriers."""
         runtime = StateflowRuntime(account_program, config=StateflowConfig(
-            workers=2, state_backend=state_backend,
+            workers=2, pipeline_depth=pipeline_depth,
             rescale_plan=staged_plan((4, 3), start_ms=300.0,
                                      interval_ms=400.0),
             coordinator=chaos_coordinator_config()))
@@ -377,10 +386,13 @@ class TestJoinViews:
         assert value == {5: 100 + 12 + 14 + 11, 2: 1 + 15}
         assert engine.view("joined-count").value == 6
 
-    def test_join_views_rewind_with_the_store(self, join_program):
+    @pytest.mark.parametrize("pipeline_depth", DEPTHS)
+    def test_join_views_rewind_with_the_store(self, join_program,
+                                              pipeline_depth):
         """Coordinator crash between commits: both memo sides restore
         from the sidecar and the replay converges to the oracle."""
         runtime = StateflowRuntime(join_program, config=StateflowConfig(
+            pipeline_depth=pipeline_depth,
             coordinator=CoordinatorConfig(snapshot_interval_ms=150.0,
                                           failure_detect_ms=200.0)))
         customers = runtime.preload(JCustomer, [("c0", 1), ("c1", 2)])
@@ -452,11 +464,11 @@ POISON_SPECS = [
 
 
 class TestPoisonRow:
-    @pytest.mark.parametrize("state_backend", ["dict", "cow"])
+    @pytest.mark.parametrize("pipeline_depth", DEPTHS)
     def test_commit_reply_and_other_views_survive(self, item_program,
-                                                  state_backend):
+                                                  pipeline_depth):
         runtime = StateflowRuntime(item_program, config=StateflowConfig(
-            state_backend=state_backend))
+            pipeline_depth=pipeline_depth))
         items = runtime.preload(
             PItem, [("i0", 8, 1), ("i1", 9, 2), ("i2", 6, 3)])
         runtime.start()
@@ -555,8 +567,11 @@ def attach_conservation_probe(runtime) -> list:
 
 
 class TestWindowedViews:
-    def test_windowed_sum_partitions_the_total(self, account_program):
-        runtime = StateflowRuntime(account_program)
+    @pytest.mark.parametrize("pipeline_depth", DEPTHS)
+    def test_windowed_sum_partitions_the_total(self, account_program,
+                                               pipeline_depth):
+        runtime = StateflowRuntime(account_program, config=StateflowConfig(
+            pipeline_depth=pipeline_depth))
         refs = runtime.preload(
             Account, [(f"acct-{i}", SEED_BALANCE) for i in range(ACCOUNTS)])
         runtime.start()
@@ -572,12 +587,15 @@ class TestWindowedViews:
         assert sum(windows.values()) == TOTAL
         assert all(start % WINDOW_MS == 0 for start in windows)
 
-    def test_windowed_views_survive_crash_recovery(self, account_program):
+    @pytest.mark.parametrize("pipeline_depth", DEPTHS)
+    def test_windowed_views_survive_crash_recovery(self, account_program,
+                                                   pipeline_depth):
         """The one view kind that *cannot* be rebuilt by scanning: the
         commit-time window assignment lives only in operator state.
         Recovery must carry it through the sidecar and keep the
         conservation invariant across the rewind and replay."""
         runtime = StateflowRuntime(account_program, config=StateflowConfig(
+            pipeline_depth=pipeline_depth,
             coordinator=CoordinatorConfig(snapshot_interval_ms=150.0,
                                           failure_detect_ms=200.0)))
         refs = runtime.preload(

@@ -10,7 +10,7 @@ The contracts that make rescaling safe:
   ``ceil(slots / (n+1))`` slots, all of them to the new worker, and
   every key whose slot did not move keeps its owner;
 - a store-level rescale (migrate + commit) never loses, duplicates, or
-  corrupts a key — for both the dict and cow backends.
+  corrupts a key.
 """
 
 import pytest
@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtimes.state import (
-    BACKENDS,
     PartitionedStore,
     SlotAssignment,
     materialize_snapshot,
@@ -113,17 +112,16 @@ class TestMinimalMovement:
         assert assignment.epoch == epoch + 1
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
 class TestStoreRescaleIntegrity:
     @given(keys=keys, path=st.lists(st.integers(1, 8), min_size=1,
                                     max_size=5))
     @settings(max_examples=25, deadline=None)
-    def test_rescale_path_preserves_every_key(self, backend, keys, path):
+    def test_rescale_path_preserves_every_key(self, keys, path):
         """Walking an arbitrary rescale path (grow and shrink mixed)
         keeps every key readable with its exact state, owned by the
         worker the assignment names — the minimal-movement migration
         moved the data along with the routing table."""
-        store = PartitionedStore(2, backend=backend, slots=16)
+        store = PartitionedStore(2, slots=16)
         for index, key in enumerate(keys):
             store.put("Account", key, {"balance": index})
         for target in path:
@@ -144,8 +142,8 @@ class TestStoreRescaleIntegrity:
                     assert store.assignment.owners[slot] == \
                         owners_before[slot]
 
-    def test_split_then_merge_round_trip(self, backend):
-        store = PartitionedStore(3, backend=backend, slots=12)
+    def test_split_then_merge_round_trip(self):
+        store = PartitionedStore(3, slots=12)
         for index in range(24):
             store.put("Account", f"k{index}", {"balance": index})
         before = dict(materialize_snapshot(store.snapshot()))
@@ -155,10 +153,10 @@ class TestStoreRescaleIntegrity:
         assert store.assignment.workers == 3
         assert materialize_snapshot(store.snapshot()) == before
 
-    def test_snapshot_taken_before_rescale_restores_after(self, backend):
+    def test_snapshot_taken_before_rescale_restores_after(self):
         """Per-slot fragments make snapshots topology-independent: a cut
         taken at 2 workers restores cleanly into a 5-worker store."""
-        store = PartitionedStore(2, backend=backend, slots=16)
+        store = PartitionedStore(2, slots=16)
         for index in range(20):
             store.put("Account", f"k{index}", {"balance": index})
         snapshot = store.snapshot()

@@ -6,7 +6,8 @@ changelog repair path rely on:
 
 - **capture/apply round trip** — replaying every captured delta over a
   captured base reproduces the live store, for any interleaving of
-  writes, creates and deletes, on both backends;
+  writes, creates and deletes, on a lone backend and on the slotted
+  store (whose deltas are per-slot fragments);
 - **compaction equivalence** — ``apply(base, d1..dn)`` equals
   ``apply(base, compact(d1..dn))``;
 - **replay idempotence** — applying a delta (or a changelog record)
@@ -19,14 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtimes.state import (
-    CowStateBackend,
-    DictStateBackend,
-    StateDelta,
-    compact_deltas,
-    make_state_backend,
-    resolve_payload,
-)
+from test_state import SHAPES
+
+from repro.runtimes.state import (DictStateBackend, FullFragment,
+                                  PartitionedDelta, PartitionedStore,
+                                  StateDelta, compact_deltas,
+                                  resolve_payload)
 from repro.runtimes.stateflow.snapshots import ChangelogStore
 
 KEYS = [f"k{i}" for i in range(8)]
@@ -55,10 +54,11 @@ def contents(backend):
     return {key: backend.get(*key) for key in sorted(backend.keys())}
 
 
-def run_segments(backend_name, ops, cuts):
-    """Drive a backend through *ops*, capturing a base up front and a
-    delta at every cut point; returns (base, deltas, final_contents)."""
-    backend = make_state_backend(backend_name)
+def run_segments(ops, cuts, shape="backend"):
+    """Drive a backend (or store) through *ops*, capturing a base up
+    front and a delta at every cut point; returns (base, deltas,
+    final_contents)."""
+    backend = SHAPES[shape]()
     base = backend.capture_base()
     deltas = []
     boundaries = sorted(set(min(c, len(ops)) for c in cuts))
@@ -74,21 +74,21 @@ def run_segments(backend_name, ops, cuts):
 
 
 class TestCaptureApplyRoundTrip:
-    @pytest.mark.parametrize("backend_name", ["dict", "cow"])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
     @given(ops=ops_strategy, cuts=cuts_strategy)
     @settings(max_examples=50, deadline=None)
-    def test_deltas_reproduce_the_store(self, backend_name, ops, cuts):
-        base, deltas, final = run_segments(backend_name, ops, cuts)
-        replica = make_state_backend(backend_name)
+    def test_deltas_reproduce_the_store(self, shape, ops, cuts):
+        base, deltas, final = run_segments(ops, cuts, shape)
+        replica = SHAPES[shape]()
         replica.restore(resolve_payload(base, deltas))
         assert contents(replica) == final
 
-    @pytest.mark.parametrize("backend_name", ["dict", "cow"])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
     @given(ops=ops_strategy, cuts=cuts_strategy)
     @settings(max_examples=50, deadline=None)
-    def test_apply_delta_on_live_backend(self, backend_name, ops, cuts):
-        base, deltas, final = run_segments(backend_name, ops, cuts)
-        replica = make_state_backend(backend_name)
+    def test_apply_delta_on_live_backend(self, shape, ops, cuts):
+        base, deltas, final = run_segments(ops, cuts, shape)
+        replica = SHAPES[shape]()
         replica.restore(base)
         for delta in deltas:
             replica.apply_delta(delta)
@@ -96,43 +96,43 @@ class TestCaptureApplyRoundTrip:
 
     @given(ops=ops_strategy, cuts=cuts_strategy)
     @settings(max_examples=30, deadline=None)
-    def test_backends_capture_equivalent_deltas(self, ops, cuts):
-        """The same op sequence captured on dict and cow resolves to the
-        same contents — deltas are backend-portable through resolution."""
-        _, _, dict_final = run_segments("dict", ops, cuts)
-        _, _, cow_final = run_segments("cow", ops, cuts)
-        assert dict_final == cow_final
+    def test_backend_and_store_capture_equivalent_deltas(self, ops, cuts):
+        """The same op sequence captured on a lone backend and on the
+        slotted store resolves to the same contents: slotting changes
+        how a delta is cut up, not what it says."""
+        _, _, backend_final = run_segments(ops, cuts, "backend")
+        _, _, store_final = run_segments(ops, cuts, "store")
+        assert backend_final == store_final
 
 
 class TestCompactionEquivalence:
-    @pytest.mark.parametrize("backend_name", ["dict", "cow"])
     @given(ops=ops_strategy, cuts=cuts_strategy)
     @settings(max_examples=50, deadline=None)
-    def test_compact_preserves_resolution(self, backend_name, ops, cuts):
-        base, deltas, final = run_segments(backend_name, ops, cuts)
+    def test_compact_preserves_resolution(self, ops, cuts):
+        base, deltas, final = run_segments(ops, cuts)
         compacted = compact_deltas(deltas)
-        replica = make_state_backend(backend_name)
+        replica = DictStateBackend()
         replica.restore(resolve_payload(base, [compacted]))
         assert contents(replica) == final
 
     @given(ops=ops_strategy, cuts=cuts_strategy)
     @settings(max_examples=50, deadline=None)
     def test_compact_bounds_layer_count(self, ops, cuts):
-        _, deltas, _ = run_segments("cow", ops, cuts)
+        _, deltas, _ = run_segments(ops, cuts)
         compacted = compact_deltas(deltas)
         assert len(compacted.layers) <= 1
 
 
 class TestReplayIdempotence:
-    @pytest.mark.parametrize("backend_name", ["dict", "cow"])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
     @given(ops=ops_strategy, cuts=cuts_strategy)
     @settings(max_examples=50, deadline=None)
-    def test_duplicate_delivery_is_harmless(self, backend_name, ops, cuts):
+    def test_duplicate_delivery_is_harmless(self, shape, ops, cuts):
         """Every delta delivered twice (the torn_snapshot "duplicate"
         variant) resolves to the same state as single delivery."""
-        base, deltas, final = run_segments(backend_name, ops, cuts)
+        base, deltas, final = run_segments(ops, cuts, shape)
         doubled = [delta for delta in deltas for _ in range(2)]
-        replica = make_state_backend(backend_name)
+        replica = SHAPES[shape]()
         replica.restore(resolve_payload(base, doubled))
         assert contents(replica) == final
 
@@ -169,33 +169,53 @@ class TestReplayIdempotence:
 
 
 class TestDeltaShapes:
-    def test_cow_delta_layers_are_shared_not_copied(self):
-        backend = CowStateBackend()
-        backend.capture_base()
-        backend.put("E", "a", {"v": 1})
-        backend.snapshot()  # freezes the head into the tracked layers
-        backend.put("E", "a", {"v": 2})
-        delta = backend.capture_delta()
-        assert len(delta.layers) == 2
-        merged = delta.merged()
-        assert merged[("E", "a")] == {"v": 2}
-
     def test_empty_segment_captures_empty_delta(self):
-        for name in ("dict", "cow"):
-            backend = make_state_backend(name)
-            backend.capture_base()
-            delta = backend.capture_delta()
-            assert delta is not None and delta.is_empty
+        backend = DictStateBackend()
+        backend.capture_base()
+        delta = backend.capture_delta()
+        assert delta is not None and delta.is_empty
 
     def test_restore_invalidates_tracking(self):
-        for name in ("dict", "cow"):
-            backend = make_state_backend(name)
-            payload = backend.capture_base()
-            backend.put("E", "a", {"v": 1})
-            backend.restore(payload)
-            assert backend.capture_delta() is None, name
-            # A fresh base re-arms tracking.
-            backend.capture_base()
-            backend.put("E", "b", {"v": 2})
-            delta = backend.capture_delta()
-            assert delta is not None and not delta.is_empty
+        backend = DictStateBackend()
+        payload = backend.capture_base()
+        backend.put("E", "a", {"v": 1})
+        backend.restore(payload)
+        assert backend.capture_delta() is None
+        # A fresh base re-arms tracking.
+        backend.capture_base()
+        backend.put("E", "b", {"v": 2})
+        delta = backend.capture_delta()
+        assert delta is not None and not delta.is_empty
+
+    def test_store_cuts_only_the_slots_it_dirtied(self):
+        store = PartitionedStore(3, slots=8)
+        store.capture_base()
+        store.put("E", "a", {"v": 1})
+        delta = store.capture_delta()
+        assert isinstance(delta, PartitionedDelta)
+        assert delta.partition_count == 8
+        [(slot, part)] = [(slot, part) for slot, part
+                          in enumerate(delta.parts) if part is not None]
+        assert slot == store.slot_of("E", "a")
+        assert isinstance(part, StateDelta)
+        assert part.merged() == {("E", "a"): {"v": 1}}
+        # Nothing written since: every slot is clean.
+        assert store.capture_delta().parts == (None,) * 8
+
+    def test_store_restore_degrades_to_full_fragments(self):
+        """A rewound store has no delta over any durable base: its next
+        cut carries every slot whole, and the cut after that is a delta
+        again."""
+        store = PartitionedStore(3, slots=8)
+        payload = store.capture_base()
+        store.put("E", "a", {"v": 1})
+        store.restore(payload)
+        store.put("E", "b", {"v": 2})
+        full = store.capture_delta()
+        assert all(isinstance(part, FullFragment) for part in full.parts)
+        assert resolve_payload(payload, [full]) == store.snapshot()
+        store.put("E", "c", {"v": 3})
+        again = store.capture_delta()
+        assert not any(isinstance(part, FullFragment)
+                       for part in again.parts)
+        assert sum(part is not None for part in again.parts) == 1

@@ -8,10 +8,10 @@ from repro.core.refs import EntityRef
 from repro.ir.events import Event, EventKind, ExecutionState
 from repro.runtimes.executor import (
     Instrumentation,
-    MapStateAccess,
     OperatorExecutor,
     run_constructor,
 )
+from repro.runtimes.state import DictStateBackend
 
 
 @pytest.fixture()
@@ -21,7 +21,7 @@ def executor(shop_program):
 
 @pytest.fixture()
 def state(shop_program):
-    access = MapStateAccess()
+    access = DictStateBackend()
     access.put("Item", "apple",
                {"item_id": "apple", "stock": 10, "price_per_unit": 3})
     access.put("User", "alice", {"username": "alice", "balance": 100})
@@ -114,7 +114,7 @@ class TestErrorAttribution:
         """The block in the error is where the exception happened — not
         the entry block, and not the block the visit resumed at."""
         executor = OperatorExecutor(zoo_program.entities)
-        state = MapStateAccess()
+        state = DictStateBackend()
         state.put("Zoo", "z", {"zid": "z", "calls": 0})
         outs = executor.handle(
             _invoke("Zoo", "z", "branch_else", EntityRef("Counter", "c"), 2),

@@ -3,7 +3,8 @@ replay must be observationally identical to full-copy snapshots.
 
 For matched (seed, fault plan, rescale plan) runs, a full-mode and an
 incremental-mode deployment must produce byte-identical reply traces
-and final committed state on both the dict and cow backends — through
+and final committed state, with serial batches and with a pipelined
+epoch (a cut taken while the next batch executes) — through
 coordinator crashes landing between base and delta cuts, crashes while
 the chain is mid-compaction (deep in a delta run), and elastic rescales
 whose slot migrations ship base+delta fragments.
@@ -25,21 +26,21 @@ from repro.runtimes.stateflow import StateflowConfig, StateflowRuntime
 from repro.runtimes.stateflow.coordinator import CoordinatorConfig
 from repro.workloads import Account, DriverConfig, WorkloadDriver, YcsbWorkload
 
-BACKENDS = ("dict", "cow")
-
 #: Cuts every 150 ms, a base every 3 cuts: crash times can be aimed at
 #: specific chain positions (between base and delta, mid-chain).
 SNAPSHOT_INTERVAL_MS = 150.0
 BASE_EVERY = 3
+#: Serial batches, and one batch executing while the previous commits.
+DEPTHS = (1, 2)
 
 
-def run_once(mode, backend, *, seed=11, fault_plan=None, rescale_plan=None,
+def run_once(mode, *, seed=11, fault_plan=None, rescale_plan=None,
              workers=3, pipeline_depth=2, rps=150.0, duration_ms=1_500.0,
              records=24, changelog=None):
     """One deterministic run; returns (trace, final_state, coordinator,
     sent, completed, workload)."""
     config = StateflowConfig(
-        workers=workers, state_backend=backend, snapshot_mode=mode,
+        workers=workers, snapshot_mode=mode,
         pipeline_depth=pipeline_depth, fault_plan=fault_plan,
         rescale_plan=rescale_plan, changelog=changelog,
         coordinator=CoordinatorConfig(
@@ -72,11 +73,11 @@ def _program(account_program):
     run_once.program = account_program
 
 
-def assert_equivalent(backend, **kwargs):
+def assert_equivalent(**kwargs):
     """Full and incremental runs of one scenario must match byte for
     byte, and both must satisfy the serial oracle."""
-    full = run_once("full", backend, **kwargs)
-    incremental = run_once("incremental", backend, **kwargs)
+    full = run_once("full", **kwargs)
+    incremental = run_once("incremental", **kwargs)
     assert full[0] == incremental[0], "reply traces diverged"
     assert full[1] == incremental[1], "final committed state diverged"
     for trace, state, _, sent, completed, workload in (full, incremental):
@@ -88,9 +89,9 @@ def assert_equivalent(backend, **kwargs):
 
 
 class TestFaultFreeEquivalence:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_modes_agree_without_faults(self, backend):
-        full, incremental = assert_equivalent(backend)
+    @pytest.mark.parametrize("pipeline_depth", DEPTHS)
+    def test_modes_agree_without_faults(self, pipeline_depth):
+        full, incremental = assert_equivalent(pipeline_depth=pipeline_depth)
         # The incremental run must actually exercise the delta path.
         kinds = {cut.kind for cut in incremental[2].snapshots.cut_log}
         assert kinds >= {"base", "delta"}
@@ -101,9 +102,10 @@ class TestFaultFreeEquivalence:
         assert incremental[2].changelog.appended > 0
         assert full[2].changelog.appended == 0
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_incremental_cuts_are_smaller(self, backend):
-        _, incremental = assert_equivalent(backend, records=64, rps=80.0)
+    @pytest.mark.parametrize("pipeline_depth", DEPTHS)
+    def test_incremental_cuts_are_smaller(self, pipeline_depth):
+        _, incremental = assert_equivalent(records=64, rps=80.0,
+                                            pipeline_depth=pipeline_depth)
         deltas = [cut for cut in incremental[2].snapshots.cut_log
                   if cut.kind == "delta"]
         bases = [cut for cut in incremental[2].snapshots.cut_log
@@ -114,17 +116,17 @@ class TestFaultFreeEquivalence:
 
 
 class TestEquivalenceUnderChaos:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_random_chaos_plan(self, backend):
+    @pytest.mark.parametrize("pipeline_depth", DEPTHS)
+    def test_random_chaos_plan(self, pipeline_depth):
         plan = random_plan(23, duration_ms=1_500.0, workers=3,
                            coordinator_faults=True)
-        full, incremental = assert_equivalent(backend, fault_plan=plan,
-                                              seed=23)
+        full, incremental = assert_equivalent(fault_plan=plan, seed=23,
+                                              pipeline_depth=pipeline_depth)
         assert incremental[2].recoveries >= 1, (
             "the plan must actually force recovery")
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_crash_between_base_and_delta_cuts(self, backend):
+    @pytest.mark.parametrize("pipeline_depth", DEPTHS)
+    def test_crash_between_base_and_delta_cuts(self, pipeline_depth):
         """Fail-overs aimed right after a base cut (~10 ms past the
         3rd-cut boundary) and right after a delta cut: recovery resolves
         a chain whose head is a base in one case and a delta in the
@@ -137,11 +139,12 @@ class TestEquivalenceUnderChaos:
                        at_ms=7 * SNAPSHOT_INTERVAL_MS + 10.0,
                        duration_ms=60.0),
         ], name="crash-at-cut-boundaries")
-        full, incremental = assert_equivalent(backend, fault_plan=plan)
+        full, incremental = assert_equivalent(
+            fault_plan=plan, pipeline_depth=pipeline_depth)
         assert incremental[2].failovers == 2
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_crash_mid_compaction_chain(self, backend):
+    @pytest.mark.parametrize("pipeline_depth", DEPTHS)
+    def test_crash_mid_compaction_chain(self, pipeline_depth):
         """A deep delta chain (base_every cuts between bases) with the
         crash landing mid-chain: recovery replays base + several
         deltas."""
@@ -150,15 +153,16 @@ class TestEquivalenceUnderChaos:
                        at_ms=5 * SNAPSHOT_INTERVAL_MS + 40.0,
                        duration_ms=80.0),
         ], name="crash-mid-chain")
-        full, incremental = assert_equivalent(backend, fault_plan=plan)
+        full, incremental = assert_equivalent(
+            fault_plan=plan, pipeline_depth=pipeline_depth)
         restored_kinds = [cut.kind for cut
                           in incremental[2].snapshots.cut_log]
         assert "delta" in restored_kinds
 
 
 class TestEquivalenceUnderRescale:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_rescale_with_chaos(self, backend):
+    @pytest.mark.parametrize("pipeline_depth", DEPTHS)
+    def test_rescale_with_chaos(self, pipeline_depth):
         """2 -> 4 -> 3 live rescales (slot migrations ship base+delta in
         incremental mode) under a message-fault plan."""
         rescale_plan = staged_plan((4, 3), start_ms=400.0,
@@ -166,16 +170,19 @@ class TestEquivalenceUnderRescale:
         fault_plan = random_plan(31, duration_ms=1_500.0, workers=2,
                                  process_faults=False)
         full, incremental = assert_equivalent(
-            backend, workers=2, rescale_plan=rescale_plan,
-            fault_plan=fault_plan, seed=31)
+            workers=2, rescale_plan=rescale_plan, fault_plan=fault_plan,
+            seed=31, pipeline_depth=pipeline_depth)
         assert incremental[2].rescales >= 2
         assert full[2].rescales == incremental[2].rescales
 
-    def test_incremental_migration_ships_deltas(self, account_program):
+    @pytest.mark.parametrize("pipeline_depth", DEPTHS)
+    def test_incremental_migration_ships_deltas(self, account_program,
+                                                pipeline_depth):
         """Slots migrated under incremental mode travel as base+delta
         fragments, not full copies."""
         config = StateflowConfig(
-            workers=2, state_backend="cow", snapshot_mode="incremental",
+            workers=2, snapshot_mode="incremental",
+            pipeline_depth=pipeline_depth,
             rescale_plan=staged_plan((4,), start_ms=500.0,
                                      interval_ms=500.0),
             coordinator=CoordinatorConfig(
@@ -209,10 +216,11 @@ class TestTornSnapshots:
                                      duration_ms=60.0))
         return FaultPlan(seed=5, events=events, name="torn")
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_changelog_repairs_a_torn_chain(self, backend):
+    @pytest.mark.parametrize("pipeline_depth", DEPTHS)
+    def test_changelog_repairs_a_torn_chain(self, pipeline_depth):
         trace, state, coordinator, sent, completed, workload = run_once(
-            "incremental", backend, fault_plan=self._torn_plan())
+            "incremental", fault_plan=self._torn_plan(),
+            pipeline_depth=pipeline_depth)
         assert coordinator.snapshots.snapshots_torn >= 1
         assert (coordinator.snapshots.changelog_repairs
                 + coordinator.snapshots.chain_fallbacks) >= 1
@@ -221,14 +229,14 @@ class TestTornSnapshots:
                                   workload=workload, workload_name="T")
         assert problems == [], problems
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_without_changelog_recovery_falls_back(self, backend):
+    @pytest.mark.parametrize("pipeline_depth", DEPTHS)
+    def test_without_changelog_recovery_falls_back(self, pipeline_depth):
         """With the changelog disabled there is nothing to repair with:
         the watchdog must fall back to the last complete chain — and the
         run must still be exactly-once (replay covers the difference)."""
         trace, state, coordinator, sent, completed, workload = run_once(
-            "incremental", backend, fault_plan=self._torn_plan(),
-            changelog=False)
+            "incremental", fault_plan=self._torn_plan(),
+            changelog=False, pipeline_depth=pipeline_depth)
         assert coordinator.snapshots.snapshots_torn >= 1
         assert coordinator.snapshots.chain_fallbacks >= 1
         assert coordinator.snapshots.changelog_repairs == 0
@@ -237,12 +245,13 @@ class TestTornSnapshots:
                                   workload=workload, workload_name="T")
         assert problems == [], problems
 
-    def test_duplicated_fragment_is_idempotent(self):
+    @pytest.mark.parametrize("pipeline_depth", DEPTHS)
+    def test_duplicated_fragment_is_idempotent(self, pipeline_depth):
         """A duplicated delta fragment resolves to the same state as the
         original would have: replay applies absolute states twice."""
         trace, state, coordinator, sent, completed, workload = run_once(
-            "incremental", "cow",
-            fault_plan=self._torn_plan(variant="duplicate"))
+            "incremental", fault_plan=self._torn_plan(variant="duplicate"),
+            pipeline_depth=pipeline_depth)
         assert coordinator.snapshots.snapshots_torn >= 1
         # A duplicated fragment still resolves: no fallback needed.
         problems = verify_history(sent=sent, completed=completed,
@@ -250,9 +259,11 @@ class TestTornSnapshots:
                                   workload=workload, workload_name="T")
         assert problems == [], problems
 
-    def test_torn_events_are_skipped_in_full_mode(self):
+    @pytest.mark.parametrize("pipeline_depth", DEPTHS)
+    def test_torn_events_are_skipped_in_full_mode(self, pipeline_depth):
         _, _, coordinator, _, _, _ = run_once(
-            "full", "dict", fault_plan=self._torn_plan(crash_after=False))
+            "full", fault_plan=self._torn_plan(crash_after=False),
+            pipeline_depth=pipeline_depth)
         assert coordinator.snapshots.snapshots_torn == 0
 
     def test_post_fallback_cuts_reanchor_as_bases(self):

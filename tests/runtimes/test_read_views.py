@@ -1,6 +1,6 @@
 """Version-pinned read views: the state-layer contract the pipelined
 epoch coordinator relies on — a pinned view answers with the store's
-contents exactly as of the pin, regardless of later writes, on every
+contents exactly as of the pin, regardless of later writes, on the
 backend and on the partitioned store."""
 
 import copy
@@ -15,22 +15,16 @@ from hypothesis.stateful import (
     rule,
 )
 
-from test_state_backend import _nested, _scribble
+from test_state import SHAPES, _nested, _scribble
 
 from repro.runtimes import state as state_module
-from repro.runtimes.state import (
-    CowStateBackend,
-    DictStateBackend,
-    PartitionedStore,
-)
-
-BACKENDS = [DictStateBackend, CowStateBackend]
+from repro.runtimes.state import PartitionedStore
 
 
-@pytest.mark.parametrize("backend_cls", BACKENDS)
+@pytest.mark.parametrize("shape", sorted(SHAPES))
 class TestBackendReadViews:
-    def test_view_is_immune_to_later_writes(self, backend_cls):
-        backend = backend_cls()
+    def test_view_is_immune_to_later_writes(self, shape):
+        backend = SHAPES[shape]()
         backend.put("Account", "a", {"balance": 100})
         backend.pin_view(7)
         backend.put("Account", "a", {"balance": 999})
@@ -38,8 +32,8 @@ class TestBackendReadViews:
         assert view.get("Account", "a") == {"balance": 100}
         assert backend.get("Account", "a") == {"balance": 999}
 
-    def test_view_hides_keys_created_after_pin(self, backend_cls):
-        backend = backend_cls()
+    def test_view_hides_keys_created_after_pin(self, shape):
+        backend = SHAPES[shape]()
         backend.pin_view(1)
         backend.put("Account", "new", {"balance": 1})
         view = backend.view(1)
@@ -47,16 +41,16 @@ class TestBackendReadViews:
         assert not view.exists("Account", "new")
         assert backend.exists("Account", "new")
 
-    def test_view_sees_untouched_keys_live(self, backend_cls):
-        backend = backend_cls()
+    def test_view_sees_untouched_keys_live(self, shape):
+        backend = SHAPES[shape]()
         backend.put("Account", "quiet", {"balance": 5})
         backend.pin_view(3)
         backend.put("Account", "hot", {"balance": 1})
         assert backend.view(3).get("Account", "quiet") == {"balance": 5}
         assert backend.view(3).exists("Account", "quiet")
 
-    def test_release_and_unknown_versions(self, backend_cls):
-        backend = backend_cls()
+    def test_release_and_unknown_versions(self, shape):
+        backend = SHAPES[shape]()
         backend.pin_view(2)
         assert backend.view(2) is not None
         backend.release_view(2)
@@ -64,8 +58,8 @@ class TestBackendReadViews:
         backend.release_view(2)  # idempotent
         assert backend.view(99) is None
 
-    def test_view_get_returns_copies(self, backend_cls):
-        backend = backend_cls()
+    def test_view_get_returns_copies(self, shape):
+        backend = SHAPES[shape]()
         backend.put("Account", "a", {"balance": 100})
         backend.pin_view(1)
         backend.put("Account", "a", {"balance": 200})
@@ -73,16 +67,16 @@ class TestBackendReadViews:
         copy_out["balance"] = -1
         assert backend.view(1).get("Account", "a") == {"balance": 100}
 
-    def test_restore_drops_views(self, backend_cls):
-        backend = backend_cls()
+    def test_restore_drops_views(self, shape):
+        backend = SHAPES[shape]()
         backend.put("Account", "a", {"balance": 1})
         frozen = backend.snapshot()
         backend.pin_view(4)
         backend.restore(frozen)
         assert backend.view(4) is None
 
-    def test_multiple_pinned_versions_are_independent(self, backend_cls):
-        backend = backend_cls()
+    def test_multiple_pinned_versions_are_independent(self, shape):
+        backend = SHAPES[shape]()
         backend.put("Account", "a", {"balance": 1})
         backend.pin_view(1)
         backend.put("Account", "a", {"balance": 2})
@@ -93,10 +87,9 @@ class TestBackendReadViews:
         assert backend.get("Account", "a") == {"balance": 3}
 
 
-@pytest.mark.parametrize("backend", ["dict", "cow"])
 class TestPartitionedStoreViews:
-    def test_view_routes_and_pins_across_slots(self, backend):
-        store = PartitionedStore(3, backend=backend, slots=8)
+    def test_view_routes_and_pins_across_slots(self):
+        store = PartitionedStore(3, slots=8)
         keys = [f"acct-{i}" for i in range(16)]
         for key in keys:
             store.put("Account", key, {"balance": 10})
@@ -109,8 +102,8 @@ class TestPartitionedStoreViews:
         assert all(store.get("Account", key) == {"balance": 99}
                    for key in keys)
 
-    def test_release_view_releases_every_slot(self, backend):
-        store = PartitionedStore(2, backend=backend, slots=4)
+    def test_release_view_releases_every_slot(self):
+        store = PartitionedStore(2, slots=4)
         store.pin_view(1)
         store.pin_view(2)
         store.release_view(1)
@@ -120,19 +113,19 @@ class TestPartitionedStoreViews:
         assert all(slot.view(1) is None and slot.view(2) is None
                    for slot in store._slots)
 
-    def test_restore_drops_views(self, backend):
-        store = PartitionedStore(2, backend=backend, slots=4)
+    def test_restore_drops_views(self):
+        store = PartitionedStore(2, slots=4)
         store.put("Account", "a", {"balance": 1})
         frozen = store.snapshot()
         store.pin_view(9)
         store.restore(frozen)
         assert store.view(9) is None
 
-    def test_pinned_view_survives_a_slot_install(self, backend):
+    def test_pinned_view_survives_a_slot_install(self):
         """A slot backend swapped under a pin (the migration install)
         knows nothing of the pin; the view must not read that as
         "every key of the slot is absent"."""
-        store = PartitionedStore(2, backend=backend, slots=4)
+        store = PartitionedStore(2, slots=4)
         keys = [f"acct-{i}" for i in range(12)]
         for key in keys:
             store.put("Account", key, {"balance": 10})
@@ -152,10 +145,10 @@ class TestPartitionedStoreViews:
         assert view.get("Account", keys[2]) == {"balance": 10}
         assert store.get("Account", overwritten) == {"balance": 99}
 
-    def test_pin_and_release_touch_no_slot(self, backend, monkeypatch):
+    def test_pin_and_release_touch_no_slot(self, monkeypatch):
         """O(1) as a count: one view object for the whole store, none
         per slot, however many slots there are."""
-        store = PartitionedStore(5, backend=backend, slots=64)
+        store = PartitionedStore(5, slots=64)
         built = []
         construct = state_module.ReadView.__init__
 
@@ -185,15 +178,13 @@ class PinnedViewsModel(RuleBasedStateMachine):
     installs against a reference that deep-copies the whole store at
     each pin."""
 
-    backend = "dict"
     slots = 8
 
     saved = Bundle("saved")
 
     def __init__(self):
         super().__init__()
-        self.store = PartitionedStore(min(self.slots, 3),
-                                      backend=self.backend, slots=self.slots)
+        self.store = PartitionedStore(min(self.slots, 3), slots=self.slots)
         self.live: dict = {}
         self.pins: dict[int, dict] = {}
 
@@ -259,18 +250,15 @@ class PinnedViewsModel(RuleBasedStateMachine):
                         _scribble(state)
 
 
-def _model_case(backend: str, slots: int):
-    machine = type(f"PinnedViews_{backend}_{slots}", (PinnedViewsModel,),
-                   {"backend": backend, "slots": slots})
+def _model_case(slots: int):
+    machine = type(f"PinnedViews_{slots}", (PinnedViewsModel,),
+                   {"slots": slots})
     case = machine.TestCase
     case.settings = settings(max_examples=20, stateful_step_count=25,
                              deadline=None)
     return case
 
 
-TestPinnedViewsDict1 = _model_case("dict", 1)
-TestPinnedViewsDict8 = _model_case("dict", 8)
-TestPinnedViewsDict64 = _model_case("dict", 64)
-TestPinnedViewsCow1 = _model_case("cow", 1)
-TestPinnedViewsCow8 = _model_case("cow", 8)
-TestPinnedViewsCow64 = _model_case("cow", 64)
+TestPinnedViews1 = _model_case(1)
+TestPinnedViews8 = _model_case(8)
+TestPinnedViews64 = _model_case(64)

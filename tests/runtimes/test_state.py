@@ -1,4 +1,4 @@
-"""State backends (dict / copy-on-write / partitioned) and the
+"""The state backend (a dict map), the partitioned store and the
 per-transaction Aria view."""
 
 import pickle
@@ -8,39 +8,43 @@ import pytest
 from repro.core.errors import EntityAlreadyExistsError
 from repro.ir.events import TxnContext
 from repro.runtimes.state import (
-    BACKENDS,
-    CowSnapshot,
-    CowStateBackend,
     DictStateBackend,
     PartitionedSnapshot,
     PartitionedStore,
     StateBackend,
-    make_state_backend,
     materialize_snapshot,
 )
-from repro.runtimes.stateflow.state_backend import (
-    AriaStateView,
-    CommittedStore,
-)
+from repro.runtimes.stateflow.aria_view import AriaStateView
+
+#: The two shapes of committed state: one slot backend on its own (the
+#: Local and StateFun runtimes' map) and the slotted store StateFlow's
+#: workers commit to and Aria's views read through.
+SHAPES = {
+    "backend": DictStateBackend,
+    "store": lambda: PartitionedStore(3, slots=8),
+}
+
+
+@pytest.fixture(params=sorted(SHAPES))
+def shape(request):
+    return request.param
 
 
 @pytest.fixture()
-def store():
-    committed = CommittedStore()
+def store(shape):
+    committed = SHAPES[shape]()
     committed.put("Account", "a", {"account_id": "a", "balance": 10})
     committed.put("Account", "b", {"account_id": "b", "balance": 20})
     return committed
 
 
-@pytest.fixture(params=sorted(BACKENDS))
-def any_backend(request):
-    backend = make_state_backend(request.param)
-    backend.put("Account", "a", {"account_id": "a", "balance": 10})
-    backend.put("Account", "b", {"account_id": "b", "balance": 20})
-    return backend
+class TestBackendContract:
+    """The :class:`StateBackend` contract, on a slot backend and on the
+    partitioned store that routes every call to one."""
 
+    def test_satisfies_protocol(self, store):
+        assert isinstance(store, StateBackend)
 
-class TestCommittedStore:
     def test_get_returns_copy(self, store):
         state = store.get("Account", "a")
         state["balance"] = 999
@@ -49,6 +53,12 @@ class TestCommittedStore:
     def test_missing_is_none(self, store):
         assert store.get("Account", "ghost") is None
 
+    def test_overwrite_and_exists(self, store):
+        store.put("Account", "a", {"account_id": "a", "balance": 1})
+        assert store.get("Account", "a")["balance"] == 1
+        assert store.exists("Account", "a")
+        assert not store.exists("Account", "ghost")
+
     def test_snapshot_restore_roundtrip(self, store):
         snapshot = store.snapshot()
         store.put("Account", "a", {"account_id": "a", "balance": 0})
@@ -56,6 +66,58 @@ class TestCommittedStore:
         store.restore(snapshot)
         assert store.get("Account", "a")["balance"] == 10
         assert store.get("Account", "c") is None
+
+    def test_snapshot_isolated_from_later_writes(self, store):
+        snapshot = store.snapshot()
+        store.put("Account", "n", {"nested": {"x": [1, 2]}})
+        store.apply_writes(
+            {("Account", "a"): {"account_id": "a", "balance": -1}})
+        store.restore(snapshot)
+        assert store.get("Account", "n") is None
+        assert store.get("Account", "a")["balance"] == 10
+
+    def test_old_snapshot_survives_restore_of_newer(self, store):
+        old = store.snapshot()
+        store.put("Account", "a", {"account_id": "a", "balance": 2})
+        newer = store.snapshot()
+        store.restore(newer)
+        store.put("Account", "a", {"account_id": "a", "balance": 3})
+        store.restore(old)
+        assert store.get("Account", "a")["balance"] == 10
+        store.restore(newer)
+        assert store.get("Account", "a")["balance"] == 2
+
+    def test_nested_mutation_through_get_cannot_leak(self, store):
+        store.put("Account", "n", {"nested": {"x": [1]}})
+        state = store.get("Account", "n")
+        state["nested"]["x"].append(99)
+        assert store.get("Account", "n")["nested"]["x"] == [1]
+
+    def test_nested_mutation_through_put_input_cannot_leak(self, store):
+        state = {"nested": {"x": [1]}}
+        store.put("Account", "n", state)
+        state["nested"]["x"].append(99)
+        assert store.get("Account", "n")["nested"]["x"] == [1]
+
+    def test_materialized_snapshot_is_isolated(self, store):
+        store.put("Account", "n", {"nested": {"x": [1]}})
+        snapshot = store.snapshot()
+        materialize_snapshot(snapshot)[("Account", "n")][
+            "nested"]["x"].append(99)
+        # Neither the stored snapshot nor live state may see the mutation.
+        assert materialize_snapshot(snapshot)[("Account", "n")][
+            "nested"]["x"] == [1]
+        store.restore(snapshot)
+        assert store.get("Account", "n")["nested"]["x"] == [1]
+
+    def test_nested_mutation_cannot_leak_into_snapshot(self, store):
+        store.put("Account", "n", {"nested": {"x": [1, 2]}})
+        snapshot = store.snapshot()
+        state = store.get("Account", "n")
+        state["nested"]["x"].append(3)
+        store.put("Account", "n", state)
+        store.restore(snapshot)
+        assert store.get("Account", "n")["nested"]["x"] == [1, 2]
 
     def test_apply_writes(self, store):
         store.apply_writes({("Account", "a"): {"balance": 1},
@@ -66,86 +128,6 @@ class TestCommittedStore:
     def test_len_and_keys(self, store):
         assert len(store) == 2
         assert set(store.keys()) == {("Account", "a"), ("Account", "b")}
-
-
-class TestBackendContract:
-    """Behaviour every registered backend must share."""
-
-    def test_satisfies_protocol(self, any_backend):
-        assert isinstance(any_backend, StateBackend)
-
-    def test_get_returns_copy(self, any_backend):
-        state = any_backend.get("Account", "a")
-        state["balance"] = 999
-        assert any_backend.get("Account", "a")["balance"] == 10
-
-    def test_missing_is_none(self, any_backend):
-        assert any_backend.get("Account", "ghost") is None
-
-    def test_overwrite_and_exists(self, any_backend):
-        any_backend.put("Account", "a", {"account_id": "a", "balance": 1})
-        assert any_backend.get("Account", "a")["balance"] == 1
-        assert any_backend.exists("Account", "a")
-        assert not any_backend.exists("Account", "ghost")
-
-    def test_snapshot_restore_roundtrip(self, any_backend):
-        snapshot = any_backend.snapshot()
-        any_backend.put("Account", "a", {"account_id": "a", "balance": 0})
-        any_backend.put("Account", "c", {"account_id": "c", "balance": 5})
-        any_backend.restore(snapshot)
-        assert any_backend.get("Account", "a")["balance"] == 10
-        assert any_backend.get("Account", "c") is None
-
-    def test_snapshot_isolated_from_later_writes(self, any_backend):
-        snapshot = any_backend.snapshot()
-        any_backend.put("Account", "n", {"nested": {"x": [1, 2]}})
-        any_backend.apply_writes(
-            {("Account", "a"): {"account_id": "a", "balance": -1}})
-        any_backend.restore(snapshot)
-        assert any_backend.get("Account", "n") is None
-        assert any_backend.get("Account", "a")["balance"] == 10
-
-    def test_nested_mutation_through_get_cannot_leak(self, any_backend):
-        any_backend.put("Account", "n", {"nested": {"x": [1]}})
-        state = any_backend.get("Account", "n")
-        state["nested"]["x"].append(99)
-        assert any_backend.get("Account", "n")["nested"]["x"] == [1]
-
-    def test_nested_mutation_through_put_input_cannot_leak(self,
-                                                           any_backend):
-        state = {"nested": {"x": [1]}}
-        any_backend.put("Account", "n", state)
-        state["nested"]["x"].append(99)
-        assert any_backend.get("Account", "n")["nested"]["x"] == [1]
-
-    def test_materialized_snapshot_is_isolated(self, any_backend):
-        any_backend.put("Account", "n", {"nested": {"x": [1]}})
-        snapshot = any_backend.snapshot()
-        materialize_snapshot(snapshot)[("Account", "n")][
-            "nested"]["x"].append(99)
-        # Neither the stored snapshot nor live state may see the mutation.
-        assert materialize_snapshot(snapshot)[("Account", "n")][
-            "nested"]["x"] == [1]
-        any_backend.restore(snapshot)
-        assert any_backend.get("Account", "n")["nested"]["x"] == [1]
-
-    def test_nested_mutation_cannot_leak_into_snapshot(self, any_backend):
-        any_backend.put("Account", "n", {"nested": {"x": [1, 2]}})
-        snapshot = any_backend.snapshot()
-        state = any_backend.get("Account", "n")
-        state["nested"]["x"].append(3)
-        any_backend.put("Account", "n", state)
-        any_backend.restore(snapshot)
-        assert any_backend.get("Account", "n")["nested"]["x"] == [1, 2]
-
-    def test_len_and_keys(self, any_backend):
-        assert len(any_backend) == 2
-        assert set(any_backend.keys()) == {("Account", "a"),
-                                           ("Account", "b")}
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown state backend"):
-            make_state_backend("rocksdb")
 
 
 def _nested(tag):
@@ -168,10 +150,6 @@ class TestEntryContract:
     alias live entries — so a payload must not change under later store
     operations, and a copied-out state may be mutated freely."""
 
-    @pytest.fixture(params=sorted(BACKENDS))
-    def name(self, request):
-        return request.param
-
     @staticmethod
     def _fill(store):
         for tag in ("a", "b", "c", "d"):
@@ -188,8 +166,8 @@ class TestEntryContract:
         _scribble(state)
         store.put("Cart", "d", state)
 
-    def test_payloads_survive_later_writes_and_restores(self, name):
-        backend = make_state_backend(name)
+    def test_payloads_survive_later_writes_and_restores(self):
+        backend = DictStateBackend()
         self._fill(backend)
         payloads = [backend.snapshot(), backend.capture_base()]
         backend.put("Cart", "d", _nested("d1"))
@@ -209,8 +187,8 @@ class TestEntryContract:
         assert [pickle.dumps(payload) for payload in payloads] == prints
         assert backend.get("Cart", "a") == _nested("a2")
 
-    def test_partitioned_payloads_survive_migration_and_rescale(self, name):
-        store = PartitionedStore(2, backend=name, slots=4)
+    def test_partitioned_payloads_survive_migration_and_rescale(self):
+        store = PartitionedStore(2, slots=4)
         self._fill(store)
         payloads = [store.snapshot(), store.capture_base()]
         store.put("Cart", "d", _nested("d1"))
@@ -231,8 +209,8 @@ class TestEntryContract:
 
         assert [pickle.dumps(payload) for payload in payloads] == prints
 
-    def test_copied_out_states_are_the_callers_to_mutate(self, name):
-        backend = make_state_backend(name)
+    def test_copied_out_states_are_the_callers_to_mutate(self, shape):
+        backend = SHAPES[shape]()
         self._fill(backend)
         backend.pin_view(1)
         payload = backend.snapshot()
@@ -241,9 +219,7 @@ class TestEntryContract:
         _scribble(backend.get("Cart", "a"))
         _scribble(backend.view(1).get("Cart", "a"))
         _scribble(materialize_snapshot(payload)[("Cart", "a")])
-        if isinstance(payload, CowSnapshot):
-            _scribble(payload.materialize()[("Cart", "a")])
-        restored = make_state_backend(name)
+        restored = SHAPES[shape]()
         restored.restore(payload)
         _scribble(restored.get("Cart", "a"))
 
@@ -252,70 +228,11 @@ class TestEntryContract:
         assert materialize_snapshot(payload)[("Cart", "a")] == _nested("a")
         assert pickle.dumps(payload) == print_before
 
-class TestCowStateBackend:
-    def test_snapshot_shares_layers_not_copies(self):
-        backend = CowStateBackend()
-        backend.put("Account", "a", {"balance": 1})
-        first = backend.snapshot()
-        assert isinstance(first, CowSnapshot)
-        # No writes since: the next snapshot reuses the same chain.
-        second = backend.snapshot()
-        assert second.layers == first.layers
-
-    def test_writes_after_snapshot_go_to_new_head(self):
-        backend = CowStateBackend()
-        backend.put("Account", "a", {"balance": 1})
-        snapshot = backend.snapshot()
-        backend.put("Account", "a", {"balance": 2})
-        assert backend.get("Account", "a")["balance"] == 2
-        assert snapshot.materialize()[("Account", "a")]["balance"] == 1
-
-    def test_old_snapshot_survives_restore_of_newer(self):
-        backend = CowStateBackend()
-        backend.put("Account", "a", {"balance": 1})
-        old = backend.snapshot()
-        backend.put("Account", "a", {"balance": 2})
-        backend.snapshot()
-        backend.restore(old)
-        assert backend.get("Account", "a")["balance"] == 1
-
-    def test_chain_compaction_bounds_layers(self):
-        backend = CowStateBackend(compact_after=3)
-        for round_ in range(10):
-            backend.put("Account", f"k{round_}", {"balance": round_})
-            backend.snapshot()
-        assert backend.layer_count <= 3
-        assert backend.layers_compacted >= 1
-        assert len(backend) == 10
-        for round_ in range(10):
-            assert backend.get("Account", f"k{round_}") == {
-                "balance": round_}
-
-    def test_materialize_does_not_alias_live_layers(self):
-        backend = CowStateBackend()
-        backend.put("Account", "n", {"tags": ["x"]})
-        snapshot = backend.snapshot()
-        # A consumer mutating a materialized row must corrupt neither
-        # live committed state nor the stored snapshot.
-        snapshot.materialize()[("Account", "n")]["tags"].append("bad")
-        assert backend.get("Account", "n")["tags"] == ["x"]
-        backend.restore(snapshot)
-        assert backend.get("Account", "n")["tags"] == ["x"]
-
-    def test_newer_layer_shadows_older(self):
-        backend = CowStateBackend()
-        backend.put("Account", "a", {"balance": 1})
-        backend.snapshot()
-        backend.put("Account", "a", {"balance": 2})
-        backend.snapshot()
-        assert backend.get("Account", "a")["balance"] == 2
-        assert len(backend) == 1
-
 
 class TestPartitionedStore:
     @pytest.mark.parametrize("partitions", [1, 2, 5, 8])
     def test_routing_covers_all_partitions_consistently(self, partitions):
-        store = PartitionedStore(partitions, backend="dict")
+        store = PartitionedStore(partitions)
         for index in range(64):
             store.put("Account", f"k{index}", {"balance": index})
         assert len(store) == 64
@@ -329,9 +246,8 @@ class TestPartitionedStore:
                         "Account", f"k{index}") is None
 
     @pytest.mark.parametrize("partitions", [1, 2, 5, 8])
-    @pytest.mark.parametrize("backend", sorted(BACKENDS))
-    def test_snapshot_restore_roundtrip(self, partitions, backend):
-        store = PartitionedStore(partitions, backend=backend)
+    def test_snapshot_restore_roundtrip(self, partitions):
+        store = PartitionedStore(partitions)
         for index in range(32):
             store.put("Account", f"k{index}", {"balance": index})
         snapshot = store.snapshot()
@@ -345,11 +261,12 @@ class TestPartitionedStore:
         for index in range(32):
             assert store.get("Account", f"k{index}")["balance"] == index
 
-    def test_per_partition_fragment_roundtrip(self):
-        store = PartitionedStore(4, backend="cow")
+    @pytest.mark.parametrize("partitions", [1, 2, 5, 8])
+    def test_per_partition_fragment_roundtrip(self, partitions):
+        store = PartitionedStore(partitions)
         for index in range(32):
             store.put("Account", f"k{index}", {"balance": index})
-        fragments = [store.snapshot_partition(i) for i in range(4)]
+        fragments = [store.snapshot_partition(i) for i in range(partitions)]
         store.apply_writes({("Account", f"k{i}"): {"balance": -1}
                             for i in range(32)})
         for index, fragment in enumerate(fragments):
@@ -363,8 +280,9 @@ class TestPartitionedStore:
         with pytest.raises(ValueError, match="partition"):
             store.restore(other.snapshot())
 
-    def test_apply_writes_routes_to_owners(self):
-        store = PartitionedStore(3)
+    @pytest.mark.parametrize("partitions", [1, 2, 5, 8])
+    def test_apply_writes_routes_to_owners(self, partitions):
+        store = PartitionedStore(partitions)
         writes = {("Account", f"k{i}"): {"balance": i} for i in range(16)}
         store.apply_writes(writes)
         for (entity, key), state in writes.items():
@@ -422,12 +340,3 @@ class TestAriaStateView:
         with pytest.raises(EntityAlreadyExistsError):
             view.create("Account", "new", {"account_id": "new",
                                            "balance": 2})
-
-    def test_works_over_cow_backend(self):
-        backend = CowStateBackend()
-        backend.put("Account", "a", {"account_id": "a", "balance": 10})
-        ctx = TxnContext(tid=0, batch_id=0)
-        view = AriaStateView(backend, ctx)
-        assert view.get("Account", "a")["balance"] == 10
-        view.put("Account", "a", {"account_id": "a", "balance": 0})
-        assert backend.get("Account", "a")["balance"] == 10

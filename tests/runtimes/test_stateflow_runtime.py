@@ -79,9 +79,11 @@ class TestSerializability:
                     for i in range(records))
         return runtime, result, total, workload
 
-    def test_hot_keys_conserve_total_balance(self, account_program):
+    @pytest.mark.parametrize("pipeline_depth", [1, 2])
+    def test_hot_keys_conserve_total_balance(self, account_program,
+                                             pipeline_depth):
         runtime, result, total, workload = self._run_transfers(
-            account_program)
+            account_program, pipeline_depth=pipeline_depth)
         assert result.completed == result.sent
         assert total == workload.total_balance()
         stats = runtime.coordinator.stats
@@ -89,15 +91,12 @@ class TestSerializability:
             "hot zipfian transfers should conflict")
         assert stats.fallback_runs > 0
 
-    def test_retry_fallback_mode_also_conserves(self, account_program):
+    @pytest.mark.parametrize("pipeline_depth", [1, 2])
+    def test_no_reordering_also_conserves(self, account_program,
+                                          pipeline_depth):
         runtime, result, total, workload = self._run_transfers(
-            account_program, fallback="retry")
-        assert total == workload.total_balance()
-        assert runtime.coordinator.stats.retries > 0
-
-    def test_no_reordering_also_conserves(self, account_program):
-        runtime, result, total, workload = self._run_transfers(
-            account_program, reordering=False)
+            account_program, reordering=False,
+            pipeline_depth=pipeline_depth)
         assert total == workload.total_balance()
 
     def test_increments_apply_exactly_once(self, account_program):

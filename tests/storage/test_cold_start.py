@@ -29,17 +29,18 @@ from repro.substrates.simulation import Simulation
 from repro.views import ViewManager
 from repro.workloads import Account, DriverConfig, WorkloadDriver, YcsbWorkload
 
-BACKENDS = ("dict", "cow")
 MODES = ("full", "incremental")
+#: Serial batches, and one batch executing while the previous commits.
+DEPTHS = (1, 2)
 SNAPSHOT_INTERVAL_MS = 150.0
 BASE_EVERY = 3
 
 
-def run_once(mode, backend, *, seed=11, durability_dir=None,
+def run_once(mode, *, seed=11, durability_dir=None, pipeline_depth=2,
              fault_plan=None, rps=150.0, duration_ms=1_500.0, records=24):
     config = StateflowConfig(
-        workers=3, state_backend=backend, snapshot_mode=mode,
-        pipeline_depth=2, fault_plan=fault_plan,
+        workers=3, snapshot_mode=mode,
+        pipeline_depth=pipeline_depth, fault_plan=fault_plan,
         durability_dir=durability_dir,
         coordinator=CoordinatorConfig(
             snapshot_interval_ms=SNAPSHOT_INTERVAL_MS,
@@ -78,13 +79,13 @@ def reopen_stores(directory):
 
 
 class TestDurableRunsAreInvisible:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("pipeline_depth", DEPTHS)
     @pytest.mark.parametrize("mode", MODES)
     def test_traces_byte_identical_to_in_memory(self, tmp_path, mode,
-                                                backend):
-        memory = run_once(mode, backend)
-        durable = run_once(mode, backend,
-                           durability_dir=str(tmp_path / mode / backend))
+                                                pipeline_depth):
+        memory = run_once(mode, pipeline_depth=pipeline_depth)
+        durable = run_once(mode, pipeline_depth=pipeline_depth,
+                           durability_dir=str(tmp_path / mode))
         assert memory[0] == durable[0], "reply traces diverged"
         assert memory[1] == durable[1], "final committed state diverged"
         trace, state, _, sent, completed, workload = durable
@@ -98,25 +99,28 @@ class TestDurableRunsAreInvisible:
         if mode == "incremental":
             assert coordinator.changelog.bytes_written > 0
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("pipeline_depth", DEPTHS)
     def test_durable_recovery_equals_in_memory_recovery(self, tmp_path,
-                                                        backend):
+                                                        pipeline_depth):
         """Crashes under a chaos plan: the replies of the durable run
         must stay byte-identical through recovery itself."""
         plan = random_plan(23, duration_ms=1_500.0, workers=3,
                            coordinator_faults=True)
-        memory = run_once("incremental", backend, fault_plan=plan, seed=23)
-        durable = run_once("incremental", backend, fault_plan=plan, seed=23,
-                           durability_dir=str(tmp_path / backend))
+        memory = run_once("incremental", fault_plan=plan, seed=23,
+                          pipeline_depth=pipeline_depth)
+        durable = run_once("incremental", fault_plan=plan, seed=23,
+                           pipeline_depth=pipeline_depth,
+                           durability_dir=str(tmp_path))
         assert durable[2].coordinator.recoveries >= 1
         assert memory[0] == durable[0]
         assert memory[1] == durable[1]
 
 
 class TestColdStart:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_cold_reopen_resolves_the_live_state(self, tmp_path, backend):
-        durable = run_once("incremental", backend,
+    @pytest.mark.parametrize("pipeline_depth", DEPTHS)
+    def test_cold_reopen_resolves_the_live_state(self, tmp_path,
+                                                 pipeline_depth):
+        durable = run_once("incremental", pipeline_depth=pipeline_depth,
                            durability_dir=str(tmp_path))
         coordinator = durable[2].coordinator
         live_snapshot, live_payload = \
@@ -131,12 +135,14 @@ class TestColdStart:
         assert cold_changelog.head_seq == coordinator.changelog.head_seq
         cold_changelog.close()
 
-    def test_rewind_survives_the_cold_start(self, tmp_path):
+    @pytest.mark.parametrize("pipeline_depth", DEPTHS)
+    def test_rewind_survives_the_cold_start(self, tmp_path, pipeline_depth):
         """A recovery rewinds the changelog; the dropped suffix must be
         gone from disk too, not just from the dying process's memory."""
         plan = random_plan(23, duration_ms=1_500.0, workers=3,
                            coordinator_faults=True)
-        durable = run_once("incremental", "dict", fault_plan=plan, seed=23,
+        durable = run_once("incremental", fault_plan=plan, seed=23,
+                           pipeline_depth=pipeline_depth,
                            durability_dir=str(tmp_path))
         live = durable[2].coordinator.changelog
         assert durable[2].coordinator.recoveries >= 1
@@ -158,9 +164,9 @@ VIEW_SPECS = [
 
 
 class _FlatStore:
-    """The backend-agnostic scan surface over a materialized flat
-    ``{(entity, key): state}`` mapping — what a cold process has after
-    resolving a cut and rolling the changelog suffix forward."""
+    """The scan surface over a materialized flat ``{(entity, key):
+    state}`` mapping — what a cold process has after resolving a cut and
+    rolling the changelog suffix forward."""
 
     def __init__(self, state):
         self._state = state
@@ -205,10 +211,10 @@ def canonical(value):
 
 
 class TestDurableViewsColdStart:
-    def _durable_run_with_views(self, directory):
+    def _durable_run_with_views(self, directory, pipeline_depth):
         config = StateflowConfig(
-            workers=3, state_backend="dict", snapshot_mode="incremental",
-            pipeline_depth=2, durability_dir=str(directory),
+            workers=3, snapshot_mode="incremental",
+            pipeline_depth=pipeline_depth, durability_dir=str(directory),
             coordinator=CoordinatorConfig(
                 snapshot_interval_ms=SNAPSHOT_INTERVAL_MS,
                 failure_detect_ms=200.0,
@@ -230,13 +236,15 @@ class TestDurableViewsColdStart:
         runtime.sim.run(until=runtime.sim.now + 25_000.0)
         return runtime
 
-    def test_cold_start_resumes_views_without_a_scan(self, tmp_path):
+    @pytest.mark.parametrize("pipeline_depth", DEPTHS)
+    def test_cold_start_resumes_views_without_a_scan(self, tmp_path,
+                                                     pipeline_depth):
         """The full durable loop: run with views, quiesce, reopen the
         *files* in a fresh manager, and resume every view — including
         the windowed one no scan could rebuild — from the cut's sidecar
         plus the changelog suffix.  Zero rehydrations, byte-identical
         values."""
-        runtime = self._durable_run_with_views(tmp_path)
+        runtime = self._durable_run_with_views(tmp_path, pipeline_depth)
         live_values = {name: runtime.views.read(name).value
                        for name in runtime.views.names()}
         runtime.coordinator.changelog.close()
@@ -277,7 +285,7 @@ from repro.workloads import Account, DriverConfig, WorkloadDriver, \\
 
 durable, report = sys.argv[1], sys.argv[2]
 config = StateflowConfig(
-    workers=3, state_backend="dict", snapshot_mode="incremental",
+    workers=3, snapshot_mode="incremental",
     pipeline_depth=2, durability_dir=durable,
     coordinator=CoordinatorConfig(
         snapshot_interval_ms=150.0, failure_detect_ms=200.0,
@@ -344,7 +352,7 @@ from repro.workloads import Account, DriverConfig, WorkloadDriver, \\
 
 durable, report = sys.argv[1], sys.argv[2]
 config = StateflowConfig(
-    workers=3, state_backend="dict", snapshot_mode="incremental",
+    workers=3, snapshot_mode="incremental",
     pipeline_depth=2, durability_dir=durable,
     coordinator=CoordinatorConfig(
         snapshot_interval_ms=150.0, failure_detect_ms=200.0,

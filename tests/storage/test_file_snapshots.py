@@ -1,6 +1,6 @@
 """File-backed snapshot store: cut persistence, chain cadence across
 restarts, pruning on disk, corrupt-cut handling, changelog repair after
-a cold start, and layout versioning/migration."""
+a cold start, and refusal of every layout version but the current one."""
 
 import json
 import shutil
@@ -150,6 +150,13 @@ class TestRepairAfterColdStart:
         cold_changelog.close()
 
 
+def _tree(root):
+    """Every path under *root*, with each file's bytes."""
+    return {str(path.relative_to(root)):
+            path.read_bytes() if path.is_file() else None
+            for path in sorted(root.rglob("*"))}
+
+
 class TestLayoutVersioning:
     def _make_v0(self, tmp_path):
         """Fabricate the flat v0 prototype layout: everything in the
@@ -169,67 +176,39 @@ class TestLayoutVersioning:
             shutil.move(path, root / path.name)
         return root
 
-    def test_v0_layout_is_migrated_forward(self, tmp_path):
+    def _assert_refused_untouched(self, root, version):
+        before = _tree(root)
+        for store in (FileSnapshotStore, FileChangelogStore):
+            with pytest.raises(StorageError, match=f"version {version};"):
+                store(root)
+        assert _tree(root) == before
+
+    @pytest.mark.parametrize("kept", ["segment-*.log", "cut-*.bin",
+                                      "ledger.log"],
+                             ids=["segment", "cut", "ledger"])
+    def test_v0_layout_is_refused(self, tmp_path, kept):
+        """Any one kind of root-level v0 file marks the directory as
+        the flat layout."""
         root = self._make_v0(tmp_path)
-        snapshots = FileSnapshotStore(root, mode="full")
-        changelog = FileChangelogStore(root)
-        assert snapshots.loaded == 1
-        assert snapshots.resolve(snapshots.latest()) == state_v(0)
-        assert changelog.loaded == 1
-        assert changelog._records[0].writes == state_v(1)
-        assert read_manifest(open_layout(root))["format_version"] \
-            == FORMAT_VERSION
-        # Migrated files live in the split subdirectories now.
-        assert not list(root.glob("segment-*.log"))
-        assert not list(root.glob("cut-*.bin"))
-        # The v1 cut-frame migration ran too: the sidecar slot is
-        # materialized, not merely absent.
-        assert snapshots.latest().views_state is None
-        changelog.close()
+        assert not (root / "MANIFEST.json").exists()
+        for path in set(root.iterdir()) - set(root.glob(kept)):
+            path.unlink()
+        assert list(root.iterdir())
+        self._assert_refused_untouched(root, 0)
 
-    def test_v1_cut_frames_gain_the_sidecar_slot(self, tmp_path):
-        """A v1 directory's cut pickles predate ``Snapshot.views_state``
-        (a slots dataclass: the attribute is *missing*, not None); the
-        v1 -> v2 migration must rewrite them so every retained cut
-        answers ``views_state`` without blowing up."""
-        import pickle
-
+    def test_v1_layout_is_refused(self, tmp_path):
         store = FileSnapshotStore(tmp_path, mode="full")
         store.take(taken_at_ms=0.0, state=state_v(0), kind="full",
                    changelog_seq=-1, **META)
-        # Fabricate a v1 frame: strip the slot from the pickled state
-        # and stamp the manifest back to version 1.
         layout = open_layout(tmp_path)
-        [cut_path] = layout.cut_files()
-        snapshot = store.latest()
-
-        class _V1Snapshot:
-            """Pickles as a Snapshot whose state dict lacks the slot."""
-
-            def __reduce__(self):
-                import copyreg
-
-                from repro.runtimes.stateflow.snapshots import Snapshot
-                state = snapshot.__reduce_ex__(2)[2]
-                slots = dict(state[1])
-                slots.pop("views_state", None)
-                return (copyreg._reconstructor,
-                        (Snapshot, object, None), (state[0], slots))
-
-        from repro.substrates.wire import encode_frame
-        cut_path.write_bytes(encode_frame(_V1Snapshot()))
         manifest = json.loads(layout.manifest_path.read_text())
+        assert manifest["format_version"] == FORMAT_VERSION
         manifest["format_version"] = 1
         layout.manifest_path.write_text(json.dumps(manifest))
-        # Prove the fabricated frame really lacks the slot.
-        from repro.substrates.wire import decode_frame
-        stale = decode_frame(cut_path.read_bytes())
-        with pytest.raises(AttributeError):
-            stale.views_state
+        self._assert_refused_untouched(tmp_path, 1)
 
-        reopened = FileSnapshotStore(tmp_path, mode="full")
-        assert reopened.loaded == 1
-        assert reopened.latest().views_state is None
+    def test_current_layout_reopens(self, tmp_path):
+        FileChangelogStore(tmp_path).close()
         assert read_manifest(open_layout(tmp_path))["format_version"] \
             == FORMAT_VERSION
 
@@ -240,3 +219,46 @@ class TestLayoutVersioning:
             FileChangelogStore(tmp_path)
         with pytest.raises(StorageError, match="newer"):
             FileSnapshotStore(tmp_path)
+
+
+class TestRetiredPayloadClasses:
+    def test_cut_of_a_retired_class_is_dropped_as_unreadable(
+            self, tmp_path, monkeypatch):
+        """A cut written by a build with a state class this one no
+        longer has (the copy-on-write backend's layer chain) cannot be
+        unpickled: on open it counts as unreadable, exactly as a
+        corrupt cut does, and the other cuts still load."""
+        from repro.runtimes import state as state_module
+        from repro.runtimes.state import PartitionedSnapshot
+        from repro.substrates.wire import decode_frame, encode_frame
+
+        store = FileSnapshotStore(tmp_path, mode="full")
+        for n in range(3):
+            store.take(taken_at_ms=float(n), state=state_v(n), kind="full",
+                       changelog_seq=-1, **META)
+        retired = tmp_path / "snapshots" / "cut-0000000001.bin"
+        snapshot = decode_frame(retired.read_bytes())
+
+        class CowSnapshot:
+            """Pickles by reference as ``repro.runtimes.state.CowSnapshot``."""
+
+            __module__ = "repro.runtimes.state"
+            __qualname__ = "CowSnapshot"
+
+            def __init__(self, layers):
+                self.layers = layers
+
+        with monkeypatch.context() as patch:
+            patch.setattr(state_module, "CowSnapshot", CowSnapshot,
+                          raising=False)
+            snapshot.state = PartitionedSnapshot(
+                parts=(CowSnapshot(layers=(state_v(1),)),))
+            retired.write_bytes(encode_frame(snapshot))
+        assert not hasattr(state_module, "CowSnapshot")
+
+        reopened = FileSnapshotStore(tmp_path, mode="full")
+        assert reopened.dropped_unreadable == 1
+        assert reopened.loaded == 2
+        assert not retired.exists()
+        assert reopened.latest().snapshot_id == 2
+        assert reopened.resolve(reopened.latest()) == state_v(2)

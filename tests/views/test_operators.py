@@ -221,7 +221,7 @@ class TestCompiler:
 
 
 class FakeStore:
-    """The backend-agnostic committed-store surface views scan."""
+    """The committed-store surface views scan."""
 
     def __init__(self, rows):
         self._rows = dict(rows)  # (entity, key) -> state
