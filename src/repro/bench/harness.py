@@ -74,7 +74,9 @@ def process_stateflow_overrides(**extra: Any) -> dict[str, Any]:
     """StateflowConfig overrides tuned for the real-process substrate.
 
     Every *modelled* cost is zeroed — CPU service times, network hop
-    latencies, Kafka produce/fetch latencies and broker CPU.  On real
+    latencies, Kafka produce/fetch latencies and broker CPU, and the
+    coordinator's conflict-detection and rescale-launch charges, whose
+    fixed parts are priced in ``conflict_check_ms_per_txn`` too.  On real
     processes the work and the transport take real time (pipe writes,
     pickling, context switches), and charging modelled milliseconds on
     top would double-count; worse, on the wall-clock kernel each
@@ -84,8 +86,8 @@ def process_stateflow_overrides(**extra: Any) -> dict[str, Any]:
     epoch hold is an output-commit cadence policy, and letting it
     dominate measured latency would mask the substrate behaviour the
     wall-clock bench exists to measure.  The failure detector is
-    relaxed so the initial replica seeding (a real pickle of the whole
-    store) cannot trip the watchdog, and snapshot cuts are spaced out
+    relaxed so the initial seeding (a real pickle of each worker's
+    slots) cannot trip the watchdog, and snapshot cuts are spaced out
     because each one is real O(keys) work on the parent's loop.
 
     The idle-seal delay is a modelled cost too: it stands for arrivals

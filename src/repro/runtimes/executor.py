@@ -113,6 +113,28 @@ class OperatorExecutor:
         raise RuntimeExecutionError(
             f"operator cannot handle event kind {event.kind!r}")
 
+    def constructor_as_create(self, event: Event) -> Event:
+        """*event* itself, unless it is a client's ``__init__`` INVOKE:
+        then the CREATE that invocation amounts to.  The constructor
+        runs here only to learn the key; the create — and with it the
+        duplicate-key check — is left to whoever holds that key's state.
+        Handling the CREATE records the same read and create and answers
+        with the same reply as handling the INVOKE would.  A constructor
+        that fails comes back unchanged, so handling it fails as
+        usual."""
+        if event.kind is not EventKind.INVOKE or event.method != "__init__":
+            return event
+        entity = event.target.entity
+        try:
+            key, state = run_constructor(self.entity(entity), event.args)
+            if self._check_serializable:
+                check_serializable(state)
+        except RuntimeExecutionError:
+            return event
+        return Event(kind=EventKind.CREATE, target=EntityRef(entity, key),
+                     payload=state, request_id=event.request_id,
+                     txn=event.txn, ingress_time=event.ingress_time)
+
     # ------------------------------------------------------------------
     def _handle_invoke(self, event: Event, state: StateAccess) -> list[Event]:
         assert event.method is not None

@@ -679,9 +679,12 @@ class Coordinator:
             for worker, writes in buckets.items():
                 self.hooks.apply_writes(worker, writes, one_ack)
 
-        cost = (self.config.conflict_check_ms_per_txn * len(batch.txns)
-                + 0.05)
-        self.cpu.submit(cost, run_detection)
+        # A fixed cost of five members' checks on top of the members'
+        # own: every modelled cost scales with the config, so the process
+        # preset, which zeroes them, schedules no timer here.
+        per_txn = self.config.conflict_check_ms_per_txn
+        self.cpu.submit(per_txn * len(batch.txns) + per_txn * 5,
+                        run_detection)
 
     def _finalize_batch(self, batch: _Batch, report) -> None:
         aborted = set(report.aborts)
@@ -1012,7 +1015,10 @@ class Coordinator:
                 self.hooks.migrate_slot(slot, src, dst,
                                         lambda s=slot: one_ack(s))
 
-        self.cpu.submit(0.05 + 0.01 * max(len(delta), 1), launch)
+        # Priced like conflict detection: five checks' fixed cost plus
+        # one per moved slot.
+        per_slot = self.config.conflict_check_ms_per_txn
+        self.cpu.submit(per_slot * 5 + per_slot * max(len(delta), 1), launch)
 
     # -- replies ----------------------------------------------------------
     def _enqueue_reply(self, txn: TxnRecord, error: str | None) -> None:

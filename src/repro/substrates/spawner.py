@@ -9,9 +9,10 @@ A :class:`Spawner` decides *where a worker runs and what time means*:
   here, bit-for-bit identical to the pre-spawner code path.
 - :class:`ProcessSpawner` — each worker is a real OS process driven by
   the :class:`~repro.substrates.wallclock.WallClock` kernel, connected
-  to the coordinator over duplex pipes carrying the batched binary
-  frames of :mod:`repro.substrates.wire`.  Time is real, cores are
-  real; this is the substrate whose bench numbers measure hardware.
+  to the coordinator over duplex pipes and to the other workers over
+  direct channels, all carrying the batched binary frames of
+  :mod:`repro.substrates.wire`.  Time is real, cores are real; this is
+  the substrate whose bench numbers measure hardware.
 
 The runtime asks its spawner for a kernel and for workers and otherwise
 runs the exact same coordinator protocol on both; the spawner choice is
@@ -93,8 +94,7 @@ class ProcessSpawner(Spawner):
             (lambda event, sender=index:
              runtime._on_worker_out(event, sender)),
             check_state_serializable=runtime.config.check_state_serializable,
-            routing=(runtime.committed.assignment
-                     if runtime.config.channel_mode == "direct" else None),
+            direct=runtime.config.channel_mode == "direct",
             peers=lambda: runtime.workers)
 
     def on_close(self, runtime: "StateflowRuntime") -> None:

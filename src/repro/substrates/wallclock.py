@@ -44,6 +44,13 @@ _MAX_POLL_MS = 50.0
 #: this many ms of CPU per short wait.
 _SPIN_SLICE_MS = 1.0
 
+#: A timer set at least this far ahead (ms) is waited for by blocking,
+#: never by spinning: a scheduler tick of overshoot is a sliver of its
+#: delay, and the periodic ticks of the coordinator (10 ms batch, 40 ms
+#: epoch, ...) would otherwise burn the last millisecond of every
+#: period in non-blocking polls.
+_COARSE_DELAY_MS = 5.0
+
 
 class WallClock:
     """Real-time event kernel with the Simulation's scheduling surface.
@@ -60,6 +67,9 @@ class WallClock:
         self._origin = time.monotonic()
         self._queue: list[QueueEntry] = []
         self._seq = 0
+        #: ``seq`` of every queued timer set ``_COARSE_DELAY_MS`` or more
+        #: ahead.
+        self._coarse: set[int] = set()
         self.processed_events = 0
         self._connections: dict[Any, Callable[[bytes], None]] = {}
 
@@ -73,19 +83,24 @@ class WallClock:
                  callback: Callable[[], None]) -> ScheduledEvent:
         if delay_ms < 0:
             raise SimulationError(f"negative delay {delay_ms}")
-        return self._push(self.now + delay_ms, callback)
+        return self._push(self.now + delay_ms, callback,
+                          delay_ms >= _COARSE_DELAY_MS)
 
     def schedule_at(self, time_ms: float,
                     callback: Callable[[], None]) -> ScheduledEvent:
         # Clamp instead of raising: see module docstring.
-        return self._push(max(time_ms, self.now), callback)
+        now = self.now
+        return self._push(max(time_ms, now), callback,
+                          time_ms - now >= _COARSE_DELAY_MS)
 
-    def _push(self, when: float,
-              callback: Callable[[], None]) -> ScheduledEvent:
+    def _push(self, when: float, callback: Callable[[], None],
+              coarse: bool) -> ScheduledEvent:
         seq = self._seq
         self._seq = seq + 1
         event = ScheduledEvent(when, seq, callback)
         heapq.heappush(self._queue, (when, seq, event))
+        if coarse:
+            self._coarse.add(seq)
         return event
 
     def pending(self) -> int:
@@ -103,12 +118,9 @@ class WallClock:
         self._connections.pop(conn, None)
 
     def _poll(self, timeout_ms: float) -> None:
-        """Drain ready connections, blocking up to ``timeout_ms``.
-        Sub-millisecond timeouts poll non-blocking and return — the
-        event loop re-reads the clock and comes straight back, so short
-        timers fire within microseconds instead of a scheduler tick."""
-        if timeout_ms < _SPIN_SLICE_MS:
-            timeout_ms = 0.0
+        """Wait up to ``timeout_ms`` (0 = a non-blocking check) for any
+        connection to be ready, then drain every ready one: a burst of
+        frames costs one wait, not one per frame."""
         if not self._connections:
             if timeout_ms > 0:
                 time.sleep(timeout_ms / 1000.0)
@@ -116,24 +128,28 @@ class WallClock:
         ready = _conn_wait(list(self._connections),
                            timeout=max(timeout_ms, 0.0) / 1000.0)
         for conn in ready:
-            handler = self._connections.get(conn)
-            if handler is None:
-                continue
-            try:
-                payload = conn.recv_bytes()
-            except (EOFError, OSError):
-                # Peer died: drop the registration; the runtime's
-                # failure detector owns the recovery decision.
-                self._connections.pop(conn, None)
-                continue
-            handler(payload)
+            while True:
+                handler = self._connections.get(conn)
+                if handler is None:
+                    break  # unregistered by a handler of this round
+                try:
+                    payload = conn.recv_bytes()
+                except (EOFError, OSError):
+                    # Peer died: drop the registration; the runtime's
+                    # failure detector owns the recovery decision.
+                    self._connections.pop(conn, None)
+                    break
+                handler(payload)
+                if conn not in self._connections or not conn.poll():
+                    break
 
     # -- event loop -----------------------------------------------------
 
     def _dispatch_due(self) -> int:
         fired = 0
         while self._queue and self._queue[0][0] <= self.now:
-            event = heapq.heappop(self._queue)[2]
+            _, seq, event = heapq.heappop(self._queue)
+            self._coarse.discard(seq)
             if event.cancelled:
                 continue
             event.callback()
@@ -152,10 +168,17 @@ class WallClock:
         return True
 
     def _slice(self) -> float:
-        if self._queue:
-            return min(max(self._queue[0][0] - self.now, 0.0),
-                       _MAX_POLL_MS)
-        return _MAX_POLL_MS
+        """How long the loop may wait for I/O: until the next timer, at
+        most ``_MAX_POLL_MS``, and not at all (a spin) while a timer
+        that is not coarse is due within ``_SPIN_SLICE_MS`` — so short
+        timers fire within microseconds instead of a scheduler tick."""
+        if not self._queue:
+            return _MAX_POLL_MS
+        when, seq, _ = self._queue[0]
+        left = when - self.now
+        if left < _SPIN_SLICE_MS and seq not in self._coarse:
+            return 0.0
+        return min(max(left, 0.0), _MAX_POLL_MS)
 
     def run(self, until: float | None = None,
             max_events: int | None = None) -> None:

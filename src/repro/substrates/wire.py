@@ -10,16 +10,16 @@ logical deliveries (an epoch's worth of execution events or a whole
 commit bucket), so the per-message overhead is paid per *frame*, not per
 Python object.
 
-**Events travel flat.**  The four messages that carry events
+**Events travel flat.**  The five messages that carry events
 (:class:`Deliver`, :class:`Out`, :class:`ExecuteSingleKey`,
-:class:`SingleKeyDone`) put each :class:`~repro.ir.events.Event` on the
-wire as one tuple of primitives (:func:`_flatten`) and rebuild the
-dataclasses positionally on the other side (:func:`_event`) — the
-pickler walks tuples, strings and numbers in C instead of reducing six
-slotted dataclasses and an ``Enum`` per event through Python.  The
-layout is decided here alone (``__reduce__`` on those four types); every
-other message, and every frame :mod:`repro.storage` writes, is pickled
-as before, byte for byte.
+:class:`SingleKeyDone`, and :class:`Hop` between two workers) put each
+:class:`~repro.ir.events.Event` on the wire as one tuple of primitives
+(:func:`_flatten`) and rebuild the dataclasses positionally on the other
+side (:func:`_event`) — the pickler walks tuples, strings and numbers in
+C instead of reducing six slotted dataclasses and an ``Enum`` per event
+through Python.  The layout is decided here alone (``__reduce__`` on
+those five types); every other message, and every frame
+:mod:`repro.storage` writes, is pickled as before, byte for byte.
 
 Frame layout (all integers big-endian)::
 
@@ -31,7 +31,7 @@ Truncated or corrupt input raises :class:`FrameError` — never a partial
 message.
 
 This is trusted intra-host IPC between a parent and the worker processes
-it forked; frames are not authenticated.
+it forked, and between those workers; frames are not authenticated.
 """
 
 from __future__ import annotations
@@ -113,24 +113,38 @@ def _flats(events: list) -> list:
 
 @dataclass(slots=True)
 class Seed:
-    """Replace the worker's replica with a full committed-store image
-    (initial launch, and re-seeding after a recovery restore).
-    ``routing`` is the routing table the child continues call chains
-    under (a :class:`~repro.runtimes.state.SlotAssignment`), ``None``
-    for a child that continues nothing."""
+    """Replace what the worker holds with the slots it owns (initial
+    launch, respawn after a recovery, revive on a rescale): ``slots``
+    maps each owned slot to its entries.  ``routing`` is the table that
+    says what the worker owns (a
+    :class:`~repro.runtimes.state.SlotAssignment`); ``direct`` is
+    whether the worker continues call chains and hands events for
+    other owners to their workers itself, or returns every emitted
+    event to the parent."""
 
-    payload: dict
+    slots: dict
+    routing: Any
     incarnation: int = 0
-    routing: Any = None
+    direct: bool = False
 
 
 @dataclass(slots=True)
 class Routing:
-    """The routing table moved (a rescale committed): replaces the one
-    the :class:`Seed` carried.  Sent ahead of the first event routed
-    under the new table."""
+    """The routing table moved (a rescale or a recovery): replaces the
+    one the :class:`Seed` carried.  Every worker is sent it ahead of the
+    first event routed under it."""
 
     routing: Any
+    incarnation: int = 0
+
+
+@dataclass(slots=True)
+class Connect:
+    """A channel to worker *peer*'s process follows this frame on the
+    same pipe, as one passed file descriptor; it replaces any channel
+    to that worker held before."""
+
+    peer: int
     incarnation: int = 0
 
 
@@ -148,9 +162,8 @@ class Deliver:
 
 @dataclass(slots=True)
 class ApplyWrites:
-    """Install a committed write set into the replica.  ``ack`` is true
-    only on the owner's copy; replication fan-out rides the same message
-    with ``ack=False``."""
+    """Install a committed write set into the owner's store.  ``ack``
+    asks for an :class:`Ack` once it is installed."""
 
     writes: dict
     seq: int = 0
@@ -160,8 +173,8 @@ class ApplyWrites:
 
 @dataclass(slots=True)
 class ExecuteSingleKey:
-    """Run a batch's single-key events serially against the replica and
-    report replies plus the resulting write-backs."""
+    """Run a batch's single-key events serially against the worker's
+    store and report replies plus the resulting write-backs."""
 
     events: list
     seq: int = 0
@@ -175,7 +188,7 @@ class ExecuteSingleKey:
 @dataclass(slots=True)
 class InstallSlot:
     """A slot changed hands: the entries of *slot* as the authoritative
-    store holds them, shipped to the new owner's child.  The child
+    store holds them, shipped to the new owner's worker.  The worker
     replaces what it held for the slot; no ack."""
 
     slot: int
@@ -195,10 +208,11 @@ class Shutdown:
 
 @dataclass(slots=True)
 class Out:
-    """What a Deliver left for others: replies, and events whose target
-    another worker owns, relayed through the coordinator-side hub.
-    ``visits`` counts the executor visits the child made for it —
-    events it emitted to itself and kept executing included."""
+    """What a worker hands back to the parent: replies, and events for
+    an owner it has no channel to (every event it emits, when it
+    continues nothing).  ``visits`` counts the executor visits no frame
+    has reported yet — the worker's own, events it emitted to itself
+    and kept executing included, and those a :class:`Hop` brought in."""
 
     events: list
     incarnation: int = 0
@@ -206,6 +220,25 @@ class Out:
 
     def __reduce__(self):
         return _out, (_flats(self.events), self.incarnation, self.visits)
+
+
+# ---------------------------------------------------------------------------
+# Message types: worker process -> worker process
+# ---------------------------------------------------------------------------
+
+
+@dataclass(slots=True)
+class Hop:
+    """A call chain's next steps for another owner, sent worker to
+    worker: events routed under routing-table ``epoch``, and the
+    executor visits the sender made that no frame has reported yet."""
+
+    events: list
+    epoch: int = 0
+    visits: int = 0
+
+    def __reduce__(self):
+        return _hop, (_flats(self.events), self.epoch, self.visits)
 
 
 @dataclass(slots=True)
@@ -230,7 +263,7 @@ class SingleKeyDone:
             self.seq, _flats(self.replies), self.writes, self.incarnation)
 
 
-# Unpickle hooks of the four event-carrying messages, one per type so a
+# Unpickle hooks of the five event-carrying messages, one per type so a
 # frame names one global, not a hook and a class.
 
 
@@ -252,10 +285,14 @@ def _single_key_done(seq: int, flats: list, writes: dict,
     return SingleKeyDone(seq, _events(flats), writes, incarnation)
 
 
+def _hop(flats: list, epoch: int, visits: int) -> Hop:
+    return Hop(_events(flats), epoch, visits)
+
+
 #: Every frameable message type (the property tests sweep this).
 MESSAGE_TYPES: tuple[type, ...] = (
-    Seed, Routing, Deliver, ApplyWrites, ExecuteSingleKey, InstallSlot,
-    Shutdown, Out, Ack, SingleKeyDone)
+    Seed, Routing, Connect, Deliver, ApplyWrites, ExecuteSingleKey,
+    InstallSlot, Shutdown, Out, Ack, SingleKeyDone, Hop)
 
 
 # ---------------------------------------------------------------------------

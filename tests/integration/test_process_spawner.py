@@ -2,12 +2,17 @@
 worker processes.
 
 The deterministic battery stays on the simulator; this subset proves
-the wire format, the replica protocol, and crash/recovery on the wall
-clock.  Real seconds per test, so the module is marked ``slow`` and
-excluded from tier 1 (CI's process-smoke job runs it).
+the wire format, owner-only state with child-to-child hops, and
+crash/recovery on the wall clock.  Real seconds per test, so the
+module is marked ``slow`` and excluded from tier 1 (CI's process-smoke
+job runs it).
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import os
+import signal
 
 import pytest
 from slot_moves import assert_writes_survive_slot_moves
@@ -16,6 +21,7 @@ from repro.runtimes.stateflow import (
     CoordinatorConfig,
     StateflowConfig,
     StateflowRuntime,
+    procworker,
 )
 from repro.workloads import Account
 
@@ -36,13 +42,17 @@ def _process_config(**overrides) -> StateflowConfig:
     return StateflowConfig(**defaults)
 
 
-def test_transfers_serial_oracle_on_process_substrate(account_program):
+@pytest.mark.parametrize("depth", [1, 2])
+def test_transfers_serial_oracle_on_process_substrate(account_program,
+                                                      depth):
     """A concurrent mix of transfers and single-key deposits across real
     processes, with the cluster shrinking and growing back mid-history,
     must end in a state reachable by some serial order: conservation of
     the total, non-negative balances, and exactly one reply per
-    request."""
-    runtime = StateflowRuntime(account_program, config=_process_config())
+    request.  At depth 2 a batch's hops between children interleave
+    with the parent's commit frames of the batch before it."""
+    runtime = StateflowRuntime(account_program,
+                               config=_process_config(pipeline_depth=depth))
     try:
         refs = runtime.preload(Account,
                                [(f"acct-{i}", 100) for i in range(6)])
@@ -132,5 +142,63 @@ def test_crash_recovery_on_process_substrate(account_program):
         assert victim.alive, "recovery should have respawned the worker"
         assert victim.incarnation > incarnation_before
         assert runtime.coordinator.recoveries >= 1
+    finally:
+        runtime.close()
+
+
+def test_callee_killed_after_a_peer_hop(account_program, monkeypatch):
+    """Transfers between two owners, and the callee's child SIGKILLs
+    itself as a hop reaches it, before answering: the chain dies with
+    it, the parent never saw it, and only the watchdog can notice.
+    Recovery must answer every request exactly once and conserve the
+    total."""
+    died = multiprocessing.get_context("fork").Value("i", 0)
+    on_hop = procworker.ChildWorker.on_hop
+
+    def dying(worker, hop):
+        if worker.index == 1 and hop.events:
+            with died.get_lock():
+                first, died.value = died.value == 0, 1
+            if first:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return on_hop(worker, hop)
+
+    # Patched before the children fork, so it is theirs; the parent
+    # never handles a hop.
+    monkeypatch.setattr(procworker.ChildWorker, "on_hop", dying)
+    runtime = StateflowRuntime(account_program,
+                               config=_process_config(workers=2))
+    try:
+        refs = runtime.preload(Account,
+                               [(f"acct-{i}", 100) for i in range(12)])
+        runtime.start()
+        owned = {0: [], 1: []}
+        for ref in refs:
+            owned[runtime.worker_of(ref.entity, ref.key)].append(ref)
+        victim = runtime.workers[1]
+        incarnation_before = victim.incarnation
+        replies: list[int] = []
+        sent = 0
+        for step in range(40):
+            source = owned[0][step % len(owned[0])]
+            target = owned[1][step % len(owned[1])]
+            runtime.submit(source, "transfer", (1 + step % 5, target),
+                           on_reply=lambda r: replies.append(r.request_id))
+            sent += 1
+            if step % 10 == 9:
+                runtime.sim.run_until(lambda: len(replies) >= sent - 5,
+                                      max_time=runtime.sim.now + 5_000.0)
+        assert runtime.sim.run_until(lambda: len(replies) >= sent,
+                                     max_time=runtime.sim.now + DEADLINE_MS), (
+            f"only {len(replies)}/{sent} replies before the deadline")
+        assert died.value == 1
+        assert runtime.coordinator.recoveries >= 1
+        assert victim.alive and victim.incarnation > incarnation_before
+        assert len(replies) == len(set(replies)) == sent, "duplicated reply"
+        balances = [runtime.entity_state(ref)["balance"] for ref in refs]
+        assert sum(balances) == 100 * len(refs), balances
+        # The children agree with the authoritative store.
+        for ref, balance in zip(refs, balances):
+            assert runtime.invoke(ref, "read").unwrap() == balance
     finally:
         runtime.close()

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.substrates import wallclock
 from repro.substrates.simulation import CpuPool, SimulationError
 from repro.substrates.wallclock import WallClock
 
@@ -100,6 +101,49 @@ def test_dead_peer_drops_registration() -> None:
                     max_time=clock.now + 2_000)
     assert not clock._connections
     parent.close()
+
+
+def _count_waits(monkeypatch) -> list[float]:
+    """The timeout of every wait the kernel makes, in seconds."""
+    timeouts: list[float] = []
+    wait = wallclock._conn_wait
+
+    def counting(connections, timeout):
+        timeouts.append(timeout)
+        return wait(connections, timeout)
+
+    monkeypatch.setattr(wallclock, "_conn_wait", counting)
+    return timeouts
+
+
+def test_a_burst_of_frames_costs_one_wait(monkeypatch) -> None:
+    """A ready connection is drained before the loop waits again."""
+    clock = WallClock()
+    parent, child = multiprocessing.Pipe(duplex=True)
+    got: list[bytes] = []
+    clock.register_connection(parent, got.append)
+    waits = _count_waits(monkeypatch)
+    for payload in (b"out", b"ack", b"out"):
+        child.send_bytes(payload)
+    assert clock.run_until(lambda: len(got) == 3, max_time=clock.now + 2_000)
+    assert got == [b"out", b"ack", b"out"]
+    assert len(waits) == 1
+    parent.close()
+    child.close()
+
+
+def test_only_a_fine_timer_is_spun_for() -> None:
+    """Within a spin slice of its deadline, a timer set well ahead — a
+    periodic tick — is waited for by blocking; one set under a
+    millisecond ahead gets non-blocking polls, so it fires within
+    microseconds instead of a scheduler tick."""
+    clock = WallClock()
+    clock.schedule(10.0, lambda: None)
+    while clock._queue[0][0] - clock.now >= 0.9:
+        pass
+    assert clock._slice() > 0.0
+    clock.schedule(0.5, lambda: None)
+    assert clock._slice() == 0.0
 
 
 def test_run_with_until_bound_returns() -> None:

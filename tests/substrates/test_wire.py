@@ -41,10 +41,12 @@ from repro.substrates.wire import (
     MESSAGE_TYPES,
     Ack,
     ApplyWrites,
+    Connect,
     Deliver,
     ExecuteSingleKey,
     FrameDecoder,
     FrameError,
+    Hop,
     InstallSlot,
     Out,
     Routing,
@@ -133,9 +135,14 @@ def _routings(draw) -> SlotAssignment:
 
 def _messages() -> st.SearchStrategy:
     return st.one_of(
-        st.builds(Seed, payload=_write_sets, incarnation=st.integers(0, 5),
-                  routing=st.one_of(st.none(), _routings())),
+        st.builds(Seed,
+                  slots=st.dictionaries(st.integers(0, 127), _write_sets,
+                                        max_size=3),
+                  routing=_routings(), incarnation=st.integers(0, 5),
+                  direct=st.booleans()),
         st.builds(Routing, routing=_routings(),
+                  incarnation=st.integers(0, 5)),
+        st.builds(Connect, peer=st.integers(0, 8),
                   incarnation=st.integers(0, 5)),
         st.builds(Deliver, events=_event_lists,
                   incarnation=st.integers(0, 5)),
@@ -153,7 +160,9 @@ def _messages() -> st.SearchStrategy:
                   incarnation=st.integers(0, 5)),
         st.builds(SingleKeyDone, seq=st.integers(0, 1000),
                   replies=_event_lists, writes=_write_sets,
-                  incarnation=st.integers(0, 5)))
+                  incarnation=st.integers(0, 5)),
+        st.builds(Hop, events=_event_lists, epoch=st.integers(0, 5),
+                  visits=st.integers(0, 50)))
 
 
 def assert_same(decoded, original) -> None:
@@ -192,12 +201,13 @@ def test_round_trip_every_message_type(message) -> None:
 @settings(max_examples=150, deadline=None)
 @given(_events)
 def test_event_round_trip_keeps_every_field(event) -> None:
-    """Through each of the four messages that carry events."""
+    """Through each of the five messages that carry events."""
     for message, carried in (
             (Deliver([event], 1), "events"),
             (Out([event], 1, visits=3), "events"),
             (ExecuteSingleKey([event], seq=2, incarnation=1), "events"),
-            (SingleKeyDone(2, replies=[event], incarnation=1), "replies")):
+            (SingleKeyDone(2, replies=[event], incarnation=1), "replies"),
+            (Hop([event], epoch=2, visits=1), "events")):
         (decoded,) = getattr(decode_frame(encode_frame(message)), carried)
         assert decoded is not event
         assert_same(decoded, event)
@@ -219,8 +229,8 @@ def test_transaction_footprint_sharing_survives() -> None:
 
 
 def test_message_types_registry_is_exhaustive() -> None:
-    swept = {Seed, Routing, Deliver, ApplyWrites, ExecuteSingleKey,
-             InstallSlot, Shutdown, Out, Ack, SingleKeyDone}
+    swept = {Seed, Routing, Connect, Deliver, ApplyWrites, ExecuteSingleKey,
+             InstallSlot, Shutdown, Out, Ack, SingleKeyDone, Hop}
     assert set(MESSAGE_TYPES) == swept
 
 
@@ -236,7 +246,8 @@ def test_slot_delta_round_trip() -> None:
     delta = SlotDelta(slot=9, delta=StateDelta(layers=(
         {("Account", 1): {"balance": 10}},
         {("Account", 1): TOMBSTONE})))
-    decoded = decode_frame(encode_frame(Seed(payload={"fragment": delta})))
+    decoded = decode_frame(encode_frame(
+        InstallSlot(9, payload={"fragment": delta})))
     fragment = decoded.payload["fragment"]
     assert fragment.slot == 9
     merged = fragment.delta.merged()
@@ -285,7 +296,7 @@ def test_decoder_holds_partial_frame() -> None:
 
 
 def test_truncated_frame_raises() -> None:
-    frame = encode_frame(Seed(payload={("Account", 1): {"v": 1}}))
+    frame = encode_frame(InstallSlot(1, payload={("Account", 1): {"v": 1}}))
     for cut in (1, len(MAGIC), len(MAGIC) + 2, len(frame) - 1):
         with pytest.raises(FrameError):
             decode_frame(frame[:cut])
