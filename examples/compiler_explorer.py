@@ -3,7 +3,8 @@
 Shows, for the Figure 1 application:
 - the split function blocks (the paper's ``buy_item_0``, ``buy_item_1``,
   ... from Section 2.4) with their read/write variable sets;
-- the state machine (execution graph) of each split method;
+- the state machine (execution graph) of each split method, and which
+  of its continuations resume without the entity's state;
 - the one resumable function those blocks are compiled into;
 - the serialized engine-independent IR, and that the IR round-trips:
   deserialised on a "different system", recompiled from shipped source,
@@ -41,6 +42,10 @@ def main() -> None:
     machine = program.entities["User"].methods["buy_item"].machine
     for node in machine:
         print(f"  {node.node_id}: {node.terminator.to_dict()}")
+    # A continuation no block of which (until control leaves again) uses
+    # `self` resumes on a blank instance: no state read, nothing written.
+    print("  state-free continuations:",
+          ", ".join(sorted(machine.state_free_nodes())) or "none")
 
     print()
     print("=" * 70)

@@ -41,6 +41,11 @@ INTERNAL_NAMES = frozenset({
 
 _BUILTIN_NAMES = frozenset(dir(builtins))
 
+#: Builtins that reach the running frame, and with it the instance,
+#: without naming ``self``.
+_FRAME_BUILTINS = frozenset({"super", "locals", "vars", "eval", "exec",
+                            "breakpoint"})
+
 
 @dataclass(slots=True)
 class ReturnTerminator:
@@ -164,6 +169,19 @@ class FunctionBlock:
     def analyze_dataflow(self) -> None:
         """Populate ``reads``/``writes`` with the block's def/use sets."""
         self.reads, self.writes = def_use(self.statements)
+
+    def uses_self(self) -> bool:
+        """Whether running this block can reach the entity instance: it
+        names ``self`` anywhere (nested lambdas and comprehensions
+        included), names a builtin that reaches the frame without naming
+        ``self``, or ends in a self-call."""
+        terminator = self.terminator
+        if isinstance(terminator, InvokeTerminator) and terminator.is_self_call:
+            return True
+        return any(isinstance(node, ast.Name)
+                   and (node.id == "self" or node.id in _FRAME_BUILTINS)
+                   for statement in self.statements
+                   for node in ast.walk(statement))
 
     def to_dict(self) -> dict[str, Any]:
         assert self.terminator is not None

@@ -162,6 +162,9 @@ class CompiledMethod:
     function: FunctionType
     #: The generated ``def __run__`` (for docs and debugging).
     tree: ast.Module
+    #: Continuations a RESUME runs on a blank instance, reading and
+    #: writing no state (the machine's ``state_free`` nodes).
+    state_free: frozenset[str]
 
     @property
     def entry(self) -> str:
@@ -257,7 +260,8 @@ def compile_method(descriptor: MethodDescriptor, split: SplitResult,
             entity=split.entity_name, method=split.method_name) from exc
     return CompiledMethod(descriptor=descriptor, machine=machine,
                           params=params, block_ids=block_ids,
-                          function=function, tree=tree)
+                          function=function, tree=tree,
+                          state_free=machine.state_free_nodes())
 
 
 @dataclass(slots=True, eq=False)

@@ -10,6 +10,12 @@ The :class:`StateMachine` is the serializable, AST-free view of a
 arcs are the terminators' targets.  It travels inside the IR; the
 method's compiled function (from :mod:`~repro.compiler.codegen`) walks it
 inside one operator, and the runtime follows the arcs that leave one.
+
+Each continuation (where a remote call or construction resumes) carries
+``state_free``: no block that can run from it before control leaves the
+operator again uses ``self`` (:meth:`FunctionBlock.uses_self
+<repro.compiler.blocks.FunctionBlock.uses_self>`), so the runtime
+resumes it without reading or writing the entity.
 """
 
 from __future__ import annotations
@@ -39,6 +45,9 @@ class StateNode:
     reads: frozenset[str]
     writes: frozenset[str]
     source: str = ""
+    #: A continuation no block of which, up to where control leaves the
+    #: operator, uses ``self``: resuming here needs no entity state.
+    state_free: bool = False
 
     def successors(self) -> list[str]:
         terminator = self.terminator
@@ -59,16 +68,19 @@ class StateNode:
             "reads": sorted(self.reads),
             "writes": sorted(self.writes),
             "source": self.source,
+            "state_free": self.state_free,
         }
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "StateNode":
+        # An IR without the bit reads as "uses self": never unsound.
         return cls(
             node_id=data["node_id"],
             terminator=terminator_from_dict(data["terminator"]),
             reads=frozenset(data["reads"]),
             writes=frozenset(data["writes"]),
             source=data.get("source", ""),
+            state_free=data.get("state_free", False),
         )
 
 
@@ -95,6 +107,13 @@ class StateMachine:
                 source=block.source(),
             )
         machine.validate()
+        uses_self = {block_id: block.uses_self()
+                     for block_id, block in result.blocks.items()}
+        for node in machine.remote_transitions():
+            continuation = machine.nodes[node.terminator.continuation]
+            continuation.state_free = not any(
+                uses_self[block_id]
+                for block_id in machine.visit_from(continuation.node_id))
         return machine
 
     # ------------------------------------------------------------------
@@ -117,6 +136,26 @@ class StateMachine:
     def terminal_nodes(self) -> list[StateNode]:
         return [node for node in self
                 if isinstance(node.terminator, ReturnTerminator)]
+
+    def visit_from(self, node_id: str) -> set[str]:
+        """Blocks that can run from *node_id* before control leaves the
+        operator: jumps and branches are followed; a remote call, a
+        construction or a return ends the visit."""
+        reached: set[str] = set()
+        stack = [node_id]
+        while stack:
+            current = stack.pop()
+            if current in reached:
+                continue
+            reached.add(current)
+            node = self.nodes[current]
+            if isinstance(node.terminator, (JumpTerminator, BranchTerminator)):
+                stack.extend(node.successors())
+        return reached
+
+    def state_free_nodes(self) -> frozenset[str]:
+        """Continuations a RESUME runs without the entity's state."""
+        return frozenset(node.node_id for node in self if node.state_free)
 
     def validate(self) -> None:
         """Structural sanity: entry exists, every arc lands on a node,

@@ -21,8 +21,10 @@ from ..core.errors import (
 from .callgraph import CallGraph
 
 
-def check_no_generators(descriptor: EntityDescriptor) -> None:
-    """``yield``/``await`` have no dataflow counterpart; reject them."""
+def check_unsupported_constructs(descriptor: EntityDescriptor) -> None:
+    """``yield``/``await`` have no dataflow counterpart, and a compiled
+    method is not defined in its class, so zero-argument ``super()`` has
+    no class to find; reject them."""
     for method in descriptor.methods.values():
         if method.source_ast is None:
             continue
@@ -35,6 +37,14 @@ def check_no_generators(descriptor: EntityDescriptor) -> None:
             if isinstance(node, ast.Await):
                 raise UnsupportedConstructError(
                     "await is not supported; remote calls are plain calls",
+                    entity=descriptor.name, method=method.name,
+                    lineno=node.lineno)
+            if (isinstance(node, ast.Call) and not node.args
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "super"):
+                raise UnsupportedConstructError(
+                    "zero-argument super() is not supported; write "
+                    f"super({descriptor.name}, self)",
                     entity=descriptor.name, method=method.name,
                     lineno=node.lineno)
 
@@ -90,7 +100,7 @@ def validate_program(entities: dict[str, EntityDescriptor],
     """Run every whole-program check; raise on the first violation."""
     graph.check_no_recursion()
     for descriptor in entities.values():
-        check_no_generators(descriptor)
+        check_unsupported_constructs(descriptor)
         check_key_stability(descriptor)
         check_constructor_is_local(descriptor, graph)
     # Remote calls must target methods that actually exist on the callee.

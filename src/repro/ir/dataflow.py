@@ -206,8 +206,11 @@ class StatefulDataflow:
                 txn = (" [transactional]"
                        if operator.descriptor.methods[method].is_transactional
                        else "")
+                free = sorted(machine.state_free_nodes())
+                stateless = (f" [state-free: {', '.join(free)}]"
+                             if free else "")
                 lines.append(f"    {method}: {len(machine.nodes)} block(s)"
-                             f"{tag}{txn}")
+                             f"{tag}{txn}{stateless}")
         for edge in self.edges:
             label = f"  ({edge.label})" if edge.label else ""
             lines.append(f"  {edge.source} -> {edge.target}{label}")

@@ -1,5 +1,6 @@
 """Graphviz (DOT) export of the IR — both the operator-level dataflow
-(Figure 2's logical graph) and per-method state machines (Section 2.5)."""
+(Figure 2's logical graph) and per-method state machines (Section 2.5),
+with the continuations that need no entity state drawn dotted."""
 
 from __future__ import annotations
 
@@ -33,7 +34,8 @@ def dataflow_to_dot(dataflow: StatefulDataflow) -> str:
 
 
 def machine_to_dot(machine: StateMachine) -> str:
-    """One split method's execution graph with terminator-typed edges."""
+    """One split method's execution graph with terminator-typed edges;
+    continuations that resume without entity state are dotted."""
     from ..compiler.blocks import (
         BranchTerminator,
         ConstructTerminator,
@@ -47,7 +49,11 @@ def machine_to_dot(machine: StateMachine) -> str:
     for node in machine:
         shape = ("doublecircle"
                  if isinstance(node.terminator, ReturnTerminator) else "box")
-        lines.append(f"  {_quote(node.node_id)} [shape={shape}];")
+        style = ", style=dotted" if node.state_free else ""
+        lines.append(f"  {_quote(node.node_id)} [shape={shape}{style}];")
+    if machine.state_free_nodes():
+        lines.append('  "__legend__" [shape=plaintext, '
+                     'label="dotted: resumes without entity state"];')
     for node in machine:
         terminator = node.terminator
         if isinstance(terminator, JumpTerminator):

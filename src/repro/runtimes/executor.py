@@ -6,6 +6,14 @@ the invocation either returns (REPLY / RESUME to the caller) or performs a
 remote call (INVOKE / CREATE to another operator), and flush the entity's
 state back.  Every runtime (Local, StateFun-style, StateFlow) wraps this
 executor with its own messaging, partitioning, and consistency machinery.
+
+A RESUME whose continuation the compiler marked state-free (no block it
+can run uses ``self``; see :mod:`~repro.compiler.state_machine`) skips
+both ends: it runs on a blank instance, with no ``get``, no flush and no
+serializability check.  The frame's INVOKE visit already read the entity
+and wrote it back, so the read and write sets, and their order, are what
+they would have been.  :meth:`OperatorExecutor.is_state_free` tells a
+runtime which RESUMEs any worker may run.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Protocol
 
 from ..compiler.blocks import ConstructTerminator, InvokeTerminator
-from ..compiler.codegen import CompiledEntity
+from ..compiler.codegen import CompiledEntity, CompiledMethod
 from ..core.errors import (
     EntityNotFoundError,
     InvocationError,
@@ -136,6 +144,17 @@ class OperatorExecutor:
                      txn=event.txn, ingress_time=event.ingress_time)
 
     # ------------------------------------------------------------------
+    def is_state_free(self, event: Event) -> bool:
+        """Whether handling RESUME *event* reads and writes no entity
+        state: its frame resumes at a continuation the compiler found
+        state-free, so any worker can run it."""
+        execution = event.execution
+        if execution is None or execution.depth == 0:
+            return False
+        frame = execution.top
+        return frame.node in self.entity(frame.entity).method(
+            frame.method).state_free
+
     def _handle_invoke(self, event: Event, state: StateAccess) -> list[Event]:
         assert event.method is not None
         compiled = self.entity(event.target.entity)
@@ -145,7 +164,7 @@ class OperatorExecutor:
                       method=event.method, node=method.entry,
                       store=method.initial_store(event.args))
         execution.push(frame)
-        return self._run(event, execution, state)
+        return self._run(event, execution, state, compiled, method)
 
     def _handle_resume(self, event: Event, state: StateAccess) -> list[Event]:
         execution = event.execution
@@ -159,7 +178,10 @@ class OperatorExecutor:
         if frame.result_var is not None:
             frame.store[frame.result_var] = event.payload
             frame.result_var = None
-        return self._run(event, execution, state)
+        compiled = self.entity(frame.entity)
+        method = compiled.method(frame.method)
+        return self._run(event, execution, state, compiled, method,
+                         state_free=frame.node in method.state_free)
 
     def _handle_create(self, event: Event, state: StateAccess) -> list[Event]:
         """Materialise a constructed entity, then resume the creator."""
@@ -183,16 +205,19 @@ class OperatorExecutor:
 
     # ------------------------------------------------------------------
     def _run(self, event: Event, execution: ExecutionState,
-             state: StateAccess) -> list[Event]:
+             state: StateAccess, compiled: CompiledEntity,
+             method: CompiledMethod, *, state_free: bool = False,
+             ) -> list[Event]:
         """Run the top frame until it leaves this operator: one call
-        into the method's compiled function."""
+        into the method's compiled function.  A *state_free* visit runs
+        on a blank instance and neither reads nor writes the entity: the
+        frame's earlier visit already read and wrote it, and nothing this
+        one runs can change it."""
         frame = execution.top
-        compiled = self.entity(frame.entity)
-        method = compiled.method(frame.method)
         is_constructor = frame.method == "__init__"
 
         started = self._instr.clock() if self._instr else 0.0
-        if is_constructor:
+        if is_constructor or state_free:
             instance = compiled.blank_instance()
         else:
             entity_state = state.get(frame.entity, frame.key)
@@ -214,9 +239,10 @@ class OperatorExecutor:
         if kind == "return":
             return self._finish_return(event, execution, state, compiled,
                                        instance, frame, value,
-                                       is_constructor)
+                                       is_constructor, state_free)
         terminator = method.machine.node(node_id).terminator
-        self._flush_state(compiled, instance, frame, state)
+        if not state_free:
+            self._flush_state(compiled, instance, frame, state)
         if kind == "invoke":
             return self._suspend_invoke(event, execution, frame, store,
                                         terminator, value, target)
@@ -251,7 +277,8 @@ class OperatorExecutor:
     def _finish_return(self, event: Event, execution: ExecutionState,
                        state: StateAccess, compiled: CompiledEntity,
                        instance: Any, frame: Frame, value: Any,
-                       is_constructor: bool) -> list[Event]:
+                       is_constructor: bool, state_free: bool,
+                       ) -> list[Event]:
         if is_constructor:
             new_state = compiled.extract_state(instance)
             if self._check_serializable:
@@ -259,7 +286,7 @@ class OperatorExecutor:
             key = compiled.key_of_state(new_state)
             state.create(frame.entity, key, new_state)
             value = EntityRef(entity=frame.entity, key=key)
-        else:
+        elif not state_free:
             self._flush_state(compiled, instance, frame, state)
 
         # State-machine bookkeeping (the "split instrumentation" cost of

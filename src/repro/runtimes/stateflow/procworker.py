@@ -47,14 +47,18 @@ A call chain stays where its state is
 -------------------------------------
 
 While handling a frame the child keeps executing, in FIFO order, every
-INVOKE/RESUME/CREATE it emits whose target it owns (:func:`run_chains`).
-An event for another owner goes straight to that owner's child as a
-:class:`~repro.substrates.wire.Hop` over a direct channel, as the
-simulator's workers exchange events (§4's "internal function-to-function
-communication").  The child's ``Out`` hands the parent only replies,
-events for an owner it has no channel to, and the executor visits no
-frame has reported yet.  A transfer between two owners is one
-``Deliver``, two ``Hop`` frames and one ``Out``.
+INVOKE/RESUME/CREATE it emits whose target it owns (:func:`run_chains`),
+and every RESUME whose continuation the compiler marked state-free,
+whoever owns it: that visit reads and writes no state, so it runs where
+the callee returned.  An event for another owner goes straight to that
+owner's child as a :class:`~repro.substrates.wire.Hop` over a direct
+channel, as the simulator's workers exchange events (§4's "internal
+function-to-function communication").  The child's ``Out`` hands the
+parent only replies, events for an owner it has no channel to, and the
+executor visits no frame has reported yet.  A transfer between two
+owners is one ``Deliver``, one ``Hop`` and one ``Out``, from the
+callee's child.  (The simulator's workers still route every RESUME to
+the caller's owner over the modelled network.)
 
 The parent sets the channels up over the control pipes
 (:class:`~repro.substrates.wire.Connect`, then one passed descriptor)
@@ -132,7 +136,8 @@ def run_chains(executor: OperatorExecutor, store: Any,
                *, direct: bool,
                ) -> tuple[list[Event], dict[int, list[Event]], int]:
     """Execute *events* and, in FIFO order, every INVOKE/RESUME/CREATE
-    they emit whose target worker *index* owns under *routing*.  Returns
+    they emit whose target worker *index* owns under *routing*, and
+    every RESUME that needs no state, whoever owns its target.  Returns
     the replies, the events for other owners by owner, and the number of
     executor visits made.  A client's constructor first becomes the
     CREATE it amounts to, which only its key's owner executes.  Unless
@@ -160,7 +165,8 @@ def run_chains(executor: OperatorExecutor, store: Any,
                 continue
             owner = routing.worker_of(emitted.target.entity,
                                       emitted.target.key)
-            if owner == index:
+            if owner == index or (emitted.kind is EventKind.RESUME
+                                  and executor.is_state_free(emitted)):
                 queue.append(emitted)
             else:
                 others.setdefault(owner, []).append(emitted)

@@ -47,7 +47,9 @@ class LatencyModel:
 
     ``median_ms`` is the distribution's median; ``sigma`` the log-space
     standard deviation (tail heaviness); ``floor_ms`` a physical minimum.
-    Immutable, so the distribution's location is derived once.
+    Immutable, so the distribution's location is derived once.  With
+    ``sigma == 0`` the model is the constant ``max(median_ms, floor_ms)``
+    and draws nothing from the RNG.
     """
 
     median_ms: float
@@ -61,6 +63,8 @@ class LatencyModel:
                            math.log(max(self.median_ms, 1e-9)))
 
     def sample(self, sim: Simulation) -> float:
+        if not self.sigma:
+            return max(self.median_ms, self.floor_ms)
         value = sim.rng.lognormvariate(self.mu, self.sigma)
         return max(value, self.floor_ms)
 

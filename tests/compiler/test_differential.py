@@ -4,9 +4,11 @@ Every ``CompiledMethod.run`` call made while the scenarios below execute
 is replayed, from the same instance state and store, through the
 reference block interpreter (one ``exec`` per block); the two must agree
 on exit kind, node, value, call target, store and the instance's state.
-The scenarios reach every method of the test zoo and shapes, the YCSB and
-TPC-C workloads and the ``examples/`` entities, with control flow split
-lazily and eagerly.
+A call that starts at a continuation the compiler calls state-free is
+also replayed on a blank instance, which must give the same result and
+stay blank.  The scenarios reach every method of the test zoo, its
+instance-reaching routes and shapes, the YCSB and TPC-C workloads and
+the ``examples/`` entities, with control flow split lazily and eagerly.
 
 A second group counts calls: one generated-function call per operator
 visit, and no ``exec`` at all once a program is compiled.
@@ -15,20 +17,24 @@ visit, and no ``exec`` at all once a program is compiled.
 from __future__ import annotations
 
 import copy
-import importlib.util
 import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
 from reference_interpreter import reference_run
 from shapes import Cell, Shape
-from zoo import SHOP_ENTITIES, ZOO_CASES, ZOO_ENTITIES, ZOO_SCOPE_CASES
+from zoo import (
+    REACH_ENTITIES,
+    REACH_METHODS,
+    SHOP_ENTITIES,
+    ZOO_CASES,
+    ZOO_ENTITIES,
+    ZOO_SCOPE_CASES,
+)
 
 from repro import compile_program
 from repro.compiler.codegen import CompiledMethod
-from repro.core.entity import REGISTRY
 from repro.core.errors import InvocationError
 from repro.core.refs import EntityRef
 from repro.ir.events import Event, EventKind, Frame
@@ -37,53 +43,60 @@ from repro.runtimes.executor import OperatorExecutor
 from repro.runtimes.state import DictStateBackend
 from repro.workloads import TPCC_ENTITIES, Account
 
-EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+#: Methods the reference cannot model.  It reads the module's ``LIMIT``
+#: where Python (and the compiled function) raise UnboundLocalError (see
+#: its docstring), and its blocks hold ``self`` as a global, so the frame
+#: that ``locals()``/``vars()`` return has none.
+REFERENCE_GAPS = {("Zoo", "shadowed_global"), ("Reach", "via_locals"),
+                  ("Reach", "via_vars")}
 
-#: The reference reads the module's ``LIMIT`` where Python (and the
-#: compiled function) raise UnboundLocalError; see its docstring.
-REFERENCE_SCOPE_BUG = {("Zoo", "shadowed_global")}
+
+def _twin(instance):
+    """An instance of the same class holding a deep copy of the state."""
+    twin = object.__new__(type(instance))
+    vars(twin).update(copy.deepcopy(vars(instance)))
+    return twin
 
 
-@pytest.fixture(scope="module")
-def example_entities():
-    """The ``examples/`` entity classes, imported without leaving them in
-    the process-global registry or on ``sys.path``."""
-    registered = dict(REGISTRY._classes)
-    modules = {}
-    for name in ("quickstart", "ecommerce_checkout"):
-        spec = importlib.util.spec_from_file_location(
-            f"examples_{name}", EXAMPLES / f"{name}.py")
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = module  # entity source is read via inspect
-        spec.loader.exec_module(module)
-        modules[name] = module
-    REGISTRY._classes.clear()
-    REGISTRY._classes.update(registered)
-    yield {
-        "quickstart": [modules["quickstart"].Item, modules["quickstart"].User],
-        "checkout": [modules["ecommerce_checkout"].Product,
-                     modules["ecommerce_checkout"].Wallet,
-                     modules["ecommerce_checkout"].Cart],
-    }
-    for module in modules.values():
-        sys.modules.pop(module.__name__, None)
+def _outcome(call):
+    """What *call* returns, or the type of the exception it failed with."""
+    try:
+        return call()
+    except InvocationError as exc:
+        return type(exc.__cause__)
 
 
 @pytest.fixture()
 def shadowed(monkeypatch):
     """Patch ``CompiledMethod.run`` to also run the reference and compare;
-    returns ``(arm, checked)`` — ``arm(program)`` selects whose splits the
-    reference interprets, ``checked`` counts compared calls per method."""
+    returns ``(arm, checked, replayed)`` — ``arm(program)`` selects whose
+    splits the reference interprets, ``checked`` counts compared calls
+    per method.
+
+    ``arm`` also takes each method's state-free continuations away from
+    the executor, so every visit runs on the real instance; a call that
+    starts at one of them is replayed on a blank instance, and must come
+    out the same without touching it (``replayed`` counts those)."""
     compiled_run = CompiledMethod.run
     checked: Counter = Counter()
+    replayed: Counter = Counter()
     splits = {}
+    state_free = {}
 
     def run(method, instance, node_id, store):
         name = (method.machine.entity, method.machine.method)
-        if name in REFERENCE_SCOPE_BUG:
+        if node_id in state_free[name]:
+            blank = object.__new__(type(instance))
+            alone = _outcome(lambda: compiled_run(
+                method, blank, node_id, copy.deepcopy(store)))
+            assert not vars(blank), (name, node_id)
+            want = _outcome(lambda: compiled_run(
+                method, _twin(instance), node_id, copy.deepcopy(store)))
+            assert alone == want, (name, node_id)
+            replayed[name] += 1
+        if name in REFERENCE_GAPS:
             return compiled_run(method, instance, node_id, store)
-        twin = object.__new__(type(instance))
-        vars(twin).update(copy.deepcopy(vars(instance)))
+        twin = _twin(instance)
         try:
             want = reference_run(splits[name], method.function.__globals__,
                                  twin, node_id, copy.deepcopy(store))
@@ -110,9 +123,14 @@ def shadowed(monkeypatch):
         splits.update({(entity, method): split
                        for entity, methods in program.splits.items()
                        for method, split in methods.items()})
+        state_free.clear()
+        for entity, compiled in program.entities.items():
+            for method_name, method in compiled.methods.items():
+                state_free[entity, method_name] = method.state_free
+                method.state_free = frozenset()
 
     monkeypatch.setattr(CompiledMethod, "run", run)
-    return arm, checked
+    return arm, checked, replayed
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +147,15 @@ def _drive_zoo(runtime):
         runtime.call(zoo, "local_only", x)
     runtime.call(zoo, "constructs", "fresh", 4)
     runtime.call(zoo, "double_add", counter, 3)
+    runtime.call(counter, "get")
+
+
+def _drive_reach(runtime):
+    counter = runtime.create("Counter", "c1")
+    reach = runtime.create("Reach", "r1")
+    for method in REACH_METHODS:
+        for x in range(3):
+            runtime.call(reach, method, counter, x)
     runtime.call(counter, "get")
 
 
@@ -204,6 +231,7 @@ def _drive_checkout(runtime):
 
 SCENARIOS = {
     "zoo": (lambda examples: ZOO_ENTITIES, _drive_zoo),
+    "reach": (lambda examples: REACH_ENTITIES, _drive_reach),
     "shapes": (lambda examples: [Cell, Shape], _drive_shapes),
     "shop": (lambda examples: SHOP_ENTITIES, _drive_shop),
     "ycsb": (lambda examples: [Account], _drive_ycsb),
@@ -222,14 +250,19 @@ def test_compiled_function_agrees_with_block_interpreter(
     entities, drive = SCENARIOS[scenario]
     program = compile_program(entities(example_entities),
                               split_all_control_flow=split_all)
-    arm, checked = shadowed
+    with_state_free = {(entity, name)
+                       for entity, compiled in program.entities.items()
+                       for name, method in compiled.methods.items()
+                       if method.state_free}
+    arm, checked, replayed = shadowed
     arm(program)
     drive(LocalRuntime(program))
     every_method = {(entity, method)
                     for entity, compiled in program.entities.items()
                     for method in compiled.methods}
-    assert set(checked) | REFERENCE_SCOPE_BUG >= every_method
-    assert all(checked[name] for name in every_method - REFERENCE_SCOPE_BUG)
+    assert set(checked) | REFERENCE_GAPS >= every_method
+    assert all(checked[name] for name in every_method - REFERENCE_GAPS)
+    assert set(replayed) == with_state_free
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,8 @@ class TestPipeline:
         assert "operator User" in text
         assert "[split]" in text
         assert "[transactional]" in text
+        assert ("    buy_item: 6 block(s) [split] [transactional] "
+                "[state-free: buy_item_4]") in text.splitlines()
 
 
 class TestIrSerde:

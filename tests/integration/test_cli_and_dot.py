@@ -174,6 +174,15 @@ class TestDot:
         assert "call Item.price" in dot
         assert "doublecircle" in dot  # return nodes
 
+    def test_state_free_continuations_are_dotted(self, account_program):
+        machine = account_program.entities["Account"].methods[
+            "transfer"].machine
+        dot = machine_to_dot(machine).splitlines()
+        assert [line for line in dot if "style=dotted" in line] == [
+            '  "transfer_1" [shape=doublecircle, style=dotted];']
+        assert ('  "__legend__" [shape=plaintext, '
+                'label="dotted: resumes without entity state"];') in dot
+
     def test_branch_edges_labelled(self, shop_program):
         machine = shop_program.entities["User"].methods["buy_item"].machine
         dot = machine_to_dot(machine)

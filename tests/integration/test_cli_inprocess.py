@@ -39,6 +39,32 @@ def test_compile_describe_dot_round_trip(module_path, tmp_path, capsys):
     assert "Gadget" in out and "digraph" in out
 
 
+def test_describe_lists_the_state_free_continuations(tmp_path, capsys):
+    path = tmp_path / "wallet_app.py"
+    path.write_text(
+        "from repro import entity\n"
+        "@entity\n"
+        "class Wallet:\n"
+        "    def __init__(self, wid: str):\n"
+        "        self.wid: str = wid\n"
+        "        self.funds: int = 10\n"
+        "    def __key__(self):\n"
+        "        return self.wid\n"
+        "    def take(self, n: int) -> int:\n"
+        "        self.funds -= n\n"
+        "        return self.funds\n"
+        "    def pay(self, n: int, other: 'Wallet') -> bool:\n"
+        "        self.funds += n\n"
+        "        left: int = other.take(n)\n"
+        "        return left >= 0\n", encoding="utf-8")
+    ir_path = str(tmp_path / "app.json")
+    assert main(["compile", str(path), "--out", ir_path]) == 0
+    capsys.readouterr()
+    assert main(["describe", ir_path]) == 0
+    assert ("    pay: 2 block(s) [split] [state-free: pay_1]"
+            in capsys.readouterr().out.splitlines())
+
+
 def test_run_create_then_invoke(module_path, capsys):
     assert main(["run", module_path, "Gadget", "__init__", "-",
                  '"g1"']) == 0

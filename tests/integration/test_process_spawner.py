@@ -17,6 +17,8 @@ import signal
 import pytest
 from slot_moves import assert_writes_survive_slot_moves
 
+from repro.core.refs import EntityRef
+from repro.runtimes import LocalRuntime
 from repro.runtimes.stateflow import (
     CoordinatorConfig,
     StateflowConfig,
@@ -91,6 +93,50 @@ def test_transfers_serial_oracle_on_process_substrate(account_program,
         # The children agree with the authoritative store.
         for ref, balance in zip(refs, balances):
             assert runtime.invoke(ref, "read").unwrap() == balance
+    finally:
+        runtime.close()
+
+
+def test_tpcc_payments_serial_oracle_on_process_substrate(tpcc_program):
+    """A TPC-C payment resumes twice without state, each time at the
+    child that ran the call before it.  Concurrent payments across two
+    real processes, with the cluster growing to three mid-history, must
+    leave every customer, district and warehouse where a serial run of
+    the same payments leaves it, and answer each request once."""
+    rows = {"Warehouse": [("w0", 7), ("w1", 7)],
+            "District": [(f"d{i}", 9) for i in range(4)],
+            "Customer": [(f"c{i}", 1_000_000) for i in range(8)]}
+    plan = [(EntityRef("Customer", f"c{i % 8}"), 5 + i % 13,
+             EntityRef("Warehouse", f"w{i % 2}"),
+             EntityRef("District", f"d{(i * 3) % 4}")) for i in range(60)]
+    oracle = LocalRuntime(tpcc_program)
+    for entity, entity_rows in rows.items():
+        for row in entity_rows:
+            oracle.create(entity, *row)
+    for customer, *args in plan:
+        assert oracle.call(customer, "payment", *args) is True
+    runtime = StateflowRuntime(tpcc_program,
+                               config=_process_config(workers=2))
+    try:
+        refs = [ref for entity, entity_rows in rows.items()
+                for ref in runtime.preload(entity, entity_rows)]
+        runtime.start()
+        replies: dict[int, object] = {}
+        for step, (customer, *args) in enumerate(plan):
+            runtime.submit(customer, "payment", tuple(args),
+                           on_reply=lambda r: replies.setdefault(
+                               r.request_id, r.error or r.payload))
+            if step == 30:
+                runtime.request_rescale(3)
+                runtime.sim.run_until(lambda: len(replies) >= step - 5,
+                                      max_time=runtime.sim.now + DEADLINE_MS)
+        assert runtime.sim.run_until(lambda: len(replies) >= len(plan),
+                                     max_time=runtime.sim.now + DEADLINE_MS), (
+            f"only {len(replies)}/{len(plan)} replies before the deadline")
+        assert runtime.coordinator.rescales == 1
+        assert list(replies.values()) == [True] * len(plan)
+        for ref in refs:
+            assert runtime.entity_state(ref) == oracle.entity_state(ref), ref
     finally:
         runtime.close()
 

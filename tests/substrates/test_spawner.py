@@ -198,16 +198,17 @@ def test_a_call_chain_stays_in_the_worker_that_owns_it(two_workers) -> None:
     assert tap.hopped == 0
     assert tap.transfer(owned[1][1], owned[1][0]) == 3
     assert (len(tap.sent) + len(tap.received), tap.hopped) == (4, 0)
-    # Two owners: the chain hops to the callee's child and back without
-    # the parent, which sees only the reply; each owner gets its bucket
-    # acked.
+    # Two owners: the chain hops once, to the callee's child, which also
+    # runs the caller's state-free tail and hands the parent the reply;
+    # each owner gets its bucket acked.
     assert tap.transfer(owned[0][0], owned[1][0]) == 3
     assert Counter(tap.sent) == {"Deliver": 1, "ApplyWrites": 2}
     assert tap.sent[0] == "Deliver"
     assert Counter(tap.received) == {"Out": 1, "Ack": 2}
-    assert tap.hopped == 2
+    assert tap.hopped == 1
+    # Each reply came from the worker whose child ran the chain's end.
+    assert [sender for _, sender in tap.handed_back] == [0, 1, 1]
     # Nothing but replies ever came back.
-    assert tap.handed_back
     assert all(event.kind is EventKind.REPLY for event, _ in tap.handed_back)
     balances = [tap.runtime.entity_state(ref)["balance"]
                 for refs in owned.values() for ref in refs]
@@ -252,11 +253,11 @@ def _transfer(source: str, amount: int, target: str) -> Event:
 
 
 def test_run_chains_continues_only_what_the_table_gives_it(
-        account_program) -> None:
-    """The child's loop, in-process, over the slots worker 0 owns: it
-    keeps every event it emits to itself, sorts an event for another
-    owner by owner after one visit, and unless ``direct`` hands every
-    emitted event back with the replies."""
+        account_program, zoo_program) -> None:
+    """The child's loop, in-process, over the slots one worker owns: it
+    keeps every event it emits to itself and every RESUME that needs no
+    state, sorts any other event for another owner by owner, and unless
+    ``direct`` hands every emitted event back with the replies."""
     executor = OperatorExecutor(account_program.entities)
     routing = SlotAssignment(2, slots=8)
     names = [f"acct-{i}" for i in range(12)]
@@ -277,12 +278,59 @@ def test_run_chains_continues_only_what_the_table_gives_it(
     assert set(reply.txn.write_set) == {("Account", mine[0]),
                                         ("Account", mine[1])}
     out, others, visits = transfer(theirs[0])
-    ((owner, (hop,)),) = others.items()
-    assert (out, owner, hop.kind, hop.target.key, visits) == (
+    ((owner, (invoke,)),) = others.items()
+    assert (out, owner, invoke.kind, invoke.target.key, visits) == (
         [], 1, EventKind.INVOKE, theirs[0], 1)
     (hop,), others, visits = transfer(mine[1], direct=False)
     assert (hop.kind, hop.target.key, others, visits) == (
         EventKind.INVOKE, mine[1], {}, 1)
+    # The callee's worker resumes the caller's state-free tail itself,
+    # though worker 0 owns the caller: one hop, and the reply is its.
+    store = _accounts(names, routing, 1)
+    (reply,), others, visits = procworker.run_chains(
+        executor, store.partition(1), routing, 1, [invoke], direct=True)
+    assert (reply.kind, reply.payload, reply.error, others, visits) == (
+        EventKind.REPLY, True, None, {}, 2)
+    assert reply.txn.write_set == {
+        ("Account", mine[0]): {"account_id": mine[0], "balance": 95,
+                               "payload": ""},
+        ("Account", theirs[0]): {"account_id": theirs[0], "balance": 105,
+                                 "payload": ""}}
+
+    # A tail that needs state goes to the caller's owner.  Zoo.straight
+    # resumes state-free after its first call and needs ``self`` after
+    # its second.
+    zoo = OperatorExecutor(zoo_program.entities)
+    keys = [f"k{i}" for i in range(40)]
+    zid = next(key for key in keys if routing.worker_of("Zoo", key) == 0)
+    cid = next(key for key in keys if routing.worker_of("Counter", key) == 1)
+    stores = [PartitionedStore(2, slots=8) for _ in (0, 1)]
+    for store in stores:
+        store.assignment = routing
+    stores[0].put("Zoo", zid, {"zid": zid, "calls": 0})
+    stores[1].put("Counter", cid, {"cid": cid, "value": 0})
+
+    def call(method: str, x: Any):
+        start = Event(kind=EventKind.INVOKE, target=EntityRef("Zoo", zid),
+                      method=method, args=(EntityRef("Counter", cid), x),
+                      request_id=2, txn=TxnContext(tid=0, batch_id=0))
+        out, others, visits = procworker.run_chains(
+            zoo, stores[0].partition(0), routing, 0, [start], direct=True)
+        assert (out, list(others), visits) == ([], [1], 1)
+        return procworker.run_chains(
+            zoo, stores[1].partition(1), routing, 1, others[1], direct=True)
+
+    out, others, visits = call("straight", 3)
+    ((owner, (resume,)),) = others.items()
+    assert (out, owner, visits) == ([], 0, 3)
+    assert (resume.kind, resume.execution.top.node) == (
+        EventKind.RESUME, "straight_2")
+    # A state-free tail that raises at the callee's worker names the
+    # caller's block that raised.
+    (reply,), others, visits = call("expr_nested", "ab")
+    assert (others, visits) == ({}, 4)
+    assert reply.error.startswith(
+        "error while executing Zoo.expr_nested_2: TypeError(")
 
 
 def test_child_holds_exactly_the_slots_it_owns(account_program) -> None:
@@ -354,10 +402,9 @@ def test_a_hop_routed_under_a_newer_table_waits_for_it(
     assert second.on_hop(hops[1]) == (None, {})
     assert second.on_control(InstallSlot(
         moved, entries.snapshot_slot(moved))) == (None, {})
-    out, back = second.on_control(Routing(after))
-    assert out is None and list(back) == [0]
-    reply, more = first.on_hop(back[0])
-    assert more == {} and reply.visits == 3
+    # The caller's tail needs no state: the new owner ends the chain.
+    reply, back = second.on_control(Routing(after))
+    assert back == {} and reply.visits == 3
     (event,) = reply.events
     assert (event.kind, event.payload, event.error) == (
         EventKind.REPLY, True, None)
@@ -434,8 +481,8 @@ def test_a_transfer_under_the_preset_sets_no_coordinator_timer(
                       != runtime.worker_of(source.entity, source.key))
         assert runtime.invoke(source, "transfer", 1, target).unwrap() is True
         assert delays
-        # The zeroed network model still samples hops of a nanosecond.
-        assert all(delay < 1e-6 for _, delay in delays), delays
+        # The zeroed network model is exactly zero.
+        assert all(delay <= 0 for _, delay in delays), delays
     finally:
         runtime.close()
 

@@ -5,7 +5,9 @@ and helpers.
 The zoo methods deliberately cover every splitting shape: straight-line
 remote calls, remote calls nested in expressions, branches, for/while
 loops with break/continue, early returns in local control flow, helper
-self-calls, and in-method entity construction.
+self-calls, and in-method entity construction.  ``Reach`` reaches its
+instance after a remote call by every route that does not spell
+``self.<attr>``.
 """
 
 from __future__ import annotations
@@ -355,6 +357,128 @@ class OracleZoo:
         return -1
 
 
+# ---------------------------------------------------------------------------
+# Routes to the instance that never write ``self.<attr>`` + oracles
+# ---------------------------------------------------------------------------
+
+
+def calls_of(instance) -> int:
+    """A module helper that reads the instance it is given."""
+    return instance.calls
+
+
+@entity
+class Reach:
+    """After its remote call, each method reaches the instance by a
+    different route, none of them spelled ``self.<attr>``; the compiler
+    must find every continuation stateful."""
+
+    def __init__(self, rid: str):
+        self.rid: str = rid
+        self.calls: int = 7
+
+    def __key__(self):
+        return self.rid
+
+    def via_super(self, c: Counter, x: int) -> int:
+        got: int = c.add(x)
+        return super(Reach, self).__getattribute__("calls") + got
+
+    def via_locals(self, c: Counter, x: int) -> int:
+        got: int = c.add(x)
+        return locals()["self"].calls + got
+
+    def via_vars(self, c: Counter, x: int) -> int:
+        got: int = c.add(x)
+        return vars()["self"].calls + got
+
+    def via_eval(self, c: Counter, x: int) -> int:
+        got: int = c.add(x)
+        return eval("self.calls") + got
+
+    def via_exec(self, c: Counter, x: int) -> int:
+        got: int = c.add(x)
+        box: list = []
+        exec("box.append(self.calls)")
+        return box[0] + got
+
+    def via_lambda(self, c: Counter, x: int) -> int:
+        got: int = c.add(x)
+        return (lambda: self)().calls + got
+
+    def via_comprehension(self, c: Counter, x: int) -> int:
+        got: int = c.add(x)
+        return sum([one.calls for one in (self,)]) + got
+
+    def via_getattr(self, c: Counter, x: int) -> int:
+        got: int = c.add(x)
+        return getattr(self, "calls") + got
+
+    def via_helper(self, c: Counter, x: int) -> int:
+        got: int = c.add(x)
+        return calls_of(self) + got
+
+    def via_self_call(self, c: Counter, x: int) -> int:
+        got: int = c.add(x)
+        again: int = self.via_getattr(c, got)
+        return again + 1
+
+
+class OracleReach:
+    def __init__(self, rid: str):
+        self.rid = rid
+        self.calls = 7
+
+    def via_super(self, c, x):
+        got = c.add(x)
+        return super(OracleReach, self).__getattribute__("calls") + got
+
+    def via_locals(self, c, x):
+        got = c.add(x)
+        return locals()["self"].calls + got
+
+    def via_vars(self, c, x):
+        got = c.add(x)
+        return vars()["self"].calls + got
+
+    def via_eval(self, c, x):
+        got = c.add(x)
+        return eval("self.calls") + got
+
+    def via_exec(self, c, x):
+        got = c.add(x)
+        box = []
+        exec("box.append(self.calls)")
+        return box[0] + got
+
+    def via_lambda(self, c, x):
+        got = c.add(x)
+        return (lambda: self)().calls + got
+
+    def via_comprehension(self, c, x):
+        got = c.add(x)
+        return sum([one.calls for one in (self,)]) + got
+
+    def via_getattr(self, c, x):
+        got = c.add(x)
+        return getattr(self, "calls") + got
+
+    def via_helper(self, c, x):
+        got = c.add(x)
+        return calls_of(self) + got
+
+    def via_self_call(self, c, x):
+        got = c.add(x)
+        again = self.via_getattr(c, got)
+        return again + 1
+
+
+#: Every route, by method name.
+REACH_METHODS = ["via_super", "via_locals", "via_vars", "via_eval",
+                 "via_exec", "via_lambda", "via_comprehension",
+                 "via_getattr", "via_helper", "via_self_call"]
+
+
 #: (method, args-builder) pairs shared by equivalence tests; each args
 #: builder takes an int seed and returns positional args after the
 #: Counter ref.
@@ -384,3 +508,4 @@ ZOO_SCOPE_CASES = [
 
 SHOP_ENTITIES = [Item, User]
 ZOO_ENTITIES = [Counter, Zoo]
+REACH_ENTITIES = [Counter, Reach]
