@@ -186,6 +186,11 @@ class CoordinatorHooks:
     #: substrate (capture -> transfer -> install), acking via callback.
     migrate_slot: Callable[
         [int, int, int, Callable[[], None]], None] = None  # type: ignore[assignment]
+    #: When the oldest commit bucket a worker has not acked yet was sent,
+    #: or ``None``.  Only a worker whose ``apply_writes`` completes before
+    #: its ack (a process worker) reports one; a simulated worker's ack
+    #: is part of the commit.
+    unacked_since: Callable[[], float | None] = lambda: None
 
 
 @dataclass(slots=True)
@@ -1120,6 +1125,13 @@ class Coordinator:
                     >= self.config.failure_detect_ms):
                 self.rescale_aborts += 1
                 self.recover()
+            return
+        # A bucket its worker never acked holds up no batch, yet that
+        # worker may have lost it: the same stall, seen elsewhere.
+        unacked = self.hooks.unacked_since()
+        if (unacked is not None
+                and self.sim.now - unacked >= self.config.failure_detect_ms):
+            self.recover()
             return
         oldest = self.active
         if oldest is None:

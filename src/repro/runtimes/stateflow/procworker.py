@@ -23,8 +23,8 @@ a key another worker owns:
 
 * its :class:`~repro.substrates.wire.Seed` carries the entries of the
   slots it owns, and the table;
-* a commit bucket goes to its owner alone, acked, and single-key
-  write-backs happen in the owner's child;
+* a commit bucket goes to its owner alone, acked but not awaited (see
+  below), and single-key write-backs happen in the owner's child;
 * when a slot changes hands the destination proxy ships the slot's
   entries to its child (:class:`~repro.substrates.wire.InstallSlot`,
   un-acked, FIFO ahead of the new table), and a child drops the slots a
@@ -42,6 +42,30 @@ in-flight older batch, which is exactly the hazard Aria's deterministic
 conflict check already handles — any transaction whose read set overlaps
 an in-flight older batch's writes is aborted as stale and re-run in the
 fallback, so such reads never commit.
+
+A commit is done when the parent's store holds it
+-------------------------------------------------
+
+:meth:`ProcessWorkerProxy.apply_writes` installs a bucket in the
+authoritative store, writes it to the owner's pipe, and completes at
+once: the reply, the batch close and the next seal do not wait for the
+child.  What the wait used to guarantee — a child sees a commit before
+any event of a later batch reads it — is a written rule instead, FIFO
+across a child's two inputs:
+
+* the parent sends every frame of a child down one pipe, so a
+  ``Deliver`` or ``ExecuteSingleKey`` of a later batch queues behind
+  the bucket;
+* a :class:`~repro.substrates.wire.Hop` arrives on a channel, so before
+  a child runs any hop it handles every frame already in its pipe.  The
+  parent wrote the bucket before it dispatched the batch whose chain
+  produced the hop, so the bucket is in the pipe by the time the hop is
+  read.
+
+The bucket is still acked.  The :class:`~repro.substrates.wire.Ack`
+keeps one job, liveness: a bucket unacknowledged for
+``failure_detect_ms`` (:meth:`ProcessWorkerProxy.unacked_since`) trips
+the coordinator's watchdog exactly as a stalled batch does.
 
 A call chain stays where its state is
 -------------------------------------
@@ -317,7 +341,9 @@ def _worker_main(conn: Any, index: int,
                  check_state_serializable: bool) -> None:  # pragma: no cover
     """Child-process main loop: wait on the control pipe and every
     channel, hand each frame to the :class:`ChildWorker`, send what it
-    returns.
+    returns.  Before it runs a hop it handles every frame already in the
+    pipe, so a hop sees each bucket the parent committed before the hop
+    existed (see the module docstring).
 
     Untraced by coverage (it runs in a forked process); its behaviour is
     exercised end-to-end by the process-spawner smoke and parity tests.
@@ -378,25 +404,30 @@ def _worker_main(conn: Any, index: int,
             return False
         return True
 
+    def control() -> bool:
+        """Handle the next frame from the parent; False once this
+        process must exit."""
+        try:
+            message = decode_frame(conn.recv_bytes())
+        except (EOFError, OSError):
+            return False  # parent died or tore us down
+        if isinstance(message, Shutdown):
+            return False
+        if not isinstance(message, Connect):
+            return send(*worker.on_control(message))
+        if message.peer in channels:
+            drop(channels[message.peer])
+        channel = _Channel(message.peer, reduction.recv_handle(conn))
+        channels[message.peer] = channel
+        worker.peers.add(message.peer)
+        selector.register(channel.sock, readable, channel)
+        return True
+
     while True:
         for key, mask in selector.select():
             channel = key.data
             if channel is None:
-                try:
-                    message = decode_frame(conn.recv_bytes())
-                except (EOFError, OSError):
-                    return  # parent died or tore us down
-                if isinstance(message, Shutdown):
-                    return
-                if isinstance(message, Connect):
-                    if message.peer in channels:
-                        drop(channels[message.peer])
-                    channel = _Channel(message.peer,
-                                       reduction.recv_handle(conn))
-                    channels[message.peer] = channel
-                    worker.peers.add(message.peer)
-                    selector.register(channel.sock, readable, channel)
-                elif not send(*worker.on_control(message)):
+                if not control():
                     return
                 continue
             if mask & writable and channel.sock.fileno() >= 0:
@@ -412,7 +443,11 @@ def _worker_main(conn: Any, index: int,
             if not chunk:
                 drop(channel)
                 continue
-            for hop in channel.decoder.feed(chunk):
+            hops = channel.decoder.feed(chunk)
+            while hops and conn.poll():
+                if not control():
+                    return
+            for hop in hops:
                 if not send(*worker.on_hop(hop)):
                     return
 
@@ -474,6 +509,9 @@ class ProcessWorkerProxy:
         self._links: dict[int, int] = {}
         self._seq = 0
         self._pending: dict[int, Callable[[Any], None]] = {}
+        #: seq -> kernel time sent, of every commit bucket the child has
+        #: not acked yet, oldest first.
+        self._unacked: dict[int, float] = {}
         self._outbox: list[Event] = []
         self._flush_scheduled = False
         self._process: Any = None
@@ -525,6 +563,7 @@ class ProcessWorkerProxy:
                 os.kill(process.pid, signal.SIGKILL)
                 process.join(timeout=5.0)
         self._pending.clear()
+        self._unacked.clear()
         self._outbox.clear()
         self._flush_scheduled = False
 
@@ -599,7 +638,9 @@ class ProcessWorkerProxy:
             self.events_processed += message.visits
             for event in message.events:
                 self._emit(event)
-        elif isinstance(message, (Ack, SingleKeyDone)):
+        elif isinstance(message, Ack):
+            self._unacked.pop(message.seq, None)
+        elif isinstance(message, SingleKeyDone):
             handler = self._pending.pop(message.seq, None)
             if handler is not None:
                 handler(message)
@@ -667,9 +708,17 @@ class ProcessWorkerProxy:
         self.store.apply_writes(writes)
         self.writes_applied += len(writes)
         seq = self._next_seq()
-        self._pending[seq] = lambda message: on_done()
+        self._unacked[seq] = self.sim.now
         self._send(ApplyWrites(writes, seq=seq,
                                incarnation=self.incarnation, ack=True))
+        # Done: whatever this sets off reaches the child behind the
+        # bucket (module docstring), and the ack is the watchdog's.
+        on_done()
+
+    def unacked_since(self) -> float | None:
+        """When the oldest commit bucket the child has not acked was
+        sent, or ``None``: the failure detector's commit-phase signal."""
+        return next(iter(self._unacked.values()), None)
 
     # -- Worker API: slot migration (parent-side) -----------------------
     def capture_slot(self, slot: int, on_done: Callable[[Any], None],

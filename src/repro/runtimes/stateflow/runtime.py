@@ -181,6 +181,8 @@ class StateflowRuntime(Runtime):
             execute_single_key=self._execute_single_key,
             set_worker_count=self._set_worker_count,
             migrate_slot=self._migrate_slot)
+        if self.spawner.wallclock:
+            hooks.unacked_since = self._unacked_since
         #: The closed-loop capacity controller, when enabled (a supplied
         #: policy implies enablement).  One controller per runtime: its
         #: windowed sampler state and decision log live outside the
@@ -422,6 +424,13 @@ class StateflowRuntime(Runtime):
                 on_done, src=name, dst="coordinator"),
             incarnation=incarnation),
             src="coordinator", dst=name)
+
+    def _unacked_since(self) -> float | None:
+        """Process workers: when the oldest commit bucket one of them
+        has not acked was sent."""
+        return min((sent for worker in self.workers
+                    if (sent := worker.unacked_since()) is not None),
+                   default=None)
 
     def _restore_workers(self) -> None:
         for worker in self.workers:

@@ -163,7 +163,12 @@ class Deliver:
 @dataclass(slots=True)
 class ApplyWrites:
     """Install a committed write set into the owner's store.  ``ack``
-    asks for an :class:`Ack` once it is installed."""
+    asks for an :class:`Ack` once it is installed.
+
+    The sender completes the commit without waiting for the worker.  The
+    worker must therefore handle every frame already in its pipe before
+    it runs a :class:`Hop`: the hop may read these writes, which were
+    sent before the batch that produced it."""
 
     writes: dict
     seq: int = 0
@@ -243,7 +248,10 @@ class Hop:
 
 @dataclass(slots=True)
 class Ack:
-    """Completion of a sequenced request (ApplyWrites)."""
+    """The worker installed :class:`ApplyWrites` number ``seq``.  Nothing
+    waits for it; it is the failure detector's sign of life, and a
+    bucket left unacknowledged for ``failure_detect_ms`` counts as a
+    stalled batch."""
 
     seq: int
     incarnation: int = 0

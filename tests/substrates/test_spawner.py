@@ -11,7 +11,12 @@ counts of frames, executor visits and loopback records.
 from __future__ import annotations
 
 import multiprocessing
+import os
+import signal
+import socket
 from collections import Counter
+from dataclasses import replace
+from multiprocessing import reduction
 from typing import Any
 
 import pytest
@@ -38,7 +43,20 @@ from repro.substrates import (
     WallClock,
     make_spawner,
 )
-from repro.substrates.wire import Deliver, Hop, InstallSlot, Routing, Seed
+from repro.substrates.wire import (
+    Ack,
+    ApplyWrites,
+    Connect,
+    Deliver,
+    Hop,
+    InstallSlot,
+    Out,
+    Routing,
+    Seed,
+    Shutdown,
+    decode_frame,
+    encode_frame,
+)
 from repro.workloads import Account
 
 
@@ -144,11 +162,18 @@ class HopTap:
 
     def transfer(self, source: EntityRef, target: EntityRef) -> int:
         """One committed transfer; returns the executor visits it took
-        and leaves its frames in ``sent``/``received``/``hopped``."""
+        and leaves its frames in ``sent``/``received``/``hopped``.  The
+        reply does not wait for the owners' acks, so this does: every
+        frame of the transfer is counted, and none of the next."""
         del self.sent[:], self.received[:]
         before, hops = self.visits(), self._hops.value
         assert self.runtime.invoke(source, "transfer", 1,
                                    target).unwrap() is True
+        kernel = self.runtime.sim
+        assert kernel.run_until(
+            lambda: all(worker.unacked_since() is None
+                        for worker in self.runtime.workers),
+            max_time=kernel.now + 5_000.0)
         self.hopped = self._hops.value - hops
         return self.visits() - before
 
@@ -191,7 +216,7 @@ def two_workers(account_program, monkeypatch, request):
 def test_a_call_chain_stays_in_the_worker_that_owns_it(two_workers) -> None:
     tap, owned = two_workers
     # Same owner: the chain crosses the pipe once, then commits — one
-    # acked bucket, to the owner alone.
+    # acked bucket, to the owner alone, acked after the reply's Out.
     assert tap.transfer(owned[0][0], owned[0][1]) == 3
     assert tap.sent == ["Deliver", "ApplyWrites"]
     assert tap.received == ["Out", "Ack"]
@@ -205,6 +230,7 @@ def test_a_call_chain_stays_in_the_worker_that_owns_it(two_workers) -> None:
     assert Counter(tap.sent) == {"Deliver": 1, "ApplyWrites": 2}
     assert tap.sent[0] == "Deliver"
     assert Counter(tap.received) == {"Out": 1, "Ack": 2}
+    assert tap.received[0] == "Out"
     assert tap.hopped == 1
     # Each reply came from the worker whose child ran the chain's end.
     assert [sender for _, sender in tap.handed_back] == [0, 1, 1]
@@ -228,9 +254,126 @@ def test_kafka_channels_loop_every_hop_through_the_broker(
     assert tap.transfer(owned[0][0], owned[0][1]) == 3
     assert Counter(tap.sent) == {"Deliver": 3, "ApplyWrites": 1}
     assert Counter(tap.received) == {"Out": 3, "Ack": 1}
+    assert tap.received[-1] == "Ack"
     assert tap.hopped == 0
     # The request, its reply, and one loopback per hop between entities.
     assert broker.records_produced - before == 2 + 2
+
+
+def _read(key: str) -> Event:
+    return Event(kind=EventKind.INVOKE, target=EntityRef("Account", key),
+                 method="read", request_id=1,
+                 txn=TxnContext(tid=0, batch_id=0))
+
+
+def _next_out(conn: Any) -> Out:
+    """The next ``Out`` a child sends up its pipe, skipping its acks."""
+    while True:
+        assert conn.poll(5.0), "the child sent nothing"
+        message = decode_frame(conn.recv_bytes())
+        if isinstance(message, Out):
+            return message
+
+
+def test_a_hop_runs_after_every_frame_already_in_the_pipe(
+        account_program) -> None:
+    """A commit completes once the parent's store holds it, so a child
+    can be sent a bucket and then, by way of another child, a hop that
+    reads what the bucket wrote.  Here both are queued while the child
+    is stopped, the hop first: the child must still install the bucket
+    before it runs the hop."""
+    routing = SlotAssignment(2, slots=8)
+    key = next(key for key in (f"acct-{i}" for i in range(16))
+               if routing.worker_of("Account", key) == 1)
+    entries = _accounts([key], routing, 1)
+    context = procworker._MP_CONTEXT
+    conn, child_conn = context.Pipe(duplex=True)
+    child = context.Process(
+        target=procworker._worker_main,
+        args=(child_conn, 1, account_program.entities, False), daemon=True)
+    child.start()
+    child_conn.close()
+    peer, theirs = socket.socketpair()
+    try:
+        conn.send_bytes(encode_frame(Seed(
+            {slot: entries.snapshot_slot(slot)
+             for slot in routing.slots_of(1)}, routing, direct=True)))
+        conn.send_bytes(encode_frame(Connect(0)))
+        reduction.send_handle(conn, theirs.fileno(), child.pid)
+        theirs.close()
+        # Answered only once the seed and the channel are in place.
+        conn.send_bytes(encode_frame(Deliver([_read(key)])))
+        assert _next_out(conn).events[0].payload == 100
+        os.kill(child.pid, signal.SIGSTOP)
+        try:
+            assert os.waitpid(child.pid, os.WUNTRACED)[0] == child.pid
+            peer.sendall(encode_frame(Hop([_read(key)])))
+            conn.send_bytes(encode_frame(ApplyWrites(
+                {("Account", key): {"account_id": key, "balance": 7,
+                                    "payload": ""}}, seq=1)))
+        finally:
+            os.kill(child.pid, signal.SIGCONT)
+        (reply,) = _next_out(conn).events
+        assert (reply.kind, reply.payload) == (EventKind.REPLY, 7)
+    finally:
+        peer.close()
+        conn.send_bytes(encode_frame(Shutdown()))
+        child.join(timeout=5.0)
+        conn.close()
+    assert child.exitcode == 0
+
+
+@pytest.mark.slow
+def test_a_lost_ack_holds_no_reply_and_trips_the_watchdog(
+        account_program, monkeypatch) -> None:
+    """The first incarnation of every child swallows its acks.  A
+    transfer between two owners is still answered, without a recovery:
+    the reply never waited for an ack.  With nothing else sent, the
+    watchdog then recovers once, ``failure_detect_ms`` after the first
+    bucket went out, and the balances are those of the one transfer."""
+    on_control = procworker.ChildWorker.on_control
+
+    def swallowing_acks(worker, message):
+        out, hops = on_control(worker, message)
+        if isinstance(out, Ack) and worker.incarnation == 0:
+            out = None
+        return out, hops
+
+    # Patched before the children fork, so it is theirs.
+    monkeypatch.setattr(procworker.ChildWorker, "on_control",
+                        swallowing_acks)
+    detect_ms = 400.0
+    overrides = process_stateflow_overrides(workers=2)
+    overrides["coordinator"] = replace(overrides["coordinator"],
+                                       failure_detect_ms=detect_ms)
+    runtime = StateflowRuntime(account_program,
+                               config=StateflowConfig(**overrides))
+    try:
+        refs = runtime.preload(Account,
+                               [(f"acct-{i}", 100) for i in range(12)])
+        runtime.start()
+        source = refs[0]
+        target = next(ref for ref in refs
+                      if runtime.worker_of(ref.entity, ref.key)
+                      != runtime.worker_of(source.entity, source.key))
+        coordinator, kernel = runtime.coordinator, runtime.sim
+        assert runtime.invoke(source, "transfer", 30, target).unwrap() is True
+        assert coordinator.recoveries == 0
+        sent_at = coordinator.hooks.unacked_since()
+        assert sent_at is not None
+        assert kernel.run_until(lambda: coordinator.recoveries == 1,
+                                max_time=sent_at + 2 * detect_ms)
+        assert kernel.now - sent_at >= detect_ms
+        kernel.run(until=kernel.now + 2 * detect_ms)
+        assert coordinator.recoveries == 1
+        assert coordinator.hooks.unacked_since() is None
+        expected = {ref: 100 for ref in refs}
+        expected[source], expected[target] = 70, 130
+        for ref, balance in expected.items():
+            assert runtime.entity_state(ref)["balance"] == balance
+            assert runtime.invoke(ref, "read").unwrap() == balance
+    finally:
+        runtime.close()
 
 
 def _accounts(names: list[str], routing: SlotAssignment,
