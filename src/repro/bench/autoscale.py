@@ -31,6 +31,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..control import AutoscalePolicy
+from ..control.policy import (HIGH_QUEUE_DEPTH, HOT_KEY_SHARE,
+                              HOT_SLOT_SHARE, MIN_WORKERS)
 from ..workloads.generator import DriverConfig, WorkloadDriver
 from ..workloads.ycsb import Account, YcsbWorkload
 from .harness import build_runtime, ycsb_program
@@ -283,16 +285,16 @@ def run_autoscale_bench(*, seed: int = 42,
             "sample_interval_ms": used_policy.sample_interval_ms,
             "high_txns_per_worker_s": used_policy.high_txns_per_worker_s,
             "low_txns_per_worker_s": used_policy.low_txns_per_worker_s,
-            "high_queue_depth": used_policy.high_queue_depth,
+            "high_queue_depth": HIGH_QUEUE_DEPTH,
             "saturated_samples": used_policy.saturated_samples,
             "idle_samples": used_policy.idle_samples,
             "cooldown_ms": used_policy.cooldown_ms,
-            "min_workers": used_policy.min_workers,
+            "min_workers": MIN_WORKERS,
             "max_workers": used_policy.max_workers,
             "target_txns_per_worker_s":
                 used_policy.target_txns_per_worker_s,
-            "hot_slot_share": used_policy.hot_slot_share,
-            "hot_key_share": used_policy.hot_key_share,
+            "hot_slot_share": HOT_SLOT_SHARE,
+            "hot_key_share": HOT_KEY_SHARE,
         },
         "runs": {
             "autoscale": scaled.as_dict(),

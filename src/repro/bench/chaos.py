@@ -140,14 +140,17 @@ def run_chaos_cell(system: str = "stateflow", workload_name: str = "T",
                    distribution: str = "uniform", *, rps: float = 120.0,
                    duration_ms: float = 3_000.0, record_count: int = 50,
                    seed: int = 42, plan: FaultPlan | None = None,
-                   pipeline_depth: int | None = None,
-                   snapshot_mode: str | None = None,
-                   changelog: bool | None = None,
-                   autoscale: bool = False,
-                   durability_dir: str | None = None,
+                   runtime_overrides: dict[str, Any] | None = None,
                    drain_ms: float = 30_000.0,
                    bucket_ms: float = 250.0) -> ChaosReport:
     """Run one chaos cell; ``plan=None`` generates ``random_plan(seed)``.
+
+    *runtime_overrides* is the :func:`~repro.bench.harness.build_runtime`
+    mapping (``--pipeline-depth``, ``--snapshot-mode``, ``--autoscale``,
+    ``--durable`` on the CLI); StateFlow runs it over
+    :func:`chaos_coordinator_config`.  Under ``autoscale`` the
+    controller's decisions must compose with, and survive, the injected
+    failures.
 
     The run window is ``duration_ms`` of load plus ``drain_ms`` of
     settling; every submitted request must complete exactly once within
@@ -171,18 +174,7 @@ def run_chaos_cell(system: str = "stateflow", workload_name: str = "T",
     overrides: dict[str, Any] = {"fault_plan": plan}
     if system == "stateflow":
         overrides["coordinator"] = chaos_coordinator_config()
-        if pipeline_depth is not None:
-            overrides["pipeline_depth"] = pipeline_depth
-        if snapshot_mode is not None:
-            overrides["snapshot_mode"] = snapshot_mode
-        if changelog is not None:
-            overrides["changelog"] = changelog
-        if autoscale:
-            # Chaos under a closed loop: the controller's decisions must
-            # compose with (and survive) the injected failures.
-            overrides["autoscale"] = True
-        if durability_dir is not None:
-            overrides["durability_dir"] = durability_dir
+    overrides.update(runtime_overrides or {})
     runtime = build_runtime(system, program, seed=seed, **overrides)
 
     trace: list[tuple] = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
 
@@ -45,21 +45,33 @@ def ycsb_program() -> CompiledProgram:
     return _PROGRAM_CACHE[0]
 
 
+#: A flat override naming one of these (``pipeline_depth=1``) is set on
+#: the deployment's coordinator config.
+_COORDINATOR_FIELDS = frozenset(f.name for f in fields(CoordinatorConfig))
+
+
 def build_runtime(system: str, program: CompiledProgram, seed: int = 42,
                   **overrides: Any):
     """Instantiate a runtime: ``"statefun"`` or ``"stateflow"``.
 
-    StateFlow honours ``spawner=`` in *overrides*: the kernel comes from
-    the chosen spawner (virtual-time :class:`Simulation` for
+    For StateFlow, *overrides* is one flat mapping: a key naming a
+    :class:`CoordinatorConfig` field is set on ``coordinator`` (the
+    mapping's own, e.g. a cell's preset, or the default), every other
+    key on the :class:`StateflowConfig`.  The kernel comes from the
+    chosen ``spawner`` (virtual-time :class:`Simulation` for
     ``"simulator"``, a real-time :class:`~repro.substrates.wallclock.
     WallClock` for ``"process"``)."""
     if system == "statefun":
-        config = StatefunConfig(**overrides) if overrides else StatefunConfig()
         return StatefunRuntime(program, sim=Simulation(seed=seed),
-                               config=config)
+                               config=StatefunConfig(**overrides))
     if system == "stateflow":
-        config = (StateflowConfig(**overrides) if overrides
-                  else StateflowConfig())
+        tuning = {key: overrides.pop(key) for key in list(overrides)
+                  if key in _COORDINATOR_FIELDS}
+        if tuning:
+            overrides["coordinator"] = replace(
+                overrides.get("coordinator") or CoordinatorConfig(),
+                **tuning)
+        config = StateflowConfig(**overrides)
         kernel = make_spawner(config.spawner).make_kernel(seed)
         return StateflowRuntime(program, sim=kernel, config=config)
     raise ValueError(f"unknown system {system!r}")
@@ -174,19 +186,23 @@ def run_ycsb_cell(system: str, workload_name: str, distribution: str,
                   *, rps: float = 100.0, duration_ms: float = 20_000.0,
                   record_count: int = 1000, seed: int = 42,
                   drain_ms: float = 8_000.0,
-                  fault_plan: Any | None = None,
                   runtime_overrides: dict[str, Any] | None = None,
-                  spawner: str = "simulator",
                   ) -> ExperimentRow:
-    """Run one (system, workload, distribution, rate) cell, optionally
-    under a :class:`~repro.faults.FaultPlan` (``--faults`` on the CLI).
+    """Run one (system, workload, distribution, rate) cell.
 
-    ``spawner="process"`` runs the cell on real worker processes
-    (StateFlow only); the duration is then wall-clock seconds, so
-    callers should pick a far smaller cell than the simulator defaults.
+    *runtime_overrides* is the :func:`build_runtime` mapping: a
+    ``fault_plan`` runs the cell under a :class:`~repro.faults.
+    FaultPlan` (``--faults`` on the CLI), and ``spawner="process"`` runs
+    it on real worker processes (StateFlow only) under
+    :func:`process_stateflow_overrides`; the duration is then
+    wall-clock milliseconds, so callers should pick a far smaller cell
+    than the simulator defaults.
     """
     from ..ir.dataflow import stable_hash
 
+    overrides = dict(runtime_overrides or {})
+    fault_plan = overrides.get("fault_plan")
+    spawner = overrides.get("spawner", "simulator")
     wallclock = spawner != "simulator"
     if wallclock and system != "stateflow":
         raise ValueError(
@@ -201,9 +217,6 @@ def run_ycsb_cell(system: str, workload_name: str, distribution: str,
     seed = seed + stable_hash(
         f"{system}|{workload_name}|{distribution}|{rps}") % 997
     program = ycsb_program()
-    overrides = dict(runtime_overrides or {})
-    if fault_plan is not None:
-        overrides.setdefault("fault_plan", fault_plan)
     if wallclock:
         overrides = process_stateflow_overrides(**overrides)
     runtime = build_runtime(system, program, seed=seed, **overrides)

@@ -55,14 +55,13 @@ GATE_MAX_RATIO = 0.25
 GATE_RECORDS = 10_000
 
 
-def recovery_coordinator_config(mode: str) -> CoordinatorConfig:
+def recovery_coordinator_config() -> CoordinatorConfig:
     """Frequent cuts + per-key restore cost so a short run produces a
     meaningful capture ledger and a state-size-dependent recovery time.
-    Identical across modes except the snapshot mode itself, so the two
-    runs of a pair stay trace-identical."""
+    Both snapshot modes run under it, so the two runs of a pair stay
+    trace-identical."""
     return CoordinatorConfig(snapshot_interval_ms=250.0,
                              failure_detect_ms=200.0,
-                             snapshot_mode=mode,
                              snapshot_base_every=6,
                              snapshot_footprints=True,
                              restore_cost_ms_per_key=0.0005)
@@ -183,10 +182,10 @@ def _run_one(mode: str, records: int, *, seed: int,
              rps: float, duration_ms: float, drain_ms: float,
              durability_dir: str | None = None
              ) -> tuple[RecoveryRow, Any]:
-    config = recovery_coordinator_config(mode)
-    config.durability_dir = durability_dir
     runtime = build_runtime(
-        "stateflow", ycsb_program(), seed=seed, coordinator=config)
+        "stateflow", ycsb_program(), seed=seed, snapshot_mode=mode,
+        durability_dir=durability_dir,
+        coordinator=recovery_coordinator_config())
     trace: list[tuple] = []
     runtime.reply_tap = lambda reply: trace.append(
         (reply.request_id, repr(reply.payload), reply.error))

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..faults import FaultPlan
 from ..rescale import RescalePlan, staged_plan
 from ..runtimes.state import materialize_snapshot
 from ..workloads.generator import DriverConfig, WorkloadDriver
@@ -110,13 +109,15 @@ def run_rescale_cell(workload_name: str = "T",
                      plan: RescalePlan | None = None,
                      rps: float = 150.0, duration_ms: float = 4_000.0,
                      record_count: int = 60, seed: int = 42,
-                     fault_plan: FaultPlan | None = None,
-                     pipeline_depth: int | None = None,
-                     snapshot_mode: str | None = None,
-                     changelog: bool | None = None,
+                     runtime_overrides: dict[str, Any] | None = None,
                      drain_ms: float = 30_000.0) -> RescaleReport:
     """Run one rescale cell; ``plan=None`` uses the canonical
     2 -> 4 -> 3 staged plan spread across the load window.
+
+    *runtime_overrides* is the :func:`~repro.bench.harness.build_runtime`
+    mapping (``--faults``, ``--pipeline-depth``, ``--snapshot-mode``,
+    ``--durable`` on the CLI), applied over the chaos coordinator
+    preset; a ``fault_plan`` in it runs the rescale under chaos.
 
     Every submitted request must complete exactly once and the final
     committed history must satisfy the serial oracle — violations land
@@ -126,13 +127,10 @@ def run_rescale_cell(workload_name: str = "T",
         plan = staged_plan((workers * 2, max(workers * 2 - 1, 1)),
                            start_ms=duration_ms * 0.3,
                            interval_ms=duration_ms * 0.3)
-    runtime = build_runtime(
-        "stateflow", ycsb_program(), seed=seed,
-        workers=workers,
-        rescale_plan=plan, fault_plan=fault_plan,
-        pipeline_depth=pipeline_depth,
-        snapshot_mode=snapshot_mode, changelog=changelog,
-        coordinator=chaos_coordinator_config())
+    overrides: dict[str, Any] = {"coordinator": chaos_coordinator_config(),
+                                 **(runtime_overrides or {})}
+    runtime = build_runtime("stateflow", ycsb_program(), seed=seed,
+                            workers=workers, rescale_plan=plan, **overrides)
 
     trace: list[tuple] = []
     completions: list[float] = []
@@ -188,7 +186,7 @@ def run_rescale_cell(workload_name: str = "T",
     problems = verify_history(sent=result.sent, completed=completed,
                               trace=trace, state=state, workload=workload,
                               workload_name=workload_name)
-    if fault_plan is None and plan.steps:
+    if runtime.config.fault_plan is None and plan.steps:
         # Fault-free runs must land exactly on the plan's final target;
         # under chaos a step can legitimately be lost to a coordinator
         # crash, so only the invariants above apply.

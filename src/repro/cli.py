@@ -1,65 +1,15 @@
-"""Command-line interface: ``python -m repro <command>``.
-
-Commands:
-
-- ``compile <module.py> --out app.json`` — import a Python file, compile
-  every ``@entity`` class it defines, and write the portable IR;
-- ``describe <app.json>`` — print a human-readable summary of an IR file;
-- ``dot <app.json> [--method Entity.method]`` — emit Graphviz DOT for the
-  operator dataflow or one method's state machine;
-- ``run <module.py> <Entity> <method> <key> [args...]`` — quick local
-  execution against a fresh Local runtime (debugging aid);
-- ``bench [--system ...] ...`` — run one YCSB benchmark cell on a
-  simulated runtime and print its row;
-  ``--cell pipeline`` instead sweeps the epoch-pipeline depth
-  (1/2/4) on a saturating cell and writes ``BENCH_pipeline.json``;
-  ``--cell recovery`` sweeps snapshot mode (full/incremental) against
-  state size, measuring snapshot bytes/cut and recovery time, and
-  writes ``BENCH_recovery.json`` with the <= 0.25x capture-volume gate;
-  ``--cell autoscale`` drives a zipfian rate/skew ramp twice — once
-  with the closed-loop controller, once at fixed size — and writes
-  ``BENCH_autoscale.json`` with the post-scale p99-SLO gate;
-  ``--cell views`` registers six standing queries (count/sum/rollup/
-  min/max/top-k), drives a write mix at 10k-100k keys plus a durable
-  cold-start leg, and writes ``BENCH_views.json`` with the >=10x
-  incremental-vs-full-scan speedup gate, the freshness-lag gate, and
-  the >=10x sidecar-resume-vs-rehydration gate;
-  ``--rps-sweep R1,R2,...`` turns the ycsb cell into a rate sweep;
-- ``chaos plan --seed N --out plan.json`` — generate a reproducible
-  random fault plan;
-- ``chaos run [--plan plan.json] [--seed N] ...`` — execute a workload
-  under a fault plan and verify the committed history (exactly-once,
-  conservation), printing recovery/availability metrics and a trace
-  digest that is identical across reruns of the same seed;
-- ``rescale plan --targets 4,3 --out plan.json`` — generate a
-  declarative elastic-rescale schedule;
-- ``rescale run [--plan plan.json] [--faults chaos.json] ...`` — run a
-  workload that resizes the StateFlow cluster mid-stream (optionally
-  under chaos), verify the committed history, and report migration
-  pause times and post-rescale throughput.
-
-``run`` and ``bench`` accept ``--faults plan.json`` to run under a
-fault plan (see :mod:`repro.faults`), and ``--rescale plan.json`` to
-resize the cluster mid-run (StateFlow only; see :mod:`repro.rescale`).
-``bench`` and ``chaos run`` accept ``--autoscale`` to attach the
-closed-loop controller that sizes the cluster itself (see
-:mod:`repro.control`); it does not compose with ``--rescale`` (two
-scaling authorities would fight over the same barrier).  ``bench``,
-``chaos run`` and ``rescale run`` accept ``--pipeline-depth N`` to set
-the StateFlow epoch pipeline's bound (1 = the strictly serial
-pre-pipeline batching), ``--snapshot-mode full|incremental`` to pick
-the durability path (incremental = dirtied-slots cuts chained to
-periodic bases, plus a per-commit changelog) and ``--changelog on|off``
-to toggle the commit changelog that repairs torn incremental chains.
-``run`` (ignored, with a note), ``bench`` and ``chaos run`` accept
-``--durable DIR`` (stateflow only) to back the snapshot store and
-changelog with real files under *DIR* (see :mod:`repro.storage`): the
-run's replies are byte-identical to an in-memory run, and a rerun over
-the same directory cold-starts from the persisted cuts and records.
+"""Command-line interface: ``python -m repro <command>``; ``--help`` on
+any command lists its flags.
 
 ``bench``, ``chaos run`` and ``rescale run`` persist their results as
 ``BENCH_<cell>.json`` in the working directory (override with
-``$REPRO_BENCH_DIR``), so the perf trajectory survives the run.
+``$REPRO_BENCH_DIR``); payloads carry no wall-clock timestamps, so a
+simulator rerun of the same seed writes the same bytes.  Their runtime
+and load flags are declared once (:data:`RUNTIME_FLAGS`) and become one
+:func:`~repro.bench.harness.build_runtime` overrides mapping
+(:func:`runtime_overrides`).  Which ``bench`` cell accepts which system,
+spawner and flag is one table (:data:`BENCH_CELLS`); every rejection is
+generated from it.
 """
 
 from __future__ import annotations
@@ -67,11 +17,14 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable
 
 from .compiler.pipeline import compile_program
-from .core.entity import REGISTRY, EntityRegistry, is_entity_class
+from .core.entity import is_entity_class
 from .core.refs import EntityRef
 from .faults import INTENSITIES, FaultPlan, random_plan
 from .ir.dot import dataflow_to_dot, machine_to_dot
@@ -136,54 +89,9 @@ def _parse_literal(text: str):
         return text
 
 
-def _load_fault_plan(path: str | None) -> FaultPlan | None:
-    if path is None:
-        return None
-    return FaultPlan.from_json(Path(path))
-
-
-def _load_rescale_plan(path: str | None) -> RescalePlan | None:
-    if path is None:
-        return None
-    return RescalePlan.from_json(Path(path))
-
-
-def _parse_targets(text: str) -> list[int]:
-    try:
-        targets = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise SystemExit(f"--targets expects comma-separated worker "
-                         f"counts, got {text!r}")
-    if not targets or any(target < 1 for target in targets):
-        raise SystemExit(f"--targets needs positive worker counts, "
-                         f"got {text!r}")
-    return targets
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     classes = _load_module_entities(args.module)
-    program = compile_program(classes)
-    if args.rescale is not None:
-        print("note: the Local runtime is single-process; --rescale "
-              "applies to `repro bench` / `repro rescale run` "
-              "(stateflow)", file=sys.stderr)
-    if args.pipeline_depth is not None:
-        print("note: the Local runtime has no epoch pipeline; "
-              "--pipeline-depth applies to `repro bench` / `repro chaos "
-              "run` / `repro rescale run` (stateflow)", file=sys.stderr)
-    if args.spawner != "simulator":
-        print("note: the Local runtime is in-process by definition; "
-              "--spawner applies to `repro bench` (stateflow)",
-              file=sys.stderr)
-    if args.autoscale:
-        print("note: the Local runtime is single-process; --autoscale "
-              "applies to `repro bench` / `repro chaos run` "
-              "(stateflow)", file=sys.stderr)
-    if args.durable is not None:
-        print("note: the Local runtime keeps no snapshots; --durable "
-              "applies to `repro bench` / `repro chaos run` "
-              "(stateflow)", file=sys.stderr)
-    runtime = LocalRuntime(program, fault_plan=_load_fault_plan(args.faults))
+    runtime = LocalRuntime(compile_program(classes), fault_plan=args.faults)
     call_args = [_parse_literal(a) for a in args.args]
     if args.method == "__init__":
         ref = runtime.create(args.entity, *call_args)
@@ -199,202 +107,45 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-#: The supported cell/spawner matrix, spelled out in every rejection so
-#: an invalid invocation tells the user what *would* work.
-SPAWNER_MATRIX = (
-    "valid combinations: --spawner simulator (the default) runs every "
-    "cell (ycsb / pipeline / recovery / autoscale / views) and composes "
-    "with --faults, --rescale and --autoscale; --spawner process runs "
-    "--system stateflow with --cell ycsb (optionally --autoscale) or "
-    "--cell pipeline, and rejects --faults/--rescale and the "
-    "recovery/autoscale/views cells (they drive virtual-time simulator "
-    "internals)")
+def _positive(kind: type) -> Callable[[str], Any]:
+    """An argparse type: input from outside the program is checked at the
+    parser, which exits with status 2 on a bad value."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a {kind.__name__}, got {text!r}")
+        if not (value > 0 and math.isfinite(value)):
+            raise argparse.ArgumentTypeError(
+                f"must be a positive number, got {text}")
+        return value
+    return parse
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import format_table, run_ycsb_cell, write_bench_artifact
+positive_int = _positive(int)
+positive_float = _positive(float)
 
-    if args.autoscale and args.rescale is not None:
-        raise SystemExit("repro bench: error: --autoscale does not "
-                         "compose with --rescale (the closed-loop "
-                         "controller and a declarative plan would fight "
-                         "over the same rescale barrier); pick one "
-                         "scaling authority")
-    if args.autoscale and args.system != "stateflow":
-        raise SystemExit("repro bench: error: --autoscale requires "
-                         "--system stateflow (the elastic runtime)")
-    if args.spawner != "simulator":
-        if args.system != "stateflow":
-            raise SystemExit("repro bench: error: --spawner process "
-                             "requires --system stateflow (the runtime "
-                             "with a process substrate); "
-                             + SPAWNER_MATRIX)
-        if args.faults is not None or args.rescale is not None:
-            raise SystemExit("repro bench: error: --spawner process does "
-                             "not compose with --faults/--rescale (fault "
-                             "plans drive simulator internals); "
-                             + SPAWNER_MATRIX)
-        if args.cell in ("recovery", "autoscale", "views"):
-            raise SystemExit(f"repro bench: error: --cell {args.cell} "
-                             "is simulator-only (its sweep measures "
-                             "virtual-time behaviour deterministically); "
-                             + SPAWNER_MATRIX)
-    if args.rps_sweep is not None and args.cell != "ycsb":
-        raise SystemExit(f"repro bench: error: --rps-sweep drives the "
-                         f"ycsb cell; drop it for --cell {args.cell}")
-    if args.cell == "autoscale":
-        if args.system != "stateflow":
-            raise SystemExit("repro bench: error: --cell autoscale runs "
-                             "on stateflow (the elastic runtime); "
-                             + SPAWNER_MATRIX)
-        if args.faults is not None or args.rescale is not None:
-            raise SystemExit("repro bench: error: --cell autoscale does "
-                             "not compose with --faults/--rescale (use "
-                             "`repro chaos run --autoscale` for "
-                             "controller-under-chaos; the cell owns its "
-                             "scaling authority)")
-        if args.pipeline_depth is not None or args.snapshot_mode is not None:
-            raise SystemExit("repro bench: error: --cell autoscale runs "
-                             "canonical configurations; drop "
-                             "--pipeline-depth/--snapshot-mode")
-        if args.durable is not None:
-            raise SystemExit("repro bench: error: --cell autoscale runs "
-                             "canonical configurations; drop --durable")
-        return _run_autoscale_cell(args)
-    if args.cell == "views":
-        if args.system != "stateflow":
-            raise SystemExit("repro bench: error: --cell views runs on "
-                             "stateflow (views hang off the Aria commit "
-                             "path); " + SPAWNER_MATRIX)
-        if args.faults is not None or args.rescale is not None:
-            raise SystemExit("repro bench: error: --cell views does not "
-                             "compose with --faults/--rescale (the "
-                             "correctness battery in tests/ covers views "
-                             "under chaos and rescale; the cell measures "
-                             "a clean run)")
-        if args.autoscale:
-            raise SystemExit("repro bench: error: --cell views measures "
-                             "a fixed deployment; drop --autoscale")
-        if args.pipeline_depth is not None or args.snapshot_mode is not None:
-            raise SystemExit("repro bench: error: --cell views runs "
-                             "canonical configurations (incremental "
-                             "snapshots, default pipeline); drop "
-                             "--pipeline-depth/--snapshot-mode")
-        if args.changelog is not None or args.durable is not None:
-            raise SystemExit("repro bench: error: --cell views runs "
-                             "canonical configurations and owns its "
-                             "durable cold-start leg (a temp-dir "
-                             "durable run timed sidecar-resume vs "
-                             "full rehydration); drop "
-                             "--changelog/--durable")
-        return _run_views_cell(args)
-    if args.cell == "pipeline":
-        # The sweep owns the depth axis and the saturating deployment;
-        # flags it cannot honour are rejected, not silently dropped.
-        if args.system != "stateflow":
-            raise SystemExit("repro bench: error: --cell pipeline runs "
-                             "on stateflow (the batching runtime)")
-        if args.pipeline_depth is not None:
-            raise SystemExit("repro bench: error: --cell pipeline sweeps "
-                             "depths 1/2/4 itself; drop --pipeline-depth")
-        if args.faults is not None or args.rescale is not None:
-            raise SystemExit("repro bench: error: --cell pipeline does "
-                             "not compose with --faults/--rescale (use "
-                             "`repro chaos run --pipeline-depth` / "
-                             "`repro rescale run --pipeline-depth`)")
-        if args.autoscale:
-            raise SystemExit("repro bench: error: --cell pipeline "
-                             "measures a fixed deployment per depth; "
-                             "drop --autoscale (the autoscale cell is "
-                             "`repro bench --cell autoscale`)")
-        if args.durable is not None:
-            raise SystemExit("repro bench: error: --cell pipeline "
-                             "measures the pipeline, not the disk; "
-                             "drop --durable (the recovery cell's disk "
-                             "leg measures durable runs)")
-        return _run_pipeline_cell(args)
-    if args.cell == "recovery":
-        if args.system != "stateflow":
-            raise SystemExit("repro bench: error: --cell recovery runs "
-                             "on stateflow (the snapshotting runtime)")
-        if args.autoscale:
-            raise SystemExit("repro bench: error: --cell recovery "
-                             "measures fixed-size recovery; drop "
-                             "--autoscale")
-        if args.snapshot_mode is not None:
-            raise SystemExit("repro bench: error: --cell recovery sweeps "
-                             "full and incremental itself; drop "
-                             "--snapshot-mode")
-        if args.faults is not None or args.rescale is not None:
-            raise SystemExit("repro bench: error: --cell recovery does "
-                             "not compose with --faults/--rescale (it "
-                             "injects its own fail-over)")
-        if args.changelog is not None or args.pipeline_depth is not None:
-            raise SystemExit("repro bench: error: --cell recovery runs "
-                             "canonical configurations; drop "
-                             "--changelog/--pipeline-depth")
-        if args.durable is not None:
-            raise SystemExit("repro bench: error: --cell recovery owns "
-                             "its durability directory (the disk leg "
-                             "runs in a temp dir); drop --durable")
-        return _run_recovery_cell(args)
-    plan = _load_fault_plan(args.faults)
-    rescale_plan = _load_rescale_plan(args.rescale)
-    if rescale_plan is not None and args.system != "stateflow":
-        raise SystemExit("repro bench: error: --rescale requires "
-                         "--system stateflow (the elastic runtime)")
-    if args.pipeline_depth is not None and args.system != "stateflow":
-        raise SystemExit("repro bench: error: --pipeline-depth requires "
-                         "--system stateflow (the batching runtime)")
-    if args.snapshot_mode is not None and args.system != "stateflow":
-        raise SystemExit("repro bench: error: --snapshot-mode requires "
-                         "--system stateflow (the snapshotting runtime)")
-    if args.durable is not None and args.system != "stateflow":
-        raise SystemExit("repro bench: error: --durable requires "
-                         "--system stateflow (the snapshotting runtime)")
-    overrides: dict | None = {}
-    if rescale_plan is not None:
-        overrides["rescale_plan"] = rescale_plan
-    if args.pipeline_depth is not None:
-        overrides["pipeline_depth"] = args.pipeline_depth
-    if args.snapshot_mode is not None:
-        overrides["snapshot_mode"] = args.snapshot_mode
-    if args.changelog is not None:
-        overrides["changelog"] = args.changelog == "on"
-    if args.autoscale:
-        overrides["autoscale"] = True
-    if args.durable is not None:
-        overrides["durability_dir"] = args.durable
-    duration_ms = (args.duration_ms if args.duration_ms is not None
-                   else 2_000.0)
-    record_count = args.records if args.records is not None else 100
-    if args.rps_sweep is not None:
-        # A proper sweep: every requested rate.  All rows land in one
-        # BENCH_ycsb.json so the rate/latency curve is an artifact, not
-        # scrollback.
-        rates = _parse_rps_sweep(args.rps_sweep)
-        title = (f"YCSB {args.workload}/{args.distribution} on "
-                 f"{args.system}, rps sweep "
-                 f"{'/'.join(str(r) for r in rates)}")
-    else:
-        rates = [args.rps if args.rps is not None else 100.0]
-        title = f"YCSB {args.workload}/{args.distribution} on {args.system}"
-    rows = [run_ycsb_cell(args.system, args.workload, args.distribution,
-                          rps=rate, duration_ms=duration_ms,
-                          record_count=record_count, seed=args.seed,
-                          fault_plan=plan, spawner=args.spawner,
-                          runtime_overrides=overrides or None)
-            for rate in rates]
-    columns = ["system", "workload", "distribution", "rps", "p50_ms",
-               "p99_ms", "mean_ms", "completed", "errors"]
-    if plan is not None and args.system == "stateflow":
-        columns += ["recoveries", "msg_dropped"]
-    print(format_table(rows, title, columns=columns))
-    path = write_bench_artifact("ycsb", {"cell": "ycsb",
-                                         "rows": [row.as_dict()
-                                                  for row in rows]})
-    print(f"wrote {path}")
-    return 0
+
+def _plan_file(kind: type) -> Callable[[str], Any]:
+    def load(path: str):
+        try:
+            return kind.from_json(Path(path))
+        except (OSError, ValueError) as error:
+            raise argparse.ArgumentTypeError(f"cannot load {path}: {error}")
+    return load
+
+
+def _parse_targets(text: str) -> list[int]:
+    try:
+        targets = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise SystemExit(f"--targets expects comma-separated worker "
+                         f"counts, got {text!r}")
+    if not targets or any(target < 1 for target in targets):
+        raise SystemExit(f"--targets needs positive worker counts, "
+                         f"got {text!r}")
+    return targets
 
 
 def _parse_rps_sweep(text: str) -> list[float]:
@@ -409,30 +160,152 @@ def _parse_rps_sweep(text: str) -> list[float]:
     return rates
 
 
-def _run_views_cell(args: argparse.Namespace) -> int:
-    """``repro bench --cell views``: incremental view maintenance vs
-    full scans at 10k-100k keys, persisted as ``BENCH_views.json``."""
-    from .bench import (format_views_summary, run_views_cell,
-                        write_bench_artifact)
+# ---------------------------------------------------------------------------
+# the runtime and load flags, declared once
+# ---------------------------------------------------------------------------
 
-    cell_args: dict = {"seed": args.seed}
-    if args.rps is not None:
-        cell_args["rps"] = args.rps
-    if args.duration_ms is not None:
-        cell_args["duration_ms"] = args.duration_ms
-    if args.records is not None:
-        cell_args["record_counts"] = (args.records,)
-    artifact = run_views_cell(**cell_args)
-    title = "incremental views: maintenance vs full scan"
+#: Every runtime and load flag: dest -> (flag, ``add_argument`` keywords).
+#: A flag that sets a ``build_runtime`` override has that override's name
+#: as its dest.  ``bench`` takes them all, ``chaos run`` and ``rescale
+#: run`` the ones they honour; a command sets its own load defaults
+#: (``set_defaults``).
+RUNTIME_FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
+    "system": ("--system", dict(default="stateflow",
+                                choices=["stateflow", "statefun"])),
+    "workload": ("--workload", dict(choices=["A", "B", "M", "T"])),
+    "distribution": ("--distribution",
+                     dict(choices=["zipfian", "uniform"])),
+    "rps": ("--rps", dict(type=positive_float, default=None)),
+    "duration_ms": ("--duration-ms",
+                    dict(type=positive_float, default=None)),
+    "records": ("--records", dict(type=positive_int, default=None)),
+    "seed": ("--seed", dict(type=int, default=42)),
+    "rps_sweep": ("--rps-sweep", dict(default=None, metavar="R1,R2,...",
+                                      help="run the ycsb cell at each "
+                                           "rate")),
+    "fault_plan": ("--faults", dict(
+        type=_plan_file(FaultPlan), default=None, metavar="PLAN_JSON",
+        help="run under a fault plan (`repro chaos plan`)")),
+    "rescale_plan": ("--rescale", dict(
+        type=_plan_file(RescalePlan), default=None, metavar="PLAN_JSON",
+        help="resize the cluster mid-run (`repro rescale plan`)")),
+    "pipeline_depth": ("--pipeline-depth", dict(
+        type=positive_int, default=None, metavar="N",
+        help="epoch-pipeline depth; 1 = serial batches (default 2)")),
+    "snapshot_mode": ("--snapshot-mode", dict(
+        default=None, choices=["full", "incremental"],
+        help="incremental = dirtied-slot cuts chained to periodic bases, "
+             "plus the commit changelog (default full)")),
+    "spawner": ("--spawner", dict(
+        default="simulator", choices=["simulator", "process"],
+        help="'process' = real worker processes on the wall clock")),
+    "autoscale": ("--autoscale", dict(
+        action="store_true", default=False,
+        help="attach the closed-loop autoscaling controller")),
+    "durability_dir": ("--durable", dict(
+        default=None, metavar="DIR",
+        help="persist snapshots and the changelog under DIR; a rerun over "
+             "DIR cold-starts from them")),
+}
+
+#: The flags (dests) that are ``build_runtime`` overrides.
+OVERRIDES = ("fault_plan", "rescale_plan", "pipeline_depth", "snapshot_mode",
+             "spawner", "autoscale", "durability_dir")
+#: Flags only StateFlow can honour (StateFun has no coordinator, no
+#: snapshots and a fixed deployment).
+STATEFLOW_ONLY = ("rescale_plan", "pipeline_depth", "snapshot_mode",
+                  "autoscale", "durability_dir")
+#: Flags the process spawner refuses: their plans drive simulator
+#: internals (virtual-time schedules, message hooks).
+PROCESS_REFUSES = ("fault_plan", "rescale_plan")
+
+
+def _flag(dest: str) -> str:
+    return RUNTIME_FLAGS[dest][0]
+
+
+def _add_flags(parser: argparse.ArgumentParser, *dests: str) -> None:
+    for dest in dests:
+        flag, spec = RUNTIME_FLAGS[dest]
+        parser.add_argument(flag, dest=dest, **spec)
+
+
+def _given(args: argparse.Namespace) -> list[str]:
+    """The runtime flags (dests) set away from their declared default.
+    Flags a command re-defaults (its load flags) are never asked about."""
+    values = vars(args)
+    return [dest for dest, (_, spec) in RUNTIME_FLAGS.items()
+            if dest in values and values[dest] != spec.get("default")]
+
+
+def runtime_overrides(args: argparse.Namespace) -> dict[str, Any]:
+    """The runtime flags given on the command line as the overrides
+    mapping every cell runner passes to ``build_runtime``."""
+    return {dest: getattr(args, dest) for dest in _given(args)
+            if dest in OVERRIDES}
+
+
+def _require_stateflow(command: str, args: argparse.Namespace) -> None:
+    if getattr(args, "system", "stateflow") == "stateflow":
+        return
+    for dest in _given(args):
+        if dest in STATEFLOW_ONLY:
+            raise SystemExit(f"repro {command}: error: {_flag(dest)} "
+                             f"requires --system stateflow")
+
+
+# ---------------------------------------------------------------------------
+# repro bench: one table of cells
+# ---------------------------------------------------------------------------
+
+def _run_ycsb_cell(args: argparse.Namespace) -> int:
+    from .bench import format_table, run_ycsb_cell, write_bench_artifact
+
+    title = f"YCSB {args.workload}/{args.distribution} on {args.system}"
+    if args.rps_sweep is not None:
+        # Every rate lands in one BENCH_ycsb.json, so the rate/latency
+        # curve is an artifact, not scrollback.
+        rates = _parse_rps_sweep(args.rps_sweep)
+        title += f", rps sweep {'/'.join(str(rate) for rate in rates)}"
+    else:
+        rates = [args.rps or 100.0]
+    overrides = runtime_overrides(args)
+    rows = [run_ycsb_cell(args.system, args.workload, args.distribution,
+                          rps=rate, duration_ms=args.duration_ms or 2_000.0,
+                          record_count=args.records or 100, seed=args.seed,
+                          runtime_overrides=overrides)
+            for rate in rates]
+    columns = ["system", "workload", "distribution", "rps", "p50_ms",
+               "p99_ms", "mean_ms", "completed", "errors"]
+    if args.fault_plan is not None and args.system == "stateflow":
+        columns += ["recoveries", "msg_dropped"]
+    print(format_table(rows, title, columns=columns))
+    path = write_bench_artifact("ycsb", {"cell": "ycsb",
+                                         "rows": [row.as_dict()
+                                                  for row in rows]})
+    print(f"wrote {path}")
+    return 0
+
+
+def _load_args(args: argparse.Namespace, records: str) -> dict[str, Any]:
+    """The load flags given, as a sweep runner's keyword arguments (an
+    absent one keeps the runner's default); a ``record_counts`` sweep
+    runs the one size given."""
+    given = {"rps": args.rps, "duration_ms": args.duration_ms,
+             records: args.records}
+    loads = {key: value for key, value in given.items() if value is not None}
+    if records == "record_counts" and records in loads:
+        loads[records] = (loads[records],)
+    return loads
+
+
+def _print_titled(title: str, *blocks: str) -> None:
     print(title)
     print("-" * len(title))
-    print(format_views_summary(artifact))
-    path = write_bench_artifact("views", artifact)
-    print(f"wrote {path}")
-    return 0 if artifact["ok"] else 1
+    print("\n".join(blocks))
 
 
-def _print_pipeline_rows(report) -> None:
+def _pipeline_rows(report) -> str:
     lines = ["mode       depth  txn/s     mean_ms  p99_ms   batches  "
              "stall_ms"]
     for row in report.rows:
@@ -440,73 +313,44 @@ def _print_pipeline_rows(report) -> None:
                      f"{row.throughput_txn_s:<8.0f}  "
                      f"{row.mean_ms:<7.1f}  {row.p99_ms:<7.1f}  "
                      f"{row.batches:<7}  {row.stall_ms:.1f}")
-    print("\n".join(lines))
+    return "\n".join(lines)
 
 
 def _run_pipeline_cell(args: argparse.Namespace) -> int:
-    """``repro bench --cell pipeline``: sweep the epoch-pipeline depth.
-
-    ``--spawner simulator`` (default) runs the virtual-time sweep and
-    gates on byte-identical replies across depths; ``--spawner
-    process`` additionally re-runs the sweep on real worker processes
-    and records the wall-clock speedup rows in the same
-    ``BENCH_pipeline.json``."""
+    """The depth 1/2/4 sweep; ``--spawner process`` re-runs it on real
+    worker processes and adds the wall-clock rows to the artifact."""
     from .bench import run_pipeline_bench, run_pipeline_cell, \
         write_bench_artifact
 
-    sweep_args: dict = {}
-    if args.rps is not None:
-        sweep_args["rps"] = args.rps
-    if args.duration_ms is not None:
-        sweep_args["duration_ms"] = args.duration_ms
-    if args.records is not None:
-        sweep_args["record_count"] = args.records
-    sweep_args["workload_name"] = args.workload
-    sweep_args["distribution"] = args.distribution
+    sweep_args = dict(_load_args(args, "record_count"),
+                      workload_name=args.workload,
+                      distribution=args.distribution)
     if args.spawner == "process":
         artifact, sim_report, wall_report = run_pipeline_bench(
-            seed=args.seed, simulator_kwargs=dict(sweep_args))
-        title = (f"pipeline sweep: YCSB {sim_report.workload}/"
-                 f"{sim_report.distribution}, "
-                 f"simulator + process substrates")
-        print(title)
-        print("-" * len(title))
-        _print_pipeline_rows(sim_report)
-        _print_pipeline_rows(wall_report)
-        print()
-        print(sim_report.summary())
-        print(wall_report.summary())
+            seed=args.seed, simulator_kwargs=sweep_args)
+        _print_titled(f"pipeline sweep: YCSB {sim_report.workload}/"
+                      f"{sim_report.distribution}, simulator + process "
+                      f"substrates", _pipeline_rows(sim_report),
+                      _pipeline_rows(wall_report), "",
+                      sim_report.summary(), wall_report.summary())
         ok = (sim_report.replies_identical
               and artifact["wallclock"]["meets_speedup_target"] is not False)
     else:
         report = run_pipeline_cell(seed=args.seed, **sweep_args)
         artifact = report.as_artifact()
-        title = (f"pipeline sweep: YCSB {report.workload}/"
-                 f"{report.distribution}, {report.workers} workers")
-        print(title)
-        print("-" * len(title))
-        _print_pipeline_rows(report)
-        print()
-        print(report.summary())
+        _print_titled(f"pipeline sweep: YCSB {report.workload}/"
+                      f"{report.distribution}, {report.workers} workers",
+                      _pipeline_rows(report), "", report.summary())
         ok = report.replies_identical
-    path = write_bench_artifact("pipeline", artifact)
-    print(f"wrote {path}")
+    print(f"wrote {write_bench_artifact('pipeline', artifact)}")
     return 0 if ok else 1
 
 
 def _run_recovery_cell(args: argparse.Namespace) -> int:
-    """``repro bench --cell recovery``: sweep snapshot mode against
-    state size and persist ``BENCH_recovery.json``."""
     from .bench import run_recovery_cell, write_bench_artifact
 
-    sweep_args: dict = {}
-    if args.rps is not None:
-        sweep_args["rps"] = args.rps
-    if args.duration_ms is not None:
-        sweep_args["duration_ms"] = args.duration_ms
-    if args.records is not None:
-        sweep_args["record_counts"] = (args.records,)
-    report = run_recovery_cell(seed=args.seed, **sweep_args)
+    report = run_recovery_cell(seed=args.seed,
+                               **_load_args(args, "record_counts"))
     lines = ["mode         records  cuts  keys/cut  bytes/cut  "
              "recovery_ms  changelog"]
     for row in report.rows:
@@ -514,29 +358,17 @@ def _run_recovery_cell(args: argparse.Namespace) -> int:
             f"{row.mode:<11}  {row.records:<7}  {row.cuts:<4}  "
             f"{row.mean_keys_per_cut:<8.1f}  {row.mean_bytes_per_cut:<9.0f}  "
             f"{row.recovery_ms:<11.2f}  {row.changelog_records}")
-    title = "recovery sweep: full vs incremental"
-    print(title)
-    print("-" * len(title))
-    print("\n".join(lines))
-    print()
-    print(report.summary())
-    path = write_bench_artifact("recovery", report.as_artifact())
-    print(f"wrote {path}")
+    _print_titled("recovery sweep: full vs incremental", *lines, "",
+                  report.summary())
+    print(f"wrote {write_bench_artifact('recovery', report.as_artifact())}")
     return 0 if report.ok else 1
 
 
 def _run_autoscale_cell(args: argparse.Namespace) -> int:
-    """``repro bench --cell autoscale``: the zipfian ramp, autoscaled
-    vs fixed, persisted as ``BENCH_autoscale.json``."""
     from .bench import (format_autoscale_summary, run_autoscale_bench,
                         write_bench_artifact)
 
-    artifact, scaled, _fixed = run_autoscale_bench(seed=args.seed)
-    title = (f"autoscale ramp: YCSB A/zipfian "
-             f"(theta {artifact['ramp'][0]['theta']} -> "
-             f"{artifact['ramp'][-1]['theta']})")
-    print(title)
-    print("-" * len(title))
+    artifact, _scaled, _fixed = run_autoscale_bench(seed=args.seed)
     lines = ["mode       phase  rps    theta  p99_ms   workers  rescales"]
     for mode in ("autoscale", "fixed"):
         for row in artifact["runs"][mode]["rows"]:
@@ -544,12 +376,128 @@ def _run_autoscale_cell(args: argparse.Namespace) -> int:
                 f"{mode:<9}  {row['phase']:<5}  {row['rps']:<5.0f}  "
                 f"{row['theta']:<5}  {row['p99_ms']:<7.1f}  "
                 f"{row['workers_at_end']:<7}  {row['rescales_so_far']}")
-    print("\n".join(lines))
-    print()
-    print(format_autoscale_summary(artifact))
-    path = write_bench_artifact("autoscale", artifact)
-    print(f"wrote {path}")
+    _print_titled(f"autoscale ramp: YCSB A/zipfian "
+                  f"(theta {artifact['ramp'][0]['theta']} -> "
+                  f"{artifact['ramp'][-1]['theta']})", *lines, "",
+                  format_autoscale_summary(artifact))
+    print(f"wrote {write_bench_artifact('autoscale', artifact)}")
     return 0 if artifact["gates"]["closed_loop_proven"] else 1
+
+
+def _run_views_cell(args: argparse.Namespace) -> int:
+    from .bench import (format_views_summary, run_views_cell,
+                        write_bench_artifact)
+
+    artifact = run_views_cell(seed=args.seed,
+                              **_load_args(args, "record_counts"))
+    _print_titled("incremental views: maintenance vs full scan",
+                  format_views_summary(artifact))
+    print(f"wrote {write_bench_artifact('views', artifact)}")
+    return 0 if artifact["ok"] else 1
+
+
+@dataclass(frozen=True)
+class BenchCell:
+    """One ``repro bench --cell``: its runner, the systems and spawners
+    it runs on, and the flags (dests) it refuses because it owns or
+    cannot honour them."""
+
+    run: Callable[[argparse.Namespace], int]
+    systems: tuple[str, ...] = ("stateflow",)
+    spawners: tuple[str, ...] = ("simulator",)
+    refuses: tuple[str, ...] = ()
+    why: str = ""
+
+
+#: Flags only the ycsb cell honours: every sweep owns its deployment.
+_YCSB_ONLY = ("fault_plan", "rescale_plan", "pipeline_depth",
+              "snapshot_mode", "autoscale", "durability_dir", "rps_sweep")
+
+BENCH_CELLS: dict[str, BenchCell] = {
+    "ycsb": BenchCell(_run_ycsb_cell, systems=("stateflow", "statefun"),
+                      spawners=("simulator", "process")),
+    "pipeline": BenchCell(
+        _run_pipeline_cell, spawners=("simulator", "process"),
+        refuses=_YCSB_ONLY,
+        why="sweeps depths 1/2/4 on one fixed, fault-free, in-memory "
+            "deployment (use `repro chaos run --pipeline-depth`)"),
+    "recovery": BenchCell(
+        _run_recovery_cell, refuses=_YCSB_ONLY,
+        why="sweeps both snapshot modes in canonical configurations, "
+            "injects its own fail-over and owns its durability directory"),
+    "autoscale": BenchCell(
+        _run_autoscale_cell,
+        refuses=("rps", "duration_ms", "records") + _YCSB_ONLY,
+        why="drives one fixed ramp in canonical configurations and owns "
+            "its scaling authority (use `repro chaos run --autoscale` for "
+            "the controller under chaos)"),
+    "views": BenchCell(
+        _run_views_cell, refuses=_YCSB_ONLY,
+        why="measures a clean run in canonical configurations (incremental "
+            "snapshots, default pipeline) and owns its durable leg; tests/ "
+            "cover views under chaos and rescale"),
+}
+
+
+def _spawner_matrix() -> str:
+    runs = [f"--spawner {spawner} runs --cell "
+            + "/".join(name for name, cell in BENCH_CELLS.items()
+                       if spawner in cell.spawners)
+            for spawner in ("simulator", "process")]
+    return ("valid combinations: " + "; ".join(runs)
+            + "; --spawner process needs --system stateflow and refuses "
+            + "/".join(_flag(dest) for dest in PROCESS_REFUSES))
+
+
+#: The supported cell/spawner matrix, spelled out in every spawner
+#: rejection so an invalid invocation tells the user what would work.
+SPAWNER_MATRIX = _spawner_matrix()
+
+
+def _cmd_bench(args: argparse.Namespace) -> int:
+    """Refuse every flag the cell cannot honour, before any runtime is
+    built; then run it."""
+    cell = BENCH_CELLS[args.cell]
+    error = f"repro bench: error: --cell {args.cell}"
+    given = _given(args)
+    if args.autoscale and args.rescale_plan is not None:
+        raise SystemExit("repro bench: error: --autoscale does not compose "
+                         "with --rescale (both would drive the same rescale "
+                         "barrier); pick one scaling authority")
+    if args.spawner not in cell.spawners:
+        raise SystemExit(f"{error} is {'/'.join(cell.spawners)}-only (it "
+                         f"measures virtual-time behaviour); "
+                         f"{SPAWNER_MATRIX}")
+    if args.spawner == "process":
+        if args.system != "stateflow":
+            raise SystemExit("repro bench: error: --spawner process "
+                             f"requires --system stateflow; {SPAWNER_MATRIX}")
+        refused = [_flag(dest) for dest in PROCESS_REFUSES if dest in given]
+        if refused:
+            raise SystemExit(f"repro bench: error: --spawner process does "
+                             f"not take {'/'.join(refused)}; "
+                             f"{SPAWNER_MATRIX}")
+    if args.system not in cell.systems:
+        raise SystemExit(f"{error} runs on --system "
+                         f"{'/'.join(cell.systems)} only")
+    _require_stateflow("bench", args)
+    refused = [_flag(dest) for dest in given if dest in cell.refuses]
+    if refused:
+        raise SystemExit(f"{error} {cell.why}; drop {', '.join(refused)}")
+    return cell.run(args)
+
+
+# ---------------------------------------------------------------------------
+# repro chaos / repro rescale
+# ---------------------------------------------------------------------------
+
+def _write_plan(plan, out: str | None, size: str) -> int:
+    if out:
+        plan.to_json(Path(out))
+        print(f"wrote plan {plan.name!r} ({size}) to {out}")
+    else:
+        print(plan.to_json())
+    return 0
 
 
 def _cmd_chaos_plan(args: argparse.Namespace) -> int:
@@ -559,71 +507,47 @@ def _cmd_chaos_plan(args: argparse.Namespace) -> int:
                        coordinator_faults=args.coordinator_faults,
                        rescales=args.rescales,
                        torn_snapshots=args.torn_snapshots)
-    if args.out:
-        plan.to_json(Path(args.out))
-        print(f"wrote plan {plan.name!r} ({len(plan.events)} events) "
-              f"to {args.out}")
-    else:
-        print(plan.to_json())
-    return 0
+    return _write_plan(plan, args.out, f"{len(plan.events)} events")
+
+
+def _report(cell: str, report, title: str, columns: list[str]) -> int:
+    from .bench import format_table, write_bench_artifact
+
+    print(format_table([report.row], title, columns=columns))
+    print()
+    print(report.summary())
+    print(f"wrote {write_bench_artifact(cell, report.as_artifact())}")
+    return 0 if report.ok else 1
 
 
 def _cmd_chaos_run(args: argparse.Namespace) -> int:
-    from .bench import format_table, run_chaos_cell, write_bench_artifact
+    from .bench import run_chaos_cell
 
-    plan = _load_fault_plan(args.plan)
-    if args.pipeline_depth is not None and args.system != "stateflow":
-        raise SystemExit("repro chaos run: error: --pipeline-depth "
-                         "requires --system stateflow")
-    if args.snapshot_mode is not None and args.system != "stateflow":
-        raise SystemExit("repro chaos run: error: --snapshot-mode "
-                         "requires --system stateflow")
-    if args.autoscale and args.system != "stateflow":
-        raise SystemExit("repro chaos run: error: --autoscale requires "
-                         "--system stateflow (the elastic runtime)")
-    if args.durable is not None and args.system != "stateflow":
-        raise SystemExit("repro chaos run: error: --durable requires "
-                         "--system stateflow (the snapshotting runtime)")
+    _require_stateflow("chaos run", args)
     report = run_chaos_cell(
         args.system, args.workload, args.distribution, rps=args.rps,
         duration_ms=args.duration_ms, record_count=args.records,
-        seed=args.seed, plan=plan, pipeline_depth=args.pipeline_depth,
-        snapshot_mode=args.snapshot_mode,
-        changelog=(None if args.changelog is None
-                   else args.changelog == "on"),
-        autoscale=args.autoscale,
-        durability_dir=args.durable)
-    columns = ["system", "workload", "rps", "p50_ms",
-               "p99_ms", "completed", "errors", "recoveries",
-               "recovery_time_ms", "availability"]
-    print(format_table([report.row],
-                       f"chaos {args.workload}/{args.distribution} on "
-                       f"{args.system} (seed {args.seed})", columns=columns))
-    print()
-    print(report.summary())
-    path = write_bench_artifact("chaos", report.as_artifact())
-    print(f"wrote {path}")
-    return 0 if report.ok else 1
+        seed=args.seed, plan=args.plan,
+        runtime_overrides=runtime_overrides(args))
+    return _report("chaos", report,
+                   f"chaos {args.workload}/{args.distribution} on "
+                   f"{args.system} (seed {args.seed})",
+                   ["system", "workload", "rps", "p50_ms", "p99_ms",
+                    "completed", "errors", "recoveries", "recovery_time_ms",
+                    "availability"])
 
 
 def _cmd_rescale_plan(args: argparse.Namespace) -> int:
     plan = staged_plan(_parse_targets(args.targets),
                        start_ms=args.start_ms, interval_ms=args.interval_ms)
-    if args.out:
-        plan.to_json(Path(args.out))
-        print(f"wrote plan {plan.name!r} ({len(plan.steps)} steps) "
-              f"to {args.out}")
-    else:
-        print(plan.to_json())
-    return 0
+    return _write_plan(plan, args.out, f"{len(plan.steps)} steps")
 
 
 def _cmd_rescale_run(args: argparse.Namespace) -> int:
-    from .bench import format_table, run_rescale_cell, write_bench_artifact
+    from .bench import run_rescale_cell
 
-    if args.plan is not None:
-        plan = _load_rescale_plan(args.plan)
-    else:
+    plan = args.plan
+    if plan is None:
         plan = staged_plan(_parse_targets(args.targets),
                            start_ms=args.duration_ms * 0.3,
                            interval_ms=args.duration_ms * 0.3)
@@ -631,24 +555,15 @@ def _cmd_rescale_run(args: argparse.Namespace) -> int:
         args.workload, args.distribution, workers=args.workers, plan=plan,
         rps=args.rps, duration_ms=args.duration_ms,
         record_count=args.records, seed=args.seed,
-        fault_plan=_load_fault_plan(args.faults),
-        pipeline_depth=args.pipeline_depth,
-        snapshot_mode=args.snapshot_mode,
-        changelog=(None if args.changelog is None
-                   else args.changelog == "on"))
-    columns = ["system", "workload", "rps", "p50_ms",
-               "p99_ms", "completed", "errors", "rescales",
-               "mean_pause_ms", "keys_moved", "final_workers"]
-    print(format_table(
-        [report.row],
-        f"rescale {args.workload}/{args.distribution} "
-        f"{args.workers} -> {' -> '.join(str(t) for t in plan.targets)} "
-        f"(seed {args.seed})", columns=columns))
-    print()
-    print(report.summary())
-    path = write_bench_artifact("rescale", report.as_artifact())
-    print(f"wrote {path}")
-    return 0 if report.ok else 1
+        runtime_overrides=runtime_overrides(args))
+    return _report("rescale", report,
+                   f"rescale {args.workload}/{args.distribution} "
+                   f"{args.workers} -> "
+                   f"{' -> '.join(str(t) for t in plan.targets)} "
+                   f"(seed {args.seed})",
+                   ["system", "workload", "rps", "p50_ms", "p99_ms",
+                    "completed", "errors", "rescales", "mean_pause_ms",
+                    "keys_moved", "final_workers"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -660,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     compile_cmd = commands.add_parser(
         "compile", help="compile a module's @entity classes to IR")
     compile_cmd.add_argument("module")
-    compile_cmd.add_argument("--out", default=None)
+    compile_cmd.add_argument("--out")
     compile_cmd.set_defaults(handler=_cmd_compile)
 
     describe_cmd = commands.add_parser(
@@ -671,111 +586,33 @@ def build_parser() -> argparse.ArgumentParser:
     dot_cmd = commands.add_parser(
         "dot", help="emit Graphviz DOT for a dataflow or state machine")
     dot_cmd.add_argument("ir")
-    dot_cmd.add_argument("--method", default=None,
+    dot_cmd.add_argument("--method",
                          help="Entity.method for a state-machine graph")
     dot_cmd.set_defaults(handler=_cmd_dot)
 
     run_cmd = commands.add_parser(
-        "run", help="invoke a method on the Local runtime")
-    run_cmd.add_argument("module")
-    run_cmd.add_argument("entity")
-    run_cmd.add_argument("method")
-    run_cmd.add_argument("key")
+        "run", help="invoke a method on the Local runtime (debugging aid)")
+    for positional in ("module", "entity", "method", "key"):
+        run_cmd.add_argument(positional)
     run_cmd.add_argument("args", nargs="*")
-    run_cmd.add_argument("--faults", default=None, metavar="PLAN_JSON",
-                         help="fault plan (Local applies its "
-                              "message-reordering subset)")
-    run_cmd.add_argument("--rescale", default=None, metavar="PLAN_JSON",
-                         help="rescale plan (ignored by the Local "
-                              "runtime; see `repro rescale run`)")
-    run_cmd.add_argument("--pipeline-depth", type=int, default=None,
-                         metavar="N",
-                         help="epoch-pipeline depth (ignored by the "
-                              "Local runtime; see `repro bench`)")
-    run_cmd.add_argument("--spawner", default="simulator",
-                         choices=["simulator", "process"],
-                         help="execution substrate (ignored by the "
-                              "Local runtime; see `repro bench`)")
-    run_cmd.add_argument("--autoscale", action="store_true",
-                         help="closed-loop autoscaling (ignored by the "
-                              "Local runtime; see `repro bench` / "
-                              "`repro chaos run`)")
-    run_cmd.add_argument("--durable", default=None, metavar="DIR",
-                         help="durability directory (ignored by the "
-                              "Local runtime; see `repro bench` / "
-                              "`repro chaos run`)")
+    run_cmd.add_argument("--faults", type=_plan_file(FaultPlan),
+                         metavar="PLAN_JSON", help="fault plan (Local "
+                         "applies its message-reordering subset)")
     run_cmd.set_defaults(handler=_cmd_run)
 
     bench_cmd = commands.add_parser(
-        "bench", help="run one YCSB benchmark cell on a simulated runtime")
-    bench_cmd.add_argument("--system", default="stateflow",
-                           choices=["stateflow", "statefun"])
-    bench_cmd.add_argument("--workload", default="A",
-                           choices=["A", "B", "M", "T"])
-    bench_cmd.add_argument("--distribution", default="zipfian",
-                           choices=["zipfian", "uniform"])
-    # None = the active cell's own default (ycsb: 100 rps / 2000 ms /
-    # 100 records; pipeline: its saturating sweep configuration).
-    bench_cmd.add_argument("--rps", type=float, default=None)
-    bench_cmd.add_argument("--rps-sweep", default=None,
-                           metavar="R1,R2,...",
-                           help="run the ycsb cell at each rate; all "
-                                "rows land in one BENCH_ycsb.json")
-    bench_cmd.add_argument("--duration-ms", type=float, default=None)
-    bench_cmd.add_argument("--records", type=int, default=None)
-    bench_cmd.add_argument("--seed", type=int, default=42)
-    bench_cmd.add_argument("--faults", default=None, metavar="PLAN_JSON",
-                           help="run the cell under a fault plan")
-    bench_cmd.add_argument("--rescale", default=None, metavar="PLAN_JSON",
-                           help="resize the cluster mid-run "
-                                "(stateflow only)")
-    bench_cmd.add_argument("--pipeline-depth", type=int, default=None,
-                           metavar="N",
-                           help="epoch-pipeline depth (stateflow only; "
-                                "1 = serial batches, default 2)")
-    bench_cmd.add_argument("--snapshot-mode", default=None,
-                           choices=["full", "incremental"],
-                           help="snapshot durability path (stateflow "
-                                "only; incremental = dirtied-slot cuts "
-                                "+ commit changelog)")
-    bench_cmd.add_argument("--changelog", default=None,
-                           choices=["on", "off"],
-                           help="commit changelog toggle (stateflow "
-                                "only; default on in incremental mode)")
-    bench_cmd.add_argument("--spawner", default="simulator",
-                           choices=["simulator", "process"],
-                           help="execution substrate (stateflow only): "
-                                "'simulator' = deterministic virtual "
-                                "time; 'process' = real worker "
-                                "processes on the wall clock")
-    bench_cmd.add_argument("--autoscale", action="store_true",
-                           help="attach the closed-loop autoscaling "
-                                "controller (stateflow only; does not "
-                                "compose with --rescale)")
-    bench_cmd.add_argument("--durable", default=None, metavar="DIR",
-                           help="durability directory (stateflow only): "
-                                "snapshots and the commit changelog are "
-                                "persisted as files under DIR, and a "
-                                "rerun over the same DIR cold-starts "
-                                "from them")
-    bench_cmd.add_argument("--cell", default="ycsb",
-                           choices=["ycsb", "pipeline", "recovery",
-                                    "autoscale", "views"],
-                           help="'pipeline' sweeps depth 1/2/4 on a "
-                                "saturating YCSB-A/zipfian cell and "
-                                "writes BENCH_pipeline.json; 'recovery' "
-                                "sweeps full-vs-incremental snapshots "
-                                "against state size and writes "
-                                "BENCH_recovery.json; 'autoscale' "
-                                "drives a zipfian rate/skew ramp with "
-                                "and without the closed-loop controller "
-                                "and writes BENCH_autoscale.json; "
-                                "'views' measures incremental view "
-                                "maintenance vs full scans at 10k-100k "
-                                "keys, plus durable sidecar resume vs "
-                                "cold-start rehydration, and writes "
-                                "BENCH_views.json")
-    bench_cmd.set_defaults(handler=_cmd_bench)
+        "bench", help="run one benchmark cell and write BENCH_<cell>.json")
+    _add_flags(bench_cmd, *RUNTIME_FLAGS)
+    bench_cmd.add_argument("--cell", default="ycsb", choices=list(BENCH_CELLS),
+                           help="ycsb (default; load flags default to 100 "
+                                "rps / 2000 ms / 100 records), or a sweep "
+                                "with its own gates: pipeline (depth 1/2/4), "
+                                "recovery (full vs incremental snapshots), "
+                                "autoscale (a zipfian ramp with and without "
+                                "the controller), views (incremental views "
+                                "vs full scans)")
+    bench_cmd.set_defaults(handler=_cmd_bench, workload="A",
+                           distribution="zipfian")
 
     chaos_cmd = commands.add_parser(
         "chaos", help="deterministic fault-injection runs")
@@ -784,8 +621,9 @@ def build_parser() -> argparse.ArgumentParser:
     plan_cmd = chaos_sub.add_parser(
         "plan", help="generate a reproducible random fault plan")
     plan_cmd.add_argument("--seed", type=int, default=42)
-    plan_cmd.add_argument("--duration-ms", type=float, default=3_000.0)
-    plan_cmd.add_argument("--workers", type=int, default=5)
+    plan_cmd.add_argument("--duration-ms", type=positive_float,
+                          default=3_000.0)
+    plan_cmd.add_argument("--workers", type=positive_int, default=5)
     plan_cmd.add_argument("--intensity", default="medium",
                           choices=sorted(INTENSITIES))
     plan_cmd.add_argument("--no-process-faults", action="store_true",
@@ -794,53 +632,25 @@ def build_parser() -> argparse.ArgumentParser:
                           help="include a coordinator fail-over")
     plan_cmd.add_argument("--rescales", type=int, default=0,
                           help="sprinkle N elastic rescales through the "
-                               "schedule (rescale-under-chaos)")
+                               "schedule")
     plan_cmd.add_argument("--torn-snapshots", type=int, default=0,
-                          help="tear N incremental snapshot cuts "
-                               "(dropped/duplicated delta fragments; "
-                               "no-ops on full-mode runs)")
-    plan_cmd.add_argument("--out", default=None)
+                          help="tear N incremental snapshot cuts (no-ops "
+                               "on full-mode runs)")
+    plan_cmd.add_argument("--out")
     plan_cmd.set_defaults(handler=_cmd_chaos_plan)
 
     chaos_run_cmd = chaos_sub.add_parser(
         "run", help="run a workload under a fault plan and verify the "
                     "committed history")
-    chaos_run_cmd.add_argument("--plan", default=None, metavar="PLAN_JSON",
-                               help="fault plan file (default: "
-                                    "random_plan(--seed))")
-    chaos_run_cmd.add_argument("--seed", type=int, default=42)
-    chaos_run_cmd.add_argument("--system", default="stateflow",
-                               choices=["stateflow", "statefun"])
-    chaos_run_cmd.add_argument("--workload", default="T",
-                               choices=["A", "B", "M", "T"])
-    chaos_run_cmd.add_argument("--distribution", default="uniform",
-                               choices=["zipfian", "uniform"])
-    chaos_run_cmd.add_argument("--rps", type=float, default=120.0)
-    chaos_run_cmd.add_argument("--duration-ms", type=float, default=3_000.0)
-    chaos_run_cmd.add_argument("--records", type=int, default=50)
-    chaos_run_cmd.add_argument("--pipeline-depth", type=int, default=None,
-                               metavar="N",
-                               help="epoch-pipeline depth (stateflow "
-                                    "only; 1 = serial batches)")
-    chaos_run_cmd.add_argument("--snapshot-mode", default=None,
-                               choices=["full", "incremental"],
-                               help="snapshot durability path "
-                                    "(stateflow only)")
-    chaos_run_cmd.add_argument("--changelog", default=None,
-                               choices=["on", "off"],
-                               help="commit changelog toggle (stateflow "
-                                    "only)")
-    chaos_run_cmd.add_argument("--autoscale", action="store_true",
-                               help="attach the closed-loop autoscaling "
-                                    "controller (stateflow only): its "
-                                    "decisions must survive the plan's "
-                                    "failures")
-    chaos_run_cmd.add_argument("--durable", default=None, metavar="DIR",
-                               help="durability directory (stateflow "
-                                    "only): persist snapshots + "
-                                    "changelog under DIR through the "
-                                    "injected failures")
-    chaos_run_cmd.set_defaults(handler=_cmd_chaos_run)
+    chaos_run_cmd.add_argument("--plan", type=_plan_file(FaultPlan),
+                               metavar="PLAN_JSON", help="fault plan "
+                               "(default: random_plan(--seed))")
+    _add_flags(chaos_run_cmd, "system", "workload", "distribution", "rps",
+               "duration_ms", "records", "seed", "pipeline_depth",
+               "snapshot_mode", "autoscale", "durability_dir")
+    chaos_run_cmd.set_defaults(handler=_cmd_chaos_run, workload="T",
+                               distribution="uniform", rps=120.0,
+                               duration_ms=3_000.0, records=50)
 
     rescale_cmd = commands.add_parser(
         "rescale", help="elastic rescaling with live state migration")
@@ -855,45 +665,26 @@ def build_parser() -> argparse.ArgumentParser:
     rescale_plan_cmd.add_argument("--start-ms", type=float, default=1_000.0)
     rescale_plan_cmd.add_argument("--interval-ms", type=float,
                                   default=1_000.0)
-    rescale_plan_cmd.add_argument("--out", default=None)
+    rescale_plan_cmd.add_argument("--out")
     rescale_plan_cmd.set_defaults(handler=_cmd_rescale_plan)
 
     rescale_run_cmd = rescale_sub.add_parser(
         "run", help="run a workload that resizes the cluster mid-stream "
                     "and verify the committed history")
-    rescale_run_cmd.add_argument("--plan", default=None,
-                                 metavar="PLAN_JSON",
-                                 help="rescale plan file (default: "
-                                      "--targets spread over the run)")
+    rescale_run_cmd.add_argument("--plan", type=_plan_file(RescalePlan),
+                                 metavar="PLAN_JSON", help="rescale plan "
+                                 "(default: --targets spread over the run)")
     rescale_run_cmd.add_argument("--targets", default="4,3",
                                  help="worker counts when no --plan is "
                                       "given")
-    rescale_run_cmd.add_argument("--workers", type=int, default=2,
+    rescale_run_cmd.add_argument("--workers", type=positive_int, default=2,
                                  help="starting worker count")
-    rescale_run_cmd.add_argument("--seed", type=int, default=42)
-    rescale_run_cmd.add_argument("--workload", default="T",
-                                 choices=["A", "B", "M", "T"])
-    rescale_run_cmd.add_argument("--distribution", default="uniform",
-                                 choices=["zipfian", "uniform"])
-    rescale_run_cmd.add_argument("--rps", type=float, default=150.0)
-    rescale_run_cmd.add_argument("--duration-ms", type=float,
-                                 default=4_000.0)
-    rescale_run_cmd.add_argument("--records", type=int, default=60)
-    rescale_run_cmd.add_argument("--faults", default=None,
-                                 metavar="PLAN_JSON",
-                                 help="additionally run under a fault "
-                                      "plan (rescale under chaos)")
-    rescale_run_cmd.add_argument("--pipeline-depth", type=int,
-                                 default=None, metavar="N",
-                                 help="epoch-pipeline depth "
-                                      "(1 = serial batches)")
-    rescale_run_cmd.add_argument("--snapshot-mode", default=None,
-                                 choices=["full", "incremental"],
-                                 help="snapshot durability path")
-    rescale_run_cmd.add_argument("--changelog", default=None,
-                                 choices=["on", "off"],
-                                 help="commit changelog toggle")
-    rescale_run_cmd.set_defaults(handler=_cmd_rescale_run)
+    _add_flags(rescale_run_cmd, "workload", "distribution", "rps",
+               "duration_ms", "records", "seed", "fault_plan",
+               "pipeline_depth", "snapshot_mode")
+    rescale_run_cmd.set_defaults(handler=_cmd_rescale_run, workload="T",
+                                 distribution="uniform", rps=150.0,
+                                 duration_ms=4_000.0, records=60)
     return parser
 
 

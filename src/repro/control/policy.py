@@ -19,11 +19,11 @@ Three guards keep the loop stable:
   nothing, so decisions never pile up behind the barrier.
 
 Hot-slot handling: a zipfian head concentrates traffic on one slot; when
-that slot carries more than ``hot_slot_share`` of a window's commits for
+that slot carries more than ``HOT_SLOT_SHARE`` of a window's commits for
 ``saturated_samples`` consecutive windows, the controller issues a
 ``split`` (grow the cluster by one worker — the minimal-movement
 ``SlotAssignment`` rebalance peels slots, the hot one included, onto the
-new worker).  Keys above ``hot_key_share`` are tracked in
+new worker).  Keys above ``HOT_KEY_SHARE`` are tracked in
 ``controller.hot_keys`` so the runtime can route their single-key
 transactions through the Aria fast path and account them as
 ``single_key_hot``.
@@ -41,6 +41,20 @@ from .metrics import MetricsSampler, WindowSample
 
 Key = tuple[str, Hashable]
 
+#: Coordinator backlog that marks a window saturated regardless of its
+#: commit rate (the cluster is behind even if it commits fast).
+HIGH_QUEUE_DEPTH = 400
+#: The controller never scales below this many workers.
+MIN_WORKERS = 1
+#: A slot carrying more than this share of a window's commits is hot
+#: (checked only above ``HOT_MIN_COMMITTED`` commits).
+HOT_SLOT_SHARE = 0.25
+#: A key carrying more than this share of a window's commits is hot —
+#: routed/accounted via the single-key fast path.
+HOT_KEY_SHARE = 0.10
+#: Minimum commits in a window before shares mean anything.
+HOT_MIN_COMMITTED = 32
+
 
 @dataclass(slots=True)
 class AutoscalePolicy:
@@ -52,9 +66,6 @@ class AutoscalePolicy:
     high_txns_per_worker_s: float = 2_000.0
     #: Per-worker committed-txn rate below which a window is idle.
     low_txns_per_worker_s: float = 200.0
-    #: Coordinator backlog that marks a window saturated regardless of
-    #: its commit rate (the cluster is behind even if it commits fast).
-    high_queue_depth: int = 400
     #: Consecutive saturated windows before a scale-up/split fires.
     saturated_samples: int = 3
     #: Consecutive idle windows before a scale-down fires (deliberately
@@ -62,18 +73,9 @@ class AutoscalePolicy:
     idle_samples: int = 8
     #: Quiet period after any decision.
     cooldown_ms: float = 600.0
-    min_workers: int = 1
     max_workers: int = 16
     #: Sizing target: scale-up picks ``ceil(rate / this)`` workers.
     target_txns_per_worker_s: float = 1_200.0
-    #: A slot carrying more than this share of a window's commits is
-    #: hot (checked only above ``hot_min_committed`` commits).
-    hot_slot_share: float = 0.25
-    #: A key carrying more than this share of a window's commits is
-    #: hot — routed/accounted via the single-key fast path.
-    hot_key_share: float = 0.10
-    #: Minimum commits in a window before shares mean anything.
-    hot_min_committed: int = 32
 
 
 @dataclass(slots=True)
@@ -123,28 +125,26 @@ class AutoscaleController:
         policy = self.policy
         saturated = (
             sample.per_worker_rate_s >= policy.high_txns_per_worker_s
-            or sample.queue_depth >= policy.high_queue_depth)
+            or sample.queue_depth >= HIGH_QUEUE_DEPTH)
         idle = (sample.per_worker_rate_s <= policy.low_txns_per_worker_s
                 and sample.queue_depth == 0
-                and sample.workers > policy.min_workers)
+                and sample.workers > MIN_WORKERS)
         return saturated, idle
 
     def _hot_slot_of(self, sample: WindowSample) -> int | None:
-        policy = self.policy
-        if sample.committed < policy.hot_min_committed:
+        if sample.committed < HOT_MIN_COMMITTED:
             return None
         hottest = sample.hottest_slot
-        if hottest is None or hottest[1] < policy.hot_slot_share:
+        if hottest is None or hottest[1] < HOT_SLOT_SHARE:
             return None
         return hottest[0]
 
     def _refresh_hot_keys(self, sample: WindowSample) -> None:
-        policy = self.policy
-        if sample.committed < policy.hot_min_committed:
+        if sample.committed < HOT_MIN_COMMITTED:
             return  # keep the previous classification over a trickle
         self.hot_keys = frozenset(
             key for key, share in sample.key_shares
-            if share >= policy.hot_key_share)
+            if share >= HOT_KEY_SHARE)
 
     # -- the control loop ----------------------------------------------
 
@@ -208,9 +208,9 @@ class AutoscaleController:
                         f"for {self._hot_streak} windows"),
                 hot_slot=self._hot_slot)
         elif (self._idle_streak >= policy.idle_samples
-                and sample.workers > policy.min_workers):
+                and sample.workers > MIN_WORKERS):
             target = max(
-                policy.min_workers,
+                MIN_WORKERS,
                 min(sample.workers - 1,
                     math.ceil(sample.txn_rate_s
                               / policy.target_txns_per_worker_s)))

@@ -103,10 +103,8 @@ class QueryEngine:
     @staticmethod
     def _changelog_of(coordinator):
         """The changelog recovery would repair through, or ``None``
-        when the deployment keeps none."""
-        config = coordinator.config
-        if (config.snapshot_mode == "incremental"
-                and config.changelog_enabled):
+        when the deployment keeps none (full snapshot mode)."""
+        if coordinator.snapshots.mode == "incremental":
             return coordinator.changelog
         return None
 
@@ -153,7 +151,7 @@ class QueryEngine:
         if changelog is None:
             raise QueryError(
                 "as-of queries replay the commit changelog; run with "
-                "snapshot_mode='incremental' and the changelog enabled")
+                "snapshot_mode='incremental'")
         snapshots = coordinator.snapshots
         for snapshot in reversed(snapshots.retained()):
             # The cut qualifies when everything it contains is at or

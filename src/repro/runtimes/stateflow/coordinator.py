@@ -109,6 +109,10 @@ class TxnRecord:
                          attempt=self.attempt)
 
 
+#: Simulated time a recovery holds batching after restoring a cut, on
+#: top of ``restore_cost_ms_per_key`` per restored key.
+RECOVERY_PAUSE_MS = 25.0
+
 #: Fallback transactions get TIDs above this base so reports are
 #: distinguishable from execution-phase reports of the same batch.
 FALLBACK_TID_BASE = 1_000_000
@@ -200,7 +204,6 @@ class CoordinatorConfig:
     epoch_interval_ms: float = 40.0
     snapshot_interval_ms: float = 500.0
     failure_detect_ms: float = 400.0
-    recovery_pause_ms: float = 25.0
     conflict_check_ms_per_txn: float = 0.01
     dispatch_ms_per_txn: float = 0.02
     reordering: bool = True
@@ -215,19 +218,9 @@ class CoordinatorConfig:
     #: waiting a full ``batch_interval_ms`` tick.  The fraction keeps
     #: near-simultaneous arrivals coalescing into one batch.
     idle_seal_fraction: float = 0.25
-    #: "full" = every cut carries the whole committed state (classic).
-    #: "incremental" = cuts capture only the slots dirtied since the
-    #: previous cut, chained to a periodic full base (see
-    #: :mod:`.snapshots`); recovery resolves base + delta chain, with
-    #: the commit changelog repairing torn chains.
-    snapshot_mode: str = "full"
     #: Incremental mode: a full base cut every N cuts (bounds the delta
     #: chain recovery must replay).
     snapshot_base_every: int = 4
-    #: Incremental mode: append each committed batch's write footprint
-    #: to the durable changelog (enables torn-chain repair; off = torn
-    #: cuts always fall back to the last complete chain).
-    changelog_enabled: bool = True
     #: Measure every cut's (keys, bytes) into the snapshot store's
     #: ledger — O(payload) per cut, so ``None`` defaults to "only in
     #: incremental mode" and the recovery bench enables it explicitly
@@ -237,15 +230,6 @@ class CoordinatorConfig:
     #: recovery time growing with state size; 0 keeps the legacy fixed
     #: recovery pause).
     restore_cost_ms_per_key: float = 0.0
-    #: Put real files under the durability path: when set, the snapshot
-    #: and changelog stores are the file-backed ones from
-    #: :mod:`repro.storage` (segment-file changelog, per-cut snapshot
-    #: files, fsync-on-append) rooted at this directory, and a cold
-    #: start — a *real* process death — recovers from disk.  ``None``
-    #: keeps the in-memory stores (durability survives simulated
-    #: crashes only).  Persistence is a pure side effect: traces are
-    #: byte-identical either way.
-    durability_dir: str | None = None
 
 
 class Coordinator:
@@ -254,6 +238,7 @@ class Coordinator:
     def __init__(self, sim: Simulation, committed: StateBackend,
                  hooks: CoordinatorHooks,
                  config: CoordinatorConfig | None = None,
+                 *, snapshots: SnapshotStore, changelog: ChangelogStore,
                  autoscaler: Any = None):
         self.sim = sim
         self.committed = committed
@@ -274,27 +259,14 @@ class Coordinator:
         self.views: Any = None
         self._slot_of = getattr(committed, "slot_of", None)
         self.cpu = CpuPool(sim, 1, name="coordinator")
-        if self.config.durability_dir:
-            # Imported lazily: the storage package depends on this
-            # module's sibling (snapshots), and most deployments never
-            # touch disk.
-            from ...storage import FileChangelogStore, FileSnapshotStore
-            self.snapshots = FileSnapshotStore(
-                self.config.durability_dir,
-                mode=self.config.snapshot_mode,
-                base_every=self.config.snapshot_base_every,
-                track_footprints=self.config.snapshot_footprints)
-            self.changelog = FileChangelogStore(self.config.durability_dir)
-        else:
-            self.snapshots = SnapshotStore(
-                mode=self.config.snapshot_mode,
-                base_every=self.config.snapshot_base_every,
-                track_footprints=self.config.snapshot_footprints)
-            #: Durable commit changelog (incremental mode): one record
-            #: per committed batch.  Like the snapshot store it survives
-            #: crashes; recovery rewinds it to the restored cut's
-            #: position.
-            self.changelog = ChangelogStore()
+        #: Where cuts go; its ``mode`` (full or incremental) decides
+        #: what a cut captures.  Like the replayable source it survives
+        #: crashes (and, file-backed, real process deaths).
+        self.snapshots = snapshots
+        #: Durable commit changelog, appended in incremental mode: one
+        #: record per committed batch.  Recovery rewinds it to the
+        #: restored cut's position.
+        self.changelog = changelog
         self.stats = AriaStats()
         self.pending: list[TxnRecord] = []
         #: The epoch pipeline: every sealed-but-not-closed batch, by id.
@@ -793,8 +765,7 @@ class Coordinator:
         never materialized (an errored single-key transaction on an
         absent key) are skipped — the runtime has no deletes, so
         absence means "was never written"."""
-        changelogging = (self.config.snapshot_mode == "incremental"
-                         and self.config.changelog_enabled)
+        changelogging = self.snapshots.mode == "incremental"
         viewing = self.views is not None and len(self.views)
         writes: dict = {}
         if batch.footprint and (changelogging or viewing):
@@ -1151,9 +1122,8 @@ class Coordinator:
         commit changelog over the nearest intact ancestor, and failing
         that recovery falls back to the last complete chain (an older
         cut — the rewound source replays the difference)."""
-        changelog = (self.changelog
-                     if self.config.snapshot_mode == "incremental"
-                     and self.config.changelog_enabled else None)
+        changelog = (self.changelog if self.snapshots.mode == "incremental"
+                     else None)
         snapshot, state_payload = \
             self.snapshots.latest_recoverable(changelog)
         assert snapshot is not None  # start() always takes one
@@ -1219,7 +1189,7 @@ class Coordinator:
             self.recovering = False
             self.recovery_log.append((started_at, self.sim.now))
 
-        pause = self.config.recovery_pause_ms
+        pause = RECOVERY_PAUSE_MS
         if self.config.restore_cost_ms_per_key:
             # Model restore work growing with the restored state: the
             # resolved payload carries the same keys in either snapshot

@@ -337,8 +337,8 @@ class _Channel:
 
 
 def _worker_main(conn: Any, index: int,
-                 entities: dict[str, CompiledEntity],
-                 check_state_serializable: bool) -> None:  # pragma: no cover
+                 entities: dict[str, CompiledEntity]
+                 ) -> None:  # pragma: no cover
     """Child-process main loop: wait on the control pipe and every
     channel, hand each frame to the :class:`ChildWorker`, send what it
     returns.  Before it runs a hop it handles every frame already in the
@@ -350,7 +350,7 @@ def _worker_main(conn: Any, index: int,
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent owns shutdown
     worker = ChildWorker(index, OperatorExecutor(
-        entities, check_state_serializable=check_state_serializable))
+        entities, check_state_serializable=False))
     selector = selectors.DefaultSelector()
     selector.register(conn, selectors.EVENT_READ)
     channels: dict[int, _Channel] = {}
@@ -474,8 +474,7 @@ class ProcessWorkerProxy:
                  committed: PartitionedStore,
                  entities: dict[str, CompiledEntity],
                  emit: Callable[[Event], None],
-                 *, check_state_serializable: bool = False,
-                 direct: bool = False,
+                 *, direct: bool = False,
                  peers: Callable[[], list["ProcessWorkerProxy"]]
                  = lambda: []):
         self.index = index
@@ -498,7 +497,6 @@ class ProcessWorkerProxy:
         self.store: StateBackend = committed.partition(index)
         self._entities = entities
         self._emit = emit
-        self._check_serializable = check_state_serializable
         self._direct = direct
         self._peers = peers
         #: ``routing.epoch`` of the table last sent to the child; ``None``
@@ -527,8 +525,7 @@ class ProcessWorkerProxy:
         parent_conn, child_conn = _MP_CONTEXT.Pipe(duplex=True)
         process = _MP_CONTEXT.Process(
             target=_worker_main,
-            args=(child_conn, self.index, self._entities,
-                  self._check_serializable),
+            args=(child_conn, self.index, self._entities),
             name=f"stateflow-worker-{self.index}", daemon=True)
         process.start()
         child_conn.close()

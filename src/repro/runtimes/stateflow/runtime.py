@@ -14,7 +14,7 @@ Kafka loop-backs (what StateFun must do) — the ABL-COMM ablation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ...compiler.pipeline import CompiledProgram
@@ -33,11 +33,17 @@ from ..base import InvocationResult, Runtime
 from ..executor import OperatorExecutor, run_constructor
 from ..state import PartitionedStore, SlotDelta, resolve_payload
 from .coordinator import Coordinator, CoordinatorConfig, CoordinatorHooks
+from .snapshots import ChangelogStore, SnapshotStore
 from .worker import Worker
 
 INGRESS_TOPIC = "stateflow-ingress"
 EGRESS_TOPIC = "stateflow-egress"
 LOOPBACK_TOPIC = "stateflow-loopback"
+#: Partitions of each of those topics.
+TOPIC_PARTITIONS = 4
+#: How long a synchronous ``create``/``invoke`` waits for its reply, in
+#: simulated milliseconds.
+SYNC_WAIT_MS = 120_000.0
 
 
 def default_kafka_config() -> KafkaConfig:
@@ -70,30 +76,19 @@ class StateflowConfig:
     #: rescaling).  Fixed for the run; must be >= the largest worker
     #: count the run will rescale to.
     state_slots: int = 64
-    #: Bounded epoch pipeline (``--pipeline-depth`` on the CLI): batches
-    #: in flight at once — 1 = strictly serial batches, the default (2)
-    #: overlaps a batch's execution with its predecessor's commit.
-    #: ``None`` keeps whatever ``coordinator.pipeline_depth`` says; a
-    #: value overrides it.
-    pipeline_depth: int | None = None
     #: Snapshot mode (``--snapshot-mode``): "full" = every cut carries
     #: the whole committed state; "incremental" = cuts capture only the
     #: slots dirtied since the previous cut, chained to periodic full
     #: bases, with a per-commit changelog backing recovery (see
-    #: :mod:`repro.runtimes.stateflow.snapshots`).  ``None`` keeps
-    #: whatever ``coordinator.snapshot_mode`` says.
-    snapshot_mode: str | None = None
-    #: Commit changelog toggle (``--changelog``): ``None`` keeps
-    #: ``coordinator.changelog_enabled``.
-    changelog: bool | None = None
+    #: :mod:`repro.runtimes.stateflow.snapshots`).
+    snapshot_mode: str = "full"
     #: Durability directory (``--durable``): when set, snapshots and
     #: the changelog live in file-backed stores under this path (see
     #: :mod:`repro.storage`) and a real process death recovers from
     #: disk on the next start.  ``None`` keeps the in-memory stores.
+    #: Persistence is a pure side effect: traces are byte-identical
+    #: either way.
     durability_dir: str | None = None
-    check_state_serializable: bool = False
-    ingress_partitions: int = 4
-    egress_partitions: int = 4
     coordinator: CoordinatorConfig = field(default_factory=CoordinatorConfig)
     kafka: KafkaConfig = field(default_factory=default_kafka_config)
     network: NetworkConfig = field(default_factory=NetworkConfig)
@@ -111,7 +106,23 @@ class StateflowConfig:
     #: Policy knobs for the controller; supplying a policy implies
     #: ``autoscale`` (``None`` = the defaults when enabled).
     autoscale_policy: "AutoscalePolicy | None" = None
-    sync_wait_ms: float = 120_000.0
+
+
+def make_durability_stores(config: StateflowConfig,
+                           ) -> tuple[SnapshotStore, ChangelogStore]:
+    """The snapshot and changelog stores the coordinator cuts into: in
+    memory, or file-backed under ``config.durability_dir`` (a cold start
+    over an existing directory resumes from its files)."""
+    options = dict(mode=config.snapshot_mode,
+                   base_every=config.coordinator.snapshot_base_every,
+                   track_footprints=config.coordinator.snapshot_footprints)
+    if not config.durability_dir:
+        return SnapshotStore(**options), ChangelogStore()
+    # Imported lazily: the storage package imports this package's
+    # snapshots module.
+    from ...storage import FileChangelogStore, FileSnapshotStore
+    return (FileSnapshotStore(config.durability_dir, **options),
+            FileChangelogStore(config.durability_dir))
 
 
 class StateflowRuntime(Runtime):
@@ -124,25 +135,6 @@ class StateflowRuntime(Runtime):
                  config: StateflowConfig | None = None):
         super().__init__(program)
         self.config = config or StateflowConfig()
-        coordinator_overrides: dict[str, Any] = {}
-        if self.config.pipeline_depth is not None:
-            coordinator_overrides["pipeline_depth"] = max(
-                1, self.config.pipeline_depth)
-        if self.config.snapshot_mode is not None:
-            coordinator_overrides["snapshot_mode"] = self.config.snapshot_mode
-        if self.config.changelog is not None:
-            coordinator_overrides["changelog_enabled"] = self.config.changelog
-        if self.config.durability_dir is not None:
-            coordinator_overrides["durability_dir"] = \
-                self.config.durability_dir
-        if coordinator_overrides:
-            # Fresh config objects, not in-place writes: the caller may
-            # share a StateflowConfig or CoordinatorConfig across
-            # runtimes.
-            self.config = replace(
-                self.config,
-                coordinator=replace(self.config.coordinator,
-                                    **coordinator_overrides))
         self.spawner = make_spawner(self.config.spawner)
         if self.config.fault_plan is not None and self.spawner.wallclock:
             raise RuntimeExecutionError(
@@ -162,9 +154,8 @@ class StateflowRuntime(Runtime):
             self.config.workers,
             slots=max(self.config.state_slots, self.config.workers))
         self.metrics = MetricRecorder()
-        self._executor = OperatorExecutor(
-            program.entities,
-            check_state_serializable=self.config.check_state_serializable)
+        self._executor = OperatorExecutor(program.entities,
+                                          check_state_serializable=False)
         #: Every worker ever created (index-stable); retired workers stay
         #: in place, dead, until a later rescale revives them.
         self.workers = [self._make_worker(index)
@@ -192,8 +183,11 @@ class StateflowRuntime(Runtime):
         if self.config.autoscale or self.config.autoscale_policy is not None:
             self.autoscaler = AutoscaleController(
                 self.config.autoscale_policy)
+        snapshots, changelog = make_durability_stores(self.config)
         self.coordinator = Coordinator(self.sim, self.committed, hooks,
                                        self.config.coordinator,
+                                       snapshots=snapshots,
+                                       changelog=changelog,
                                        autoscaler=self.autoscaler)
         #: Incremental materialized views (see :mod:`repro.views`):
         #: maintained off the commit path from each closed batch's write
@@ -216,12 +210,10 @@ class StateflowRuntime(Runtime):
                     lambda workers=step.workers:
                     self.coordinator.request_rescale(workers))
 
-        self.broker.create_topic(INGRESS_TOPIC,
-                                 self.config.ingress_partitions)
-        self.broker.create_topic(EGRESS_TOPIC, self.config.egress_partitions)
+        self.broker.create_topic(INGRESS_TOPIC, TOPIC_PARTITIONS)
+        self.broker.create_topic(EGRESS_TOPIC, TOPIC_PARTITIONS)
         if self.config.channel_mode == "kafka":
-            self.broker.create_topic(LOOPBACK_TOPIC,
-                                     self.config.ingress_partitions)
+            self.broker.create_topic(LOOPBACK_TOPIC, TOPIC_PARTITIONS)
             self.broker.subscribe("stateflow-workers", LOOPBACK_TOPIC,
                                   self._on_loopback_record)
         self.broker.subscribe("stateflow-coord", INGRESS_TOPIC,
@@ -305,11 +297,9 @@ class StateflowRuntime(Runtime):
         src_worker, dst_worker = self.workers[src], self.workers[dst]
         src_token = src_worker.incarnation
         dst_token = dst_worker.incarnation
-        incremental = (allow_delta
-                       and self.config.coordinator.snapshot_mode
-                       == "incremental"
-                       and self.coordinator.snapshots.resolve_slot(slot)
-                       is not None)
+        snapshots = self.coordinator.snapshots
+        incremental = (allow_delta and snapshots.mode == "incremental"
+                       and snapshots.resolve_slot(slot) is not None)
         mode = "delta" if incremental else "full"
 
         def ship(fragment: Any) -> None:
@@ -491,13 +481,13 @@ class StateflowRuntime(Runtime):
         return request_id
 
     def _await_reply(self, request_id: int) -> Event:
-        deadline = self.sim.now + self.config.sync_wait_ms
+        deadline = self.sim.now + SYNC_WAIT_MS
         arrived = self.sim.run_until(
             lambda: request_id in self._sync_replies, max_time=deadline)
         if not arrived:
             raise RuntimeExecutionError(
                 f"no reply for request {request_id} within "
-                f"{self.config.sync_wait_ms} ms of simulated time")
+                f"{SYNC_WAIT_MS} ms of simulated time")
         return self._sync_replies.pop(request_id)
 
     def create(self, entity: str | type, *args: Any) -> EntityRef:

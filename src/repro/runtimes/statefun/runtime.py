@@ -47,6 +47,16 @@ from ..stateflow.runtime import default_kafka_config
 INGRESS_TOPIC = "statefun-ingress"
 EGRESS_TOPIC = "statefun-egress"
 LOOPBACK_TOPIC = "statefun-loopback"
+#: Partitions of the ingress and loop-back topics.
+TOPIC_PARTITIONS = 4
+#: "we gave half of the resources to the Flink cluster and the other to
+#: the remote functions" — of the 6 system CPUs.
+FLINK_CORES = 3
+#: Flink network-buffer capacity: a buffer flushes early once full.
+BUFFER_CAPACITY = 64
+#: How long a synchronous ``create``/``invoke`` waits for its reply, in
+#: simulated milliseconds.
+SYNC_WAIT_MS = 60_000.0
 
 
 class BatchingChannel:
@@ -88,9 +98,8 @@ class BatchingChannel:
 class StatefunConfig:
     """Tunables of the simulated StateFun deployment."""
 
-    #: "we gave half of the resources to the Flink cluster and the other
-    #: to the remote functions" — of the 6 system CPUs.
-    flink_cores: int = 3
+    #: The remote-function half of the 6 system CPUs (see
+    #: ``FLINK_CORES``).
     function_cores: int = 3
     router_service_ms: float = 0.04
     state_service_ms: float = 0.06
@@ -98,11 +107,9 @@ class StatefunConfig:
     #: (de)serialisation of the shipped request).
     function_service_ms: float = 1.0
     buffer_timeout_ms: float = 25.0
-    buffer_capacity: int = 64
     #: Raise on @transactional methods instead of running them without
     #: guarantees (the paper simply did not benchmark T on Statefun).
     strict_transactions: bool = False
-    ingress_partitions: int = 4
     kafka: KafkaConfig = field(default_factory=default_kafka_config)
     network: NetworkConfig = field(default_factory=NetworkConfig)
     #: Deterministic fault schedule.  StateFun has no coordinator, no
@@ -111,7 +118,6 @@ class StatefunConfig:
     #: *not* recoverable here — that asymmetry against StateFlow is the
     #: paper's fault-tolerance claim made visible.
     fault_plan: FaultPlan | None = None
-    sync_wait_ms: float = 60_000.0
 
 
 class StatefunRuntime(Runtime):
@@ -129,7 +135,7 @@ class StatefunRuntime(Runtime):
         self.broker = KafkaBroker(self.sim, self.config.kafka)
         self.state = DictStateBackend()
         self.metrics = MetricRecorder()
-        self.flink_cpu = CpuPool(self.sim, self.config.flink_cores,
+        self.flink_cpu = CpuPool(self.sim, FLINK_CORES,
                                  name="flink")
         self.function_cpu = CpuPool(self.sim, self.config.function_cores,
                                     name="remote-functions")
@@ -137,15 +143,13 @@ class StatefunRuntime(Runtime):
                                           check_state_serializable=False)
         self.task_channel = BatchingChannel(
             self.sim, self.config.buffer_timeout_ms,
-            self.config.buffer_capacity, self._process_batch)
+            BUFFER_CAPACITY, self._process_batch)
         self.sink_channel = BatchingChannel(
             self.sim, self.config.buffer_timeout_ms,
-            self.config.buffer_capacity, self._sink_batch)
+            BUFFER_CAPACITY, self._sink_batch)
 
-        self.broker.create_topic(INGRESS_TOPIC,
-                                 self.config.ingress_partitions)
-        self.broker.create_topic(LOOPBACK_TOPIC,
-                                 self.config.ingress_partitions)
+        self.broker.create_topic(INGRESS_TOPIC, TOPIC_PARTITIONS)
+        self.broker.create_topic(LOOPBACK_TOPIC, TOPIC_PARTITIONS)
         self.broker.create_topic(EGRESS_TOPIC, 1)
         self.broker.subscribe("statefun-flink", INGRESS_TOPIC,
                               self._on_source_record)
@@ -256,13 +260,13 @@ class StatefunRuntime(Runtime):
         return request_id
 
     def _await_reply(self, request_id: int) -> Event:
-        deadline = self.sim.now + self.config.sync_wait_ms
+        deadline = self.sim.now + SYNC_WAIT_MS
         arrived = self.sim.run_until(
             lambda: request_id in self._sync_replies, max_time=deadline)
         if not arrived:
             raise RuntimeExecutionError(
                 f"no reply for request {request_id} within "
-                f"{self.config.sync_wait_ms} ms of simulated time")
+                f"{SYNC_WAIT_MS} ms of simulated time")
         return self._sync_replies.pop(request_id)
 
     def create(self, entity: str | type, *args: Any) -> EntityRef:

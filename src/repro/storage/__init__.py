@@ -14,10 +14,10 @@ interfaces so a real process death loses nothing:
   versioned ``MANIFEST.json`` and forward migration.
 
 Wire-up is one knob: ``StateflowConfig(durability_dir=...)`` (CLI
-``--durable <dir>``) makes the coordinator build these instead of the
-in-memory stores.  Persistence is a pure side effect — reply traces of
-durable runs are byte-identical to in-memory runs — and a cold start is
-construction over the existing directory.
+``--durable <dir>``) makes the runtime hand these to the coordinator
+instead of the in-memory stores.  Persistence is a pure side effect —
+reply traces of durable runs are byte-identical to in-memory runs — and
+a cold start is construction over the existing directory.
 """
 
 from .changelog import FileChangelogStore

@@ -21,6 +21,8 @@ from .simulation import CpuPool, Simulation
 #: How long a faulted (dropped/overtaken) fetch delivery waits before the
 #: broker retries it — the simulated consumer's fetch backoff.
 FETCH_RETRY_MS = 2.0
+#: Broker CPU cores (the paper gave Kafka 4 of the 14 CPUs).
+BROKER_CORES = 4
 
 
 class KafkaError(Exception):
@@ -45,7 +47,6 @@ class KafkaConfig:
         default_factory=lambda: LatencyModel(median_ms=0.9, sigma=0.3))
     #: Broker-side CPU per record (appending + serving fetches).
     broker_cpu_ms: float = 0.01
-    broker_cores: int = 4
 
 
 @dataclass(slots=True, eq=False)
@@ -85,7 +86,7 @@ class KafkaBroker:
     def __init__(self, sim: Simulation, config: KafkaConfig | None = None):
         self.sim = sim
         self.config = config or KafkaConfig()
-        self.cpu = CpuPool(sim, self.config.broker_cores, name="kafka")
+        self.cpu = CpuPool(sim, BROKER_CORES, name="kafka")
         self._topics: dict[str, list[_Partition]] = {}
         self._groups: dict[str, _GroupState] = {}
         self._subscriptions: dict[str, set[str]] = {}  # topic -> groups

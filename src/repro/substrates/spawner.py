@@ -93,7 +93,6 @@ class ProcessSpawner(Spawner):
             runtime.program.entities,
             (lambda event, sender=index:
              runtime._on_worker_out(event, sender)),
-            check_state_serializable=runtime.config.check_state_serializable,
             direct=runtime.config.channel_mode == "direct",
             peers=lambda: runtime.workers)
 

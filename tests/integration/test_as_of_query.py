@@ -37,8 +37,8 @@ def run_traced(account_program, *, snapshot_mode="incremental",
     at_ms) — the serial oracle's tape."""
     config = StateflowConfig(
         workers=3, snapshot_mode=snapshot_mode,
-        pipeline_depth=pipeline_depth,
-        coordinator=CoordinatorConfig(snapshot_interval_ms=150.0,
+        coordinator=CoordinatorConfig(pipeline_depth=pipeline_depth,
+                                      snapshot_interval_ms=150.0,
                                       failure_detect_ms=200.0,
                                       snapshot_base_every=3))
     runtime = StateflowRuntime(account_program, sim=Simulation(seed=seed),

@@ -25,6 +25,7 @@ from repro.control import (
     MetricsSampler,
     WindowSample,
 )
+from repro.control.policy import HIGH_QUEUE_DEPTH, MIN_WORKERS
 from repro.faults import FaultEvent, FaultPlan, MessageFaultProfile
 from repro.runtimes.stateflow import StateflowConfig, StateflowRuntime
 from repro.workloads import Account, DriverConfig, WorkloadDriver, YcsbWorkload
@@ -67,7 +68,7 @@ class TestPolicy:
 
     def test_queue_depth_alone_saturates(self):
         controller = AutoscaleController()
-        deep = controller.policy.high_queue_depth
+        deep = HIGH_QUEUE_DEPTH
         for at in (100, 200):
             assert controller.decide(window(at, rate=10, queue=deep)) is None
         decision = controller.decide(window(300, rate=10, queue=deep))
@@ -142,7 +143,7 @@ class TestPolicy:
         decision = decisions[-1]
         assert all(d is None for d in decisions[:-1])
         assert decision is not None and decision.kind == "scale_down"
-        assert decision.to_workers >= policy.min_workers
+        assert decision.to_workers >= MIN_WORKERS
         # At the floor, idle windows never classify as idle.
         floor = AutoscaleController()
         for at in range(1, 20):
@@ -311,5 +312,6 @@ class TestClosedLoop:
     def test_chaos_cell_accepts_autoscale(self):
         report = run_chaos_cell("stateflow", "T", rps=80.0,
                                 duration_ms=1_500.0, record_count=30,
-                                seed=23, autoscale=True)
+                                seed=23,
+                                runtime_overrides={"autoscale": True})
         assert report.ok, report.problems

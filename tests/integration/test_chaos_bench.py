@@ -48,7 +48,7 @@ def test_chaos_cell_history_is_independent_of_pipeline_depth():
     for depth in (1, 2):
         report = run_chaos_cell(rps=90.0, duration_ms=1_200.0,
                                 record_count=25, seed=33,
-                                pipeline_depth=depth)
+                                runtime_overrides={"pipeline_depth": depth})
         assert report.ok, (depth, report.problems)
         assert report.recoveries >= 1
         digests.add(report.trace_digest)

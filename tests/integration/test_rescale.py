@@ -9,6 +9,8 @@ at pipeline depth 1 and 2, with byte-identical replays and recorded
 migration metrics, and with a fault plan layered on top (rescale under
 chaos)."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,14 +24,15 @@ from repro.workloads import Account
 
 
 def _rescale_config(targets=(4, 3), *, workers=2, start_ms=300.0,
-                    interval_ms=400.0, pipeline_depth=None,
+                    interval_ms=400.0, pipeline_depth=2,
                     fault_plan=None) -> StateflowConfig:
     return StateflowConfig(
-        workers=workers, pipeline_depth=pipeline_depth,
+        workers=workers,
         rescale_plan=staged_plan(targets, start_ms=start_ms,
                                  interval_ms=interval_ms),
         fault_plan=fault_plan,
-        coordinator=chaos_coordinator_config())
+        coordinator=replace(chaos_coordinator_config(),
+                            pipeline_depth=pipeline_depth))
 
 
 def _quiesce(runtime, extra_ms=30_000.0):

@@ -41,7 +41,7 @@ def test_rescale_cell_history_is_independent_of_pipeline_depth():
     for depth in (1, 2):
         report = run_rescale_cell(rps=90.0, duration_ms=1_500.0,
                                   record_count=30, seed=33,
-                                  pipeline_depth=depth)
+                                  runtime_overrides={"pipeline_depth": depth})
         assert report.ok, (depth, report.problems)
         assert report.rescales == 2
         digests.add(report.trace_digest)
@@ -55,7 +55,7 @@ def test_rescale_cell_under_chaos():
         FaultEvent(kind="crash_worker", at_ms=700.0, worker=1)])
     report = run_rescale_cell(rps=90.0, duration_ms=2_000.0,
                               record_count=30, seed=7,
-                              fault_plan=fault_plan)
+                              runtime_overrides={"fault_plan": fault_plan})
     assert report.ok, report.problems
     assert report.rescales >= 2
 

@@ -9,6 +9,7 @@ each of those readers — a single in-place write anywhere would change
 a fingerprint."""
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -47,8 +48,8 @@ def test_cut_payloads_are_never_written(account_program, monkeypatch,
     monkeypatch.setattr(SnapshotStore, "take", fingerprinting_take)
     runtime = StateflowRuntime(account_program, config=StateflowConfig(
         workers=4, snapshot_mode=snapshot_mode, fault_plan=PLAN,
-        pipeline_depth=pipeline_depth,
-        coordinator=chaos_coordinator_config()))
+        coordinator=replace(chaos_coordinator_config(),
+                            pipeline_depth=pipeline_depth)))
     workload = YcsbWorkload("T", record_count=RECORDS,
                             distribution="uniform", seed=5,
                             initial_balance=BALANCE)

@@ -12,6 +12,8 @@ at commit granularity, not just at quiesce.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,7 +117,8 @@ class TestEveryBatchEquality:
         share the commit-path observation), with serial and with
         pipelined batches."""
         runtime = StateflowRuntime(account_program, config=StateflowConfig(
-            snapshot_mode=snapshot_mode, pipeline_depth=pipeline_depth))
+            snapshot_mode=snapshot_mode,
+            coordinator=CoordinatorConfig(pipeline_depth=pipeline_depth)))
         refs = runtime.preload(
             Account, [(f"acct-{i}", SEED_BALANCE) for i in range(ACCOUNTS)])
         runtime.start()
@@ -177,7 +180,7 @@ class TestSubscriptions:
         inline on the commit path — and still arrive in batch order
         with the values the view held at publish time."""
         runtime = StateflowRuntime(account_program, config=StateflowConfig(
-            pipeline_depth=pipeline_depth))
+            coordinator=CoordinatorConfig(pipeline_depth=pipeline_depth)))
         refs = runtime.preload(
             Account, [(f"acct-{i}", SEED_BALANCE) for i in range(ACCOUNTS)])
         runtime.start()
@@ -207,8 +210,9 @@ class TestChaos:
         fault_plan = random_plan(seed, duration_ms=3_000.0, workers=5,
                                  intensity="medium")
         runtime = StateflowRuntime(account_program, config=StateflowConfig(
-            fault_plan=fault_plan, pipeline_depth=pipeline_depth,
-            coordinator=chaos_coordinator_config()))
+            fault_plan=fault_plan,
+            coordinator=replace(chaos_coordinator_config(),
+                                pipeline_depth=pipeline_depth)))
         refs = runtime.preload(
             Account, [(f"acct-{i}", SEED_BALANCE) for i in range(ACCOUNTS)])
         runtime.start()
@@ -232,8 +236,9 @@ class TestCrashRecovery:
         (zero store scans), then tracking the replayed batches back to
         an exact final state."""
         runtime = StateflowRuntime(account_program, config=StateflowConfig(
-            snapshot_mode=snapshot_mode, pipeline_depth=pipeline_depth,
-            coordinator=CoordinatorConfig(snapshot_interval_ms=150.0,
+            snapshot_mode=snapshot_mode,
+            coordinator=CoordinatorConfig(pipeline_depth=pipeline_depth,
+                                          snapshot_interval_ms=150.0,
                                           failure_detect_ms=200.0)))
         refs = runtime.preload(
             Account, [(f"acct-{i}", SEED_BALANCE) for i in range(ACCOUNTS)])
@@ -284,10 +289,11 @@ class TestRescale:
         not, so views need no rescale hook — the per-batch probe proves
         they stay exact through both barriers."""
         runtime = StateflowRuntime(account_program, config=StateflowConfig(
-            workers=2, pipeline_depth=pipeline_depth,
+            workers=2,
             rescale_plan=staged_plan((4, 3), start_ms=300.0,
                                      interval_ms=400.0),
-            coordinator=chaos_coordinator_config()))
+            coordinator=replace(chaos_coordinator_config(),
+                                pipeline_depth=pipeline_depth)))
         refs = runtime.preload(
             Account, [(f"acct-{i}", SEED_BALANCE) for i in range(ACCOUNTS)])
         runtime.start()
@@ -392,8 +398,8 @@ class TestJoinViews:
         """Coordinator crash between commits: both memo sides restore
         from the sidecar and the replay converges to the oracle."""
         runtime = StateflowRuntime(join_program, config=StateflowConfig(
-            pipeline_depth=pipeline_depth,
-            coordinator=CoordinatorConfig(snapshot_interval_ms=150.0,
+            coordinator=CoordinatorConfig(pipeline_depth=pipeline_depth,
+                                          snapshot_interval_ms=150.0,
                                           failure_detect_ms=200.0)))
         customers = runtime.preload(JCustomer, [("c0", 1), ("c1", 2)])
         orders = runtime.preload(
@@ -468,7 +474,7 @@ class TestPoisonRow:
     def test_commit_reply_and_other_views_survive(self, item_program,
                                                   pipeline_depth):
         runtime = StateflowRuntime(item_program, config=StateflowConfig(
-            pipeline_depth=pipeline_depth))
+            coordinator=CoordinatorConfig(pipeline_depth=pipeline_depth)))
         items = runtime.preload(
             PItem, [("i0", 8, 1), ("i1", 9, 2), ("i2", 6, 3)])
         runtime.start()
@@ -571,7 +577,7 @@ class TestWindowedViews:
     def test_windowed_sum_partitions_the_total(self, account_program,
                                                pipeline_depth):
         runtime = StateflowRuntime(account_program, config=StateflowConfig(
-            pipeline_depth=pipeline_depth))
+            coordinator=CoordinatorConfig(pipeline_depth=pipeline_depth)))
         refs = runtime.preload(
             Account, [(f"acct-{i}", SEED_BALANCE) for i in range(ACCOUNTS)])
         runtime.start()
@@ -595,8 +601,8 @@ class TestWindowedViews:
         Recovery must carry it through the sidecar and keep the
         conservation invariant across the rewind and replay."""
         runtime = StateflowRuntime(account_program, config=StateflowConfig(
-            pipeline_depth=pipeline_depth,
-            coordinator=CoordinatorConfig(snapshot_interval_ms=150.0,
+            coordinator=CoordinatorConfig(pipeline_depth=pipeline_depth,
+                                          snapshot_interval_ms=150.0,
                                           failure_detect_ms=200.0)))
         refs = runtime.preload(
             Account, [(f"acct-{i}", SEED_BALANCE) for i in range(ACCOUNTS)])

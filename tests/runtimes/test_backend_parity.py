@@ -42,8 +42,8 @@ def pipeline_depth(request):
 def _drive(account_program, *, pipeline_depth: int, seed: int = 7,
            fail_worker_at: float | None = None) -> RunOutcome:
     config = StateflowConfig(
-        pipeline_depth=pipeline_depth,
-        coordinator=CoordinatorConfig(snapshot_interval_ms=300.0,
+        coordinator=CoordinatorConfig(pipeline_depth=pipeline_depth,
+                                      snapshot_interval_ms=300.0,
                                       failure_detect_ms=250.0))
     runtime = StateflowRuntime(account_program, sim=Simulation(seed=seed),
                                config=config)

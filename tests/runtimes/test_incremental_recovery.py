@@ -24,6 +24,7 @@ from repro.rescale import staged_plan
 from repro.runtimes.state import materialize_snapshot
 from repro.runtimes.stateflow import StateflowConfig, StateflowRuntime
 from repro.runtimes.stateflow.coordinator import CoordinatorConfig
+from repro.runtimes.stateflow.snapshots import ChangelogStore
 from repro.workloads import Account, DriverConfig, WorkloadDriver, YcsbWorkload
 
 #: Cuts every 150 ms, a base every 3 cuts: crash times can be aimed at
@@ -36,14 +37,14 @@ DEPTHS = (1, 2)
 
 def run_once(mode, *, seed=11, fault_plan=None, rescale_plan=None,
              workers=3, pipeline_depth=2, rps=150.0, duration_ms=1_500.0,
-             records=24, changelog=None):
+             records=24):
     """One deterministic run; returns (trace, final_state, coordinator,
     sent, completed, workload)."""
     config = StateflowConfig(
         workers=workers, snapshot_mode=mode,
-        pipeline_depth=pipeline_depth, fault_plan=fault_plan,
-        rescale_plan=rescale_plan, changelog=changelog,
+        fault_plan=fault_plan, rescale_plan=rescale_plan,
         coordinator=CoordinatorConfig(
+            pipeline_depth=pipeline_depth,
             snapshot_interval_ms=SNAPSHOT_INTERVAL_MS,
             failure_detect_ms=200.0,
             snapshot_base_every=BASE_EVERY))
@@ -182,10 +183,10 @@ class TestEquivalenceUnderRescale:
         fragments, not full copies."""
         config = StateflowConfig(
             workers=2, snapshot_mode="incremental",
-            pipeline_depth=pipeline_depth,
             rescale_plan=staged_plan((4,), start_ms=500.0,
                                      interval_ms=500.0),
             coordinator=CoordinatorConfig(
+                pipeline_depth=pipeline_depth,
                 snapshot_interval_ms=SNAPSHOT_INTERVAL_MS,
                 snapshot_base_every=BASE_EVERY))
         runtime = StateflowRuntime(account_program, config=config)
@@ -230,13 +231,17 @@ class TestTornSnapshots:
         assert problems == [], problems
 
     @pytest.mark.parametrize("pipeline_depth", DEPTHS)
-    def test_without_changelog_recovery_falls_back(self, pipeline_depth):
-        """With the changelog disabled there is nothing to repair with:
-        the watchdog must fall back to the last complete chain — and the
-        run must still be exactly-once (replay covers the difference)."""
+    def test_unrepairable_chain_falls_back(self, pipeline_depth,
+                                           monkeypatch):
+        """When the changelog cannot cover a torn cut there is nothing
+        to repair with: the watchdog must fall back to the last complete
+        chain — and the run must still be exactly-once (replay covers
+        the difference)."""
+        monkeypatch.setattr(ChangelogStore, "records_between",
+                            lambda self, after_seq, up_to_seq: None)
         trace, state, coordinator, sent, completed, workload = run_once(
             "incremental", fault_plan=self._torn_plan(),
-            changelog=False, pipeline_depth=pipeline_depth)
+            pipeline_depth=pipeline_depth)
         assert coordinator.snapshots.snapshots_torn >= 1
         assert coordinator.snapshots.chain_fallbacks >= 1
         assert coordinator.snapshots.changelog_repairs == 0

@@ -13,9 +13,8 @@ from repro.workloads import Account, DriverConfig, WorkloadDriver, YcsbWorkload
 
 def _runtime(account_program, *, depth=2, network_median_ms=None,
              **coordinator_overrides) -> StateflowRuntime:
-    config = StateflowConfig(
-        pipeline_depth=depth,
-        coordinator=CoordinatorConfig(**coordinator_overrides))
+    config = StateflowConfig(coordinator=CoordinatorConfig(
+        pipeline_depth=depth, **coordinator_overrides))
     if network_median_ms is not None:
         config.network = NetworkConfig(
             intra_cluster=LatencyModel(median_ms=network_median_ms,

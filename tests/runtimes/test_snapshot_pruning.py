@@ -132,9 +132,8 @@ class TestNoHalfCommittedSnapshots:
         """Transfer load on a deep pipeline: every snapshot ever cut
         (including those later pruned) must conserve the total balance —
         a half-committed transfer batch would break the sum."""
-        config = StateflowConfig(
-            pipeline_depth=4,
-            coordinator=CoordinatorConfig(snapshot_interval_ms=80.0))
+        config = StateflowConfig(coordinator=CoordinatorConfig(
+            pipeline_depth=4, snapshot_interval_ms=80.0))
         runtime = StateflowRuntime(account_program, config=config)
         totals = []
         original_take = runtime.coordinator.snapshots.take

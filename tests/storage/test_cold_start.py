@@ -39,10 +39,10 @@ BASE_EVERY = 3
 def run_once(mode, *, seed=11, durability_dir=None, pipeline_depth=2,
              fault_plan=None, rps=150.0, duration_ms=1_500.0, records=24):
     config = StateflowConfig(
-        workers=3, snapshot_mode=mode,
-        pipeline_depth=pipeline_depth, fault_plan=fault_plan,
+        workers=3, snapshot_mode=mode, fault_plan=fault_plan,
         durability_dir=durability_dir,
         coordinator=CoordinatorConfig(
+            pipeline_depth=pipeline_depth,
             snapshot_interval_ms=SNAPSHOT_INTERVAL_MS,
             failure_detect_ms=200.0,
             snapshot_base_every=BASE_EVERY))
@@ -214,8 +214,9 @@ class TestDurableViewsColdStart:
     def _durable_run_with_views(self, directory, pipeline_depth):
         config = StateflowConfig(
             workers=3, snapshot_mode="incremental",
-            pipeline_depth=pipeline_depth, durability_dir=str(directory),
+            durability_dir=str(directory),
             coordinator=CoordinatorConfig(
+                pipeline_depth=pipeline_depth,
                 snapshot_interval_ms=SNAPSHOT_INTERVAL_MS,
                 failure_detect_ms=200.0,
                 snapshot_base_every=BASE_EVERY))
@@ -285,9 +286,9 @@ from repro.workloads import Account, DriverConfig, WorkloadDriver, \\
 
 durable, report = sys.argv[1], sys.argv[2]
 config = StateflowConfig(
-    workers=3, snapshot_mode="incremental",
-    pipeline_depth=2, durability_dir=durable,
+    workers=3, snapshot_mode="incremental", durability_dir=durable,
     coordinator=CoordinatorConfig(
+        pipeline_depth=2,
         snapshot_interval_ms=150.0, failure_detect_ms=200.0,
         snapshot_base_every=3))
 runtime = StateflowRuntime(compile_program([Account]),
@@ -352,9 +353,9 @@ from repro.workloads import Account, DriverConfig, WorkloadDriver, \\
 
 durable, report = sys.argv[1], sys.argv[2]
 config = StateflowConfig(
-    workers=3, snapshot_mode="incremental",
-    pipeline_depth=2, durability_dir=durable,
+    workers=3, snapshot_mode="incremental", durability_dir=durable,
     coordinator=CoordinatorConfig(
+        pipeline_depth=2,
         snapshot_interval_ms=150.0, failure_detect_ms=200.0,
         snapshot_base_every=3))
 runtime = StateflowRuntime(compile_program([Account]),

@@ -290,7 +290,7 @@ def test_a_hop_runs_after_every_frame_already_in_the_pipe(
     conn, child_conn = context.Pipe(duplex=True)
     child = context.Process(
         target=procworker._worker_main,
-        args=(child_conn, 1, account_program.entities, False), daemon=True)
+        args=(child_conn, 1, account_program.entities), daemon=True)
     child.start()
     child_conn.close()
     peer, theirs = socket.socketpair()
