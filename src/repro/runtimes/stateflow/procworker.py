@@ -647,7 +647,8 @@ class ProcessWorkerProxy:
         return self._seq
 
     # -- Worker API: execution phase ------------------------------------
-    def deliver(self, event: Event) -> None:
+    def deliver(self, event: Event, src: str = "coordinator") -> None:
+        """*src* names the modelled sender; the pipe is the real hop."""
         if not self.alive or self._conn is None:
             return
         self._outbox.append(event)

@@ -8,6 +8,13 @@ state effects — executes as an ACID transaction under the Aria-style
 deterministic protocol; consistent snapshots + source replay provide
 exactly-once fault tolerance.
 
+The coordinator's hooks (dispatch, commit buckets, single-key groups)
+call the worker directly and a worker's replies reach the coordinator
+directly: the simulator's :class:`~repro.runtimes.stateflow.worker.Worker`
+models the network hop in between, the process substrate's proxy writes
+to a pipe.  Only slot migration and view pushes send over the modelled
+network from here.
+
 ``channel_mode="kafka"`` degrades function-to-function communication to
 Kafka loop-backs (what StateFun must do) — the ABL-COMM ablation.
 """
@@ -162,14 +169,16 @@ class StateflowRuntime(Runtime):
                         for index in range(self.config.workers)]
         hooks = CoordinatorHooks(
             dispatch=self._dispatch_to_worker,
-            apply_writes=self._apply_writes,
+            apply_writes=lambda index, writes, on_done:
+            self.workers[index].apply_writes(writes, on_done),
             emit_reply=self._emit_reply,
             worker_of=self.worker_of,
             source_positions=lambda: self.broker.positions("stateflow-coord"),
             source_seek=self._seek_source,
             restore_workers=self._restore_workers,
             is_single_key=self._is_single_key,
-            execute_single_key=self._execute_single_key,
+            execute_single_key=lambda index, events, on_done:
+            self.workers[index].execute_single_key(events, on_done),
             set_worker_count=self._set_worker_count,
             migrate_slot=self._migrate_slot)
         if self.spawner.wallclock:
@@ -363,22 +372,18 @@ class StateflowRuntime(Runtime):
     def _dispatch_to_worker(self, event: Event,
                             src: str = "coordinator") -> None:
         index = self.worker_of(event.target.entity, event.target.key)
-        worker = self.workers[index]
-        self.network.send(lambda: worker.deliver(event),
-                          src=src, dst=f"worker-{index}")
+        self.workers[index].deliver(event, src=src)
 
     def _on_worker_out(self, event: Event, sender: int) -> None:
-        src = f"worker-{sender}"
         if event.kind is EventKind.REPLY:
-            self.network.send(lambda: self.coordinator.on_txn_report(event),
-                              src=src, dst="coordinator")
+            self.coordinator.on_txn_report(event)
             return
         if self.config.channel_mode == "kafka":
             self.broker.produce(LOOPBACK_TOPIC,
                                 key=f"{event.target.entity}|{event.target.key}",
                                 value=event)
             return
-        self._dispatch_to_worker(event, src=src)
+        self._dispatch_to_worker(event, src=f"worker-{sender}")
 
     def _on_loopback_record(self, record: KafkaRecord) -> None:
         self._dispatch_to_worker(record.value, src="kafka-loopback")
@@ -392,28 +397,6 @@ class StateflowRuntime(Runtime):
         if compiled is None or method not in compiled.methods:
             return False
         return not compiled.methods[method].machine.is_split
-
-    def _execute_single_key(self, worker_index: int, events: list,
-                            on_done: Callable[[list], None]) -> None:
-        worker = self.workers[worker_index]
-        name = f"worker-{worker_index}"
-        incarnation = worker.incarnation
-        self.network.send(lambda: worker.execute_single_key(
-            events, lambda replies: self.network.send(
-                lambda: on_done(replies), src=name, dst="coordinator"),
-            incarnation=incarnation),
-            src="coordinator", dst=name)
-
-    def _apply_writes(self, worker_index: int, writes: dict,
-                      on_done: Callable[[], None]) -> None:
-        worker = self.workers[worker_index]
-        name = f"worker-{worker_index}"
-        incarnation = worker.incarnation
-        self.network.send(lambda: worker.apply_writes(
-            writes, lambda: self.network.send(
-                on_done, src=name, dst="coordinator"),
-            incarnation=incarnation),
-            src="coordinator", dst=name)
 
     def _unacked_since(self) -> float | None:
         """Process workers: when the oldest commit bucket one of them

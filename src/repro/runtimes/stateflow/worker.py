@@ -9,13 +9,22 @@ exchanges events over direct channels — the "internal function-to-function
 communication" that lets StateFlow avoid Kafka round trips (Section 4).
 Commit-phase ``apply_writes`` therefore only ever touches the owning
 worker's slots.
+
+The worker owns its modelled hops: every event delivered to it, every
+commit bucket and single-key group sent to it, and every report, ack
+and single-key result it sends back crosses the simulated
+:class:`~repro.substrates.network.Network` in its methods, with the
+same ``src``/``dst`` labels fault plans scope partitions by.  The
+runtime's hooks call a worker directly, so on the process substrate
+(:mod:`~repro.runtimes.stateflow.procworker`) the pipe is the only hop.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable
 
-from ...ir.events import Event
+from ...ir.events import Event, EventKind
+from ...substrates.network import Network
 from ...substrates.simulation import CpuPool, Simulation
 from ..executor import OperatorExecutor
 from ..state import StateBackend
@@ -27,12 +36,13 @@ class Worker:
 
     def __init__(self, index: int, sim: Simulation,
                  executor: OperatorExecutor, store: StateBackend,
-                 emit: Callable[[Event], None],
+                 emit: Callable[[Event], None], network: Network,
                  *, exec_service_ms: float, state_op_ms: float,
                  committed_reader: StateBackend | None = None):
         self.index = index
+        self.name = f"worker-{index}"
         self.sim = sim
-        self.cpu = CpuPool(sim, 1, name=f"worker-{index}")
+        self.cpu = CpuPool(sim, 1, name=self.name)
         self.alive = True
         #: Retired workers left the cluster through a rescale: they stay
         #: dead across recoveries (``restart`` skips them) until a later
@@ -66,6 +76,9 @@ class Worker:
         self._committed_reader = (committed_reader if committed_reader
                                   is not None else store)
         self._emit = emit
+        #: The modelled fabric every message to or from this worker
+        #: crosses (see the module docstring).
+        self._network = network
         self._exec_service_ms = exec_service_ms
         self._state_op_ms = state_op_ms
 
@@ -87,9 +100,14 @@ class Worker:
             return self._committed_reader
         return resolve(txn.base)
 
-    def deliver(self, event: Event) -> None:
-        """Entry point: an event arrived over a channel.  Dead workers
-        drop everything (the failure model)."""
+    def deliver(self, event: Event, src: str = "coordinator") -> None:
+        """An event sent to this worker by *src* over a direct channel:
+        it arrives one modelled hop later.  Dead workers drop everything
+        on arrival (the failure model)."""
+        self._network.send(lambda: self._arrive(event),
+                           src=src, dst=self.name)
+
+    def _arrive(self, event: Event) -> None:
         if not self.alive:
             return
 
@@ -103,9 +121,18 @@ class Worker:
             self.events_processed += 1
             view = AriaStateView(reader, event.txn)
             for outbound in self._executor.handle(event, view):
-                self._emit(outbound)
+                if outbound.kind is EventKind.REPLY:
+                    # A transaction's root reply reports to the
+                    # coordinator, one hop away.
+                    self._to_coordinator(
+                        lambda reply=outbound: self._emit(reply))
+                else:
+                    self._emit(outbound)
 
         self.cpu.submit(self._exec_service_ms, process)
+
+    def _to_coordinator(self, callback: Callable[[], None]) -> None:
+        self._network.send(callback, src=self.name, dst="coordinator")
 
     # ------------------------------------------------------------------
     def execute_single_key(self, events: list[Event],
@@ -115,15 +142,26 @@ class Worker:
         (TID) order, directly against committed state.  Single-key
         functions have unsplit state machines, so each produces exactly
         one REPLY and touches only its own partition — no reservations,
-        no cross-worker traffic."""
-        if not self.alive:
-            return
-        if incarnation is not None and incarnation != self.incarnation:
-            return  # addressed to a pre-recovery incarnation
-        token = self.incarnation
+        no cross-worker traffic.  The events arrive one hop from the
+        coordinator, addressed to *incarnation* (the current one if
+        omitted), and the replies travel one hop back."""
+        token = self.incarnation if incarnation is None else incarnation
+        self._network.send(
+            lambda: self._execute_single_key(
+                events,
+                lambda replies: self._to_coordinator(
+                    lambda: on_done(replies)),
+                token),
+            src="coordinator", dst=self.name)
+
+    def _execute_single_key(self, events: list[Event],
+                            on_done: Callable[[list[Event]], None],
+                            incarnation: int) -> None:
+        if not self.alive or incarnation != self.incarnation:
+            return  # dead, or addressed to a pre-recovery incarnation
 
         def process() -> None:
-            if not self.alive or token != self.incarnation:
+            if not self.alive or incarnation != self.incarnation:
                 return
             replies: list[Event] = []
             for event in events:
@@ -138,15 +176,23 @@ class Worker:
                      on_done: Callable[[], None],
                      *, incarnation: int | None = None) -> None:
         """Commit phase: install a batch's write sets for the partitions
-        this worker owns — only this worker's slots are touched."""
-        if not self.alive:
-            return
-        if incarnation is not None and incarnation != self.incarnation:
-            return  # addressed to a pre-recovery incarnation
-        token = self.incarnation
+        this worker owns — only this worker's slots are touched.  The
+        bucket arrives one hop from the coordinator, addressed to
+        *incarnation* (the current one if omitted), and the ack travels
+        one hop back."""
+        token = self.incarnation if incarnation is None else incarnation
+        self._network.send(
+            lambda: self._apply_writes(
+                writes, lambda: self._to_coordinator(on_done), token),
+            src="coordinator", dst=self.name)
+
+    def _apply_writes(self, writes: dict[tuple[str, Any], dict[str, Any]],
+                      on_done: Callable[[], None], incarnation: int) -> None:
+        if not self.alive or incarnation != self.incarnation:
+            return  # dead, or addressed to a pre-recovery incarnation
 
         def install() -> None:
-            if not self.alive or token != self.incarnation:
+            if not self.alive or incarnation != self.incarnation:
                 return
             self.store.apply_writes(writes)
             self.writes_applied += len(writes)

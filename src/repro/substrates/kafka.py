@@ -7,6 +7,16 @@ recovery rewinds (Section 3).  This module reproduces the properties those
 roles rely on: stable key partitioning, per-partition offset order,
 consumer groups with seek/replay, and configurable produce/fetch latency
 backed by a broker CPU pool (the paper gave Kafka 4 of the 14 CPUs).
+
+A record travels produce -> append -> commit -> fetch, one kernel event
+per step.  A zeroed cost is free, not merely short: when produce and
+fetch latency are the constant 0, the broker charges no CPU, no fault
+hook watches and no producer awaits the ack, the record is appended as
+it is produced and its delivery is the one kernel event it costs (the
+process preset runs this way; the simulator's default costs are never
+zero).
+Either way a delivery goes through the same pump, so offsets, per
+partition order and the ``seek``/``pause`` fences behave alike.
 """
 
 from __future__ import annotations
@@ -125,12 +135,35 @@ class KafkaBroker:
     def partition_for(self, topic: str, key: Any) -> int:
         return stable_hash(key) % len(self._topic(topic))
 
+    def _free(self, partition: _Partition) -> bool:
+        """Whether a record on *partition* would travel a path that costs
+        exactly nothing and that nobody observes: zero-constant produce
+        and fetch latency, no broker CPU, no fault hook, and no earlier
+        append still in flight."""
+        config = self.config
+        return (self.fault_hook is None and config.broker_cpu_ms == 0
+                and config.produce_latency.free
+                and config.fetch_latency.free
+                and partition.last_append <= self.sim.now)
+
     def produce(self, topic: str, key: Any, value: Any,
                 *, on_ack: Callable[[int, int], None] | None = None) -> None:
         """Append (after produce latency + broker CPU); then wake
-        subscribed consumer groups."""
+        subscribed consumer groups.
+
+        A record whose path is free (:meth:`_free`) and that nobody
+        awaits an ack for is appended now and delivered one kernel event
+        later, through the same append and delivery loop: the three
+        zero-length steps of the chain below are one."""
         partition_index = self.partition_for(topic, key)
         partition = self._topics[topic][partition_index]
+        if on_ack is None and self._free(partition):
+            partition.append(KafkaRecord(topic, partition_index, -1, key,
+                                         value, self.sim.now))
+            self.records_produced += 1
+            for group_name in self._subscriptions.get(topic, ()):
+                self._pump(group_name, topic, partition_index)
+            return
         fault = (self.fault_hook("produce", topic)
                  if self.fault_hook is not None else None)
 

@@ -62,6 +62,11 @@ class LatencyModel:
         object.__setattr__(self, "mu",
                            math.log(max(self.median_ms, 1e-9)))
 
+    @property
+    def free(self) -> bool:
+        """Whether every draw is exactly 0 ms (and draws nothing)."""
+        return not self.sigma and max(self.median_ms, self.floor_ms) == 0
+
     def sample(self, sim: Simulation) -> float:
         if not self.sigma:
             return max(self.median_ms, self.floor_ms)

@@ -72,6 +72,7 @@ class SimulatorSpawner(Spawner):
                       runtime.committed.partition(index),
                       (lambda event, sender=index:
                        runtime._on_worker_out(event, sender)),
+                      runtime.network,
                       exec_service_ms=runtime.config.exec_service_ms,
                       state_op_ms=runtime.config.state_op_ms,
                       committed_reader=runtime.committed)

@@ -1,9 +1,12 @@
 """StateFlow runtime: transactions, serializability, architecture."""
 
+import hashlib
+
 import pytest
 
 from repro.core.refs import EntityRef
 from repro.runtimes.stateflow import StateflowConfig, StateflowRuntime
+from repro.rescale import RescalePlan, RescaleStep
 from repro.runtimes.stateflow.coordinator import CoordinatorConfig
 from repro.workloads import Account, DriverConfig, WorkloadDriver, YcsbWorkload
 
@@ -168,3 +171,31 @@ class TestArchitecture:
         runtime.call(ref, "read")
         runtime.sim.run(until=runtime.sim.now + 2500)
         assert len(runtime.coordinator.snapshots) >= 2
+
+    def test_the_modelled_hops_are_pinned(self, account_program):
+        """Every ``Network.send`` of a short YCSB-T run across one
+        rescale, as ``(now, src, dst)`` in order, is what a pass-through
+        fault hook sees.  Every simulator digest rests on this sequence:
+        moving a hop between the runtime and its workers must not move
+        it."""
+        runtime = StateflowRuntime(account_program, config=StateflowConfig(
+            workers=2, rescale_plan=RescalePlan(
+                [RescaleStep(at_ms=500.0, workers=3)])))
+        hops: list[str] = []
+
+        def tap(src, dst):
+            hops.append(f"{runtime.sim.now!r} {src}>{dst}")
+
+        runtime.network.fault_hook = tap
+        workload = YcsbWorkload("T", record_count=60,
+                                distribution="uniform", seed=5)
+        runtime.preload(Account, workload.dataset_rows())
+        runtime.start()
+        result = WorkloadDriver(runtime, workload, DriverConfig(
+            rps=200, duration_ms=1_000.0, warmup_ms=0.0, drain_ms=2_000.0,
+            seed=9)).run()
+        assert (result.sent, result.completed, result.errors) == (213, 213, 0)
+        assert runtime.coordinator.rescales == 1
+        assert len(hops) == 1537
+        assert hashlib.sha256("\n".join(hops).encode()).hexdigest() == (
+            "26419002fef2ffaaa275ed03864fbd8989bc0651cdfe6b1754a41c4d6ed46889")

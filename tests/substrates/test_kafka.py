@@ -150,3 +150,132 @@ class TestOffsetsAndReplay:
         sim.run()
         assert broker.records_produced == 3
         assert broker.records_delivered == 3
+
+
+ZERO = LatencyModel(median_ms=0.0, sigma=0.0, floor_ms=0.0)
+
+
+def _free_broker(partitions=1, **costs):
+    """A broker whose every cost is exactly zero, unless *costs* says
+    otherwise (``produce_latency``, ``fetch_latency``, ``broker_cpu_ms``)."""
+    sim = Simulation(seed=3)
+    config = KafkaConfig(produce_latency=ZERO, fetch_latency=ZERO,
+                         broker_cpu_ms=0.0)
+    for name, value in costs.items():
+        setattr(config, name, value)
+    broker = KafkaBroker(sim, config)
+    broker.create_topic("t", partitions)
+    return sim, broker
+
+
+class TestZeroCostFold:
+    """A record whose path costs exactly nothing is appended when it is
+    produced and delivered one kernel event later; every other record
+    keeps the produce -> append -> commit -> fetch chain."""
+
+    def test_a_free_record_is_delivered_after_one_kernel_event(self):
+        sim, broker = _free_broker()
+        received = []
+        broker.subscribe("g", "t", lambda r: received.append(r.value))
+        for index in range(3):
+            broker.produce("t", "k", index)
+            assert broker.end_offset("t", 0) == index + 1
+            before = sim.processed_events
+            assert sim.step()
+            assert sim.processed_events - before == 1
+            assert received == list(range(index + 1))
+            assert sim.pending() == 0
+        assert broker.records_produced == broker.records_delivered == 3
+
+    def test_the_fold_delivers_what_the_chain_delivers(self):
+        """Each group sees the same ``(partition, offset, key, value)``
+        sequence on every partition, also for records produced from
+        inside a delivery; a pass-through fault hook forces the chain.
+        Kafka orders a partition, not a topic: across partitions the
+        chain's order is whichever commit happened to pump first, so
+        only a one-partition topic (``s``) is echoed."""
+
+        def run(hook):
+            sim, broker = _free_broker(partitions=3)
+            broker.fault_hook = hook
+            broker.create_topic("s", 1)
+            broker.create_topic("u", 2)
+            seen: dict[tuple, list] = {}
+
+            def handler(group):
+                def handle(record):
+                    seen.setdefault(
+                        (group, record.topic, record.partition), []).append(
+                        (record.offset, record.key, record.value))
+                    if group == "g1" and record.topic == "s":
+                        broker.produce("u", record.key, record.value * 10)
+                return handle
+
+            for group in ("g1", "g2"):
+                broker.subscribe(group, "t", handler(group))
+                broker.subscribe(group, "s")
+                broker.subscribe(group, "u")
+            for index in range(12):
+                broker.produce("t", f"k{index % 5}", index)
+                broker.produce("s", f"k{index % 5}", index)
+                if index % 4 == 3:
+                    sim.run()
+            sim.run()
+            return seen, sim.processed_events
+
+        (folded, events), (chained, chain_events) = (
+            run(None), run(lambda op, name: None))
+        assert folded == chained
+        assert sum(map(len, folded.values())) == 2 * 36
+        # 36 records, each delivered to two groups: one event per
+        # delivery, plus the chain's append and commit per record.
+        assert (events, chain_events) == (72, 72 + 2 * 36)
+
+    def test_pause_fences_a_scheduled_free_delivery(self):
+        sim, broker = _free_broker()
+        received = []
+        broker.subscribe("g", "t", lambda r: received.append(r.value))
+        broker.produce("t", "k", "v")
+        assert sim.pending() == 1
+        broker.pause("g")
+        sim.run()
+        assert received == []
+        broker.resume("g")
+        sim.run()
+        assert received == ["v"]
+
+    def test_seek_fences_a_scheduled_free_delivery(self):
+        sim, broker = _free_broker()
+        received = []
+        broker.subscribe("g", "t", lambda r: received.append(r.value))
+        for index in range(3):
+            broker.produce("t", "k", index)
+        sim.run()
+        broker.produce("t", "k", 3)
+        broker.produce("t", "k", 4)
+        broker.seek("g", "t", 0, 1)
+        sim.run()
+        assert received == [0, 1, 2, 1, 2, 3, 4]
+        assert broker.position("g", "t", 0) == 5
+
+    @pytest.mark.parametrize("cost", [
+        {"produce_latency": LatencyModel(median_ms=0.5, sigma=0.0)},
+        {"fetch_latency": LatencyModel(median_ms=0.5, sigma=0.0)},
+        {"produce_latency": LatencyModel(median_ms=0.0, sigma=0.0,
+                                         floor_ms=0.01)},
+        {"broker_cpu_ms": 0.01},
+        {"fault_hook": lambda op, name: None},
+        {"on_ack": lambda partition, offset: None},
+    ], ids=["produce", "fetch", "floor", "broker-cpu", "fault-hook",
+            "on-ack"])
+    def test_anything_that_costs_or_observes_keeps_the_chain(self, cost):
+        on_ack = cost.pop("on_ack", None)
+        hook = cost.pop("fault_hook", None)
+        sim, broker = _free_broker(**cost)
+        broker.fault_hook = hook
+        received = []
+        broker.subscribe("g", "t", lambda r: received.append(r.value))
+        broker.produce("t", "k", "v", on_ack=on_ack)
+        sim.run()
+        assert received == ["v"]
+        assert sim.processed_events == 3

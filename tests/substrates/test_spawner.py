@@ -260,6 +260,58 @@ def test_kafka_channels_loop_every_hop_through_the_broker(
     assert broker.records_produced - before == 2 + 2
 
 
+def test_a_request_crosses_the_parents_loop_six_times(
+        account_program, monkeypatch) -> None:
+    """The preset prices every modelled hop at exactly zero, so none of
+    them is a kernel event: the request's Kafka records are delivered
+    one event after they are produced, and the workers' pipes are the
+    only coordinator-worker hop (no ``Network.send``).  What is left is
+    the ingress delivery, the coordinator's two zero-cost steps, the
+    idle seal, the proxy's flush and the egress delivery, for a
+    same-owner and a two-owner transfer alike.  The coordinator's
+    periodic ticks are not part of any request and are not counted."""
+    runtime = StateflowRuntime(account_program, config=StateflowConfig(
+        **process_stateflow_overrides(workers=2)))
+    kernel = runtime.sim
+    ticks = 0
+    schedule = kernel.schedule
+
+    def scheduling(delay, callback):
+        if "_schedule_tick" not in getattr(callback, "__qualname__", ""):
+            return schedule(delay, callback)
+
+        def tick() -> None:
+            nonlocal ticks
+            ticks += 1
+            callback()
+
+        return schedule(delay, tick)
+
+    # Before start: every tick the coordinator arms goes through it.
+    monkeypatch.setattr(kernel, "schedule", scheduling)
+    try:
+        refs = runtime.preload(Account,
+                               [(f"acct-{i}", 100) for i in range(12)])
+        runtime.start()
+        owned: dict[int, list[EntityRef]] = {0: [], 1: []}
+        for ref in refs:
+            owned[runtime.worker_of(ref.entity, ref.key)].append(ref)
+        assert runtime.invoke(refs[0], "read").unwrap() == 100
+
+        def turns(source: EntityRef, target: EntityRef) -> int:
+            events, ticked = kernel.processed_events, ticks
+            sent = runtime.network.messages_sent
+            assert runtime.invoke(source, "transfer", 1,
+                                  target).unwrap() is True
+            assert runtime.network.messages_sent == sent
+            return kernel.processed_events - events - (ticks - ticked)
+
+        assert turns(owned[0][0], owned[0][1]) == 6
+        assert turns(owned[0][0], owned[1][0]) == 6
+    finally:
+        runtime.close()
+
+
 def _read(key: str) -> Event:
     return Event(kind=EventKind.INVOKE, target=EntityRef("Account", key),
                  method="read", request_id=1,
