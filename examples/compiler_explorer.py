@@ -4,7 +4,8 @@ Shows, for the Figure 1 application:
 - the split function blocks (the paper's ``buy_item_0``, ``buy_item_1``,
   ... from Section 2.4) with their read/write variable sets;
 - the state machine (execution graph) of each split method, and which
-  of its continuations resume without the entity's state;
+  of its continuations resume without the entity's state, and which
+  methods are read-only (their visits never write the entity back);
 - the one resumable function those blocks are compiled into;
 - the serialized engine-independent IR, and that the IR round-trips:
   deserialised on a "different system", recompiled from shipped source,
@@ -46,6 +47,12 @@ def main() -> None:
     # `self` resumes on a blank instance: no state read, nothing written.
     print("  state-free continuations:",
           ", ".join(sorted(machine.state_free_nodes())) or "none")
+    # A method no block of which may write the entity is read-only: its
+    # visits read the entity and never write it back.
+    for entity, compiled in program.entities.items():
+        print(f"  {entity} read-only methods:",
+              ", ".join(name for name, method in compiled.methods.items()
+                        if method.read_only) or "none")
 
     print()
     print("=" * 70)

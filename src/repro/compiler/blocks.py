@@ -46,6 +46,20 @@ _BUILTIN_NAMES = frozenset(dir(builtins))
 _FRAME_BUILTINS = frozenset({"super", "locals", "vars", "eval", "exec",
                             "breakpoint"})
 
+#: Builtins that reach the instance or a frame without naming ``self``
+#: as a loaded attribute: a block naming one may write.
+_WRITE_BUILTINS = _FRAME_BUILTINS | {"globals", "setattr", "delattr",
+                                     "getattr"}
+
+#: Builtins that return a fresh scalar and mutate nothing: an attribute
+#: value passed straight to one is consumed, not kept.
+SCALAR_BUILTINS = frozenset({"len", "abs", "bool", "int", "float", "str",
+                             "repr", "round"})
+
+#: Block locals whose assignment is a terminator payload: ``__ret__`` is
+#: a ``return``, ``__cond__`` a branch test.
+_CONSUMING_TARGETS = frozenset({RETURN_VALUE_VAR, CONDITION_VAR})
+
 
 @dataclass(slots=True)
 class ReturnTerminator:
@@ -183,6 +197,36 @@ class FunctionBlock:
                    for statement in self.statements
                    for node in ast.walk(statement))
 
+    def may_write(self) -> bool:
+        """Whether running this block may change the entity's state.
+
+        Conservative: ``False`` only when the block ends in no self-call,
+        names none of the builtins that reach the instance or the frame
+        (``getattr``, ``vars``, ``eval``, ...), and every ``self`` in it
+        is a loaded ``self.<name>``, optionally subscripted as a load,
+        whose value is consumed at once: returned, compared, an operand
+        of an arithmetic, boolean or unary operator, an ``if``/``while``
+        or conditional-expression test, an f-string field, or an
+        argument of a scalar builtin (:data:`SCALAR_BUILTINS`).  Any
+        other use — a store, ``del``, ``self.x.y``, binding the value to
+        a name, putting it in a container, passing it to any other
+        call, bare ``self`` — may write.  The instance is a private copy
+        of the entry, so a block that only consumes attribute values
+        leaves nothing a flush would publish."""
+        terminator = self.terminator
+        if isinstance(terminator, InvokeTerminator) and terminator.is_self_call:
+            return True
+        for statement in self.statements:
+            parents = {child: node for node in ast.walk(statement)
+                       for child in ast.iter_child_nodes(node)}
+            for node in parents:
+                if isinstance(node, ast.Name) and (
+                        node.id in _WRITE_BUILTINS
+                        or node.id == "self"
+                        and not _attribute_consumed(node, parents)):
+                    return True
+        return False
+
     def to_dict(self) -> dict[str, Any]:
         assert self.terminator is not None
         return {
@@ -192,6 +236,44 @@ class FunctionBlock:
             "writes": sorted(self.writes),
             "terminator": self.terminator.to_dict(),
         }
+
+
+def _attribute_consumed(name: ast.Name, parents: dict[ast.AST, ast.AST],
+                        ) -> bool:
+    """Whether the ``self`` at *name* is a loaded ``self.<name>`` whose
+    value is consumed at once (the rule of
+    :meth:`FunctionBlock.may_write`); *parents* maps each node of the
+    statement to its parent."""
+    value = parents.get(name)
+    if not (isinstance(value, ast.Attribute)
+            and isinstance(value.ctx, ast.Load)
+            and not value.attr.startswith("__")):
+        return False
+    consumer = parents.get(value)
+    while (isinstance(consumer, ast.Subscript) and consumer.value is value
+           and isinstance(consumer.ctx, ast.Load)):
+        value, consumer = consumer, parents.get(consumer)
+    # ``and``/``or`` and the branches of a conditional expression hand
+    # the value itself on: what consumes it is further up.
+    while (isinstance(consumer, ast.BoolOp)
+           or isinstance(consumer, ast.IfExp) and consumer.test is not value):
+        value, consumer = consumer, parents.get(consumer)
+    if isinstance(consumer, (ast.Return, ast.Compare, ast.BinOp,
+                             ast.UnaryOp)):
+        return True
+    if isinstance(consumer, (ast.If, ast.While, ast.IfExp)):
+        return consumer.test is value
+    if isinstance(consumer, ast.FormattedValue):
+        return consumer.value is value
+    if isinstance(consumer, ast.Assign):
+        targets = consumer.targets
+        return (len(targets) == 1 and isinstance(targets[0], ast.Name)
+                and targets[0].id in _CONSUMING_TARGETS)
+    if isinstance(consumer, ast.Call):
+        return (isinstance(consumer.func, ast.Name)
+                and consumer.func.id in SCALAR_BUILTINS
+                and any(arg is value for arg in consumer.args))
+    return False
 
 
 class _DefUseVisitor(ast.NodeVisitor):

@@ -57,6 +57,7 @@ from .blocks import (
     INTERNAL_NAMES,
     NODE_VAR,
     RETURN_VALUE_VAR,
+    SCALAR_BUILTINS,
     BranchTerminator,
     ConstructTerminator,
     FunctionBlock,
@@ -165,6 +166,9 @@ class CompiledMethod:
     #: Continuations a RESUME runs on a blank instance, reading and
     #: writing no state (the machine's ``state_free`` nodes).
     state_free: frozenset[str]
+    #: No visit of the method writes the entity: the runtime reads it
+    #: and never writes it back.  Never true of a constructor.
+    read_only: bool = False
 
     @property
     def entry(self) -> str:
@@ -258,10 +262,16 @@ def compile_method(descriptor: MethodDescriptor, split: SplitResult,
         raise CompilationError(
             f"generated function failed to compile: {exc}",
             entity=split.entity_name, method=split.method_name) from exc
+    # The may-write rule trusts the scalar builtins by name: a frame
+    # variable or module global that shadows one voids it.
+    shadowed = SCALAR_BUILTINS & {*variables, *namespace}
     return CompiledMethod(descriptor=descriptor, machine=machine,
                           params=params, block_ids=block_ids,
                           function=function, tree=tree,
-                          state_free=machine.state_free_nodes())
+                          state_free=machine.state_free_nodes(),
+                          read_only=(not descriptor.is_constructor
+                                     and machine.read_only
+                                     and not shadowed))
 
 
 @dataclass(slots=True, eq=False)

@@ -16,6 +16,11 @@ Each continuation (where a remote call or construction resumes) carries
 operator again uses ``self`` (:meth:`FunctionBlock.uses_self
 <repro.compiler.blocks.FunctionBlock.uses_self>`), so the runtime
 resumes it without reading or writing the entity.
+
+Every node carries ``may_write`` (:meth:`FunctionBlock.may_write
+<repro.compiler.blocks.FunctionBlock.may_write>`); a method none of
+whose nodes may write is *read-only* (:attr:`StateMachine.read_only`),
+and the runtime reads its entity but never writes it back.
 """
 
 from __future__ import annotations
@@ -48,6 +53,8 @@ class StateNode:
     #: A continuation no block of which, up to where control leaves the
     #: operator, uses ``self``: resuming here needs no entity state.
     state_free: bool = False
+    #: Running this block may change the entity's state.
+    may_write: bool = True
 
     def successors(self) -> list[str]:
         terminator = self.terminator
@@ -69,11 +76,13 @@ class StateNode:
             "writes": sorted(self.writes),
             "source": self.source,
             "state_free": self.state_free,
+            "may_write": self.may_write,
         }
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "StateNode":
-        # An IR without the bit reads as "uses self": never unsound.
+        # An IR without a bit reads as "uses self" and "may write":
+        # never unsound.
         return cls(
             node_id=data["node_id"],
             terminator=terminator_from_dict(data["terminator"]),
@@ -81,6 +90,7 @@ class StateNode:
             writes=frozenset(data["writes"]),
             source=data.get("source", ""),
             state_free=data.get("state_free", False),
+            may_write=data.get("may_write", True),
         )
 
 
@@ -105,6 +115,7 @@ class StateMachine:
                 reads=block.reads,
                 writes=block.writes,
                 source=block.source(),
+                may_write=block.may_write(),
             )
         machine.validate()
         uses_self = {block_id: block.uses_self()
@@ -152,6 +163,11 @@ class StateMachine:
             if isinstance(node.terminator, (JumpTerminator, BranchTerminator)):
                 stack.extend(node.successors())
         return reached
+
+    @property
+    def read_only(self) -> bool:
+        """No block of the method may write the entity's state."""
+        return not any(node.may_write for node in self)
 
     def state_free_nodes(self) -> frozenset[str]:
         """Continuations a RESUME runs without the entity's state."""

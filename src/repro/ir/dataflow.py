@@ -202,15 +202,16 @@ class StatefulDataflow:
             lines.append(f"  operator {operator.name} "
                          f"(parallelism={operator.parallelism})")
             for method, machine in operator.machines.items():
+                descriptor = operator.descriptor.methods[method]
                 tag = " [split]" if machine.is_split else ""
-                txn = (" [transactional]"
-                       if operator.descriptor.methods[method].is_transactional
-                       else "")
+                txn = " [transactional]" if descriptor.is_transactional else ""
+                reads = (" [read-only]" if machine.read_only
+                         and not descriptor.is_constructor else "")
                 free = sorted(machine.state_free_nodes())
                 stateless = (f" [state-free: {', '.join(free)}]"
                              if free else "")
                 lines.append(f"    {method}: {len(machine.nodes)} block(s)"
-                             f"{tag}{txn}{stateless}")
+                             f"{tag}{txn}{reads}{stateless}")
         for edge in self.edges:
             label = f"  ({edge.label})" if edge.label else ""
             lines.append(f"  {edge.source} -> {edge.target}{label}")

@@ -14,6 +14,13 @@ serializability check.  The frame's INVOKE visit already read the entity
 and wrote it back, so the read and write sets, and their order, are what
 they would have been.  :meth:`OperatorExecutor.is_state_free` tells a
 runtime which RESUMEs any worker may run.
+
+A visit of a method the compiler marked read-only
+(:attr:`~repro.compiler.codegen.CompiledMethod.read_only`: no block of
+it may write the entity) reads the entity and skips the flush: no
+``extract_state`` and no ``put``.  So a read adds nothing to a write
+set, a dirty set or a pinned view's pre-images, and a commit has
+nothing of it to install, log or fold.
 """
 
 from __future__ import annotations
@@ -212,9 +219,11 @@ class OperatorExecutor:
         into the method's compiled function.  A *state_free* visit runs
         on a blank instance and neither reads nor writes the entity: the
         frame's earlier visit already read and wrote it, and nothing this
-        one runs can change it."""
+        one runs can change it.  A visit of a read-only method reads the
+        entity and never writes it back."""
         frame = execution.top
         is_constructor = frame.method == "__init__"
+        writes = not (state_free or method.read_only)
 
         started = self._instr.clock() if self._instr else 0.0
         if is_constructor or state_free:
@@ -239,9 +248,9 @@ class OperatorExecutor:
         if kind == "return":
             return self._finish_return(event, execution, state, compiled,
                                        instance, frame, value,
-                                       is_constructor, state_free)
+                                       is_constructor, writes)
         terminator = method.machine.node(node_id).terminator
-        if not state_free:
+        if writes:
             self._flush_state(compiled, instance, frame, state)
         if kind == "invoke":
             return self._suspend_invoke(event, execution, frame, store,
@@ -277,7 +286,7 @@ class OperatorExecutor:
     def _finish_return(self, event: Event, execution: ExecutionState,
                        state: StateAccess, compiled: CompiledEntity,
                        instance: Any, frame: Frame, value: Any,
-                       is_constructor: bool, state_free: bool,
+                       is_constructor: bool, writes: bool,
                        ) -> list[Event]:
         if is_constructor:
             new_state = compiled.extract_state(instance)
@@ -286,7 +295,7 @@ class OperatorExecutor:
             key = compiled.key_of_state(new_state)
             state.create(frame.entity, key, new_state)
             value = EntityRef(entity=frame.entity, key=key)
-        elif not state_free:
+        elif writes:
             self._flush_state(compiled, instance, frame, state)
 
         # State-machine bookkeeping (the "split instrumentation" cost of

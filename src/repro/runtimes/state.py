@@ -881,6 +881,11 @@ class PartitionedStore:
             return None
         return self._slots[slot].get(entity, key)
 
+    def entry(self, entity: str, key: Any) -> State | None:
+        """The committed entry itself, not a copy: the caller only reads
+        it (the module's entry contract), as a snapshot's holder does."""
+        return self._backend(entity, key).store.get((entity, key))
+
     def put(self, entity: str, key: Any, state: State) -> None:
         self._backend(entity, key).put(entity, key, state)
 

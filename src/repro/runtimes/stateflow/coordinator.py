@@ -71,7 +71,7 @@ from typing import Any, Callable
 from ...core.refs import EntityRef
 from ...ir.events import Event, EventKind, TxnContext
 from ...substrates.simulation import CpuPool, Simulation
-from ..state import StateBackend, payload_keys
+from ..state import PartitionedStore, payload_keys
 from .aria import AriaStats, BatchMember, decide
 from .snapshots import ChangelogStore, SnapshotStore
 
@@ -92,6 +92,9 @@ class TxnRecord:
     result: Any = None
     error: str | None = None
     done: bool = False
+    #: Set at seal: a single-key transaction that writes nothing, so its
+    #: key stays out of the batch's write footprint.
+    read_only: bool = False
 
     def fresh_event(self) -> Event:
         return Event(kind=EventKind.INVOKE, target=self.target,
@@ -176,9 +179,12 @@ class CoordinatorHooks:
     source_positions: Callable[[], dict]
     source_seek: Callable[[dict], None]
     restore_workers: Callable[[], None]
-    #: True when (entity, method) touches only its own key (unsplit, not
-    #: a constructor) and may take the single-key path.
-    is_single_key: Callable[[str, str], bool] = lambda entity, method: False
+    #: How (entity, method) takes the single-key path: ``"write"`` when
+    #: it touches only its own key (unsplit, not a constructor),
+    #: ``"read"`` when it also writes nothing (a read-only method), and
+    #: ``None`` when it may not.
+    single_key_access: Callable[[str, str], str | None] = (
+        lambda entity, method: None)
     #: Run a list of single-key events serially at one worker; the
     #: callback receives the reply events.
     execute_single_key: Callable[
@@ -235,7 +241,7 @@ class CoordinatorConfig:
 class Coordinator:
     """Single-core coordinator of the StateFlow dataflow."""
 
-    def __init__(self, sim: Simulation, committed: StateBackend,
+    def __init__(self, sim: Simulation, committed: PartitionedStore,
                  hooks: CoordinatorHooks,
                  config: CoordinatorConfig | None = None,
                  *, snapshots: SnapshotStore, changelog: ChangelogStore,
@@ -513,7 +519,10 @@ class Coordinator:
             txn.done = False
             txn.result = None
             txn.error = None
-            if self.hooks.is_single_key(txn.target.entity, txn.method):
+            access = self.hooks.single_key_access(txn.target.entity,
+                                                  txn.method)
+            if access is not None:
+                txn.read_only = access == "read"
                 batch.single.append(txn)
                 self.stats.single_key += 1
                 if (self.autoscaler is not None
@@ -693,9 +702,11 @@ class Coordinator:
                           key=lambda t: t.ctx.tid if t.ctx else 0):
             worker = self.hooks.worker_of(txn.target.entity, txn.target.key)
             groups.setdefault(worker, []).append(txn)
-            # Single-key transactions may write their own key: part of
-            # the batch's footprint for cross-batch stale detection.
-            batch.footprint.add((txn.target.entity, txn.target.key))
+            # A single-key transaction may write its own key, unless its
+            # method is read-only: part of the batch's footprint for
+            # cross-batch stale detection, the changelog and the views.
+            if not txn.read_only:
+                batch.footprint.add((txn.target.entity, txn.target.key))
         by_request = {txn.request_id: txn for txn in batch.single}
         remaining = {"count": len(groups)}
 
@@ -761,16 +772,18 @@ class Coordinator:
         (whenever views are registered).  The post-commit states are
         read back once at batch close, after every write (multi-key,
         fallback, single-key) is installed, so the values are exactly
-        what the batch left behind.  Keys a footprint names but that
-        never materialized (an errored single-key transaction on an
-        absent key) are skipped — the runtime has no deletes, so
-        absence means "was never written"."""
+        what the batch left behind.  Both consumers get the committed
+        entries themselves, not copies: they read them and never write
+        them (the state module's entry contract).  Keys a footprint
+        names but that never materialized (an errored single-key
+        transaction on an absent key) are skipped — the runtime has no
+        deletes, so absence means "was never written"."""
         changelogging = self.snapshots.mode == "incremental"
         viewing = self.views is not None and len(self.views)
         writes: dict = {}
         if batch.footprint and (changelogging or viewing):
             for entity, key in batch.footprint:
-                state = self.committed.get(entity, key)
+                state = self.committed.entry(entity, key)
                 if state is not None:
                     writes[(entity, key)] = state
         if changelogging and writes:

@@ -176,7 +176,7 @@ class StateflowRuntime(Runtime):
             source_positions=lambda: self.broker.positions("stateflow-coord"),
             source_seek=self._seek_source,
             restore_workers=self._restore_workers,
-            is_single_key=self._is_single_key,
+            single_key_access=self._single_key_access,
             execute_single_key=lambda index, events, on_done:
             self.workers[index].execute_single_key(events, on_done),
             set_worker_count=self._set_worker_count,
@@ -388,15 +388,19 @@ class StateflowRuntime(Runtime):
     def _on_loopback_record(self, record: KafkaRecord) -> None:
         self._dispatch_to_worker(record.value, src="kafka-loopback")
 
-    def _is_single_key(self, entity: str, method: str) -> bool:
+    def _single_key_access(self, entity: str, method: str) -> str | None:
         """Single-key = unsplit state machine and not a constructor: the
-        invocation touches only its target key's partition."""
+        invocation touches only its target key's partition.  A read-only
+        method's invocation reads it and writes nothing."""
         if method == "__init__":
-            return False
+            return None
         compiled = self.program.entities.get(entity)
         if compiled is None or method not in compiled.methods:
-            return False
-        return not compiled.methods[method].machine.is_split
+            return None
+        compiled_method = compiled.methods[method]
+        if compiled_method.machine.is_split:
+            return None
+        return "read" if compiled_method.read_only else "write"
 
     def _unacked_since(self) -> float | None:
         """Process workers: when the oldest commit bucket one of them

@@ -6,7 +6,8 @@ reference block interpreter (one ``exec`` per block); the two must agree
 on exit kind, node, value, call target, store and the instance's state.
 A call that starts at a continuation the compiler calls state-free is
 also replayed on a blank instance, which must give the same result and
-stay blank.  The scenarios reach every method of the test zoo, its
+stay blank, and a call of a method the compiler calls read-only must
+leave the instance's state as it found it.  The scenarios reach every method of the test zoo, its
 instance-reaching routes and shapes, the YCSB and TPC-C workloads and
 the ``examples/`` entities, with control flow split lazily and eagerly.
 
@@ -69,9 +70,10 @@ def _outcome(call):
 @pytest.fixture()
 def shadowed(monkeypatch):
     """Patch ``CompiledMethod.run`` to also run the reference and compare;
-    returns ``(arm, checked, replayed)`` — ``arm(program)`` selects whose
-    splits the reference interprets, ``checked`` counts compared calls
-    per method.
+    returns ``(arm, checked, replayed, untouched)`` — ``arm(program)``
+    selects whose splits the reference interprets, ``checked`` counts
+    compared calls per method, ``untouched`` the calls of read-only
+    methods, each of which must leave ``extract_state`` unchanged.
 
     ``arm`` also takes each method's state-free continuations away from
     the executor, so every visit runs on the real instance; a call that
@@ -80,10 +82,20 @@ def shadowed(monkeypatch):
     compiled_run = CompiledMethod.run
     checked: Counter = Counter()
     replayed: Counter = Counter()
+    untouched: Counter = Counter()
     splits = {}
     state_free = {}
 
     def run(method, instance, node_id, store):
+        if not method.read_only:
+            return compare(method, instance, node_id, store)
+        before = copy.deepcopy(vars(instance))
+        got = compare(method, instance, node_id, store)
+        assert vars(instance) == before, method.machine.method
+        untouched[method.machine.entity, method.machine.method] += 1
+        return got
+
+    def compare(method, instance, node_id, store):
         name = (method.machine.entity, method.machine.method)
         if node_id in state_free[name]:
             blank = object.__new__(type(instance))
@@ -130,7 +142,7 @@ def shadowed(monkeypatch):
                 method.state_free = frozenset()
 
     monkeypatch.setattr(CompiledMethod, "run", run)
-    return arm, checked, replayed
+    return arm, checked, replayed, untouched
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +266,11 @@ def test_compiled_function_agrees_with_block_interpreter(
                        for entity, compiled in program.entities.items()
                        for name, method in compiled.methods.items()
                        if method.state_free}
-    arm, checked, replayed = shadowed
+    read_only = {(entity, name)
+                 for entity, compiled in program.entities.items()
+                 for name, method in compiled.methods.items()
+                 if method.read_only}
+    arm, checked, replayed, untouched = shadowed
     arm(program)
     drive(LocalRuntime(program))
     every_method = {(entity, method)
@@ -263,6 +279,7 @@ def test_compiled_function_agrees_with_block_interpreter(
     assert set(checked) | REFERENCE_GAPS >= every_method
     assert all(checked[name] for name in every_method - REFERENCE_GAPS)
     assert set(replayed) == with_state_free
+    assert set(untouched) == read_only
 
 
 # ---------------------------------------------------------------------------

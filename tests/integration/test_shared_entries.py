@@ -8,6 +8,7 @@ at cut time and re-checks all of them after a chaos run that drives
 each of those readers — a single in-place write anywhere would change
 a fingerprint."""
 
+import copy
 import pickle
 from dataclasses import replace
 
@@ -16,7 +17,11 @@ import pytest
 from repro.bench import chaos_coordinator_config
 from repro.faults import FaultEvent, FaultPlan
 from repro.query import QueryEngine, ViewSpec
-from repro.runtimes.stateflow import StateflowConfig, StateflowRuntime
+from repro.runtimes.stateflow import (
+    CoordinatorConfig,
+    StateflowConfig,
+    StateflowRuntime,
+)
 from repro.runtimes.stateflow.snapshots import SnapshotStore
 from repro.workloads import Account, DriverConfig, WorkloadDriver, YcsbWorkload
 
@@ -80,3 +85,40 @@ def test_cut_payloads_are_never_written(account_program, monkeypatch,
     for index, (payload, fingerprint) in enumerate(cuts):
         assert pickle.dumps(payload) == fingerprint, (
             f"cut {index} of {len(cuts)} was written after it was taken")
+
+
+def test_the_fan_out_shares_committed_entries(account_program, tmp_path):
+    """The changelog and the views get the committed entries themselves;
+    neither writes one: after a durable run with views, every entry the
+    fan-out handed out equals a deep copy taken before it did."""
+    runtime = StateflowRuntime(account_program, config=StateflowConfig(
+        workers=2, snapshot_mode="incremental",
+        durability_dir=str(tmp_path),
+        coordinator=CoordinatorConfig(snapshot_interval_ms=200)))
+    refs = runtime.preload(Account, [(f"acct-{i}", 100) for i in range(6)])
+    runtime.start()
+    engine = QueryEngine(runtime)
+    engine.register_view(ViewSpec("total", "Account", "sum",
+                                  field="balance"))
+    engine.register_view(ViewSpec("top", "Account", "top_k",
+                                  field="balance", k=2))
+    handed: list = []
+    entry = runtime.committed.entry
+
+    def recording_entry(entity, key):
+        state = entry(entity, key)
+        handed.append((state, copy.deepcopy(state)))
+        return state
+
+    runtime.committed.entry = recording_entry
+    for step in range(12):
+        source, target = refs[step % 6], refs[(step + 1) % 6]
+        runtime.invoke(source, "transfer", 3, target).unwrap()
+        runtime.invoke(target, "write", f"p{step}").unwrap()
+        runtime.invoke(source, "read").unwrap()
+    runtime.sim.run(until=runtime.sim.now + 1_000)
+    assert len(handed) >= 12 and runtime.coordinator.changelog.appended
+    assert all(state == before for state, before in handed)
+    assert engine.view("total").value == 600
+    for name in runtime.views.names():
+        assert runtime.views.read(name).value == runtime.views.expected(name)
