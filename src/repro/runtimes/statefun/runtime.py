@@ -33,12 +33,7 @@ from ...faults import FaultInjector, FaultPlan
 from ...ir.events import Event, EventKind
 from ...substrates.kafka import KafkaBroker, KafkaConfig, KafkaRecord
 from ...substrates.network import Network, NetworkConfig
-from ...substrates.simulation import (
-    CpuPool,
-    MetricRecorder,
-    ScheduledEvent,
-    Simulation,
-)
+from ...substrates.simulation import CpuPool, MetricRecorder, Simulation
 from ..base import InvocationResult, Runtime
 from ..executor import OperatorExecutor, run_constructor
 from ..state import DictStateBackend
@@ -61,7 +56,9 @@ SYNC_WAIT_MS = 60_000.0
 
 class BatchingChannel:
     """Flink-style network buffer: items flush when the buffer fills or
-    the buffer timeout elapses since the first buffered item."""
+    the buffer timeout elapses since the first buffered item.  Every
+    flush bumps ``_generation``, which fences the timeout armed before
+    it."""
 
     def __init__(self, sim: Simulation, timeout_ms: float, capacity: int,
                  on_flush: Callable[[list], None]):
@@ -70,20 +67,24 @@ class BatchingChannel:
         self.capacity = capacity
         self._on_flush = on_flush
         self._buffer: list = []
-        self._timer: ScheduledEvent | None = None
+        self._generation = 0
         self.flushes = 0
 
     def push(self, item: Any) -> None:
         self._buffer.append(item)
         if len(self._buffer) >= self.capacity:
             self.flush()
-        elif self._timer is None or self._timer.cancelled:
-            self._timer = self.sim.schedule(self.timeout_ms, self.flush)
+        elif len(self._buffer) == 1:
+            generation = self._generation
+            self.sim.schedule(self.timeout_ms,
+                              lambda: self._expire(generation))
+
+    def _expire(self, generation: int) -> None:
+        if generation == self._generation:
+            self.flush()
 
     def flush(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        self._generation += 1
         if not self._buffer:
             return
         items, self._buffer = self._buffer, []

@@ -6,7 +6,6 @@ from .network import LatencyModel, Network, NetworkConfig
 from .simulation import (
     CpuPool,
     MetricRecorder,
-    ScheduledEvent,
     Simulation,
     SimulationError,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "Node",
     "ProcessSpawner",
     "SPAWNERS",
-    "ScheduledEvent",
     "SimulatorSpawner",
     "Simulation",
     "SimulationError",

@@ -17,6 +17,10 @@ process preset runs this way; the simulator's default costs are never
 zero).
 Either way a delivery goes through the same pump, so offsets, per
 partition order and the ``seek``/``pause`` fences behave alike.
+
+A retried delivery is a fresh closure: one that rescheduled itself by
+name would be a reference cycle, left for the cycle collector by every
+record delivered.
 """
 
 from __future__ import annotations
@@ -290,7 +294,8 @@ class KafkaBroker:
             if record.offset > expected:
                 # A predecessor's delivery was faulted and is still in
                 # flight: retry later so per-partition order holds.
-                self.sim.schedule(FETCH_RETRY_MS, fire)
+                self.sim.schedule(FETCH_RETRY_MS, self._deliver(
+                    group, state, slot, record, epoch))
                 return
             fault = (self.fault_hook("fetch", group)
                      if self.fault_hook is not None else None)
@@ -299,7 +304,8 @@ class KafkaBroker:
                 # after its backoff (plus any injected delay spike).
                 self.deliveries_faulted += 1
                 self.sim.schedule(FETCH_RETRY_MS + fault.extra_delay_ms,
-                                  fire)
+                                  self._deliver(group, state, slot, record,
+                                                epoch))
                 return
             state.offsets[slot] = expected + 1
             self.records_delivered += 1

@@ -2,7 +2,9 @@
 
 Per-hop latencies are sampled from a log-normal distribution (the standard
 heavy-tailed model for datacenter RPC latency); each model is seeded from
-the simulation RNG, so runs are reproducible.
+the simulation RNG, so runs are reproducible.  A draw runs on every
+modelled hop and Kafka step, so :meth:`LatencyModel.sample` inlines
+``random.lognormvariate``, whose two nested calls cost more than its loop.
 
 Fault injection (:mod:`repro.faults`) plugs in through ``fault_hook``: a
 callable consulted once per :meth:`Network.send` that may return a
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from random import NV_MAGICCONST
 from typing import Callable
 
 from .simulation import Simulation
@@ -70,8 +73,17 @@ class LatencyModel:
     def sample(self, sim: Simulation) -> float:
         if not self.sigma:
             return max(self.median_ms, self.floor_ms)
-        value = sim.rng.lognormvariate(self.mu, self.sigma)
-        return max(value, self.floor_ms)
+        # ``sim.rng.lognormvariate(self.mu, self.sigma)``: mirrors
+        # CPython's ``normalvariate``, so the draws and floats are its own.
+        random = sim.rng.random
+        while True:
+            u1 = random()
+            u2 = 1.0 - random()
+            z = NV_MAGICCONST * (u1 - 0.5) / u2
+            if z * z / 4.0 <= -math.log(u2):
+                break
+        value = math.exp(self.mu + z * self.sigma)
+        return value if value > self.floor_ms else self.floor_ms
 
     def scaled(self, factor: float) -> "LatencyModel":
         return LatencyModel(median_ms=self.median_ms * factor,

@@ -5,6 +5,10 @@ deterministic virtual-time simulator (see DESIGN.md §2).  Time is in
 *milliseconds*.  The kernel is a classic calendar queue: callbacks are
 scheduled at absolute virtual times and executed in order; ties break by
 schedule order, so runs are fully deterministic for a given seed.
+
+A calendar entry is the bare tuple ``(time, seq, callback)``: scheduling
+is one heap push, returns no handle, and cannot be undone.  A callback
+that may go stale checks a generation counter when it fires instead.
 """
 
 from __future__ import annotations
@@ -12,34 +16,18 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import Callable
 
 
 class SimulationError(Exception):
     """Raised on kernel misuse (negative delays, running twice, ...)."""
 
 
-@dataclass(slots=True, eq=False)
-class ScheduledEvent:
-    """Handle to a scheduled callback; ``cancel()`` to revoke."""
-
-    time: float
-    seq: int
-    callback: Callable[[], None] | None
-
-    def cancel(self) -> None:
-        self.callback = None
-
-    @property
-    def cancelled(self) -> bool:
-        return self.callback is None
-
-
-#: A calendar entry: ``(time, seq, event)``.  ``seq`` is unique per
+#: A calendar entry: ``(time, seq, callback)``.  ``seq`` is unique per
 #: kernel, so the heap orders entries by comparing floats and ints in C
-#: and never reaches the event handle.
-QueueEntry = tuple[float, int, ScheduledEvent]
+#: and never reaches the callback.
+QueueEntry = tuple[float, int, Callable[[], None]]
 
 
 class Simulation:
@@ -64,38 +52,30 @@ class Simulation:
         return self._processed
 
     def schedule(self, delay_ms: float,
-                 callback: Callable[[], None]) -> ScheduledEvent:
+                 callback: Callable[[], None]) -> None:
         """Run *callback* ``delay_ms`` from now (0 is allowed and runs
         after already-scheduled same-time events)."""
         if delay_ms < 0:
             raise SimulationError(f"negative delay {delay_ms}")
-        when = self._now + delay_ms
-        seq = next(self._seq)
-        event = ScheduledEvent(when, seq, callback)
-        heapq.heappush(self._queue, (when, seq, event))
-        return event
+        heapq.heappush(self._queue,
+                       (self._now + delay_ms, next(self._seq), callback))
 
     def schedule_at(self, time_ms: float,
-                    callback: Callable[[], None]) -> ScheduledEvent:
+                    callback: Callable[[], None]) -> None:
         if time_ms < self._now:
             raise SimulationError(
                 f"cannot schedule in the past ({time_ms} < {self._now})")
-        return self.schedule(time_ms - self._now, callback)
+        self.schedule(time_ms - self._now, callback)
 
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Execute the next event; False when the calendar is empty."""
-        while self._queue:
-            when, _, event = heapq.heappop(self._queue)
-            callback = event.callback
-            if callback is None:  # cancelled
-                continue
-            self._now = when
-            event.callback = None
-            callback()
-            self._processed += 1
-            return True
-        return False
+        if not self._queue:
+            return False
+        self._now, _, callback = heapq.heappop(self._queue)
+        callback()
+        self._processed += 1
+        return True
 
     def run(self, until: float | None = None,
             max_events: int | None = None) -> None:
@@ -108,8 +88,8 @@ class Simulation:
                 return
             if max_events is not None and executed >= max_events:
                 return
-            if self.step():
-                executed += 1
+            self.step()
+            executed += 1
 
     def run_until(self, predicate: Callable[[], bool],
                   *, max_time: float = float("inf")) -> bool:
@@ -122,21 +102,14 @@ class Simulation:
                 return False
             # One :meth:`step`, inlined: this loop runs once per event
             # of every driven workload.
-            while queue:
-                when, _, event = pop(queue)
-                callback = event.callback
-                if callback is None:  # cancelled
-                    continue
-                self._now = when
-                event.callback = None
-                callback()
-                self._processed += 1
-                break
+            self._now, _, callback = pop(queue)
+            callback()
+            self._processed += 1
         return True
 
     # ------------------------------------------------------------------
     def pending(self) -> int:
-        return sum(1 for _, _, event in self._queue if not event.cancelled)
+        return len(self._queue)
 
 
 class CpuPool:

@@ -19,6 +19,8 @@ Two differences from the simulator, both forced by real clocks:
   processes are registered with a handler, and the loop blocks in
   :func:`multiprocessing.connection.wait` for whichever comes first —
   the next timer or an inbound frame.
+
+Calendar entries have the simulator's shape and cannot be cancelled.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import time
 from multiprocessing.connection import wait as _conn_wait
 from typing import Any, Callable
 
-from .simulation import QueueEntry, ScheduledEvent, SimulationError
+from .simulation import QueueEntry, SimulationError
 
 #: Longest single poll (ms): keeps the loop responsive to newly
 #: scheduled timers and to ``run(until=...)`` bounds.
@@ -80,31 +82,29 @@ class WallClock:
     # -- scheduling (Simulation-compatible) -----------------------------
 
     def schedule(self, delay_ms: float,
-                 callback: Callable[[], None]) -> ScheduledEvent:
+                 callback: Callable[[], None]) -> None:
         if delay_ms < 0:
             raise SimulationError(f"negative delay {delay_ms}")
-        return self._push(self.now + delay_ms, callback,
-                          delay_ms >= _COARSE_DELAY_MS)
+        self._push(self.now + delay_ms, callback,
+                   delay_ms >= _COARSE_DELAY_MS)
 
     def schedule_at(self, time_ms: float,
-                    callback: Callable[[], None]) -> ScheduledEvent:
+                    callback: Callable[[], None]) -> None:
         # Clamp instead of raising: see module docstring.
         now = self.now
-        return self._push(max(time_ms, now), callback,
-                          time_ms - now >= _COARSE_DELAY_MS)
+        self._push(max(time_ms, now), callback,
+                   time_ms - now >= _COARSE_DELAY_MS)
 
     def _push(self, when: float, callback: Callable[[], None],
-              coarse: bool) -> ScheduledEvent:
+              coarse: bool) -> None:
         seq = self._seq
         self._seq = seq + 1
-        event = ScheduledEvent(when, seq, callback)
-        heapq.heappush(self._queue, (when, seq, event))
+        heapq.heappush(self._queue, (when, seq, callback))
         if coarse:
             self._coarse.add(seq)
-        return event
 
     def pending(self) -> int:
-        return sum(1 for _, _, event in self._queue if not event.cancelled)
+        return len(self._queue)
 
     # -- connection multiplexing ----------------------------------------
 
@@ -148,11 +148,9 @@ class WallClock:
     def _dispatch_due(self) -> int:
         fired = 0
         while self._queue and self._queue[0][0] <= self.now:
-            _, seq, event = heapq.heappop(self._queue)
+            _, seq, callback = heapq.heappop(self._queue)
             self._coarse.discard(seq)
-            if event.cancelled:
-                continue
-            event.callback()
+            callback()
             self.processed_events += 1
             fired += 1
         return fired

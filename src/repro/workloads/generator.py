@@ -77,6 +77,7 @@ class WorkloadDriver:
         self.errors = 0
         self._arrivals = random.Random(self.config.seed)
         self._started_at = 0.0
+        self._end_at = 0.0
 
     # ------------------------------------------------------------------
     def _interarrival_ms(self) -> float:
@@ -99,21 +100,20 @@ class WorkloadDriver:
         self.runtime.submit(operation.ref, operation.method, operation.args,
                             on_reply=on_reply)
 
+    def _arrive(self) -> None:
+        if self.runtime.sim.now >= self._end_at:
+            return
+        self._submit_one()
+        self.runtime.sim.schedule(self._interarrival_ms(), self._arrive)
+
     def run(self) -> LoadResult:
         """Generate arrivals for ``duration_ms`` of virtual time, then let
         in-flight requests drain; returns latency statistics (samples
         after warm-up only)."""
         sim = self.runtime.sim
         self._started_at = sim.now
-        end_at = sim.now + self.config.duration_ms
-
-        def arrive() -> None:
-            if sim.now >= end_at:
-                return
-            self._submit_one()
-            sim.schedule(self._interarrival_ms(), arrive)
-
-        sim.schedule(self._interarrival_ms(), arrive)
+        end_at = self._end_at = sim.now + self.config.duration_ms
+        sim.schedule(self._interarrival_ms(), self._arrive)
         if self.config.stop_when_drained:
             sim.run_until(
                 lambda: sim.now >= end_at and self.completed >= self.sent,

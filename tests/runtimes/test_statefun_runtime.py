@@ -123,3 +123,19 @@ class TestBatchingChannel:
         sim.run()
         assert flushed == [["a"]]
         assert len(channel) == 0
+
+    def test_a_stale_timeout_is_fenced(self):
+        """A capacity flush at t=3 leaves the timeout armed at t=0 in
+        the calendar; it must not flush the item pushed at t=5, whose
+        own timeout is t=15."""
+        sim = Simulation()
+        flushed = []
+        channel = BatchingChannel(
+            sim, timeout_ms=10, capacity=2,
+            on_flush=lambda items: flushed.append((sim.now, items)))
+        channel.push("a")
+        sim.schedule(3, lambda: channel.push("b"))
+        sim.schedule(5, lambda: channel.push("c"))
+        sim.run()
+        assert flushed == [(3, ["a", "b"]), (15, ["c"])]
+        assert channel.flushes == 2

@@ -1,5 +1,8 @@
 """Network latency models and the cluster layout."""
 
+import math
+import random
+
 import pytest
 
 from repro.bench.harness import process_stateflow_overrides
@@ -52,6 +55,30 @@ class TestLatencyModel:
             0.2748951099968544, 0.25552225450042715, 0.19707616576027076,
             0.2861818145528404, 0.2062586227261236, 0.24293333607692155,
             0.3802777139632227, 0.1931698212565383]
+
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    @pytest.mark.parametrize("median_ms, sigma, floor_ms", [
+        (0.25, 0.25, 0.01),    # the intra-cluster hop
+        (0.9, 0.3, 0.01),      # Kafka produce and fetch
+        (1.0, 0.3, 0.01),      # the StateFun RPC hop
+        (1.0, 1.5, 0.8),       # the floor wins on about 45 % of draws
+        (1e-4, 0.3, 0.05),     # the floor wins on every draw
+    ])
+    def test_the_inlined_draw_is_the_stdlibs_bit_for_bit(
+            self, seed, median_ms, sigma, floor_ms):
+        """``sample`` inlines ``random.lognormvariate``: the same floats,
+        from the same draws, leaving the RNG in the same state."""
+        sim, reference = Simulation(seed=seed), random.Random(seed)
+        model = LatencyModel(median_ms=median_ms, sigma=sigma,
+                             floor_ms=floor_ms)
+        mu = math.log(median_ms)
+        drawn = [model.sample(sim) for _ in range(10_000)]
+        expected = [max(reference.lognormvariate(mu, sigma), floor_ms)
+                    for _ in range(10_000)]
+        assert drawn == expected
+        assert sim.rng.getstate() == reference.getstate()
+        if floor_ms > 0.01:
+            assert floor_ms in drawn
 
 
 class TestNetwork:

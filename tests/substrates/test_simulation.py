@@ -1,4 +1,4 @@
-"""DES kernel: ordering, cancellation, CPU queueing, metrics."""
+"""DES kernel: ordering, CPU queueing, metrics."""
 
 import pytest
 
@@ -14,12 +14,17 @@ class TestKernel:
     def test_events_run_in_time_order(self):
         sim = Simulation()
         order = []
-        sim.schedule(5, lambda: order.append("b"))
+        assert sim.schedule(5, lambda: order.append("b")) is None
         sim.schedule(1, lambda: order.append("a"))
-        sim.schedule(9, lambda: order.append("c"))
+        sim.schedule_at(9, lambda: order.append("c"))
+        assert sim.pending() == 3
+        assert sim.step()
+        assert order == ["a"] and sim.pending() == 2
         sim.run()
         assert order == ["a", "b", "c"]
         assert sim.now == 9
+        assert sim.pending() == 0 and sim.processed_events == 3
+        assert not sim.step()
 
     def test_ties_break_by_schedule_order(self):
         sim = Simulation()
@@ -38,14 +43,6 @@ class TestKernel:
         assert sim.now == 5
         sim.run()
         assert fired
-
-    def test_cancellation(self):
-        sim = Simulation()
-        fired = []
-        handle = sim.schedule(1, lambda: fired.append(1))
-        handle.cancel()
-        sim.run()
-        assert not fired
 
     def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
