@@ -175,21 +175,6 @@ def _timed_full_scan(manager, names: list[str]) -> float:
     return (time.perf_counter_ns() - started) / 1e6
 
 
-class _FlatScanStore:
-    """Scan surface over a cold-started flat ``{(entity, key): state}``
-    mapping."""
-
-    def __init__(self, state: dict) -> None:
-        self._state = state
-
-    def keys(self):
-        return list(self._state)
-
-    def get(self, entity: str, key: Any):
-        state = self._state.get((entity, key))
-        return dict(state) if state is not None else None
-
-
 def run_durable_rehydrate_leg(record_count: int = 10_000, *,
                               seed: int = 42,
                               rps: float = 200.0,
@@ -200,8 +185,8 @@ def run_durable_rehydrate_leg(record_count: int = 10_000, *,
     the views twice — once from the cut's sidecar, once by full-scan
     rehydration — and compare cost and values."""
     from ..ir.dataflow import stable_hash
-    from ..runtimes.state import TOMBSTONE, apply_flat_writes, \
-        materialize_snapshot
+    from ..runtimes.state import TOMBSTONE, DictStateBackend, \
+        apply_flat_writes, materialize_snapshot
     from ..storage import FileChangelogStore, FileSnapshotStore
     from ..views import ViewManager
 
@@ -241,7 +226,7 @@ def run_durable_rehydrate_leg(record_count: int = 10_000, *,
             state = apply_flat_writes(state, record.writes)
         state = {composite: row for composite, row in state.items()
                  if row is not TOMBSTONE}
-        store = _FlatScanStore(state)
+        store = DictStateBackend(state)
         sidecar = getattr(snapshot, "views_state", None)
 
         def resume_from_sidecar() -> tuple[ViewManager, float]:

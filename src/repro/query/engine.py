@@ -34,7 +34,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from ..core.errors import StatefulEntityError
-from ..runtimes.state import apply_flat_writes, materialize_snapshot
+from ..runtimes.state import (apply_flat_writes, fast_deepcopy,
+                              materialize_snapshot)
 from ..runtimes.stateflow.snapshots import SnapshotChainError
 from ..views import ViewSnapshot, ViewSpec, ViewUpdate, rank_key
 
@@ -93,12 +94,12 @@ class QueryEngine:
                 f"state")
         return store
 
-    def _live_items(self) -> Iterable[tuple[tuple[str, Any], dict[str, Any]]]:
-        # keys()/get() is the surface every store shares (a plain
-        # backend or the partitioned store) and returns copies, keeping
-        # predicates from mutating committed state.
-        store = self._live_store()
-        return [(key, store.get(*key)) for key in store.keys()]
+    def _live_items(self, entity: str) -> list[tuple[tuple[str, Any], dict]]:
+        # Only *entity*'s committed entries, walked in place and copied
+        # once each: a predicate sees a private row, and it is the row
+        # a query returns (see _build_rows).
+        return [((entity, key), fast_deepcopy(state))
+                for key, state in self._live_store().entries(entity)]
 
     @staticmethod
     def _changelog_of(coordinator):
@@ -189,8 +190,8 @@ class QueryEngine:
         """Resolve the consistency level to ``(items, as_of_ms)``.
 
         A non-``None`` *key* is the point-read fast path: a live read
-        goes straight to ``store.get(entity, key)`` without enumerating
-        ``store.keys()`` — O(1), never O(state).  Snapshot and as-of
+        goes straight to ``store.get(entity, key)`` without scanning
+        ``store.entries`` — O(1), never O(state).  Snapshot and as-of
         reads must still resolve the historical cut (that cost is the
         consistency level's, not the scan's), then narrow to the key.
         """
@@ -204,7 +205,7 @@ class QueryEngine:
                 state = self._live_store().get(entity, key)
                 return ([] if state is None
                         else [((entity, key), state)]), as_of
-            return self._live_items(), as_of
+            return self._live_items(entity), as_of
         if consistency == "snapshot":
             items, as_of = self._snapshot_items(entity)
         elif consistency == "as_of":
@@ -229,7 +230,7 @@ class QueryEngine:
             if where is not None and not where(state):
                 continue
             if project is None:
-                row = dict(state)
+                row = state  # every source hands over a private copy
             else:
                 missing = [f for f in project if f not in state]
                 if missing:

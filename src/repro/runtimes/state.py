@@ -22,9 +22,13 @@ mutated: a write swaps the whole entry for a new one.  ``put`` (and so
 :func:`materialize_snapshot` copy out, and everything in between —
 snapshot and delta payloads, pinned views' pre-images,
 ``resolve_payload`` / ``apply_flat_writes`` / ``compact_deltas``
-results — may alias the live entries.  Whoever holds such a payload
-reads it and never writes an entry of it; whoever wants to mutate goes
-through one of the copy-out calls.
+results, what ``PartitionedStore.entry`` (one key) and ``entries``
+(one entity's rows, on the store and on a backend) return — may alias
+the live entries.  Whoever holds such an entry reads it and never
+writes to it; whoever wants to mutate goes through one of the copy-out
+calls.  Whole-store readers read in place: view hydration and the
+query engine's live scan walk ``entries``, and only the query engine
+copies — once per row it may return.
 
 The backend additionally supports *incremental capture*
 (``capture_base``/``capture_delta``): it tracks which keys were written
@@ -400,7 +404,8 @@ class StateBackend(Protocol):
     bulk-commit and fault-tolerance operations the StateFlow coordinator
     drives: ``apply_writes`` installs a committed batch's write sets,
     ``snapshot``/``restore`` implement batch-boundary consistent
-    snapshots, and ``keys`` enumerates resident entities.
+    snapshots, ``keys`` enumerates resident entities and ``entries``
+    scans one entity's committed entries in place.
     """
 
     def get(self, entity: str, key: Any) -> State | None: ...
@@ -426,6 +431,8 @@ class StateBackend(Protocol):
     def apply_delta(self, delta: Any) -> None: ...
 
     def keys(self) -> list[Key]: ...
+
+    def entries(self, entity: str) -> Iterator[tuple[Any, State]]: ...
 
     def __len__(self) -> int: ...
 
@@ -483,13 +490,14 @@ class DictStateBackend:
     """Plain in-memory state: one dict, pointer-copy snapshots.
 
     This is the Local and StateFun runtimes' HashMap and every slot of
-    StateFlow's :class:`PartitionedStore`.  Entries are copied in and
-    out — O(entry) on the hot path — so no caller can mutate committed
-    state through an alias.  Because an installed entry is only ever
-    swapped whole (the module's entry contract), a snapshot or delta
-    shares the entries it captures: a cut costs one reference per key,
-    and later writes replace entries in the live map without touching
-    the payload.
+    StateFlow's :class:`PartitionedStore`.  ``put``/``get`` copy
+    entries in and out — O(entry) on the hot path — so no caller can
+    mutate committed state through an alias (:meth:`entries` is the
+    read-only scan).  Because an installed entry is only ever swapped
+    whole (the module's entry contract), a snapshot or delta shares the
+    entries it captures: a cut costs one reference per key, and later
+    writes replace entries in the live map without touching the
+    payload.
     """
 
     def __init__(self, store: dict[Key, State] | None = None):
@@ -599,6 +607,13 @@ class DictStateBackend:
 
     def keys(self) -> list[Key]:
         return list(self.store)
+
+    def entries(self, entity: str) -> Iterator[tuple[Any, State]]:
+        """``(key, entry)`` for every row of *entity*: the committed
+        entries themselves (the module's entry contract)."""
+        for (name, key), state in self.store.items():
+            if name == entity:
+                yield key, state
 
     def __len__(self) -> int:
         return len(self.store)
@@ -1054,6 +1069,12 @@ class PartitionedStore:
         """All resident keys, grouped by slot (not insertion order);
         order-sensitive consumers must sort."""
         return [key for backend in self._slots for key in backend.keys()]
+
+    def entries(self, entity: str) -> Iterator[tuple[Any, State]]:
+        """Every row of *entity*, slot by slot, in place: no key routed,
+        no entry copied (the module's entry contract)."""
+        for backend in self._slots:
+            yield from backend.entries(entity)
 
     def __len__(self) -> int:
         return sum(len(backend) for backend in self._slots)

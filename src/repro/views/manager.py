@@ -13,9 +13,10 @@ contribution as it was (see :mod:`.operators`) emits nothing, and the
 value and each :class:`ViewUpdate` are built only for names somebody
 subscribed to.
 
-The rows of a footprint are private to the view layer when they arrive
-(the coordinator read them back with a copy-out ``get``) and shared
-from then on — by every plan, the changelog record and every cut's
+No row is copied into the view layer: the commit fan-out hands over
+the committed entries themselves (``PartitionedStore.entry``) and
+hydration reads them in place (``entries(entity)``), and from then on
+they are shared — by every plan, the changelog record and every cut's
 sidecar; :mod:`.operators` states the row contract.
 
 Off the commit path also means a view cannot take a commit down: a plan
@@ -108,8 +109,9 @@ class ViewManager:
     def __init__(self, store: Any, *,
                  clock: Callable[[], float | None] | None = None,
                  head: Callable[[], int] | None = None):
-        #: Committed store exposing ``keys() -> (entity, key)`` tuples
-        #: and ``get(entity, key)`` (a backend or the partitioned store).
+        #: Committed store exposing ``entries(entity)`` — ``(key,
+        #: entry)`` pairs read in place (a backend or the partitioned
+        #: store).
         self._store = store
         self._clock = clock or (lambda: None)
         #: The coordinator's last closed batch id (freshness anchor);
@@ -188,27 +190,17 @@ class ViewManager:
         if not compiled.names:
             self._compiler.forget(compiled)
 
-    def _scan(self, entity: str):
-        store = self._store
-        for composite in store.keys():
-            entity_name, key = composite
-            if entity_name != entity:
-                continue
-            state = store.get(entity_name, key)
-            if state is not None:
-                yield key, state
-
     def _join_scan(self, compiled: CompiledView):
         """The joined entity's scan for hydration, when the plan joins."""
         if compiled.spec.join_entity is None:
             return None
-        return self._scan(compiled.spec.join_entity)
+        return self._store.entries(compiled.spec.join_entity)
 
     def _hydrate(self, compiled: CompiledView, last_applied_batch: int,
                  at_ms: float | None) -> None:
         """Rebuild one plan from a store scan and put it (back) in
         service as of *last_applied_batch*."""
-        compiled.hydrate(self._scan(compiled.spec.entity),
+        compiled.hydrate(self._store.entries(compiled.spec.entity),
                          join_items=self._join_scan(compiled),
                          at_ms=at_ms)
         compiled.last_applied_batch = last_applied_batch
@@ -262,7 +254,7 @@ class ViewManager:
             raise ViewError(
                 f"view {name!r} is windowed: window assignment lives in "
                 f"operator state, not rows, so no full-scan oracle exists")
-        return recompute(spec, self._scan(spec.entity),
+        return recompute(spec, self._store.entries(spec.entity),
                          join_items=self._join_scan(compiled))
 
     # -- subscriptions --------------------------------------------------

@@ -28,9 +28,9 @@ needs:
   commit moves the key to its new window (retracting the old one).
 
 **The row contract** (the entry contract of :mod:`repro.runtimes.state`,
-continued): a row is private to the view layer when it enters it — the
-commit hook and hydration read it with a copy-out ``get`` — and from
-there it is immutable and *shared*.  :class:`FilterMap` passes the row
+continued): no copy in — the commit hook (``entry``) and hydration
+(``entries``) hand over the committed entries themselves — and from
+there a row is immutable and *shared*.  :class:`FilterMap` passes the row
 itself, :class:`TopK` and :class:`DeltaJoin` memoize it as it is, every
 plan of a batch and the changelog record hold the same dict, and
 ``export_state`` hands the same rows to the cut's sidecar.  A copy is

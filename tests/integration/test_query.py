@@ -1,8 +1,14 @@
 """Query engine over entity state (Section 5)."""
 
+import pickle
+from types import SimpleNamespace
+
 import pytest
 
 from repro.query import QueryEngine, QueryError
+from repro.query import engine as engine_module
+from repro.runtimes import state as state_module
+from repro.runtimes.state import PartitionedStore
 from repro.runtimes import LocalRuntime
 from repro.runtimes.stateflow import StateflowRuntime
 from repro.runtimes.statefun import StatefunRuntime
@@ -92,9 +98,7 @@ class TestSelect:
 
     def test_point_read_never_scans(self, account_program):
         """A single-key live read must go straight to ``store.get``
-        without materializing the whole entity via ``store.keys()``."""
-        from types import SimpleNamespace
-
+        without scanning the entity's ``store.entries``."""
         runtime = LocalRuntime(account_program)
         for index, balance in enumerate([10, 25, 40]):
             runtime.create(Account, f"acct-{index}", balance)
@@ -103,6 +107,9 @@ class TestSelect:
         class NoScanStore:
             def keys(self):
                 raise AssertionError("point read must not enumerate keys")
+
+            def entries(self, entity):
+                raise AssertionError("point read must not scan entries")
 
             def get(self, entity, key):
                 return store.get(entity, key)
@@ -125,6 +132,72 @@ class TestSelect:
         with pytest.raises(QueryError):
             QueryEngine(local_accounts).select("Account",
                                                consistency="psychic")
+
+
+class TestLiveReadsCopyOnlyWhatTheyReturn:
+    """A live scan walks ``entries(entity)`` in place and copies each
+    row of the queried entity once: the copy a predicate sees is the row
+    returned, and the committed entries stay out of everybody's reach."""
+
+    @pytest.fixture()
+    def two_entities(self):
+        store = PartitionedStore(2, slots=8)
+        for i in range(12):
+            store.put("Account", f"acct-{i:02d}",
+                      {"balance": 10 * i, "history": [i, [i]]})
+        for b in range(5):
+            store.put("Branch", f"b{b}", {"region": "north"})
+        return store
+
+    @pytest.fixture()
+    def copied(self, monkeypatch):
+        """The ids of every value handed to ``fast_deepcopy``."""
+        seen = []
+
+        def counting(value):
+            seen.append(id(value))
+            return original(value)
+
+        original = state_module.fast_deepcopy
+        monkeypatch.setattr(state_module, "fast_deepcopy", counting)
+        monkeypatch.setattr(engine_module, "fast_deepcopy", counting)
+        return seen
+
+    def test_one_copy_per_row_of_the_entity(self, two_entities, copied):
+        accounts = {id(row) for _, row in two_entities.entries("Account")}
+        engine = QueryEngine(SimpleNamespace(committed=two_entities))
+        assert len(engine.select("Account")) == 12
+        assert sorted(copied) == sorted(accounts), (
+            "exactly one copy per Account row, none of a Branch row")
+        copied.clear()
+        assert engine.count("Account",
+                            where=lambda row: row["balance"] > 100) == 1
+        assert sorted(copied) == sorted(accounts)
+
+    def test_scribbling_predicates_and_callers_change_nothing(
+            self, two_entities):
+        before = pickle.dumps(sorted(
+            (key, row) for key, row in two_entities.entries("Account")))
+
+        def scribble(row):
+            row["balance"] = -1
+            row["history"][1].append("x")
+            row["history"].append("y")
+            return True
+
+        engine = QueryEngine(SimpleNamespace(committed=two_entities))
+        rows = engine.select("Account", where=scribble).rows
+        assert len(rows) == 12
+        for row in rows:
+            assert row["balance"] == -1
+            row["history"][1].clear()
+            row.clear()
+        assert pickle.dumps(sorted(
+            (key, row) for key, row in two_entities.entries("Account"))) \
+            == before, "a query must never write a committed entry"
+        fresh = engine.select("Account", key="acct-03").rows
+        assert fresh == [{"balance": 30, "history": [3, [3]],
+                          "__key__": "acct-03"}]
 
 
 class TestAggregates:

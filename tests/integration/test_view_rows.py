@@ -33,6 +33,7 @@ from repro.runtimes.stateflow import (
     StateflowConfig,
     StateflowRuntime,
 )
+from repro.runtimes.state import DictStateBackend
 from repro.runtimes.stateflow.snapshots import SnapshotStore
 from repro.views import ViewManager, manager as manager_module
 from repro.views import operators as operators_module
@@ -203,18 +204,6 @@ def test_rows_handed_out_are_the_readers_to_ruin(order_program, monkeypatch):
 # copies as exact counts
 
 
-class FakeStore:
-    def __init__(self, rows):
-        self.rows = dict(rows)
-
-    def keys(self):
-        return list(self.rows)
-
-    def get(self, entity, key):
-        state = self.rows.get((entity, key))
-        return dict(state) if state is not None else None
-
-
 class CountedDict(dict):
     """Stands in for the name ``dict`` inside the view modules: counts
     each call and hands back what the builtin would have."""
@@ -239,7 +228,7 @@ def _memo_rows(manager) -> list[dict]:
 
 
 def test_fold_copies_no_row_and_export_shares_them(monkeypatch):
-    store = FakeStore({
+    store = DictStateBackend({
         ("Account", f"acct-{i:04d}"): {"account_id": f"acct-{i:04d}",
                                        "balance": 1_000, "payload": ""}
         for i in range(40)})
@@ -248,7 +237,7 @@ def test_fold_copies_no_row_and_export_shares_them(monkeypatch):
         manager.register(spec)
     key = "acct-0033"
     committed = {"account_id": key, "balance": 1_000, "payload": "x"}
-    store.rows[("Account", key)] = dict(committed)
+    store.put("Account", key, committed)
 
     monkeypatch.setattr(operators_module, "dict", CountedDict, raising=False)
     monkeypatch.setattr(manager_module, "dict", CountedDict, raising=False)
@@ -264,7 +253,7 @@ def test_fold_copies_no_row_and_export_shares_them(monkeypatch):
     # A commit that makes the key visible copies exactly the k rows of
     # the emitted top-k list (they leave the layer), not the fold's.
     committed = {"account_id": key, "balance": 1_250, "payload": "y"}
-    store.rows[("Account", key)] = dict(committed)
+    store.put("Account", key, committed)
     CountedDict.calls = 0
     manager.on_commit(1, {("Account", key): committed}, at_ms=2.0)
     assert CountedDict.calls == 10

@@ -20,8 +20,8 @@ import pytest
 from repro.bench import verify_history
 from repro.faults import random_plan
 from repro.query import QueryEngine, ViewSpec
-from repro.runtimes.state import TOMBSTONE, apply_flat_writes, \
-    materialize_snapshot
+from repro.runtimes.state import TOMBSTONE, DictStateBackend, \
+    apply_flat_writes, materialize_snapshot
 from repro.runtimes.stateflow import StateflowConfig, StateflowRuntime
 from repro.runtimes.stateflow.coordinator import CoordinatorConfig
 from repro.storage import FileChangelogStore, FileSnapshotStore
@@ -163,22 +163,6 @@ VIEW_SPECS = [
 ]
 
 
-class _FlatStore:
-    """The scan surface over a materialized flat ``{(entity, key):
-    state}`` mapping — what a cold process has after resolving a cut and
-    rolling the changelog suffix forward."""
-
-    def __init__(self, state):
-        self._state = state
-
-    def keys(self):
-        return list(self._state)
-
-    def get(self, entity, key):
-        state = self._state.get((entity, key))
-        return dict(state) if state is not None else None
-
-
 def cold_start_views(directory, specs):
     """The cold-start recipe for views: resolve the latest recoverable
     cut, roll the changelog suffix over the payload, then resume the
@@ -193,7 +177,7 @@ def cold_start_views(directory, specs):
         state = apply_flat_writes(state, record.writes)
     state = {composite: row for composite, row in state.items()
              if row is not TOMBSTONE}
-    manager = ViewManager(_FlatStore(state))
+    manager = ViewManager(DictStateBackend(state))
     manager.attach_recovery(getattr(snapshot, "views_state", None), suffix)
     for spec in specs:
         manager.register(spec)
@@ -261,7 +245,7 @@ class TestDurableViewsColdStart:
 
         # Control: scan hydration agrees wherever a scan *can* answer,
         # and provably cannot for the windowed view.
-        control = ViewManager(_FlatStore(state))
+        control = ViewManager(DictStateBackend(state))
         for spec in VIEW_SPECS:
             if spec.window_ms is None:
                 control.register(spec)

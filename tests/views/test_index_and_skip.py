@@ -31,6 +31,7 @@ from hypothesis.stateful import (
 )
 
 from repro.bench.views import cell_views
+from repro.runtimes.state import DictStateBackend
 from repro.views import (
     SIDECAR_VERSION,
     GroupAggregate,
@@ -123,18 +124,6 @@ TestIndexAgainstRankKey.settings = settings(
 # the unchanged-contribution rule, counted
 
 
-class FakeStore:
-    def __init__(self, rows=()):
-        self.rows = dict(rows)
-
-    def keys(self):
-        return list(self.rows)
-
-    def get(self, entity, key):
-        state = self.rows.get((entity, key))
-        return dict(state) if state is not None else None
-
-
 @pytest.fixture
 def index_ops(monkeypatch):
     """Count every ``OrderedGroupIndex.add``/``remove`` call."""
@@ -158,8 +147,8 @@ def _account(i, balance=1_000, payload=""):
 def _six_plans(accounts=50):
     """The bench cell's (and the perf ledger's) six standing views over
     *accounts* tied balances, every one with a subscriber."""
-    store = FakeStore({("Account", f"acct-{i:04d}"): _account(i)
-                       for i in range(accounts)})
+    store = DictStateBackend({("Account", f"acct-{i:04d}"): _account(i)
+                              for i in range(accounts)})
     manager = ViewManager(store)
     pushed = []
     for spec in cell_views():
@@ -169,7 +158,7 @@ def _six_plans(accounts=50):
 
 
 def _commit(store, manager, batch_id, key, row):
-    store.rows[("Account", key)] = row
+    store.put("Account", key, row)
     manager.on_commit(batch_id, {("Account", key): dict(row)}, at_ms=1.0)
 
 

@@ -4,11 +4,12 @@ Every operator consumes absolute-state deltas and emits its own delta;
 these tests pin the retraction memos (group buckets, top-k index), the
 tombstone flow, the deterministic top-k tie-break, plan memoization in
 the compiler, and the ViewManager's registration/freshness/duplicate-
-delivery contract over a fake committed store.
+delivery contract over a plain ``DictStateBackend`` committed store.
 """
 
 import pytest
 
+from repro.runtimes.state import DictStateBackend
 from repro.views import (
     TOMBSTONE,
     FilterMap,
@@ -220,26 +221,9 @@ class TestCompiler:
         assert compiled.value() == recompute(spec, items)
 
 
-class FakeStore:
-    """The committed-store surface views scan."""
-
-    def __init__(self, rows):
-        self._rows = dict(rows)  # (entity, key) -> state
-
-    def keys(self):
-        return list(self._rows)
-
-    def get(self, entity, key):
-        state = self._rows.get((entity, key))
-        return dict(state) if state is not None else None
-
-    def put(self, entity, key, state):
-        self._rows[(entity, key)] = state
-
-
 class TestViewManager:
     def _manager(self, rows=()):
-        return ViewManager(FakeStore(rows))
+        return ViewManager(DictStateBackend(dict(rows)))
 
     def test_register_hydrates_from_store(self):
         manager = self._manager({("E", "a"): {"v": 2}, ("E", "b"): {"v": 3},
@@ -294,7 +278,7 @@ class TestViewManager:
 
     def test_lag_measures_distance_to_head(self):
         head = {"value": 0}
-        manager = ViewManager(FakeStore({}), head=lambda: head["value"])
+        manager = ViewManager(DictStateBackend(), head=lambda: head["value"])
         manager.register(ViewSpec("v", "E", "count"))
         head["value"] = 3
         assert manager.read("v").lag_batches == 3
@@ -302,7 +286,7 @@ class TestViewManager:
         assert manager.read("v").lag_batches == 0
 
     def test_on_restore_rewinds_to_store(self):
-        store = FakeStore({("E", "a"): {"v": 1}})
+        store = DictStateBackend({("E", "a"): {"v": 1}})
         manager = ViewManager(store)
         manager.register(ViewSpec("v", "E", "sum", field="v"))
         manager.on_commit(0, {("E", "b"): {"v": 99}}, at_ms=1.0)
@@ -338,7 +322,7 @@ class TestViewManager:
         assert [u.value for u in seen] == [1]
 
     def test_expected_is_the_full_scan_oracle(self):
-        store = FakeStore({("E", "a"): {"v": 1}})
+        store = DictStateBackend({("E", "a"): {"v": 1}})
         manager = ViewManager(store)
         manager.register(ViewSpec("v", "E", "sum", field="v"))
         store.put("E", "z", {"v": 41})  # store moved; view not yet told

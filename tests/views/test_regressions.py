@@ -30,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.runtimes.state import DictStateBackend
 from repro.views import (
     TOMBSTONE,
     GroupAggregate,
@@ -39,18 +40,6 @@ from repro.views import (
     ViewSpec,
     compile_spec,
 )
-
-
-class FakeStore:
-    def __init__(self, rows=()):
-        self._rows = dict(rows)
-
-    def keys(self):
-        return list(self._rows)
-
-    def get(self, entity, key):
-        state = self._rows.get((entity, key))
-        return dict(state) if state is not None else None
 
 
 class TestDrainedTopKPublishes:
@@ -64,7 +53,7 @@ class TestDrainedTopKPublishes:
             "draining the last top-k row must emit [], not None")
 
     def test_subscriber_sees_the_drain(self):
-        manager = ViewManager(FakeStore())
+        manager = ViewManager(DictStateBackend())
         manager.register(ViewSpec("t", "E", "top_k", field="v", k=2))
         updates = []
         manager.subscribe("t", updates.append)

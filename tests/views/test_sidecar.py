@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.runtimes.state import DictStateBackend, StateDelta
 from repro.runtimes.stateflow.snapshots import ChangelogRecord
 from repro.views import (
     TOMBSTONE,
@@ -110,25 +111,6 @@ def test_export_is_a_copy_not_an_alias():
         "sidecar payload")
 
 
-class FakeStore:
-    def __init__(self, rows=()):
-        self._rows = dict(rows)
-
-    def keys(self):
-        return list(self._rows)
-
-    def get(self, entity, key):
-        state = self._rows.get((entity, key))
-        return dict(state) if state is not None else None
-
-    def apply(self, writes):
-        for (entity, key), state in writes.items():
-            if state is TOMBSTONE:
-                self._rows.pop((entity, key), None)
-            else:
-                self._rows[(entity, key)] = dict(state)
-
-
 def _specs():
     return [
         ViewSpec("total", "E", "sum", field="v"),
@@ -139,7 +121,7 @@ def _specs():
 
 class TestManagerRestoreFromSidecar:
     def test_sidecar_restore_skips_the_store(self):
-        store = FakeStore({("E", "a"): {"v": 1}})
+        store = DictStateBackend({("E", "a"): {"v": 1}})
         manager = ViewManager(store)
         for spec in _specs():
             manager.register(spec)
@@ -151,7 +133,7 @@ class TestManagerRestoreFromSidecar:
         # Recovery rewound the run to the cut: the sidecar must bring
         # every plan back without a scan (the store stays untouched —
         # prove it by poisoning the scan surface).
-        store.keys = lambda: (_ for _ in ()).throw(
+        store.entries = lambda entity: (_ for _ in ()).throw(
             AssertionError("sidecar restore must not scan the store"))
         manager.on_restore(last_closed=0, at_ms=30.0, sidecar=sidecar)
         assert manager.rehydrations == 0
@@ -161,7 +143,7 @@ class TestManagerRestoreFromSidecar:
             assert manager.read(name).last_applied_batch == 0
 
     def test_missing_sidecar_falls_back_to_scan(self):
-        store = FakeStore({("E", "a"): {"v": 7}})
+        store = DictStateBackend({("E", "a"): {"v": 7}})
         manager = ViewManager(store)
         manager.register(ViewSpec("total", "E", "sum", field="v"))
         manager.on_commit(0, {("E", "b"): {"v": 1}}, at_ms=1.0)
@@ -171,7 +153,7 @@ class TestManagerRestoreFromSidecar:
         assert manager.read("total").value == 7
 
     def test_unknown_sidecar_version_falls_back_to_scan(self):
-        store = FakeStore({("E", "a"): {"v": 7}})
+        store = DictStateBackend({("E", "a"): {"v": 7}})
         manager = ViewManager(store)
         manager.register(ViewSpec("total", "E", "sum", field="v"))
         sidecar = manager.export_sidecar()
@@ -180,7 +162,7 @@ class TestManagerRestoreFromSidecar:
         assert manager.rehydrations == 1 and manager.sidecar_restores == 0
 
     def test_schema_mismatch_falls_back_to_scan(self):
-        store = FakeStore({("E", "a"): {"v": 7, "g2": 1}})
+        store = DictStateBackend({("E", "a"): {"v": 7, "g2": 1}})
         old = ViewManager(store)
         old.register(ViewSpec("total", "E", "sum", field="v"))
         sidecar = old.export_sidecar()
@@ -197,7 +179,7 @@ class TestColdStartAttachRecovery:
     def _run_live(self):
         """A 'first life': commits 0..3, with a cut (sidecar export)
         after batch 1 — the changelog suffix covers batches 2..3."""
-        store = FakeStore()
+        store = DictStateBackend()
         manager = ViewManager(store)
         for spec in _specs():
             manager.register(spec)
@@ -213,7 +195,7 @@ class TestColdStartAttachRecovery:
             live = {composite: state
                     for composite, state in writes.items()
                     if state is not TOMBSTONE}
-            store.apply(writes)
+            store.apply_delta(StateDelta(layers=(writes,)))
             manager.on_commit(batch_id, live, at_ms=at_ms)
             if batch_id == 1:
                 sidecar = manager.export_sidecar()
