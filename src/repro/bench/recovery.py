@@ -75,6 +75,7 @@ class RecoveryRow:
     records: int
     cuts: int
     base_cuts: int
+    #: Position cuts (the artifact keeps the historical column name).
     delta_cuts: int
     mean_keys_per_cut: float
     mean_bytes_per_cut: float
@@ -215,7 +216,7 @@ def _run_one(mode: str, records: int, *, seed: int,
     row = RecoveryRow(
         mode=mode, records=records, cuts=len(cuts),
         base_cuts=sum(1 for cut in cuts if cut.kind in ("base", "full")),
-        delta_cuts=sum(1 for cut in cuts if cut.kind == "delta"),
+        delta_cuts=sum(1 for cut in cuts if cut.kind == "position"),
         mean_keys_per_cut=sum(cut.keys for cut in cuts) / count,
         mean_bytes_per_cut=sum(cut.bytes for cut in cuts) / count,
         total_bytes=sum(cut.bytes for cut in cuts),

@@ -200,11 +200,6 @@ def run_rescale_cell(workload_name: str = "T",
         "mean_pause_ms": round(sum(pauses) / len(pauses), 3) if pauses else 0.0,
         "keys_moved": coordinator.keys_migrated,
         "final_workers": runtime.worker_count,
-        # Incremental snapshots: slots shipped as base+delta fragments
-        # vs full copies, and the delta volume that crossed the wire.
-        "migration_delta_slots": runtime.migration_delta_slots,
-        "migration_full_slots": runtime.migration_full_slots,
-        "migration_delta_keys": runtime.migration_delta_keys,
     }
     row = ExperimentRow(
         system="stateflow", workload=workload_name,

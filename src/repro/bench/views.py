@@ -185,8 +185,8 @@ def run_durable_rehydrate_leg(record_count: int = 10_000, *,
     the views twice — once from the cut's sidecar, once by full-scan
     rehydration — and compare cost and values."""
     from ..ir.dataflow import stable_hash
-    from ..runtimes.state import TOMBSTONE, DictStateBackend, \
-        apply_flat_writes, materialize_snapshot
+    from ..runtimes.state import DictStateBackend, materialize_snapshot
+    from ..runtimes.stateflow.snapshots import replay
     from ..storage import FileChangelogStore, FileSnapshotStore
     from ..views import ViewManager
 
@@ -221,13 +221,9 @@ def run_durable_rehydrate_leg(record_count: int = 10_000, *,
         snapshot, payload = snapshots.latest_recoverable(changelog)
         suffix = changelog.records_between(snapshot.changelog_seq,
                                            changelog.head_seq) or []
-        state = materialize_snapshot(payload)
-        for record in suffix:
-            state = apply_flat_writes(state, record.writes)
-        state = {composite: row for composite, row in state.items()
-                 if row is not TOMBSTONE}
-        store = DictStateBackend(state)
-        sidecar = getattr(snapshot, "views_state", None)
+        store = DictStateBackend(materialize_snapshot(replay(payload,
+                                                             suffix)))
+        sidecar = snapshot.views_state
 
         def resume_from_sidecar() -> tuple[ViewManager, float]:
             manager = ViewManager(store)

@@ -194,8 +194,8 @@ RUNTIME_FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
         help="epoch-pipeline depth; 1 = serial batches (default 2)")),
     "snapshot_mode": ("--snapshot-mode", dict(
         default=None, choices=["full", "incremental"],
-        help="incremental = dirtied-slot cuts chained to periodic bases, "
-             "plus the commit changelog (default full)")),
+        help="incremental = log every commit; cuts between periodic "
+             "bases hold only a changelog position (default full)")),
     "spawner": ("--spawner", dict(
         default="simulator", choices=["simulator", "process"],
         help="'process' = real worker processes on the wall clock")),
@@ -505,8 +505,7 @@ def _cmd_chaos_plan(args: argparse.Namespace) -> int:
                        workers=args.workers, intensity=args.intensity,
                        process_faults=not args.no_process_faults,
                        coordinator_faults=args.coordinator_faults,
-                       rescales=args.rescales,
-                       torn_snapshots=args.torn_snapshots)
+                       rescales=args.rescales)
     return _write_plan(plan, args.out, f"{len(plan.events)} events")
 
 
@@ -633,9 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
     plan_cmd.add_argument("--rescales", type=int, default=0,
                           help="sprinkle N elastic rescales through the "
                                "schedule")
-    plan_cmd.add_argument("--torn-snapshots", type=int, default=0,
-                          help="tear N incremental snapshot cuts (no-ops "
-                               "on full-mode runs)")
     plan_cmd.add_argument("--out")
     plan_cmd.set_defaults(handler=_cmd_chaos_plan)
 
@@ -681,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="starting worker count")
     _add_flags(rescale_run_cmd, "workload", "distribution", "rps",
                "duration_ms", "records", "seed", "fault_plan",
-               "pipeline_depth", "snapshot_mode")
+               "pipeline_depth")
     rescale_run_cmd.set_defaults(handler=_cmd_rescale_run, workload="T",
                                  distribution="uniform", rps=150.0,
                                  duration_ms=4_000.0, records=60)

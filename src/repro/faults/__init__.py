@@ -11,7 +11,6 @@ from .plan import (
     CHANNELS,
     INTENSITIES,
     KINDS,
-    TORN_VARIANTS,
     FaultEvent,
     FaultPlan,
     FaultPlanError,
@@ -29,6 +28,5 @@ __all__ = [
     "INTENSITIES",
     "KINDS",
     "MessageFaultProfile",
-    "TORN_VARIANTS",
     "random_plan",
 ]

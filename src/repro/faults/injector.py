@@ -49,7 +49,6 @@ class FaultStats:
     partitions_opened: int = 0
     partitions_healed: int = 0
     rescales_requested: int = 0
-    torn_snapshots_armed: int = 0
     skipped_events: int = 0
     #: Simulation times of process-level faults (crashes, partitions) —
     #: the bench harness derives recovery-time metrics from these.
@@ -61,7 +60,7 @@ class FaultStats:
             "partition_drops", "kafka_records_seen", "kafka_duplicated",
             "kafka_delayed", "kafka_fetch_faults", "worker_crashes",
             "coordinator_crashes", "partitions_opened", "partitions_healed",
-            "rescales_requested", "torn_snapshots_armed", "skipped_events")}
+            "rescales_requested", "skipped_events")}
 
 
 class FaultInjector:
@@ -115,8 +114,6 @@ class FaultInjector:
                 self._schedule_partition(event)
             elif event.kind == "rescale":
                 self._schedule_rescale(event)
-            elif event.kind == "torn_snapshot":
-                self._schedule_torn_snapshot(event)
         if self.network is not None and (self._windows or self._has_partitions):
             self.network.fault_hook = self._network_hook
         if self.broker is not None and self._windows:
@@ -250,26 +247,6 @@ class FaultInjector:
             # rescale_log.
             self.stats.rescales_requested += 1
             self.rescaler(event.target_workers)  # type: ignore[misc]
-
-        self.sim.schedule_at(event.at_ms, fire)
-
-    def _schedule_torn_snapshot(self, event: FaultEvent) -> None:
-        """Arm the snapshot store to tear (or duplicate) its next delta
-        cut's fragment in flight.  Runtimes without a snapshotting
-        coordinator — or runs in full snapshot mode, where there are no
-        delta fragments — count the event as skipped."""
-        store = getattr(self.coordinator, "snapshots", None) \
-            if self.coordinator is not None else None
-        if store is None or not hasattr(store, "arm_torn"):
-            self.stats.skipped_events += 1
-            return
-
-        def fire() -> None:
-            if getattr(store, "mode", "full") != "incremental":
-                self.stats.skipped_events += 1
-                return
-            self.stats.torn_snapshots_armed += 1
-            store.arm_torn(event.variant)
 
         self.sim.schedule_at(event.at_ms, fire)
 

@@ -41,15 +41,6 @@ Fault taxonomy
     rescales with crashes and partitions (rescale-under-chaos).  Not a
     fault per se, but it shares the plan/schedule machinery.
 
-``torn_snapshot``
-    Tear the next incremental snapshot cut: the cut's delta fragment is
-    dropped in flight (``variant="drop"`` — the chain cannot resolve
-    and recovery must repair it through the commit changelog or fall
-    back to the last complete chain) or delivered twice
-    (``variant="duplicate"`` — replay must be idempotent).  A no-op on
-    runs with ``snapshot_mode="full"`` (there are no delta fragments to
-    tear); counted as skipped like any other unhostable event.
-
 Runtimes without processes (Local) or without a coordinator (StateFun)
 apply the message-level subset only; process events are counted as
 skipped, never errors — one plan can drive all three runtimes.
@@ -68,10 +59,7 @@ CHANNELS = ("network", "kafka", "all")
 
 #: Event kinds (see module docstring for semantics).
 KINDS = ("messages", "crash_worker", "crash_coordinator", "partition",
-         "rescale", "torn_snapshot")
-
-#: How a ``torn_snapshot`` event mangles the in-flight delta fragment.
-TORN_VARIANTS = ("drop", "duplicate")
+         "rescale")
 
 
 class FaultPlanError(ValueError):
@@ -120,9 +108,6 @@ class FaultEvent:
     isolate: tuple[str, ...] = ()
     #: ``rescale``: target worker count.
     target_workers: int = 0
-    #: ``torn_snapshot``: "drop" (fragment lost) or "duplicate"
-    #: (fragment delivered twice).
-    variant: str = "drop"
 
     def validate(self) -> None:
         if self.kind not in KINDS:
@@ -142,10 +127,6 @@ class FaultEvent:
             raise FaultPlanError(
                 f"rescale needs target_workers >= 1, "
                 f"got {self.target_workers}")
-        if self.kind == "torn_snapshot" and self.variant not in TORN_VARIANTS:
-            raise FaultPlanError(
-                f"unknown torn_snapshot variant {self.variant!r}; "
-                f"choose from {TORN_VARIANTS}")
 
     @property
     def until_ms(self) -> float:
@@ -212,8 +193,7 @@ def random_plan(seed: int, *, duration_ms: float = 5_000.0,
                 workers: int = 5, intensity: str = "medium",
                 process_faults: bool = True,
                 coordinator_faults: bool = False,
-                rescales: int = 0,
-                torn_snapshots: int = 0) -> FaultPlan:
+                rescales: int = 0) -> FaultPlan:
     """Generate a reproducible random plan: seed in, same schedule out.
 
     The schedule mixes one network-fault window, one kafka-fault window
@@ -222,9 +202,7 @@ def random_plan(seed: int, *, duration_ms: float = 5_000.0,
     ``coordinator_faults`` adds a coordinator fail-over and ``rescales``
     sprinkles that many elastic resizes (targets drawn around the
     starting worker count) through the same window — the combined
-    rescale-under-chaos schedule.  ``torn_snapshots`` tears that many
-    incremental snapshot cuts (dropped or duplicated delta fragments —
-    no-ops on full-mode runs).  All times land inside
+    rescale-under-chaos schedule.  All times land inside
     ``[0.1, 0.8] * duration_ms`` so the tail of the run can drain.
     """
     if intensity not in INTENSITIES:
@@ -271,11 +249,6 @@ def random_plan(seed: int, *, duration_ms: float = 5_000.0,
             kind="rescale",
             at_ms=round(rng.uniform(0.1, 1.0) * horizon, 3),
             target_workers=rng.randint(max(workers - 2, 1), workers + 2)))
-    for _ in range(torn_snapshots):
-        events.append(FaultEvent(
-            kind="torn_snapshot",
-            at_ms=round(rng.uniform(0.1, 1.0) * horizon, 3),
-            variant=rng.choice(TORN_VARIANTS)))
     events.sort(key=lambda event: event.at_ms)
     return FaultPlan(seed=seed, events=events,
                      name=f"random-{intensity}-{seed}").validate()

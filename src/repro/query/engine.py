@@ -16,15 +16,15 @@ S-QUERY [46] and RAMP read-atomic transactions [7]:
 - ``consistency="snapshot"`` reads the latest completed system snapshot —
   a globally consistent (but stale) cut, the read-atomic option.
   Resolution goes through the same ``latest_recoverable`` path recovery
-  uses, so a torn delta chain is repaired through the commit changelog
-  (or an older cut is served) instead of failing the query.
+  uses, so a cut that does not resolve is skipped for an older one
+  instead of failing the query.
 - ``consistency="as_of"`` is the time-travel level the durable
-  changelog makes nearly free: ``at_batch=N`` (or ``at_ms=T``) resolves
-  the nearest retained base+delta chain at or before the target and
-  replays the changelog suffix up to it — "balance of entity X as of
-  batch N".  Requires incremental snapshots with the changelog enabled;
-  a target older than the retained history (compacted cuts/records) is
-  refused rather than answered wrong.
+  changelog makes nearly free: ``at_batch=N`` (or ``at_ms=T``) anchors
+  on the nearest retained cut at or before the target and folds the
+  changelog from that cut's base up to it — "balance of entity X as of
+  batch N".  Requires incremental snapshots (the changelog); a target
+  older than the retained history (compacted cuts/records) is refused
+  rather than answered wrong.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from ..core.errors import StatefulEntityError
-from ..runtimes.state import (apply_flat_writes, fast_deepcopy,
-                              materialize_snapshot)
+from ..runtimes.state import fast_deepcopy, materialize_snapshot
 from ..runtimes.stateflow.snapshots import SnapshotChainError
 from ..views import ViewSnapshot, ViewSpec, ViewUpdate, rank_key
 
@@ -101,14 +100,6 @@ class QueryEngine:
         return [((entity, key), fast_deepcopy(state))
                 for key, state in self._live_store().entries(entity)]
 
-    @staticmethod
-    def _changelog_of(coordinator):
-        """The changelog recovery would repair through, or ``None``
-        when the deployment keeps none (full snapshot mode)."""
-        if coordinator.snapshots.mode == "incremental":
-            return coordinator.changelog
-        return None
-
     def _coordinator(self, purpose: str):
         coordinator = getattr(self._runtime, "coordinator", None)
         if coordinator is None:
@@ -121,15 +112,12 @@ class QueryEngine:
         coordinator = self._coordinator("snapshot-consistency")
         if coordinator.snapshots.latest() is None:
             raise QueryError("no snapshot completed yet")
-        # Incremental cuts carry only the dirtied slots: resolve the
-        # delta chain back into a full payload, through the same
-        # latest_recoverable path recovery uses — a torn chain is
-        # repaired via the commit changelog, and failing that the
-        # query is served from the newest older cut that resolves,
-        # exactly the state a crash right now would restore.
+        # A position cut carries no state: resolve it through the same
+        # latest_recoverable path recovery uses — exactly the state a
+        # crash right now would restore.
         try:
             snapshot, payload = coordinator.snapshots.latest_recoverable(
-                self._changelog_of(coordinator))
+                coordinator.changelog)
         except SnapshotChainError as error:
             raise QueryError(
                 f"no retained snapshot is resolvable ({error}); "
@@ -142,18 +130,19 @@ class QueryEngine:
     def _as_of_items(self, entity: str, *, at_batch: int | None,
                      at_ms: float | None) -> tuple[Iterable, float]:
         """Time-travel source: the nearest retained cut at or before
-        the target, plus the changelog suffix up to it (records carry
-        absolute post-states, so replay is a fold of dict updates)."""
+        the target, resolved on past its position to the last record at
+        or before the target (records carry absolute post-states, so
+        replay is a fold of dict updates)."""
         coordinator = self._coordinator("as-of")
         if (at_batch is None) == (at_ms is None):
             raise QueryError(
                 "as-of queries take exactly one of at_batch= or at_ms=")
-        changelog = self._changelog_of(coordinator)
-        if changelog is None:
+        if coordinator.snapshots.mode != "incremental":
             raise QueryError(
                 "as-of queries replay the commit changelog; run with "
                 "snapshot_mode='incremental'")
         snapshots = coordinator.snapshots
+        changelog = coordinator.changelog
         for snapshot in reversed(snapshots.retained()):
             # The cut qualifies when everything it contains is at or
             # before the target: batches it committed all have ids
@@ -163,17 +152,17 @@ class QueryEngine:
                 continue
             if at_ms is not None and snapshot.taken_at_ms > at_ms:
                 continue
-            try:
-                payload = snapshots.resolve_recoverable(snapshot,
-                                                        changelog)
-            except SnapshotChainError:
-                continue  # torn beyond repair: anchor on an older cut
             records = changelog.suffix_as_of(
                 snapshot.changelog_seq, batch=at_batch, at_ms=at_ms)
             if records is None:
                 continue  # gap in the suffix: anchor on an older cut
-            for record in records:
-                payload = apply_flat_writes(payload, record.writes)
+            try:
+                payload = snapshots.resolve(
+                    snapshot, changelog,
+                    up_to_seq=(records[-1].seq if records
+                               else snapshot.changelog_seq))
+            except SnapshotChainError:
+                continue  # base gone or span gap: anchor on an older cut
             state = materialize_snapshot(payload, entity)
             stamp = records[-1].at_ms if records else snapshot.taken_at_ms
             return list(state.items()), stamp

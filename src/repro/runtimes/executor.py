@@ -19,8 +19,8 @@ A visit of a method the compiler marked read-only
 (:attr:`~repro.compiler.codegen.CompiledMethod.read_only`: no block of
 it may write the entity) reads the entity and skips the flush: no
 ``extract_state`` and no ``put``.  So a read adds nothing to a write
-set, a dirty set or a pinned view's pre-images, and a commit has
-nothing of it to install, log or fold.
+set or a pinned view's pre-images, and a commit has nothing of it to
+install, log or fold.
 """
 
 from __future__ import annotations

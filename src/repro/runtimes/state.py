@@ -5,9 +5,8 @@ operator state behind the same :class:`StateBackend` contract, and one
 class implements it:
 
 - :class:`DictStateBackend` — a plain hash map (the paper's "local
-  HashMap data structure") with a dirty set and pinned overlays; a
-  snapshot is a pointer copy of the map, O(keys) references and no
-  entry copied;
+  HashMap data structure") with pinned overlays; a snapshot is a
+  pointer copy of the map, O(keys) references and no entry copied;
 - :class:`PartitionedStore` — shards state into *slots* (a fixed
   number of hash ranges: ``stable_hash("entity|key") % slots``), one
   :class:`DictStateBackend` each, and maps slots to workers through a
@@ -17,32 +16,22 @@ class implements it:
 
 **The entry contract.**  A committed entry, once installed, is never
 mutated: a write swaps the whole entry for a new one.  ``put`` (and so
-``create``/``apply_writes``/``apply_delta``) and ``restore`` copy in,
-``get`` (on the store and on every read view) and
-:func:`materialize_snapshot` copy out, and everything in between —
-snapshot and delta payloads, pinned views' pre-images,
-``resolve_payload`` / ``apply_flat_writes`` / ``compact_deltas``
-results, what ``PartitionedStore.entry`` (one key) and ``entries``
-(one entity's rows, on the store and on a backend) return — may alias
-the live entries.  Whoever holds such an entry reads it and never
-writes to it; whoever wants to mutate goes through one of the copy-out
-calls.  Whole-store readers read in place: view hydration and the
-query engine's live scan walk ``entries``, and only the query engine
-copies — once per row it may return.
+``create``/``apply_writes``) and ``restore`` copy in, ``get`` (on the
+store and on every read view) and :func:`materialize_snapshot` copy
+out, and everything in between — snapshot payloads, pinned views'
+pre-images, ``apply_flat_writes`` results, what
+``PartitionedStore.entry`` (one key) and ``entries`` (one entity's
+rows, on the store and on a backend) return — may alias the live
+entries.  Whoever holds such an entry reads it and never writes to it;
+whoever wants to mutate goes through one of the copy-out calls.
+Whole-store readers read in place: view hydration and the query
+engine's live scan walk ``entries``, and only the query engine copies —
+once per row it may return.
 
-The backend additionally supports *incremental capture*
-(``capture_base``/``capture_delta``): it tracks which keys were written
-since the last capture and hands out a :class:`StateDelta` of just
-those entries (shared, not copied) instead of a full payload.  Cuts
-therefore cost O(writes since the previous cut), not O(total state),
-and the partitioned store assembles per-slot fragments (``None`` for
-clean slots, a delta for dirtied ones, a :class:`FullFragment` for
-slots whose tracking was invalidated by a restore or migration).
-``resolve_payload`` replays a base payload plus a delta chain back into
-a full payload; ``compact_deltas`` collapses a chain into one
-equivalent delta (the algebra the snapshot store's bounded-depth
-compaction relies on).  Deletes travel as :data:`TOMBSTONE` entries
-inside delta layers.
+The store keeps no record of what changed since a cut: the commit
+changelog (:mod:`repro.runtimes.stateflow.snapshots`) is the one record
+of committed writes, and ``apply_flat_writes`` replays a folded write
+set over a snapshot payload.
 
 The backend additionally supports *version-pinned read views*
 (``pin_view``/``view``/``release_view``): a read-only window onto the
@@ -83,9 +72,9 @@ RescaleDelta = dict[int, tuple[int, int]]
 
 
 class _Tombstone:
-    """Marker for a deleted key inside delta layers.
-    Identity-compared (``state is TOMBSTONE``), so copies must preserve
-    identity."""
+    """Retraction marker inside view deltas (a key that no longer
+    contributes).  Identity-compared (``state is TOMBSTONE``), so copies
+    must preserve identity."""
 
     _instance = None
 
@@ -101,17 +90,17 @@ class _Tombstone:
         return self
 
     def __reduce__(self):
-        # Pickling must preserve identity across process boundaries: the
-        # wire format ships deltas whose tombstones are identity-compared
-        # on the receiving side (``state is TOMBSTONE``), and
-        # ``_Tombstone()`` always returns the one instance.
+        # Pickling must preserve identity across process boundaries:
+        # whatever ships a tombstone is identity-compared on the
+        # receiving side (``state is TOMBSTONE``), and ``_Tombstone()``
+        # always returns the one instance.
         return (_Tombstone, ())
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return "<deleted>"
 
 
-#: The one tombstone instance (deletes inside deltas).
+#: The one tombstone instance (retractions inside view deltas).
 TOMBSTONE = _Tombstone()
 
 
@@ -200,131 +189,10 @@ def fast_deepcopy(value: Any) -> Any:
         return copy.deepcopy(value)
 
 
-@dataclass(slots=True, frozen=True)
-class StateDelta:
-    """Writes since a capture point: a chain of layers (oldest first,
-    newer entries shadow older ones).  Values are committed states, or
-    :data:`TOMBSTONE` for deleted keys."""
-
-    layers: tuple[dict[Key, Any], ...]
-
-    def merged(self) -> dict[Key, Any]:
-        """Flatten the chain (newer wins), tombstones preserved.
-        Entries are shared with the layers — do not mutate."""
-        merged: dict[Key, Any] = {}
-        for layer in self.layers:
-            merged.update(layer)
-        return merged
-
-    @property
-    def is_empty(self) -> bool:
-        return not any(self.layers)
-
-    def key_count(self) -> int:
-        """Entries across all layers (a key written in two layers counts
-        twice — this is the shipped volume, not the distinct-key set)."""
-        return sum(len(layer) for layer in self.layers)
-
-
-@dataclass(slots=True, frozen=True)
-class FullFragment:
-    """A per-slot piece of an incremental cut that had to fall back to a
-    full capture (the slot's delta tracking was invalidated by a restore
-    or a migration install).  Resolution replaces the slot's base with
-    ``payload`` instead of applying a delta."""
-
-    payload: Any
-
-
-@dataclass(slots=True, frozen=True)
-class PartitionedDelta:
-    """One incremental cut of a :class:`PartitionedStore`: per-slot
-    fragments, index-aligned with the store's slots.  ``None`` marks a
-    slot untouched since the previous cut."""
-
-    parts: tuple[Any, ...]  # None | StateDelta | FullFragment per slot
-
-    @property
-    def partition_count(self) -> int:
-        return len(self.parts)
-
-
-@dataclass(slots=True, frozen=True)
-class SlotDelta:
-    """A migration fragment shipping only one slot's writes since the
-    last durable cut; the destination composes it with the slot's base
-    resolved from the snapshot store."""
-
-    slot: int
-    delta: StateDelta
-
-
-def compact_deltas(deltas: "list[StateDelta] | tuple[StateDelta, ...]",
-                   ) -> StateDelta:
-    """Collapse a delta chain into one equivalent delta:
-    ``apply(base, d1..dn) == apply(base, compact(d1..dn))`` for every
-    base.  Tombstones are preserved (a delete must still shadow an older
-    base entry after compaction)."""
-    merged: dict[Key, Any] = {}
-    for delta in deltas:
-        for layer in delta.layers:
-            merged.update(layer)
-    return StateDelta(layers=(merged,) if merged else ())
-
-
-def duplicate_delta(payload: Any) -> Any:
-    """Model a duplicated in-flight delta fragment (fault injection):
-    the same layers delivered twice.  Replay is idempotent — entries are
-    absolute states — so resolution of the duplicated payload must equal
-    the original (the torn-snapshot chaos tests assert exactly that)."""
-    if isinstance(payload, StateDelta):
-        return StateDelta(layers=payload.layers + payload.layers)
-    if isinstance(payload, PartitionedDelta):
-        return PartitionedDelta(parts=tuple(
-            duplicate_delta(part) if isinstance(part, StateDelta) else part
-            for part in payload.parts))
-    return payload
-
-
-def resolve_payload(base: Any, deltas: "list[Any]") -> Any:
-    """Replay a chain of deltas (oldest first) over a base payload,
-    producing a payload of the base's own kind (a plain mapping or a
-    :class:`PartitionedSnapshot`).  The result shares entries with its
-    inputs; callers hand it to ``restore``, which copies in."""
-    for delta in deltas:
-        base = _apply_one_delta(base, delta)
-    return base
-
-
-def _apply_one_delta(base: Any, delta: Any) -> Any:
-    if delta is None:
-        return base
-    if isinstance(delta, FullFragment):
-        return delta.payload
-    if isinstance(delta, PartitionedDelta):
-        if not isinstance(base, PartitionedSnapshot) \
-                or len(base.parts) != len(delta.parts):
-            raise ValueError(
-                "partitioned delta does not align with its base payload")
-        return PartitionedSnapshot(parts=tuple(
-            _apply_one_delta(part, part_delta)
-            for part, part_delta in zip(base.parts, delta.parts)))
-    if not isinstance(delta, StateDelta):
-        raise ValueError(f"not a delta payload: {type(delta).__name__}")
-    merged = dict(base)
-    for layer in delta.layers:
-        for key, state in layer.items():
-            if state is TOMBSTONE:
-                merged.pop(key, None)
-            else:
-                merged[key] = state
-    return merged
-
-
 def apply_flat_writes(payload: Any, writes: dict[Key, State]) -> Any:
-    """Replay one changelog record (a flat ``{key: post-state}`` write
-    set) over a payload — the repair path when a cut's delta fragment
-    was torn in flight.  Idempotent: records carry absolute states."""
+    """Apply a flat ``{key: post-state}`` write set (changelog records
+    folded into one) over a snapshot payload: the result shares entries
+    with both.  Idempotent: records carry absolute states."""
     if not writes:
         return payload
     if isinstance(payload, PartitionedSnapshot):
@@ -343,16 +211,12 @@ def apply_flat_writes(payload: Any, writes: dict[Key, State]) -> Any:
 
 
 def payload_keys(payload: Any) -> int:
-    """Cheap entry count of any snapshot/delta payload (recovery cost
+    """Cheap entry count of a snapshot payload (recovery cost
     modelling — no values are serialized)."""
     if payload is None:
         return 0
-    if isinstance(payload, FullFragment):
-        return payload_keys(payload.payload)
-    if isinstance(payload, (PartitionedSnapshot, PartitionedDelta)):
-        return sum(payload_keys(part) for part in payload.parts)
-    if isinstance(payload, StateDelta):
-        return payload.key_count()
+    if isinstance(payload, PartitionedSnapshot):
+        return sum(len(part) for part in payload.parts)
     return len(payload)
 
 
@@ -363,37 +227,14 @@ def payload_footprint(payload: Any) -> tuple[int, int]:
     same seed (no object addresses in committed state)."""
     if payload is None:
         return (0, 0)
-    if isinstance(payload, FullFragment):
-        return payload_footprint(payload.payload)
-    if isinstance(payload, (PartitionedSnapshot, PartitionedDelta)):
-        keys = total = 0
-        for part in payload.parts:
-            part_keys, part_bytes = payload_footprint(part)
-            keys += part_keys
-            total += part_bytes
-        return (keys, total)
-    if isinstance(payload, StateDelta):
-        keys = total = 0
-        for layer in payload.layers:
-            for key, state in layer.items():
-                keys += 1
-                total += len(repr(key)) + (len(repr(state))
-                                           if state is not TOMBSTONE else 1)
-        return (keys, total)
-    total = sum(len(repr(key)) + len(repr(state))
-                for key, state in payload.items())
-    return (len(payload), total)
-
-
-def _apply_delta_entries(backend: Any, delta: "StateDelta") -> None:
-    """Install a delta into a live backend: put entries, delete
-    tombstoned keys (layer order preserved — newer layers win)."""
-    for layer in delta.layers:
-        for (entity, key), state in layer.items():
-            if state is TOMBSTONE:
-                backend.delete(entity, key)
-            else:
-                backend.put(entity, key, state)
+    parts = (payload.parts if isinstance(payload, PartitionedSnapshot)
+             else (payload,))
+    keys = total = 0
+    for part in parts:
+        keys += len(part)
+        total += sum(len(repr(key)) + len(repr(state))
+                     for key, state in part.items())
+    return (keys, total)
 
 
 @runtime_checkable
@@ -416,19 +257,11 @@ class StateBackend(Protocol):
 
     def exists(self, entity: str, key: Any) -> bool: ...
 
-    def delete(self, entity: str, key: Any) -> None: ...
-
     def apply_writes(self, writes: dict[Key, State]) -> None: ...
 
     def snapshot(self) -> Any: ...
 
     def restore(self, snapshot: Any) -> None: ...
-
-    def capture_base(self) -> Any: ...
-
-    def capture_delta(self) -> Any: ...
-
-    def apply_delta(self, delta: Any) -> None: ...
 
     def keys(self) -> list[Key]: ...
 
@@ -448,10 +281,10 @@ class ReadView:
     backend, or a whole :class:`PartitionedStore`).
 
     Whoever writes to ``live`` records a key's *pre-image* into
-    ``overlay`` the first time the key is overwritten or deleted after
-    the pin (``None`` marks a key that was absent), so the view always
-    answers with the pinned contents: overlay first, live store for
-    untouched keys.  Cheap by construction — nothing is copied until
+    ``overlay`` the first time the key is written after the pin
+    (``None`` marks a key that was absent), so the view always answers
+    with the pinned contents: overlay first, live store for untouched
+    keys.  Cheap by construction — nothing is copied until
     (and unless) a pinned key is actually overwritten, and then only a
     reference to the replaced entry is kept.
     """
@@ -478,7 +311,7 @@ class ReadView:
 
 def _record_pre_image(views: "dict[int, ReadView]", composite: Key,
                       previous: State | None) -> None:
-    """*composite* is about to be overwritten or deleted: keep the entry
+    """*composite* is about to be overwritten: keep the entry
     it held (``None`` = absent) in every active view that has not seen
     the key written yet.  The entry is leaving the live store, and
     entries are only ever swapped whole, so aliasing it is safe."""
@@ -494,8 +327,8 @@ class DictStateBackend:
     entries in and out — O(entry) on the hot path — so no caller can
     mutate committed state through an alias (:meth:`entries` is the
     read-only scan).  Because an installed entry is only ever swapped
-    whole (the module's entry contract), a snapshot or delta shares the
-    entries it captures: a cut costs one reference per key, and later
+    whole (the module's entry contract), a snapshot shares the entries
+    it captures: a cut costs one reference per key, and later
     writes replace entries in the live map without touching the
     payload.
     """
@@ -506,11 +339,6 @@ class DictStateBackend:
         #: points every slot backend's mapping at its own, so a slot's
         #: writes land in the store-wide overlays.
         self._views: dict[int, ReadView] = {}
-        #: Keys written/deleted since the last incremental capture;
-        #: ``None`` = tracking invalidated (a restore rewound the store,
-        #: so "since the last capture" no longer describes a delta over
-        #: any durable base) — the next capture must be full.
-        self._dirty: set[Key] | None = set()
 
     # -- StateAccess protocol -------------------------------------------
     def get(self, entity: str, key: Any) -> State | None:
@@ -523,23 +351,12 @@ class DictStateBackend:
             _record_pre_image(self._views, composite,
                               self.store.get(composite))
         self.store[composite] = fast_deepcopy(state)
-        if self._dirty is not None:
-            self._dirty.add(composite)
 
     def create(self, entity: str, key: Any, state: State) -> None:
         self.put(entity, key, state)
 
     def exists(self, entity: str, key: Any) -> bool:
         return (entity, key) in self.store
-
-    def delete(self, entity: str, key: Any) -> None:
-        composite = (entity, key)
-        if self._views:
-            _record_pre_image(self._views, composite,
-                              self.store.get(composite))
-        self.store.pop(composite, None)
-        if self._dirty is not None:
-            self._dirty.add(composite)
 
     # -- commit / snapshot support --------------------------------------
     def apply_writes(self, writes: dict[Key, State]) -> None:
@@ -555,43 +372,8 @@ class DictStateBackend:
     def restore(self, snapshot: dict[Key, State]) -> None:
         self.store = {key: fast_deepcopy(state)
                       for key, state in snapshot.items()}
-        # A restore is a rewind: any pinned view predates it and is dead,
-        # and the dirty set no longer diffs against any durable capture.
+        # A restore is a rewind: any pinned view predates it and is dead.
         self._views.clear()
-        self._dirty = None
-
-    # -- incremental capture ---------------------------------------------
-    def capture_base(self) -> dict[Key, State]:
-        """Full payload that (re)establishes the delta baseline."""
-        payload = self.snapshot()
-        self._dirty = set()
-        return payload
-
-    def capture_delta(self) -> StateDelta | None:
-        """Writes since the last capture, entries shared (``None`` if
-        tracking was invalidated and the caller must take a full
-        fragment)."""
-        delta = self.peek_delta()
-        if delta is not None:
-            self._dirty = set()
-        return delta
-
-    def peek_delta(self) -> StateDelta | None:
-        """Like :meth:`capture_delta` but non-destructive — the baseline
-        stays where it was (slot migration ships the peek while the
-        durable cut cadence keeps owning the baseline)."""
-        if self._dirty is None:
-            return None
-        layer: dict[Key, Any] = {}
-        for composite in self._dirty:
-            if composite in self.store:
-                layer[composite] = self.store[composite]
-            else:
-                layer[composite] = TOMBSTONE
-        return StateDelta(layers=(layer,) if layer else ())
-
-    def apply_delta(self, delta: StateDelta) -> None:
-        _apply_delta_entries(self, delta)
 
     # -- version-pinned read views --------------------------------------
     def pin_view(self, version: int) -> None:
@@ -780,15 +562,12 @@ class WorkerSlice:
     def exists(self, entity: str, key: Any) -> bool:
         return self._owned(entity, key) and self._store.exists(entity, key)
 
-    def delete(self, entity: str, key: Any) -> None:
-        self._store.delete(entity, key)
-
     def apply_writes(self, writes: dict[Key, State]) -> None:
         self._store.apply_writes(writes)
 
     # -- migration hand-off ---------------------------------------------
-    def capture_slot(self, slot: int, mode: str = "full") -> Any:
-        return self._store.snapshot_slot(slot, mode)
+    def capture_slot(self, slot: int) -> Any:
+        return self._store.snapshot_slot(slot)
 
     def install_slot(self, slot: int, fragment: Any) -> None:
         self._store.install_slot(slot, fragment)
@@ -910,9 +689,6 @@ class PartitionedStore:
     def exists(self, entity: str, key: Any) -> bool:
         return self._backend(entity, key).exists(entity, key)
 
-    def delete(self, entity: str, key: Any) -> None:
-        self._backend(entity, key).delete(entity, key)
-
     def apply_writes(self, writes: dict[Key, State]) -> None:
         """Route a write set to its owning slots (callers that already
         bucket per worker use ``partition(i).apply_writes``)."""
@@ -950,53 +726,6 @@ class PartitionedStore:
             backend.restore(part)
         self._views.clear()
 
-    # -- incremental capture ---------------------------------------------
-    def capture_base(self) -> PartitionedSnapshot:
-        """Full per-slot payload that (re)establishes every slot's delta
-        baseline."""
-        return PartitionedSnapshot(
-            parts=tuple(backend.capture_base() for backend in self._slots))
-
-    def capture_delta(self) -> PartitionedDelta:
-        """One incremental cut: per-slot fragments — ``None`` for clean
-        slots (the dirty-set diff), a :class:`StateDelta` for dirtied
-        ones, a :class:`FullFragment` for slots whose tracking a restore
-        or migration invalidated.  Never fails as a whole: invalid slots
-        degrade to full fragments inside the same cut."""
-        parts: list[Any] = []
-        for backend in self._slots:
-            delta = backend.capture_delta()
-            if delta is None:
-                parts.append(FullFragment(backend.capture_base()))
-            elif delta.is_empty:
-                parts.append(None)
-            else:
-                parts.append(delta)
-        return PartitionedDelta(parts=tuple(parts))
-
-    def apply_delta(self, delta: PartitionedDelta | StateDelta) -> None:
-        if isinstance(delta, StateDelta):
-            _apply_delta_entries(self, delta)
-            return
-        for backend, part in zip(self._slots, delta.parts):
-            if part is None:
-                continue
-            if isinstance(part, FullFragment):
-                backend.restore(part.payload)
-            else:
-                backend.apply_delta(part)
-
-    def peek_slot_delta(self, slot: int) -> StateDelta | None:
-        """One slot's writes since the last durable cut, baseline left
-        in place (slot migration's base+delta shipping)."""
-        return self._slots[slot].peek_delta()
-
-    def snapshot_partition(self, index: int) -> Any:
-        return self._slots[index].snapshot()
-
-    def restore_partition(self, index: int, fragment: Any) -> None:
-        self._slots[index].restore(fragment)
-
     # -- slot migration ---------------------------------------------------
     def slot_backend(self, slot: int) -> DictStateBackend:
         return self._slots[slot]
@@ -1004,17 +733,8 @@ class PartitionedStore:
     def slot_size(self, slot: int) -> int:
         return len(self._slots[slot])
 
-    def snapshot_slot(self, slot: int, mode: str = "full") -> Any:
-        """Capture one slot for migration (a pointer copy).
-
-        ``mode="delta"`` ships only the slot's writes since the last
-        durable cut as a :class:`SlotDelta` (the destination composes
-        them with the base it resolves from the snapshot store); falls
-        back to a full capture when tracking was invalidated."""
-        if mode == "delta":
-            delta = self._slots[slot].peek_delta()
-            if delta is not None:
-                return SlotDelta(slot=slot, delta=delta)
+    def snapshot_slot(self, slot: int) -> Any:
+        """Capture one slot for migration (a pointer copy)."""
         return self._slots[slot].snapshot()
 
     def install_slot(self, slot: int, fragment: Any) -> None:

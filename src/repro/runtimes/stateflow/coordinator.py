@@ -224,8 +224,8 @@ class CoordinatorConfig:
     #: waiting a full ``batch_interval_ms`` tick.  The fraction keeps
     #: near-simultaneous arrivals coalescing into one batch.
     idle_seal_fraction: float = 0.25
-    #: Incremental mode: a full base cut every N cuts (bounds the delta
-    #: chain recovery must replay).
+    #: Incremental mode: a base cut every N cuts (bounds the changelog
+    #: span recovery must fold).
     snapshot_base_every: int = 4
     #: Measure every cut's (keys, bytes) into the snapshot store's
     #: ledger — O(payload) per cut, so ``None`` defaults to "only in
@@ -270,8 +270,9 @@ class Coordinator:
         #: crashes (and, file-backed, real process deaths).
         self.snapshots = snapshots
         #: Durable commit changelog, appended in incremental mode: one
-        #: record per committed batch.  Recovery rewinds it to the
-        #: restored cut's position.
+        #: record per committed batch, the one record of committed
+        #: writes position cuts resolve through.  Recovery rewinds it to
+        #: the restored cut's position.
         self.changelog = changelog
         self.stats = AriaStats()
         self.pending: list[TxnRecord] = []
@@ -767,7 +768,7 @@ class Coordinator:
             self._start_batch()
 
     def _observe_batch_writes(self, batch: _Batch) -> None:
-        """Fan the batch's commit delta out to its two consumers: the
+        """Fan the batch's write set out to its two consumers: the
         durable changelog (incremental mode only) and view maintenance
         (whenever views are registered).  The post-commit states are
         read back once at batch close, after every write (multi-key,
@@ -1057,10 +1058,11 @@ class Coordinator:
         pending_copy = [txn.fresh_copy() for txn in
                         sorted(uncommitted, key=lambda t: t.arrival_seq)]
         freeze = getattr(self.committed, "freeze_assignment", None)
-        kind, state = self._capture_state()
+        kind = self.snapshots.next_kind()
         self.snapshots.take(
             taken_at_ms=self.sim.now,
-            state=state,
+            state=(self.committed.snapshot() if kind != "position"
+                   else None),
             source_offsets=self.hooks.source_positions(),
             replied=self.replied,
             batch_seq=self._batch_seq,
@@ -1073,29 +1075,9 @@ class Coordinator:
             epoch_buffer=self._epoch_buffer,
             views_state=(self.views.export_sidecar()
                          if self.views is not None else None))
-        # Changelog compaction rides the cut cadence: records below
-        # every retained cut's position can never anchor a repair.
+        # Changelog compaction rides the cut cadence: records at or
+        # below the oldest retained base can never be folded again.
         self.changelog.truncate_through(self.snapshots.floor_changelog_seq())
-
-    def _capture_state(self) -> tuple[str, Any]:
-        """Capture the committed store for a cut, honoring the snapshot
-        mode: a full payload, a chain-anchoring base (full payload that
-        resets every backend's delta baseline), or the delta of slots
-        dirtied since the previous cut.  Backends without incremental
-        capture (plain unit-test stores) degrade to full cuts."""
-        kind = self.snapshots.next_kind()
-        if kind == "delta":
-            capture = getattr(self.committed, "capture_delta", None)
-            delta = capture() if capture is not None else None
-            if delta is not None:
-                return kind, delta
-            kind = "base"  # tracking invalidated: anchor a fresh chain
-        if kind == "base":
-            capture = getattr(self.committed, "capture_base", None)
-            if capture is not None:
-                return kind, capture()
-            kind = "full"
-        return kind, self.committed.snapshot()
 
     def _tick_watchdog(self) -> None:
         if self.recovering:
@@ -1130,15 +1112,12 @@ class Coordinator:
         batch, pinned view and footprint — not just the committing
         batch.
 
-        In incremental mode "restore" means resolving the cut's delta
-        chain over its base; a torn chain is repaired by replaying the
-        commit changelog over the nearest intact ancestor, and failing
-        that recovery falls back to the last complete chain (an older
-        cut — the rewound source replays the difference)."""
-        changelog = (self.changelog if self.snapshots.mode == "incremental"
-                     else None)
+        In incremental mode "restore" means restoring the cut's base
+        with the changelog records up to the cut's position folded over
+        it; a cut that does not resolve is skipped for an older one
+        (the rewound source replays the difference)."""
         snapshot, state_payload = \
-            self.snapshots.latest_recoverable(changelog)
+            self.snapshots.latest_recoverable(self.changelog)
         assert snapshot is not None  # start() always takes one
         started_at = self.sim.now
         self.recovering = True
@@ -1165,9 +1144,9 @@ class Coordinator:
         # Records past the restored cut describe the rolled-back
         # timeline; replay re-creates their effects under new batch ids.
         self.changelog.rewind_to(snapshot.changelog_seq)
-        # The next cut must re-anchor: chaining it to a pre-crash
-        # (possibly torn) parent would leave it unresolvable.
-        self.snapshots.reset_chain()
+        # The next cut must be a base: the current one may postdate the
+        # restored cut.
+        self.snapshots.rebase()
         self.replied = set(snapshot.replied)
         self.admitted = set(snapshot.admitted)
         self.pending = [txn.fresh_copy() for txn in snapshot.pending]
@@ -1193,7 +1172,7 @@ class Coordinator:
             # does not cover rebuild from a scan.
             self.views.on_restore(
                 self._last_closed, at_ms=self.sim.now,
-                sidecar=getattr(snapshot, "views_state", None))
+                sidecar=snapshot.views_state)
         self.hooks.source_seek(snapshot.source_offsets)
 
         def resume() -> None:

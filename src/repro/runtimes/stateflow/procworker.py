@@ -720,8 +720,7 @@ class ProcessWorkerProxy:
 
     # -- Worker API: slot migration (parent-side) -----------------------
     def capture_slot(self, slot: int, on_done: Callable[[Any], None],
-                     *, incarnation: int | None = None,
-                     mode: str = "full") -> None:
+                     *, incarnation: int | None = None) -> None:
         """The parent's store is the authority, so nothing has to come
         out of the source's child: capture reads the authoritative slice
         in the parent and acks on the next kernel turn (preserving the
@@ -736,7 +735,7 @@ class ProcessWorkerProxy:
             if not self.alive or token != self.incarnation:
                 return
             self.slots_captured += 1
-            on_done(self.store.capture_slot(slot, mode))
+            on_done(self.store.capture_slot(slot))
 
         self.sim.schedule(0, capture)
 

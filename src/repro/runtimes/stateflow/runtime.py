@@ -38,7 +38,7 @@ from ...substrates.spawner import Spawner, make_spawner
 from ...views import ViewManager
 from ..base import InvocationResult, Runtime
 from ..executor import OperatorExecutor, run_constructor
-from ..state import PartitionedStore, SlotDelta, resolve_payload
+from ..state import PartitionedStore
 from .coordinator import Coordinator, CoordinatorConfig, CoordinatorHooks
 from .snapshots import ChangelogStore, SnapshotStore
 from .worker import Worker
@@ -84,10 +84,10 @@ class StateflowConfig:
     #: count the run will rescale to.
     state_slots: int = 64
     #: Snapshot mode (``--snapshot-mode``): "full" = every cut carries
-    #: the whole committed state; "incremental" = cuts capture only the
-    #: slots dirtied since the previous cut, chained to periodic full
-    #: bases, with a per-commit changelog backing recovery (see
-    #: :mod:`repro.runtimes.stateflow.snapshots`).
+    #: the whole committed state and nothing is logged; "incremental" =
+    #: every committed batch is appended to the changelog, and a cut
+    #: between periodic bases holds only channel state and its changelog
+    #: position (see :mod:`repro.runtimes.stateflow.snapshots`).
     snapshot_mode: str = "full"
     #: Durability directory (``--durable``): when set, snapshots and
     #: the changelog live in file-backed stores under this path (see
@@ -236,11 +236,6 @@ class StateflowRuntime(Runtime):
         self.duplicate_client_replies = 0
         self._reply_callbacks: dict[int, Callable[[Event], None]] = {}
         self._started = False
-        #: Slot-migration shipping ledger: how many slots travelled as
-        #: base+delta fragments vs full copies, and the delta volume.
-        self.migration_delta_slots = 0
-        self.migration_full_slots = 0
-        self.migration_delta_keys = 0
         #: Observer called with every deduplicated client reply (chaos
         #: harness trace capture); ``None`` = no tap.
         self.reply_tap: Callable[[Event], None] | None = None
@@ -287,49 +282,20 @@ class StateflowRuntime(Runtime):
                 worker.retire()
 
     def _migrate_slot(self, slot: int, src: int, dst: int,
-                      on_done: Callable[[], None],
-                      *, allow_delta: bool = True) -> None:
+                      on_done: Callable[[], None]) -> None:
         """Ship one slot over the network: coordinator asks the old
-        owner to capture, the fragment travels worker-to-worker on the
+        owner to capture, the whole slot travels worker-to-worker on the
         direct channels, the new owner installs and acks.  Every hop is
         subject to fault injection; incarnation tokens fence deliveries
-        that outlive a recovery.
-
-        Under ``snapshot_mode="incremental"`` the source captures only
-        the slot's writes since the last durable cut (a ``SlotDelta``)
-        and the destination composes them with the slot's base resolved
-        from the snapshot store — only the delta crosses the
-        worker-to-worker channel.  Composition is idempotent (absolute
-        states), so a cut landing mid-flight is harmless; if the chain
-        became unresolvable mid-flight (a torn cut), the migration
-        restarts as a full-fragment ship."""
+        that outlive a recovery."""
         src_worker, dst_worker = self.workers[src], self.workers[dst]
         src_token = src_worker.incarnation
         dst_token = dst_worker.incarnation
-        snapshots = self.coordinator.snapshots
-        incremental = (allow_delta and snapshots.mode == "incremental"
-                       and snapshots.resolve_slot(slot) is not None)
-        mode = "delta" if incremental else "full"
 
         def ship(fragment: Any) -> None:
             def install() -> None:
-                payload = fragment
-                if isinstance(payload, SlotDelta):
-                    # Destination side: fetch the slot's base from the
-                    # durable snapshot store and replay the shipped
-                    # delta over it.
-                    base = self.coordinator.snapshots.resolve_slot(slot)
-                    if base is None:
-                        self._migrate_slot(slot, src, dst, on_done,
-                                           allow_delta=False)
-                        return
-                    self.migration_delta_slots += 1
-                    self.migration_delta_keys += payload.delta.key_count()
-                    payload = resolve_payload(base, [payload.delta])
-                else:
-                    self.migration_full_slots += 1
                 dst_worker.install_slot(
-                    slot, payload,
+                    slot, fragment,
                     lambda: self.network.send(
                         on_done, src=f"worker-{dst}", dst="coordinator"),
                     incarnation=dst_token)
@@ -339,8 +305,7 @@ class StateflowRuntime(Runtime):
 
         self.network.send(
             lambda: src_worker.capture_slot(slot, ship,
-                                            incarnation=src_token,
-                                            mode=mode),
+                                            incarnation=src_token),
             src="coordinator", dst=f"worker-{src}")
 
     # -- lifecycle ------------------------------------------------------

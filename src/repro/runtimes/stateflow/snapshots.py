@@ -27,49 +27,44 @@ Recovery restores the latest complete snapshot and seeks the source back
 to its offsets; replayed requests re-execute and the egress dedup set
 suppresses duplicate replies — exactly-once end to end.
 
-The operator-state payload is a
+The operator-state payload of a base is a
 :class:`~repro.runtimes.state.PartitionedSnapshot` of per-slot
 fragments, each a pointer copy of one slot's map sharing the store's
-entries (or, in an incremental cut, one delta per dirtied slot).  The
-payload is read-only for whoever holds it (the state module's entry
-contract).  ``restore`` is symmetric: the store fans fragments back out
-to their slots.  Keying fragments by slot rather than by worker makes
-snapshots independent of the cluster size, so recovery composes with
-elastic rescaling; the
-frozen :class:`~repro.runtimes.state.SlotAssignment` rides along in the
+entries.  The payload is read-only for whoever holds it (the state
+module's entry contract).  ``restore`` is symmetric: the store fans
+fragments back out to their slots.  Keying fragments by slot rather
+than by worker makes snapshots independent of the cluster size, so
+recovery composes with elastic rescaling; the frozen
+:class:`~repro.runtimes.state.SlotAssignment` rides along in the
 snapshot so replay routes exactly as the original execution did.
 
-Incremental snapshots & the commit changelog
---------------------------------------------
+A cut is a changelog position
+-----------------------------
 
-With ``mode="incremental"`` the store no longer expects every cut to
-carry the whole committed state.  Cuts alternate between
+With ``mode="incremental"`` the coordinator appends every committed
+batch's write set to the :class:`ChangelogStore` — key → post-commit
+state — and that log is the one record of committed writes.  A cut is
+then one of
 
-- **base** cuts (``kind="base"``): a full payload, taken for the first
-  cut and then every ``base_every`` cuts — the bounded-depth compaction
-  that keeps recovery from replaying unbounded delta chains; and
-- **delta** cuts (``kind="delta"``): only the slots dirtied since the
-  previous cut (the backend's ``capture_delta``), chained to their
-  predecessor through ``parent_id``.
+- a **base** (``kind="base"``): the whole committed state, taken for
+  the first cut, after every recovery and then every ``base_every``
+  cuts; or
+- a **position cut** (``kind="position"``): channel state only, plus
+  the changelog position it covers (``changelog_seq``) and the id of
+  its base (``base_id``).
 
-Recovery resolves a cut by walking its chain back to the base and
-replaying the deltas forward (:func:`~repro.runtimes.state
-.resolve_payload`).  A second durable structure backs this up: the
-:class:`ChangelogStore`, an append-only log of every committed batch's
-write footprint (key → post-commit state).  When a delta fragment was
-torn in flight (the ``torn_snapshot`` chaos event), the chain cannot
-resolve — the recovery path then *repairs* the cut by resolving the
-nearest intact ancestor and replaying the changelog suffix between the
-two cuts' log positions, and only if that suffix is incomplete too does
-it fall back to the last complete chain (an older cut, replayed from
-the source as usual).  Changelog replay is idempotent: records carry
-absolute post-states, so duplicated delivery cannot diverge.
+Full mode (``mode="full"``) is the case where every cut is a base
+(``kind="full"``) and nothing is logged.
 
-Pruning is chain-aware: a base (or intermediate delta) that still
-anchors a retained cut's resolution chain is never pruned, even when it
-falls outside the ``keep`` window — pruning it would turn every
-dependent delta cut into garbage.  :meth:`SnapshotStore.prune` refuses
-explicitly; the automatic window trim simply stops at the anchor.
+Recovery, snapshot queries, as-of queries and a cold start all resolve
+a cut the same way (:meth:`SnapshotStore.resolve`): take its retained
+base, fold the records in (base seq, cut seq] into one write set and
+apply it once — records carry absolute post-states, so the fold is a
+dict update and replay is idempotent.  A cut whose base is gone or
+whose span has a gap does not resolve, and
+:meth:`SnapshotStore.latest_recoverable` skips it for the next older
+one.  The retention window keeps the newest ``keep`` cuts plus their
+bases; the changelog is truncated below the oldest retained base.
 """
 
 from __future__ import annotations
@@ -77,16 +72,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..state import (apply_flat_writes, duplicate_delta, payload_footprint,
-                     resolve_payload)
+from ..state import apply_flat_writes, payload_footprint
 
 
 class SnapshotChainError(RuntimeError):
-    """A cut's delta chain cannot be resolved (torn or pruned link)."""
-
-
-class SnapshotPruneError(RuntimeError):
-    """Refused: the snapshot still anchors a live delta chain."""
+    """A cut does not resolve: its base is gone or its changelog span
+    has a gap."""
 
 
 @dataclass(slots=True)
@@ -95,8 +86,9 @@ class Snapshot:
 
     snapshot_id: int
     taken_at_ms: float
-    #: Operator-state payload: a plain {(entity, key): state} dict, or
-    #: a PartitionedSnapshot of per-slot fragments (see module doc).
+    #: Operator-state payload of a base: a plain {(entity, key): state}
+    #: dict, or a PartitionedSnapshot of per-slot fragments (see module
+    #: doc).  ``None`` for a position cut.
     state: Any
     #: Kafka positions of the ingress consumer group:
     #: {(topic, partition): offset}.
@@ -127,26 +119,20 @@ class Snapshot:
     #: not whatever table is current.  ``None`` when the committed store
     #: is not partitioned.
     assignment: Any = None
-    #: ``"full"`` (classic whole-state cut), ``"base"`` (full cut that
-    #: anchors an incremental chain) or ``"delta"`` (dirtied slots only,
-    #: chained to ``parent_id``).
+    #: ``"full"`` (full mode), ``"base"`` (incremental mode, whole
+    #: state) or ``"position"`` (incremental mode, no state payload).
     kind: str = "full"
-    #: The cut this delta chains from (its immediate predecessor);
-    #: ``None`` for full/base cuts.
-    parent_id: int | None = None
+    #: The base this cut resolves from: its own id for a full cut or a
+    #: base.
+    base_id: int = -1
     #: Position of the commit changelog at the cut (seq of the last
     #: record the cut's state includes; -1 = none).
     changelog_seq: int = -1
-    #: Fault injection: the cut's delta fragment was dropped in flight —
-    #: the payload is unusable and resolution must repair or fall back.
-    torn: bool = False
     #: Durable-view sidecar: the versioned export of every registered
     #: view plan's operator state at the cut (see
     #: :meth:`~repro.views.manager.ViewManager.export_sidecar`), so
     #: recovery and cold starts resume views incrementally instead of
     #: rescanning state.  ``None`` when no views were registered.
-    #: Cut files written before format v2 lack this slot entirely —
-    #: readers go through ``getattr(snapshot, "views_state", None)``.
     views_state: Any = None
 
 
@@ -164,7 +150,8 @@ class CutRecord:
 @dataclass(slots=True)
 class ChangelogRecord:
     """One committed batch's write footprint: key → post-commit state.
-    Absolute states make replay idempotent under duplicate delivery."""
+    Absolute states make replay idempotent: folding a record in twice
+    equals folding it in once."""
 
     seq: int
     batch_id: int
@@ -176,21 +163,20 @@ class ChangelogRecord:
 
 
 class ChangelogStore:
-    """Durable (simulated) append-only log of per-batch commit deltas.
+    """Durable (simulated) append-only log of per-batch write sets: the
+    one record of committed writes in incremental mode.
 
-    The coordinator appends one record per committed batch (incremental
-    mode); recovery replays a suffix of it to repair cuts whose delta
-    fragments were torn in flight.  ``rewind_to`` drops the suffix a
-    recovery rolled back (those records describe a timeline replay is
-    about to re-create under new batch ids); ``truncate_through``
-    compacts the prefix no retained cut can ever need again."""
+    The coordinator appends one record per committed batch; resolving a
+    cut folds the records between its base and its position (module
+    docstring).  ``rewind_to`` drops the suffix a recovery rolled back
+    (those records describe a timeline replay is about to re-create
+    under new batch ids); ``truncate_through`` compacts the prefix no
+    retained base can ever need again."""
 
     def __init__(self):
         self._records: list[ChangelogRecord] = []
-        self._by_batch: set[int] = set()
         self._next_seq = 0
         self.appended = 0
-        self.duplicate_appends = 0
         self.truncated = 0
         self.bytes_appended = 0
         #: Records (and their bytes) dropped by :meth:`rewind_to` — the
@@ -217,16 +203,11 @@ class ChangelogStore:
     def append(self, batch_id: int,
                writes: dict[tuple[str, Any], dict[str, Any]], *,
                at_ms: float = 0.0) -> int:
-        """Append one batch's commit delta; duplicate appends of the
-        same batch (a redelivered close) are dropped, not re-sequenced."""
-        if batch_id in self._by_batch:
-            self.duplicate_appends += 1
-            return self.head_seq
+        """Append one closed batch's write set; returns its seq."""
         record = ChangelogRecord(seq=self._next_seq, batch_id=batch_id,
                                  writes=dict(writes), at_ms=at_ms)
         self._next_seq += 1
         self._records.append(record)
-        self._by_batch.add(batch_id)
         self.appended += 1
         self.bytes_appended += self._record_bytes(record)
         return record.seq
@@ -235,7 +216,7 @@ class ChangelogStore:
                         up_to_seq: int) -> list[ChangelogRecord] | None:
         """The contiguous suffix ``(after_seq, up_to_seq]`` — ``None``
         when any record in the span is missing (truncated or never
-        appended), in which case repair must fall back."""
+        appended): no state can be resolved across the gap."""
         span = [record for record in self._records
                 if after_seq < record.seq <= up_to_seq]
         if len(span) != max(up_to_seq - after_seq, 0):
@@ -254,7 +235,6 @@ class ChangelogStore:
         for record in self._records:
             (kept if record.seq <= seq else dropped).append(record)
         self._records = kept
-        self._by_batch = {record.batch_id for record in kept}
         self._next_seq = seq + 1
         self.rewound += len(dropped)
         self.bytes_rewound += sum(self._record_bytes(record)
@@ -284,23 +264,31 @@ class ChangelogStore:
 
     def truncate_through(self, seq: int) -> None:
         """Compaction: drop records no retained cut can need (their seq
-        is at or below every retained cut's floor position)."""
+        is at or below the oldest retained base's position)."""
         before = len(self._records)
         self._records = [record for record in self._records
                          if record.seq > seq]
         self.truncated += before - len(self._records)
 
 
+def replay(payload: Any, records: list[ChangelogRecord]) -> Any:
+    """Fold *records* (oldest first) into one write set — newer
+    post-states win — and apply it to *payload* once."""
+    writes: dict = {}
+    for record in records:
+        writes.update(record.writes)
+    return apply_flat_writes(payload, writes)
+
+
 class SnapshotStore:
     """Durable (simulated) home of completed snapshots.
 
     ``mode="full"`` is the classic behaviour: every cut carries the
-    whole state.  ``mode="incremental"`` alternates base and delta cuts
-    (see the module docstring); :meth:`next_kind` tells the coordinator
-    what to capture, :meth:`resolve` replays a chain, and
-    :meth:`latest_recoverable` picks the newest cut that can actually be
-    restored (repairing torn chains through the changelog when one is
-    supplied)."""
+    whole state.  ``mode="incremental"`` takes a base every
+    ``base_every`` cuts and position cuts in between (module docstring);
+    :meth:`next_kind` tells the coordinator what to capture,
+    :meth:`resolve` turns a cut back into a state payload, and
+    :meth:`latest_recoverable` picks the newest cut that resolves."""
 
     def __init__(self, *, keep: int = 4, mode: str = "full",
                  base_every: int = 4,
@@ -312,6 +300,9 @@ class SnapshotStore:
         self._next_id = 0
         self.mode = mode
         self.base_every = max(base_every, 1)
+        #: The base new position cuts resolve from (``None``: the next
+        #: cut must be one) and the cuts taken since it, itself included.
+        self._base_id: int | None = None
         self._cuts_since_base = 0
         #: Measure each cut's (keys, bytes) into the ledger.  Costs
         #: O(payload) repr work per cut, so full-mode runs skip it by
@@ -321,43 +312,27 @@ class SnapshotStore:
         self.track_footprints = (mode == "incremental"
                                  if track_footprints is None
                                  else track_footprints)
-        #: Fault injection: the next delta cut's payload is torn
-        #: ("drop") or duplicated in flight ("duplicate").
-        self._torn_armed: str | None = None
         #: Ledger of what each cut captured (bench metrics); survives
         #: pruning like any other durable metadata.
         self.cut_log: list[CutRecord] = []
-        self.snapshots_torn = 0
-        self.changelog_repairs = 0
-        self.chain_fallbacks = 0
 
     # -- cut planning ---------------------------------------------------
     def next_kind(self) -> str:
         """What the next cut must capture: ``full`` outside incremental
-        mode; a ``base`` for the first cut and then every
-        ``base_every`` cuts (bounded chain depth); ``delta`` otherwise."""
+        mode; a ``base`` for the first cut, after :meth:`rebase` and
+        then every ``base_every`` cuts; a ``position`` otherwise."""
         if self.mode != "incremental":
             return "full"
-        if not self._snapshots or self._cuts_since_base >= self.base_every:
+        if self._base_id is None or self._cuts_since_base >= self.base_every:
             return "base"
-        return "delta"
+        return "position"
 
-    def reset_chain(self) -> None:
-        """Force the next cut to re-anchor as a base.  Recovery calls
-        this: the restored backends' delta tracking is invalidated
-        anyway, and chaining a post-restore cut to a possibly-torn
-        pre-crash parent would leave every later delta cut unresolvable
-        until the natural next base — each further crash would keep
-        rewinding to the old pre-torn cut."""
-        self._cuts_since_base = self.base_every
-
-    def arm_torn(self, variant: str = "drop") -> None:
-        """Chaos hook: tear (or duplicate) the next delta cut's payload
-        in flight.  Base/full cuts are never torn — the fault models a
-        lost *delta fragment*, the new failure surface this mode adds."""
-        if variant not in ("drop", "duplicate"):
-            raise ValueError(f"unknown torn variant {variant!r}")
-        self._torn_armed = variant
+    def rebase(self) -> None:
+        """Make the next cut a base.  Recovery calls this: after a
+        fallback past a cut that did not resolve, the current base may
+        postdate the restored cut and describe the rolled-back
+        timeline."""
+        self._base_id = None
 
     def take(self, *, taken_at_ms: float, state: Any,
              source_offsets: dict, replied: set[int],
@@ -368,86 +343,45 @@ class SnapshotStore:
              changelog_seq: int = -1,
              epoch_buffer: list[Any] | None = None,
              views_state: Any = None) -> Snapshot:
-        parent_id = (self._snapshots[-1].snapshot_id
-                     if kind == "delta" and self._snapshots else None)
-        torn = False
-        if kind == "delta" and self._torn_armed is not None:
-            variant, self._torn_armed = self._torn_armed, None
-            self.snapshots_torn += 1
-            if variant == "drop":
-                state, torn = None, True
-            else:
-                state = duplicate_delta(state)
+        """Record one cut.  A ``position`` cut carries no *state*."""
+        snapshot_id = self._next_id
+        if kind == "position":
+            state = None
+            self._cuts_since_base += 1
+        else:
+            self._base_id = snapshot_id
+            self._cuts_since_base = 1
         snapshot = Snapshot(
-            snapshot_id=self._next_id, taken_at_ms=taken_at_ms,
+            snapshot_id=snapshot_id, taken_at_ms=taken_at_ms,
             state=state, source_offsets=dict(source_offsets),
             replied=set(replied), batch_seq=batch_seq,
             arrival_seq=arrival_seq, pending=list(pending or []),
             admitted=set(admitted or ()), assignment=assignment,
-            kind=kind, parent_id=parent_id, changelog_seq=changelog_seq,
-            torn=torn, epoch_buffer=list(epoch_buffer or []),
+            kind=kind, base_id=self._base_id, changelog_seq=changelog_seq,
+            epoch_buffer=list(epoch_buffer or []),
             views_state=views_state)
         self._next_id += 1
         self._snapshots.append(snapshot)
-        self._cuts_since_base = (self._cuts_since_base + 1
-                                 if kind == "delta" else 1)
         keys, size = (payload_footprint(state)
                       if self.track_footprints else (0, 0))
         self.cut_log.append(CutRecord(
-            snapshot_id=snapshot.snapshot_id, kind=kind, keys=keys,
-            bytes=size, taken_at_ms=taken_at_ms))
-        self._auto_prune()
+            snapshot_id=snapshot_id, kind=kind, keys=keys, bytes=size,
+            taken_at_ms=taken_at_ms))
+        self._prune()
         return snapshot
 
-    # -- pruning --------------------------------------------------------
-    def _dependents(self, snapshot_id: int) -> list[int]:
-        """Retained cuts whose resolution chain passes through
-        *snapshot_id* (the anchors that forbid pruning it)."""
-        by_id = {s.snapshot_id: s for s in self._snapshots}
-        dependents = []
-        for snapshot in self._snapshots:
-            cursor = snapshot
-            while cursor.kind == "delta" and cursor.parent_id is not None:
-                if cursor.parent_id == snapshot_id:
-                    dependents.append(snapshot.snapshot_id)
-                    break
-                cursor = by_id.get(cursor.parent_id)
-                if cursor is None:
-                    break
-        return dependents
-
-    def _auto_prune(self) -> None:
-        """Trim the retention window: keep the newest ``keep`` cuts plus
-        every ancestor their resolution chains pass through (the latent
-        full-mode pruning policy would have freed a base out from under
-        its deltas).  An old chain no retained cut references is
-        reclaimed whole; the window overshoot while a chain is live is
-        bounded by ``base_every``."""
+    def _prune(self) -> None:
+        """Keep the newest ``keep`` cuts plus the bases they resolve
+        from."""
         if len(self._snapshots) <= self._keep:
             return
-        by_id = {s.snapshot_id: s for s in self._snapshots}
-        needed = set()
-        for snapshot in self._snapshots[-self._keep:]:
-            cursor = snapshot
-            needed.add(cursor.snapshot_id)
-            while cursor.kind == "delta" and cursor.parent_id in by_id:
-                cursor = by_id[cursor.parent_id]
-                needed.add(cursor.snapshot_id)
-        self._snapshots = [s for s in self._snapshots
-                           if s.snapshot_id in needed]
+        newest = self._snapshots[-self._keep:]
+        needed = ({cut.snapshot_id for cut in newest}
+                  | {cut.base_id for cut in newest})
+        self._snapshots = [cut for cut in self._snapshots
+                           if cut.snapshot_id in needed]
 
-    def prune(self, snapshot_id: int) -> None:
-        """Explicitly drop one snapshot; refused while any retained cut
-        resolves through it."""
-        dependents = self._dependents(snapshot_id)
-        if dependents:
-            raise SnapshotPruneError(
-                f"snapshot {snapshot_id} still anchors the delta chain "
-                f"of {dependents}; pruning it would break recovery")
-        self._snapshots = [s for s in self._snapshots
-                           if s.snapshot_id != snapshot_id]
-
-    # -- resolution & recovery ------------------------------------------
+    # -- resolution -----------------------------------------------------
     def latest(self) -> Snapshot | None:
         return self._snapshots[-1] if self._snapshots else None
 
@@ -456,113 +390,47 @@ class SnapshotStore:
         the candidate set as-of queries walk when picking an anchor."""
         return list(self._snapshots)
 
-    def resolve(self, snapshot: Snapshot) -> Any:
-        """Replay *snapshot*'s delta chain over its base: the full state
-        payload a ``restore`` accepts.  Raises
-        :class:`SnapshotChainError` on a torn or broken chain."""
-        by_id = {s.snapshot_id: s for s in self._snapshots}
-        chain: list[Snapshot] = []
-        cursor = snapshot
-        while cursor.kind == "delta":
-            if cursor.torn:
-                raise SnapshotChainError(
-                    f"snapshot {cursor.snapshot_id}'s delta fragment was "
-                    f"torn in flight")
-            chain.append(cursor)
-            if cursor.parent_id is None or cursor.parent_id not in by_id:
-                raise SnapshotChainError(
-                    f"snapshot {cursor.snapshot_id}'s parent "
-                    f"{cursor.parent_id} is gone")
-            cursor = by_id[cursor.parent_id]
-        return resolve_payload(cursor.state,
-                               [link.state for link in reversed(chain)])
-
-    def resolve_slot(self, slot: int) -> Any | None:
-        """The latest cut's content of one slot (slot-migration base),
-        or ``None`` when no resolvable chain covers it."""
-        latest = self.latest()
-        if latest is None:
-            return None
-        by_id = {s.snapshot_id: s for s in self._snapshots}
-        chain: list[Any] = []
-        cursor = latest
-        while cursor.kind == "delta":
-            if cursor.torn or cursor.state is None:
-                return None
-            parts = getattr(cursor.state, "parts", None)
-            if parts is None or slot >= len(parts):
-                return None
-            chain.append(parts[slot])
-            if cursor.parent_id is None or cursor.parent_id not in by_id:
-                return None
-            cursor = by_id[cursor.parent_id]
-        parts = getattr(cursor.state, "parts", None)
-        if parts is None or slot >= len(parts):
-            return None
-        return resolve_payload(parts[slot], list(reversed(chain)))
-
-    def resolve_recoverable(self, snapshot: Snapshot,
-                            changelog: ChangelogStore | None = None) -> Any:
-        """Resolve one cut the way recovery would: replay its delta
-        chain, and on a torn/broken chain repair it through the
-        changelog (nearest intact ancestor + replayed commit records).
-        Raises :class:`SnapshotChainError` when neither works."""
-        try:
-            return self.resolve(snapshot)
-        except SnapshotChainError:
-            if changelog is not None:
-                repaired = self._repair(snapshot, changelog)
-                if repaired is not None:
-                    self.changelog_repairs += 1
-                    return repaired
-            raise
+    def resolve(self, cut: Snapshot, changelog: ChangelogStore | None = None,
+                *, up_to_seq: int | None = None) -> Any:
+        """*cut*'s committed state: its base's payload with the records
+        in (base seq, cut seq] folded over it.  *up_to_seq* (an as-of
+        query) folds on past the cut to that position.  Raises
+        :class:`SnapshotChainError` when the base is gone or the span
+        has a gap."""
+        base = next((candidate for candidate in self._snapshots
+                     if candidate.snapshot_id == cut.base_id), None)
+        if base is None:
+            raise SnapshotChainError(
+                f"snapshot {cut.snapshot_id}'s base {cut.base_id} is gone")
+        up_to_seq = cut.changelog_seq if up_to_seq is None else up_to_seq
+        if up_to_seq == base.changelog_seq:
+            return base.state
+        records = (changelog.records_between(base.changelog_seq, up_to_seq)
+                   if changelog is not None else None)
+        if records is None:
+            raise SnapshotChainError(
+                f"snapshot {cut.snapshot_id}'s changelog span "
+                f"({base.changelog_seq}, {up_to_seq}] has a gap")
+        return replay(base.state, records)
 
     def latest_recoverable(
             self, changelog: ChangelogStore | None = None,
     ) -> tuple[Snapshot, Any]:
-        """The newest cut recovery can actually restore, with its
-        resolved state payload.  A torn chain is first repaired through
-        the changelog (nearest intact ancestor + replayed commit
-        records); failing that, recovery falls back to the next older
-        cut — the "last complete chain" the watchdog guarantee names."""
+        """The newest cut that resolves, with its state payload; cuts
+        that do not resolve are skipped for older ones."""
         for snapshot in reversed(self._snapshots):
             try:
-                return snapshot, self.resolve_recoverable(snapshot,
-                                                          changelog)
-            except SnapshotChainError:
-                self.chain_fallbacks += 1
-        raise SnapshotChainError("no recoverable snapshot retained")
-
-    def _repair(self, snapshot: Snapshot,
-                changelog: ChangelogStore) -> Any | None:
-        """Rebuild a torn cut's state: resolve the nearest intact
-        ancestor, then replay the changelog records between the two
-        cuts' log positions.  ``None`` when no ancestor resolves or the
-        record suffix is incomplete."""
-        by_id = {s.snapshot_id: s for s in self._snapshots}
-        cursor = snapshot
-        while cursor.kind == "delta" and cursor.parent_id in by_id:
-            cursor = by_id[cursor.parent_id]
-            try:
-                payload = self.resolve(cursor)
+                return snapshot, self.resolve(snapshot, changelog)
             except SnapshotChainError:
                 continue
-            records = changelog.records_between(cursor.changelog_seq,
-                                                snapshot.changelog_seq)
-            if records is None:
-                return None
-            for record in records:
-                payload = apply_flat_writes(payload, record.writes)
-            return payload
-        return None
+        raise SnapshotChainError("no recoverable snapshot retained")
 
     # -- compaction support ---------------------------------------------
     def floor_changelog_seq(self) -> int:
-        """The lowest changelog position any retained cut could anchor a
-        repair from — records at or below it are dead weight."""
-        if not self._snapshots:
-            return -1
-        return min(s.changelog_seq for s in self._snapshots)
+        """The oldest retained base's changelog position: records at or
+        below it are dead weight."""
+        return min((cut.changelog_seq for cut in self._snapshots
+                    if cut.kind != "position"), default=-1)
 
     def __len__(self) -> int:
         return len(self._snapshots)

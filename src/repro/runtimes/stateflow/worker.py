@@ -210,16 +210,11 @@ class Worker:
         return self._state_op_ms * max(len(self.store.slot_backend(slot)), 1)
 
     def capture_slot(self, slot: int, on_done: Callable[[Any], None],
-                     *, incarnation: int | None = None,
-                     mode: str = "full") -> None:
+                     *, incarnation: int | None = None) -> None:
         """Migration source side: snapshot one owned slot and hand the
         fragment to *on_done* (the runtime ships it to the new owner).
         Runs under the coordinator's rescale barrier, so the slot is
-        quiescent while it is captured.  ``mode="delta"`` captures only
-        the writes since the last durable cut (incremental snapshots) —
-        the simulated CPU cost stays the full-capture model either way,
-        so full and incremental runs remain trace-identical (the saving
-        is accounted in shipped bytes, not simulated time)."""
+        quiescent while it is captured."""
         if not self.alive:
             return
         if incarnation is not None and incarnation != self.incarnation:
@@ -230,7 +225,7 @@ class Worker:
             if not self.alive or token != self.incarnation:
                 return
             self.slots_captured += 1
-            on_done(self.store.capture_slot(slot, mode))
+            on_done(self.store.capture_slot(slot))
 
         self.cpu.submit(self._migration_cost_ms(slot), capture)
 

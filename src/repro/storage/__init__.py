@@ -8,8 +8,8 @@ interfaces so a real process death loses nothing:
 - :class:`FileChangelogStore` — append-only segment files of
   length-prefixed wire frames, fsync-on-append, torn-tail truncation on
   open, compaction as whole-segment drops;
-- :class:`FileSnapshotStore` — base/delta cuts, the ``cut_log`` ledger
-  and chain metadata persisted per cut (atomic rename, fsync);
+- :class:`FileSnapshotStore` — base and position cuts and the
+  ``cut_log`` ledger persisted per cut (atomic rename, fsync);
 - :mod:`.manifest` — the schema module: directory layout, the
   versioned ``MANIFEST.json`` and forward migration.
 

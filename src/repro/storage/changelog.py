@@ -2,8 +2,8 @@
 
 :class:`FileChangelogStore` is the in-memory
 :class:`~repro.runtimes.stateflow.snapshots.ChangelogStore` with real
-files underneath: the coordinator, recovery, repair and the benches use
-the identical interface, and the file layer is a pure side effect — a
+files underneath: the coordinator, recovery, queries and the benches
+use the identical interface, and the file layer is a pure side effect — a
 durable run's reply trace is byte-identical to an in-memory run's.
 
 Shape (the log-structured contract sequential flash wants):
@@ -90,7 +90,6 @@ class FileChangelogStore(ChangelogStore):
                 self.loaded += 1
                 if record.seq > floor:
                     self._records.append(record)
-                    self._by_batch.add(record.batch_id)
         self._next_seq = max(max_seq, floor) + 1
         if self._segments:
             self._current_path = self._segments[-1]
@@ -125,10 +124,7 @@ class FileChangelogStore(ChangelogStore):
 
     # -- the in-memory interface, persisted -----------------------------
     def append(self, batch_id, writes, *, at_ms: float = 0.0) -> int:
-        before = self.head_seq
         seq = super().append(batch_id, writes, at_ms=at_ms)
-        if seq == before:
-            return seq  # duplicate append: nothing new to persist
         frame = encode_frame(self._records[-1])
         handle = self._append_handle(seq)
         handle.write(frame)
@@ -181,7 +177,7 @@ class FileChangelogStore(ChangelogStore):
         if seq > manifest.get("changelog_floor", -1):
             update_manifest(self._layout, changelog_floor=seq)
         # Segment-drop compaction: a file whose every record is at or
-        # below the floor can never anchor a repair again.  The live
+        # below the floor can never be folded again.  The live
         # append segment is kept even when fully below the floor — the
         # next append lands there.
         for path in list(self._segments):

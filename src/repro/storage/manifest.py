@@ -36,7 +36,7 @@ from typing import Any
 from ..substrates.wire import MAGIC, MAX_FRAME_BYTES, FrameError, decode_frame
 
 #: The one layout version this build reads and writes.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _HEADER = len(MAGIC) + 4  # magic + big-endian u32 payload length
 

@@ -1,27 +1,27 @@
-"""File-backed snapshot store: base/delta cuts, ledger and chain
-metadata persisted under the durability directory.
+"""File-backed snapshot store: cuts and their ledger persisted under the
+durability directory.
 
 :class:`FileSnapshotStore` keeps the in-memory
 :class:`~repro.runtimes.stateflow.snapshots.SnapshotStore` semantics
 bit for bit (it *is* one, with persistence layered on):
 
-- every cut is one :mod:`repro.substrates.wire` frame in
+- every cut — a base with its state payload, or a position cut with
+  none — is one :mod:`repro.substrates.wire` frame in
   ``snapshots/cut-<id>.bin``, written to a temp file, fsynced and
-  atomically renamed — a crash mid-take leaves no half-cut;
+  atomically renamed, so a crash mid-take leaves no half-cut;
 - the ``cut_log`` ledger appends one ``CutRecord`` frame per cut to
   ``snapshots/ledger.log`` (same framing, same torn-tail truncation on
   open), so bench accounting survives restarts;
-- chain metadata (the id counter; the cuts-since-base position is
-  re-derived from the ledger) rides in ``MANIFEST.json``;
-- pruning — automatic window trim or explicit :meth:`prune` — unlinks
-  the files of cuts that fell out of retention, chain anchors
-  excepted, exactly as the in-memory window behaves.
+- the id counter rides in ``MANIFEST.json``;
+- the retention window trim unlinks the files of cuts that fell out of
+  it, exactly as the in-memory window behaves.
 
-A cold start is just construction over an existing directory: retained
-cuts, the ledger and the chain position come back, and
-``latest_recoverable`` (with a reopened
+A cold start is just construction over an existing directory: the
+retained cuts and the ledger come back, an unreadable cut file is
+dropped, and ``latest_recoverable`` (with a reopened
 :class:`~repro.storage.changelog.FileChangelogStore`) resolves the same
-payload the dying process would have restored.
+payload the dying process would have restored — or skips to an older
+cut when a base is gone.  The first cut taken after opening is a base.
 """
 
 from __future__ import annotations
@@ -81,18 +81,6 @@ class FileSnapshotStore(SnapshotStore):
         self._next_id = max(
             [snapshot.snapshot_id + 1 for snapshot in snapshots]
             + [int(manifest.get("next_snapshot_id", 0))])
-        self._cuts_since_base = self._derive_cuts_since_base()
-
-    def _derive_cuts_since_base(self) -> int:
-        """The chain position, re-derived from the persisted ledger:
-        how many cuts since (and including) the last base/full cut —
-        the same count the in-memory store tracks incrementally."""
-        count = 0
-        for record in reversed(self.cut_log):
-            count += 1
-            if record.kind in ("base", "full"):
-                return count
-        return 0
 
     # -- durability plumbing --------------------------------------------
     def _sync(self, handle) -> None:
@@ -139,7 +127,3 @@ class FileSnapshotStore(SnapshotStore):
         update_manifest(self._layout, next_snapshot_id=self._next_id)
         self._sweep_files()
         return snapshot
-
-    def prune(self, snapshot_id: int) -> None:
-        super().prune(snapshot_id)
-        self._sweep_files()

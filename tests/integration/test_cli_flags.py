@@ -67,16 +67,19 @@ def built(monkeypatch):
 def test_shared_flags_reach_the_runtime(command, built, tmp_path,
                                         monkeypatch):
     """``chaos run`` and ``rescale run`` build on their own coordinator
-    preset: the CLI's depth must land on it, not be replaced by it."""
+    preset: the CLI's depth must land on it, not be replaced by it.
+    ``rescale run`` takes no snapshot mode: a moved slot ships whole in
+    either."""
     monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
     state = tmp_path / "state"
     durable = ([] if command[0] == "rescale"
-               else ["--durable", str(state)])
-    assert main([*command, "--pipeline-depth", "1", "--snapshot-mode",
-                 "incremental", *durable]) == 0
+               else ["--snapshot-mode", "incremental", "--durable",
+                     str(state)])
+    assert main([*command, "--pipeline-depth", "1", *durable]) == 0
     (runtime,) = built
     assert runtime.coordinator.config.pipeline_depth == 1
-    assert runtime.coordinator.snapshots.mode == "incremental"
+    assert runtime.coordinator.snapshots.mode == (
+        "full" if command[0] == "rescale" else "incremental")
     assert (state / "MANIFEST.json").exists() == bool(durable)
     if command[0] != "bench":
         assert runtime.coordinator.config.failure_detect_ms == 200.0

@@ -1,8 +1,8 @@
 """Nobody mutates a shared entry.
 
-Snapshot and delta payloads alias the committed store's live entries
-(``repro.runtimes.state``'s entry contract).  Recovery, changelog
-repair, slot migration and view rehydration all *read* those payloads;
+Snapshot payloads and changelog records alias the committed store's
+live entries (``repro.runtimes.state``'s entry contract).  Recovery,
+changelog replay, slot migration and view rehydration all *read* them;
 this battery fingerprints every payload handed to ``SnapshotStore.take``
 at cut time and re-checks all of them after a chaos run that drives
 each of those readers — a single in-place write anywhere would change
@@ -28,12 +28,10 @@ from repro.workloads import Account, DriverConfig, WorkloadDriver, YcsbWorkload
 RECORDS = 20
 BALANCE = 300
 
-#: A worker crash, a coordinator fail-over, a torn delta fragment (a
-#: no-op under ``snapshot_mode="full"``) and a rescale, spaced so each
-#: recovery completes and new cuts land before the next fault.
+#: A worker crash, a coordinator fail-over and a rescale, spaced so
+#: each recovery completes and new cuts land before the next fault.
 PLAN = FaultPlan(seed=23, events=[
     FaultEvent(kind="crash_worker", at_ms=350.0, worker=1),
-    FaultEvent(kind="torn_snapshot", at_ms=700.0, variant="drop"),
     FaultEvent(kind="crash_coordinator", at_ms=1_050.0, duration_ms=80.0),
     FaultEvent(kind="rescale", at_ms=1_600.0, target_workers=3),
 ])
@@ -70,12 +68,10 @@ def test_cut_payloads_are_never_written(account_program, monkeypatch,
         seed=6)).run()
     runtime.sim.run(until=runtime.sim.now + 20_000)
 
-    # The plan did what it says: both recoveries, the tear, the rescale.
+    # The plan did what it says: both recoveries and the rescale.
     coordinator = runtime.coordinator
     assert coordinator.recoveries >= 2
     assert coordinator.rescales == 1
-    if snapshot_mode == "incremental":
-        assert coordinator.snapshots.snapshots_torn == 1
     assert len(cuts) >= 6
     # ...and the run stayed correct, so the readers really ran.
     assert engine.view("total").value == RECORDS * BALANCE

@@ -1,19 +1,24 @@
-"""Property tests for the delta-chain algebra behind incremental
-snapshots.
+"""Property tests for the delta algebra behind position cuts.
 
-The laws the snapshot store's bounded-depth compaction and the
-changelog repair path rely on:
+The delta between two cuts is the span of changelog records between
+their positions: each record is one committed batch's write set, key →
+absolute post-state.  The laws recovery, snapshot queries and cold
+starts rely on when they resolve a position cut:
 
-- **capture/apply round trip** — replaying every captured delta over a
+- **capture/apply round trip** — folding every captured record over a
   captured base reproduces the live store, for any interleaving of
-  writes, creates and deletes, on a lone backend and on the slotted
-  store (whose deltas are per-slot fragments);
-- **compaction equivalence** — ``apply(base, d1..dn)`` equals
-  ``apply(base, compact(d1..dn))``;
-- **replay idempotence** — applying a delta (or a changelog record)
-  twice equals applying it once: entries are absolute states, so
-  duplicate delivery cannot diverge (the PR 2 incarnation fences make
-  duplicates *rare*; the algebra makes them *harmless*).
+  writes, on a lone backend and on the slotted store (whose base is a
+  tuple of per-slot fragments);
+- **compaction equivalence** — folding records one by one equals
+  folding them into one write set first: the resolver may apply a
+  whole span at once;
+- **replay idempotence** — applying a record twice equals applying it
+  once: entries are absolute states, so duplicate delivery cannot
+  diverge.
+
+Cut cadence is part of the algebra too: a restored store has no
+position over any retained base, so the next cut after a restore is a
+base.
 """
 
 import pytest
@@ -22,32 +27,33 @@ from hypothesis import strategies as st
 
 from test_state import SHAPES
 
-from repro.runtimes.state import (DictStateBackend, FullFragment,
-                                  PartitionedDelta, PartitionedStore,
-                                  StateDelta, compact_deltas,
-                                  resolve_payload)
-from repro.runtimes.stateflow.snapshots import ChangelogStore
+from repro.runtimes.state import PartitionedSnapshot, PartitionedStore
+from repro.runtimes.stateflow.snapshots import (ChangelogRecord,
+                                                ChangelogStore,
+                                                SnapshotStore, replay)
 
 KEYS = [f"k{i}" for i in range(8)]
 
-#: One mutation: (op, key, value).  Deletes of absent keys are legal.
+#: One mutation: (key, value).  Commit records carry no deletes.
 ops_strategy = st.lists(
-    st.tuples(st.sampled_from(["put", "create", "delete"]),
-              st.sampled_from(KEYS),
+    st.tuples(st.sampled_from(KEYS),
               st.integers(min_value=0, max_value=99)),
     min_size=0, max_size=40)
 
-#: Where to split the op sequence into capture segments.
+#: Where to split the op sequence into committed batches.
 cuts_strategy = st.lists(st.integers(min_value=0, max_value=40),
                          min_size=0, max_size=4)
 
+META = dict(source_offsets={}, replied=set(), batch_seq=0, arrival_seq=0)
+
 
 def apply_ops(backend, ops):
-    for op, key, value in ops:
-        if op == "delete":
-            backend.delete("E", key)
-        else:
-            backend.put("E", key, {"v": value})
+    """Apply *ops* to *backend*; returns the batch's write set."""
+    writes = {}
+    for key, value in ops:
+        backend.put("E", key, {"v": value})
+        writes[("E", key)] = {"v": value}
+    return writes
 
 
 def contents(backend):
@@ -56,21 +62,26 @@ def contents(backend):
 
 def run_segments(ops, cuts, shape="backend"):
     """Drive a backend (or store) through *ops*, capturing a base up
-    front and a delta at every cut point; returns (base, deltas,
-    final_contents)."""
+    front and appending one changelog record per batch between cut
+    points; returns (base, records, final_contents)."""
     backend = SHAPES[shape]()
-    base = backend.capture_base()
-    deltas = []
+    base = backend.snapshot()
+    changelog = ChangelogStore()
     boundaries = sorted(set(min(c, len(ops)) for c in cuts))
     start = 0
-    for boundary in boundaries:
-        apply_ops(backend, ops[start:boundary])
-        deltas.append(backend.capture_delta())
+    for batch_id, boundary in enumerate(boundaries + [len(ops)]):
+        changelog.append(batch_id, apply_ops(backend, ops[start:boundary]))
         start = boundary
-    apply_ops(backend, ops[start:])
-    deltas.append(backend.capture_delta())
-    assert all(delta is not None for delta in deltas)
-    return base, deltas, contents(backend)
+    records = changelog.records_between(-1, changelog.head_seq)
+    assert records is not None and len(records) == len(boundaries) + 1
+    return base, records, contents(backend)
+
+
+def fold(records):
+    writes = {}
+    for record in records:
+        writes.update(record.writes)
+    return writes
 
 
 class TestCaptureApplyRoundTrip:
@@ -78,30 +89,33 @@ class TestCaptureApplyRoundTrip:
     @given(ops=ops_strategy, cuts=cuts_strategy)
     @settings(max_examples=50, deadline=None)
     def test_deltas_reproduce_the_store(self, shape, ops, cuts):
-        base, deltas, final = run_segments(ops, cuts, shape)
+        base, records, final = run_segments(ops, cuts, shape)
         replica = SHAPES[shape]()
-        replica.restore(resolve_payload(base, deltas))
+        replica.restore(replay(base, records))
         assert contents(replica) == final
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     @given(ops=ops_strategy, cuts=cuts_strategy)
     @settings(max_examples=50, deadline=None)
     def test_apply_delta_on_live_backend(self, shape, ops, cuts):
-        base, deltas, final = run_segments(ops, cuts, shape)
+        base, records, final = run_segments(ops, cuts, shape)
         replica = SHAPES[shape]()
         replica.restore(base)
-        for delta in deltas:
-            replica.apply_delta(delta)
+        for record in records:
+            replica.apply_writes(record.writes)
         assert contents(replica) == final
 
     @given(ops=ops_strategy, cuts=cuts_strategy)
     @settings(max_examples=30, deadline=None)
     def test_backend_and_store_capture_equivalent_deltas(self, ops, cuts):
-        """The same op sequence captured on a lone backend and on the
-        slotted store resolves to the same contents: slotting changes
-        how a delta is cut up, not what it says."""
-        _, _, backend_final = run_segments(ops, cuts, "backend")
-        _, _, store_final = run_segments(ops, cuts, "store")
+        """The same op sequence on a lone backend and on the slotted
+        store logs the same records and resolves to the same contents:
+        slotting changes how a base is cut up, not what the log says."""
+        _, backend_records, backend_final = run_segments(ops, cuts,
+                                                         "backend")
+        _, store_records, store_final = run_segments(ops, cuts, "store")
+        assert ([r.writes for r in backend_records]
+                == [r.writes for r in store_records])
         assert backend_final == store_final
 
 
@@ -109,18 +123,23 @@ class TestCompactionEquivalence:
     @given(ops=ops_strategy, cuts=cuts_strategy)
     @settings(max_examples=50, deadline=None)
     def test_compact_preserves_resolution(self, ops, cuts):
-        base, deltas, final = run_segments(ops, cuts)
-        compacted = compact_deltas(deltas)
-        replica = DictStateBackend()
-        replica.restore(resolve_payload(base, [compacted]))
-        assert contents(replica) == final
+        base, records, final = run_segments(ops, cuts)
+        compacted = ChangelogRecord(seq=records[-1].seq,
+                                    batch_id=records[-1].batch_id,
+                                    writes=fold(records))
+        one_by_one = base
+        for record in records:
+            one_by_one = replay(one_by_one, [record])
+        assert replay(base, [compacted]) == one_by_one == final
 
     @given(ops=ops_strategy, cuts=cuts_strategy)
     @settings(max_examples=50, deadline=None)
     def test_compact_bounds_layer_count(self, ops, cuts):
-        _, deltas, _ = run_segments(ops, cuts)
-        compacted = compact_deltas(deltas)
-        assert len(compacted.layers) <= 1
+        """However many records a span holds, it folds into one write
+        set with one entry per key written."""
+        _, records, _ = run_segments(ops, cuts)
+        assert set(fold(records)) == {("E", key) for key, _ in ops}
+        assert len(fold(records)) <= len(KEYS)
 
 
 class TestReplayIdempotence:
@@ -128,94 +147,111 @@ class TestReplayIdempotence:
     @given(ops=ops_strategy, cuts=cuts_strategy)
     @settings(max_examples=50, deadline=None)
     def test_duplicate_delivery_is_harmless(self, shape, ops, cuts):
-        """Every delta delivered twice (the torn_snapshot "duplicate"
-        variant) resolves to the same state as single delivery."""
-        base, deltas, final = run_segments(ops, cuts, shape)
-        doubled = [delta for delta in deltas for _ in range(2)]
+        """Every record delivered twice resolves to the same state as
+        single delivery."""
+        base, records, final = run_segments(ops, cuts, shape)
+        doubled = [record for record in records for _ in range(2)]
         replica = SHAPES[shape]()
-        replica.restore(resolve_payload(base, doubled))
+        replica.restore(replay(base, doubled))
         assert contents(replica) == final
 
     @given(ops=ops_strategy)
     @settings(max_examples=50, deadline=None)
     def test_changelog_replay_idempotence(self, ops):
-        """Changelog records replay idempotently onto any payload, and
-        duplicate appends of one batch are dropped (the append-side
-        fence, mirroring the PR 2 worker incarnation fences)."""
-        reference = DictStateBackend()
+        """A batch logged twice (a new run reusing its id) gets two
+        records, and folding the log once or twice gives the same
+        state as the store that applied the batch."""
+        reference = SHAPES["backend"]()
         changelog = ChangelogStore()
-        writes = {}
-        for op, key, value in ops:
-            if op == "delete":
-                continue  # commit records never carry deletes
-            reference.put("E", key, {"v": value})
-            writes[("E", key)] = {"v": value}
+        writes = apply_ops(reference, ops)
         if writes:
             first = changelog.append(batch_id=7, writes=writes)
             again = changelog.append(batch_id=7, writes=writes)
-            assert first == again
-            assert changelog.duplicate_appends == 1
-            assert len(changelog) == 1
-        records = changelog.records_between(-1, changelog.head_seq) or []
-        once = {}
-        for record in records:
-            once.update(record.writes)
-        twice = dict(once)
-        for record in records:
-            twice.update(record.writes)
-        assert once == twice
-        assert once == {key: reference.get(*key)
-                        for key in reference.keys()}
+            assert again == first + 1
+            assert len(changelog) == 2
+        records = changelog.records_between(-1, changelog.head_seq)
+        once = replay({}, records)
+        assert replay(once, records) == once
+        assert once == contents(reference)
 
 
 class TestDeltaShapes:
     def test_empty_segment_captures_empty_delta(self):
-        backend = DictStateBackend()
-        backend.capture_base()
-        delta = backend.capture_delta()
-        assert delta is not None and delta.is_empty
+        """A position cut taken with no commit since its base spans no
+        records and resolves to the base payload itself."""
+        store = SnapshotStore(mode="incremental")
+        changelog = ChangelogStore()
+        changelog.append(0, {("E", "a"): {"v": 1}})
+        payload = {("E", "a"): {"v": 1}}
+        store.take(taken_at_ms=0.0, state=payload, kind="base",
+                   changelog_seq=changelog.head_seq, **META)
+        cut = store.take(taken_at_ms=1.0, state=None, kind="position",
+                         changelog_seq=changelog.head_seq, **META)
+        assert changelog.records_between(0, cut.changelog_seq) == []
+        assert store.resolve(cut, changelog) is payload
 
     def test_restore_invalidates_tracking(self):
-        backend = DictStateBackend()
-        payload = backend.capture_base()
-        backend.put("E", "a", {"v": 1})
-        backend.restore(payload)
-        assert backend.capture_delta() is None
-        # A fresh base re-arms tracking.
-        backend.capture_base()
-        backend.put("E", "b", {"v": 2})
-        delta = backend.capture_delta()
-        assert delta is not None and not delta.is_empty
+        """After a restore the store's base no longer describes the
+        timeline: the next cut is a base, and a fresh base re-arms
+        position cuts."""
+        store = SnapshotStore(mode="incremental", base_every=4)
+        store.take(taken_at_ms=0.0, state={}, kind=store.next_kind(),
+                   **META)
+        assert store.next_kind() == "position"
+        store.rebase()
+        assert store.next_kind() == "base"
+        store.take(taken_at_ms=1.0, state={("E", "b"): {"v": 2}},
+                   kind=store.next_kind(), **META)
+        assert store.next_kind() == "position"
 
     def test_store_cuts_only_the_slots_it_dirtied(self):
-        store = PartitionedStore(3, slots=8)
-        store.capture_base()
-        store.put("E", "a", {"v": 1})
-        delta = store.capture_delta()
-        assert isinstance(delta, PartitionedDelta)
-        assert delta.partition_count == 8
-        [(slot, part)] = [(slot, part) for slot, part
-                          in enumerate(delta.parts) if part is not None]
-        assert slot == store.slot_of("E", "a")
-        assert isinstance(part, StateDelta)
-        assert part.merged() == {("E", "a"): {"v": 1}}
-        # Nothing written since: every slot is clean.
-        assert store.capture_delta().parts == (None,) * 8
+        """A position cut holds no state, and resolving it rebuilds only
+        the slots its records wrote: every other fragment is the base's
+        own object."""
+        committed = PartitionedStore(3, slots=8)
+        snapshots = SnapshotStore(mode="incremental")
+        changelog = ChangelogStore()
+        base = snapshots.take(taken_at_ms=0.0, state=committed.snapshot(),
+                              kind="base", **META)
+        changelog.append(0, apply_ops(committed, [("a", 1)]))
+        cut = snapshots.take(taken_at_ms=1.0, state=committed.snapshot(),
+                             kind="position",
+                             changelog_seq=changelog.head_seq, **META)
+        assert cut.state is None
+        resolved = snapshots.resolve(cut, changelog)
+        assert isinstance(resolved, PartitionedSnapshot)
+        assert resolved.partition_count == 8
+        dirty = committed.slot_of("E", "a")
+        for slot, part in enumerate(resolved.parts):
+            if slot == dirty:
+                assert part == {("E", "a"): {"v": 1}}
+            else:
+                assert part is base.state.parts[slot]
 
     def test_store_restore_degrades_to_full_fragments(self):
-        """A rewound store has no delta over any durable base: its next
-        cut carries every slot whole, and the cut after that is a delta
-        again."""
-        store = PartitionedStore(3, slots=8)
-        payload = store.capture_base()
-        store.put("E", "a", {"v": 1})
-        store.restore(payload)
-        store.put("E", "b", {"v": 2})
-        full = store.capture_delta()
-        assert all(isinstance(part, FullFragment) for part in full.parts)
-        assert resolve_payload(payload, [full]) == store.snapshot()
-        store.put("E", "c", {"v": 3})
-        again = store.capture_delta()
-        assert not any(isinstance(part, FullFragment)
-                       for part in again.parts)
-        assert sum(part is not None for part in again.parts) == 1
+        """A rewound store has no position over any retained base: its
+        next cut carries every slot whole, and the cut after that is a
+        position cut again."""
+        committed = PartitionedStore(3, slots=8)
+        snapshots = SnapshotStore(mode="incremental", base_every=4)
+        changelog = ChangelogStore()
+        payload = committed.snapshot()
+        snapshots.take(taken_at_ms=0.0, state=payload,
+                       kind=snapshots.next_kind(), **META)
+        changelog.append(0, apply_ops(committed, [("a", 1)]))
+        committed.restore(payload)
+        changelog.rewind_to(-1)
+        snapshots.rebase()
+        changelog.append(0, apply_ops(committed, [("b", 2)]))
+        full = snapshots.take(taken_at_ms=1.0, state=committed.snapshot(),
+                              kind=snapshots.next_kind(),
+                              changelog_seq=changelog.head_seq, **META)
+        assert full.kind == "base"
+        assert full.state.partition_count == 8
+        assert snapshots.resolve(full, changelog) == committed.snapshot()
+        changelog.append(1, apply_ops(committed, [("c", 3)]))
+        again = snapshots.take(taken_at_ms=2.0, state=committed.snapshot(),
+                               kind=snapshots.next_kind(),
+                               changelog_seq=changelog.head_seq, **META)
+        assert again.kind == "position" and again.base_id == full.snapshot_id
+        assert snapshots.resolve(again, changelog) == committed.snapshot()

@@ -231,55 +231,12 @@ class TestInjectorPolicy:
         assert injector.stats.worker_crashes == 0
         assert injector.stats.disruption_times_ms == []
 
-    def test_torn_snapshot_arms_the_store(self):
-        from repro.runtimes.stateflow.snapshots import SnapshotStore
-
-        class Host:
-            snapshots = SnapshotStore(mode="incremental")
-
-        plan = FaultPlan(seed=9, events=[FaultEvent(
-            kind="torn_snapshot", at_ms=1.0, variant="drop")])
-        sim = Simulation(seed=9)
-        injector = FaultInjector(plan, sim=sim,
-                                 coordinator=Host()).install()
-        sim.run()
-        assert injector.stats.torn_snapshots_armed == 1
-        assert Host.snapshots._torn_armed == "drop"
-
-    def test_torn_snapshot_skipped_without_a_snapshot_store(self):
-        plan = FaultPlan(seed=9, events=[FaultEvent(
-            kind="torn_snapshot", at_ms=1.0)])
-        sim = Simulation(seed=9)
-        injector = FaultInjector(plan, sim=sim).install()
-        sim.run()
-        assert injector.stats.skipped_events == 1
-        assert injector.stats.torn_snapshots_armed == 0
-
-    def test_torn_snapshot_skipped_in_full_mode(self):
-        from repro.runtimes.stateflow.snapshots import SnapshotStore
-
-        class Host:
-            snapshots = SnapshotStore(mode="full")
-
-        plan = FaultPlan(seed=9, events=[FaultEvent(
-            kind="torn_snapshot", at_ms=1.0)])
-        sim = Simulation(seed=9)
-        injector = FaultInjector(plan, sim=sim,
-                                 coordinator=Host()).install()
-        sim.run()
-        assert injector.stats.skipped_events == 1
-
-    def test_random_plan_torn_snapshots_knob(self):
-        plan = random_plan(21, torn_snapshots=2)
-        torn = [e for e in plan.events if e.kind == "torn_snapshot"]
-        assert len(torn) == 2
-        assert all(e.variant in ("drop", "duplicate") for e in torn)
-        # The knob must not perturb the rest of the schedule.
-        base = random_plan(21)
-        assert [e for e in plan.events if e.kind != "torn_snapshot"] \
-            == base.events
-        # And it round-trips through JSON like every other event.
-        assert FaultPlan.from_json(plan.to_json()) == plan
+    def test_a_torn_snapshot_plan_is_refused(self):
+        """Cuts are changelog positions: there is no in-flight fragment
+        to tear, so a plan naming the old kind is malformed."""
+        with pytest.raises(FaultPlanError, match="torn_snapshot"):
+            FaultPlan.from_dict({"seed": 9, "events": [
+                {"kind": "torn_snapshot", "at_ms": 1.0}]})
 
     def test_kafka_duplicates_respect_dedup_safe_topics(self):
         plan = FaultPlan(seed=6, events=[FaultEvent(

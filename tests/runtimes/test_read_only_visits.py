@@ -1,10 +1,10 @@
 """A read writes nothing.
 
 ``Account.read`` is read-only (no block of it may write the entity), so
-its visit skips the flush: no ``put``, so no dirty-set entry and no
-pinned-view pre-image, and the coordinator keeps its key out of the
-batch's write footprint, so the commit has nothing of it to log or
-fold.  ``Account.write`` still does all four.  On the process substrate
+its visit skips the flush: no ``put``, so no pinned-view pre-image,
+and the coordinator keeps its key out of the batch's write footprint,
+so the commit has nothing of it to log or fold.  ``Account.write``
+still does all three.  On the process substrate
 a read's single-key write-backs are empty.
 """
 
@@ -57,9 +57,7 @@ def _traces(watched, key):
     """Where a committed write of *key* leaves a mark."""
     runtime, footprints = watched
     store = runtime.committed
-    slot = store.slot_backend(store.slot_of(*key))
     return {
-        "dirty": key in slot._dirty,
         "pre-image": key in store.view(PINNED).overlay,
         "footprint": any(key in footprint for footprint in footprints),
         "changelog": runtime.coordinator.changelog.appended,
@@ -78,12 +76,11 @@ def test_a_read_leaves_no_mark(watched):
 def test_a_write_leaves_every_mark(watched):
     key = ("Account", "acct-3")
     before = _traces(watched, key)
-    assert not (before["dirty"] or before["pre-image"]
-                or before["footprint"])
+    assert not (before["pre-image"] or before["footprint"])
     runtime, _ = watched
     assert runtime.invoke(EntityRef(*key), "write", "x").unwrap() is True
     assert _traces(watched, key) == {
-        "dirty": True, "pre-image": True, "footprint": True,
+        "pre-image": True, "footprint": True,
         "changelog": before["changelog"] + 1,
         "folded": before["folded"] + 1}
 

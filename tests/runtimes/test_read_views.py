@@ -140,7 +140,7 @@ class TestPartitionedStoreViews:
         assert all(view.exists("Account", key) for key in keys)
         # The swapped-in backend keeps recording for the pin.
         store.put("Account", keys[1], {"balance": 77})
-        store.delete("Account", keys[2])
+        store.apply_writes({("Account", keys[2]): {"balance": 55}})
         assert view.get("Account", keys[1]) == {"balance": 10}
         assert view.get("Account", keys[2]) == {"balance": 10}
         assert store.get("Account", overwritten) == {"balance": 99}
@@ -193,11 +193,6 @@ class PinnedViewsModel(RuleBasedStateMachine):
     def put(self, key, tag, create):
         (self.store.create if create else self.store.put)(*key, _nested(tag))
         self.live[key] = _nested(tag)
-
-    @rule(key=st.sampled_from(MODEL_KEYS))
-    def delete(self, key):
-        self.store.delete(*key)
-        self.live.pop(key, None)
 
     @rule(writes=st.dictionaries(st.sampled_from(MODEL_KEYS),
                                  st.integers(0, 99), max_size=5))

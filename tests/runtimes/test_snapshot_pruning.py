@@ -1,15 +1,17 @@
 """SnapshotStore pruning: the store keeps a bounded window of
 snapshots, recovery still works long after the first snapshots were
 pruned, snapshot cuts stay consistent while a pipeline is in flight,
-and — with incremental chains — pruning never frees a base (or an
-intermediate delta) that a retained cut still resolves through."""
+and — in incremental mode — pruning never frees a base that a retained
+position cut still resolves from, the changelog is truncated below the
+oldest retained base, and a cut that does not resolve is skipped."""
 
 import pytest
 
 from repro.runtimes.state import materialize_snapshot
 from repro.runtimes.stateflow import StateflowConfig, StateflowRuntime
 from repro.runtimes.stateflow.coordinator import CoordinatorConfig
-from repro.runtimes.stateflow.snapshots import (SnapshotPruneError,
+from repro.runtimes.stateflow.snapshots import (ChangelogStore,
+                                                SnapshotChainError,
                                                 SnapshotStore)
 from repro.workloads import Account, DriverConfig, WorkloadDriver, YcsbWorkload
 
@@ -38,56 +40,44 @@ class TestPruning:
 
 
 def _incremental_store(keep=2, base_every=4):
-    """A store holding one base and a chain of delta cuts over it."""
+    """A store holding one base and position cuts over it, each after
+    one more changelog record."""
     store = SnapshotStore(keep=keep, mode="incremental",
                           base_every=base_every)
+    changelog = ChangelogStore()
     store.take(taken_at_ms=0.0, state={("E", "a"): {"v": 0}},
                source_offsets={}, replied=set(), batch_seq=0,
                arrival_seq=0, kind="base")
     for i in range(1, base_every):
-        from repro.runtimes.state import StateDelta
-        store.take(taken_at_ms=float(i),
-                   state=StateDelta(layers=({("E", "a"): {"v": i}},)),
-                   source_offsets={}, replied=set(), batch_seq=i,
-                   arrival_seq=i, kind="delta")
-    return store
+        changelog.append(i, {("E", "a"): {"v": i}})
+        store.take(taken_at_ms=float(i), state=None, source_offsets={},
+                   replied=set(), batch_seq=i, arrival_seq=i,
+                   kind="position", changelog_seq=changelog.head_seq)
+    return store, changelog
 
 
 class TestChainAwarePruning:
-    """Regression for the latent full-mode pruning policy: a base that
-    still anchors a live delta chain must never be dropped — by the
-    automatic window trim or by an explicit prune."""
+    """The window keeps the newest cuts plus the bases they resolve
+    from (a chain: one base and the position cuts over it): a position
+    cut is useless without its base."""
 
     def test_window_trim_stops_at_the_anchoring_base(self):
-        store = _incremental_store(keep=2, base_every=4)
-        # keep=2 would have evicted the base (id 0) under the old
-        # unconditional pop; the retained deltas resolve through it.
-        assert len(store) == 4
-        retained = [s.snapshot_id for s in store._snapshots]
-        assert 0 in retained, "the anchoring base was pruned"
-        resolved = store.resolve(store.latest())
-        assert resolved == {("E", "a"): {"v": 3}}
-
-    def test_explicit_prune_of_an_anchored_base_is_refused(self):
-        store = _incremental_store()
-        with pytest.raises(SnapshotPruneError):
-            store.prune(0)
-        # Intermediate deltas anchor their successors just the same.
-        with pytest.raises(SnapshotPruneError):
-            store.prune(1)
+        store, changelog = _incremental_store(keep=2, base_every=4)
+        assert [s.snapshot_id for s in store._snapshots] == [0, 2, 3]
+        assert store.resolve(store.latest(), changelog) \
+            == {("E", "a"): {"v": 3}}
+        # Records at or below the oldest retained base are dead.
+        assert store.floor_changelog_seq() == -1
 
     def test_unanchored_snapshots_still_prune(self):
-        store = _incremental_store(keep=2, base_every=4)
-        # A new base cuts the old chain loose...
-        store.take(taken_at_ms=9.0, state={("E", "a"): {"v": 9}},
-                   source_offsets={}, replied=set(), batch_seq=9,
-                   arrival_seq=9, kind="base")
-        store.take(taken_at_ms=10.0, state={("E", "a"): {"v": 10}},
-                   source_offsets={}, replied=set(), batch_seq=10,
-                   arrival_seq=10, kind="base")
-        # ...so the trim reclaims the whole old chain down to the window.
-        assert len(store) == 2
+        store, changelog = _incremental_store(keep=2, base_every=4)
+        for i in (9, 10):
+            store.take(taken_at_ms=float(i), state={("E", "a"): {"v": i}},
+                       source_offsets={}, replied=set(), batch_seq=i,
+                       arrival_seq=i, kind="base",
+                       changelog_seq=changelog.head_seq)
         assert [s.snapshot_id for s in store._snapshots] == [4, 5]
+        assert store.floor_changelog_seq() == changelog.head_seq
 
     def test_full_mode_pruning_unchanged(self):
         store = SnapshotStore(keep=3)
@@ -95,8 +85,66 @@ class TestChainAwarePruning:
             store.take(taken_at_ms=float(i), state={}, source_offsets={},
                        replied=set(), batch_seq=i, arrival_seq=i)
         assert [s.snapshot_id for s in store._snapshots] == [5, 6, 7]
-        store.prune(6)  # full cuts anchor nothing: prunable
-        assert [s.snapshot_id for s in store._snapshots] == [5, 7]
+        assert all(s.base_id == s.snapshot_id for s in store._snapshots)
+
+
+class TestCutResolution:
+    """``resolve`` and ``latest_recoverable`` on a base with position
+    cuts over it (``_incremental_store``: records 0..2 set ``v`` to
+    1..3, cut *i* sits after record *i - 1*)."""
+
+    def test_each_position_cut_folds_up_to_its_own_position(self):
+        store, changelog = _incremental_store(keep=8, base_every=4)
+        assert [store.resolve(cut, changelog)[("E", "a")]["v"]
+                for cut in store.retained()] == [0, 1, 2, 3]
+
+    def test_as_of_folds_past_the_cut(self):
+        store, changelog = _incremental_store(keep=8, base_every=4)
+        first = store.retained()[1]
+        assert store.resolve(first, changelog,
+                             up_to_seq=changelog.head_seq) \
+            == {("E", "a"): {"v": 3}}
+
+    def test_a_position_cut_keeps_no_state(self):
+        store, changelog = _incremental_store(keep=8, base_every=4)
+        store.take(taken_at_ms=5.0, state={("E", "a"): {"v": 99}},
+                   source_offsets={}, replied=set(), batch_seq=5,
+                   arrival_seq=5, kind="position",
+                   changelog_seq=changelog.head_seq)
+        assert store.latest().state is None
+        assert store.cut_log[-1].keys == store.cut_log[-1].bytes == 0
+        assert store.resolve(store.latest(), changelog) \
+            == {("E", "a"): {"v": 3}}
+
+    def test_a_span_gap_does_not_resolve(self):
+        store, changelog = _incremental_store(keep=8, base_every=4)
+        changelog.truncate_through(0)
+        with pytest.raises(SnapshotChainError, match="has a gap"):
+            store.resolve(store.latest(), changelog)
+        with pytest.raises(SnapshotChainError, match="has a gap"):
+            store.resolve(store.latest(), None)
+
+    def test_latest_recoverable_skips_unresolvable_cuts(self):
+        store, changelog = _incremental_store(keep=8, base_every=4)
+        changelog.rewind_to(0)
+        snapshot, payload = store.latest_recoverable(changelog)
+        assert snapshot.snapshot_id == 1
+        assert payload == {("E", "a"): {"v": 1}}
+
+    def test_an_empty_store_has_nothing_to_recover(self):
+        with pytest.raises(SnapshotChainError, match="no recoverable"):
+            SnapshotStore(mode="incremental").latest_recoverable(
+                ChangelogStore())
+
+    def test_every_cut_is_a_base_when_base_every_is_one(self):
+        store = SnapshotStore(mode="incremental", base_every=1)
+        kinds = []
+        for i in range(4):
+            kinds.append(store.next_kind())
+            store.take(taken_at_ms=float(i), state={}, source_offsets={},
+                       replied=set(), batch_seq=i, arrival_seq=i,
+                       kind=kinds[-1])
+        assert kinds == ["base"] * 4
 
 
 class TestRecoveryAfterPruning:
@@ -124,6 +172,37 @@ class TestRecoveryAfterPruning:
         runtime.sim.run(until=30_000)
         assert runtime.entity_state(ref)["balance"] == 20
         assert len(replies) == 20 and len(set(replies)) == 20
+
+
+    def test_changelog_is_truncated_below_the_oldest_retained_base(
+            self, account_program):
+        """A long incremental run logs far more records than its
+        retained cuts can need: everything at or below the oldest
+        retained base's position is gone, everything above it is
+        kept, and the newest cut still resolves to the live state."""
+        config = StateflowConfig(
+            snapshot_mode="incremental",
+            coordinator=CoordinatorConfig(snapshot_interval_ms=100.0,
+                                          snapshot_base_every=3))
+        runtime = StateflowRuntime(account_program, config=config)
+        (ref,) = runtime.preload(Account, [("hot", 0)])
+        runtime.start()
+        for i in range(30):
+            runtime.sim.schedule_at(
+                i * 60.0, lambda: runtime.submit(ref, "add", (1,)))
+        runtime.sim.run(until=2_500)
+        coordinator = runtime.coordinator
+        snapshots, changelog = coordinator.snapshots, coordinator.changelog
+        floor = snapshots.floor_changelog_seq()
+        assert changelog.truncated > 0 and floor >= 0
+        assert changelog.records_between(floor, changelog.head_seq) \
+            is not None
+        assert changelog.records_between(floor - 1,
+                                         changelog.head_seq) is None
+        _, payload = snapshots.latest_recoverable(changelog)
+        assert materialize_snapshot(payload) == materialize_snapshot(
+            runtime.committed.snapshot())
+        assert runtime.entity_state(ref)["balance"] == 30
 
 
 class TestNoHalfCommittedSnapshots:

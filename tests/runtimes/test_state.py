@@ -159,7 +159,6 @@ class TestEntryContract:
     def _churn(store):
         """Every kind of later write the contract names."""
         store.put("Cart", "a", _nested("a2"))
-        store.delete("Cart", "b")
         store.apply_writes({("Cart", "c"): _nested("c2"),
                             ("Cart", "e"): _nested("e")})
         state = store.get("Cart", "d")
@@ -169,10 +168,9 @@ class TestEntryContract:
     def test_payloads_survive_later_writes_and_restores(self):
         backend = DictStateBackend()
         self._fill(backend)
-        payloads = [backend.snapshot(), backend.capture_base()]
+        payloads = [backend.snapshot()]
         backend.put("Cart", "d", _nested("d1"))
-        backend.delete("Cart", "c")
-        payloads += [backend.peek_delta(), backend.capture_delta()]
+        payloads.append(backend.snapshot())
         backend.pin_view(1)
         prints = [pickle.dumps(payload) for payload in payloads]
 
@@ -190,16 +188,15 @@ class TestEntryContract:
     def test_partitioned_payloads_survive_migration_and_rescale(self):
         store = PartitionedStore(2, slots=4)
         self._fill(store)
-        payloads = [store.snapshot(), store.capture_base()]
+        payloads = [store.snapshot()]
         store.put("Cart", "d", _nested("d1"))
-        payloads.append(store.capture_delta())
+        payloads.append(store.snapshot())
         store.put("Cart", "a", _nested("a1"))
         moved = store.slot_of("Cart", "a")
-        payloads += [store.snapshot_slot(moved),
-                     store.snapshot_slot(moved, mode="delta")]
+        payloads.append(store.snapshot_slot(moved))
         prints = [pickle.dumps(payload) for payload in payloads]
 
-        store.install_slot(moved, payloads[-2])
+        store.install_slot(moved, payloads[-1])
         self._churn(store)
         store.rescale(3)
         self._churn(store)
@@ -266,11 +263,11 @@ class TestPartitionedStore:
         store = PartitionedStore(partitions)
         for index in range(32):
             store.put("Account", f"k{index}", {"balance": index})
-        fragments = [store.snapshot_partition(i) for i in range(partitions)]
+        fragments = store.snapshot().parts
         store.apply_writes({("Account", f"k{i}"): {"balance": -1}
                             for i in range(32)})
         for index, fragment in enumerate(fragments):
-            store.restore_partition(index, fragment)
+            store.install_slot(index, fragment)
         for index in range(32):
             assert store.get("Account", f"k{index}")["balance"] == index
 

@@ -3,8 +3,8 @@ in-memory runs, and a process death — simulated or a real SIGKILL —
 loses nothing the stores called durable.
 
 The equivalence leg reuses the PR-5 battery's deterministic
-configuration (150 ms cuts, a base every 3) so crashes land at
-interesting chain positions; the disk must be a pure side effect of
+configuration (150 ms cuts, a base every 3) so crashes land between
+bases and position cuts; the disk must be a pure side effect of
 exactly the same run.
 """
 
@@ -20,10 +20,10 @@ import pytest
 from repro.bench import verify_history
 from repro.faults import random_plan
 from repro.query import QueryEngine, ViewSpec
-from repro.runtimes.state import TOMBSTONE, DictStateBackend, \
-    apply_flat_writes, materialize_snapshot
+from repro.runtimes.state import DictStateBackend, materialize_snapshot
 from repro.runtimes.stateflow import StateflowConfig, StateflowRuntime
 from repro.runtimes.stateflow.coordinator import CoordinatorConfig
+from repro.runtimes.stateflow.snapshots import replay
 from repro.storage import FileChangelogStore, FileSnapshotStore
 from repro.substrates.simulation import Simulation
 from repro.views import ViewManager
@@ -171,14 +171,10 @@ def cold_start_views(directory, specs):
     snapshot, payload = snapshots.latest_recoverable(changelog)
     suffix = changelog.records_between(snapshot.changelog_seq,
                                        changelog.head_seq)
-    assert suffix is not None, "the recovered chain must be contiguous"
-    state = materialize_snapshot(payload)
-    for record in suffix:
-        state = apply_flat_writes(state, record.writes)
-    state = {composite: row for composite, row in state.items()
-             if row is not TOMBSTONE}
+    assert suffix is not None, "the recovered span must be contiguous"
+    state = materialize_snapshot(replay(payload, suffix))
     manager = ViewManager(DictStateBackend(state))
-    manager.attach_recovery(getattr(snapshot, "views_state", None), suffix)
+    manager.attach_recovery(snapshot.views_state, suffix)
     for spec in specs:
         manager.register(spec)
     manager.detach_recovery()

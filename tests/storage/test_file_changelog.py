@@ -42,14 +42,21 @@ class TestRoundTrip:
         fill(relaxed, 7)
         assert relaxed.fsyncs == 0
 
-    def test_duplicate_append_hits_memory_and_disk_once(self, tmp_path):
+    def test_a_new_run_reusing_batch_ids_is_logged(self, tmp_path):
+        """Batch ids restart with every run over one directory, and the
+        log is the only record of committed writes: an append whose id
+        an older run used gets the next seq, in memory and on disk."""
         store = FileChangelogStore(tmp_path)
         seq = store.append(7, writes_for(7))
-        written = store.bytes_written
-        assert store.append(7, writes_for(7)) == seq  # redelivered close
-        assert store.bytes_written == written
         store.close()
-        assert FileChangelogStore(tmp_path).loaded == 1
+        rerun = FileChangelogStore(tmp_path)
+        assert rerun.append(7, writes_for(8)) == seq + 1
+        rerun.close()
+        reopened = FileChangelogStore(tmp_path)
+        assert reopened.loaded == 2
+        assert reopened.records_between(seq, seq + 1)[0].writes \
+            == writes_for(8)
+        reopened.close()
 
 
 class TestTornTail:

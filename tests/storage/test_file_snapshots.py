@@ -1,13 +1,14 @@
-"""File-backed snapshot store: cut persistence, chain cadence across
-restarts, pruning on disk, corrupt-cut handling, changelog repair after
-a cold start, and refusal of every layout version but the current one."""
+"""File-backed snapshot store: cut persistence, the cut cadence across
+restarts, pruning on disk, corrupt-cut handling, position cuts resolved
+through a reopened changelog, and refusal of every layout version but
+the current one."""
 
 import json
 import shutil
 
 import pytest
 
-from repro.runtimes.state import StateDelta
+from repro.runtimes.stateflow.snapshots import SnapshotChainError
 from repro.storage import (FileChangelogStore, FileSnapshotStore,
                            StorageError, read_manifest, open_layout)
 from repro.storage.manifest import FORMAT_VERSION
@@ -21,53 +22,61 @@ def state_v(v):
     return {("Account", "x"): {"v": v}}
 
 
-def delta_v(v):
-    return StateDelta(layers=(state_v(v),))
+def cut(store, changelog=None, at_ms=0.0, state=None):
+    """Take the cut the store asks for, at the changelog's head."""
+    kind = store.next_kind()
+    return store.take(taken_at_ms=at_ms, state=state, kind=kind,
+                      changelog_seq=(changelog.head_seq
+                                     if changelog is not None else -1),
+                      **META)
 
 
 class TestRoundTrip:
     def test_take_close_reopen_resolves_the_same_payload(self, tmp_path):
         store = FileSnapshotStore(tmp_path, mode="incremental", base_every=3)
-        store.take(taken_at_ms=0.0, state=state_v(0), kind="base",
-                   changelog_seq=-1, **META)
-        store.take(taken_at_ms=10.0, state=delta_v(1), kind="delta",
-                   changelog_seq=0, **META)
+        changelog = FileChangelogStore(tmp_path)
+        cut(store, changelog, state=state_v(0))
+        changelog.append(0, state_v(1), at_ms=5.0)
+        cut(store, changelog, at_ms=10.0, state=state_v(1))
+        changelog.close()
 
         reopened = FileSnapshotStore(tmp_path, mode="incremental",
                                      base_every=3)
         assert reopened.loaded == 2
         latest = reopened.latest()
-        assert (latest.snapshot_id, latest.kind, latest.parent_id,
-                latest.taken_at_ms) == (1, "delta", 0, 10.0)
-        assert reopened.resolve(latest) == state_v(1)
+        assert (latest.snapshot_id, latest.kind, latest.base_id,
+                latest.changelog_seq, latest.taken_at_ms, latest.state) \
+            == (1, "position", 0, 0, 10.0, None)
+        cold_changelog = FileChangelogStore(tmp_path)
+        assert reopened.resolve(latest, cold_changelog) == state_v(1)
+        cold_changelog.close()
         # The bench-facing ledger survives too.
         assert [(c.snapshot_id, c.kind) for c in reopened.cut_log] == [
-            (0, "base"), (1, "delta")]
+            (0, "base"), (1, "position")]
 
-    def test_chain_cadence_continues_across_restarts(self, tmp_path):
+    def test_the_first_cut_after_opening_is_a_base(self, tmp_path):
         store = FileSnapshotStore(tmp_path, mode="incremental", base_every=3)
-        store.take(taken_at_ms=0.0, state=state_v(0), kind="base",
-                   changelog_seq=-1, **META)
-        store.take(taken_at_ms=1.0, state=delta_v(1), kind="delta",
-                   changelog_seq=-1, **META)
-        assert store.next_kind() == "delta"
+        cut(store, state=state_v(0))
+        assert store.next_kind() == "position"
+        cut(store)
 
+        # A run over an existing directory starts from whatever its
+        # store holds, not from the old run's base.
         reopened = FileSnapshotStore(tmp_path, mode="incremental",
                                      base_every=3)
-        # base + one delta so far: one more delta, then re-anchor.
-        assert reopened.next_kind() == "delta"
-        reopened.take(taken_at_ms=2.0, state=delta_v(2), kind="delta",
-                      changelog_seq=-1, **META)
         assert reopened.next_kind() == "base"
+        taken = cut(reopened, state=state_v(5))
+        assert (taken.snapshot_id, taken.base_id) == (2, 2)
+        assert reopened.next_kind() == "position"
 
-    def test_id_counter_survives_even_a_full_prune(self, tmp_path):
+    def test_id_counter_survives_losing_every_cut_file(self, tmp_path):
         store = FileSnapshotStore(tmp_path, mode="full")
-        store.take(taken_at_ms=0.0, state=state_v(0), kind="full",
-                   changelog_seq=-1, **META)
-        store.prune(0)
+        cut(store, state=state_v(0))
+        for path in (tmp_path / "snapshots").glob("cut-*.bin"):
+            path.unlink()
         reopened = FileSnapshotStore(tmp_path, mode="full")
-        taken = reopened.take(taken_at_ms=1.0, state=state_v(1),
-                              kind="full", changelog_seq=-1, **META)
+        assert reopened.loaded == 0
+        taken = cut(reopened, state=state_v(1))
         # Ids must never be reused: a stale cut-0 file from a slow
         # unlink or a backup could otherwise shadow a new cut.
         assert taken.snapshot_id == 1
@@ -77,28 +86,27 @@ class TestPruning:
     def test_auto_prune_unlinks_fallen_cut_files(self, tmp_path):
         store = FileSnapshotStore(tmp_path, mode="full", keep=2)
         for n in range(5):
-            store.take(taken_at_ms=float(n), state=state_v(n), kind="full",
-                       changelog_seq=-1, **META)
+            cut(store, state=state_v(n))
         names = sorted(p.name for p in
                        (tmp_path / "snapshots").glob("cut-*.bin"))
         assert names == ["cut-0000000003.bin", "cut-0000000004.bin"]
 
-    def test_explicit_prune_unlinks_the_file(self, tmp_path):
-        store = FileSnapshotStore(tmp_path, mode="full", keep=4)
-        for n in range(2):
-            store.take(taken_at_ms=float(n), state=state_v(n), kind="full",
-                       changelog_seq=-1, **META)
-        store.prune(0)
-        assert not (tmp_path / "snapshots" / "cut-0000000000.bin").exists()
-        assert (tmp_path / "snapshots" / "cut-0000000001.bin").exists()
+    def test_the_base_of_a_retained_cut_keeps_its_file(self, tmp_path):
+        store = FileSnapshotStore(tmp_path, mode="incremental", keep=2,
+                                  base_every=4)
+        for n in range(4):
+            cut(store, state=state_v(n))
+        names = sorted(p.name for p in
+                       (tmp_path / "snapshots").glob("cut-*.bin"))
+        assert names == ["cut-0000000000.bin", "cut-0000000002.bin",
+                         "cut-0000000003.bin"]
 
 
 class TestCorruption:
     def test_unreadable_cut_is_dropped_not_fatal(self, tmp_path):
         store = FileSnapshotStore(tmp_path, mode="full")
         for n in range(2):
-            store.take(taken_at_ms=float(n), state=state_v(n), kind="full",
-                       changelog_seq=-1, **META)
+            cut(store, state=state_v(n))
         newest = tmp_path / "snapshots" / "cut-0000000001.bin"
         newest.write_bytes(b"SF\x00\x00\x00\x09garbage!!")
 
@@ -110,8 +118,7 @@ class TestCorruption:
 
     def test_torn_ledger_tail_is_truncated(self, tmp_path):
         store = FileSnapshotStore(tmp_path, mode="full")
-        store.take(taken_at_ms=0.0, state=state_v(0), kind="full",
-                   changelog_seq=-1, **META)
+        cut(store, state=state_v(0))
         ledger = tmp_path / "snapshots" / "ledger.log"
         intact = ledger.stat().st_size
         with open(ledger, "ab") as handle:
@@ -120,22 +127,42 @@ class TestCorruption:
         assert len(reopened.cut_log) == 1
         assert ledger.stat().st_size == intact
 
+    def test_a_cut_whose_base_file_is_gone_is_skipped(self, tmp_path):
+        store = FileSnapshotStore(tmp_path, mode="incremental", keep=8,
+                                  base_every=2)
+        changelog = FileChangelogStore(tmp_path)
+        for n in range(4):
+            changelog.append(n, state_v(n), at_ms=float(n))
+            cut(store, changelog, at_ms=float(n), state=state_v(n))
+        changelog.close()
+        # Cuts 0 and 2 are bases; 1 and 3 are position cuts.
+        (tmp_path / "snapshots" / "cut-0000000002.bin").write_bytes(b"x")
 
-class TestRepairAfterColdStart:
-    def test_torn_delta_repairs_through_reopened_changelog(self, tmp_path):
+        reopened = FileSnapshotStore(tmp_path, mode="incremental",
+                                     base_every=2)
+        cold_changelog = FileChangelogStore(tmp_path)
+        assert reopened.dropped_unreadable == 1
+        with pytest.raises(SnapshotChainError, match="base 2 is gone"):
+            reopened.resolve(reopened.latest(), cold_changelog)
+        recovered, payload = reopened.latest_recoverable(cold_changelog)
+        assert recovered.snapshot_id == 1
+        assert payload == state_v(1)
+        cold_changelog.close()
+
+
+class TestResolveAfterColdStart:
+    def test_position_cut_resolves_through_reopened_changelog(
+            self, tmp_path):
         snapshots = FileSnapshotStore(tmp_path, mode="incremental",
                                       base_every=4)
         changelog = FileChangelogStore(tmp_path)
-        snapshots.take(taken_at_ms=0.0, state=state_v(0), kind="base",
-                       changelog_seq=changelog.head_seq, **META)
+        cut(snapshots, changelog, state=state_v(0))
         changelog.append(0, state_v(1), at_ms=10.0)
-        snapshots.arm_torn("drop")
-        snapshots.take(taken_at_ms=10.0, state=delta_v(1), kind="delta",
-                       changelog_seq=changelog.head_seq, **META)
+        changelog.append(1, {("Account", "y"): {"v": 7}}, at_ms=20.0)
+        cut(snapshots, changelog, at_ms=20.0)
         live_snapshot, live_payload = snapshots.latest_recoverable(changelog)
         assert live_snapshot.snapshot_id == 1
-        assert live_payload == state_v(1)
-        assert snapshots.changelog_repairs == 1
+        assert live_payload == {**state_v(1), ("Account", "y"): {"v": 7}}
         changelog.close()
 
         cold_snapshots = FileSnapshotStore(tmp_path, mode="incremental",
@@ -143,10 +170,8 @@ class TestRepairAfterColdStart:
         cold_changelog = FileChangelogStore(tmp_path)
         cold_snapshot, cold_payload = cold_snapshots.latest_recoverable(
             cold_changelog)
-        # The tear survives persistence — and so does its repair.
         assert cold_snapshot.snapshot_id == 1
-        assert cold_payload == state_v(1)
-        assert cold_snapshots.changelog_repairs == 1
+        assert cold_payload == live_payload
         cold_changelog.close()
 
 
@@ -162,9 +187,7 @@ class TestLayoutVersioning:
         """Fabricate the flat v0 prototype layout: everything in the
         root, no manifest."""
         staging = tmp_path / "staging"
-        snapshots = FileSnapshotStore(staging, mode="full")
-        snapshots.take(taken_at_ms=0.0, state=state_v(0), kind="full",
-                       changelog_seq=-1, **META)
+        cut(FileSnapshotStore(staging, mode="full"), state=state_v(0))
         changelog = FileChangelogStore(staging)
         changelog.append(0, state_v(1), at_ms=10.0)
         changelog.close()
@@ -196,16 +219,24 @@ class TestLayoutVersioning:
         assert list(root.iterdir())
         self._assert_refused_untouched(root, 0)
 
-    def test_v1_layout_is_refused(self, tmp_path):
-        store = FileSnapshotStore(tmp_path, mode="full")
-        store.take(taken_at_ms=0.0, state=state_v(0), kind="full",
-                   changelog_seq=-1, **META)
+    def _stamp(self, tmp_path, version):
+        """A current-format directory whose manifest claims *version*."""
+        cut(FileSnapshotStore(tmp_path, mode="full"), state=state_v(0))
         layout = open_layout(tmp_path)
         manifest = json.loads(layout.manifest_path.read_text())
         assert manifest["format_version"] == FORMAT_VERSION
-        manifest["format_version"] = 1
+        manifest["format_version"] = version
         layout.manifest_path.write_text(json.dumps(manifest))
+
+    def test_v1_layout_is_refused(self, tmp_path):
+        self._stamp(tmp_path, 1)
         self._assert_refused_untouched(tmp_path, 1)
+
+    def test_v2_layout_is_refused(self, tmp_path):
+        """Version 2 cut frames chain deltas to their parent; this build
+        cannot resolve them."""
+        self._stamp(tmp_path, 2)
+        self._assert_refused_untouched(tmp_path, 2)
 
     def test_current_layout_reopens(self, tmp_path):
         FileChangelogStore(tmp_path).close()
@@ -234,8 +265,7 @@ class TestRetiredPayloadClasses:
 
         store = FileSnapshotStore(tmp_path, mode="full")
         for n in range(3):
-            store.take(taken_at_ms=float(n), state=state_v(n), kind="full",
-                       changelog_seq=-1, **META)
+            cut(store, state=state_v(n))
         retired = tmp_path / "snapshots" / "cut-0000000001.bin"
         snapshot = decode_frame(retired.read_bytes())
 

@@ -1,8 +1,8 @@
 """Property tests for the process substrate's binary wire format.
 
 Every message type must survive an encode/decode round trip unchanged —
-including identity-sensitive payloads (``TOMBSTONE``), structured
-migration fragments (``SlotDelta``), real travelling events (``Event``
+including identity-sensitive payloads (``TOMBSTONE``), whole-slot
+migration fragments, real travelling events (``Event``
 is ``eq=False``, so they are compared field by field, ``event_id``
 included) and frames torn at arbitrary byte boundaries across
 ``FrameDecoder.feed`` calls.  Truncated or corrupt input must raise
@@ -28,12 +28,7 @@ from repro.ir.events import (
     Frame,
     TxnContext,
 )
-from repro.runtimes.state import (
-    TOMBSTONE,
-    SlotAssignment,
-    SlotDelta,
-    StateDelta,
-)
+from repro.runtimes.state import TOMBSTONE, PartitionedStore, SlotAssignment
 from repro.runtimes.stateflow.snapshots import ChangelogRecord
 from repro.substrates.wire import (
     MAGIC,
@@ -77,13 +72,6 @@ _entity_keys = st.one_of(st.integers(), st.text(max_size=8))
 _keys = st.tuples(st.sampled_from(["Account", "Cart"]), _entity_keys)
 
 _write_sets = st.dictionaries(_keys, _states, max_size=5)
-
-_slot_deltas = st.builds(
-    SlotDelta,
-    slot=st.integers(min_value=0, max_value=127),
-    delta=st.builds(
-        StateDelta,
-        layers=st.tuples(st.dictionaries(_keys, _states, max_size=3))))
 
 _refs = st.builds(EntityRef, st.sampled_from(["Account", "Cart"]),
                   _entity_keys)
@@ -242,16 +230,15 @@ def test_tombstone_survives_by_identity() -> None:
     assert decoded.writes[("Account", 2)] == {"balance": 7}
 
 
-def test_slot_delta_round_trip() -> None:
-    delta = SlotDelta(slot=9, delta=StateDelta(layers=(
-        {("Account", 1): {"balance": 10}},
-        {("Account", 1): TOMBSTONE})))
-    decoded = decode_frame(encode_frame(
-        InstallSlot(9, payload={"fragment": delta})))
-    fragment = decoded.payload["fragment"]
-    assert fragment.slot == 9
-    merged = fragment.delta.merged()
-    assert merged[("Account", 1)] is TOMBSTONE
+def test_slot_fragment_round_trip() -> None:
+    store = PartitionedStore(2, slots=4)
+    for key in range(8):
+        store.put("Account", key, {"balance": key})
+    slot = store.slot_of("Account", 1)
+    fragment = store.snapshot_slot(slot)
+    decoded = decode_frame(encode_frame(InstallSlot(slot, payload=fragment)))
+    assert decoded.payload == fragment
+    assert decoded.payload[("Account", 1)] == {"balance": 1}
 
 
 def test_out_of_band_buffers_round_trip() -> None:

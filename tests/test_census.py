@@ -231,7 +231,6 @@ ROWS: dict[tuple[str, str], Row] = {
         CLI_TESTS, None, "the message-only plan the Local runtime takes"),
     ("repro chaos plan", "--coordinator-faults"): ci(),
     ("repro chaos plan", "--rescales"): ci(),
-    ("repro chaos plan", "--torn-snapshots"): ci(),
     ("repro chaos plan", "--out"): ci(),
     ("repro chaos run", "--plan"): ci(),
     ("repro chaos run", "--system"): FIG3,
@@ -272,8 +271,6 @@ ROWS: dict[tuple[str, str], Row] = {
     ("repro rescale run", "--faults"): ci(),
     ("repro rescale run", "--pipeline-depth"): by_test(
         FLAG_TESTS, None, "serial batches across a resize"),
-    ("repro rescale run", "--snapshot-mode"): by_test(
-        FLAG_TESTS, None, "slots migrated as base+delta fragments"),
     # -- environment ------------------------------------------------------
     ("env", "REPRO_BENCH_DIR"): by_test(
         "tests/conftest.py", None,
@@ -352,4 +349,4 @@ def test_the_count_only_falls():
     """The census started from 138 values (71 fields, 64 options, 3
     variables); a change that adds a value adds its row and raises this
     bound in the same diff."""
-    assert len(settable_values()) <= 110
+    assert len(settable_values()) <= 108

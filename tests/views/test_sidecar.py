@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtimes.state import DictStateBackend, StateDelta
+from repro.runtimes.state import DictStateBackend
 from repro.runtimes.stateflow.snapshots import ChangelogRecord
 from repro.views import (
     TOMBSTONE,
@@ -195,7 +195,11 @@ class TestColdStartAttachRecovery:
             live = {composite: state
                     for composite, state in writes.items()
                     if state is not TOMBSTONE}
-            store.apply_delta(StateDelta(layers=(writes,)))
+            for composite, state in writes.items():
+                if state is TOMBSTONE:
+                    store.store.pop(composite)
+                else:
+                    store.put(*composite, state)
             manager.on_commit(batch_id, live, at_ms=at_ms)
             if batch_id == 1:
                 sidecar = manager.export_sidecar()
