@@ -17,11 +17,15 @@ The compiled plan's contract is deliberately tiny:
   in, O(changed keys), and returns the plan's own output delta
   (``None`` when the visible result did not change);
 - ``value()`` reads the current result without touching entity state;
-- ``hydrate(items)`` rebuilds from a full scan — registration and the
-  scan-fallback recovery path both go through it, because feeding the
-  whole state as one delta from empty *is* the from-scratch recompute
-  (absolute states make the two paths identical, which the hypothesis
-  battery asserts);
+- ``hydrate(items)`` rebuilds from a full scan — registration, the
+  scan-fallback recovery path and :func:`recompute` all go through it.
+  Feeding the whole state as one delta from empty *is* the
+  from-scratch recompute (absolute states make it equal to the
+  incremental path, which the hypothesis battery asserts), but
+  ``hydrate`` *builds* each operator from the scan instead (one sort
+  per ordered index, no per-row probe or insort), pinned byte-equal to
+  that fold by the battery's build property; a row the build cannot
+  take sends it to the fold, so errors are the fold's;
 - ``export_state()``/``restore_state()`` round-trip the operators'
   retraction memos through the durable-view sidecar (see
   :meth:`~repro.views.manager.ViewManager.export_sidecar`), so recovery
@@ -240,18 +244,47 @@ class CompiledView:
     def hydrate(self, items: Iterable[tuple[Any, dict]],
                 join_items: Iterable[tuple[Any, dict]] | None = None,
                 at_ms: float | None = None) -> None:
-        """Rebuild from a full scan: reset and fold the whole state in
-        as one delta (identical to recompute-from-scratch).  Joins scan
-        both sides; windowed plans collapse all surviving keys into the
-        window containing *at_ms* — the scan carries no history, which
-        is exactly why windowed plans prefer the sidecar path."""
-        self.reset()
-        per_entity: dict[str, Delta] = {
-            self.spec.entity: {key: row for key, row in items}}
+        """Rebuild from a full scan (each key once): reset and *build*
+        the terminal operator from the scan — one sort per ordered
+        index, no per-row probe or insort — landing on exactly the
+        memos folding the whole state in as one delta from empty
+        leaves (the operator property battery pins the two
+        byte-equal).  If the build raises, the fold runs instead, so a
+        row it rejects raises the fold's :class:`ViewError`, naming the
+        key.  Joins scan both sides; windowed plans collapse all
+        surviving keys into the window containing *at_ms* — the scan
+        carries no history, which is exactly why windowed plans prefer
+        the sidecar path.
+
+        The fallback reads the scans again, so a one-shot iterator is
+        listed first; a re-iterable scan (a list, ``dict.items()``, the
+        manager's store scans) is read in place both times."""
+        scans = {self.spec.entity: _rereadable(items)}
         if self.join is not None:
-            per_entity[self.spec.join_entity] = {
-                key: row for key, row in (join_items or ())}
-        self.apply_batch(per_entity, at_ms=at_ms)
+            scans[self.spec.join_entity] = _rereadable(join_items or ())
+        self.reset()
+        try:
+            self._build(scans, at_ms)
+        except Exception:
+            # Whatever raised — a rejected row, a user callable, a key
+            # named twice — the fold is the reference: it raises what
+            # it raises, or lands where it lands.
+            self.reset()
+            self.apply_batch({entity: dict(scan)
+                              for entity, scan in scans.items()},
+                             at_ms=at_ms)
+
+    def _build(self, scans: dict[str, Iterable],
+               at_ms: float | None) -> None:
+        scan = scans[self.spec.entity]
+        if self.join is not None:
+            scan = self.join.apply(
+                dict(scan), dict(scans[self.spec.join_entity])).items()
+        rows = self.filter_map.rows(scan)
+        if isinstance(self.terminal, WindowedAggregate):
+            self.terminal.build(rows, at_ms=at_ms)
+        else:
+            self.terminal.build(rows)
 
     def value(self) -> Any:
         """The current result, shaped per kind: scalar for ungrouped
@@ -281,6 +314,10 @@ class CompiledView:
         self.terminal.restore_state(state["terminal"])
         if self.join is not None:
             self.join.restore_state(state["join"])
+
+
+def _rereadable(scan: Iterable) -> Iterable:
+    return list(scan) if iter(scan) is scan else scan
 
 
 def compile_spec(spec: ViewSpec) -> CompiledView:
@@ -330,9 +367,11 @@ def recompute(spec: ViewSpec, items: Iterable[tuple[Any, dict]],
               join_items: Iterable[tuple[Any, dict]] | None = None,
               at_ms: float | None = None) -> Any:
     """The full-scan oracle: evaluate *spec* from scratch over *items*
-    (``(key, row)`` pairs; *join_items* supplies the joined entity for
-    FK-join specs).  Tests, the bench cell and the CI gates compare
-    every incremental view against this."""
+    (``(key, row)`` pairs, each key once; *join_items* supplies the
+    joined entity for FK-join specs).  Tests, the bench cell and the CI
+    gates compare every incremental view against this.  It is a build
+    (:meth:`CompiledView.hydrate`), which the property battery pins
+    equal to folding *items* in as one delta from empty."""
     compiled = compile_spec(spec)
     compiled.hydrate(items, join_items=join_items, at_ms=at_ms)
     return compiled.value()

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from .compiler import CompiledView, ViewCompiler, ViewSpec
 from .operators import ViewError
@@ -101,6 +101,22 @@ class ViewUpdate:
     #: construction: aggregates, rollups, windows, bounded top-k).
     value: Any
     at_ms: float | None
+
+
+class _Scan:
+    """Every row of one entity, read in place (``entries(entity)``) each
+    time it is iterated: a hydration whose build falls back to the fold
+    reads its scan twice, and a listed copy would keep a tuple per row
+    alive for the garbage collector to walk."""
+
+    __slots__ = ("_store", "_entity")
+
+    def __init__(self, store: Any, entity: str):
+        self._store = store
+        self._entity = entity
+
+    def __iter__(self) -> Iterator[tuple[Any, Any]]:
+        return self._store.entries(self._entity)
 
 
 class ViewManager:
@@ -190,17 +206,17 @@ class ViewManager:
         if not compiled.names:
             self._compiler.forget(compiled)
 
-    def _join_scan(self, compiled: CompiledView):
+    def _join_scan(self, compiled: CompiledView) -> _Scan | None:
         """The joined entity's scan for hydration, when the plan joins."""
         if compiled.spec.join_entity is None:
             return None
-        return self._store.entries(compiled.spec.join_entity)
+        return _Scan(self._store, compiled.spec.join_entity)
 
     def _hydrate(self, compiled: CompiledView, last_applied_batch: int,
                  at_ms: float | None) -> None:
         """Rebuild one plan from a store scan and put it (back) in
         service as of *last_applied_batch*."""
-        compiled.hydrate(self._store.entries(compiled.spec.entity),
+        compiled.hydrate(_Scan(self._store, compiled.spec.entity),
                          join_items=self._join_scan(compiled),
                          at_ms=at_ms)
         compiled.last_applied_batch = last_applied_batch
@@ -254,7 +270,7 @@ class ViewManager:
             raise ViewError(
                 f"view {name!r} is windowed: window assignment lives in "
                 f"operator state, not rows, so no full-scan oracle exists")
-        return recompute(spec, self._store.entries(spec.entity),
+        return recompute(spec, _Scan(self._store, spec.entity),
                          join_items=self._join_scan(compiled))
 
     # -- subscriptions --------------------------------------------------

@@ -49,8 +49,9 @@ and leaves the index alone.
 Every ``apply`` is **two-phase**: all field extraction (``group_of``,
 ``value_of``, score and foreign-key lookups) and a probe of the
 operation the kind is about to perform on the value (addition for
-``sum``/``avg``; ordering against itself and against a value already
-indexed for ``min``/``max``/top-k) are staged before the first memo
+``sum``/``avg``; ordering against itself, against a value already
+indexed and against the first value the delta stages for the same
+group for ``min``/``max``/top-k) are staged before the first memo
 mutation, so a delta that raises — a missing field, a ``None`` or a
 ``str`` among numbers — raises :class:`ViewError` and leaves the
 operator exactly as it was.  A partially applied delta would be
@@ -61,6 +62,17 @@ Because deltas carry *absolute* states (the changelog convention, see
 is idempotent and applying the last-writer-wins compaction of a delta
 sequence lands on the same state as applying the sequence — the
 properties the hypothesis battery in ``tests/views`` pins down.
+
+**A scan is built, not replayed.**  Each stateful terminal operator
+also has a from-empty ``build(rows)``, which
+:meth:`~repro.views.compiler.CompiledView.hydrate` uses on a reset
+operator (registration, a restore without a sidecar, ``recompute``):
+the memos are filled in scan order and each :class:`OrderedGroupIndex`
+is sorted once, where folding the scan in as one delta would probe and
+insort row by row.  The build leaves the memos the fold would, byte for
+byte (the property battery compares their pickles); a row the fold
+would reject makes it raise, and ``hydrate`` then runs the fold, which
+raises the fold's :class:`ViewError`.  ``apply`` is untouched by it.
 
 Each stateful operator also implements ``export_state``/
 ``restore_state``: a picklable image of exactly the memos above, riding
@@ -75,7 +87,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from typing import Any, Callable
+from itertools import groupby, islice
+from operator import eq, itemgetter
+from typing import Any, Callable, Iterable, Iterator
 
 from ..core.errors import StatefulEntityError
 from ..runtimes.state import TOMBSTONE, fast_deepcopy
@@ -118,15 +132,30 @@ class FilterMap:
             if row is TOMBSTONE or (where is not None and not where(row)):
                 out[key] = TOMBSTONE
             elif project is not None:
-                missing = [f for f in project if f not in row]
-                if missing:
-                    raise ViewError(
-                        f"view row for key {key!r} lacks field(s) "
-                        f"{missing}")
-                out[key] = {f: row[f] for f in project}
+                out[key] = self._project(key, row)
             else:
                 out[key] = row
         return out
+
+    def rows(self, scan: Iterable[tuple[Any, Any]]
+             ) -> Iterator[tuple[Any, dict]]:
+        """The ``(key, row)`` pairs :meth:`apply` passes on when *scan*
+        is folded in from empty, in scan order.  Its retractions are
+        left out: from empty they retract nothing, a scan naming each
+        key once."""
+        where, project = self.where, self.project
+        for key, row in scan:
+            if row is TOMBSTONE or (where is not None and not where(row)):
+                continue
+            yield key, (row if project is None
+                        else self._project(key, row))
+
+    def _project(self, key: Any, row: dict) -> dict:
+        missing = [f for f in self.project if f not in row]
+        if missing:
+            raise ViewError(
+                f"view row for key {key!r} lacks field(s) {missing}")
+        return {f: row[f] for f in self.project}
 
 
 class _RevStr:
@@ -160,13 +189,16 @@ def rank_key(score: Any, key: Any) -> tuple:
     return (score, _RevStr(str(key)))
 
 
-def _check_ordered(key: Any, value: Any, indexed: tuple | None) -> None:
+def _check_ordered(key: Any, value: Any, indexed: tuple | None,
+                   first: Any) -> None:
     """Probe what an ordered index will do with *value*: compare it with
-    itself (``None`` raises, NaN is not ``<=`` itself) and with the
-    value of an entry the index already holds (a ``str`` among numbers
-    raises)."""
+    itself (``None`` raises, NaN is not ``<=`` itself), with the value
+    of an entry the index already holds and with *first*, the first
+    value staged for the same group by the same delta (a ``str`` among
+    numbers raises, also in a group the delta creates)."""
     try:
         ordered = value <= value and (
+            value < first or value >= first) and (
             indexed is None
             or value < indexed[0] or value >= indexed[0])
     except TypeError as exc:
@@ -175,6 +207,18 @@ def _check_ordered(key: Any, value: Any, indexed: tuple | None) -> None:
     if not ordered:
         raise ViewError(f"view row for key {key!r}: value {value!r} "
                         f"has no place in the order")
+
+
+_VALUE = itemgetter(0)
+_INTS = frozenset((int,))
+
+
+def _interchangeable(value: Any, stand: Any) -> bool:
+    """Whether *value* may stand for its slot in place of the equal
+    *stand* with no visible difference: the same object, or equal ints,
+    or equal non-zero floats (neither is memoized by pickle)."""
+    return value is stand or type(value) is type(stand) and (
+        type(value) is int or type(value) is float and value != 0)
 
 
 def _copy_index(groups: dict[Any, tuple]) -> dict[Any, tuple]:
@@ -199,7 +243,11 @@ class OrderedGroupIndex:
     O(1), ``top`` collects the k highest in O(k), a membership change
     is two O(log n) bisects.  A value whose last entry is removed
     disappears, and so does a group whose last value does (no
-    empty-list residue)."""
+    empty-list residue).
+
+    Maintenance is O(log n) per change (plus the list insert's
+    memmove); a from-empty load (:meth:`build`) is one O(n log n) sort
+    per group, where n ``add`` calls would each move up to n entries."""
 
     __slots__ = ("_groups",)
 
@@ -219,6 +267,51 @@ class OrderedGroupIndex:
         else:
             values.insert(at, value)
             tied.insert(at, [(value, str(key), key)])
+
+    def build(self, groups: dict[Any, list[tuple]],
+              scan_order: Iterable) -> None:
+        """From-empty load: sort each group's ``(value, str(key), key)``
+        entries once and split them into values and ties in one pass.
+
+        Lands on exactly what :meth:`add`-ing the entries one by one in
+        *scan_order* (their keys, in the order they were added) leaves,
+        groups in first-added order.  Sorting decides every position;
+        the order of adds decides only which of several equal values
+        stands for their slot — the first added — and that shows only
+        when they differ in type or identity (``1``/``1.0``,
+        ``0.0``/``-0.0``, two equal strings), where *scan_order* is
+        read to find it."""
+        position: dict[Any, int] = {}
+        for group, entries in groups.items():
+            entries.sort()
+            values = list(map(_VALUE, entries))
+            if not any(map(eq, values, islice(values, 1, None))):
+                self._groups[group] = (values, [[entry] for entry in entries])
+                continue  # no two values equal
+            tied = [list(run) for _, run in groupby(entries, _VALUE)]
+            if not _INTS.issuperset(map(type, values)):
+                values = self._first_added(tied, position, scan_order)
+            else:
+                values = [run[0][0] for run in tied]
+            self._groups[group] = (values, tied)
+
+    @staticmethod
+    def _first_added(tied: list[list[tuple]], position: dict[Any, int],
+                     scan_order: Iterable) -> list:
+        """Each slot's value as its first-added entry carries it.
+        *position* (key -> scan index) is filled on first need and
+        kept for the next group."""
+        values = []
+        for run in tied:
+            stand = run[0][0]
+            if len(run) > 1 and not all(_interchangeable(entry[0], stand)
+                                        for entry in run):
+                if not position:
+                    position.update(
+                        (key, i) for i, key in enumerate(scan_order))
+                stand = min(run, key=lambda entry: position[entry[2]])[0]
+            values.append(stand)
+        return values
 
     def remove(self, group: Any, value: Any, key: Any) -> None:
         values, tied = self._groups[group]
@@ -289,6 +382,18 @@ def _kahan_add(bucket: list, value: Any) -> None:
     bucket[1] = fresh
 
 
+def _check_summable(key: Any, total: Any, value: Any) -> None:
+    """Probe what ``sum``/``avg`` will do with *value*: add it to the
+    group's running *total*, and take it back, on a scratch bucket."""
+    scratch = [0, total, 0]
+    try:
+        _kahan_add(scratch, value)
+        _kahan_add(scratch, -value)
+    except TypeError as exc:
+        raise ViewError(f"view row for key {key!r}: value {value!r} "
+                        f"cannot be summed ({exc})") from exc
+
+
 class GroupAggregate:
     """count/sum/avg/min/max per group, with O(1)–O(log n) retraction.
 
@@ -343,19 +448,6 @@ class GroupAggregate:
             return total + comp
         return (total + comp) / count
 
-    def _check_summable(self, key: Any, group: Any, value: Any) -> None:
-        """Probe what ``sum``/``avg`` will do with *value*: add it to
-        the group's running total, and take it back, on a scratch
-        bucket."""
-        bucket = self._groups.get(group)
-        scratch = [0, bucket[1] if bucket is not None else 0, 0]
-        try:
-            _kahan_add(scratch, value)
-            _kahan_add(scratch, -value)
-        except TypeError as exc:
-            raise ViewError(f"view row for key {key!r}: value {value!r} "
-                            f"cannot be summed ({exc})") from exc
-
     def _stage(self, delta: Delta) -> list[tuple[Any, tuple | None]]:
         """Phase one: extract every row's (group, value) and probe the
         value without touching a single memo.  ``group_of``/``value_of``
@@ -367,6 +459,8 @@ class GroupAggregate:
         staged: list[tuple[Any, tuple | None]] = []
         group_of, value_of = self.group_of, self.value_of
         contrib, ordered = self._contrib, self._ordered
+        #: ordered kinds: group -> the first value staged for it.
+        firsts: dict = {}
         for key, row in delta.items():
             if row is TOMBSTONE:
                 if key in contrib:
@@ -379,9 +473,12 @@ class GroupAggregate:
             if old == contribution and type(old[1]) is type(value):
                 continue
             if ordered is not None:
-                _check_ordered(key, value, ordered.smallest(group))
+                _check_ordered(key, value, ordered.smallest(group),
+                               firsts.setdefault(group, value))
             elif self._summing:
-                self._check_summable(key, group, value)
+                bucket = self._groups.get(group)
+                _check_summable(key, bucket[1] if bucket is not None else 0,
+                                value)
             staged.append((key, contribution))
         return staged
 
@@ -420,6 +517,54 @@ class GroupAggregate:
             out[group] = (self._aggregate(group)
                           if group in groups else TOMBSTONE)
         return out
+
+    def build(self, rows: Iterable[tuple[Any, dict]]) -> None:
+        """From-empty load of a reset operator: the memos
+        ``apply(dict(rows))`` leaves, byte for byte, without the fold's
+        insort, and without its per-row probe where the value's type
+        makes it a no-op (ints; floats too for sums).  Totals
+        accumulate in scan order with the fold's Kahan sequence (a
+        plain ``+`` while value and total are both ints, which is what
+        it computes for them); an ordered index is sorted once
+        (:meth:`OrderedGroupIndex.build`).  Each key comes once.  A row
+        the fold would reject raises here too, not always with the
+        fold's message: the caller re-runs the fold
+        (:meth:`~repro.views.compiler.CompiledView.hydrate`)."""
+        contrib, groups, ordered = self._contrib, self._groups, self._ordered
+        group_of, value_of = self.group_of, self.value_of
+        summing = self._summing
+        #: ordered kinds: group -> (first value, its entries).
+        entries: dict[Any, tuple[Any, list]] = {}
+        count = 0
+        for key, row in rows:
+            group = group_of(row) if group_of is not None else None
+            value = value_of(row) if value_of is not None else 0
+            contrib[key] = (group, value)
+            count += 1
+            bucket = groups.get(group)
+            if bucket is None:
+                bucket = groups[group] = [0, 0, 0]
+                if ordered is not None:
+                    entries[group] = (value, [])
+            bucket[0] += 1
+            if summing:
+                if type(value) is int and type(bucket[1]) is int:
+                    bucket[1] += value  # all Kahan computes for ints
+                else:
+                    if type(value) is not float and type(value) is not int:
+                        _check_summable(key, 0, value)  # the fold's probe
+                    _kahan_add(bucket, value)
+            elif ordered is not None:
+                first, group_entries = entries[group]
+                if type(value) is not int or type(first) is not int:
+                    # (ints always order among themselves)
+                    _check_ordered(key, value, None, first)
+                group_entries.append((value, str(key), key))
+        if count != len(contrib):
+            raise ViewError("a scan names a key more than once")
+        if ordered is not None:
+            ordered.build({group: group_entries for group, (_, group_entries)
+                           in entries.items()}, contrib)
 
     def result(self) -> dict[Any, Any]:
         return {group: self._aggregate(group) for group in self._groups}
@@ -486,6 +631,11 @@ class WindowedAggregate(GroupAggregate):
     def apply(self, delta: Delta, at_ms: float | None = None) -> Delta:
         self._now_window = self.window_start(at_ms)
         return super().apply(delta)
+
+    def build(self, rows: Iterable[tuple[Any, dict]],
+              at_ms: float | None = None) -> None:
+        self._now_window = self.window_start(at_ms)
+        super().build(rows)
 
 
 class DeltaJoin:
@@ -650,6 +800,8 @@ class TopK:
         # (either may raise) before the first memo mutation.
         rows, index = self._rows, self._index
         indexed = index.largest(None)
+        #: The first score staged by this delta (the global group's).
+        firsts: dict = {}
         same_score: list[tuple[Any, tuple]] = []
         moved: list[tuple[Any, tuple | None, tuple | None]] = []
         for key, row in delta.items():
@@ -664,7 +816,8 @@ class TopK:
                     and type(old[0]) is type(score):
                 same_score.append((key, new))
             else:
-                _check_ordered(key, score, indexed)
+                _check_ordered(key, score, indexed,
+                               firsts.setdefault(None, score))
                 moved.append((key, old, new))
         rows.update(same_score)
         before = self._top_keys()
@@ -680,6 +833,28 @@ class TopK:
         if after == before and all(key not in delta for key in after):
             return None
         return self._materialize(after)
+
+    def build(self, rows: Iterable[tuple[Any, dict]]) -> None:
+        """From-empty load of a reset operator: the memos
+        ``apply(dict(rows))`` leaves, with the index sorted once
+        (:meth:`OrderedGroupIndex.build`) instead of one insort per
+        row.  Each key comes once; a row the fold would reject raises
+        (see :meth:`GroupAggregate.build`)."""
+        memo, score_of = self._rows, self.score_of
+        entries: list[tuple] = []
+        first = None
+        for key, row in rows:
+            score = score_of(row)
+            if not entries:
+                first = score
+            if type(score) is not int or type(first) is not int:
+                _check_ordered(key, score, None, first)
+            memo[key] = (score, row, _is_flat(row))
+            entries.append((score, str(key), key))
+        if len(entries) != len(memo):
+            raise ViewError("a scan names a key more than once")
+        if entries:
+            self._index.build({None: entries}, memo)
 
     def _materialize(self, keys: list) -> list[dict]:
         """Rows leave the layer here, so this is where they are copied

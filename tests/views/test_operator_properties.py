@@ -12,13 +12,22 @@ The algebra the operators rely on, pinned with hypothesis:
 3. duplicate delivery — re-applying any delta is a no-op;
 4. tombstones — deletions flow through group aggregates (bucket
    retraction, group tombstones) and top-k (index eviction + backfill)
-   without drift.
+   without drift;
+5. build ≡ fold — ``hydrate`` builds each operator from the scan (one
+   sort per ordered index) and must leave memos byte-equal, by pickle,
+   to folding the scan in as one delta from empty: same values and
+   types, same dict order, same Kahan compensation, for every spec
+   here plus float-valued, windowed and joined ones.
 
 Values are ints so ``avg`` equality is exact: both paths divide the
-same integer total by the same integer count.
+same integer total by the same integer count — except in the build
+battery, whose byte equality needs no tolerance.
 """
 
-from hypothesis import given, settings
+import pickle
+
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.views import TOMBSTONE, ViewSpec, compile_spec, recompute
@@ -153,3 +162,68 @@ def test_hydrate_equals_incremental(sequence):
         hydrated = compile_spec(spec)
         hydrated.hydrate(_fold_state(sequence).items())
         assert incremental.value() == hydrated.value()
+
+
+# ---------------------------------------------------------------------------
+# build == fold
+
+#: Keys whose order differs from their strings' (2 < 10, "10" < "2"), so
+#: ties must break by ``str(key)``, not by key.
+SCAN_KEYS = st.sampled_from([0, 2, 10, 11, 100, "a", "k3", "b"])
+#: Equal values of another type or sign (1/1.0, 0/0.0/-0.0) share one
+#: slot of an ordered index; which one stands for it shows in the bytes.
+SCAN_VALUES = st.one_of(
+    st.sampled_from([1, 1.0, 0, 0.0, -0.0, 2, 2.0, 0.1, 2.5, -3, True]),
+    st.integers(-5, 5),
+    st.floats(-1e3, 1e3))
+#: Magnitudes far apart, so the Kahan compensation is not zero.
+FLOAT_VALUES = st.one_of(
+    st.sampled_from([0.1, 1e16, -1e16, 3.3, 0.0, -0.0]),
+    st.floats(-1e6, 1e6))
+SCAN_ROWS = st.fixed_dictionaries({
+    "g": st.sampled_from([0, 1, 1.0, 2]),
+    "v": SCAN_VALUES,
+    "f": FLOAT_VALUES,
+})
+#: A scan as a dict: each key once, tombstones and where-misses mixed in.
+SCANS = st.dictionaries(SCAN_KEYS, st.one_of(st.just(TOMBSTONE), SCAN_ROWS),
+                        max_size=12)
+
+BUILD_SPECS = SPECS + [
+    ViewSpec("fsum", "E", "sum", field="f"),
+    ViewSpec("fsum-grouped", "E", "sum", field="f", group_by="g"),
+    ViewSpec("favg-filtered", "E", "avg", field="f", where=_positive),
+    ViewSpec("fmin-grouped", "E", "min", field="f", group_by="g"),
+    ViewSpec("fmax", "E", "max", field="f"),
+    ViewSpec("ftop2", "E", "top_k", field="f", k=2),
+    ViewSpec("windowed-min", "E", "min", field="v", window_ms=10.0),
+    ViewSpec("windowed-sum", "E", "sum", field="f", window_ms=10.0),
+    ViewSpec("joined-max", "E", "max", field="J__w", group_by="g",
+             join_entity="J", join_on="g"),
+]
+JOIN_ROWS = st.dictionaries(st.sampled_from([0, 1, 2]),
+                            st.fixed_dictionaries({"w": SCAN_VALUES}))
+
+
+def _no_fold(*args, **kwargs):
+    raise AssertionError("hydrate fell back to the fold")
+
+
+@pytest.mark.parametrize("spec", BUILD_SPECS, ids=lambda spec: spec.name)
+@given(scan=SCANS, join_rows=JOIN_ROWS)
+@example(scan={"b": {"g": 0, "v": 0.0, "f": 0.0},
+               "a": {"g": 0, "v": -0.0, "f": -0.0},
+               10: {"g": 1.0, "v": 0.1, "f": 0.1},
+               2: {"g": 1, "v": 1, "f": 1e16},
+               11: {"g": 1, "v": 1.0, "f": 3.3}},
+         join_rows={0: {"w": 0.0}, 1: {"w": 1.0}})
+@settings(max_examples=60, deadline=None)
+def test_build_is_byte_equal_to_the_fold(spec, scan, join_rows):
+    folded = compile_spec(spec)
+    folded.reset()
+    folded.apply_batch({"E": scan, "J": join_rows}, at_ms=25.0)
+    built = compile_spec(spec)
+    built.terminal.apply = _no_fold  # the build must not need the fold
+    built.hydrate(scan.items(), join_items=join_rows.items(), at_ms=25.0)
+    assert pickle.dumps(built.export_state()) == pickle.dumps(
+        folded.export_state())

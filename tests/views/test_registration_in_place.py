@@ -6,7 +6,12 @@ row contract the commit fan-out follows (``PartitionedStore.entry``).
 These tests count both costs on a multi-slot store holding two
 entities, check that every memoized row *is* the store's entry, and
 that a shared row does not let a later commit leak into a view before
-the batch is folded."""
+the batch is folded.
+
+Registration also *builds* each plan rather than folding the scan in:
+an ordered index is sorted once, never inserted into row by row, and a
+row the fold rejects still fails registration with the fold's own
+error."""
 
 import copy
 
@@ -15,9 +20,9 @@ import pytest
 from repro.bench.views import cell_views
 from repro.runtimes import state as state_module
 from repro.runtimes.state import PartitionedStore
-from repro.views import ViewManager, ViewSpec
+from repro.views import OrderedGroupIndex, ViewError, ViewManager, ViewSpec
 from repro.views import operators as operators_module
-from repro.views.compiler import recompute
+from repro.views.compiler import compile_spec, recompute
 
 ACCOUNTS = 60
 BRANCHES = 4
@@ -153,3 +158,47 @@ def test_on_restore_without_a_sidecar_rehydrates_in_place(counted):
     assert counted == {"copies": 0, "hashes": 0}
     assert manager.rehydrations == len(manager._compiler.plans)
     _assert_in_place(store, manager)
+
+
+def test_registration_and_recompute_sort_instead_of_inserting(monkeypatch):
+    calls = {"add": 0, "insort": 0}
+    add, insort = OrderedGroupIndex.add, operators_module.insort
+
+    def counted_add(self, *args):
+        calls["add"] += 1
+        return add(self, *args)
+
+    def counted_insort(*args):
+        calls["insort"] += 1
+        return insort(*args)
+
+    monkeypatch.setattr(OrderedGroupIndex, "add", counted_add)
+    monkeypatch.setattr(operators_module, "insort", counted_insort)
+    store = _store()
+    manager = ViewManager(store)
+    for spec in _specs():
+        manager.register(spec)
+        _oracle(store, spec)
+    assert calls == {"add": 0, "insort": 0}, (
+        "a from-empty build sorts each ordered index once")
+    _assert_in_place(store, manager)
+
+
+@pytest.mark.parametrize("kind, poison", [
+    ("min", None), ("min", float("nan")), ("min", "seven"),
+    ("top_k", None), ("top_k", float("nan")), ("top_k", "seven"),
+    ("sum", None), ("sum", "seven"), ("avg", [7]),
+])
+def test_a_row_the_fold_rejects_fails_registration_alike(kind, poison):
+    spec = ViewSpec("poisoned", "Account", kind, field="balance", k=3)
+    store = _store()
+    store.put("Account", "acct-0031", {**_account(31), "balance": poison})
+    with pytest.raises(ViewError) as folded:
+        compile_spec(spec).apply(dict(store.entries("Account")))
+    manager = ViewManager(store)
+    with pytest.raises(ViewError) as registered:
+        manager.register(spec)
+    assert str(registered.value) == str(folded.value)
+    assert "acct-0031" in str(registered.value)
+    assert manager.names() == [] and manager._compiler.plans == [], (
+        "a plan nobody registered stays off the commit path")

@@ -21,6 +21,15 @@ And one against the PR-17 operators:
    not, a ``sum`` was left half retracted — and took the commit path
    down with it (the runtime half of this regression is
    ``tests/integration/test_views.py::TestPoisonRow``).
+
+And one found while giving the operators a from-empty build:
+
+5. the ordering probe compared a value only with itself and with an
+   extremum the index already held, so in a group a delta creates (or
+   one that had emptied) a ``str`` among numbers passed it: ``insort``
+   raised a raw ``TypeError`` after earlier keys' memos were written,
+   and ``recompute`` of a ``min``/``top_k`` view over such rows raised
+   ``TypeError``, not :class:`ViewError`.
 """
 
 import math
@@ -39,6 +48,7 @@ from repro.views import (
     ViewManager,
     ViewSpec,
     compile_spec,
+    recompute,
 )
 
 
@@ -216,3 +226,41 @@ class TestPoisonValueIsStagedOut:
     def test_count_does_not_care(self):
         agg = GroupAggregate("count")
         assert agg.apply({"a": {"v": None}}) == {None: 1}
+
+
+class TestFirstStagedValueIsProbed:
+    """Bug 5: every staged value is also compared with the first value
+    staged for its group, so a delta mixing unorderable values under a
+    new or emptied group raises a :class:`ViewError` naming the key and
+    writes no memo."""
+
+    @pytest.mark.parametrize("kind", ["min", "max"])
+    def test_new_group(self, kind):
+        agg = GroupAggregate(kind, group_of=lambda row: row["g"],
+                             value_of=lambda row: row["v"])
+        agg.apply({"a": {"g": 0, "v": 4}})
+        before = agg.export_state()
+        with pytest.raises(ViewError, match="key 'c'.*ordered"):
+            agg.apply({"b": {"g": 1, "v": 1}, "c": {"g": 1, "v": "x"}})
+        assert agg.export_state() == before, "neither b nor c is memoized"
+
+    def test_emptied_group(self):
+        agg = GroupAggregate("min", value_of=lambda row: row["v"])
+        agg.apply({"a": {"v": 4}})
+        agg.apply({"a": TOMBSTONE})
+        with pytest.raises(ViewError, match="key 'c'"):
+            agg.apply({"b": {"v": 1}, "c": {"v": "x"}})
+        assert agg.export_state() == GroupAggregate(
+            "min", value_of=lambda row: row["v"]).export_state()
+
+    def test_top_k_from_empty(self):
+        top = TopK(2, score_of=lambda row: row["v"])
+        with pytest.raises(ViewError, match="key 'c'"):
+            top.apply({"b": {"v": 1}, "c": {"v": "x"}})
+        assert top.export_state() == {"rows": {}, "index": {}}
+
+    @pytest.mark.parametrize("kind", ["min", "max", "top_k"])
+    def test_recompute_raises_view_error(self, kind):
+        spec = ViewSpec("v", "E", kind, field="v", k=2)
+        with pytest.raises(ViewError, match="key 'c'"):
+            recompute(spec, [("b", {"v": 1}), ("c", {"v": "x"})])
