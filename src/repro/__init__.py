@@ -29,7 +29,6 @@ from .compiler import CompiledProgram, compile_program, recompile_from_ir
 from .core import (
     EntityRef,
     StatefulEntityError,
-    TransactionAborted,
     entity,
     stateflow,
     stateful_entity,
@@ -50,7 +49,6 @@ __all__ = [
     "Runtime",
     "StatefulDataflow",
     "StatefulEntityError",
-    "TransactionAborted",
     "__version__",
     "compile_program",
     "dataflow_from_json",

@@ -146,11 +146,10 @@ def run_chaos_cell(system: str = "stateflow", workload_name: str = "T",
     """Run one chaos cell; ``plan=None`` generates ``random_plan(seed)``.
 
     *runtime_overrides* is the :func:`~repro.bench.harness.build_runtime`
-    mapping (``--pipeline-depth``, ``--snapshot-mode``, ``--autoscale``,
-    ``--durable`` on the CLI); StateFlow runs it over
-    :func:`chaos_coordinator_config`.  Under ``autoscale`` the
-    controller's decisions must compose with, and survive, the injected
-    failures.
+    mapping (``--pipeline-depth``, ``--autoscale``, ``--durable`` on the
+    CLI); StateFlow runs it over :func:`chaos_coordinator_config`.
+    Under ``autoscale`` the controller's decisions must compose with,
+    and survive, the injected failures.
 
     The run window is ``duration_ms`` of load plus ``drain_ms`` of
     settling; every submitted request must complete exactly once within

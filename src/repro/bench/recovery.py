@@ -1,6 +1,6 @@
 """Recovery benchmarking: what do snapshots and recovery actually cost?
 
-``run_recovery_cell`` sweeps (state size x snapshot mode) on the
+``run_recovery_cell`` sweeps (state size x base cadence) on the
 StateFlow runtime and returns a :class:`RecoveryReport`:
 
 - per-cut capture volume (``mean_keys_per_cut`` / ``mean_bytes_per_cut``
@@ -13,18 +13,19 @@ StateFlow runtime and returns a :class:`RecoveryReport`:
   recovery drops the rolled-back suffix, and those records are moved to
   the ``rewound`` side of the ledger instead of being double-counted as
   retained volume;
-- the full-vs-incremental sweep: ``bytes_ratio`` per state size
-  (incremental mean bytes/cut over full mean bytes/cut) with the
-  acceptance gate *incremental <= 0.25x full at >= 10k keys*;
-- ``digests_match`` — both modes must produce byte-identical reply
+- the cadence sweep: ``bytes_ratio`` per state size (mean bytes/cut at
+  the preset's ``snapshot_base_every`` over mean bytes/cut at
+  ``snapshot_base_every=1``, where every cut is a base) with the
+  acceptance gate *preset <= 0.25x every-cut-a-base at >= 10k keys*;
+- ``digests_match`` — both cadences must produce byte-identical reply
   traces and final state for the same (seed, fail-over) run: the
   durability path must be observationally invisible;
-- a **disk leg** (``disk`` in the artifact): the incremental run at the
-  largest state size repeated with ``durability_dir`` set, measuring
+- a **disk leg** (``disk`` in the artifact): the preset-cadence run at
+  the largest state size repeated with ``durability_dir`` set, measuring
   what real files cost — bytes on disk, fsync count and wall time, and
   the cold-start time to reopen the stores from disk and resolve the
   latest recoverable cut, against the in-memory resolve time.  The
-  disk run's trace digest must equal the in-memory incremental run's
+  disk run's trace digest must equal the in-memory run's
   (persistence is a pure side effect), and the cold-reopened stores
   must resolve the exact state the dying process would have restored.
   Wall-clock fields in the disk leg vary between machines; everything
@@ -49,17 +50,20 @@ from ..workloads.ycsb import Account, YcsbWorkload
 from .chaos import trace_state_digest
 from .harness import build_runtime, ycsb_program
 
-#: The acceptance gate: incremental cuts must capture at most this
-#: fraction of full-mode bytes at the gated state size.
+#: The acceptance gate: cuts at the preset's cadence must capture at
+#: most this fraction of the bytes of cuts that are all bases, at the
+#: gated state size.
 GATE_MAX_RATIO = 0.25
 GATE_RECORDS = 10_000
+#: The sweep's baseline cadence: every cut a base.
+EVERY_CUT_A_BASE = 1
 
 
 def recovery_coordinator_config() -> CoordinatorConfig:
     """Frequent cuts + per-key restore cost so a short run produces a
     meaningful capture ledger and a state-size-dependent recovery time.
-    Both snapshot modes run under it, so the two runs of a pair stay
-    trace-identical."""
+    Both cadences of the sweep run under it, so the two runs of a pair
+    stay trace-identical."""
     return CoordinatorConfig(snapshot_interval_ms=250.0,
                              failure_detect_ms=200.0,
                              snapshot_base_every=6,
@@ -69,9 +73,9 @@ def recovery_coordinator_config() -> CoordinatorConfig:
 
 @dataclass(slots=True)
 class RecoveryRow:
-    """One (records, mode) run of the sweep."""
+    """One (records, base cadence) run of the sweep."""
 
-    mode: str
+    base_every: int
     records: int
     cuts: int
     base_cuts: int
@@ -90,7 +94,8 @@ class RecoveryRow:
 
     def as_dict(self) -> dict[str, Any]:
         return {
-            "mode": self.mode, "records": self.records, "cuts": self.cuts,
+            "base_every": self.base_every, "records": self.records,
+            "cuts": self.cuts,
             "base_cuts": self.base_cuts, "delta_cuts": self.delta_cuts,
             "mean_keys_per_cut": round(self.mean_keys_per_cut, 1),
             "mean_bytes_per_cut": round(self.mean_bytes_per_cut, 1),
@@ -109,9 +114,9 @@ class RecoveryReport:
     """The full sweep (see module docstring)."""
 
     rows: list[RecoveryRow]
-    #: records -> incremental/full mean-bytes-per-cut ratio.
+    #: records -> preset/every-cut-a-base mean-bytes-per-cut ratio.
     bytes_ratios: dict[int, float]
-    #: records -> both modes produced identical trace+state digests.
+    #: records -> both cadences produced identical trace+state digests.
     digests_match: dict[int, bool]
     problems: list[str] = field(default_factory=list)
     #: The disk leg (module docstring), or None when it was skipped.
@@ -153,8 +158,8 @@ class RecoveryReport:
             ratio = self.bytes_ratios[records]
             match = self.digests_match[records]
             lines.append(
-                f"{records} keys: incremental cuts capture {ratio:.1%} of "
-                f"full-mode bytes/cut; digests "
+                f"{records} keys: preset-cadence cuts capture {ratio:.1%} "
+                f"of the bytes/cut of all-base cuts; digests "
                 f"{'match' if match else 'DIVERGE'}")
         gate = self.gate_ratio
         if gate is not None:
@@ -179,14 +184,15 @@ class RecoveryReport:
         return "\n".join(lines)
 
 
-def _run_one(mode: str, records: int, *, seed: int,
+def _run_one(base_every: int, records: int, *, seed: int,
              rps: float, duration_ms: float, drain_ms: float,
              durability_dir: str | None = None
              ) -> tuple[RecoveryRow, Any]:
     runtime = build_runtime(
-        "stateflow", ycsb_program(), seed=seed, snapshot_mode=mode,
+        "stateflow", ycsb_program(), seed=seed,
         durability_dir=durability_dir,
-        coordinator=recovery_coordinator_config())
+        coordinator=recovery_coordinator_config(),
+        snapshot_base_every=base_every)
     trace: list[tuple] = []
     runtime.reply_tap = lambda reply: trace.append(
         (reply.request_id, repr(reply.payload), reply.error))
@@ -205,7 +211,7 @@ def _run_one(mode: str, records: int, *, seed: int,
 
     coordinator = runtime.coordinator
     # Steady-state capture volume: skip the initial base (it covers the
-    # preload, which both modes pay identically and exactly once).
+    # preload, which both cadences pay identically and exactly once).
     cuts = [cut for cut in coordinator.snapshots.cut_log
             if cut.snapshot_id > 0]
     count = max(len(cuts), 1)
@@ -214,8 +220,8 @@ def _run_one(mode: str, records: int, *, seed: int,
     state = materialize_snapshot(runtime.committed.snapshot())
     changelog = coordinator.changelog
     row = RecoveryRow(
-        mode=mode, records=records, cuts=len(cuts),
-        base_cuts=sum(1 for cut in cuts if cut.kind in ("base", "full")),
+        base_every=base_every, records=records, cuts=len(cuts),
+        base_cuts=sum(1 for cut in cuts if cut.kind == "base"),
         delta_cuts=sum(1 for cut in cuts if cut.kind == "position"),
         mean_keys_per_cut=sum(cut.keys for cut in cuts) / count,
         mean_bytes_per_cut=sum(cut.bytes for cut in cuts) / count,
@@ -235,15 +241,14 @@ def _run_one(mode: str, records: int, *, seed: int,
 def _disk_leg(memory_row: RecoveryRow, *, seed: int,
               rps: float, duration_ms: float,
               drain_ms: float) -> tuple[dict[str, Any], list[str]]:
-    """Repeat *memory_row*'s incremental run with a real durability
-    directory, then measure what the files cost (module docstring,
-    "disk leg")."""
+    """Repeat *memory_row*'s run with a real durability directory, then
+    measure what the files cost (module docstring, "disk leg")."""
     from ..storage import FileChangelogStore, FileSnapshotStore
     problems: list[str] = []
     records = memory_row.records
     with tempfile.TemporaryDirectory(prefix="repro-recovery-") as tmp:
         row, runtime = _run_one(
-            "incremental", records, seed=seed, rps=rps,
+            memory_row.base_every, records, seed=seed, rps=rps,
             duration_ms=duration_ms, drain_ms=drain_ms, durability_dir=tmp)
         coordinator = runtime.coordinator
         changelog = coordinator.changelog
@@ -266,8 +271,7 @@ def _disk_leg(memory_row: RecoveryRow, *, seed: int,
         # process after SIGKILL) and resolve the latest recoverable cut.
         started = time.perf_counter()
         cold_snapshots = FileSnapshotStore(
-            tmp, mode="incremental",
-            base_every=coordinator.config.snapshot_base_every,
+            tmp, base_every=coordinator.config.snapshot_base_every,
             track_footprints=coordinator.config.snapshot_footprints)
         cold_changelog = FileChangelogStore(tmp)
         cold_snapshot, cold_payload = cold_snapshots.latest_recoverable(
@@ -282,7 +286,7 @@ def _disk_leg(memory_row: RecoveryRow, *, seed: int,
         if not digest_match:
             problems.append(
                 f"disk/{records}: durable run diverged from the "
-                f"in-memory incremental run (trace/state digests differ "
+                f"in-memory run (trace/state digests differ "
                 f"— persistence must be a pure side effect)")
         if not state_match:
             problems.append(
@@ -315,41 +319,41 @@ def run_recovery_cell(*, seed: int = 42,
                       rps: float = 200.0, duration_ms: float = 2_000.0,
                       drain_ms: float = 20_000.0,
                       disk: bool = True) -> RecoveryReport:
-    """Run the full-vs-incremental sweep (see module docstring)."""
+    """Run the cadence sweep (see module docstring)."""
     rows: list[RecoveryRow] = []
     ratios: dict[int, float] = {}
     matches: dict[int, bool] = {}
     problems: list[str] = []
-    incremental_rows: dict[int, RecoveryRow] = {}
+    preset_rows: dict[int, RecoveryRow] = {}
+    cadences = (EVERY_CUT_A_BASE,
+                recovery_coordinator_config().snapshot_base_every)
     for records in record_counts:
-        pair: dict[str, RecoveryRow] = {}
-        for mode in ("full", "incremental"):
-            row, _ = _run_one(mode, records, seed=seed,
-                              rps=rps, duration_ms=duration_ms,
-                              drain_ms=drain_ms)
+        every, preset = [_run_one(base_every, records, seed=seed, rps=rps,
+                                  duration_ms=duration_ms,
+                                  drain_ms=drain_ms)[0]
+                         for base_every in cadences]
+        for row in (every, preset):
             rows.append(row)
-            pair[mode] = row
+            label = f"base_every={row.base_every}/{records}"
             if row.completed < row.sent:
                 problems.append(
-                    f"{mode}/{records}: lost replies "
+                    f"{label}: lost replies "
                     f"({row.completed} of {row.sent} completed)")
             if row.recoveries < 1:
                 problems.append(
-                    f"{mode}/{records}: the injected fail-over never "
-                    f"recovered")
-        full, incremental = pair["full"], pair["incremental"]
-        incremental_rows[records] = incremental
-        if full.mean_bytes_per_cut > 0:
-            ratios[records] = (incremental.mean_bytes_per_cut
-                               / full.mean_bytes_per_cut)
-        matches[records] = full.trace_digest == incremental.trace_digest
+                    f"{label}: the injected fail-over never recovered")
+        preset_rows[records] = preset
+        if every.mean_bytes_per_cut > 0:
+            ratios[records] = (preset.mean_bytes_per_cut
+                               / every.mean_bytes_per_cut)
+        matches[records] = every.trace_digest == preset.trace_digest
         if not matches[records]:
             problems.append(
-                f"{records}: full and incremental runs diverged "
+                f"{records}: the two base cadences diverged "
                 f"(trace/state digests differ)")
     disk_leg = None
-    if disk and incremental_rows:
-        largest = incremental_rows[max(incremental_rows)]
+    if disk and preset_rows:
+        largest = preset_rows[max(preset_rows)]
         disk_leg, disk_problems = _disk_leg(
             largest, seed=seed, rps=rps,
             duration_ms=duration_ms, drain_ms=drain_ms)
@@ -360,7 +364,7 @@ def run_recovery_cell(*, seed: int = 42,
     gate = report.gate_ratio
     if gate is not None and gate > GATE_MAX_RATIO:
         report.problems.append(
-            f"gate violated: incremental cuts capture {gate:.3f}x of "
-            f"full-mode bytes at >= {GATE_RECORDS} keys "
+            f"gate violated: preset-cadence cuts capture {gate:.3f}x of "
+            f"the bytes of all-base cuts at >= {GATE_RECORDS} keys "
             f"(allowed {GATE_MAX_RATIO}x)")
     return report

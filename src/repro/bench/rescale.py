@@ -115,9 +115,9 @@ def run_rescale_cell(workload_name: str = "T",
     2 -> 4 -> 3 staged plan spread across the load window.
 
     *runtime_overrides* is the :func:`~repro.bench.harness.build_runtime`
-    mapping (``--faults``, ``--pipeline-depth``, ``--snapshot-mode``,
-    ``--durable`` on the CLI), applied over the chaos coordinator
-    preset; a ``fault_plan`` in it runs the rescale under chaos.
+    mapping (``--faults`` and ``--pipeline-depth`` on the CLI), applied
+    over the chaos coordinator preset; a ``fault_plan`` in it runs the
+    rescale under chaos.
 
     Every submitted request must complete exactly once and the final
     committed history must satisfy the serial oracle — violations land

@@ -91,9 +91,7 @@ def run_views_leg(record_count: int, *, seed: int = 42,
     from ..ir.dataflow import stable_hash
 
     seed = seed + stable_hash(f"views|{record_count}|{rps}") % 997
-    config = StateflowConfig(snapshot_mode="incremental")
-    runtime = StateflowRuntime(ycsb_program(), sim=Simulation(seed=seed),
-                               config=config)
+    runtime = StateflowRuntime(ycsb_program(), sim=Simulation(seed=seed))
     workload = YcsbWorkload("T", record_count=record_count,
                             distribution="zipfian", seed=seed + 1)
     runtime.preload(Account, workload.dataset_rows())
@@ -193,8 +191,7 @@ def run_durable_rehydrate_leg(record_count: int = 10_000, *,
     seed = seed + stable_hash(f"views-durable|{record_count}") % 997
     directory = tempfile.mkdtemp(prefix="repro-bench-views-")
     try:
-        config = StateflowConfig(snapshot_mode="incremental",
-                                 durability_dir=directory)
+        config = StateflowConfig(durability_dir=directory)
         runtime = StateflowRuntime(ycsb_program(),
                                    sim=Simulation(seed=seed),
                                    config=config)

@@ -192,10 +192,6 @@ RUNTIME_FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
     "pipeline_depth": ("--pipeline-depth", dict(
         type=positive_int, default=None, metavar="N",
         help="epoch-pipeline depth; 1 = serial batches (default 2)")),
-    "snapshot_mode": ("--snapshot-mode", dict(
-        default=None, choices=["full", "incremental"],
-        help="incremental = log every commit; cuts between periodic "
-             "bases hold only a changelog position (default full)")),
     "spawner": ("--spawner", dict(
         default="simulator", choices=["simulator", "process"],
         help="'process' = real worker processes on the wall clock")),
@@ -209,12 +205,12 @@ RUNTIME_FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
 }
 
 #: The flags (dests) that are ``build_runtime`` overrides.
-OVERRIDES = ("fault_plan", "rescale_plan", "pipeline_depth", "snapshot_mode",
-             "spawner", "autoscale", "durability_dir")
+OVERRIDES = ("fault_plan", "rescale_plan", "pipeline_depth", "spawner",
+             "autoscale", "durability_dir")
 #: Flags only StateFlow can honour (StateFun has no coordinator, no
 #: snapshots and a fixed deployment).
-STATEFLOW_ONLY = ("rescale_plan", "pipeline_depth", "snapshot_mode",
-                  "autoscale", "durability_dir")
+STATEFLOW_ONLY = ("rescale_plan", "pipeline_depth", "autoscale",
+                  "durability_dir")
 #: Flags the process spawner refuses: their plans drive simulator
 #: internals (virtual-time schedules, message hooks).
 PROCESS_REFUSES = ("fault_plan", "rescale_plan")
@@ -351,15 +347,15 @@ def _run_recovery_cell(args: argparse.Namespace) -> int:
 
     report = run_recovery_cell(seed=args.seed,
                                **_load_args(args, "record_counts"))
-    lines = ["mode         records  cuts  keys/cut  bytes/cut  "
+    lines = ["base_every  records  cuts  keys/cut  bytes/cut  "
              "recovery_ms  changelog"]
     for row in report.rows:
         lines.append(
-            f"{row.mode:<11}  {row.records:<7}  {row.cuts:<4}  "
+            f"{row.base_every:<10}  {row.records:<7}  {row.cuts:<4}  "
             f"{row.mean_keys_per_cut:<8.1f}  {row.mean_bytes_per_cut:<9.0f}  "
             f"{row.recovery_ms:<11.2f}  {row.changelog_records}")
-    _print_titled("recovery sweep: full vs incremental", *lines, "",
-                  report.summary())
+    _print_titled("recovery sweep: every cut a base vs the preset cadence",
+                  *lines, "", report.summary())
     print(f"wrote {write_bench_artifact('recovery', report.as_artifact())}")
     return 0 if report.ok else 1
 
@@ -410,8 +406,8 @@ class BenchCell:
 
 
 #: Flags only the ycsb cell honours: every sweep owns its deployment.
-_YCSB_ONLY = ("fault_plan", "rescale_plan", "pipeline_depth",
-              "snapshot_mode", "autoscale", "durability_dir", "rps_sweep")
+_YCSB_ONLY = ("fault_plan", "rescale_plan", "pipeline_depth", "autoscale",
+              "durability_dir", "rps_sweep")
 
 BENCH_CELLS: dict[str, BenchCell] = {
     "ycsb": BenchCell(_run_ycsb_cell, systems=("stateflow", "statefun"),
@@ -423,7 +419,7 @@ BENCH_CELLS: dict[str, BenchCell] = {
             "deployment (use `repro chaos run --pipeline-depth`)"),
     "recovery": BenchCell(
         _run_recovery_cell, refuses=_YCSB_ONLY,
-        why="sweeps both snapshot modes in canonical configurations, "
+        why="sweeps two base cadences in canonical configurations, "
             "injects its own fail-over and owns its durability directory"),
     "autoscale": BenchCell(
         _run_autoscale_cell,
@@ -433,8 +429,8 @@ BENCH_CELLS: dict[str, BenchCell] = {
             "the controller under chaos)"),
     "views": BenchCell(
         _run_views_cell, refuses=_YCSB_ONLY,
-        why="measures a clean run in canonical configurations (incremental "
-            "snapshots, default pipeline) and owns its durable leg; tests/ "
+        why="measures a clean run in canonical configurations (default "
+            "snapshots and pipeline) and owns its durable leg; tests/ "
             "cover views under chaos and rescale"),
 }
 
@@ -606,7 +602,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="ycsb (default; load flags default to 100 "
                                 "rps / 2000 ms / 100 records), or a sweep "
                                 "with its own gates: pipeline (depth 1/2/4), "
-                                "recovery (full vs incremental snapshots), "
+                                "recovery (every cut a base vs position "
+                                "cuts), "
                                 "autoscale (a zipfian ramp with and without "
                                 "the controller), views (incremental views "
                                 "vs full scans)")
@@ -643,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default: random_plan(--seed))")
     _add_flags(chaos_run_cmd, "system", "workload", "distribution", "rps",
                "duration_ms", "records", "seed", "pipeline_depth",
-               "snapshot_mode", "autoscale", "durability_dir")
+               "autoscale", "durability_dir")
     chaos_run_cmd.set_defaults(handler=_cmd_chaos_run, workload="T",
                                distribution="uniform", rps=120.0,
                                duration_ms=3_000.0, records=50)

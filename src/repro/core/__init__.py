@@ -41,7 +41,6 @@ from .errors import (
     RuntimeExecutionError,
     SerializationError,
     StatefulEntityError,
-    TransactionAborted,
     UnknownEntityError,
     UnsupportedConstructError,
     UnsupportedFeatureError,
@@ -77,7 +76,6 @@ __all__ = [
     "SerializationError",
     "StateField",
     "StatefulEntityError",
-    "TransactionAborted",
     "TypeEnvironment",
     "UnknownEntityError",
     "UnsupportedConstructError",

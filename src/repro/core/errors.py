@@ -84,17 +84,6 @@ class SerializationError(RuntimeExecutionError):
     forbids sockets, DB connections, pipes, ... in entity state)."""
 
 
-class TransactionAborted(RuntimeExecutionError):
-    """A transactional invocation was aborted by the concurrency-control
-    protocol and exhausted its retries."""
-
-    def __init__(self, message: str, *, tid: int | None = None,
-                 reason: str | None = None):
-        self.tid = tid
-        self.reason = reason
-        super().__init__(message)
-
-
 class UnsupportedFeatureError(RuntimeExecutionError):
     """The selected runtime cannot execute the requested feature (e.g.
     Statefun has no transaction support, mirroring the paper)."""

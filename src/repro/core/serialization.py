@@ -3,9 +3,12 @@
 Entity state "needs to be serializable, i.e., connections to databases,
 local pipes, and other non-serializable constructs are not allowed and will
 eventually generate a runtime error" (Section 2.2).  We enforce this with an
-explicit whitelist codec instead of pickling arbitrary objects: the codec
-doubles as the wire format for events and as the snapshot format, and it
-raises :class:`SerializationError` eagerly on forbidden values.
+explicit whitelist: :func:`check_serializable` raises
+:class:`SerializationError` eagerly on forbidden values.  The JSON codec
+beside it is not the wire or the snapshot format — the process wire and
+the durable stores use pickle-5 frames (:mod:`repro.substrates.wire`);
+its one caller is the executor's serde timing in
+:class:`~repro.runtimes.executor.Instrumentation`.
 """
 
 from __future__ import annotations

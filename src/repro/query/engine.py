@@ -22,9 +22,8 @@ S-QUERY [46] and RAMP read-atomic transactions [7]:
   changelog makes nearly free: ``at_batch=N`` (or ``at_ms=T``) anchors
   on the nearest retained cut at or before the target and folds the
   changelog from that cut's base up to it — "balance of entity X as of
-  batch N".  Requires incremental snapshots (the changelog); a target
-  older than the retained history (compacted cuts/records) is refused
-  rather than answered wrong.
+  batch N".  A target older than the retained history (compacted
+  cuts/records) is refused rather than answered wrong.
 """
 
 from __future__ import annotations
@@ -137,10 +136,6 @@ class QueryEngine:
         if (at_batch is None) == (at_ms is None):
             raise QueryError(
                 "as-of queries take exactly one of at_batch= or at_ms=")
-        if coordinator.snapshots.mode != "incremental":
-            raise QueryError(
-                "as-of queries replay the commit changelog; run with "
-                "snapshot_mode='incremental'")
         snapshots = coordinator.snapshots
         changelog = coordinator.changelog
         for snapshot in reversed(snapshots.retained()):

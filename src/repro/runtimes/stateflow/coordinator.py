@@ -224,14 +224,12 @@ class CoordinatorConfig:
     #: waiting a full ``batch_interval_ms`` tick.  The fraction keeps
     #: near-simultaneous arrivals coalescing into one batch.
     idle_seal_fraction: float = 0.25
-    #: Incremental mode: a base cut every N cuts (bounds the changelog
-    #: span recovery must fold).
+    #: A base cut every N cuts, position cuts in between (bounds the
+    #: changelog span recovery must fold); 1 = every cut a base.
     snapshot_base_every: int = 4
     #: Measure every cut's (keys, bytes) into the snapshot store's
-    #: ledger — O(payload) per cut, so ``None`` defaults to "only in
-    #: incremental mode" and the recovery bench enables it explicitly
-    #: for its full-mode baseline.
-    snapshot_footprints: bool | None = None
+    #: ledger — O(payload) per base, so only the recovery bench does.
+    snapshot_footprints: bool = False
     #: Simulated CPU cost of installing restored state, per key (models
     #: recovery time growing with state size; 0 keeps the legacy fixed
     #: recovery pause).
@@ -259,20 +257,19 @@ class Coordinator:
         self.autoscaler = autoscaler
         #: Materialized-view maintenance (a :class:`~repro.views.
         #: ViewManager`), or ``None``.  Fed the write footprint of every
-        #: closed batch — unconditionally, unlike the changelog: views
-        #: work in full-snapshot mode too — and rebuilt on recovery so
-        #: no view ever reflects an abandoned pipeline batch.
+        #: closed batch, read-only batches included, and rebuilt on
+        #: recovery so no view ever reflects an abandoned pipeline batch.
         self.views: Any = None
         self._slot_of = getattr(committed, "slot_of", None)
         self.cpu = CpuPool(sim, 1, name="coordinator")
-        #: Where cuts go; its ``mode`` (full or incremental) decides
-        #: what a cut captures.  Like the replayable source it survives
-        #: crashes (and, file-backed, real process deaths).
+        #: Where cuts go; its ``next_kind`` decides what a cut
+        #: captures.  Like the replayable source it survives crashes
+        #: (and, file-backed, real process deaths).
         self.snapshots = snapshots
-        #: Durable commit changelog, appended in incremental mode: one
-        #: record per committed batch, the one record of committed
-        #: writes position cuts resolve through.  Recovery rewinds it to
-        #: the restored cut's position.
+        #: Durable commit changelog: one record per committed batch
+        #: that wrote something, the one record of committed writes
+        #: position cuts resolve through.  Recovery rewinds it to the
+        #: restored cut's position.
         self.changelog = changelog
         self.stats = AriaStats()
         self.pending: list[TxnRecord] = []
@@ -769,28 +766,25 @@ class Coordinator:
 
     def _observe_batch_writes(self, batch: _Batch) -> None:
         """Fan the batch's write set out to its two consumers: the
-        durable changelog (incremental mode only) and view maintenance
-        (whenever views are registered).  The post-commit states are
-        read back once at batch close, after every write (multi-key,
-        fallback, single-key) is installed, so the values are exactly
-        what the batch left behind.  Both consumers get the committed
+        durable changelog and view maintenance (whenever views are
+        registered).  The post-commit states are read back once at
+        batch close, after every write (multi-key, fallback,
+        single-key) is installed, so the values are exactly what the
+        batch left behind.  Both consumers get the committed
         entries themselves, not copies: they read them and never write
         them (the state module's entry contract).  Keys a footprint
         names but that never materialized (an errored single-key
         transaction on an absent key) are skipped — the runtime has no
         deletes, so absence means "was never written"."""
-        changelogging = self.snapshots.mode == "incremental"
-        viewing = self.views is not None and len(self.views)
         writes: dict = {}
-        if batch.footprint and (changelogging or viewing):
-            for entity, key in batch.footprint:
-                state = self.committed.entry(entity, key)
-                if state is not None:
-                    writes[(entity, key)] = state
-        if changelogging and writes:
+        for entity, key in batch.footprint:
+            state = self.committed.entry(entity, key)
+            if state is not None:
+                writes[(entity, key)] = state
+        if writes:
             self.changelog.append(batch.batch_id, writes,
                                   at_ms=self.sim.now)
-        if viewing:
+        if self.views is not None and len(self.views):
             # Even an empty footprint advances view freshness: a closed
             # read-only batch leaves views exactly as fresh as the
             # store.
@@ -1112,10 +1106,10 @@ class Coordinator:
         batch, pinned view and footprint — not just the committing
         batch.
 
-        In incremental mode "restore" means restoring the cut's base
-        with the changelog records up to the cut's position folded over
-        it; a cut that does not resolve is skipped for an older one
-        (the rewound source replays the difference)."""
+        "Restore" means restoring the cut's base with the changelog
+        records up to the cut's position folded over it; a cut that
+        does not resolve is skipped for an older one (the rewound
+        source replays the difference)."""
         snapshot, state_payload = \
             self.snapshots.latest_recoverable(self.changelog)
         assert snapshot is not None  # start() always takes one
@@ -1184,9 +1178,10 @@ class Coordinator:
         pause = RECOVERY_PAUSE_MS
         if self.config.restore_cost_ms_per_key:
             # Model restore work growing with the restored state: the
-            # resolved payload carries the same keys in either snapshot
-            # mode, so the cost — like everything else on the recovery
-            # path — is mode-independent and traces stay byte-identical.
+            # resolved payload carries the same keys whatever the cut's
+            # kind, so the cost — like everything else on the recovery
+            # path — does not depend on the base cadence and traces stay
+            # byte-identical.
             pause += (self.config.restore_cost_ms_per_key
                       * payload_keys(state_payload))
         self.sim.schedule(pause, resume)

@@ -83,12 +83,6 @@ class StateflowConfig:
     #: rescaling).  Fixed for the run; must be >= the largest worker
     #: count the run will rescale to.
     state_slots: int = 64
-    #: Snapshot mode (``--snapshot-mode``): "full" = every cut carries
-    #: the whole committed state and nothing is logged; "incremental" =
-    #: every committed batch is appended to the changelog, and a cut
-    #: between periodic bases holds only channel state and its changelog
-    #: position (see :mod:`repro.runtimes.stateflow.snapshots`).
-    snapshot_mode: str = "full"
     #: Durability directory (``--durable``): when set, snapshots and
     #: the changelog live in file-backed stores under this path (see
     #: :mod:`repro.storage`) and a real process death recovers from
@@ -120,8 +114,7 @@ def make_durability_stores(config: StateflowConfig,
     """The snapshot and changelog stores the coordinator cuts into: in
     memory, or file-backed under ``config.durability_dir`` (a cold start
     over an existing directory resumes from its files)."""
-    options = dict(mode=config.snapshot_mode,
-                   base_every=config.coordinator.snapshot_base_every,
+    options = dict(base_every=config.coordinator.snapshot_base_every,
                    track_footprints=config.coordinator.snapshot_footprints)
     if not config.durability_dir:
         return SnapshotStore(**options), ChangelogStore()

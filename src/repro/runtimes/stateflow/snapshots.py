@@ -41,20 +41,16 @@ snapshot so replay routes exactly as the original execution did.
 A cut is a changelog position
 -----------------------------
 
-With ``mode="incremental"`` the coordinator appends every committed
-batch's write set to the :class:`ChangelogStore` — key → post-commit
-state — and that log is the one record of committed writes.  A cut is
-then one of
+The coordinator appends every committed batch's write set to the
+:class:`ChangelogStore` — key → post-commit state — and that log is the
+one record of committed writes.  A cut is one of
 
 - a **base** (``kind="base"``): the whole committed state, taken for
   the first cut, after every recovery and then every ``base_every``
-  cuts; or
+  cuts (``base_every=1``: every cut is a base); or
 - a **position cut** (``kind="position"``): channel state only, plus
   the changelog position it covers (``changelog_seq``) and the id of
   its base (``base_id``).
-
-Full mode (``mode="full"``) is the case where every cut is a base
-(``kind="full"``) and nothing is logged.
 
 Recovery, snapshot queries, as-of queries and a cold start all resolve
 a cut the same way (:meth:`SnapshotStore.resolve`): take its retained
@@ -119,11 +115,11 @@ class Snapshot:
     #: not whatever table is current.  ``None`` when the committed store
     #: is not partitioned.
     assignment: Any = None
-    #: ``"full"`` (full mode), ``"base"`` (incremental mode, whole
-    #: state) or ``"position"`` (incremental mode, no state payload).
-    kind: str = "full"
-    #: The base this cut resolves from: its own id for a full cut or a
-    #: base.
+    #: ``"base"`` (whole state) or ``"position"`` (no state payload).
+    #: Directories written before the one durability mode also hold
+    #: ``"full"``, which reads as a base.
+    kind: str = "base"
+    #: The base this cut resolves from: its own id for a base.
     base_id: int = -1
     #: Position of the commit changelog at the cut (seq of the last
     #: record the cut's state includes; -1 = none).
@@ -164,7 +160,7 @@ class ChangelogRecord:
 
 class ChangelogStore:
     """Durable (simulated) append-only log of per-batch write sets: the
-    one record of committed writes in incremental mode.
+    one record of committed writes.
 
     The coordinator appends one record per committed batch; resolving a
     cut folds the records between its base and its position (module
@@ -283,46 +279,34 @@ def replay(payload: Any, records: list[ChangelogRecord]) -> Any:
 class SnapshotStore:
     """Durable (simulated) home of completed snapshots.
 
-    ``mode="full"`` is the classic behaviour: every cut carries the
-    whole state.  ``mode="incremental"`` takes a base every
-    ``base_every`` cuts and position cuts in between (module docstring);
-    :meth:`next_kind` tells the coordinator what to capture,
-    :meth:`resolve` turns a cut back into a state payload, and
+    A base every ``base_every`` cuts and position cuts in between
+    (module docstring); :meth:`next_kind` tells the coordinator what to
+    capture, :meth:`resolve` turns a cut back into a state payload, and
     :meth:`latest_recoverable` picks the newest cut that resolves."""
 
-    def __init__(self, *, keep: int = 4, mode: str = "full",
-                 base_every: int = 4,
-                 track_footprints: bool | None = None):
-        if mode not in ("full", "incremental"):
-            raise ValueError(f"unknown snapshot mode {mode!r}")
+    def __init__(self, *, keep: int = 4, base_every: int = 4,
+                 track_footprints: bool = False):
         self._snapshots: list[Snapshot] = []
         self._keep = keep
         self._next_id = 0
-        self.mode = mode
         self.base_every = max(base_every, 1)
         #: The base new position cuts resolve from (``None``: the next
         #: cut must be one) and the cuts taken since it, itself included.
         self._base_id: int | None = None
         self._cuts_since_base = 0
         #: Measure each cut's (keys, bytes) into the ledger.  Costs
-        #: O(payload) repr work per cut, so full-mode runs skip it by
-        #: default (their ledger rows would all read "everything"
-        #: anyway); the recovery bench turns it on explicitly for both
-        #: sides of its sweep.
-        self.track_footprints = (mode == "incremental"
-                                 if track_footprints is None
-                                 else track_footprints)
+        #: O(payload) repr work per base, so it is off unless asked for
+        #: (the recovery bench turns it on for both sides of its sweep).
+        self.track_footprints = track_footprints
         #: Ledger of what each cut captured (bench metrics); survives
         #: pruning like any other durable metadata.
         self.cut_log: list[CutRecord] = []
 
     # -- cut planning ---------------------------------------------------
     def next_kind(self) -> str:
-        """What the next cut must capture: ``full`` outside incremental
-        mode; a ``base`` for the first cut, after :meth:`rebase` and
-        then every ``base_every`` cuts; a ``position`` otherwise."""
-        if self.mode != "incremental":
-            return "full"
+        """What the next cut must capture: a ``base`` for the first
+        cut, after :meth:`rebase` and then every ``base_every`` cuts; a
+        ``position`` otherwise."""
         if self._base_id is None or self._cuts_since_base >= self.base_every:
             return "base"
         return "position"
@@ -339,11 +323,12 @@ class SnapshotStore:
              batch_seq: int, arrival_seq: int,
              pending: list[Any] | None = None,
              admitted: set[int] | None = None,
-             assignment: Any = None, kind: str = "full",
+             assignment: Any = None, kind: str = "base",
              changelog_seq: int = -1,
              epoch_buffer: list[Any] | None = None,
              views_state: Any = None) -> Snapshot:
-        """Record one cut.  A ``position`` cut carries no *state*."""
+        """Record one cut.  A ``position`` cut carries no *state*; any
+        other kind is a base."""
         snapshot_id = self._next_id
         if kind == "position":
             state = None

@@ -43,9 +43,12 @@ class FileSnapshotStore(SnapshotStore):
     (corrupt/torn cut files discarded on open)."""
 
     def __init__(self, directory: str | os.PathLike, *, keep: int = 4,
-                 mode: str = "full", base_every: int = 4,
-                 track_footprints: bool | None = None, fsync: bool = True):
-        super().__init__(keep=keep, mode=mode, base_every=base_every,
+                 base_every: int = 4, track_footprints: bool = False,
+                 fsync: bool = True, mode: str | None = None):
+        # ``mode=`` survives only for perf/'s two call sites (ROADMAP
+        # item 2): "full" was every cut a base.
+        base_every = 1 if mode == "full" else base_every
+        super().__init__(keep=keep, base_every=base_every,
                          track_footprints=track_footprints)
         self._layout = open_layout(directory)
         self._fsync = fsync

@@ -1,6 +1,6 @@
-"""Simulated infrastructure: DES kernel, network, Kafka, cluster."""
+"""Simulated infrastructure: DES kernel, network, Kafka, worker
+spawners, the wall clock and the wire format."""
 
-from .cluster import Cluster, ClusterLayout, Node
 from .kafka import KafkaBroker, KafkaConfig, KafkaError, KafkaRecord
 from .network import LatencyModel, Network, NetworkConfig
 from .simulation import (
@@ -20,8 +20,6 @@ from .wallclock import WallClock
 from .wire import FrameDecoder, FrameError, decode_frame, encode_frame
 
 __all__ = [
-    "Cluster",
-    "ClusterLayout",
     "CpuPool",
     "FrameDecoder",
     "FrameError",
@@ -33,7 +31,6 @@ __all__ = [
     "MetricRecorder",
     "Network",
     "NetworkConfig",
-    "Node",
     "ProcessSpawner",
     "SPAWNERS",
     "SimulatorSpawner",

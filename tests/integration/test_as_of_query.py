@@ -30,27 +30,27 @@ RECORDS = 16
 TOTAL = RECORDS * 1_000
 
 
-def run_traced(account_program, *, snapshot_mode="incremental",
-               unbounded_retention=True, seed=11, pipeline_depth=2):
+def run_traced(account_program, *, unbounded_retention=True, seed=11,
+               pipeline_depth=2, base_every=3):
     """One deterministic YCSB-T run; returns (runtime, initial_state,
     log) where *log* is every changelog append as (batch_id, writes,
     at_ms) — the serial oracle's tape."""
     config = StateflowConfig(
-        workers=3, snapshot_mode=snapshot_mode,
+        workers=3,
         coordinator=CoordinatorConfig(pipeline_depth=pipeline_depth,
                                       snapshot_interval_ms=150.0,
                                       failure_detect_ms=200.0,
-                                      snapshot_base_every=3))
+                                      snapshot_base_every=base_every))
     runtime = StateflowRuntime(account_program, sim=Simulation(seed=seed),
                                config=config)
-    if unbounded_retention and snapshot_mode == "incremental":
+    if unbounded_retention:
         # The default window keeps 4 cuts; during the idle drain those
         # all collapse onto the final batch, which leaves nothing to
         # time-travel through.  Widen retention so the whole run stays
         # within the retained history (the bounded-window refusal has
         # its own test below).
         runtime.coordinator.snapshots = SnapshotStore(
-            keep=10_000, mode="incremental", base_every=3)
+            keep=10_000, base_every=base_every)
     log = []
     changelog = runtime.coordinator.changelog
     original_append = changelog.append
@@ -90,28 +90,31 @@ def rows_as_state(result):
             for row in result.rows}
 
 
+def check_every_batch_boundary(runtime, initial, log):
+    engine = QueryEngine(runtime)
+    batches = sorted({batch_id for batch_id, _, _ in log})
+    assert len(batches) >= 10, "run too small to mean anything"
+    compared = refused = 0
+    for batch in batches:
+        try:
+            result = engine.select("Account", consistency="as_of",
+                                   at_batch=batch)
+        except QueryError as error:
+            # Only targets before the first retained cut may be
+            # refused, and the refusal must say why.
+            assert "retained history" in str(error)
+            refused += 1
+            continue
+        assert rows_as_state(result) == oracle_at(initial, log, batch)
+        compared += 1
+    assert compared >= 10, (compared, refused)
+
+
 @pytest.mark.parametrize("pipeline_depth", [1, 2])
 class TestAsOfMatchesSerialOracle:
     def test_every_batch_boundary(self, account_program, pipeline_depth):
-        runtime, initial, log = run_traced(account_program,
-                                           pipeline_depth=pipeline_depth)
-        engine = QueryEngine(runtime)
-        batches = sorted({batch_id for batch_id, _, _ in log})
-        assert len(batches) >= 10, "run too small to mean anything"
-        compared = refused = 0
-        for batch in batches:
-            try:
-                result = engine.select("Account", consistency="as_of",
-                                       at_batch=batch)
-            except QueryError as error:
-                # Only targets before the first retained cut may be
-                # refused, and the refusal must say why.
-                assert "retained history" in str(error)
-                refused += 1
-                continue
-            assert rows_as_state(result) == oracle_at(initial, log, batch)
-            compared += 1
-        assert compared >= 10, (compared, refused)
+        check_every_batch_boundary(*run_traced(
+            account_program, pipeline_depth=pipeline_depth))
 
     def test_every_commit_timestamp(self, account_program, pipeline_depth):
         runtime, initial, log = run_traced(account_program,
@@ -167,6 +170,14 @@ class TestAsOfMatchesSerialOracle:
         assert by_time.as_of_ms <= mid_at_ms
 
 
+@pytest.mark.parametrize("base_every", [1, 2, 6])
+def test_every_cut_cadence_matches_the_oracle(account_program, base_every):
+    """Whatever the cut cadence, including every cut a base, a query
+    anchors on a retained cut and folds the log up to its target."""
+    check_every_batch_boundary(*run_traced(account_program,
+                                           base_every=base_every))
+
+
 class TestAsOfRefusals:
     def test_needs_exactly_one_target(self, account_program):
         runtime, _, log = run_traced(account_program)
@@ -186,11 +197,23 @@ class TestAsOfRefusals:
             engine.sum("Account", "balance", consistency="snapshot",
                        at_ms=5.0)
 
-    def test_full_mode_has_no_changelog_to_replay(self, account_program):
-        runtime, _, _ = run_traced(account_program, snapshot_mode="full")
-        with pytest.raises(QueryError, match="changelog"):
-            QueryEngine(runtime).select("Account", consistency="as_of",
-                                        at_batch=0)
+    def test_the_default_config_answers(self, account_program):
+        """Every run logs its commits, so time travel needs no setting:
+        as of the end of the run the balances are the live ones, and as
+        of before the first commit they are the preload's."""
+        runtime = StateflowRuntime(account_program, sim=Simulation(seed=3))
+        refs = runtime.preload(Account, [(f"a{i}", 100) for i in range(4)])
+        runtime.start()
+        for i, ref in enumerate(refs):
+            runtime.sim.schedule_at(
+                50.0 + i * 5.0, lambda r=ref: runtime.submit(r, "add", (1,)))
+        runtime.sim.run(until=400.0)
+        assert all(runtime.entity_state(r)["balance"] == 101 for r in refs)
+        engine = QueryEngine(runtime)
+        assert engine.sum("Account", "balance", consistency="as_of",
+                          at_ms=runtime.sim.now) == 404
+        assert engine.sum("Account", "balance", consistency="as_of",
+                          at_ms=1.0) == 400
 
     def test_point_before_retained_history_is_refused(self, account_program):
         """With the real bounded retention window, the idle drain walks

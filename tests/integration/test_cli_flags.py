@@ -68,18 +68,18 @@ def test_shared_flags_reach_the_runtime(command, built, tmp_path,
                                         monkeypatch):
     """``chaos run`` and ``rescale run`` build on their own coordinator
     preset: the CLI's depth must land on it, not be replaced by it.
-    ``rescale run`` takes no snapshot mode: a moved slot ships whole in
-    either."""
+    ``rescale run`` takes no durability directory.  Every command's run
+    logs its commits and cuts at its preset's base cadence."""
     monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
     state = tmp_path / "state"
-    durable = ([] if command[0] == "rescale"
-               else ["--snapshot-mode", "incremental", "--durable",
-                     str(state)])
+    durable = [] if command[0] == "rescale" else ["--durable", str(state)]
     assert main([*command, "--pipeline-depth", "1", *durable]) == 0
     (runtime,) = built
-    assert runtime.coordinator.config.pipeline_depth == 1
-    assert runtime.coordinator.snapshots.mode == (
-        "full" if command[0] == "rescale" else "incremental")
+    coordinator = runtime.coordinator
+    assert coordinator.config.pipeline_depth == 1
+    assert coordinator.snapshots.base_every \
+        == coordinator.config.snapshot_base_every
+    assert coordinator.changelog.appended > 0
     assert (state / "MANIFEST.json").exists() == bool(durable)
     if command[0] != "bench":
         assert runtime.coordinator.config.failure_detect_ms == 200.0
@@ -112,7 +112,6 @@ FLAG_VALUES = {
     "fault_plan": (None, None),
     "rescale_plan": (None, None),
     "pipeline_depth": (["3"], 3),
-    "snapshot_mode": (["incremental"], "incremental"),
     "autoscale": ([], True),
     "durability_dir": (["state"], "state"),
     "rps_sweep": (["40,80"], "40,80"),
@@ -139,7 +138,7 @@ PINNED = {
     ("pipeline", "stateflow", "simulator", "fault_plan"): True,
     ("recovery", "stateflow", "simulator", "durability_dir"): True,
     ("autoscale", "stateflow", "simulator", "rps"): True,
-    ("views", "stateflow", "simulator", "snapshot_mode"): True,
+    ("views", "stateflow", "simulator", "pipeline_depth"): True,
     ("ycsb", "statefun", "simulator", "pipeline_depth"): True,
     ("ycsb", "stateflow", "process", "fault_plan"): True,
     ("recovery", "stateflow", "process", "seed"): True,
@@ -234,10 +233,9 @@ def test_ycsb_overrides_reach_run_ycsb_cell(monkeypatch, tmp_path, plans):
 
     monkeypatch.setattr("repro.bench.run_ycsb_cell", fake_cell)
     assert main(["bench", "--faults", *plans["fault_plan"][0],
-                 "--pipeline-depth", "1", "--snapshot-mode", "incremental",
-                 "--autoscale", "--durable", "state"]) == 0
+                 "--pipeline-depth", "1", "--autoscale", "--durable",
+                 "state"]) == 0
     assert seen == [{"fault_plan": plans["fault_plan"][1],
-                     "pipeline_depth": 1,
-                     "snapshot_mode": "incremental", "autoscale": True,
+                     "pipeline_depth": 1, "autoscale": True,
                      "durability_dir": "state"}]
     assert json.loads((tmp_path / "BENCH_ycsb.json").read_text())["rows"]

@@ -253,7 +253,7 @@ def test_bench_views_cell_flag_rejections(tmp_path):
     with pytest.raises(SystemExit, match="simulator-only"):
         main(["bench", "--cell", "views", "--spawner", "process"])
     with pytest.raises(SystemExit, match="canonical"):
-        main(["bench", "--cell", "views", "--snapshot-mode", "full"])
+        main(["bench", "--cell", "views", "--pipeline-depth", "1"])
     with pytest.raises(SystemExit, match="autoscale"):
         main(["bench", "--cell", "views", "--autoscale"])
     with pytest.raises(SystemExit, match="rps-sweep"):

@@ -38,9 +38,10 @@ PLAN = FaultPlan(seed=23, events=[
 
 
 @pytest.mark.parametrize("pipeline_depth", [1, 2])
-@pytest.mark.parametrize("snapshot_mode", ["full", "incremental"])
+@pytest.mark.parametrize("base_every", [1, 4],
+                         ids=lambda n: f"base_every={n}")
 def test_cut_payloads_are_never_written(account_program, monkeypatch,
-                                        snapshot_mode, pipeline_depth):
+                                        base_every, pipeline_depth):
     cuts: list[tuple[object, bytes]] = []
     take = SnapshotStore.take
 
@@ -50,9 +51,10 @@ def test_cut_payloads_are_never_written(account_program, monkeypatch,
 
     monkeypatch.setattr(SnapshotStore, "take", fingerprinting_take)
     runtime = StateflowRuntime(account_program, config=StateflowConfig(
-        workers=4, snapshot_mode=snapshot_mode, fault_plan=PLAN,
+        workers=4, fault_plan=PLAN,
         coordinator=replace(chaos_coordinator_config(),
-                            pipeline_depth=pipeline_depth)))
+                            pipeline_depth=pipeline_depth,
+                            snapshot_base_every=base_every)))
     workload = YcsbWorkload("T", record_count=RECORDS,
                             distribution="uniform", seed=5,
                             initial_balance=BALANCE)
@@ -88,8 +90,7 @@ def test_the_fan_out_shares_committed_entries(account_program, tmp_path):
     neither writes one: after a durable run with views, every entry the
     fan-out handed out equals a deep copy taken before it did."""
     runtime = StateflowRuntime(account_program, config=StateflowConfig(
-        workers=2, snapshot_mode="incremental",
-        durability_dir=str(tmp_path),
+        workers=2, durability_dir=str(tmp_path),
         coordinator=CoordinatorConfig(snapshot_interval_ms=200)))
     refs = runtime.preload(Account, [(f"acct-{i}", 100) for i in range(6)])
     runtime.start()

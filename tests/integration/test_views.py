@@ -109,16 +109,17 @@ transfer_plan = st.lists(
 
 class TestEveryBatchEquality:
     @pytest.mark.parametrize("pipeline_depth", DEPTHS)
-    @pytest.mark.parametrize("snapshot_mode", ["full", "incremental"])
-    def test_views_track_every_batch(self, account_program, snapshot_mode,
+    @pytest.mark.parametrize("base_every", [1, 4],
+                             ids=lambda n: f"base_every={n}")
+    def test_views_track_every_batch(self, account_program, base_every,
                                      pipeline_depth):
         """Deterministic transfer mix: every view equals the oracle at
-        every commit, in both snapshot modes (views and the changelog
-        share the commit-path observation), with serial and with
-        pipelined batches."""
+        every commit, whether every cut is a base or not (views and the
+        changelog share the commit-path observation), with serial and
+        with pipelined batches."""
         runtime = StateflowRuntime(account_program, config=StateflowConfig(
-            snapshot_mode=snapshot_mode,
-            coordinator=CoordinatorConfig(pipeline_depth=pipeline_depth)))
+            coordinator=CoordinatorConfig(pipeline_depth=pipeline_depth,
+                                          snapshot_base_every=base_every)))
         refs = runtime.preload(
             Account, [(f"acct-{i}", SEED_BALANCE) for i in range(ACCOUNTS)])
         runtime.start()
@@ -227,8 +228,9 @@ class TestChaos:
 
 class TestCrashRecovery:
     @pytest.mark.parametrize("pipeline_depth", DEPTHS)
-    @pytest.mark.parametrize("snapshot_mode", ["full", "incremental"])
-    def test_views_rewind_with_the_store(self, account_program, snapshot_mode,
+    @pytest.mark.parametrize("base_every", [1, 4],
+                             ids=lambda n: f"base_every={n}")
+    def test_views_rewind_with_the_store(self, account_program, base_every,
                                          pipeline_depth):
         """Coordinator fail-stop mid-load: recovery rewinds the
         committed store to a snapshot and abandons the pipeline, so the
@@ -236,10 +238,10 @@ class TestCrashRecovery:
         (zero store scans), then tracking the replayed batches back to
         an exact final state."""
         runtime = StateflowRuntime(account_program, config=StateflowConfig(
-            snapshot_mode=snapshot_mode,
             coordinator=CoordinatorConfig(pipeline_depth=pipeline_depth,
                                           snapshot_interval_ms=150.0,
-                                          failure_detect_ms=200.0)))
+                                          failure_detect_ms=200.0,
+                                          snapshot_base_every=base_every)))
         refs = runtime.preload(
             Account, [(f"acct-{i}", SEED_BALANCE) for i in range(ACCOUNTS)])
         runtime.start()

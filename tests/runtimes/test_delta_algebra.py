@@ -179,7 +179,7 @@ class TestDeltaShapes:
     def test_empty_segment_captures_empty_delta(self):
         """A position cut taken with no commit since its base spans no
         records and resolves to the base payload itself."""
-        store = SnapshotStore(mode="incremental")
+        store = SnapshotStore()
         changelog = ChangelogStore()
         changelog.append(0, {("E", "a"): {"v": 1}})
         payload = {("E", "a"): {"v": 1}}
@@ -194,7 +194,7 @@ class TestDeltaShapes:
         """After a restore the store's base no longer describes the
         timeline: the next cut is a base, and a fresh base re-arms
         position cuts."""
-        store = SnapshotStore(mode="incremental", base_every=4)
+        store = SnapshotStore(base_every=4)
         store.take(taken_at_ms=0.0, state={}, kind=store.next_kind(),
                    **META)
         assert store.next_kind() == "position"
@@ -209,7 +209,7 @@ class TestDeltaShapes:
         the slots its records wrote: every other fragment is the base's
         own object."""
         committed = PartitionedStore(3, slots=8)
-        snapshots = SnapshotStore(mode="incremental")
+        snapshots = SnapshotStore()
         changelog = ChangelogStore()
         base = snapshots.take(taken_at_ms=0.0, state=committed.snapshot(),
                               kind="base", **META)
@@ -233,7 +233,7 @@ class TestDeltaShapes:
         next cut carries every slot whole, and the cut after that is a
         position cut again."""
         committed = PartitionedStore(3, slots=8)
-        snapshots = SnapshotStore(mode="incremental", base_every=4)
+        snapshots = SnapshotStore(base_every=4)
         changelog = ChangelogStore()
         payload = committed.snapshot()
         snapshots.take(taken_at_ms=0.0, state=payload,

@@ -1,8 +1,9 @@
 """Recovery-equivalence battery: position cuts + changelog replay
-must be observationally identical to full-copy snapshots.
+must be observationally identical to cuts that are all bases.
 
-For matched (seed, fault plan, rescale plan) runs, a full-mode and an
-incremental-mode deployment must produce byte-identical reply traces
+For matched (seed, fault plan, rescale plan) runs, a deployment whose
+every cut is a base (``snapshot_base_every=1``) and one that takes
+position cuts between bases must produce byte-identical reply traces
 and final committed state, with serial batches and with a pipelined
 epoch (a cut taken while the next batch executes) — through
 coordinator crashes landing right after a base and right after a
@@ -29,23 +30,25 @@ from repro.workloads import Account, DriverConfig, WorkloadDriver, YcsbWorkload
 #: a base or at a position cut.
 SNAPSHOT_INTERVAL_MS = 150.0
 BASE_EVERY = 3
+#: The cadence the battery compares against: every cut a base.
+ALL_BASES = 1
 #: Serial batches, and one batch executing while the previous commits.
 DEPTHS = (1, 2)
 
 
-def run_once(mode, *, seed=11, fault_plan=None, rescale_plan=None,
+def run_once(base_every, *, seed=11, fault_plan=None, rescale_plan=None,
              workers=3, pipeline_depth=2, rps=150.0, duration_ms=1_500.0,
              records=24):
     """One deterministic run; returns (trace, final_state, coordinator,
     sent, completed, workload)."""
     config = StateflowConfig(
-        workers=workers, snapshot_mode=mode,
-        fault_plan=fault_plan, rescale_plan=rescale_plan,
+        workers=workers, fault_plan=fault_plan, rescale_plan=rescale_plan,
         coordinator=CoordinatorConfig(
             pipeline_depth=pipeline_depth,
             snapshot_interval_ms=SNAPSHOT_INTERVAL_MS,
             failure_detect_ms=200.0,
-            snapshot_base_every=BASE_EVERY))
+            snapshot_base_every=base_every,
+            snapshot_footprints=True))
     from repro.substrates.simulation import Simulation
     runtime = StateflowRuntime(run_once.program, sim=Simulation(seed=seed),
                               config=config)
@@ -73,41 +76,43 @@ def _program(account_program):
 
 
 def assert_equivalent(**kwargs):
-    """Full and incremental runs of one scenario must match byte for
-    byte, and both must satisfy the serial oracle."""
-    full = run_once("full", **kwargs)
-    incremental = run_once("incremental", **kwargs)
-    assert full[0] == incremental[0], "reply traces diverged"
-    assert full[1] == incremental[1], "final committed state diverged"
-    for trace, state, _, sent, completed, workload in (full, incremental):
+    """All-base and position-cut runs of one scenario must match byte
+    for byte, and both must satisfy the serial oracle."""
+    all_bases = run_once(ALL_BASES, **kwargs)
+    mixed = run_once(BASE_EVERY, **kwargs)
+    assert all_bases[0] == mixed[0], "reply traces diverged"
+    assert all_bases[1] == mixed[1], "final committed state diverged"
+    for trace, state, _, sent, completed, workload in (all_bases, mixed):
         problems = verify_history(sent=sent, completed=completed,
                                   trace=trace, state=state,
                                   workload=workload, workload_name="T")
         assert problems == [], problems
-    return full, incremental
+    return all_bases, mixed
 
 
 class TestFaultFreeEquivalence:
     @pytest.mark.parametrize("pipeline_depth", DEPTHS)
-    def test_modes_agree_without_faults(self, pipeline_depth):
-        full, incremental = assert_equivalent(pipeline_depth=pipeline_depth)
-        # The incremental run must actually take position cuts.
-        kinds = {cut.kind for cut in incremental[2].snapshots.cut_log}
+    def test_cadences_agree_without_faults(self, pipeline_depth):
+        all_bases, mixed = assert_equivalent(pipeline_depth=pipeline_depth)
+        # The mixed run must actually take position cuts.
+        kinds = {cut.kind for cut in mixed[2].snapshots.cut_log}
         assert kinds == {"base", "position"}
-        assert all(cut.kind == "full"
-                   for cut in full[2].snapshots.cut_log)
-        # The changelog was fed (and then compacted down by the idle
-        # drain's cut cadence — retained cuts stop needing old records).
-        assert incremental[2].changelog.appended > 0
-        assert full[2].changelog.appended == 0
+        assert all(cut.kind == "base"
+                   for cut in all_bases[2].snapshots.cut_log)
+        # Both runs fed the changelog one record per writing batch (and
+        # then compacted it down by the idle drain's cut cadence —
+        # retained cuts stop needing old records), whatever the cadence.
+        assert mixed[2].changelog.appended > 0
+        assert all_bases[2].changelog.appended \
+            == mixed[2].changelog.appended
 
     @pytest.mark.parametrize("pipeline_depth", DEPTHS)
     def test_incremental_cuts_are_smaller(self, pipeline_depth):
-        _, incremental = assert_equivalent(records=64, rps=80.0,
-                                            pipeline_depth=pipeline_depth)
-        positions = [cut for cut in incremental[2].snapshots.cut_log
+        _, mixed = assert_equivalent(records=64, rps=80.0,
+                                     pipeline_depth=pipeline_depth)
+        positions = [cut for cut in mixed[2].snapshots.cut_log
                      if cut.kind == "position"]
-        bases = [cut for cut in incremental[2].snapshots.cut_log
+        bases = [cut for cut in mixed[2].snapshots.cut_log
                  if cut.kind == "base"]
         assert positions and bases
         assert all(cut.keys == cut.bytes == 0 for cut in positions)
@@ -119,9 +124,9 @@ class TestEquivalenceUnderChaos:
     def test_random_chaos_plan(self, pipeline_depth):
         plan = random_plan(23, duration_ms=1_500.0, workers=3,
                            coordinator_faults=True)
-        full, incremental = assert_equivalent(fault_plan=plan, seed=23,
-                                              pipeline_depth=pipeline_depth)
-        assert incremental[2].recoveries >= 1, (
+        all_bases, mixed = assert_equivalent(fault_plan=plan, seed=23,
+                                             pipeline_depth=pipeline_depth)
+        assert mixed[2].recoveries >= 1, (
             "the plan must actually force recovery")
 
     @pytest.mark.parametrize("pipeline_depth", DEPTHS)
@@ -138,9 +143,9 @@ class TestEquivalenceUnderChaos:
                        at_ms=7 * SNAPSHOT_INTERVAL_MS + 10.0,
                        duration_ms=60.0),
         ], name="crash-at-cut-boundaries")
-        full, incremental = assert_equivalent(
+        all_bases, mixed = assert_equivalent(
             fault_plan=plan, pipeline_depth=pipeline_depth)
-        assert incremental[2].failovers == 2
+        assert mixed[2].failovers == 2
 
     @pytest.mark.parametrize("pipeline_depth", DEPTHS)
     def test_crash_mid_compaction_chain(self, pipeline_depth):
@@ -151,10 +156,10 @@ class TestEquivalenceUnderChaos:
                        at_ms=5 * SNAPSHOT_INTERVAL_MS + 40.0,
                        duration_ms=80.0),
         ], name="crash-mid-chain")
-        full, incremental = assert_equivalent(
+        all_bases, mixed = assert_equivalent(
             fault_plan=plan, pipeline_depth=pipeline_depth)
         restored_kinds = [cut.kind for cut
-                          in incremental[2].snapshots.cut_log]
+                          in mixed[2].snapshots.cut_log]
         assert "position" in restored_kinds
 
 
@@ -166,11 +171,11 @@ class TestEquivalenceUnderRescale:
                                    interval_ms=500.0)
         fault_plan = random_plan(31, duration_ms=1_500.0, workers=2,
                                  process_faults=False)
-        full, incremental = assert_equivalent(
+        all_bases, mixed = assert_equivalent(
             workers=2, rescale_plan=rescale_plan, fault_plan=fault_plan,
             seed=31, pipeline_depth=pipeline_depth)
-        assert incremental[2].rescales >= 2
-        assert full[2].rescales == incremental[2].rescales
+        assert mixed[2].rescales >= 2
+        assert all_bases[2].rescales == mixed[2].rescales
 
 class TestTornSnapshots:
     """A torn cut is one that does not resolve whole: its base is gone
@@ -191,7 +196,7 @@ class TestTornSnapshots:
                        at_ms=5 * SNAPSHOT_INTERVAL_MS + 40.0,
                        duration_ms=80.0)], name="crash-after-positions")
         trace, state, coordinator, sent, completed, workload = run_once(
-            "incremental", fault_plan=plan, pipeline_depth=pipeline_depth)
+            BASE_EVERY, fault_plan=plan, pipeline_depth=pipeline_depth)
         assert coordinator.recoveries >= 1
         problems = verify_history(sent=sent, completed=completed,
                                   trace=trace, state=state,
@@ -204,7 +209,7 @@ class TestTornSnapshots:
         """Every changelog span delivered with each record twice: the
         recovery after several position cuts resolves the same state as
         single delivery (records carry absolute post-states), so the
-        run matches the full-mode run byte for byte."""
+        run matches the all-base run byte for byte."""
         records_between = ChangelogStore.records_between
         doubled = []
 
@@ -219,22 +224,22 @@ class TestTornSnapshots:
             FaultEvent(kind="crash_coordinator",
                        at_ms=5 * SNAPSHOT_INTERVAL_MS + 40.0,
                        duration_ms=80.0)], name="crash-after-positions")
-        full = run_once("full", fault_plan=plan,
+        all_bases = run_once(ALL_BASES, fault_plan=plan,
                         pipeline_depth=pipeline_depth)
         monkeypatch.setattr(ChangelogStore, "records_between", twice)
-        incremental = run_once("incremental", fault_plan=plan,
+        mixed = run_once(BASE_EVERY, fault_plan=plan,
                                pipeline_depth=pipeline_depth)
-        assert incremental[2].recoveries >= 1
+        assert mixed[2].recoveries >= 1
         assert any(doubled), "no recovery folded a record"
-        assert full[0] == incremental[0], "reply traces diverged"
-        assert full[1] == incremental[1], "final committed state diverged"
+        assert all_bases[0] == mixed[0], "reply traces diverged"
+        assert all_bases[1] == mixed[1], "final committed state diverged"
 
     @pytest.mark.parametrize("pipeline_depth", DEPTHS)
-    def test_torn_events_are_skipped_in_full_mode(self, pipeline_depth,
-                                                  monkeypatch):
-        """Full mode logs nothing and every cut is its own base, so a
-        changelog whose every span has a gap cannot tear a cut: the
-        crash recovers from the newest cut, exactly-once."""
+    def test_torn_events_are_skipped_when_every_cut_is_a_base(
+            self, pipeline_depth, monkeypatch):
+        """With every cut its own base no cut resolves through the
+        changelog, so a changelog whose every span has a gap cannot tear
+        a cut: the crash recovers from the newest cut, exactly-once."""
         monkeypatch.setattr(ChangelogStore, "records_between",
                             lambda self, after_seq, up_to_seq: None)
         plan = FaultPlan(seed=1, events=[
@@ -242,10 +247,9 @@ class TestTornSnapshots:
                        at_ms=5 * SNAPSHOT_INTERVAL_MS + 40.0,
                        duration_ms=80.0)], name="crash-after-positions")
         trace, state, coordinator, sent, completed, workload = run_once(
-            "full", fault_plan=plan, pipeline_depth=pipeline_depth)
+            ALL_BASES, fault_plan=plan, pipeline_depth=pipeline_depth)
         assert coordinator.recoveries >= 1
-        assert coordinator.changelog.appended == 0
-        assert all(cut.kind == "full"
+        assert all(cut.kind == "base"
                    for cut in coordinator.snapshots.cut_log)
         problems = verify_history(sent=sent, completed=completed,
                                   trace=trace, state=state,
@@ -255,7 +259,7 @@ class TestTornSnapshots:
     def test_post_fallback_cuts_reanchor_as_bases(self):
         """The restored store starts a new timeline: the next cut is a
         base, whatever the cadence says."""
-        store = SnapshotStore(mode="incremental", base_every=4)
+        store = SnapshotStore(base_every=4)
         meta = dict(source_offsets={}, replied=set(), batch_seq=0,
                     arrival_seq=0)
         store.take(taken_at_ms=0.0, state={("E", "a"): {"v": 0}},

@@ -194,7 +194,8 @@ class TestPipelineDrains:
         # plus exactly the adds whose replies the cut also carries
         # (every committed add replied before the batch closed; folded
         # executing adds contributed nothing yet).
-        state = materialize_snapshot(snapshot.state)
+        state = materialize_snapshot(coordinator.snapshots.resolve(
+            snapshot, coordinator.changelog))
         total = sum(entry["balance"] for (kind, _), entry in state.items()
                     if kind == "Account")
         assert total - 800 == len(snapshot.replied)

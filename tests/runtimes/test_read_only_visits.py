@@ -35,8 +35,7 @@ def watched(account_program, monkeypatch):
     """A runtime with a pinned view, an incremental changelog and a
     registered view, and the footprint of every batch it closes."""
     runtime = StateflowRuntime(account_program, config=StateflowConfig(
-        workers=2, snapshot_mode="incremental",
-        coordinator=CoordinatorConfig(snapshot_interval_ms=1e9)))
+        workers=2, coordinator=CoordinatorConfig(snapshot_interval_ms=1e9)))
     runtime.preload(Account, [(f"acct-{i}", 100) for i in range(8)])
     runtime.start()
     QueryEngine(runtime).register_view(

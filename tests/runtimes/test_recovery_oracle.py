@@ -7,10 +7,11 @@ committed store at the moment of each cut — what a restore of that cut
 must give back.  The store, in turn, only ever sees a base payload, a
 changelog position and the changelog; resolving a position cut folds
 records it never saw the store for.  The CI chaos plan (seed 7, a
-coordinator fail-over, worker crashes, message faults) runs in
-incremental mode, in memory and with a durability directory, and then
-every retained cut — and every cut a cold start over the directory
-finds — must resolve to exactly the recorded state.
+coordinator fail-over, worker crashes, message faults) runs at the
+default base cadence and with every cut a base, in memory and with a
+durability directory, and then every retained cut — and every cut a
+cold start over the directory finds — must resolve to exactly the
+recorded state.
 """
 
 import shutil
@@ -30,18 +31,20 @@ from repro.storage import FileChangelogStore, FileSnapshotStore
 
 #: The CI smoke run: ``chaos plan --seed 7 --duration-ms 2000
 #: --coordinator-faults`` driven by ``chaos run --seed 7 --duration-ms
-#: 2000 --snapshot-mode incremental``.
+#: 2000``.
 SEED = 7
 DURATION_MS = 2_000.0
 CHAOS_DIGEST = ("cf6f59fdfa72342bf22340a576c191a07e4f6740eb03d8f746721cdbe"
                 "5045a00")
 
 
-def run_ci_chaos(monkeypatch, durability_dir=None, after_cut=None):
-    """The CI chaos run in incremental mode.  Records ``{snapshot_id:
-    committed state at the cut}`` and calls ``after_cut(coordinator,
-    expected)`` once each cut is complete (persisted, changelog
-    compacted); returns (report, coordinator, expected)."""
+def run_ci_chaos(monkeypatch, durability_dir=None, after_cut=None,
+                 base_every=None):
+    """The CI chaos run, at *base_every* when given.  Records
+    ``{snapshot_id: committed state at the cut}`` and calls
+    ``after_cut(coordinator, expected)`` once each cut is complete
+    (persisted, changelog compacted); returns (report, coordinator,
+    expected)."""
     coordinators: list[Coordinator] = []
     expected: dict[int, dict] = {}
     init, take = Coordinator.__init__, SnapshotStore.take
@@ -66,7 +69,9 @@ def run_ci_chaos(monkeypatch, durability_dir=None, after_cut=None):
     monkeypatch.setattr(Coordinator, "__init__", recording_init)
     monkeypatch.setattr(SnapshotStore, "take", recording_take)
     monkeypatch.setattr(Coordinator, "_take_snapshot", checked_take_snapshot)
-    overrides = {"snapshot_mode": "incremental"}
+    overrides = {}
+    if base_every is not None:
+        overrides["snapshot_base_every"] = base_every
     if durability_dir is not None:
         overrides["durability_dir"] = str(durability_dir)
     report = run_chaos_cell(
@@ -101,14 +106,15 @@ def check_every_cut(snapshots, changelog, expected) -> int:
 
 
 def cold_start(directory):
-    return (FileSnapshotStore(directory, mode="incremental"),
+    return (FileSnapshotStore(directory),
             FileChangelogStore(directory))
 
 
-@pytest.mark.parametrize("durable", [False, True],
-                         ids=["memory", "durable"])
+@pytest.mark.parametrize("durable, base_every", [
+    (False, None), (True, None), (False, 1), (True, 1)],
+    ids=["memory", "durable", "memory-base_every=1", "durable-base_every=1"])
 def test_every_retained_cut_resolves_to_its_recorded_state(
-        monkeypatch, tmp_path, durable):
+        monkeypatch, tmp_path, durable, base_every):
     directory = tmp_path / "state" if durable else None
     folded = []
 
@@ -125,11 +131,17 @@ def test_every_retained_cut_resolves_to_its_recorded_state(
             finally:
                 changelog.close()
 
-    report, coordinator, _ = run_ci_chaos(monkeypatch, directory, after_cut)
+    report, coordinator, _ = run_ci_chaos(monkeypatch, directory, after_cut,
+                                          base_every)
     assert report.trace_digest == CHAOS_DIGEST
     assert not report.problems, report.problems
     assert coordinator.recoveries >= 1, "the plan must force a recovery"
-    assert sum(folded) >= 20, "too few cuts folded changelog records"
+    if base_every == 1:
+        assert {cut.kind for cut in coordinator.snapshots.cut_log} \
+            == {"base"}
+        assert sum(folded) == 0, "a cut that is its own base folds nothing"
+    else:
+        assert sum(folded) >= 20, "too few cuts folded changelog records"
 
 
 def test_a_corrupt_newest_base_never_restores_a_state_missing_writes(

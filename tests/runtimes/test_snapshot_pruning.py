@@ -1,9 +1,9 @@
 """SnapshotStore pruning: the store keeps a bounded window of
 snapshots, recovery still works long after the first snapshots were
 pruned, snapshot cuts stay consistent while a pipeline is in flight,
-and — in incremental mode — pruning never frees a base that a retained
-position cut still resolves from, the changelog is truncated below the
-oldest retained base, and a cut that does not resolve is skipped."""
+pruning never frees a base that a retained position cut still resolves
+from, the changelog is truncated below the oldest retained base, and a
+cut that does not resolve is skipped."""
 
 import pytest
 
@@ -42,8 +42,7 @@ class TestPruning:
 def _incremental_store(keep=2, base_every=4):
     """A store holding one base and position cuts over it, each after
     one more changelog record."""
-    store = SnapshotStore(keep=keep, mode="incremental",
-                          base_every=base_every)
+    store = SnapshotStore(keep=keep, base_every=base_every)
     changelog = ChangelogStore()
     store.take(taken_at_ms=0.0, state={("E", "a"): {"v": 0}},
                source_offsets={}, replied=set(), batch_seq=0,
@@ -79,7 +78,7 @@ class TestChainAwarePruning:
         assert [s.snapshot_id for s in store._snapshots] == [4, 5]
         assert store.floor_changelog_seq() == changelog.head_seq
 
-    def test_full_mode_pruning_unchanged(self):
+    def test_a_window_of_bases_keeps_the_newest_cuts(self):
         store = SnapshotStore(keep=3)
         for i in range(8):
             store.take(taken_at_ms=float(i), state={}, source_offsets={},
@@ -133,11 +132,10 @@ class TestCutResolution:
 
     def test_an_empty_store_has_nothing_to_recover(self):
         with pytest.raises(SnapshotChainError, match="no recoverable"):
-            SnapshotStore(mode="incremental").latest_recoverable(
-                ChangelogStore())
+            SnapshotStore().latest_recoverable(ChangelogStore())
 
     def test_every_cut_is_a_base_when_base_every_is_one(self):
-        store = SnapshotStore(mode="incremental", base_every=1)
+        store = SnapshotStore(base_every=1)
         kinds = []
         for i in range(4):
             kinds.append(store.next_kind())
@@ -147,11 +145,101 @@ class TestCutResolution:
         assert kinds == ["base"] * 4
 
 
+def _take_planned(store, i, changelog=None):
+    """Take the cut *store* asks for as cut *i*, after one more record
+    when a changelog is given."""
+    seq = -1
+    if changelog is not None:
+        changelog.append(i, {("E", "a"): {"v": i}})
+        seq = changelog.head_seq
+    kind = store.next_kind()
+    return store.take(taken_at_ms=float(i), state={("E", "a"): {"v": i}},
+                      source_offsets={}, replied=set(), batch_seq=i,
+                      arrival_seq=i, kind=kind, changelog_seq=seq)
+
+
+class TestCutCadence:
+    """``next_kind`` answers from ``base_every`` alone: the first cut is
+    a base, then one base every ``base_every`` cuts and position cuts in
+    between; :meth:`SnapshotStore.rebase` restarts the count."""
+
+    @pytest.mark.parametrize("base_every", [2, 3, 4, 5, 7])
+    def test_a_base_every_nth_cut(self, base_every):
+        store = SnapshotStore(keep=100, base_every=base_every)
+        cuts = [_take_planned(store, i) for i in range(3 * base_every + 1)]
+        assert [cut.kind for cut in cuts] == [
+            "base" if i % base_every == 0 else "position"
+            for i in range(len(cuts))]
+        assert [cut.base_id for cut in cuts] == [
+            i - i % base_every for i in range(len(cuts))]
+
+    @pytest.mark.parametrize("base_every", [2, 3, 4])
+    def test_rebase_restarts_the_chain(self, base_every):
+        store = SnapshotStore(keep=100, base_every=base_every)
+        changelog = ChangelogStore()
+        _take_planned(store, 0, changelog)
+        _take_planned(store, 1, changelog)
+        store.rebase()
+        rebased = _take_planned(store, 2, changelog)
+        after = [_take_planned(store, i, changelog)
+                 for i in range(3, 3 + base_every)]
+        assert (rebased.kind, rebased.base_id) == ("base", 2)
+        assert [cut.kind for cut in after] == \
+            ["position"] * (base_every - 1) + ["base"]
+        assert [store.resolve(cut, changelog)[("E", "a")]["v"]
+                for cut in after] == list(range(3, 3 + base_every))
+
+    def test_a_legacy_full_cut_reads_as_a_base(self):
+        """Cuts written before the one durability mode carry
+        ``kind="full"``: the store anchors position cuts on them and
+        counts them toward the changelog floor."""
+        store = SnapshotStore(keep=8, base_every=3)
+        changelog = ChangelogStore()
+        changelog.append(0, {("E", "a"): {"v": 0}})
+        full = store.take(taken_at_ms=0.0, state={("E", "a"): {"v": 0}},
+                          source_offsets={}, replied=set(), batch_seq=0,
+                          arrival_seq=0, kind="full",
+                          changelog_seq=changelog.head_seq)
+        assert full.base_id == full.snapshot_id
+        following = [_take_planned(store, i, changelog) for i in (1, 2, 3)]
+        assert [cut.kind for cut in following] == \
+            ["position", "position", "base"]
+        assert store.resolve(following[1], changelog) == {("E", "a"): {"v": 2}}
+        assert store.floor_changelog_seq() == full.changelog_seq
+
+
+class TestFootprints:
+    """``snapshot_footprints`` is a plain switch: off by default, so no
+    default run measures a payload, and on in the recovery preset."""
+
+    def test_off_by_default(self, account_program):
+        assert CoordinatorConfig().snapshot_footprints is False
+        runtime = StateflowRuntime(account_program)
+        snapshots = runtime.coordinator.snapshots
+        assert snapshots.track_footprints is False
+        _take_planned(snapshots, 0)
+        assert (snapshots.cut_log[-1].keys, snapshots.cut_log[-1].bytes) \
+            == (0, 0)
+
+    def test_on_each_base_is_measured(self, account_program):
+        config = StateflowConfig(coordinator=CoordinatorConfig(
+            snapshot_footprints=True, snapshot_base_every=2))
+        snapshots = StateflowRuntime(account_program,
+                                     config=config).coordinator.snapshots
+        assert snapshots.track_footprints is True
+        for i in range(4):
+            _take_planned(snapshots, i)
+        assert [(record.kind, record.keys > 0, record.bytes > 0)
+                for record in snapshots.cut_log] == [
+            ("base", True, True), ("position", False, False)] * 2
+
+
 class TestRecoveryAfterPruning:
     def test_recovery_after_more_than_keep_snapshots(self, account_program):
         """Run long enough that the initial snapshots are pruned, then
         fail over: recovery restores the latest retained snapshot and
-        the run stays exactly-once."""
+        the run stays exactly-once.  The window holds the newest
+        ``keep`` cuts plus the bases they resolve from."""
         config = StateflowConfig(
             coordinator=CoordinatorConfig(snapshot_interval_ms=100.0))
         runtime = StateflowRuntime(account_program, config=config)
@@ -165,9 +253,14 @@ class TestRecoveryAfterPruning:
                     ref, "add", (1,),
                     on_reply=lambda r: replies.append(r.request_id)))
         runtime.sim.run(until=1_200)
-        assert runtime.coordinator.snapshots._next_id > keep, (
+        snapshots = runtime.coordinator.snapshots
+        assert snapshots._next_id > keep, (
             "the run must have pruned at least one snapshot")
-        assert len(runtime.coordinator.snapshots) <= keep
+        newest = set(range(snapshots._next_id - keep, snapshots._next_id))
+        retained = snapshots.retained()
+        assert {cut.snapshot_id for cut in retained} == newest | {
+            cut.base_id for cut in retained if cut.snapshot_id in newest}
+        assert 0 not in {cut.snapshot_id for cut in retained}
         runtime.fail_coordinator(failover_after_ms=50.0)
         runtime.sim.run(until=30_000)
         assert runtime.entity_state(ref)["balance"] == 20
@@ -181,7 +274,6 @@ class TestRecoveryAfterPruning:
         retained base's position is gone, everything above it is
         kept, and the newest cut still resolves to the live state."""
         config = StateflowConfig(
-            snapshot_mode="incremental",
             coordinator=CoordinatorConfig(snapshot_interval_ms=100.0,
                                           snapshot_base_every=3))
         runtime = StateflowRuntime(account_program, config=config)
@@ -205,26 +297,101 @@ class TestRecoveryAfterPruning:
         assert runtime.entity_state(ref)["balance"] == 30
 
 
+class TestEveryRunLogs:
+    def test_a_default_run_logs_one_record_per_writing_batch(
+            self, account_program):
+        """With the default config, every closed batch that wrote
+        something appends exactly one changelog record, in batch order;
+        a batch of reads appends none."""
+        runtime = StateflowRuntime(account_program)
+        coordinator = runtime.coordinator
+        closed, logged = [], []
+        observe = coordinator._observe_batch_writes
+        append = coordinator.changelog.append
+
+        def observing(batch):
+            closed.append((batch.batch_id, bool(batch.footprint)))
+            observe(batch)
+
+        def appending(batch_id, writes, *, at_ms=0.0):
+            logged.append(batch_id)
+            return append(batch_id, writes, at_ms=at_ms)
+
+        coordinator._observe_batch_writes = observing
+        coordinator.changelog.append = appending
+        refs = runtime.preload(Account, [(f"a{i}", 0) for i in range(4)])
+        runtime.start()
+        for i, ref in enumerate(refs):
+            runtime.sim.schedule_at(
+                i * 40.0, lambda r=ref: runtime.submit(r, "add", (1,)))
+            runtime.sim.schedule_at(
+                500.0 + i * 40.0, lambda r=ref: runtime.submit(r, "read", ()))
+        runtime.sim.run(until=2_000)
+        writing = [batch_id for batch_id, wrote in closed if wrote]
+        assert writing and len(writing) < len(closed)
+        assert logged == writing
+        assert coordinator.changelog.appended == len(writing)
+
+    @staticmethod
+    def _logged(account_program, base_every):
+        """Every changelog append of a short transfer run, in order."""
+        config = StateflowConfig(workers=2, coordinator=CoordinatorConfig(
+            pipeline_depth=2, snapshot_interval_ms=100.0,
+            snapshot_base_every=base_every))
+        runtime = StateflowRuntime(account_program, config=config)
+        logged = []
+        append = runtime.coordinator.changelog.append
+
+        def appending(batch_id, writes, *, at_ms=0.0):
+            logged.append((batch_id, dict(writes)))
+            return append(batch_id, writes, at_ms=at_ms)
+
+        runtime.coordinator.changelog.append = appending
+        workload = YcsbWorkload("T", record_count=8, distribution="uniform",
+                                seed=5, initial_balance=100)
+        runtime.preload(Account, workload.dataset_rows())
+        runtime.start()
+        WorkloadDriver(runtime, workload, DriverConfig(
+            rps=100.0, duration_ms=800.0, warmup_ms=0.0, drain_ms=2_000.0,
+            seed=6)).run()
+        return logged
+
+    @pytest.mark.parametrize("base_every", [1, 2, 6])
+    def test_the_log_does_not_depend_on_the_cut_cadence(
+            self, account_program, base_every):
+        """The cadence decides what a cut captures, never what a commit
+        logs: every cadence appends the default's records."""
+        logged = self._logged(account_program, base_every)
+        assert logged
+        assert logged == self._logged(
+            account_program, CoordinatorConfig().snapshot_base_every)
+
+
 class TestNoHalfCommittedSnapshots:
     def test_every_snapshot_conserves_balance_under_pipeline(
             self, account_program):
         """Transfer load on a deep pipeline: every snapshot ever cut
         (including those later pruned) must conserve the total balance —
-        a half-committed transfer batch would break the sum."""
+        a half-committed transfer batch would break the sum.  Each cut
+        is resolved as it is taken, so a position cut is audited through
+        the changelog records it folds."""
         config = StateflowConfig(coordinator=CoordinatorConfig(
             pipeline_depth=4, snapshot_interval_ms=80.0))
         runtime = StateflowRuntime(account_program, config=config)
         totals = []
-        original_take = runtime.coordinator.snapshots.take
+        snapshots = runtime.coordinator.snapshots
+        original_take = snapshots.take
 
         def auditing_take(**kwargs):
-            state = materialize_snapshot(kwargs["state"])
+            cut = original_take(**kwargs)
+            state = materialize_snapshot(snapshots.resolve(
+                cut, runtime.coordinator.changelog))
             totals.append(sum(
                 entry["balance"] for (kind, _), entry in state.items()
                 if kind == "Account"))
-            return original_take(**kwargs)
+            return cut
 
-        runtime.coordinator.snapshots.take = auditing_take
+        snapshots.take = auditing_take
         workload = YcsbWorkload("T", record_count=12, distribution="uniform",
                                 seed=5, initial_balance=1_000)
         runtime.preload(Account, workload.dataset_rows())

@@ -29,23 +29,24 @@ from repro.substrates.simulation import Simulation
 from repro.views import ViewManager
 from repro.workloads import Account, DriverConfig, WorkloadDriver, YcsbWorkload
 
-MODES = ("full", "incremental")
 #: Serial batches, and one batch executing while the previous commits.
 DEPTHS = (1, 2)
 SNAPSHOT_INTERVAL_MS = 150.0
 BASE_EVERY = 3
+#: Every cut a base, and position cuts between bases.
+CADENCES = (1, BASE_EVERY)
 
 
-def run_once(mode, *, seed=11, durability_dir=None, pipeline_depth=2,
-             fault_plan=None, rps=150.0, duration_ms=1_500.0, records=24):
+def run_once(base_every=BASE_EVERY, *, seed=11, durability_dir=None,
+             pipeline_depth=2, fault_plan=None, rps=150.0,
+             duration_ms=1_500.0, records=24):
     config = StateflowConfig(
-        workers=3, snapshot_mode=mode, fault_plan=fault_plan,
-        durability_dir=durability_dir,
+        workers=3, fault_plan=fault_plan, durability_dir=durability_dir,
         coordinator=CoordinatorConfig(
             pipeline_depth=pipeline_depth,
             snapshot_interval_ms=SNAPSHOT_INTERVAL_MS,
             failure_detect_ms=200.0,
-            snapshot_base_every=BASE_EVERY))
+            snapshot_base_every=base_every))
     runtime = StateflowRuntime(run_once.program, sim=Simulation(seed=seed),
                                config=config)
     trace = []
@@ -72,20 +73,20 @@ def _program(account_program):
 
 def reopen_stores(directory):
     """A cold start: fresh store objects over the surviving files only."""
-    snapshots = FileSnapshotStore(directory, mode="incremental",
-                                  base_every=BASE_EVERY)
+    snapshots = FileSnapshotStore(directory, base_every=BASE_EVERY)
     changelog = FileChangelogStore(directory)
     return snapshots, changelog
 
 
 class TestDurableRunsAreInvisible:
     @pytest.mark.parametrize("pipeline_depth", DEPTHS)
-    @pytest.mark.parametrize("mode", MODES)
-    def test_traces_byte_identical_to_in_memory(self, tmp_path, mode,
+    @pytest.mark.parametrize("base_every", CADENCES,
+                             ids=lambda n: f"base_every={n}")
+    def test_traces_byte_identical_to_in_memory(self, tmp_path, base_every,
                                                 pipeline_depth):
-        memory = run_once(mode, pipeline_depth=pipeline_depth)
-        durable = run_once(mode, pipeline_depth=pipeline_depth,
-                           durability_dir=str(tmp_path / mode))
+        memory = run_once(base_every, pipeline_depth=pipeline_depth)
+        durable = run_once(base_every, pipeline_depth=pipeline_depth,
+                           durability_dir=str(tmp_path))
         assert memory[0] == durable[0], "reply traces diverged"
         assert memory[1] == durable[1], "final committed state diverged"
         trace, state, _, sent, completed, workload = durable
@@ -96,8 +97,7 @@ class TestDurableRunsAreInvisible:
         # The run really did hit the disk.
         coordinator = durable[2].coordinator
         assert coordinator.snapshots.bytes_written > 0
-        if mode == "incremental":
-            assert coordinator.changelog.bytes_written > 0
+        assert coordinator.changelog.bytes_written > 0
 
     @pytest.mark.parametrize("pipeline_depth", DEPTHS)
     def test_durable_recovery_equals_in_memory_recovery(self, tmp_path,
@@ -106,9 +106,9 @@ class TestDurableRunsAreInvisible:
         must stay byte-identical through recovery itself."""
         plan = random_plan(23, duration_ms=1_500.0, workers=3,
                            coordinator_faults=True)
-        memory = run_once("incremental", fault_plan=plan, seed=23,
+        memory = run_once(fault_plan=plan, seed=23,
                           pipeline_depth=pipeline_depth)
-        durable = run_once("incremental", fault_plan=plan, seed=23,
+        durable = run_once(fault_plan=plan, seed=23,
                            pipeline_depth=pipeline_depth,
                            durability_dir=str(tmp_path))
         assert durable[2].coordinator.recoveries >= 1
@@ -120,7 +120,7 @@ class TestColdStart:
     @pytest.mark.parametrize("pipeline_depth", DEPTHS)
     def test_cold_reopen_resolves_the_live_state(self, tmp_path,
                                                  pipeline_depth):
-        durable = run_once("incremental", pipeline_depth=pipeline_depth,
+        durable = run_once(pipeline_depth=pipeline_depth,
                            durability_dir=str(tmp_path))
         coordinator = durable[2].coordinator
         live_snapshot, live_payload = \
@@ -141,7 +141,7 @@ class TestColdStart:
         gone from disk too, not just from the dying process's memory."""
         plan = random_plan(23, duration_ms=1_500.0, workers=3,
                            coordinator_faults=True)
-        durable = run_once("incremental", fault_plan=plan, seed=23,
+        durable = run_once(fault_plan=plan, seed=23,
                            pipeline_depth=pipeline_depth,
                            durability_dir=str(tmp_path))
         live = durable[2].coordinator.changelog
@@ -193,8 +193,7 @@ def canonical(value):
 class TestDurableViewsColdStart:
     def _durable_run_with_views(self, directory, pipeline_depth):
         config = StateflowConfig(
-            workers=3, snapshot_mode="incremental",
-            durability_dir=str(directory),
+            workers=3, durability_dir=str(directory),
             coordinator=CoordinatorConfig(
                 pipeline_depth=pipeline_depth,
                 snapshot_interval_ms=SNAPSHOT_INTERVAL_MS,
@@ -266,7 +265,7 @@ from repro.workloads import Account, DriverConfig, WorkloadDriver, \\
 
 durable, report = sys.argv[1], sys.argv[2]
 config = StateflowConfig(
-    workers=3, snapshot_mode="incremental", durability_dir=durable,
+    workers=3, durability_dir=durable,
     coordinator=CoordinatorConfig(
         pipeline_depth=2,
         snapshot_interval_ms=150.0, failure_detect_ms=200.0,
@@ -333,7 +332,7 @@ from repro.workloads import Account, DriverConfig, WorkloadDriver, \\
 
 durable, report = sys.argv[1], sys.argv[2]
 config = StateflowConfig(
-    workers=3, snapshot_mode="incremental", durability_dir=durable,
+    workers=3, durability_dir=durable,
     coordinator=CoordinatorConfig(
         pipeline_depth=2,
         snapshot_interval_ms=150.0, failure_detect_ms=200.0,
@@ -411,8 +410,7 @@ class TestRealKillOnProcessSubstrate:
         directory resolves what the live coordinator resolves."""
         config = StateflowConfig(
             spawner="process", workers=3, exec_service_ms=0.0,
-            state_op_ms=0.0, snapshot_mode="incremental",
-            durability_dir=str(tmp_path),
+            state_op_ms=0.0, durability_dir=str(tmp_path),
             coordinator=CoordinatorConfig(
                 conflict_check_ms_per_txn=0.0, dispatch_ms_per_txn=0.0,
                 failure_detect_ms=2_000.0, snapshot_interval_ms=500.0,

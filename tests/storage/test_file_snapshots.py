@@ -1,7 +1,7 @@
 """File-backed snapshot store: cut persistence, the cut cadence across
 restarts, pruning on disk, corrupt-cut handling, position cuts resolved
-through a reopened changelog, and refusal of every layout version but
-the current one."""
+through a reopened changelog, cuts of the deleted full mode read as
+bases, and refusal of every layout version but the current one."""
 
 import json
 import shutil
@@ -33,15 +33,14 @@ def cut(store, changelog=None, at_ms=0.0, state=None):
 
 class TestRoundTrip:
     def test_take_close_reopen_resolves_the_same_payload(self, tmp_path):
-        store = FileSnapshotStore(tmp_path, mode="incremental", base_every=3)
+        store = FileSnapshotStore(tmp_path, base_every=3)
         changelog = FileChangelogStore(tmp_path)
         cut(store, changelog, state=state_v(0))
         changelog.append(0, state_v(1), at_ms=5.0)
         cut(store, changelog, at_ms=10.0, state=state_v(1))
         changelog.close()
 
-        reopened = FileSnapshotStore(tmp_path, mode="incremental",
-                                     base_every=3)
+        reopened = FileSnapshotStore(tmp_path, base_every=3)
         assert reopened.loaded == 2
         latest = reopened.latest()
         assert (latest.snapshot_id, latest.kind, latest.base_id,
@@ -55,26 +54,25 @@ class TestRoundTrip:
             (0, "base"), (1, "position")]
 
     def test_the_first_cut_after_opening_is_a_base(self, tmp_path):
-        store = FileSnapshotStore(tmp_path, mode="incremental", base_every=3)
+        store = FileSnapshotStore(tmp_path, base_every=3)
         cut(store, state=state_v(0))
         assert store.next_kind() == "position"
         cut(store)
 
         # A run over an existing directory starts from whatever its
         # store holds, not from the old run's base.
-        reopened = FileSnapshotStore(tmp_path, mode="incremental",
-                                     base_every=3)
+        reopened = FileSnapshotStore(tmp_path, base_every=3)
         assert reopened.next_kind() == "base"
         taken = cut(reopened, state=state_v(5))
         assert (taken.snapshot_id, taken.base_id) == (2, 2)
         assert reopened.next_kind() == "position"
 
     def test_id_counter_survives_losing_every_cut_file(self, tmp_path):
-        store = FileSnapshotStore(tmp_path, mode="full")
+        store = FileSnapshotStore(tmp_path, base_every=1)
         cut(store, state=state_v(0))
         for path in (tmp_path / "snapshots").glob("cut-*.bin"):
             path.unlink()
-        reopened = FileSnapshotStore(tmp_path, mode="full")
+        reopened = FileSnapshotStore(tmp_path, base_every=1)
         assert reopened.loaded == 0
         taken = cut(reopened, state=state_v(1))
         # Ids must never be reused: a stale cut-0 file from a slow
@@ -84,7 +82,7 @@ class TestRoundTrip:
 
 class TestPruning:
     def test_auto_prune_unlinks_fallen_cut_files(self, tmp_path):
-        store = FileSnapshotStore(tmp_path, mode="full", keep=2)
+        store = FileSnapshotStore(tmp_path, base_every=1, keep=2)
         for n in range(5):
             cut(store, state=state_v(n))
         names = sorted(p.name for p in
@@ -92,8 +90,7 @@ class TestPruning:
         assert names == ["cut-0000000003.bin", "cut-0000000004.bin"]
 
     def test_the_base_of_a_retained_cut_keeps_its_file(self, tmp_path):
-        store = FileSnapshotStore(tmp_path, mode="incremental", keep=2,
-                                  base_every=4)
+        store = FileSnapshotStore(tmp_path, keep=2, base_every=4)
         for n in range(4):
             cut(store, state=state_v(n))
         names = sorted(p.name for p in
@@ -104,32 +101,31 @@ class TestPruning:
 
 class TestCorruption:
     def test_unreadable_cut_is_dropped_not_fatal(self, tmp_path):
-        store = FileSnapshotStore(tmp_path, mode="full")
+        store = FileSnapshotStore(tmp_path, base_every=1)
         for n in range(2):
             cut(store, state=state_v(n))
         newest = tmp_path / "snapshots" / "cut-0000000001.bin"
         newest.write_bytes(b"SF\x00\x00\x00\x09garbage!!")
 
-        reopened = FileSnapshotStore(tmp_path, mode="full")
+        reopened = FileSnapshotStore(tmp_path, base_every=1)
         assert reopened.dropped_unreadable == 1
         assert not newest.exists()
         assert reopened.latest().snapshot_id == 0
         assert reopened.resolve(reopened.latest()) == state_v(0)
 
     def test_torn_ledger_tail_is_truncated(self, tmp_path):
-        store = FileSnapshotStore(tmp_path, mode="full")
+        store = FileSnapshotStore(tmp_path, base_every=1)
         cut(store, state=state_v(0))
         ledger = tmp_path / "snapshots" / "ledger.log"
         intact = ledger.stat().st_size
         with open(ledger, "ab") as handle:
             handle.write(b"SF\xff\xff")
-        reopened = FileSnapshotStore(tmp_path, mode="full")
+        reopened = FileSnapshotStore(tmp_path, base_every=1)
         assert len(reopened.cut_log) == 1
         assert ledger.stat().st_size == intact
 
     def test_a_cut_whose_base_file_is_gone_is_skipped(self, tmp_path):
-        store = FileSnapshotStore(tmp_path, mode="incremental", keep=8,
-                                  base_every=2)
+        store = FileSnapshotStore(tmp_path, keep=8, base_every=2)
         changelog = FileChangelogStore(tmp_path)
         for n in range(4):
             changelog.append(n, state_v(n), at_ms=float(n))
@@ -138,8 +134,7 @@ class TestCorruption:
         # Cuts 0 and 2 are bases; 1 and 3 are position cuts.
         (tmp_path / "snapshots" / "cut-0000000002.bin").write_bytes(b"x")
 
-        reopened = FileSnapshotStore(tmp_path, mode="incremental",
-                                     base_every=2)
+        reopened = FileSnapshotStore(tmp_path, base_every=2)
         cold_changelog = FileChangelogStore(tmp_path)
         assert reopened.dropped_unreadable == 1
         with pytest.raises(SnapshotChainError, match="base 2 is gone"):
@@ -153,8 +148,7 @@ class TestCorruption:
 class TestResolveAfterColdStart:
     def test_position_cut_resolves_through_reopened_changelog(
             self, tmp_path):
-        snapshots = FileSnapshotStore(tmp_path, mode="incremental",
-                                      base_every=4)
+        snapshots = FileSnapshotStore(tmp_path, base_every=4)
         changelog = FileChangelogStore(tmp_path)
         cut(snapshots, changelog, state=state_v(0))
         changelog.append(0, state_v(1), at_ms=10.0)
@@ -165,8 +159,7 @@ class TestResolveAfterColdStart:
         assert live_payload == {**state_v(1), ("Account", "y"): {"v": 7}}
         changelog.close()
 
-        cold_snapshots = FileSnapshotStore(tmp_path, mode="incremental",
-                                           base_every=4)
+        cold_snapshots = FileSnapshotStore(tmp_path, base_every=4)
         cold_changelog = FileChangelogStore(tmp_path)
         cold_snapshot, cold_payload = cold_snapshots.latest_recoverable(
             cold_changelog)
@@ -182,12 +175,73 @@ def _tree(root):
             for path in sorted(root.rglob("*"))}
 
 
+class TestFullModeCuts:
+    """Before the one durability mode, every cut of a full-mode run
+    carried ``kind="full"`` (``perf/probes.py`` still takes such cuts).
+    A format-3 directory holding them reopens without a version bump:
+    a cut that is not a position cut is a base."""
+
+    def test_full_cuts_reopen_and_resolve_the_newest(self, tmp_path):
+        store = FileSnapshotStore(tmp_path, mode="full")
+        assert store.base_every == 1
+        for n in range(3):
+            store.take(taken_at_ms=float(n), state=state_v(n), kind="full",
+                       **META)
+
+        reopened = FileSnapshotStore(tmp_path)
+        changelog = FileChangelogStore(tmp_path)
+        assert read_manifest(open_layout(tmp_path))["format_version"] == 3
+        assert [(c.snapshot_id, c.kind, c.base_id)
+                for c in reopened.retained()] == [
+            (0, "full", 0), (1, "full", 1), (2, "full", 2)]
+        snapshot, payload = reopened.latest_recoverable(changelog)
+        assert snapshot.snapshot_id == 2
+        assert payload == state_v(2)
+        assert reopened.floor_changelog_seq() == -1
+        assert reopened.next_kind() == "base"
+        changelog.close()
+
+    @pytest.mark.parametrize("mode,base_every", [
+        ("full", 1), ("incremental", 3), (None, 3)])
+    def test_the_mode_keyword_only_sets_the_cadence(self, tmp_path, mode,
+                                                    base_every):
+        """``mode="full"`` means every cut a base; any other value
+        leaves the cadence the caller passed."""
+        store = FileSnapshotStore(tmp_path, base_every=3, mode=mode)
+        assert store.base_every == base_every
+        kinds = [cut(store, state=state_v(n)).kind for n in range(4)]
+        assert kinds == ["base" if n % base_every == 0 else "position"
+                         for n in range(4)]
+
+    def test_a_reopened_directory_of_full_cuts_grows_a_chain(self,
+                                                             tmp_path):
+        """A run that resumes over full cuts cuts a fresh base, then
+        position cuts that resolve through the reopened changelog."""
+        store = FileSnapshotStore(tmp_path, mode="full")
+        for n in range(2):
+            store.take(taken_at_ms=float(n), state=state_v(n), kind="full",
+                       **META)
+        reopened = FileSnapshotStore(tmp_path, base_every=3)
+        changelog = FileChangelogStore(tmp_path)
+        base = cut(reopened, changelog, state=state_v(5))
+        positions = []
+        for v in (6, 7):
+            changelog.append(v, state_v(v))
+            positions.append(cut(reopened, changelog, state=state_v(v)))
+        assert (base.kind, base.snapshot_id) == ("base", 2)
+        assert [(c.kind, c.base_id) for c in positions] == \
+            [("position", 2), ("position", 2)]
+        assert [reopened.resolve(c, changelog) for c in positions] == \
+            [state_v(6), state_v(7)]
+        changelog.close()
+
+
 class TestLayoutVersioning:
     def _make_v0(self, tmp_path):
         """Fabricate the flat v0 prototype layout: everything in the
         root, no manifest."""
         staging = tmp_path / "staging"
-        cut(FileSnapshotStore(staging, mode="full"), state=state_v(0))
+        cut(FileSnapshotStore(staging, base_every=1), state=state_v(0))
         changelog = FileChangelogStore(staging)
         changelog.append(0, state_v(1), at_ms=10.0)
         changelog.close()
@@ -221,7 +275,7 @@ class TestLayoutVersioning:
 
     def _stamp(self, tmp_path, version):
         """A current-format directory whose manifest claims *version*."""
-        cut(FileSnapshotStore(tmp_path, mode="full"), state=state_v(0))
+        cut(FileSnapshotStore(tmp_path, base_every=1), state=state_v(0))
         layout = open_layout(tmp_path)
         manifest = json.loads(layout.manifest_path.read_text())
         assert manifest["format_version"] == FORMAT_VERSION
@@ -263,7 +317,7 @@ class TestRetiredPayloadClasses:
         from repro.runtimes.state import PartitionedSnapshot
         from repro.substrates.wire import decode_frame, encode_frame
 
-        store = FileSnapshotStore(tmp_path, mode="full")
+        store = FileSnapshotStore(tmp_path, base_every=1)
         for n in range(3):
             cut(store, state=state_v(n))
         retired = tmp_path / "snapshots" / "cut-0000000001.bin"
@@ -286,7 +340,7 @@ class TestRetiredPayloadClasses:
             retired.write_bytes(encode_frame(snapshot))
         assert not hasattr(state_module, "CowSnapshot")
 
-        reopened = FileSnapshotStore(tmp_path, mode="full")
+        reopened = FileSnapshotStore(tmp_path, base_every=1)
         assert reopened.dropped_unreadable == 1
         assert reopened.loaded == 2
         assert not retired.exists()

@@ -1,4 +1,4 @@
-"""Network latency models and the cluster layout."""
+"""Network latency models."""
 
 import math
 import random
@@ -6,7 +6,6 @@ import random
 import pytest
 
 from repro.bench.harness import process_stateflow_overrides
-from repro.substrates.cluster import Cluster, ClusterLayout
 from repro.substrates.network import LatencyModel, Network, NetworkConfig
 from repro.substrates.simulation import Simulation
 
@@ -110,27 +109,3 @@ class TestNetwork:
         # ~2ms there + 5ms service + ~2ms back
         assert trace[1][1] == pytest.approx(9.0, rel=0.1)
 
-
-class TestCluster:
-    def test_paper_layout_totals_14(self):
-        layout = ClusterLayout()
-        assert layout.total == 14
-        assert (layout.kafka_cores, layout.system_cores,
-                layout.client_cores) == (4, 6, 4)
-
-    def test_nodes_and_failure(self):
-        sim = Simulation()
-        cluster = Cluster(sim)
-        node = cluster.add_node("w1", cores=2)
-        assert cluster.node("w1") is node
-        assert node.alive
-        node.kill()
-        assert cluster.alive_nodes() == []
-        node.restart()
-        assert cluster.alive_nodes() == [node]
-
-    def test_duplicate_node_rejected(self):
-        cluster = Cluster(Simulation())
-        cluster.add_node("w1", 1)
-        with pytest.raises(ValueError):
-            cluster.add_node("w1", 1)

@@ -103,9 +103,6 @@ ROWS: dict[tuple[str, str], Row] = {
     ("StateflowConfig", "state_slots"): preset(
         "src/repro/bench/pipeline.py", "state_slots=state_slots",
         "the saturating pipeline cell shards 128 slots"),
-    ("StateflowConfig", "snapshot_mode"): Row(
-        "perf", "perf/workloads.py", 'snapshot_mode="incremental"',
-        "sim-durable"),
     ("StateflowConfig", "durability_dir"): Row(
         "perf", "perf/workloads.py", None, "sim-durable"),
     ("StateflowConfig", "coordinator"): preset(
@@ -155,7 +152,7 @@ ROWS: dict[tuple[str, str], Row] = {
     ("CoordinatorConfig", "snapshot_base_every"): preset(
         RECOVERY, None, "the recovery preset"),
     ("CoordinatorConfig", "snapshot_footprints"): preset(
-        RECOVERY, None, "the recovery preset measures full-mode cuts"),
+        RECOVERY, None, "the recovery preset measures every cut"),
     ("CoordinatorConfig", "restore_cost_ms_per_key"): preset(
         RECOVERY, None, "the recovery preset prices restores per key"),
     # -- StatefunConfig ---------------------------------------------------
@@ -211,8 +208,6 @@ ROWS: dict[tuple[str, str], Row] = {
         "a YCSB cell that resizes mid-run"),
     ("repro bench", "--pipeline-depth"): by_test(
         CLI_TESTS, None, "serial batches on the ycsb cell"),
-    ("repro bench", "--snapshot-mode"): by_test(
-        FLAG_TESTS, None, "incremental cuts on the ycsb cell"),
     ("repro bench", "--spawner"): ci(),
     ("repro bench", "--autoscale"): by_test(
         CLI_TESTS, None, "the controller on the ycsb cell"),
@@ -241,7 +236,6 @@ ROWS: dict[tuple[str, str], Row] = {
     ("repro chaos run", "--records"): ABL_TXN_KEYS,
     ("repro chaos run", "--seed"): ci(),
     ("repro chaos run", "--pipeline-depth"): ci(),
-    ("repro chaos run", "--snapshot-mode"): ci(),
     ("repro chaos run", "--autoscale"): by_test(
         "tests/integration/test_autoscale.py", '"autoscale": True',
         "the controller's decisions under injected failures"),
@@ -349,4 +343,4 @@ def test_the_count_only_falls():
     """The census started from 138 values (71 fields, 64 options, 3
     variables); a change that adds a value adds its row and raises this
     bound in the same diff."""
-    assert len(settable_values()) <= 108
+    assert len(settable_values()) <= 105
