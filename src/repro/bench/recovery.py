@@ -10,9 +10,10 @@ StateFlow runtime and returns a :class:`RecoveryReport`:
   at each state size (restore work is modelled per restored key, so the
   curve grows with state);
 - changelog volume (records and bytes), reported *net of rewinds*: a
-  recovery drops the rolled-back suffix, and those records are moved to
-  the ``rewound`` side of the ledger instead of being double-counted as
-  retained volume;
+  recovery drops the rolled-back suffix, which must not be
+  double-counted as retained volume.  Bytes are a ``repr`` estimate a
+  subscriber of the log tallies (:func:`tally_changelog_bytes`), so
+  only this cell pays for it;
 - the cadence sweep: ``bytes_ratio`` per state size (mean bytes/cut at
   the preset's ``snapshot_base_every`` over mean bytes/cut at
   ``snapshot_base_every=1``, where every cut is a base) with the
@@ -41,7 +42,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from ..runtimes.state import materialize_snapshot
 from ..runtimes.stateflow.coordinator import CoordinatorConfig
@@ -184,6 +185,22 @@ class RecoveryReport:
         return "\n".join(lines)
 
 
+def tally_changelog_bytes(changelog: Any) -> Callable[[], int]:
+    """Subscribe a byte tally to *changelog*: the returned reader sums
+    the ``repr`` estimate of the latest record published at each seq up
+    to the head — the surviving timeline, since a rewind to ``S``
+    drops the seqs past ``S`` and the log publishes them again."""
+    sizes: dict[int, int] = {}
+
+    def tally(seq: int, writes: dict, at_ms: float) -> None:
+        sizes[seq] = sum(len(repr(key)) + len(repr(state))
+                         for key, state in writes.items())
+
+    changelog.subscribe(tally)
+    return lambda: sum(size for seq, size in sizes.items()
+                       if seq <= changelog.head_seq)
+
+
 def _run_one(base_every: int, records: int, *, seed: int,
              rps: float, duration_ms: float, drain_ms: float,
              durability_dir: str | None = None
@@ -196,6 +213,7 @@ def _run_one(base_every: int, records: int, *, seed: int,
     trace: list[tuple] = []
     runtime.reply_tap = lambda reply: trace.append(
         (reply.request_id, repr(reply.payload), reply.error))
+    changelog_bytes = tally_changelog_bytes(runtime.coordinator.changelog)
     workload = YcsbWorkload("A", record_count=records,
                             distribution="uniform", seed=seed + 1)
     runtime.preload(Account, workload.dataset_rows())
@@ -229,7 +247,7 @@ def _run_one(base_every: int, records: int, *, seed: int,
         # Net of rewinds: the injected recovery rolls back the orphaned
         # suffix, which must not be double-counted as retained volume.
         changelog_records=changelog.appended - changelog.rewound,
-        changelog_bytes=changelog.bytes_appended - changelog.bytes_rewound,
+        changelog_bytes=changelog_bytes(),
         recoveries=coordinator.recoveries,
         recovery_ms=(sum(recovery_times) / len(recovery_times)
                      if recovery_times else 0.0),

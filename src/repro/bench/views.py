@@ -26,10 +26,10 @@ scanning state.
 
 A separate **durable-rehydrate leg** measures the cold-start story: a
 durable run is quiesced, cut, and reopened from its files alone; every
-view then resumes from the cut's sidecar (``Snapshot.views_state``) +
-the changelog suffix.  The leg gates that the sidecar path beats
-full-scan rehydration by >=10x at 10k keys, performs **zero** store
-rescans, and lands on byte-identical values.
+view then resumes from the cut's sidecar (``Snapshot.views_state``)
+plus a fold of the log's records past the cut.  The leg gates that the
+sidecar path beats full-scan rehydration by >=10x at 10k keys, performs
+**zero** store rescans, and lands on byte-identical values.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def run_views_leg(record_count: int, *, seed: int = 42,
     probe_every = max(1, record_count // 1_000)
     probe_state = {"commits": 0, "checks": 0, "mismatches": 0}
 
-    def probe(batch_id: int) -> None:
+    def probe(seq: int) -> None:
         probe_state["commits"] += 1
         if probe_state["commits"] % probe_every:
             return
@@ -161,7 +161,7 @@ def run_views_leg(record_count: int, *, seed: int = 42,
             "max_lag_ms": round(max(lags_ms), 4) if lags_ms else None,
             "mean_lag_ms": (round(sum(lags_ms) / len(lags_ms), 4)
                             if lags_ms else None),
-            "final_lag_batches": freshness.lag_batches,
+            "final_lag": freshness.lag,
         },
     }
 
@@ -184,7 +184,6 @@ def run_durable_rehydrate_leg(record_count: int = 10_000, *,
     rehydration — and compare cost and values."""
     from ..ir.dataflow import stable_hash
     from ..runtimes.state import DictStateBackend, materialize_snapshot
-    from ..runtimes.stateflow.snapshots import replay
     from ..storage import FileChangelogStore, FileSnapshotStore
     from ..views import ViewManager
 
@@ -212,28 +211,24 @@ def run_durable_rehydrate_leg(record_count: int = 10_000, *,
                        for name in names}
         runtime.coordinator.changelog.close()
 
-        # Files-only cold start (fresh store objects, shared recipe).
-        snapshots = FileSnapshotStore(directory, mode="incremental")
+        # Files-only cold start: fresh store objects, the store at the
+        # log head, the views caught up to it through the log.
+        snapshots = FileSnapshotStore(directory)
         changelog = FileChangelogStore(directory)
-        snapshot, payload = snapshots.latest_recoverable(changelog)
-        suffix = changelog.records_between(snapshot.changelog_seq,
-                                           changelog.head_seq) or []
-        store = DictStateBackend(materialize_snapshot(replay(payload,
-                                                             suffix)))
-        sidecar = snapshot.views_state
+        snapshot, _ = snapshots.latest_recoverable(changelog)
+        store = DictStateBackend(materialize_snapshot(snapshots.resolve(
+            snapshot, changelog, up_to_seq=changelog.head_seq)))
 
         def resume_from_sidecar() -> tuple[ViewManager, float]:
-            manager = ViewManager(store)
-            manager.attach_recovery(sidecar, suffix)
+            manager = ViewManager(store, log=changelog)
+            manager.on_restore(snapshot.views_state)
             started = time.perf_counter_ns()
             for spec in specs:
                 manager.register(spec)
-            elapsed_ms = (time.perf_counter_ns() - started) / 1e6
-            manager.detach_recovery()
-            return manager, elapsed_ms
+            return manager, (time.perf_counter_ns() - started) / 1e6
 
         def rehydrate_by_scan() -> tuple[ViewManager, float]:
-            manager = ViewManager(store)
+            manager = ViewManager(store, log=changelog)
             started = time.perf_counter_ns()
             for spec in specs:
                 manager.register(spec)
@@ -252,7 +247,7 @@ def run_durable_rehydrate_leg(record_count: int = 10_000, *,
         speedup = scan_ms / sidecar_ms if sidecar_ms > 0 else float("inf")
         return {
             "record_count": record_count,
-            "suffix_records": len(suffix),
+            "suffix_records": changelog.head_seq - snapshot.changelog_seq,
             "sidecar_resume_ms": round(sidecar_ms, 4),
             "scan_rehydrate_ms": round(scan_ms, 4),
             "rehydrate_speedup": round(speedup, 2),

@@ -256,9 +256,10 @@ class Coordinator:
         #: calls.
         self.autoscaler = autoscaler
         #: Materialized-view maintenance (a :class:`~repro.views.
-        #: ViewManager`), or ``None``.  Fed the write footprint of every
-        #: closed batch, read-only batches included, and rebuilt on
-        #: recovery so no view ever reflects an abandoned pipeline batch.
+        #: ViewManager`), or ``None``.  Fed by the changelog, whose
+        #: subscriber it is; the coordinator only exports its sidecar
+        #: at each cut and restores it on recovery, so no view ever
+        #: reflects an abandoned pipeline batch.
         self.views: Any = None
         self._slot_of = getattr(committed, "slot_of", None)
         self.cpu = CpuPool(sim, 1, name="coordinator")
@@ -702,7 +703,7 @@ class Coordinator:
             groups.setdefault(worker, []).append(txn)
             # A single-key transaction may write its own key, unless its
             # method is read-only: part of the batch's footprint for
-            # cross-batch stale detection, the changelog and the views.
+            # cross-batch stale detection and the changelog.
             if not txn.read_only:
                 batch.footprint.add((txn.target.entity, txn.target.key))
         by_request = {txn.request_id: txn for txn in batch.single}
@@ -765,17 +766,17 @@ class Coordinator:
             self._start_batch()
 
     def _observe_batch_writes(self, batch: _Batch) -> None:
-        """Fan the batch's write set out to its two consumers: the
-        durable changelog and view maintenance (whenever views are
-        registered).  The post-commit states are read back once at
-        batch close, after every write (multi-key, fallback,
-        single-key) is installed, so the values are exactly what the
-        batch left behind.  Both consumers get the committed
-        entries themselves, not copies: they read them and never write
-        them (the state module's entry contract).  Keys a footprint
-        names but that never materialized (an errored single-key
-        transaction on an absent key) are skipped — the runtime has no
-        deletes, so absence means "was never written"."""
+        """Append the batch's write set to the changelog, which
+        publishes it to its subscribers (view maintenance).  The
+        post-commit states are read back once at batch close, after
+        every write (multi-key, fallback, single-key) is installed, so
+        the values are exactly what the batch left behind.  The log
+        gets the committed entries themselves, not copies: its readers
+        never write them (the state module's entry contract).  Keys a
+        footprint names but that never materialized (an errored
+        single-key transaction on an absent key) are skipped — the
+        runtime has no deletes, so absence means "was never
+        written"."""
         writes: dict = {}
         for entity, key in batch.footprint:
             state = self.committed.entry(entity, key)
@@ -784,12 +785,6 @@ class Coordinator:
         if writes:
             self.changelog.append(batch.batch_id, writes,
                                   at_ms=self.sim.now)
-        if self.views is not None and len(self.views):
-            # Even an empty footprint advances view freshness: a closed
-            # read-only batch leaves views exactly as fresh as the
-            # store.
-            self.views.on_commit(batch.batch_id, writes,
-                                 at_ms=self.sim.now)
 
     def _prune_pipeline_metadata(self) -> None:
         """Release pinned views and footprints no in-flight batch can
@@ -1158,15 +1153,13 @@ class Coordinator:
         self._last_closed = self._batch_seq - 1
         if self.views is not None:
             # Views rewind with the store: nothing from the abandoned
-            # pipeline may survive; replay re-feeds its effects under
-            # new batch ids.  The cut's sidecar carries every plan's
-            # operator memos as of exactly the restored store state
-            # (the changelog was rewound to the same position), so
-            # matching plans resume incrementally; plans the sidecar
-            # does not cover rebuild from a scan.
-            self.views.on_restore(
-                self._last_closed, at_ms=self.sim.now,
-                sidecar=snapshot.views_state)
+            # pipeline may survive; replay re-appends its effects at
+            # the seqs past the cut.  The cut's sidecar carries every
+            # plan's operator memos at the cut's seq, the position the
+            # changelog was rewound to, so matching plans resume with
+            # nothing to fold; plans it does not cover rebuild from a
+            # scan.
+            self.views.on_restore(snapshot.views_state)
         self.hooks.source_seek(snapshot.source_offsets)
 
         def resume() -> None:

@@ -191,17 +191,17 @@ class StateflowRuntime(Runtime):
                                        snapshots=snapshots,
                                        changelog=changelog,
                                        autoscaler=self.autoscaler)
-        #: Incremental materialized views (see :mod:`repro.views`):
-        #: maintained off the commit path from each closed batch's write
+        #: Incremental materialized views (see :mod:`repro.views`): a
+        #: subscriber of the changelog, folding each record's write
         #: footprint; registered through
         #: :meth:`~repro.query.engine.QueryEngine.register_view`.  Push
         #: subscriptions fan view updates out over the network substrate
         #: — one send per subscriber, never blocking the Aria commit —
         #: so they work identically on the simulator and the
         #: wallclock/process substrates.
-        self.views = ViewManager(
-            self.committed, clock=lambda: self.sim.now,
-            head=lambda: self.coordinator._last_closed)
+        self.views = ViewManager(self.committed, clock=lambda: self.sim.now,
+                                 log=changelog)
+        changelog.subscribe(self.views.on_commit)
         self.views.transport = lambda deliver: self.network.send(
             deliver, src="coordinator", dst="view-subscribers")
         self.coordinator.views = self.views

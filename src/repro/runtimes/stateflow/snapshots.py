@@ -66,7 +66,7 @@ bases; the changelog is truncated below the oldest retained base.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from ..state import apply_flat_writes, payload_footprint
 
@@ -167,21 +167,23 @@ class ChangelogStore:
     docstring).  ``rewind_to`` drops the suffix a recovery rolled back
     (those records describe a timeline replay is about to re-create
     under new batch ids); ``truncate_through`` compacts the prefix no
-    retained base can ever need again."""
+    retained base can ever need again.
+
+    The log publishes: :meth:`append` hands each record to every
+    subscriber as ``callback(seq, writes, at_ms)``, in seq order and
+    only once it is persisted (the file store writes and syncs its
+    frame first), so no subscriber hears of a record a crash could take
+    back.  ``rewind_to(S)`` publishes nothing; the next record published
+    is ``S + 1``."""
 
     def __init__(self):
         self._records: list[ChangelogRecord] = []
         self._next_seq = 0
+        self._subscribers: list[Callable[[int, dict, float], None]] = []
         self.appended = 0
         self.truncated = 0
-        self.bytes_appended = 0
-        #: Records (and their bytes) dropped by :meth:`rewind_to` — the
-        #: rolled-back timeline.  Net surviving volume is
-        #: ``appended - rewound`` / ``bytes_appended - bytes_rewound``;
-        #: the recovery bench reports the net so a run with fail-overs
-        #: does not overstate what the log actually retains.
+        #: Records :meth:`rewind_to` dropped (``appended - rewound`` live).
         self.rewound = 0
-        self.bytes_rewound = 0
 
     @property
     def head_seq(self) -> int:
@@ -191,21 +193,24 @@ class ChangelogStore:
     def __len__(self) -> int:
         return len(self._records)
 
-    @staticmethod
-    def _record_bytes(record: ChangelogRecord) -> int:
-        return sum(len(repr(key)) + len(repr(state))
-                   for key, state in record.writes.items())
+    def subscribe(self, callback: Callable[[int, dict, float], None]) -> None:
+        """Hand every record published from now on to *callback*."""
+        self._subscribers.append(callback)
 
     def append(self, batch_id: int,
                writes: dict[tuple[str, Any], dict[str, Any]], *,
                at_ms: float = 0.0) -> int:
         """Append one closed batch's write set; returns its seq."""
-        record = ChangelogRecord(seq=self._next_seq, batch_id=batch_id,
-                                 writes=dict(writes), at_ms=at_ms)
+        return self._publish(ChangelogRecord(self._next_seq, batch_id,
+                                             dict(writes), at_ms))
+
+    def _publish(self, record: ChangelogRecord) -> int:
+        """Add *record*, once persisted, and hand it to every subscriber."""
         self._next_seq += 1
         self._records.append(record)
         self.appended += 1
-        self.bytes_appended += self._record_bytes(record)
+        for callback in self._subscribers:
+            callback(record.seq, record.writes, record.at_ms)
         return record.seq
 
     def records_between(self, after_seq: int,
@@ -222,19 +227,13 @@ class ChangelogStore:
     def rewind_to(self, seq: int) -> None:
         """Recovery rolled the run back to a cut at position *seq*:
         drop the now-orphaned suffix and resume sequencing from there.
-        The dropped records move from the ``appended`` side of the
-        ledger to ``rewound``/``bytes_rewound`` — they were written, but
-        they no longer exist on the surviving timeline."""
+        The dropped records count as ``rewound`` — they were written,
+        but they no longer exist on the surviving timeline."""
         if seq >= self.head_seq:
             return
-        kept, dropped = [], []
-        for record in self._records:
-            (kept if record.seq <= seq else dropped).append(record)
-        self._records = kept
-        self._next_seq = seq + 1
-        self.rewound += len(dropped)
-        self.bytes_rewound += sum(self._record_bytes(record)
-                                  for record in dropped)
+        kept = [record for record in self._records if record.seq <= seq]
+        self.rewound += len(self._records) - len(kept)
+        self._records, self._next_seq = kept, seq + 1
 
     def suffix_as_of(self, after_seq: int, *, batch: int | None = None,
                      at_ms: float | None = None

@@ -11,8 +11,9 @@ Shape (the log-structured contract sequential flash wants):
 - records append as length-prefixed :mod:`repro.substrates.wire`
   frames into segment files (``changelog/segment-<firstseq>.log``),
   rolled every ``segment_records`` records;
-- every append is flushed and (by default) fsynced before the call
-  returns — a record the coordinator believes durable is durable;
+- every append is flushed and (by default) fsynced before the record
+  is published to the log's subscribers and before the call returns —
+  a record the coordinator or a view believes durable is durable;
 - on open, a torn tail (the bytes a crash landed mid-append) is
   detected by the framing and truncated away; segments after a torn
   one are dropped whole (appends are sequential, so anything beyond
@@ -30,7 +31,7 @@ import os
 import time
 from pathlib import Path
 
-from ..runtimes.stateflow.snapshots import ChangelogStore
+from ..runtimes.stateflow.snapshots import ChangelogRecord, ChangelogStore
 from ..substrates.wire import encode_frame
 from .manifest import (open_layout, read_manifest, scan_frames,
                        truncate_file, update_manifest)
@@ -41,7 +42,7 @@ class FileChangelogStore(ChangelogStore):
 
     Extra counters over the in-memory store: ``fsyncs`` /
     ``fsync_wall_ms`` (the durability tax the recovery bench reports),
-    ``bytes_written`` (frames, not repr estimates), ``loaded`` (records
+    ``bytes_written`` (frame bytes), ``loaded`` (records
     recovered from disk on open), ``torn_tail_bytes`` (bytes a crash
     tore, truncated on open) and ``segments_dropped`` (compaction)."""
 
@@ -124,16 +125,19 @@ class FileChangelogStore(ChangelogStore):
 
     # -- the in-memory interface, persisted -----------------------------
     def append(self, batch_id, writes, *, at_ms: float = 0.0) -> int:
-        seq = super().append(batch_id, writes, at_ms=at_ms)
-        frame = encode_frame(self._records[-1])
-        handle = self._append_handle(seq)
+        """Write and sync the record's frame, then publish it: a
+        subscriber only ever hears of a record the segment file holds."""
+        record = ChangelogRecord(self._next_seq, batch_id, dict(writes),
+                                 at_ms)
+        frame = encode_frame(record)
+        handle = self._append_handle(record.seq)
         handle.write(frame)
         handle.flush()
         self._sync(handle)
         self.bytes_written += len(frame)
         self._current_records += 1
-        self._offsets[seq] = (self._current_path, handle.tell())
-        return seq
+        self._offsets[record.seq] = (self._current_path, handle.tell())
+        return self._publish(record)
 
     def rewind_to(self, seq: int) -> None:
         head = self.head_seq

@@ -29,9 +29,9 @@ The compiled plan's contract is deliberately tiny:
 - ``export_state()``/``restore_state()`` round-trip the operators'
   retraction memos through the durable-view sidecar (see
   :meth:`~repro.views.manager.ViewManager.export_sidecar`), so recovery
-  and cold starts can resume incrementally from
-  ``(plan state, last_applied_batch)`` + the changelog suffix instead
-  of rescanning state.
+  and cold starts can resume incrementally from ``(plan state, seq)``
+  plus a fold of the changelog records past that seq instead of
+  rescanning state.
 """
 
 from __future__ import annotations
@@ -178,9 +178,9 @@ class CompiledView:
     terminal: Any  # GroupAggregate | WindowedAggregate | TopK
     #: The foreign-key join stage, when the spec declares one.
     join: DeltaJoin | None = None
-    #: Freshness: the last committed batch folded in (-1 = none yet)
-    #: and the simulated time it was folded at.
-    last_applied_batch: int = -1
+    #: Freshness: seq of the last changelog record folded in (-1 =
+    #: none) and the simulated time it was folded at.
+    applied_seq: int = -1
     applied_at_ms: float | None = None
     #: Names of every registered view sharing this plan.
     names: list[str] = field(default_factory=list)

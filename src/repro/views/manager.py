@@ -1,73 +1,80 @@
-"""View registration, commit-path maintenance, rewind, subscriptions.
+"""View registration, log-fed maintenance, rewind, subscriptions.
 
 The :class:`ViewManager` is the runtime-side owner of every registered
-materialized view.  It sits *off* the Aria commit path: the coordinator
-calls :meth:`on_commit` once per closed batch with the batch's write
-footprint (absolute post-states, the changelog convention), the manager
-folds the O(changed keys) delta into each registered plan, and push
-subscribers are fanned the resulting view deltas over whatever
-transport the runtime provides (the network substrate on StateFlow —
-commit never waits on a subscriber).  A subscriber hears about a batch
-only when its view's output moved: a commit that leaves every key's
-contribution as it was (see :mod:`.operators`) emits nothing, and the
-value and each :class:`ViewUpdate` are built only for names somebody
-subscribed to.
+materialized view, and a subscriber of the commit changelog (see
+:class:`~repro.runtimes.stateflow.snapshots.ChangelogStore`): the log
+hands :meth:`on_commit` each record's seq, write footprint (absolute
+post-states) and time, in seq order and only once the record is
+persisted.  The manager folds the O(changed keys) delta into each
+registered plan, and push subscribers are fanned the resulting view
+deltas over whatever transport the runtime provides (the network
+substrate on StateFlow — commit never waits on a subscriber).  A
+subscriber hears about a record only when its view's output moved: a
+record that leaves every key's contribution as it was (see
+:mod:`.operators`) emits nothing, and the value and each
+:class:`ViewUpdate` are built only for names somebody subscribed to.
 
-No row is copied into the view layer: the commit fan-out hands over
-the committed entries themselves (``PartitionedStore.entry``) and
-hydration reads them in place (``entries(entity)``), and from then on
-they are shared — by every plan, the changelog record and every cut's
-sidecar; :mod:`.operators` states the row contract.
+No row is copied into the view layer: the log's records carry the
+committed entries themselves (``PartitionedStore.entry``) and hydration
+reads them in place (``entries(entity)``), and from then on they are
+shared — by every plan, the changelog record and every cut's sidecar;
+:mod:`.operators` states the row contract.
 
 Off the commit path also means a view cannot take a commit down: a plan
 whose fold raises — a committed value its kind cannot use is a
 :class:`~.operators.ViewError` before any memo is touched, anything
-else is caught here — is reset and marked failed with the batch and the
+else is caught here — is reset and marked failed with the seq and the
 cause, while the commit, the reply and every other plan proceed.
 Reading or subscribing to a failed view raises :class:`ViewError`
 naming the cause; :meth:`on_restore` and re-registration re-hydrate it
 (a hydration that raises marks it failed again), and a failed plan is
 left out of the sidecar.
 
-Rewind semantics: recovery restores the committed store to a snapshot
-and abandons the whole pipeline, so :meth:`on_restore` brings every
-plan back to exactly the restored state — a view can never reflect an
-abandoned batch.  Plans covered by the cut's durable sidecar (see
-:meth:`export_sidecar`) restore their operator memos directly, O(plan
-state) with zero store access (``sidecar_restores``); plans the sidecar
-misses rebuild from a store scan (``rehydrations``) — identical results
-either way for scan-derivable plans, because hydration-from-state and
-incremental maintenance land on the same memos (absolute-state deltas).
-Windowed plans are the exception that motivates the sidecar: their
-window assignment lives only in operator state, so a scan fallback
-collapses history into one window while a sidecar restore preserves it.
-Rescales move slot ownership, not contents, at a drained-pipeline
-barrier, so views need no rescale hook.  Duplicate delivery of a batch
-(an at-least-once transport replaying the hook) is dropped per plan by
-batch id.
+Freshness is a log position: each plan keeps the seq of the last record
+folded in, and a read reports it (``applied_seq``) with how far the
+log's head is past it (``lag``).  Unlike batch ids, which restart with
+every run over one directory, seqs continue across runs, so a position
+saved in a sidecar means the same record in the next process.  A
+record at or below a plan's position (a redelivery) is dropped per
+plan.
 
-Cold starts go through :meth:`attach_recovery`: a process reopening a
-durable directory hands the manager the recovered cut's sidecar plus
-the changelog suffix past the cut, and every subsequently registered
-view resumes from ``(sidecar memos, last_applied_batch)`` + suffix
-replay instead of scanning the restored store — ``rehydrations`` stays
-0 on a clean resume.
+One way to the head
+-------------------
+A plan reaches the log head one way only (:meth:`_catch_up`): from the
+memos a sidecar (:meth:`export_sidecar`) saved at seq ``S`` plus a fold
+of the log's records in ``(S, head]`` (``sidecar_restores``), or, when
+no sidecar entry covers the plan or the span has a gap, from a scan of
+the store at the head (``rehydrations`` once a sidecar was offered);
+both land on the same memos for scan-derivable plans.  Registration
+takes it against the sidecar last handed to :meth:`on_restore`;
+recovery rewinds the store and the log to a cut and calls
+:meth:`on_restore` with the cut's sidecar, so no view reflects an
+abandoned batch; a cold start builds the store at a reopened log's
+head, calls :meth:`on_restore` with the latest cut's sidecar on a
+manager over that log, then registers its views.
+
+Windowed plans are what the sidecar exists for: their window assignment
+lives only in operator state, so a scan collapses history into one
+window while a sidecar resume preserves it.  Rescales move slot
+ownership, not contents, at a drained-pipeline barrier, so views need
+no rescale hook.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterator
 
 from .compiler import CompiledView, ViewCompiler, ViewSpec
 from .operators import ViewError
 
 #: Version tag of the durable-view sidecar payload riding snapshot
 #: cuts.  Bump when the per-plan state layout changes shape (2: the
-#: ordered index travels as values and per-value entry lists); any other
-#: version indexes to nothing and falls back to scan hydration.
-SIDECAR_VERSION = 2
+#: ordered index travels as values and per-value entry lists; 3: each
+#: plan's position is the log seq its memos include); any other version
+#: indexes to nothing and falls back to scan hydration.
+SIDECAR_VERSION = 3
 
 
 @dataclass(slots=True)
@@ -77,13 +84,13 @@ class ViewSnapshot:
     name: str
     kind: str
     value: Any
-    #: The last committed batch folded into this result (-1 = only the
-    #: registration-time hydration has run).
-    last_applied_batch: int
-    #: How many closed batches the view is behind the coordinator
-    #: (0 = fully fresh; the synchronous commit hook keeps it 0).
-    lag_batches: int
-    #: Simulated time the last batch was folded in.
+    #: Seq of the last changelog record folded into this result (the
+    #: log head at hydration when none has been folded since).
+    applied_seq: int
+    #: How many records the log holds past ``applied_seq`` (0 = fully
+    #: fresh; a subscribed manager stays at 0).
+    lag: int
+    #: Time of the last record folded in (the clock at hydration).
     as_of_ms: float | None
 
 
@@ -92,12 +99,13 @@ class ViewUpdate:
     """One pushed maintenance result, as delivered to subscribers."""
 
     view: str
-    batch_id: int
-    #: The view's own output delta for this batch (grouped aggregates:
+    #: Seq of the changelog record that moved the view.
+    seq: int
+    #: The view's own output delta for this record (grouped aggregates:
     #: ``{group: value | TOMBSTONE}``; top-k: the replacement rows —
     #: ``[]`` when the view drained).
     delta: Any
-    #: The full view value after this batch (views are small by
+    #: The full view value after this record (views are small by
     #: construction: aggregates, rollups, windows, bounded top-k).
     value: Any
     at_ms: float | None
@@ -119,33 +127,42 @@ class _Scan:
         return self._store.entries(self._entity)
 
 
+def _per_entity(writes: dict) -> dict[str, dict]:
+    """Split a ``{(entity, key): state}`` footprint per entity."""
+    per_entity: dict[str, dict] = {}
+    for (entity, key), state in writes.items():
+        per_entity.setdefault(entity, {})[key] = state
+    return per_entity
+
+
 class ViewManager:
     """Registered views over one runtime's committed store."""
 
     def __init__(self, store: Any, *,
                  clock: Callable[[], float | None] | None = None,
-                 head: Callable[[], int] | None = None):
+                 log: Any = None):
         #: Committed store exposing ``entries(entity)`` — ``(key,
         #: entry)`` pairs read in place (a backend or the partitioned
         #: store).
         self._store = store
         self._clock = clock or (lambda: None)
-        #: The coordinator's last closed batch id (freshness anchor);
-        #: -1 outside a batching runtime.
-        self._head = head or (lambda: -1)
+        #: The changelog the store is the head of (``head_seq``,
+        #: ``records_between``): what a plan catches up through.
+        #: ``None`` for a manager fed by hand, whose head is -1 and
+        #: whose sidecar entries resume with nothing to fold.
+        self._log = log
         self._compiler = ViewCompiler()
         self._views: dict[str, CompiledView] = {}
         self._subscribers: dict[str, list[Callable[[ViewUpdate], None]]] = {}
-        #: Cold-start recovery context: sidecar plan entries by view
-        #: name plus the changelog suffix past the recovered cut (see
-        #: :meth:`attach_recovery`); ``None`` outside a cold start.
-        self._recovery: dict[str, Any] | None = None
+        #: The last sidecar handed to :meth:`on_restore`, indexed by
+        #: ``(view name, schema signature)``; ``None`` before any.
+        self._sidecar: dict[tuple, dict] | None = None
         #: Push transport: called with a zero-arg deliver closure; the
         #: runtime points this at the network substrate so updates fan
         #: out as messages.  ``None`` delivers synchronously.
         self.transport: Callable[[Callable[[], None]], None] | None = None
-        #: Test/bench observe hook: called with the batch id after each
-        #: commit is folded into every plan (outside the timed region).
+        #: Test/bench observe hook: called with the seq after each
+        #: record is folded into every plan (outside the timed region).
         self.probe: Callable[[int], None] | None = None
         #: Maintenance cost ledger (the bench cell's numerator).
         #: ``keys_applied`` counts only keys of entities some plan
@@ -154,38 +171,30 @@ class ViewManager:
         self.maintenance_ns = 0
         self.commits_applied = 0
         self.keys_applied = 0
-        #: O(state) plan rebuilds (store scans) — what the durable
-        #: sidecar exists to avoid; 0 across a clean recovery.
+        #: O(state) plan rebuilds (store scans) once a sidecar has been
+        #: offered — what the sidecar exists to avoid; 0 across a clean
+        #: recovery or cold start.
         self.rehydrations = 0
-        #: Plans resumed from a sidecar cut (recovery or cold start).
+        #: Plans resumed from a sidecar (recovery or cold start).
         self.sidecar_restores = 0
 
-    # -- registration ---------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._views)
+    def _head(self) -> int:
+        return self._log.head_seq if self._log is not None else -1
 
+    # -- registration ---------------------------------------------------
     def names(self) -> list[str]:
         return sorted(self._views)
 
     def register(self, spec: ViewSpec) -> ViewSnapshot:
-        """Compile (or share) the plan and hydrate it.
-
-        Registration is the only O(state) moment in a view's life —
-        unless a cold-start recovery context is attached
-        (:meth:`attach_recovery`) and carries this view's plan state,
-        in which case the plan resumes from the sidecar memos plus the
-        changelog suffix and never touches the store."""
+        """Compile (or share) the plan and catch it up to the log head
+        (:meth:`_catch_up`) — the only O(state) moment in a view's
+        life, unless the last restored sidecar covers it."""
         if spec.name in self._views:
             raise ViewError(f"view {spec.name!r} is already registered")
         compiled = self._compiler.normalize(spec)
         if not compiled.names or compiled.failure is not None:
             try:
-                if not self._resume_from_recovery(spec.name, compiled):
-                    self._hydrate(compiled, self._head(), self._clock())
-                    if self._recovery is not None:
-                        # A cold start had to fall back to scanning for
-                        # this plan — the sidecar didn't cover it.
-                        self.rehydrations += 1
+                self._catch_up(compiled, [*compiled.names, spec.name])
             except Exception as exc:
                 # The caller hears why; a plan nobody registered must
                 # not stay behind on the commit path.
@@ -212,16 +221,50 @@ class ViewManager:
             return None
         return _Scan(self._store, compiled.spec.join_entity)
 
-    def _hydrate(self, compiled: CompiledView, last_applied_batch: int,
-                 at_ms: float | None) -> None:
-        """Rebuild one plan from a store scan and put it (back) in
-        service as of *last_applied_batch*."""
+    def _catch_up(self, compiled: CompiledView, names: list[str]) -> None:
+        """Bring one plan to the log head, the one way there is: resume
+        the last restored sidecar's entry for *names* and fold the
+        records past it, or else rebuild from a store scan at the head.
+        A scan that raises propagates (the caller fails the plan)."""
+        entry = self._sidecar_entry(compiled, names)
+        if entry is not None and self._resume(compiled, entry):
+            self.sidecar_restores += 1
+            return
+        if self._sidecar is not None:
+            self.rehydrations += 1
+        at_ms = self._clock()
         compiled.hydrate(_Scan(self._store, compiled.spec.entity),
                          join_items=self._join_scan(compiled),
                          at_ms=at_ms)
-        compiled.last_applied_batch = last_applied_batch
+        compiled.applied_seq = self._head()
         compiled.applied_at_ms = at_ms
         compiled.failure = None
+
+    def _resume(self, compiled: CompiledView, entry: dict) -> bool:
+        """Restore the entry's memos at its seq and fold the log's
+        records past it; ``False`` (and a reset plan) when the span has
+        a gap, lies past the head, or the memos do not fit."""
+        seq = entry["seq"]
+        records: list[Any] | None = []
+        if self._log is not None:
+            head = self._log.head_seq
+            records = (self._log.records_between(seq, head)
+                       if seq <= head else None)
+        if records is None:
+            return False
+        try:
+            compiled.restore_state(entry["state"])
+            for record in records:
+                compiled.apply_batch(_per_entity(record.writes),
+                                     at_ms=record.at_ms)
+        except Exception:
+            compiled.reset()
+            return False
+        compiled.applied_seq = records[-1].seq if records else seq
+        compiled.applied_at_ms = (records[-1].at_ms if records
+                                  else self._clock())
+        compiled.failure = None
+        return True
 
     @staticmethod
     def _fail(compiled: CompiledView, where: str, cause: Exception) -> None:
@@ -249,11 +292,10 @@ class ViewManager:
         compiled = self._compiled(name)
         if compiled.failure is not None:
             raise self._out_of_service(name, compiled)
-        head = self._head()
         return ViewSnapshot(
             name=name, kind=compiled.spec.kind, value=compiled.value(),
-            last_applied_batch=compiled.last_applied_batch,
-            lag_batches=max(0, head - compiled.last_applied_batch),
+            applied_seq=compiled.applied_seq,
+            lag=max(0, self._head() - compiled.applied_seq),
             as_of_ms=compiled.applied_at_ms)
 
     def expected(self, name: str) -> Any:
@@ -288,37 +330,34 @@ class ViewManager:
             else:
                 self.transport(lambda cb=callback, u=update: cb(u))
 
-    # -- commit-path maintenance ----------------------------------------
-    def on_commit(self, batch_id: int, writes: dict, at_ms: float | None,
+    # -- log-fed maintenance --------------------------------------------
+    def on_commit(self, seq: int, writes: dict, at_ms: float | None,
                   ) -> None:
-        """Fold one closed batch's write footprint into every plan.
+        """Fold one changelog record into every plan: the log's
+        subscriber callback.
 
         *writes* maps ``(entity, key)`` to the absolute post-commit
-        state (exactly what the changelog records).  Plans route by
-        entity — a join plan consumes both of its entities' footprints
-        in one step.  Batches already applied (duplicate delivery) are
-        skipped per plan; an empty footprint still advances freshness.
-        Plans are isolated from each other and from the caller: one
-        that raises is failed (see :meth:`_fail`), nothing propagates
-        into the commit."""
+        state.  Plans route by entity — a join plan consumes both of
+        its entities' footprints in one step.  A record at or below a
+        plan's ``applied_seq`` is skipped for that plan.  Plans are
+        isolated from each other and from the caller: one that raises
+        is failed (see :meth:`_fail`), nothing propagates into the
+        append."""
         if not self._views:
             return
-        per_entity: dict[str, dict] = {}
-        for (entity, key), state in writes.items():
-            per_entity.setdefault(entity, {})[key] = state
+        per_entity = _per_entity(writes)
         outputs: list[tuple[CompiledView, Any]] = []
         consumed: set[str] = set()
         started = time.perf_counter_ns()
         for compiled in self._compiler.plans:
-            if compiled.failure is not None \
-                    or batch_id <= compiled.last_applied_batch:
-                continue  # out of service, or a batch already applied
+            if compiled.failure is not None or seq <= compiled.applied_seq:
+                continue  # out of service, or a record already applied
             try:
                 out = compiled.apply_batch(per_entity, at_ms=at_ms)
             except Exception as exc:
-                self._fail(compiled, f"batch {batch_id}", exc)
+                self._fail(compiled, f"seq {seq}", exc)
                 continue
-            compiled.last_applied_batch = batch_id
+            compiled.applied_seq = seq
             compiled.applied_at_ms = at_ms
             consumed.update(compiled.entities())
             if out is not None:
@@ -329,7 +368,7 @@ class ViewManager:
             len(delta) for entity, delta in per_entity.items()
             if entity in consumed)
         if self.probe is not None:
-            self.probe(batch_id)
+            self.probe(seq)
         for compiled, out in outputs:
             listened = [name for name in compiled.names
                         if name in self._subscribers]
@@ -337,19 +376,18 @@ class ViewManager:
                 continue
             value = compiled.value()
             for name in listened:
-                self._publish(ViewUpdate(view=name, batch_id=batch_id,
-                                         delta=out, value=value,
-                                         at_ms=at_ms))
+                self._publish(ViewUpdate(view=name, seq=seq, delta=out,
+                                         value=value, at_ms=at_ms))
 
     # -- durable-view sidecar -------------------------------------------
     def export_sidecar(self) -> dict[str, Any] | None:
         """The versioned payload riding each snapshot cut: every live
-        plan's operator memos plus its registered names and structural
-        schema.  Memo containers are copied, rows are shared with the
-        cut (the row contract).  A failed plan has no memos worth
-        keeping and is left out, so a restore re-hydrates it.  ``None``
-        when no views are registered (the common no-views run pays
-        zero cut overhead)."""
+        plan's operator memos and the seq they include, plus its
+        registered names and structural schema.  Memo containers are
+        copied, rows are shared with the cut (the row contract).  A
+        failed plan has no memos worth keeping and is left out, so a
+        restore re-hydrates it.  ``None`` when no views are registered
+        (the common no-views run pays zero cut overhead)."""
         plans = []
         for compiled in self._compiler.plans:
             if not compiled.names or compiled.failure is not None:
@@ -358,8 +396,7 @@ class ViewManager:
                 "names": sorted(compiled.names),
                 "schema": compiled.spec.schema_signature(),
                 "state": compiled.export_state(),
-                "last_applied_batch": compiled.last_applied_batch,
-                "applied_at_ms": compiled.applied_at_ms,
+                "seq": compiled.applied_seq,
             })
         if not plans:
             return None
@@ -381,96 +418,29 @@ class ViewManager:
                 entries[(name, schema)] = entry
         return entries
 
-    def _restore_plan(self, compiled: CompiledView, entry: dict,
-                      last_applied_batch: int,
-                      at_ms: float | None) -> bool:
-        """Restore one plan's memos from a sidecar entry; ``False`` (and
-        an untouched-by-garbage plan, courtesy of the reset inside
-        ``restore_state``) when the entry's state doesn't fit."""
-        try:
-            compiled.restore_state(entry["state"])
-        except Exception:
-            compiled.reset()
-            return False
-        compiled.last_applied_batch = last_applied_batch
-        compiled.applied_at_ms = at_ms
-        compiled.failure = None
-        return True
-
-    # -- rewind ---------------------------------------------------------
-    def on_restore(self, last_closed: int, at_ms: float | None,
-                   sidecar: Any = None) -> None:
-        """Recovery rewound the committed store (and the changelog) to
-        a snapshot: bring every plan back to exactly that state so no
-        view reflects an abandoned pipeline batch.  Plans the cut's
-        *sidecar* covers restore their memos directly — the sidecar was
-        exported at the same batch boundary the store was restored to,
-        so memos and store agree without touching it.  Uncovered plans
-        rebuild from a store scan.  Replayed batches re-arrive through
-        :meth:`on_commit` under new batch ids."""
-        entries = self._sidecar_entries(sidecar)
-        for compiled in self._compiler.plans:
-            entry = self._match_entry(entries, compiled)
-            if entry is not None and self._restore_plan(
-                    compiled, entry, last_closed, at_ms):
-                self.sidecar_restores += 1
-                continue
-            try:
-                self._hydrate(compiled, last_closed, at_ms)
-            except Exception as exc:  # recovery must not die of a view
-                self._fail(compiled, f"rehydration at batch {last_closed}",
-                           exc)
-            self.rehydrations += 1
-
-    @staticmethod
-    def _match_entry(entries: dict[tuple, dict],
-                     compiled: CompiledView) -> dict | None:
+    def _sidecar_entry(self, compiled: CompiledView,
+                       names: list[str]) -> dict | None:
+        if not self._sidecar:
+            return None
         schema = compiled.spec.schema_signature()
-        for name in compiled.names:
-            entry = entries.get((name, schema))
+        for name in names:
+            entry = self._sidecar.get((name, schema))
             if entry is not None:
                 return entry
         return None
 
-    # -- cold start -----------------------------------------------------
-    def attach_recovery(self, sidecar: Any,
-                        suffix: Iterable[Any] | None = None) -> None:
-        """Arm cold-start resume: *sidecar* is the recovered cut's
-        ``views_state`` payload and *suffix* the changelog records past
-        the cut (already rolled into the store the manager reads).
-        Every view registered afterwards first tries to resume from its
-        sidecar entry — restore memos, then fold the suffix records as
-        ordinary per-entity commits at their recorded ``at_ms`` — and
-        only scans the store (counting a rehydration) when the sidecar
-        doesn't cover it."""
-        self._recovery = {
-            "entries": self._sidecar_entries(sidecar),
-            "suffix": list(suffix or ()),
-        }
-
-    def detach_recovery(self) -> None:
-        self._recovery = None
-
-    def _resume_from_recovery(self, name: str,
-                              compiled: CompiledView) -> bool:
-        if self._recovery is None:
-            return False
-        entry = self._recovery["entries"].get(
-            (name, compiled.spec.schema_signature()))
-        if entry is None:
-            return False
-        if not self._restore_plan(compiled, entry,
-                                  entry.get("last_applied_batch", -1),
-                                  entry.get("applied_at_ms")):
-            return False
-        for record in self._recovery["suffix"]:
-            if record.batch_id <= compiled.last_applied_batch:
-                continue  # already inside the cut's memos
-            per_entity: dict[str, dict] = {}
-            for (entity, key), state in record.writes.items():
-                per_entity.setdefault(entity, {})[key] = state
-            compiled.apply_batch(per_entity, at_ms=record.at_ms)
-            compiled.last_applied_batch = record.batch_id
-            compiled.applied_at_ms = record.at_ms
-        self.sidecar_restores += 1
-        return True
+    # -- rewind ---------------------------------------------------------
+    def on_restore(self, sidecar: Any = None) -> None:
+        """The committed store and the log were set to a cut (a
+        recovery's rewind, or a cold start's reopen): keep *sidecar*,
+        the cut's ``views_state``, for every later registration, and
+        catch every registered plan up again (:meth:`_catch_up`), so no
+        view reflects an abandoned pipeline batch.  A plan whose scan
+        raises is failed instead of raising into recovery."""
+        self._sidecar = self._sidecar_entries(sidecar)
+        for compiled in self._compiler.plans:
+            try:
+                self._catch_up(compiled, compiled.names)
+            except Exception as exc:  # recovery must not die of a view
+                self._fail(compiled, f"rehydration at seq {self._head()}",
+                           exc)

@@ -244,7 +244,7 @@ def test_bench_views_cell_inprocess(tmp_path, monkeypatch, capsys):
     (leg,) = payload["legs"]
     assert leg["record_count"] == 400
     assert leg["probe_mismatches"] == 0
-    assert leg["freshness"]["final_lag_batches"] == 0
+    assert leg["freshness"]["final_lag"] == 0
 
 
 def test_bench_views_cell_flag_rejections(tmp_path):

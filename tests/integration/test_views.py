@@ -141,9 +141,9 @@ class TestEveryBatchEquality:
         engine = standard_views(runtime)
         runtime.call(refs[0], "transfer", 30, refs[1])
         snap = engine.view("total")
-        assert snap.lag_batches == 0, (
-            "the synchronous commit hook must keep views fully fresh")
-        assert snap.last_applied_batch == runtime.coordinator._last_closed
+        assert snap.lag == 0, (
+            "the log subscription must keep views fully fresh")
+        assert snap.applied_seq == runtime.coordinator.changelog.head_seq
         assert snap.as_of_ms is not None
 
     def test_register_mid_run_hydrates_current_state(self, account_program):
@@ -155,7 +155,7 @@ class TestEveryBatchEquality:
         snap = engine.register_view(
             ViewSpec("total", "Account", "sum", field="balance"))
         assert snap.value == 200
-        assert snap.last_applied_batch == runtime.coordinator._last_closed
+        assert snap.applied_seq == runtime.coordinator.changelog.head_seq
         runtime.call(refs[1], "deposit", 50)
         assert engine.view("total").value == 250
         engine.unregister_view("total")
@@ -178,7 +178,7 @@ class TestSubscriptions:
     def test_updates_ride_the_network_substrate(self, account_program,
                                                 pipeline_depth):
         """Pushes are delivered as messages through the network, not
-        inline on the commit path — and still arrive in batch order
+        inline on the commit path — and still arrive in seq order
         with the values the view held at publish time."""
         runtime = StateflowRuntime(account_program, config=StateflowConfig(
             coordinator=CoordinatorConfig(pipeline_depth=pipeline_depth)))
@@ -192,8 +192,8 @@ class TestSubscriptions:
         submit_transfers(runtime, refs, plan)
         runtime.sim.run(until=60_000)
         assert updates, "transfer load must push at least one update"
-        batch_ids = [u.batch_id for u in updates]
-        assert batch_ids == sorted(batch_ids)
+        seqs = [u.seq for u in updates]
+        assert seqs == sorted(seqs)
         final = updates[-1]
         assert final.value == engine.view("top3").value
         assert all(u.view == "top3" for u in updates)
@@ -261,7 +261,7 @@ class TestCrashRecovery:
         assert_views_match_oracle(runtime)
         assert engine.view("total").value == TOTAL
         snap = engine.view("total")
-        assert snap.last_applied_batch == runtime.coordinator._last_closed
+        assert snap.applied_seq == runtime.coordinator.changelog.head_seq
 
     def test_rewound_views_forget_abandoned_batches(self, account_program):
         """Crash with commits past the last snapshot: immediately after
@@ -492,12 +492,12 @@ class TestPoisonRow:
         assert runtime.entity_state(items[1])["score"] is None
 
         # Both plans over ``score`` are out of service, each naming the
-        # batch and the value; the plan later in plan order was offered
-        # the batch too (it failed on its own, not by never being run).
+        # seq and the value; the plan later in plan order was offered
+        # the record too (it failed on its own, not by never being run).
         for name in ("best", "score-sum"):
-            with pytest.raises(ViewError, match=r"failed at batch \d+.*None"):
+            with pytest.raises(ViewError, match=r"failed at seq \d+.*None"):
                 engine.view(name)
-            with pytest.raises(ViewError, match="failed at batch"):
+            with pytest.raises(ViewError, match="failed at seq"):
                 engine.subscribe_view(name, pushed.append)
 
         # The view over another field never noticed.
@@ -509,9 +509,7 @@ class TestPoisonRow:
         # A failed plan rides no cut, so a recovery re-hydrates it — and
         # while the store still holds the row, fails it again instead of
         # raising into recovery.
-        runtime.views.on_restore(runtime.coordinator._last_closed,
-                                 at_ms=runtime.sim.now,
-                                 sidecar=runtime.views.export_sidecar())
+        runtime.views.on_restore(runtime.views.export_sidecar())
         with pytest.raises(ViewError, match="failed at rehydration"):
             engine.view("best")
         assert engine.view("stock-sum").value == 16

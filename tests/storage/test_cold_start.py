@@ -23,7 +23,6 @@ from repro.query import QueryEngine, ViewSpec
 from repro.runtimes.state import DictStateBackend, materialize_snapshot
 from repro.runtimes.stateflow import StateflowConfig, StateflowRuntime
 from repro.runtimes.stateflow.coordinator import CoordinatorConfig
-from repro.runtimes.stateflow.snapshots import replay
 from repro.storage import FileChangelogStore, FileSnapshotStore
 from repro.substrates.simulation import Simulation
 from repro.views import ViewManager
@@ -164,22 +163,20 @@ VIEW_SPECS = [
 
 
 def cold_start_views(directory, specs):
-    """The cold-start recipe for views: resolve the latest recoverable
-    cut, roll the changelog suffix over the payload, then resume the
-    views from the cut's sidecar + the same suffix."""
+    """The cold-start recipe for views: the store at the reopened log's
+    head (the latest recoverable cut with the records past it folded
+    over), then a manager over that log restores the cut's sidecar and
+    registers — each view resumes from its memos at the cut's seq plus
+    a fold of the records past it.  The caller closes the log."""
     snapshots, changelog = reopen_stores(directory)
-    snapshot, payload = snapshots.latest_recoverable(changelog)
-    suffix = changelog.records_between(snapshot.changelog_seq,
-                                       changelog.head_seq)
-    assert suffix is not None, "the recovered span must be contiguous"
-    state = materialize_snapshot(replay(payload, suffix))
-    manager = ViewManager(DictStateBackend(state))
-    manager.attach_recovery(snapshot.views_state, suffix)
+    snapshot, _ = snapshots.latest_recoverable(changelog)
+    state = materialize_snapshot(snapshots.resolve(
+        snapshot, changelog, up_to_seq=changelog.head_seq))
+    manager = ViewManager(DictStateBackend(state), log=changelog)
+    manager.on_restore(snapshot.views_state)
     for spec in specs:
         manager.register(spec)
-    manager.detach_recovery()
-    changelog.close()
-    return manager, state
+    return manager, state, changelog
 
 
 def canonical(value):
@@ -229,7 +226,8 @@ class TestDurableViewsColdStart:
                        for name in runtime.views.names()}
         runtime.coordinator.changelog.close()
 
-        manager, state = cold_start_views(tmp_path, VIEW_SPECS)
+        manager, state, changelog = cold_start_views(tmp_path, VIEW_SPECS)
+        changelog.close()
         assert manager.rehydrations == 0, (
             "a sidecar-covered cold start must not rescan the store")
         assert manager.sidecar_restores == len(VIEW_SPECS)
@@ -248,6 +246,37 @@ class TestDurableViewsColdStart:
             assert control.read(name).value == cold_values[name]
         assert len(cold_values["by-window"]) > 1, (
             "the run must spread commits over multiple windows")
+
+    @pytest.mark.parametrize("pipeline_depth", DEPTHS)
+    def test_the_resumed_views_keep_folding_the_reopened_log(
+            self, tmp_path, pipeline_depth):
+        """After a cold start the manager is one more subscriber of the
+        reopened log: every record appended afterwards folds in, each
+        scan-derivable view equals the full-scan oracle after each one,
+        and the windowed view equals a twin that never stopped (the
+        live run's manager, subscribed to the same log)."""
+        runtime = self._durable_run_with_views(tmp_path, pipeline_depth)
+        runtime.coordinator.changelog.close()
+        manager, state, changelog = cold_start_views(tmp_path, VIEW_SPECS)
+        twin = runtime.views
+        changelog.subscribe(manager.on_commit)
+        changelog.subscribe(twin.on_commit)
+        keys = sorted(key for entity, key in state if entity == "Account")
+        for step, key in enumerate(keys[::3]):
+            row = dict(state[("Account", key)], balance=step * 37)
+            state[("Account", key)] = row
+            runtime.committed.put("Account", key, row)
+            seq = changelog.append(step, {("Account", key): row},
+                                   at_ms=runtime.sim.now + 150.0 * step)
+            for spec in VIEW_SPECS:
+                assert manager.read(spec.name).applied_seq == seq
+                if spec.window_ms is None:
+                    assert manager.read(spec.name).value \
+                        == manager.expected(spec.name)
+            assert manager.read("by-window").value \
+                == twin.read("by-window").value
+        assert len(manager.read("by-window").value) > 2
+        changelog.close()
 
 
 #: The child runs a deterministic durable workload, reports what its
@@ -389,11 +418,12 @@ class TestRealKillPreservesViews:
         assert child.returncode == -signal.SIGKILL, child.stderr
         dying_words = json.loads(report.read_text(encoding="utf-8"))
 
-        manager, _ = cold_start_views(durable, [
+        manager, _, changelog = cold_start_views(durable, [
             ViewSpec("total", "Account", "sum", field="balance"),
             ViewSpec("poorest", "Account", "min", field="balance"),
             ViewSpec("top3", "Account", "top_k", field="balance", k=3),
             ViewSpec("by-window", "Account", "count", window_ms=400.0)])
+        changelog.close()
         assert manager.rehydrations == 0
         assert manager.sidecar_restores == 4
         cold = {name: canonical(manager.read(name).value)

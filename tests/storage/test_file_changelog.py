@@ -1,9 +1,14 @@
 """File-backed changelog: segment files, fsync accounting, torn-tail
-truncation, physical rewind and whole-segment compaction."""
+truncation, physical rewind, whole-segment compaction, and the log's
+publish contract (a subscriber hears of a record only once its frame is
+on disk, and in seq order across a rewind)."""
 
 import pytest
 
-from repro.storage import FileChangelogStore, read_manifest, open_layout
+from repro.bench.recovery import tally_changelog_bytes
+from repro.runtimes.stateflow.snapshots import ChangelogStore
+from repro.storage import (FileChangelogStore, open_layout, read_manifest,
+                           scan_frames)
 
 
 def writes_for(n):
@@ -155,7 +160,6 @@ class TestRewind:
         fill(store, 5)
         store.rewind_to(2)
         assert store.rewound == 2
-        assert store.bytes_rewound > 0
         assert store.head_seq == 2
         store.close()
         # The orphaned suffix must not resurrect on a cold start.
@@ -183,3 +187,69 @@ class TestRewind:
         store.close()
         reopened = FileChangelogStore(tmp_path)
         assert [(r.seq, r.batch_id) for r in reopened._records] == [(0, 50)]
+
+    def test_the_byte_tally_keeps_only_the_surviving_timeline(self,
+                                                              tmp_path):
+        """The recovery cell's changelog bytes: a subscriber's ``repr``
+        estimate of the latest record at each seq up to the head, which
+        is every appended record's size less the rewound ones'."""
+        def size(n):
+            return sum(len(repr(key)) + len(repr(state))
+                       for key, state in writes_for(n).items())
+
+        store = FileChangelogStore(tmp_path)
+        tally = tally_changelog_bytes(store)
+        fill(store, 5)
+        assert tally() == sum(size(n) for n in range(5))
+        store.rewind_to(2)
+        assert tally() == sum(size(n) for n in range(3)) > 0
+        fill(store, 2, start=100)
+        appended = sum(size(n) for n in [*range(5), 100, 101])
+        rewound = size(3) + size(4)
+        assert rewound > 0
+        assert tally() == appended - rewound
+        store.close()
+
+
+def _stores():
+    return [pytest.param(lambda path: ChangelogStore(), id="memory"),
+            pytest.param(FileChangelogStore, id="file")]
+
+
+class TestPublish:
+    def test_a_subscriber_hears_of_a_record_its_segment_holds(self,
+                                                              tmp_path):
+        """At the moment a subscriber is called, the record's frame is
+        the last one in the segment files and has been fsynced."""
+        store = FileChangelogStore(tmp_path, segment_records=2)
+        heard = []
+
+        def subscriber(seq, writes, at_ms):
+            frames = [record
+                      for path in open_layout(tmp_path).segment_files()
+                      for _, record in scan_frames(path.read_bytes())[0]]
+            last = frames[-1] if frames else None
+            heard.append((seq, writes, last and last.seq,
+                          last and last.writes, store.fsyncs))
+
+        store.subscribe(subscriber)
+        fill(store, 5)
+        assert heard == [(n, writes_for(n), n, writes_for(n), n + 1)
+                         for n in range(5)]
+        store.close()
+
+    @pytest.mark.parametrize("make", _stores())
+    def test_subscribers_hear_seq_order_across_a_rewind(self, tmp_path,
+                                                        make):
+        store = make(tmp_path)
+        first, second = [], []
+        store.subscribe(lambda seq, writes, at_ms: first.append(seq))
+        store.subscribe(lambda seq, writes, at_ms: second.append(
+            (seq, writes, at_ms)))
+        fill(store, 5)
+        store.rewind_to(2)
+        assert first == [0, 1, 2, 3, 4], "a rewind publishes nothing"
+        fill(store, 2, start=10)
+        assert first == [0, 1, 2, 3, 4, 3, 4]
+        assert second == [(seq, writes_for(n), n * 10.0) for seq, n in
+                          zip(first, [0, 1, 2, 3, 4, 10, 11])]

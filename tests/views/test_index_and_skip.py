@@ -15,9 +15,9 @@ rule as exact counts.
   remove and one add per ordered plan, ``1`` replaced by ``1.0`` is
   folded, and a windowed plan re-homes a key committed in a later
   window with the same value.
-- A version-1 sidecar indexes to nothing: ``on_restore`` and
-  ``attach_recovery`` fall back to scan hydration and land on oracle
-  values.
+- A version-1 or version-2 sidecar indexes to nothing: ``on_restore``
+  and a cold start's registrations fall back to scan hydration and land
+  on oracle values.
 """
 
 import pytest
@@ -157,9 +157,9 @@ def _six_plans(accounts=50):
     return store, manager, pushed
 
 
-def _commit(store, manager, batch_id, key, row):
+def _commit(store, manager, seq, key, row):
     store.put("Account", key, row)
-    manager.on_commit(batch_id, {("Account", key): dict(row)}, at_ms=1.0)
+    manager.on_commit(seq, {("Account", key): dict(row)}, at_ms=1.0)
 
 
 ORDERED_PLANS = 3  # min-balance, max-by-bucket, top-10
@@ -175,7 +175,7 @@ class TestUnchangedContribution:
         assert manager.keys_applied == 1, "the key was offered all the same"
         for name in manager.names():
             assert manager.read(name).value == manager.expected(name)
-            assert manager.read(name).last_applied_batch == 0
+            assert manager.read(name).applied_seq == 0
 
     def test_visible_top_k_row_republishes_without_index_surgery(
             self, index_ops):
@@ -223,15 +223,21 @@ class TestUnchangedContribution:
 
 
 # ---------------------------------------------------------------------------
-# a version-1 sidecar falls back to a scan
+# an older sidecar version falls back to a scan
 
 
-def _v1_sidecar(manager):
-    """What PR 10–17 wrote: version 1, one flat entry list per group."""
+def _old_sidecar(manager, version):
+    """What earlier versions wrote.  Version 2 kept each plan's
+    position as a batch id; version 1 also kept one flat entry list per
+    group."""
     sidecar = manager.export_sidecar()
-    assert sidecar["version"] == SIDECAR_VERSION == 2
-    sidecar["version"] = 1
+    assert sidecar["version"] == SIDECAR_VERSION == 3
+    sidecar["version"] = version
     for plan in sidecar["plans"]:
+        plan["last_applied_batch"] = plan.pop("seq")
+        plan["applied_at_ms"] = None
+        if version > 1:
+            continue
         terminal = plan["state"]["terminal"]
         for name in ("ordered", "index"):
             if name in terminal:
@@ -241,21 +247,22 @@ def _v1_sidecar(manager):
     return sidecar
 
 
-class TestVersionOneSidecar:
-    def test_on_restore_rehydrates_from_a_scan(self):
+@pytest.mark.parametrize("version", (1, 2), ids=lambda v: f"v{v}")
+class TestOlderSidecarVersions:
+    def test_on_restore_rehydrates_from_a_scan(self, version):
         store, manager, _ = _six_plans()
-        sidecar = _v1_sidecar(manager)
+        sidecar = _old_sidecar(manager, version)
         _commit(store, manager, 0, "acct-0007", _account(7, balance=5))
-        manager.on_restore(last_closed=0, at_ms=2.0, sidecar=sidecar)
+        manager.on_restore(sidecar)
         assert manager.sidecar_restores == 0
         assert manager.rehydrations == len(cell_views())
         for name in manager.names():
             assert manager.read(name).value == manager.expected(name)
 
-    def test_attach_recovery_rehydrates_from_a_scan(self):
+    def test_a_cold_start_rehydrates_from_a_scan(self, version):
         store, manager, _ = _six_plans()
         cold = ViewManager(store)
-        cold.attach_recovery(_v1_sidecar(manager), [])
+        cold.on_restore(_old_sidecar(manager, version))
         for spec in cell_views():
             cold.register(spec)
         assert cold.sidecar_restores == 0
@@ -263,13 +270,14 @@ class TestVersionOneSidecar:
         for name in cold.names():
             assert cold.read(name).value == cold.expected(name)
 
-    def test_version_two_resumes_without_a_scan(self):
-        store, manager, _ = _six_plans()
-        cold = ViewManager(store)
-        cold.attach_recovery(manager.export_sidecar(), [])
-        for spec in cell_views():
-            cold.register(spec)
-        assert cold.rehydrations == 0
-        assert cold.sidecar_restores == len(cell_views())
-        for name in cold.names():
-            assert cold.read(name).value == manager.read(name).value
+
+def test_the_current_version_resumes_without_a_scan():
+    store, manager, _ = _six_plans()
+    cold = ViewManager(store)
+    cold.on_restore(manager.export_sidecar())
+    for spec in cell_views():
+        cold.register(spec)
+    assert cold.rehydrations == 0
+    assert cold.sidecar_restores == len(cell_views())
+    for name in cold.names():
+        assert cold.read(name).value == manager.read(name).value

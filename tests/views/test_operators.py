@@ -10,6 +10,7 @@ delivery contract over a plain ``DictStateBackend`` committed store.
 import pytest
 
 from repro.runtimes.state import DictStateBackend
+from repro.runtimes.stateflow.snapshots import ChangelogStore
 from repro.views import (
     TOMBSTONE,
     FilterMap,
@@ -265,7 +266,7 @@ class TestViewManager:
         manager.register(ViewSpec("v", "E", "count"))
         manager.on_commit(4, {}, at_ms=7.0)
         snap = manager.read("v")
-        assert snap.last_applied_batch == 4
+        assert snap.applied_seq == 4
         assert snap.as_of_ms == 7.0
 
     def test_duplicate_delivery_skipped(self):
@@ -276,14 +277,17 @@ class TestViewManager:
         manager.on_commit(0, delta, at_ms=1.0)  # replayed batch
         assert manager.read("v").value == 10
 
-    def test_lag_measures_distance_to_head(self):
-        head = {"value": 0}
-        manager = ViewManager(DictStateBackend(), head=lambda: head["value"])
+    def test_lag_measures_distance_to_the_log_head(self):
+        log = ChangelogStore()
+        manager = ViewManager(DictStateBackend(), log=log)
         manager.register(ViewSpec("v", "E", "count"))
-        head["value"] = 3
-        assert manager.read("v").lag_batches == 3
-        manager.on_commit(3, {}, at_ms=None)
-        assert manager.read("v").lag_batches == 0
+        for batch_id in range(3):
+            log.append(batch_id, {("F", f"k{batch_id}"): {"v": 1}})
+        assert manager.read("v").lag == 3
+        log.subscribe(manager.on_commit)
+        log.append(3, {("F", "k3"): {"v": 1}})
+        assert manager.read("v").lag == 0
+        assert manager.read("v").applied_seq == 3
 
     def test_on_restore_rewinds_to_store(self):
         store = DictStateBackend({("E", "a"): {"v": 1}})
@@ -293,10 +297,10 @@ class TestViewManager:
         assert manager.read("v").value == 100
         # recovery rewound the committed store; the uncommitted write
         # to b must vanish from the view
-        manager.on_restore(last_closed=-1, at_ms=2.0)
+        manager.on_restore()
         snap = manager.read("v")
         assert snap.value == 1
-        assert snap.last_applied_batch == -1
+        assert snap.applied_seq == -1
         assert manager.rehydrations == 1
 
     def test_subscriptions_deliver_updates(self):
@@ -307,7 +311,7 @@ class TestViewManager:
         manager.on_commit(0, {("E", "a"): {"v": 1}}, at_ms=1.0)
         manager.on_commit(1, {}, at_ms=2.0)  # no visible change: no push
         assert [u.value for u in seen] == [1]
-        assert seen[0].batch_id == 0
+        assert seen[0].seq == 0
 
     def test_transport_carries_deliveries(self):
         manager = self._manager()

@@ -154,7 +154,7 @@ def test_on_restore_without_a_sidecar_rehydrates_in_place(counted):
                           store.entry("Account", "acct-0003")}, at_ms=1.0)
     store.restore(cut)
     counted.update(copies=0, hashes=0)
-    manager.on_restore(last_closed=-1, at_ms=2.0, sidecar=None)
+    manager.on_restore(None)
     assert counted == {"copies": 0, "hashes": 0}
     assert manager.rehydrations == len(manager._compiler.plans)
     _assert_in_place(store, manager)

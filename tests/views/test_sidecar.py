@@ -10,9 +10,12 @@ snapshot cuts (``Snapshot.views_state``).  Pinned here:
 - ``ViewManager.on_restore`` with a sidecar restores matching plans
   without touching the store (``sidecar_restores``), and falls back to
   scan hydration (``rehydrations``) when the sidecar doesn't match;
-- ``attach_recovery`` (cold start) resumes registered views from
-  ``(sidecar memos, last_applied_batch)`` + the changelog suffix with
-  zero rehydrations and values identical to the live manager's;
+- a cold start (``on_restore`` over the log, then registration) resumes
+  views from ``(sidecar memos, seq)`` plus a fold of the log's records
+  past that seq, with zero rehydrations and values identical to the
+  live manager's — and keeps folding the log's later records, whatever
+  batch ids they carry: freshness is the seq, which a rerun over one
+  directory continues while its batch ids restart;
 - windowed plans — the kind with *no* scan oracle — keep their window
   distribution through a sidecar restore, where a scan fallback
   provably collapses it.
@@ -23,7 +26,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtimes.state import DictStateBackend
-from repro.runtimes.stateflow.snapshots import ChangelogRecord
+from repro.runtimes.stateflow.snapshots import ChangelogStore
+from repro.storage import FileChangelogStore
 from repro.views import (
     TOMBSTONE,
     ViewManager,
@@ -135,19 +139,19 @@ class TestManagerRestoreFromSidecar:
         # prove it by poisoning the scan surface).
         store.entries = lambda entity: (_ for _ in ()).throw(
             AssertionError("sidecar restore must not scan the store"))
-        manager.on_restore(last_closed=0, at_ms=30.0, sidecar=sidecar)
+        manager.on_restore(sidecar)
         assert manager.rehydrations == 0
         assert manager.sidecar_restores == len(manager._compiler.plans)
         for name, want in value_at_cut.items():
             assert manager.read(name).value == want
-            assert manager.read(name).last_applied_batch == 0
+            assert manager.read(name).applied_seq == 0
 
     def test_missing_sidecar_falls_back_to_scan(self):
         store = DictStateBackend({("E", "a"): {"v": 7}})
         manager = ViewManager(store)
         manager.register(ViewSpec("total", "E", "sum", field="v"))
         manager.on_commit(0, {("E", "b"): {"v": 1}}, at_ms=1.0)
-        manager.on_restore(last_closed=-1, at_ms=2.0, sidecar=None)
+        manager.on_restore(None)
         assert manager.rehydrations == 1
         assert manager.sidecar_restores == 0
         assert manager.read("total").value == 7
@@ -158,7 +162,7 @@ class TestManagerRestoreFromSidecar:
         manager.register(ViewSpec("total", "E", "sum", field="v"))
         sidecar = manager.export_sidecar()
         sidecar["version"] = 999
-        manager.on_restore(last_closed=-1, at_ms=2.0, sidecar=sidecar)
+        manager.on_restore(sidecar)
         assert manager.rehydrations == 1 and manager.sidecar_restores == 0
 
     def test_schema_mismatch_falls_back_to_scan(self):
@@ -171,65 +175,71 @@ class TestManagerRestoreFromSidecar:
         # must not be trusted.
         fresh.register(ViewSpec("total", "E", "sum", field="v",
                                 group_by="g2"))
-        fresh.on_restore(last_closed=-1, at_ms=2.0, sidecar=sidecar)
+        fresh.on_restore(sidecar)
         assert fresh.rehydrations == 1 and fresh.sidecar_restores == 0
 
 
-class TestColdStartAttachRecovery:
-    def _run_live(self):
-        """A 'first life': commits 0..3, with a cut (sidecar export)
-        after batch 1 — the changelog suffix covers batches 2..3."""
-        store = DictStateBackend()
-        manager = ViewManager(store)
-        for spec in _specs():
-            manager.register(spec)
-        commits = [
-            (0, {("E", "a"): {"v": 5}}, 10.0),
-            (1, {("E", "b"): {"v": 9}}, 120.0),
-            (2, {("E", "a"): {"v": 7}}, 230.0),
-            (3, {("E", "c"): {"v": 2}, ("E", "b"): TOMBSTONE}, 340.0),
-        ]
-        suffix = []
-        sidecar = None
-        for batch_id, writes, at_ms in commits:
-            live = {composite: state
-                    for composite, state in writes.items()
-                    if state is not TOMBSTONE}
-            for composite, state in writes.items():
-                if state is TOMBSTONE:
-                    store.store.pop(composite)
-                else:
-                    store.put(*composite, state)
-            manager.on_commit(batch_id, live, at_ms=at_ms)
-            if batch_id == 1:
-                sidecar = manager.export_sidecar()
-            elif batch_id > 1:
-                suffix.append(ChangelogRecord(
-                    seq=batch_id, batch_id=batch_id, writes=live,
-                    at_ms=at_ms))
-        return store, manager, sidecar, suffix
+def _apply(store, writes):
+    """Install one record's writes in the store and return them, which
+    is what the log records (the runtime has no deletes)."""
+    for composite, state in writes.items():
+        store.put(*composite, state)
+    return writes
 
+
+#: The first life's records: ``(batch id, writes, at_ms)``.
+FIRST_LIFE = [
+    (0, {("E", "a"): {"v": 5}}, 10.0),
+    (1, {("E", "b"): {"v": 9}}, 120.0),
+    (2, {("E", "a"): {"v": 7}}, 230.0),
+    (3, {("E", "c"): {"v": 2}, ("E", "b"): {"v": 1}}, 340.0),
+]
+
+
+def _run_live(log=None):
+    """A 'first life' fed by a subscribed log: records 0..3, with a cut
+    (sidecar export) after seq 1 — the log holds 2..3 past it."""
+    store = DictStateBackend()
+    log = ChangelogStore() if log is None else log
+    manager = ViewManager(store, log=log)
+    log.subscribe(manager.on_commit)
+    for spec in _specs():
+        manager.register(spec)
+    sidecar = None
+    for batch_id, writes, at_ms in FIRST_LIFE:
+        seq = log.append(batch_id, _apply(store, writes), at_ms=at_ms)
+        if seq == 1:
+            sidecar = manager.export_sidecar()
+    return store, manager, sidecar, log
+
+
+def _cold_start(store, log, sidecar, specs):
+    """The one catch-up path from a cut: restore its sidecar over the
+    log, then register."""
+    cold = ViewManager(store, log=log)
+    cold.on_restore(sidecar)
+    for spec in specs:
+        cold.register(spec)
+    return cold
+
+
+class TestColdStart:
     def test_cold_start_resumes_with_zero_rehydrations(self):
-        store, live, sidecar, suffix = self._run_live()
-        cold = ViewManager(store)
-        cold.attach_recovery(sidecar, suffix)
-        for spec in _specs():
-            cold.register(spec)
+        store, live, sidecar, log = _run_live()
+        cold = _cold_start(store, log, sidecar, _specs())
         assert cold.rehydrations == 0
         assert cold.sidecar_restores == len(_specs())
         for name in live.names():
             assert cold.read(name).value == live.read(name).value
-            assert cold.read(name).last_applied_batch == 3
+            assert cold.read(name).applied_seq == 3
+            assert cold.read(name).lag == 0
 
     def test_windowed_plan_needs_the_sidecar(self):
         """The motivating case: scan hydration collapses all windows
-        into one, the sidecar + suffix path preserves the real
+        into one, the sidecar + log path preserves the real
         distribution."""
-        store, live, sidecar, suffix = self._run_live()
-        resumed = ViewManager(store)
-        resumed.attach_recovery(sidecar, suffix)
-        for spec in _specs():
-            resumed.register(spec)
+        store, live, sidecar, log = _run_live()
+        resumed = _cold_start(store, log, sidecar, _specs())
         want = live.read("per-window").value
         assert resumed.read("per-window").value == want
         assert len(want) > 1, "the fixture must span multiple windows"
@@ -240,15 +250,48 @@ class TestColdStartAttachRecovery:
             "scan hydration cannot reconstruct commit-time windows")
 
     def test_uncovered_view_counts_a_rehydration(self):
-        store, live, sidecar, suffix = self._run_live()
-        cold = ViewManager(store)
-        cold.attach_recovery(sidecar, suffix)
-        cold.register(ViewSpec("brand-new", "E", "count"))
+        store, live, sidecar, log = _run_live()
+        cold = _cold_start(store, log, sidecar,
+                                [ViewSpec("brand-new", "E", "count")])
         assert cold.rehydrations == 1
-        assert cold.read("brand-new").value == 2  # a and c survive
+        assert cold.read("brand-new").value == 3  # a, b and c
+
+    def test_a_gap_past_the_sidecar_falls_back_to_a_scan(self):
+        store, live, sidecar, log = _run_live()
+        log.truncate_through(2)  # seq 2 is gone: (1, 3] has a gap
+        cold = _cold_start(store, log, sidecar, _specs()[:2])
+        assert cold.sidecar_restores == 0 and cold.rehydrations == 2
+        for name in cold.names():
+            assert cold.read(name).value == cold.expected(name)
+            assert cold.read(name).applied_seq == 3
 
     def test_windowed_expected_raises(self):
-        store, live, sidecar, suffix = self._run_live()
+        store, live, sidecar, log = _run_live()
         from repro.views import ViewError
         with pytest.raises(ViewError, match="no full-scan oracle"):
             live.expected("per-window")
+
+
+class TestOneCatchUpPath:
+    def test_a_rerun_with_restarted_batch_ids_skips_no_record(
+            self, tmp_path):
+        """A second run over one directory continues the log's seqs
+        but restarts its batch ids at 0.  A manager resumed from the
+        first run's sidecar at seq S folds every record from S+1 on —
+        keyed by batch id, it would skip the rerun's batches up to the
+        sidecar's last batch."""
+        store, live, sidecar, log = _run_live(
+            FileChangelogStore(tmp_path))
+        log.close()
+        reopened = FileChangelogStore(tmp_path)
+        cold = _cold_start(store, reopened, sidecar, _specs())
+        reopened.subscribe(cold.on_commit)
+        for batch_id, key, v in [(0, "d", 40), (1, "a", 1), (2, "e", 3),
+                                 (3, "c", 11), (4, "f", 8)]:
+            writes = _apply(store, {("E", key): {"v": v}})
+            seq = reopened.append(batch_id, writes, at_ms=500.0 + batch_id)
+            for name in ("total", "peak"):
+                assert cold.read(name).applied_seq == seq
+                assert cold.read(name).value == cold.expected(name), (
+                    f"record {seq} (batch {batch_id}) was not folded")
+        reopened.close()
