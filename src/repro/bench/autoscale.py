@@ -5,9 +5,10 @@ The cell drives one YCSB-A runtime through a fixed sequence of phases
 that ramp both the arrival rate and the zipfian skew (s = 0.99 -> 1.3 —
 by the end the hottest key carries ~25 % of traffic).  The final phase
 deliberately exceeds the starting deployment's capacity (each worker
-spends ``exec_service_ms`` of CPU per event), so a fixed-size cluster
-drowns: its backlog grows without bound and its tail latency blows
-through the SLO.  With ``--autoscale`` the
+spends the simulator cost profile's ``exec_service_ms`` of CPU per
+event, :data:`repro.substrates.costs.MODELLED`), so a fixed-size
+cluster drowns: its backlog grows without bound and its tail latency
+blows through the SLO.  With ``--autoscale`` the
 :class:`~repro.control.AutoscaleController` must notice the saturation
 from its windowed commit-rate/queue metrics and pull the cluster up the
 worker curve on its own — no declarative rescale plan exists.

@@ -21,8 +21,6 @@ from ..runtimes.stateflow import (
     StateflowRuntime,
 )
 from ..runtimes.statefun import StatefunConfig, StatefunRuntime
-from ..substrates.kafka import KafkaConfig
-from ..substrates.network import LatencyModel, NetworkConfig
 from ..substrates.simulation import Simulation
 from ..substrates.spawner import make_spawner
 from ..workloads.generator import DriverConfig, WorkloadDriver
@@ -77,55 +75,18 @@ def build_runtime(system: str, program: CompiledProgram, seed: int = 42,
     raise ValueError(f"unknown system {system!r}")
 
 
-#: A modelled hop with no modelled cost: the physical floor is whatever
-#: the real transport (pipes, syscalls, scheduling) actually takes.
-_ZERO_LATENCY = LatencyModel(median_ms=0.0, sigma=0.0, floor_ms=0.0)
-
-
 def process_stateflow_overrides(**extra: Any) -> dict[str, Any]:
-    """StateflowConfig overrides tuned for the real-process substrate.
-
-    Every *modelled* cost is zeroed — CPU service times, network hop
-    latencies, Kafka produce/fetch latencies and broker CPU, and the
-    coordinator's conflict-detection and rescale-launch charges, whose
-    fixed parts are priced in ``conflict_check_ms_per_txn`` too.  On real
-    processes the work and the transport take real time (pipe writes,
-    pickling, context switches), and charging modelled milliseconds on
-    top would double-count; worse, on the wall-clock kernel each
-    modelled sub-millisecond hop becomes a real timer and the ~15-hop
-    request path turns fiction into tens of real milliseconds.  Replies
-    are released at commit rather than held for the epoch flush: the
-    epoch hold is an output-commit cadence policy, and letting it
-    dominate measured latency would mask the substrate behaviour the
-    wall-clock bench exists to measure.  The failure detector is
-    relaxed so the initial seeding (a real pickle of each worker's
-    slots) cannot trip the watchdog, and snapshot cuts are spaced out
-    because each one is real O(keys) work on the parent's loop.
-
-    The idle-seal delay is a modelled cost too: it stands for arrivals
-    that are near-simultaneous in virtual time, and on the real clock it
-    would be a timer every waiting caller sits out.  With it zeroed an
-    idle coordinator seals on the next kernel turn — arrivals of one
-    turn still share a batch, and a busy pipeline batches at
-    execution-finished without any timer."""
+    """StateflowConfig overrides for the real-process substrate: policies
+    for real round trips, and no costs (the wall clock charges none).
+    Replies leave at commit, not at the epoch flush; the failure detector
+    is relaxed for the initial seeding (a real pickle of each worker's
+    slots); cuts, real O(keys) work on the parent's loop, are spaced out."""
     overrides: dict[str, Any] = {
         "spawner": "process",
-        "exec_service_ms": 0.0,
-        "state_op_ms": 0.0,
-        "kafka": KafkaConfig(
-            produce_latency=_ZERO_LATENCY,
-            fetch_latency=_ZERO_LATENCY,
-            broker_cpu_ms=0.0),
-        "network": NetworkConfig(
-            intra_cluster=_ZERO_LATENCY,
-            rpc_hop=_ZERO_LATENCY),
         "coordinator": CoordinatorConfig(
-            conflict_check_ms_per_txn=0.0,
-            dispatch_ms_per_txn=0.0,
             failure_detect_ms=5_000.0,
             snapshot_interval_ms=2_000.0,
             release_txn_outputs_at_epoch=False,
-            idle_seal_fraction=0.0,
             # Real round trips make giant batches toxic: more intra-batch
             # conflicts mean more sequential-fallback executions, each a
             # real worker round trip, so an overloaded depth-1 pipeline

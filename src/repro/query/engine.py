@@ -138,6 +138,9 @@ class QueryEngine:
                 "as-of queries take exactly one of at_batch= or at_ms=")
         snapshots = coordinator.snapshots
         changelog = coordinator.changelog
+        # Batch ids and append times are monotone in seq: the records at
+        # or before the target are a prefix, and every cut folds up to it.
+        last = changelog.last_as_of(batch=at_batch, at_ms=at_ms)
         for snapshot in reversed(snapshots.retained()):
             # The cut qualifies when everything it contains is at or
             # before the target: batches it committed all have ids
@@ -147,19 +150,15 @@ class QueryEngine:
                 continue
             if at_ms is not None and snapshot.taken_at_ms > at_ms:
                 continue
-            records = changelog.suffix_as_of(
-                snapshot.changelog_seq, batch=at_batch, at_ms=at_ms)
-            if records is None:
-                continue  # gap in the suffix: anchor on an older cut
+            past_cut = last is not None and last.seq > snapshot.changelog_seq
             try:
                 payload = snapshots.resolve(
                     snapshot, changelog,
-                    up_to_seq=(records[-1].seq if records
-                               else snapshot.changelog_seq))
+                    up_to_seq=last.seq if past_cut else None)
             except SnapshotChainError:
                 continue  # base gone or span gap: anchor on an older cut
             state = materialize_snapshot(payload, entity)
-            stamp = records[-1].at_ms if records else snapshot.taken_at_ms
+            stamp = last.at_ms if past_cut else snapshot.taken_at_ms
             return list(state.items()), stamp
         target = (f"batch {at_batch}" if at_batch is not None
                   else f"t={at_ms}ms")

@@ -16,7 +16,7 @@ from .coordinator import (
     RescaleRecord,
     TxnRecord,
 )
-from .runtime import StateflowConfig, StateflowRuntime, default_kafka_config
+from .runtime import StateflowConfig, StateflowRuntime
 from .snapshots import Snapshot, SnapshotStore
 from .worker import Worker
 
@@ -41,5 +41,4 @@ __all__ = [
     "TxnRecord",
     "Worker",
     "decide",
-    "default_kafka_config",
 ]

@@ -52,9 +52,9 @@ fallback.  The invariants that keep this serializable and deterministic:
 
 ``pipeline_depth = 1`` restores strictly-serial one-batch-at-a-time
 scheduling: no pinned views, no cross-batch footprints, no overlap.
-(The idle-seal optimisation — see ``idle_seal_fraction`` — applies at
-every depth, so batch-formation *timing* still differs from the
-pre-pipeline coordinator.)
+(The idle-seal optimisation — the cost profile's ``idle_seal_fraction``
+— applies at every depth, so batch-formation *timing* still differs
+from the pre-pipeline coordinator.)
 
 Commit-phase writes are bucketed per owning worker (``hooks.worker_of``)
 so each worker installs only its own partition's writes; snapshots are
@@ -70,6 +70,7 @@ from typing import Any, Callable
 
 from ...core.refs import EntityRef
 from ...ir.events import Event, EventKind, TxnContext
+from ...substrates.costs import cost_profile
 from ...substrates.simulation import CpuPool, Simulation
 from ..state import PartitionedStore, payload_keys
 from .aria import AriaStats, BatchMember, decide
@@ -183,19 +184,17 @@ class CoordinatorHooks:
     #: it touches only its own key (unsplit, not a constructor),
     #: ``"read"`` when it also writes nothing (a read-only method), and
     #: ``None`` when it may not.
-    single_key_access: Callable[[str, str], str | None] = (
-        lambda entity, method: None)
+    single_key_access: Callable[[str, str], str | None]
     #: Run a list of single-key events serially at one worker; the
     #: callback receives the reply events.
     execute_single_key: Callable[
-        [int, list[Event], Callable[[list[Event]], None]], None] = None  # type: ignore[assignment]
+        [int, list[Event], Callable[[list[Event]], None]], None]
     #: Elasticity: size the active worker set (create/revive workers
     #: below *count*, retire the rest).
-    set_worker_count: Callable[[int], None] = lambda count: None
+    set_worker_count: Callable[[int], None]
     #: Ship one slot from its old owner to its new one over the network
     #: substrate (capture -> transfer -> install), acking via callback.
-    migrate_slot: Callable[
-        [int, int, int, Callable[[], None]], None] = None  # type: ignore[assignment]
+    migrate_slot: Callable[[int, int, int, Callable[[], None]], None]
     #: When the oldest commit bucket a worker has not acked yet was sent,
     #: or ``None``.  Only a worker whose ``apply_writes`` completes before
     #: its ack (a process worker) reports one; a simulated worker's ack
@@ -210,8 +209,6 @@ class CoordinatorConfig:
     epoch_interval_ms: float = 40.0
     snapshot_interval_ms: float = 500.0
     failure_detect_ms: float = 400.0
-    conflict_check_ms_per_txn: float = 0.01
-    dispatch_ms_per_txn: float = 0.02
     reordering: bool = True
     release_txn_outputs_at_epoch: bool = True
     #: Bounded epoch pipeline: how many batches may be in flight at once
@@ -219,11 +216,6 @@ class CoordinatorConfig:
     #: pinned snapshot views).  1 = the strictly serial pre-pipeline
     #: behaviour.
     pipeline_depth: int = 2
-    #: Idle batch formation: when a request arrives and the pipeline has
-    #: a free slot, seal on the next sub-interval boundary instead of
-    #: waiting a full ``batch_interval_ms`` tick.  The fraction keeps
-    #: near-simultaneous arrivals coalescing into one batch.
-    idle_seal_fraction: float = 0.25
     #: A base cut every N cuts, position cuts in between (bounds the
     #: changelog span recovery must fold); 1 = every cut a base.
     snapshot_base_every: int = 4
@@ -243,11 +235,13 @@ class Coordinator:
                  hooks: CoordinatorHooks,
                  config: CoordinatorConfig | None = None,
                  *, snapshots: SnapshotStore, changelog: ChangelogStore,
-                 autoscaler: Any = None):
+                 views: Any, autoscaler: Any = None):
         self.sim = sim
         self.committed = committed
         self.hooks = hooks
         self.config = config or CoordinatorConfig()
+        #: Modelled CPU charges and the idle-seal delay; zero on a real clock.
+        self.costs = cost_profile(sim)
         #: Closed-loop capacity controller (an
         #: :class:`~repro.control.AutoscaleController`), or ``None`` for
         #: operator-driven clusters.  When attached, the commit path
@@ -255,13 +249,10 @@ class Coordinator:
         #: turns the windowed load into autonomous ``request_rescale``
         #: calls.
         self.autoscaler = autoscaler
-        #: Materialized-view maintenance (a :class:`~repro.views.
-        #: ViewManager`), or ``None``.  Fed by the changelog, whose
-        #: subscriber it is; the coordinator only exports its sidecar
-        #: at each cut and restores it on recovery, so no view ever
-        #: reflects an abandoned pipeline batch.
-        self.views: Any = None
-        self._slot_of = getattr(committed, "slot_of", None)
+        #: Materialized views (a ViewManager), fed by the changelog: the
+        #: coordinator only exports their sidecar at each cut and restores
+        #: it on recovery, so no view reflects an abandoned batch.
+        self.views = views
         self.cpu = CpuPool(sim, 1, name="coordinator")
         #: Where cuts go; its ``next_kind`` decides what a cut
         #: captures.  Like the replayable source it survives crashes
@@ -420,10 +411,8 @@ class Coordinator:
         self._fallback_queue = []
         self._fallback_current = None
         self._footprints.clear()
-        release = getattr(self.committed, "release_view", None)
-        if release is not None:
-            for version in self._pinned:
-                release(version)
+        for version in self._pinned:
+            self.committed.release_view(version)
         self._pinned.clear()
 
     def _schedule_tick(self, interval: float,
@@ -467,7 +456,7 @@ class Coordinator:
             # still coalesce into one batch).
             self._seal_scheduled = True
             delay = (self.config.batch_interval_ms
-                     * self.config.idle_seal_fraction)
+                     * self.costs.idle_seal_fraction)
 
             def fire_seal() -> None:
                 self._seal_scheduled = False
@@ -545,7 +534,7 @@ class Coordinator:
             for txn in batch.txns.values():
                 self.hooks.dispatch(txn.fresh_event())
 
-        self.cpu.submit(self.config.dispatch_ms_per_txn * len(taken),
+        self.cpu.submit(self.costs.dispatch_ms_per_txn * len(taken),
                         dispatch_all)
 
     def on_txn_report(self, event: Event) -> None:
@@ -613,10 +602,7 @@ class Coordinator:
     def _pin_version(self, version: int) -> None:
         if version in self._pinned:
             return
-        pin = getattr(self.committed, "pin_view", None)
-        if pin is None:
-            return
-        pin(version)
+        self.committed.pin_view(version)
         self._pinned.add(version)
 
     def _stale_keys_for(self, batch: _Batch) -> set:
@@ -665,9 +651,9 @@ class Coordinator:
                 self.hooks.apply_writes(worker, writes, one_ack)
 
         # A fixed cost of five members' checks on top of the members'
-        # own: every modelled cost scales with the config, so the process
-        # preset, which zeroes them, schedules no timer here.
-        per_txn = self.config.conflict_check_ms_per_txn
+        # own: every modelled cost scales with the profile, so the real
+        # clock, which zeroes them, waits out no timer here.
+        per_txn = self.costs.conflict_check_ms_per_txn
         self.cpu.submit(per_txn * len(batch.txns) + per_txn * 5,
                         run_detection)
 
@@ -797,11 +783,9 @@ class Coordinator:
         for closed_id in list(self._footprints):
             if min_base is None or closed_id <= min_base:
                 del self._footprints[closed_id]
-        release = getattr(self.committed, "release_view", None)
         for version in list(self._pinned):
             if version not in live_bases:
-                if release is not None:
-                    release(version)
+                self.committed.release_view(version)
                 self._pinned.discard(version)
 
     # -- sequential fallback -------------------------------------------------
@@ -867,8 +851,8 @@ class Coordinator:
         windowed stats.  No-op (and allocation-free) without one."""
         if self.autoscaler is None:
             return
-        slot = self._slot_of(entity, key) if self._slot_of is not None else 0
-        self.stats.observe_locus(slot, (entity, key))
+        self.stats.observe_locus(self.committed.slot_of(entity, key),
+                                 (entity, key))
 
     def _queue_depth(self) -> int:
         """Coordinator backlog: pending txns plus txns inside in-flight
@@ -889,15 +873,12 @@ class Coordinator:
         deciding, so intents never pile up behind the barrier."""
         if self.crashed or self.recovering or self.autoscaler is None:
             return
-        assignment = getattr(self.committed, "assignment", None)
-        workers = assignment.workers if assignment is not None else 1
-        slot_owner = (dict(enumerate(assignment.owners))
-                      if assignment is not None else None)
+        assignment = self.committed.assignment
         decision = self.autoscaler.observe(
             now_ms=self.sim.now, stats=self.stats,
-            queue_depth=self._queue_depth(), workers=workers,
+            queue_depth=self._queue_depth(), workers=assignment.workers,
             busy=self.rescaling or bool(self._rescale_requests),
-            slot_owner=slot_owner)
+            slot_owner=dict(enumerate(assignment.owners)))
         if decision is not None:
             self.request_rescale(decision.to_workers)
 
@@ -912,9 +893,8 @@ class Coordinator:
         intent, a rescale step lost to a crash is not replayed."""
         if self.crashed:
             return
-        assignment = getattr(self.committed, "assignment", None)
-        ceiling = assignment.slots if assignment is not None else workers
-        self._rescale_requests.append(max(1, min(workers, ceiling)))
+        self._rescale_requests.append(
+            max(1, min(workers, self.committed.assignment.slots)))
 
     def _begin_rescale(self, target: int) -> None:
         """Execute one rescale under the drained-pipeline barrier:
@@ -996,7 +976,7 @@ class Coordinator:
 
         # Priced like conflict detection: five checks' fixed cost plus
         # one per moved slot.
-        per_slot = self.config.conflict_check_ms_per_txn
+        per_slot = self.costs.conflict_check_ms_per_txn
         self.cpu.submit(per_slot * 5 + per_slot * max(len(delta), 1), launch)
 
     # -- replies ----------------------------------------------------------
@@ -1046,7 +1026,6 @@ class Coordinator:
             uncommitted.extend(self.inflight[batch_id].all_records())
         pending_copy = [txn.fresh_copy() for txn in
                         sorted(uncommitted, key=lambda t: t.arrival_seq)]
-        freeze = getattr(self.committed, "freeze_assignment", None)
         kind = self.snapshots.next_kind()
         self.snapshots.take(
             taken_at_ms=self.sim.now,
@@ -1058,12 +1037,11 @@ class Coordinator:
             arrival_seq=self._arrival_seq,
             pending=pending_copy,
             admitted=self.admitted,
-            assignment=freeze() if freeze is not None else None,
+            assignment=self.committed.freeze_assignment(),
             kind=kind,
             changelog_seq=self.changelog.head_seq,
             epoch_buffer=self._epoch_buffer,
-            views_state=(self.views.export_sidecar()
-                         if self.views is not None else None))
+            views_state=self.views.export_sidecar())
         # Changelog compaction rides the cut cadence: records at or
         # below the oldest retained base can never be folded again.
         self.changelog.truncate_through(self.snapshots.floor_changelog_seq())
@@ -1151,15 +1129,13 @@ class Coordinator:
         # post-recovery batch.  The committed-store version label tracks
         # them: everything below the next batch id counts as closed.
         self._last_closed = self._batch_seq - 1
-        if self.views is not None:
-            # Views rewind with the store: nothing from the abandoned
-            # pipeline may survive; replay re-appends its effects at
-            # the seqs past the cut.  The cut's sidecar carries every
-            # plan's operator memos at the cut's seq, the position the
-            # changelog was rewound to, so matching plans resume with
-            # nothing to fold; plans it does not cover rebuild from a
-            # scan.
-            self.views.on_restore(snapshot.views_state)
+        # Views rewind with the store: nothing from the abandoned
+        # pipeline may survive; replay re-appends its effects at the seqs
+        # past the cut.  The cut's sidecar carries every plan's operator
+        # memos at the cut's seq, the position the changelog was rewound
+        # to, so matching plans resume with nothing to fold; plans it
+        # does not cover rebuild from a scan.
+        self.views.on_restore(snapshot.views_state)
         self.hooks.source_seek(snapshot.source_offsets)
 
         def resume() -> None:

@@ -31,8 +31,8 @@ from ...core.refs import EntityRef
 from ...faults import FaultInjector, FaultPlan
 from ...ir.events import Event, EventKind
 from ...rescale import RescalePlan
-from ...substrates.kafka import KafkaBroker, KafkaConfig, KafkaRecord
-from ...substrates.network import LatencyModel, Network, NetworkConfig
+from ...substrates.kafka import KafkaBroker, KafkaRecord
+from ...substrates.network import Network
 from ...substrates.simulation import MetricRecorder, Simulation
 from ...substrates.spawner import Spawner, make_spawner
 from ...views import ViewManager
@@ -41,7 +41,6 @@ from ..executor import OperatorExecutor, run_constructor
 from ..state import PartitionedStore
 from .coordinator import Coordinator, CoordinatorConfig, CoordinatorHooks
 from .snapshots import ChangelogStore, SnapshotStore
-from .worker import Worker
 
 INGRESS_TOPIC = "stateflow-ingress"
 EGRESS_TOPIC = "stateflow-egress"
@@ -53,16 +52,10 @@ TOPIC_PARTITIONS = 4
 SYNC_WAIT_MS = 120_000.0
 
 
-def default_kafka_config() -> KafkaConfig:
-    """Kafka latency profile shared by both simulated systems."""
-    return KafkaConfig(
-        produce_latency=LatencyModel(median_ms=5.0, sigma=0.35),
-        fetch_latency=LatencyModel(median_ms=5.0, sigma=0.35))
-
-
 @dataclass(slots=True)
 class StateflowConfig:
-    """Tunables of the simulated StateFlow deployment."""
+    """Tunables of the simulated StateFlow deployment (modelled costs
+    come from the kernel, :mod:`repro.substrates.costs`)."""
 
     workers: int = 5
     #: Execution substrate (``--spawner``): "simulator" = deterministic
@@ -72,10 +65,6 @@ class StateflowConfig:
     #: pipes (the substrate whose bench numbers measure hardware).  A
     #: :class:`~repro.substrates.spawner.Spawner` instance also works.
     spawner: str | Spawner = "simulator"
-    #: Worker CPU per event (block execution + messaging bundling).
-    exec_service_ms: float = 0.3
-    #: Worker CPU per committed key write.
-    state_op_ms: float = 0.05
     #: "direct" = inter-worker channels; "kafka" = loop back through the
     #: broker on every hop (ablation ABL-COMM).
     channel_mode: str = "direct"
@@ -91,8 +80,6 @@ class StateflowConfig:
     #: either way.
     durability_dir: str | None = None
     coordinator: CoordinatorConfig = field(default_factory=CoordinatorConfig)
-    kafka: KafkaConfig = field(default_factory=default_kafka_config)
-    network: NetworkConfig = field(default_factory=NetworkConfig)
     #: Deterministic fault schedule (chaos testing); ``None`` = a
     #: fault-free run.  See :mod:`repro.faults`.
     fault_plan: FaultPlan | None = None
@@ -143,8 +130,8 @@ class StateflowRuntime(Runtime):
                 "process spawner; crash real workers directly via "
                 "fail_worker() instead")
         self.sim = sim or self.spawner.make_kernel()
-        self.network = Network(self.sim, self.config.network)
-        self.broker = KafkaBroker(self.sim, self.config.kafka)
+        self.network = Network(self.sim)
+        self.broker = KafkaBroker(self.sim)
         #: Committed state sharded into hash slots dealt round-robin over
         #: the workers; routing (slot -> owner) and worker placement use
         #: the same table, so a worker always executes the keys whose
@@ -158,7 +145,7 @@ class StateflowRuntime(Runtime):
                                           check_state_serializable=False)
         #: Every worker ever created (index-stable); retired workers stay
         #: in place, dead, until a later rescale revives them.
-        self.workers = [self._make_worker(index)
+        self.workers = [self.spawner.make_worker(self, index)
                         for index in range(self.config.workers)]
         hooks = CoordinatorHooks(
             dispatch=self._dispatch_to_worker,
@@ -186,11 +173,6 @@ class StateflowRuntime(Runtime):
             self.autoscaler = AutoscaleController(
                 self.config.autoscale_policy)
         snapshots, changelog = make_durability_stores(self.config)
-        self.coordinator = Coordinator(self.sim, self.committed, hooks,
-                                       self.config.coordinator,
-                                       snapshots=snapshots,
-                                       changelog=changelog,
-                                       autoscaler=self.autoscaler)
         #: Incremental materialized views (see :mod:`repro.views`): a
         #: subscriber of the changelog, folding each record's write
         #: footprint; registered through
@@ -204,7 +186,11 @@ class StateflowRuntime(Runtime):
         changelog.subscribe(self.views.on_commit)
         self.views.transport = lambda deliver: self.network.send(
             deliver, src="coordinator", dst="view-subscribers")
-        self.coordinator.views = self.views
+        self.coordinator = Coordinator(self.sim, self.committed, hooks,
+                                       self.config.coordinator,
+                                       snapshots=snapshots,
+                                       changelog=changelog, views=self.views,
+                                       autoscaler=self.autoscaler)
         if self.config.rescale_plan is not None:
             for step in self.config.rescale_plan.validate().steps:
                 self.sim.schedule_at(
@@ -241,9 +227,6 @@ class StateflowRuntime(Runtime):
                 rescaler=self.request_rescale,
                 duplicable_topics=(INGRESS_TOPIC, EGRESS_TOPIC)).install()
 
-    def _make_worker(self, index: int) -> Worker:
-        return self.spawner.make_worker(self, index)
-
     # -- partitioning ------------------------------------------------------
     def worker_of(self, entity: str, key: Any) -> int:
         """Worker placement == slot ownership (one shared routing
@@ -267,7 +250,8 @@ class StateflowRuntime(Runtime):
         indices stay stable so routing tables and fault plans can name
         them across rescales."""
         while len(self.workers) < count:
-            self.workers.append(self._make_worker(len(self.workers)))
+            self.workers.append(
+                self.spawner.make_worker(self, len(self.workers)))
         for index, worker in enumerate(self.workers):
             if index < count:
                 worker.revive()
@@ -307,7 +291,6 @@ class StateflowRuntime(Runtime):
         initial snapshot covers the loaded data)."""
         if not self._started:
             self._started = True
-            self.spawner.on_start(self)
             self.coordinator.start()
 
     def preload(self, entity: str | type, rows: list[tuple]) -> list[EntityRef]:

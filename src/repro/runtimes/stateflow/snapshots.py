@@ -235,27 +235,16 @@ class ChangelogStore:
         self.rewound += len(self._records) - len(kept)
         self._records, self._next_seq = kept, seq + 1
 
-    def suffix_as_of(self, after_seq: int, *, batch: int | None = None,
-                     at_ms: float | None = None
-                     ) -> list[ChangelogRecord] | None:
-        """The contiguous run of records after *after_seq* up to an
-        as-of boundary — ``batch_id <= batch`` or append time
-        ``<= at_ms`` (batch ids and times are both monotone in seq, so
-        the boundary is a prefix).  ``None`` when the span has a gap
-        (rewound or truncated records): the caller must anchor on an
-        older cut or give up."""
-        span: list[ChangelogRecord] = []
-        for record in self._records:
-            if record.seq <= after_seq:
-                continue
-            if batch is not None and record.batch_id > batch:
-                break
-            if at_ms is not None and record.at_ms > at_ms:
-                break
-            span.append(record)
-        if span and span[-1].seq - after_seq != len(span):
-            return None
-        return span
+    def last_as_of(self, *, batch: int | None = None,
+                   at_ms: float | None = None) -> ChangelogRecord | None:
+        """The newest record at or before an as-of boundary —
+        ``batch_id <= batch`` or append time ``<= at_ms`` — or ``None``
+        when no retained record is."""
+        for record in reversed(self._records):
+            if ((batch is None or record.batch_id <= batch)
+                    and (at_ms is None or record.at_ms <= at_ms)):
+                return record
+        return None
 
     def truncate_through(self, seq: int) -> None:
         """Compaction: drop records no retained cut can need (their seq

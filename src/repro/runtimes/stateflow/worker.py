@@ -24,10 +24,11 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from ...ir.events import Event, EventKind
+from ...substrates.costs import cost_profile
 from ...substrates.network import Network
 from ...substrates.simulation import CpuPool, Simulation
 from ..executor import OperatorExecutor
-from ..state import StateBackend
+from ..state import PartitionedStore, StateBackend
 from .aria_view import AriaStateView
 
 
@@ -35,10 +36,8 @@ class Worker:
     """One single-core StateFlow worker."""
 
     def __init__(self, index: int, sim: Simulation,
-                 executor: OperatorExecutor, store: StateBackend,
-                 emit: Callable[[Event], None], network: Network,
-                 *, exec_service_ms: float, state_op_ms: float,
-                 committed_reader: StateBackend | None = None):
+                 executor: OperatorExecutor, committed: PartitionedStore,
+                 emit: Callable[[Event], None], network: Network):
         self.index = index
         self.name = f"worker-{index}"
         self.sim = sim
@@ -67,20 +66,20 @@ class Worker:
         self._executor = executor
         #: This worker's own partition of committed state (it is the only
         #: writer; the coordinator only touches it for snapshot/restore).
-        self.store = store
+        self.store = committed.partition(index)
         #: Read-only view of the whole committed store for Aria's
         #: execution phase.  Routing sends every keyed event to its
         #: owner, so reads stay local in practice — but constructors
         #: execute before their key (hence owner) is known, and their
         #: duplicate-key check must see all partitions.
-        self._committed_reader = (committed_reader if committed_reader
-                                  is not None else store)
+        self._committed_reader = committed
         self._emit = emit
         #: The modelled fabric every message to or from this worker
         #: crosses (see the module docstring).
         self._network = network
-        self._exec_service_ms = exec_service_ms
-        self._state_op_ms = state_op_ms
+        costs = cost_profile(sim)
+        self._exec_service_ms = costs.exec_service_ms
+        self._state_op_ms = costs.state_op_ms
 
     # ------------------------------------------------------------------
     def _committed_view(self, event: Event) -> StateBackend | None:
@@ -95,10 +94,7 @@ class Worker:
         txn = event.txn
         if txn is None or txn.base is None:
             return self._committed_reader
-        resolve = getattr(self._committed_reader, "view", None)
-        if resolve is None:
-            return self._committed_reader
-        return resolve(txn.base)
+        return self._committed_reader.view(txn.base)
 
     def deliver(self, event: Event, src: str = "coordinator") -> None:
         """An event sent to this worker by *src* over a direct channel:

@@ -23,7 +23,7 @@ integration and deployment (Section 4):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from ...compiler.pipeline import CompiledProgram
@@ -31,13 +31,13 @@ from ...core.errors import RuntimeExecutionError, UnsupportedFeatureError
 from ...core.refs import EntityRef
 from ...faults import FaultInjector, FaultPlan
 from ...ir.events import Event, EventKind
-from ...substrates.kafka import KafkaBroker, KafkaConfig, KafkaRecord
-from ...substrates.network import Network, NetworkConfig
+from ...substrates.costs import cost_profile
+from ...substrates.kafka import KafkaBroker, KafkaRecord
+from ...substrates.network import Network
 from ...substrates.simulation import CpuPool, MetricRecorder, Simulation
 from ..base import InvocationResult, Runtime
 from ..executor import OperatorExecutor, run_constructor
 from ..state import DictStateBackend
-from ..stateflow.runtime import default_kafka_config
 
 INGRESS_TOPIC = "statefun-ingress"
 EGRESS_TOPIC = "statefun-egress"
@@ -102,17 +102,9 @@ class StatefunConfig:
     #: The remote-function half of the 6 system CPUs (see
     #: ``FLINK_CORES``).
     function_cores: int = 3
-    router_service_ms: float = 0.04
-    state_service_ms: float = 0.06
-    #: Remote-function CPU per invocation (handler execution, state
-    #: (de)serialisation of the shipped request).
-    function_service_ms: float = 1.0
-    buffer_timeout_ms: float = 25.0
     #: Raise on @transactional methods instead of running them without
     #: guarantees (the paper simply did not benchmark T on Statefun).
     strict_transactions: bool = False
-    kafka: KafkaConfig = field(default_factory=default_kafka_config)
-    network: NetworkConfig = field(default_factory=NetworkConfig)
     #: Deterministic fault schedule.  StateFun has no coordinator, no
     #: recovery and no named workers, so only a plan's message-level
     #: faults apply; process events are counted as skipped.  Drops are
@@ -132,8 +124,9 @@ class StatefunRuntime(Runtime):
         super().__init__(program)
         self.config = config or StatefunConfig()
         self.sim = sim or Simulation()
-        self.network = Network(self.sim, self.config.network)
-        self.broker = KafkaBroker(self.sim, self.config.kafka)
+        self.costs = cost_profile(self.sim)
+        self.network = Network(self.sim)
+        self.broker = KafkaBroker(self.sim)
         self.state = DictStateBackend()
         self.metrics = MetricRecorder()
         self.flink_cpu = CpuPool(self.sim, FLINK_CORES,
@@ -143,10 +136,10 @@ class StatefunRuntime(Runtime):
         self._executor = OperatorExecutor(program.entities,
                                           check_state_serializable=False)
         self.task_channel = BatchingChannel(
-            self.sim, self.config.buffer_timeout_ms,
+            self.sim, self.costs.buffer_timeout_ms,
             BUFFER_CAPACITY, self._process_batch)
         self.sink_channel = BatchingChannel(
-            self.sim, self.config.buffer_timeout_ms,
+            self.sim, self.costs.buffer_timeout_ms,
             BUFFER_CAPACITY, self._sink_batch)
 
         self.broker.create_topic(INGRESS_TOPIC, TOPIC_PARTITIONS)
@@ -174,7 +167,7 @@ class StatefunRuntime(Runtime):
     def _on_source_record(self, record: KafkaRecord) -> None:
         """Ingress router: keyBy on the entity key (Figure 2)."""
         event: Event = record.value
-        self.flink_cpu.submit(self.config.router_service_ms,
+        self.flink_cpu.submit(self.costs.router_service_ms,
                               lambda: self.task_channel.push(event))
 
     def _process_batch(self, events: list[Event]) -> None:
@@ -195,17 +188,17 @@ class StatefunRuntime(Runtime):
                                                                self.state)
                     done()
 
-                self.function_cpu.submit(self.config.function_service_ms,
+                self.function_cpu.submit(self.costs.function_service_ms,
                                          execute)
 
             def on_response() -> None:
                 self.flink_cpu.submit(
-                    self.config.state_service_ms,
+                    self.costs.state_service_ms,
                     lambda: self._route_outbound(result["outbound"]))
 
             self.network.rpc(run_remote, on_response)
 
-        self.flink_cpu.submit(self.config.state_service_ms, with_state_read)
+        self.flink_cpu.submit(self.costs.state_service_ms, with_state_read)
 
     def _route_outbound(self, events: list[Event]) -> None:
         """Egress router: replies leave to the client sink; everything

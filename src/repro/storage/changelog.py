@@ -13,7 +13,8 @@ Shape (the log-structured contract sequential flash wants):
   rolled every ``segment_records`` records;
 - every append is flushed and (by default) fsynced before the record
   is published to the log's subscribers and before the call returns —
-  a record the coordinator or a view believes durable is durable;
+  a record the coordinator or a view believes durable is durable (a new
+  segment's directory entry is synced before its first record);
 - on open, a torn tail (the bytes a crash landed mid-append) is
   detected by the framing and truncated away; segments after a torn
   one are dropped whole (appends are sequential, so anything beyond
@@ -22,22 +23,22 @@ Shape (the log-structured contract sequential flash wants):
   the manifest's ``changelog_floor``; records in a partially-live
   segment stay on disk but are skipped on reload;
 - ``rewind_to`` (recovery) physically truncates the orphaned suffix,
-  so a cold start can never resurrect a rolled-back timeline.
+  so a cold start can never resurrect a rolled-back timeline: every
+  truncation is synced, and so is the directory after every unlink.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from pathlib import Path
 
 from ..runtimes.stateflow.snapshots import ChangelogRecord, ChangelogStore
 from ..substrates.wire import encode_frame
-from .manifest import (open_layout, read_manifest, scan_frames,
+from .manifest import (Synced, open_layout, read_manifest, scan_frames,
                        truncate_file, update_manifest)
 
 
-class FileChangelogStore(ChangelogStore):
+class FileChangelogStore(Synced, ChangelogStore):
     """Segment-file-backed changelog (see module docstring).
 
     Extra counters over the in-memory store: ``fsyncs`` /
@@ -49,11 +50,11 @@ class FileChangelogStore(ChangelogStore):
     def __init__(self, directory: str | os.PathLike, *,
                  fsync: bool = True, segment_records: int = 256):
         super().__init__()
-        self._layout = open_layout(directory)
         self._fsync = fsync
-        self._segment_records = max(int(segment_records), 1)
         self.fsyncs = 0
         self.fsync_wall_ms = 0.0
+        self._layout = open_layout(directory, sync=self._sync)
+        self._segment_records = max(int(segment_records), 1)
         self.bytes_written = 0
         self.loaded = 0
         self.torn_tail_bytes = 0
@@ -82,7 +83,7 @@ class FileChangelogStore(ChangelogStore):
             entries, clean = scan_frames(data)
             if clean < len(data):
                 self.torn_tail_bytes += len(data) - clean
-                truncate_file(path, clean)
+                truncate_file(path, clean, sync=self._sync)
                 torn = True
             self._segments.append(path)
             for end, record in entries:
@@ -91,6 +92,8 @@ class FileChangelogStore(ChangelogStore):
                 self.loaded += 1
                 if record.seq > floor:
                     self._records.append(record)
+        if torn:
+            self._sync(self._layout.changelog_dir)
         self._next_seq = max(max_seq, floor) + 1
         if self._segments:
             self._current_path = self._segments[-1]
@@ -99,14 +102,6 @@ class FileChangelogStore(ChangelogStore):
                 if path == self._current_path)
 
     # -- durability plumbing --------------------------------------------
-    def _sync(self, handle) -> None:
-        if not self._fsync:
-            return
-        started = time.perf_counter()
-        os.fsync(handle.fileno())
-        self.fsync_wall_ms += (time.perf_counter() - started) * 1e3
-        self.fsyncs += 1
-
     def _close_handle(self) -> None:
         if self._handle is not None:
             self._handle.close()
@@ -119,6 +114,8 @@ class FileChangelogStore(ChangelogStore):
             self._current_path = self._layout.segment_path(first_seq)
             self._segments.append(self._current_path)
             self._current_records = 0
+            self._handle = open(self._current_path, "ab")
+            self._sync(self._layout.changelog_dir)
         if self._handle is None:
             self._handle = open(self._current_path, "ab")
         return self._handle
@@ -147,24 +144,25 @@ class FileChangelogStore(ChangelogStore):
         self._close_handle()
         for dropped in [s for s in self._offsets if s > seq]:
             del self._offsets[dropped]
+        unlinked = False
         for path in list(self._segments):
             keep = max((end for s, (p, end) in self._offsets.items()
                         if p == path), default=None)
             if keep is None:
-                # Even the segment's first record is orphaned — unless
-                # it is the segment we must keep appending into (all of
-                # whose records were rewound), drop the whole file.
-                if path == self._current_path:
-                    truncate_file(path, 0)
-                    self._current_records = 0
-                else:
-                    path.unlink()
-                    self._segments.remove(path)
+                # Even the segment's first record is orphaned: drop the
+                # whole file, the one being appended into too, so every
+                # segment stays named by its first record's seq (a kept
+                # empty one would share its name with a later roll).
+                path.unlink()
+                self._segments.remove(path)
+                unlinked = True
             else:
-                truncate_file(path, keep)
+                truncate_file(path, keep, sync=self._sync)
                 if path == self._current_path:
                     self._current_records = sum(
                         1 for p, _ in self._offsets.values() if p == path)
+        if unlinked:
+            self._sync(self._layout.changelog_dir)
         if self._current_path is not None \
                 and self._current_path not in self._segments:
             self._current_path = self._segments[-1] if self._segments \
@@ -179,11 +177,13 @@ class FileChangelogStore(ChangelogStore):
             return
         manifest = read_manifest(self._layout)
         if seq > manifest.get("changelog_floor", -1):
-            update_manifest(self._layout, changelog_floor=seq)
+            update_manifest(self._layout, sync=self._sync,
+                            changelog_floor=seq)
         # Segment-drop compaction: a file whose every record is at or
         # below the floor can never be folded again.  The live
         # append segment is kept even when fully below the floor — the
         # next append lands there.
+        dropped = self.segments_dropped
         for path in list(self._segments):
             if path == self._current_path:
                 continue
@@ -194,6 +194,8 @@ class FileChangelogStore(ChangelogStore):
                 for s in seqs:
                     del self._offsets[s]
                 self.segments_dropped += 1
+        if self.segments_dropped > dropped:
+            self._sync(self._layout.changelog_dir)
 
     def close(self) -> None:
         self._close_handle()

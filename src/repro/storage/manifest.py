@@ -29,9 +29,10 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from ..substrates.wire import MAGIC, MAX_FRAME_BYTES, FrameError, decode_frame
 
@@ -81,27 +82,59 @@ class DurabilityLayout:
         return sorted(self.snapshots_dir.glob("cut-*.bin"))
 
 
+def fsync(target: Any) -> None:
+    """Force an open file, or a directory by path (which makes a create,
+    rename or unlink in it survive a power loss), to disk."""
+    if not isinstance(target, Path):
+        return os.fsync(target.fileno())
+    descriptor = os.open(target, os.O_RDONLY)
+    try:
+        os.fsync(descriptor)
+    finally:
+        os.close(descriptor)
+
+
+class Synced:
+    """A file store's syncs, of files and directories alike, counted in
+    ``fsyncs`` / ``fsync_wall_ms``; ``fsync=False`` forces none."""
+
+    def _sync(self, target: Any) -> None:
+        if not self._fsync:
+            return
+        started = time.perf_counter()
+        fsync(target)
+        self.fsync_wall_ms += (time.perf_counter() - started) * 1e3
+        self.fsyncs += 1
+
+
 def read_manifest(layout: DurabilityLayout) -> dict[str, Any]:
     if not layout.manifest_path.exists():
         return {}
     return json.loads(layout.manifest_path.read_text())
 
 
-def update_manifest(layout: DurabilityLayout,
+def update_manifest(layout: DurabilityLayout, *,
+                    sync: Callable[[Any], None] = fsync,
                     **fields: Any) -> dict[str, Any]:
-    """Read-merge-write the manifest atomically (tmp + rename), so a
-    crash mid-update leaves either the old or the new manifest, never a
-    half-written one."""
+    """Read-merge-write the manifest atomically (synced tmp, rename,
+    synced directory), so a crash mid-update leaves either the old or
+    the new manifest, never a half-written one, and a returned update
+    survives a power loss."""
     manifest = read_manifest(layout)
     manifest.setdefault("format_version", FORMAT_VERSION)
     manifest.update(fields)
     tmp = layout.manifest_path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    with open(tmp, "w") as handle:
+        handle.write(json.dumps(manifest, indent=2, sort_keys=True))
+        handle.flush()
+        sync(handle)
     os.replace(tmp, layout.manifest_path)
+    sync(layout.root)
     return manifest
 
 
-def open_layout(directory: str | os.PathLike) -> DurabilityLayout:
+def open_layout(directory: str | os.PathLike, *,
+                sync: Callable[[Any], None] = fsync) -> DurabilityLayout:
     """Open (creating as needed) a durability directory.
 
     Idempotent: the changelog and snapshot stores of one deployment
@@ -115,9 +148,7 @@ def open_layout(directory: str | os.PathLike) -> DurabilityLayout:
                             or any(root.glob("cut-*.bin"))
                             or (root / "ledger.log").exists()):
         version = 0  # the flat prototype layout never wrote a manifest
-    if version is None:
-        update_manifest(layout, format_version=FORMAT_VERSION)
-    elif version != FORMAT_VERSION:
+    if version is not None and version != FORMAT_VERSION:
         kind = "newer" if version > FORMAT_VERSION else "legacy"
         raise StorageError(
             f"durability directory {root} has format version {version}; "
@@ -125,6 +156,9 @@ def open_layout(directory: str | os.PathLike) -> DurabilityLayout:
             f"to touch a {kind} layout")
     layout.changelog_dir.mkdir(exist_ok=True)
     layout.snapshots_dir.mkdir(exist_ok=True)
+    if version is None:
+        # Its directory sync makes the two subdirectories durable too.
+        update_manifest(layout, sync=sync, format_version=FORMAT_VERSION)
     return layout
 
 
@@ -157,7 +191,13 @@ def scan_frames(data: bytes) -> tuple[list[tuple[int, Any]], int]:
     return entries, offset
 
 
-def truncate_file(path: Path, length: int) -> None:
-    """Drop a file's torn tail in place."""
+def truncate_file(path: Path, length: int, *,
+                  sync: Callable[[Any], None] = fsync) -> None:
+    """Cut a file to *length* bytes in place, durably: a torn tail, or
+    the suffix a rewind orphaned, must not come back after a power
+    loss."""
+    if path.stat().st_size == length:
+        return
     with open(path, "r+b") as handle:
         handle.truncate(length)
+        sync(handle)

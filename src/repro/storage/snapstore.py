@@ -8,13 +8,15 @@ bit for bit (it *is* one, with persistence layered on):
 - every cut — a base with its state payload, or a position cut with
   none — is one :mod:`repro.substrates.wire` frame in
   ``snapshots/cut-<id>.bin``, written to a temp file, fsynced and
-  atomically renamed, so a crash mid-take leaves no half-cut;
+  atomically renamed, and the directory synced after the rename, so a
+  crash mid-take leaves no half-cut and a returned cut stays;
 - the ``cut_log`` ledger appends one ``CutRecord`` frame per cut to
   ``snapshots/ledger.log`` (same framing, same torn-tail truncation on
   open), so bench accounting survives restarts;
 - the id counter rides in ``MANIFEST.json``;
 - the retention window trim unlinks the files of cuts that fell out of
-  it, exactly as the in-memory window behaves.
+  it, exactly as the in-memory window behaves, only once the new cut is
+  durable.
 
 A cold start is just construction over an existing directory: the
 retained cuts and the ledger come back, an unreadable cut file is
@@ -27,15 +29,14 @@ cut when a base is gone.  The first cut taken after opening is a base.
 from __future__ import annotations
 
 import os
-import time
 
 from ..runtimes.stateflow.snapshots import Snapshot, SnapshotStore
 from ..substrates.wire import FrameError, decode_frame, encode_frame
-from .manifest import (open_layout, read_manifest, scan_frames,
+from .manifest import (Synced, open_layout, read_manifest, scan_frames,
                        truncate_file, update_manifest)
 
 
-class FileSnapshotStore(SnapshotStore):
+class FileSnapshotStore(Synced, SnapshotStore):
     """Durability-directory-backed snapshot store (see module doc).
 
     Extra counters: ``fsyncs`` / ``fsync_wall_ms``, ``bytes_written``,
@@ -50,10 +51,10 @@ class FileSnapshotStore(SnapshotStore):
         base_every = 1 if mode == "full" else base_every
         super().__init__(keep=keep, base_every=base_every,
                          track_footprints=track_footprints)
-        self._layout = open_layout(directory)
         self._fsync = fsync
         self.fsyncs = 0
         self.fsync_wall_ms = 0.0
+        self._layout = open_layout(directory, sync=self._sync)
         self.bytes_written = 0
         self.loaded = 0
         self.dropped_unreadable = 0
@@ -66,7 +67,7 @@ class FileSnapshotStore(SnapshotStore):
             data = ledger.read_bytes()
             entries, clean = scan_frames(data)
             if clean < len(data):
-                truncate_file(ledger, clean)
+                truncate_file(ledger, clean, sync=self._sync)
             self.cut_log = [record for _, record in entries]
         snapshots: list[Snapshot] = []
         for path in self._layout.cut_files():
@@ -86,14 +87,6 @@ class FileSnapshotStore(SnapshotStore):
             + [int(manifest.get("next_snapshot_id", 0))])
 
     # -- durability plumbing --------------------------------------------
-    def _sync(self, handle) -> None:
-        if not self._fsync:
-            return
-        started = time.perf_counter()
-        os.fsync(handle.fileno())
-        self.fsync_wall_ms += (time.perf_counter() - started) * 1e3
-        self.fsyncs += 1
-
     def _persist_snapshot(self, snapshot: Snapshot) -> None:
         frame = encode_frame(snapshot)
         path = self._layout.cut_path(snapshot.snapshot_id)
@@ -103,30 +96,37 @@ class FileSnapshotStore(SnapshotStore):
             handle.flush()
             self._sync(handle)
         os.replace(tmp, path)
+        self._sync(self._layout.snapshots_dir)
         self.bytes_written += len(frame)
 
     def _append_ledger(self) -> None:
         frame = encode_frame(self.cut_log[-1])
+        created = not self._layout.ledger_path.exists()
         with open(self._layout.ledger_path, "ab") as handle:
             handle.write(frame)
             handle.flush()
             self._sync(handle)
+        if created:
+            self._sync(self._layout.snapshots_dir)
         self.bytes_written += len(frame)
 
     def _sweep_files(self) -> None:
         """Unlink cut files that fell out of the retention window (the
         in-memory prune already ran; disk mirrors it)."""
         retained = {snapshot.snapshot_id for snapshot in self._snapshots}
-        for path in self._layout.cut_files():
-            snapshot_id = int(path.stem.split("-")[-1])
-            if snapshot_id not in retained:
-                path.unlink()
+        swept = [path for path in self._layout.cut_files()
+                 if int(path.stem.split("-")[-1]) not in retained]
+        for path in swept:
+            path.unlink()
+        if swept:
+            self._sync(self._layout.snapshots_dir)
 
     # -- the in-memory interface, persisted -----------------------------
     def take(self, **kwargs) -> Snapshot:
         snapshot = super().take(**kwargs)
         self._persist_snapshot(snapshot)
         self._append_ledger()
-        update_manifest(self._layout, next_snapshot_id=self._next_id)
+        update_manifest(self._layout, sync=self._sync,
+                        next_snapshot_id=self._next_id)
         self._sweep_files()
         return snapshot

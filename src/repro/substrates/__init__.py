@@ -1,8 +1,9 @@
 """Simulated infrastructure: DES kernel, network, Kafka, worker
 spawners, the wall clock and the wire format."""
 
-from .kafka import KafkaBroker, KafkaConfig, KafkaError, KafkaRecord
-from .network import LatencyModel, Network, NetworkConfig
+from .costs import KafkaConfig, LatencyModel, NetworkConfig
+from .kafka import KafkaBroker, KafkaError, KafkaRecord
+from .network import Network
 from .simulation import (
     CpuPool,
     MetricRecorder,

@@ -5,15 +5,15 @@ systems, (ii) StateFun's loop-back channel for split-function
 continuations, and (iii) the replayable source StateFlow's snapshot
 recovery rewinds (Section 3).  This module reproduces the properties those
 roles rely on: stable key partitioning, per-partition offset order,
-consumer groups with seek/replay, and configurable produce/fetch latency
-backed by a broker CPU pool (the paper gave Kafka 4 of the 14 CPUs).
+consumer groups with seek/replay, and the kernel's produce/fetch latency
+and broker CPU (:mod:`.costs`; the paper gave Kafka 4 of the 14 CPUs).
 
 A record travels produce -> append -> commit -> fetch, one kernel event
 per step.  A zeroed cost is free, not merely short: when produce and
 fetch latency are the constant 0, the broker charges no CPU, no fault
 hook watches and no producer awaits the ack, the record is appended as
-it is produced and its delivery is the one kernel event it costs (the
-process preset runs this way; the simulator's default costs are never
+it is produced and its delivery is the one kernel event it costs (every
+broker on the real clock runs this way; the simulator's costs are never
 zero).
 Either way a delivery goes through the same pump, so offsets, per
 partition order and the ``seek``/``pause`` fences behave alike.
@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..ir.dataflow import stable_hash
-from .network import DeliveryFault, LatencyModel
+from .costs import KafkaConfig, cost_profile
+from .network import DeliveryFault
 from .simulation import CpuPool, Simulation
 
 #: How long a faulted (dropped/overtaken) fetch delivery waits before the
@@ -51,16 +52,6 @@ class KafkaRecord:
     key: Any
     value: Any
     timestamp: float
-
-
-@dataclass(slots=True)
-class KafkaConfig:
-    produce_latency: LatencyModel = field(
-        default_factory=lambda: LatencyModel(median_ms=0.9, sigma=0.3))
-    fetch_latency: LatencyModel = field(
-        default_factory=lambda: LatencyModel(median_ms=0.9, sigma=0.3))
-    #: Broker-side CPU per record (appending + serving fetches).
-    broker_cpu_ms: float = 0.01
 
 
 @dataclass(slots=True, eq=False)
@@ -99,7 +90,7 @@ class KafkaBroker:
 
     def __init__(self, sim: Simulation, config: KafkaConfig | None = None):
         self.sim = sim
-        self.config = config or KafkaConfig()
+        self.config = config or cost_profile(sim).kafka
         self.cpu = CpuPool(sim, BROKER_CORES, name="kafka")
         self._topics: dict[str, list[_Partition]] = {}
         self._groups: dict[str, _GroupState] = {}

@@ -33,6 +33,9 @@ QueueEntry = tuple[float, int, Callable[[], None]]
 class Simulation:
     """Virtual clock + event calendar + seeded RNG."""
 
+    #: Time is modelled: work costs what :mod:`.costs` models.
+    real_time = False
+
     def __init__(self, seed: int = 42):
         self.seed = seed
         self.rng = random.Random(seed)
@@ -170,7 +173,6 @@ class MetricRecorder:
 
     def __init__(self) -> None:
         self.samples: list[LatencySample] = []
-        self.dropped: int = 0
 
     def record(self, value_ms: float, at_ms: float, label: str = "") -> None:
         self.samples.append(LatencySample(value_ms, at_ms, label))

@@ -40,18 +40,19 @@ class Spawner:
     """
 
     name = "abstract"
-    #: Whether the kernel's clock is the host's real clock (bench
-    #: reports use this to label rows simulator vs wallclock).
-    wallclock = False
+    #: The kernel class the workers run on.
+    kernel: type = Simulation
+
+    @property
+    def wallclock(self) -> bool:
+        """Whether the kernel's clock is real (bench rows say so)."""
+        return self.kernel.real_time
 
     def make_kernel(self, seed: int = 42) -> Any:
-        raise NotImplementedError
+        return self.kernel(seed)
 
     def make_worker(self, runtime: "StateflowRuntime", index: int) -> Any:
         raise NotImplementedError
-
-    def on_start(self, runtime: "StateflowRuntime") -> None:
-        """Hook before the coordinator starts."""
 
     def on_close(self, runtime: "StateflowRuntime") -> None:
         """Hook when the runtime closes (reap external resources)."""
@@ -61,31 +62,21 @@ class SimulatorSpawner(Spawner):
     """The existing deterministic in-process path, unchanged."""
 
     name = "simulator"
-    wallclock = False
-
-    def make_kernel(self, seed: int = 42) -> Simulation:
-        return Simulation(seed)
 
     def make_worker(self, runtime: "StateflowRuntime", index: int) -> Any:
         from ..runtimes.stateflow.worker import Worker
         return Worker(index, runtime.sim, runtime._executor,
-                      runtime.committed.partition(index),
+                      runtime.committed,
                       (lambda event, sender=index:
                        runtime._on_worker_out(event, sender)),
-                      runtime.network,
-                      exec_service_ms=runtime.config.exec_service_ms,
-                      state_op_ms=runtime.config.state_op_ms,
-                      committed_reader=runtime.committed)
+                      runtime.network)
 
 
 class ProcessSpawner(Spawner):
     """Real OS processes on the wall clock."""
 
     name = "process"
-    wallclock = True
-
-    def make_kernel(self, seed: int = 42) -> WallClock:
-        return WallClock(seed)
+    kernel = WallClock
 
     def make_worker(self, runtime: "StateflowRuntime", index: int) -> Any:
         from ..runtimes.stateflow.procworker import ProcessWorkerProxy
@@ -99,9 +90,7 @@ class ProcessSpawner(Spawner):
 
     def on_close(self, runtime: "StateflowRuntime") -> None:
         for worker in runtime.workers:
-            shutdown = getattr(worker, "shutdown", None)
-            if shutdown is not None:
-                shutdown()
+            worker.shutdown()
 
 
 SPAWNERS: dict[str, type[Spawner]] = {

@@ -6,7 +6,8 @@
 millisecond time unit, same seeded ``rng`` — but time is the host's
 monotonic clock instead of a virtual calendar.  The StateFlow
 coordinator, Kafka broker model and CPU pools run on it unmodified;
-only the passage of time is real.
+only the passage of time is real, and so every modelled cost they
+charge is zero (``real_time``).
 
 Two differences from the simulator, both forced by real clocks:
 
@@ -62,6 +63,9 @@ class WallClock:
     so the runtime keeps the simulator's no-data-races property even
     though workers execute in parallel processes.
     """
+
+    #: Time is real: every modelled cost is zero (:mod:`.costs`).
+    real_time = True
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed

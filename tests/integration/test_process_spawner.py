@@ -35,10 +35,8 @@ DEADLINE_MS = 90_000.0
 
 def _process_config(pipeline_depth=2, **overrides) -> StateflowConfig:
     defaults = dict(
-        spawner="process", workers=3, exec_service_ms=0.0,
-        state_op_ms=0.0,
+        spawner="process", workers=3,
         coordinator=CoordinatorConfig(
-            conflict_check_ms_per_txn=0.0, dispatch_ms_per_txn=0.0,
             failure_detect_ms=2_000.0, snapshot_interval_ms=500.0,
             pipeline_depth=pipeline_depth))
     defaults.update(overrides)

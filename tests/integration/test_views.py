@@ -637,10 +637,8 @@ class TestProcessSubstrate:
         views (and push subscriptions) work unchanged when workers are
         real processes — nothing touches the Aria commit path."""
         runtime = StateflowRuntime(account_program, config=StateflowConfig(
-            spawner="process", workers=3, exec_service_ms=0.0,
-            state_op_ms=0.0,
+            spawner="process", workers=3,
             coordinator=CoordinatorConfig(
-                conflict_check_ms_per_txn=0.0, dispatch_ms_per_txn=0.0,
                 failure_detect_ms=2_000.0, snapshot_interval_ms=500.0)))
         try:
             refs = runtime.preload(

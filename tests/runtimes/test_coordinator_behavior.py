@@ -5,6 +5,7 @@ import pytest
 
 from repro.runtimes.stateflow import StateflowConfig, StateflowRuntime
 from repro.runtimes.stateflow.coordinator import CoordinatorConfig
+from repro.substrates.wallclock import WallClock
 from repro.workloads import Account
 
 
@@ -45,7 +46,7 @@ class TestBatching:
 
 
 class TestIdleSeal:
-    """``idle_seal_fraction=0.0`` (the real-clock preset): an idle
+    """On the real clock the idle-seal delay is zero: an idle
     coordinator seals on the kernel turn after an admission, so a
     request waits out no timer, yet requests admitted in one turn still
     share a batch."""
@@ -63,35 +64,44 @@ class TestIdleSeal:
 
     @pytest.fixture()
     def immediate(self, account_program):
-        runtime = StateflowRuntime(account_program, config=StateflowConfig(
-            coordinator=CoordinatorConfig(idle_seal_fraction=0.0)))
+        runtime = StateflowRuntime(account_program, sim=WallClock())
         runtime._refs = runtime.preload(
             Account, [(f"a{i}", 100) for i in range(4)])
         runtime.start()
         runtime.sim.run(until=7.0)
-        return runtime
+        yield runtime
+        runtime.close()
+
+    @staticmethod
+    def _settle(runtime, refs):
+        runtime.sim.run_until(
+            lambda: all(runtime.entity_state(r)["balance"] == 101
+                        for r in refs), max_time=30_000)
 
     def test_same_instant_admissions_share_one_batch(self, immediate):
         coordinator = immediate.coordinator
         self._admit(immediate, immediate._refs)
         assert not coordinator.inflight  # sealed by the kernel, not inline
-        immediate.sim.run_until(lambda: bool(coordinator.inflight),
-                                max_time=1_000)
-        (batch,) = coordinator.inflight.values()
-        assert len(batch.single) + len(batch.txns) == 4
-        assert batch.started_at == 7.0
-        immediate.sim.run_until(
-            lambda: all(immediate.entity_state(r)["balance"] == 101
-                        for r in immediate._refs), max_time=30_000)
+        self._settle(immediate, immediate._refs)
         assert coordinator.stats.batches == 1
+        assert coordinator.stats.single_key == 4
 
-    def test_lone_request_seals_at_its_admission_time(self, immediate):
-        coordinator = immediate.coordinator
+    def test_lone_request_seals_on_the_next_turn(self, immediate,
+                                                 monkeypatch):
+        delays = []
+        schedule = immediate.sim.schedule
+
+        def recording(delay_ms, callback):
+            delays.append(delay_ms)
+            schedule(delay_ms, callback)
+
+        monkeypatch.setattr(immediate.sim, "schedule", recording)
         self._admit(immediate, immediate._refs[:1])
-        immediate.sim.run_until(lambda: bool(coordinator.inflight),
-                                max_time=1_000)
-        (batch,) = coordinator.inflight.values()
-        assert batch.started_at == 7.0 == immediate.sim.now
+        # The simulator's profile seals a quarter interval later (the
+        # test below); the real clock's, on the next kernel turn.
+        assert delays == [0.0]
+        self._settle(immediate, immediate._refs[:1])
+        assert immediate.coordinator.stats.batches == 1
 
     def test_default_fraction_waits_a_quarter_interval(self, runtime):
         coordinator = runtime.coordinator

@@ -2,24 +2,28 @@
 cross-batch stale aborts, depth equivalence, and whole-pipeline drains
 (recovery, rescale)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.runtimes.state import materialize_snapshot
 from repro.runtimes.stateflow import StateflowConfig, StateflowRuntime
 from repro.runtimes.stateflow.coordinator import CoordinatorConfig
-from repro.substrates.network import LatencyModel, NetworkConfig
+from repro.substrates.costs import LatencyModel
 from repro.workloads import Account, DriverConfig, WorkloadDriver, YcsbWorkload
 
 
 def _runtime(account_program, *, depth=2, network_median_ms=None,
              **coordinator_overrides) -> StateflowRuntime:
-    config = StateflowConfig(coordinator=CoordinatorConfig(
-        pipeline_depth=depth, **coordinator_overrides))
+    runtime = StateflowRuntime(account_program, config=StateflowConfig(
+        coordinator=CoordinatorConfig(pipeline_depth=depth,
+                                      **coordinator_overrides)))
     if network_median_ms is not None:
-        config.network = NetworkConfig(
+        runtime.network.config = replace(
+            runtime.network.config,
             intra_cluster=LatencyModel(median_ms=network_median_ms,
                                        sigma=0.05))
-    return StateflowRuntime(account_program, config=config)
+    return runtime
 
 
 class TestOverlap:

@@ -80,7 +80,7 @@ class TestArchitecture:
         runtime = StatefunRuntime(shop_program)
         apple = runtime.create("Item", "apple", 3)
         result = runtime.invoke(apple, "price")
-        assert result.latency_ms > 2 * runtime.config.buffer_timeout_ms
+        assert result.latency_ms > 2 * runtime.costs.buffer_timeout_ms
 
 
 class TestBatchingChannel:

@@ -439,10 +439,8 @@ class TestRealKillOnProcessSubstrate:
         the history stays exact and a cold reopen of the durability
         directory resolves what the live coordinator resolves."""
         config = StateflowConfig(
-            spawner="process", workers=3, exec_service_ms=0.0,
-            state_op_ms=0.0, durability_dir=str(tmp_path),
+            spawner="process", workers=3, durability_dir=str(tmp_path),
             coordinator=CoordinatorConfig(
-                conflict_check_ms_per_txn=0.0, dispatch_ms_per_txn=0.0,
                 failure_detect_ms=2_000.0, snapshot_interval_ms=500.0,
                 snapshot_base_every=3))
         runtime = StateflowRuntime(account_program, config=config)

@@ -39,8 +39,11 @@ class TestRoundTrip:
 
     def test_every_append_is_fsynced(self, tmp_path):
         store = FileChangelogStore(tmp_path)
+        # A new directory's manifest: the file, then the directory.
+        assert store.fsyncs == 2
         fill(store, 7)
-        assert store.fsyncs == 7
+        # One per append, plus the first segment's directory entry.
+        assert store.fsyncs == 2 + 7 + 1
         assert store.bytes_written > 0
 
         relaxed = FileChangelogStore(tmp_path / "relaxed", fsync=False)
@@ -177,6 +180,25 @@ class TestRewind:
         assert [(r.seq, r.batch_id) for r in reopened._records] == [
             (0, 0), (1, 1), (2, 2), (3, 100)]
 
+    def test_every_segment_stays_named_by_its_first_seq(self, tmp_path):
+        """A rewind that orphans every record of the segment being
+        appended into drops that file too: kept empty, it would share
+        its name with the segment a later roll creates, and the next
+        rewind past both would unlink one file twice."""
+        store = FileChangelogStore(tmp_path, segment_records=2)
+        fill(store, 5)
+        store.rewind_to(1)
+        fill(store, 6, start=2)
+        store.rewind_to(0)
+        assert store.head_seq == 0
+        fill(store, 3, start=1)
+        store.close()
+        reopened = FileChangelogStore(tmp_path, segment_records=2)
+        assert [r.seq for r in reopened._records] == [0, 1, 2, 3]
+        names = [path.name for path in open_layout(tmp_path).segment_files()]
+        assert names == [f"segment-{seq:010d}.log" for seq in (0, 2)]
+        reopened.close()
+
     def test_rewind_below_every_record_empties_the_log(self, tmp_path):
         store = FileChangelogStore(tmp_path)
         fill(store, 3)
@@ -220,7 +242,8 @@ class TestPublish:
     def test_a_subscriber_hears_of_a_record_its_segment_holds(self,
                                                               tmp_path):
         """At the moment a subscriber is called, the record's frame is
-        the last one in the segment files and has been fsynced."""
+        the last one in the segment files and has been fsynced, and so
+        has the directory entry of its segment."""
         store = FileChangelogStore(tmp_path, segment_records=2)
         heard = []
 
@@ -234,8 +257,10 @@ class TestPublish:
 
         store.subscribe(subscriber)
         fill(store, 5)
-        assert heard == [(n, writes_for(n), n, writes_for(n), n + 1)
-                         for n in range(5)]
+        # Two syncs of the new directory's manifest, one per append and
+        # one per segment (two records each) created.
+        assert heard == [(n, writes_for(n), n, writes_for(n),
+                          2 + (n + 1) + (n // 2 + 1)) for n in range(5)]
         store.close()
 
     @pytest.mark.parametrize("make", _stores())

@@ -1,15 +1,19 @@
 """Simulated Kafka: partitioning, ordering, offsets, replay, pause."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.substrates.kafka import KafkaBroker, KafkaConfig, KafkaError
+from repro.substrates import costs
+from repro.substrates.kafka import KafkaBroker, KafkaError
 from repro.substrates.network import LatencyModel
 from repro.substrates.simulation import Simulation
 
 
 def _broker(partitions=2, fetch_ms=1.0, produce_ms=1.0):
     sim = Simulation(seed=3)
-    config = KafkaConfig(
+    config = replace(
+        costs.MODELLED.kafka,
         produce_latency=LatencyModel(median_ms=produce_ms, sigma=0.0001),
         fetch_latency=LatencyModel(median_ms=fetch_ms, sigma=0.0001))
     broker = KafkaBroker(sim, config)
@@ -152,18 +156,12 @@ class TestOffsetsAndReplay:
         assert broker.records_delivered == 3
 
 
-ZERO = LatencyModel(median_ms=0.0, sigma=0.0, floor_ms=0.0)
-
-
-def _free_broker(partitions=1, **costs):
-    """A broker whose every cost is exactly zero, unless *costs* says
-    otherwise (``produce_latency``, ``fetch_latency``, ``broker_cpu_ms``)."""
+def _free_broker(partitions=1, **overrides):
+    """A broker whose every cost is exactly zero (the real clock's
+    profile), unless *overrides* says otherwise (``produce_latency``,
+    ``fetch_latency``, ``broker_cpu_ms``)."""
     sim = Simulation(seed=3)
-    config = KafkaConfig(produce_latency=ZERO, fetch_latency=ZERO,
-                         broker_cpu_ms=0.0)
-    for name, value in costs.items():
-        setattr(config, name, value)
-    broker = KafkaBroker(sim, config)
+    broker = KafkaBroker(sim, replace(costs.ZERO.kafka, **overrides))
     broker.create_topic("t", partitions)
     return sim, broker
 

@@ -3,10 +3,12 @@
 import math
 import random
 
+from dataclasses import replace
+
 import pytest
 
-from repro.bench.harness import process_stateflow_overrides
-from repro.substrates.network import LatencyModel, Network, NetworkConfig
+from repro.substrates.costs import MODELLED, ZERO
+from repro.substrates.network import LatencyModel, Network
 from repro.substrates.simulation import Simulation
 
 
@@ -23,18 +25,11 @@ class TestLatencyModel:
         median = samples[len(samples) // 2]
         assert 8.0 < median < 12.0
 
-    def test_scaled(self):
-        model = LatencyModel(median_ms=4.0).scaled(2.0)
-        assert model.median_ms == 8.0
-
-    def test_the_process_preset_hop_is_zero_and_draws_nothing(self):
-        """A model with no spread is a constant: the preset's "zero"
-        hop costs exactly nothing and leaves the RNG where it was."""
-        overrides = process_stateflow_overrides()
-        models = (overrides["network"].intra_cluster,
-                  overrides["network"].rpc_hop,
-                  overrides["kafka"].produce_latency,
-                  overrides["kafka"].fetch_latency)
+    def test_the_zero_profile_hop_is_zero_and_draws_nothing(self):
+        """A model with no spread is a constant: the real clock's hop
+        costs exactly nothing and leaves the RNG where it was."""
+        models = (ZERO.network.intra_cluster, ZERO.network.rpc_hop,
+                  ZERO.kafka.produce_latency, ZERO.kafka.fetch_latency)
         sim = Simulation(seed=7)
         before = sim.rng.getstate()
         assert [model.sample(sim) for model in models] == [0.0] * 4
@@ -58,7 +53,7 @@ class TestLatencyModel:
     @pytest.mark.parametrize("seed", [0, 7, 42])
     @pytest.mark.parametrize("median_ms, sigma, floor_ms", [
         (0.25, 0.25, 0.01),    # the intra-cluster hop
-        (0.9, 0.3, 0.01),      # Kafka produce and fetch
+        (5.0, 0.35, 0.01),     # Kafka produce and fetch
         (1.0, 0.3, 0.01),      # the StateFun RPC hop
         (1.0, 1.5, 0.8),       # the floor wins on about 45 % of draws
         (1e-4, 0.3, 0.05),     # the floor wins on every draw
@@ -83,7 +78,8 @@ class TestLatencyModel:
 class TestNetwork:
     def test_send_delivers_after_latency(self):
         sim = Simulation(seed=2)
-        network = Network(sim, NetworkConfig(
+        network = Network(sim, replace(
+            MODELLED.network,
             intra_cluster=LatencyModel(median_ms=3.0, sigma=0.0001)))
         seen = []
         network.send(lambda: seen.append(sim.now))
@@ -94,7 +90,8 @@ class TestNetwork:
 
     def test_rpc_round_trip(self):
         sim = Simulation(seed=2)
-        network = Network(sim, NetworkConfig(
+        network = Network(sim, replace(
+            MODELLED.network,
             rpc_hop=LatencyModel(median_ms=2.0, sigma=0.0001)))
         trace = []
 

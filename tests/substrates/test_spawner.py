@@ -99,8 +99,7 @@ def test_process_substrate_smoke() -> None:
     and committed state lands in the parent's authoritative store."""
     program = compile_program([Account])
     runtime = StateflowRuntime(program, config=StateflowConfig(
-        spawner="process", workers=2, exec_service_ms=0.0,
-        state_op_ms=0.0))
+        spawner="process", workers=2))
     try:
         runtime.preload(Account, [("alice", 100), ("bob", 50)])
         runtime.start()

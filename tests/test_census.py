@@ -11,13 +11,14 @@ read under ``src/``.  A row names a caller outside ``tests/``:
 - ``perf`` — a ledger workload under ``perf/`` sets it;
 - ``ci`` — a CI command line sets it;
 - ``paper`` — it is an axis of a named paper figure or ablation;
-- ``deferred`` — a ROADMAP item names it as the one that will set it;
 - ``test`` — only a test sets it, and that test reaches behaviour no
   default run reaches (the row says which).
 
 The test fails when a value has no row, when a row names a value that no
 longer exists, and when the cited file does not mention the value.  A
 value no caller sets is a constant: delete it instead of adding a row.
+Modelled costs are not settable values: the kernel picks their profile
+(:mod:`repro.substrates.costs`).
 """
 
 from __future__ import annotations
@@ -40,11 +41,12 @@ CONFIGS = (StateflowConfig, CoordinatorConfig, StatefunConfig, KafkaConfig,
            NetworkConfig, AutoscalePolicy)
 CI = ".github/workflows/ci.yml"
 HARNESS = "src/repro/bench/harness.py"
+COSTS = "src/repro/substrates/costs.py"
 CHAOS = "src/repro/bench/chaos.py"
 RECOVERY = "src/repro/bench/recovery.py"
 CLI_TESTS = "tests/integration/test_cli_inprocess.py"
 FLAG_TESTS = "tests/integration/test_cli_flags.py"
-KINDS = {"preset", "cli", "perf", "ci", "paper", "deferred", "test"}
+KINDS = {"preset", "cli", "perf", "ci", "paper", "test"}
 
 
 class Row(NamedTuple):
@@ -71,10 +73,6 @@ def by_test(path, needle, why):
     return Row("test", path, needle, why)
 
 
-def deferred(why):
-    return Row("deferred", "ROADMAP.md", None, why)
-
-
 FIG3 = paper(HARNESS, "FIG3_CELLS",
              "Figure 3's axes: YCSB workload x key distribution, and the "
              "StateFun baseline")
@@ -82,9 +80,7 @@ FIG4 = paper(HARNESS, "FIG4_RATES", "Figure 4's input-rate axis")
 ABL_TXN_KEYS = paper("benchmarks/bench_ablation_txn.py", "record_count=64",
                      "ABL-TXN's contention axis (64 hot keys vs the "
                      "paper's 1000)")
-PROCESS = "the process preset zeroes modelled costs"
-ITEM6 = ("StateFun's modelled costs; ROADMAP item 6's real-time StateFun "
-         "leg zeroes them")
+PROFILES = "the cost profiles: the simulator's numbers, and all zero"
 TIGHT_POLICY = ("a tighter policy decides within a short test; the "
                 "default needs the autoscale cell's long ramp")
 
@@ -95,8 +91,6 @@ ROWS: dict[tuple[str, str], Row] = {
         "the saturating pipeline cell runs 32 workers"),
     ("StateflowConfig", "spawner"): preset(HARNESS, '"spawner": "process"',
                                            "the process preset"),
-    ("StateflowConfig", "exec_service_ms"): preset(HARNESS, None, PROCESS),
-    ("StateflowConfig", "state_op_ms"): preset(HARNESS, None, PROCESS),
     ("StateflowConfig", "channel_mode"): paper(
         "benchmarks/bench_ablation_channels.py", None,
         "ABL-COMM: Kafka loop-backs instead of direct channels"),
@@ -107,10 +101,6 @@ ROWS: dict[tuple[str, str], Row] = {
         "perf", "perf/workloads.py", None, "sim-durable"),
     ("StateflowConfig", "coordinator"): preset(
         CHAOS, "chaos_coordinator_config()", "the chaos preset"),
-    ("StateflowConfig", "kafka"): preset(HARNESS, '"kafka": KafkaConfig(',
-                                         PROCESS),
-    ("StateflowConfig", "network"): preset(
-        HARNESS, '"network": NetworkConfig(', PROCESS),
     ("StateflowConfig", "fault_plan"): preset(CHAOS, None,
                                               "every chaos cell"),
     ("StateflowConfig", "rescale_plan"): preset(
@@ -135,10 +125,6 @@ ROWS: dict[tuple[str, str], Row] = {
         CHAOS, None, "the chaos preset cuts often"),
     ("CoordinatorConfig", "failure_detect_ms"): preset(
         CHAOS, None, "the chaos preset detects failures fast"),
-    ("CoordinatorConfig", "conflict_check_ms_per_txn"): preset(
-        HARNESS, None, PROCESS),
-    ("CoordinatorConfig", "dispatch_ms_per_txn"): preset(HARNESS, None,
-                                                         PROCESS),
     ("CoordinatorConfig", "reordering"): paper(
         "benchmarks/bench_ablation_txn.py", None,
         "ABL-TXN: Aria's deterministic reordering switched off"),
@@ -147,8 +133,6 @@ ROWS: dict[tuple[str, str], Row] = {
     ("CoordinatorConfig", "pipeline_depth"): preset(
         "src/repro/bench/pipeline.py", "pipeline_depth=depth",
         "the pipeline cell sweeps depths 1/2/4"),
-    ("CoordinatorConfig", "idle_seal_fraction"): preset(
-        HARNESS, None, "the process preset seals on the next turn"),
     ("CoordinatorConfig", "snapshot_base_every"): preset(
         RECOVERY, None, "the recovery preset"),
     ("CoordinatorConfig", "snapshot_footprints"): preset(
@@ -159,24 +143,18 @@ ROWS: dict[tuple[str, str], Row] = {
     ("StatefunConfig", "function_cores"): by_test(
         "tests/runtimes/test_resource_accounting.py", "function_cores=6",
         "a wider remote-function pool raises StateFun's capacity"),
-    ("StatefunConfig", "router_service_ms"): deferred(ITEM6),
-    ("StatefunConfig", "state_service_ms"): deferred(ITEM6),
-    ("StatefunConfig", "function_service_ms"): deferred(ITEM6),
-    ("StatefunConfig", "buffer_timeout_ms"): deferred(ITEM6),
     ("StatefunConfig", "strict_transactions"): by_test(
         "tests/runtimes/test_statefun_runtime.py",
         "strict_transactions=True",
         "@transactional methods refused instead of run unguarded"),
-    ("StatefunConfig", "kafka"): deferred(ITEM6),
-    ("StatefunConfig", "network"): deferred(ITEM6),
     ("StatefunConfig", "fault_plan"): preset(
         CHAOS, None, "StateFun under chaos: drops it cannot recover"),
     # -- KafkaConfig / NetworkConfig --------------------------------------
-    ("KafkaConfig", "produce_latency"): preset(HARNESS, None, PROCESS),
-    ("KafkaConfig", "fetch_latency"): preset(HARNESS, None, PROCESS),
-    ("KafkaConfig", "broker_cpu_ms"): preset(HARNESS, None, PROCESS),
-    ("NetworkConfig", "intra_cluster"): preset(HARNESS, None, PROCESS),
-    ("NetworkConfig", "rpc_hop"): preset(HARNESS, None, PROCESS),
+    ("KafkaConfig", "produce_latency"): preset(COSTS, None, PROFILES),
+    ("KafkaConfig", "fetch_latency"): preset(COSTS, None, PROFILES),
+    ("KafkaConfig", "broker_cpu_ms"): preset(COSTS, None, PROFILES),
+    ("NetworkConfig", "intra_cluster"): preset(COSTS, None, PROFILES),
+    ("NetworkConfig", "rpc_hop"): preset(COSTS, None, PROFILES),
     # -- AutoscalePolicy --------------------------------------------------
     **{("AutoscalePolicy", name): by_test(
         "tests/integration/test_autoscale.py", f"{name}=", TIGHT_POLICY)
@@ -343,4 +321,4 @@ def test_the_count_only_falls():
     """The census started from 138 values (71 fields, 64 options, 3
     variables); a change that adds a value adds its row and raises this
     bound in the same diff."""
-    assert len(settable_values()) <= 105
+    assert len(settable_values()) <= 92
