@@ -199,7 +199,7 @@ class CoordinatorHooks:
     #: or ``None``.  Only a worker whose ``apply_writes`` completes before
     #: its ack (a process worker) reports one; a simulated worker's ack
     #: is part of the commit.
-    unacked_since: Callable[[], float | None] = lambda: None
+    unacked_since: Callable[[], float | None]
 
 
 @dataclass(slots=True)

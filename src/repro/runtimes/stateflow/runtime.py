@@ -123,13 +123,13 @@ class StateflowRuntime(Runtime):
         super().__init__(program)
         self.config = config or StateflowConfig()
         self.spawner = make_spawner(self.config.spawner)
-        if self.config.fault_plan is not None and self.spawner.wallclock:
+        self.sim = sim or self.spawner.make_kernel()
+        if self.config.fault_plan is not None and self.sim.real_time:
             raise RuntimeExecutionError(
                 "fault plans drive simulator internals (virtual-time "
-                "schedules, message hooks) and are not supported on the "
-                "process spawner; crash real workers directly via "
+                "schedules, message hooks) and are not supported on a "
+                "real clock; crash real workers directly via "
                 "fail_worker() instead")
-        self.sim = sim or self.spawner.make_kernel()
         self.network = Network(self.sim)
         self.broker = KafkaBroker(self.sim)
         #: Committed state sharded into hash slots dealt round-robin over
@@ -160,9 +160,8 @@ class StateflowRuntime(Runtime):
             execute_single_key=lambda index, events, on_done:
             self.workers[index].execute_single_key(events, on_done),
             set_worker_count=self._set_worker_count,
-            migrate_slot=self._migrate_slot)
-        if self.spawner.wallclock:
-            hooks.unacked_since = self._unacked_since
+            migrate_slot=self._migrate_slot,
+            unacked_since=self._unacked_since)
         #: The closed-loop capacity controller, when enabled (a supplied
         #: policy implies enablement).  One controller per runtime: its
         #: windowed sampler state and decision log live outside the
@@ -344,8 +343,8 @@ class StateflowRuntime(Runtime):
         return "read" if compiled_method.read_only else "write"
 
     def _unacked_since(self) -> float | None:
-        """Process workers: when the oldest commit bucket one of them
-        has not acked was sent."""
+        """When the oldest commit bucket a worker has not acked was
+        sent (only a process worker ever reports one)."""
         return min((sent for worker in self.workers
                     if (sent := worker.unacked_since()) is not None),
                    default=None)
@@ -465,3 +464,5 @@ class StateflowRuntime(Runtime):
     def close(self) -> None:
         self.coordinator.stop()
         self.spawner.on_close(self)
+        self.coordinator.snapshots.close()
+        self.coordinator.changelog.close()

@@ -61,14 +61,41 @@ whose span has a gap does not resolve, and
 :meth:`SnapshotStore.latest_recoverable` skips it for the next older
 one.  The retention window keeps the newest ``keep`` cuts plus their
 bases; the changelog is truncated below the oldest retained base.
+
+One store per log, one medium per place
+---------------------------------------
+
+Each store is written once, against a :class:`Medium`: named files of
+records it appends, atomically replaces, truncates and unlinks.  An
+in-memory run hands the stores a :class:`MemoryMedium`, which keeps the
+Python objects and encodes nothing; a durable run hands them a
+:class:`~repro.storage.medium.DirectoryMedium`, which writes wire frames
+under the durability directory and owns every sync.  Segment rolling,
+rewind truncation, compaction, retention and "open = load what the
+medium holds" are therefore the same code on both, and a store opened
+over an empty medium starts empty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from fnmatch import fnmatchcase
+from typing import Any, Callable, Protocol
 
 from ..state import apply_flat_writes, payload_footprint
+
+#: The names the stores give their files on a medium (the durability
+#: directory's layout, relative to its root).
+SEGMENT = "changelog/segment-{:010d}.log"
+SEGMENTS = "changelog/segment-*.log"
+CUT = "snapshots/cut-{:010d}.bin"
+CUTS = "snapshots/cut-*.bin"
+LEDGER = "snapshots/ledger.log"
+
+
+def _number(name: str) -> int:
+    """The seq a segment file is named by."""
+    return int(name.rsplit("-", 1)[1].split(".", 1)[0])
 
 
 class SnapshotChainError(RuntimeError):
@@ -158,9 +185,104 @@ class ChangelogRecord:
     at_ms: float = 0.0
 
 
-class ChangelogStore:
-    """Durable (simulated) append-only log of per-batch write sets: the
-    one record of committed writes.
+class Medium(Protocol):
+    """Where a store's files live: named files of records.  A position
+    is the medium's own mark just past a record, to truncate at."""
+
+    #: The medium's I/O tax (0 for a medium that never syncs or encodes).
+    fsyncs: int
+    fsync_wall_ms: float
+    bytes_written: int
+
+    def list(self, pattern: str) -> list[str]:
+        """The names matching a glob *pattern*, sorted."""
+
+    def read(self, name: str) -> tuple[list[tuple[int, Any]], int]:
+        """``([(position, record), ...], torn)``: the file's intact
+        records, after cutting away the *torn* bytes past them."""
+
+    def append(self, name: str, record: Any) -> int:
+        """Add *record* to the end of the file (created as needed), to
+        stay; returns its position."""
+
+    def replace(self, name: str, record: Any) -> None:
+        """Make the file hold *record* alone, all at once."""
+
+    def truncate(self, name: str, position: int) -> None:
+        """Drop the file's records past *position*, to stay dropped."""
+
+    def unlink(self, names: list[str]) -> None:
+        """Remove the files, to stay removed."""
+
+    def manifest(self) -> dict[str, Any]:
+        """The medium's metadata document."""
+
+    def update_manifest(self, **fields: Any) -> None:
+        """Merge *fields* into the metadata document, all at once."""
+
+    def close(self) -> None:
+        """Release whatever the medium holds open."""
+
+
+class MemoryMedium:
+    """The :class:`Medium` of an in-memory run: files are lists of the
+    records themselves, nothing is encoded and nothing syncs."""
+
+    fsyncs = 0
+    fsync_wall_ms = 0.0
+    bytes_written = 0
+
+    def __init__(self) -> None:
+        self._files: dict[str, list[Any]] = {}
+        self._manifest: dict[str, Any] = {}
+
+    def list(self, pattern: str) -> list[str]:
+        return sorted(name for name in self._files
+                      if fnmatchcase(name, pattern))
+
+    def read(self, name: str) -> tuple[list[tuple[int, Any]], int]:
+        return list(enumerate(self._files.get(name, ()), 1)), 0
+
+    def append(self, name: str, record: Any) -> int:
+        records = self._files.setdefault(name, [])
+        records.append(record)
+        return len(records)
+
+    def replace(self, name: str, record: Any) -> None:
+        self._files[name] = [record]
+
+    def truncate(self, name: str, position: int) -> None:
+        del self._files[name][position:]
+
+    def unlink(self, names: list[str]) -> None:
+        for name in names:
+            del self._files[name]
+
+    def manifest(self) -> dict[str, Any]:
+        return dict(self._manifest)
+
+    def update_manifest(self, **fields: Any) -> None:
+        self._manifest.update(fields)
+
+    def close(self) -> None:
+        pass
+
+
+class _OnMedium:
+    """A store's I/O counters are its medium's."""
+
+    medium: Medium
+    fsyncs = property(lambda self: self.medium.fsyncs)
+    fsync_wall_ms = property(lambda self: self.medium.fsync_wall_ms)
+    bytes_written = property(lambda self: self.medium.bytes_written)
+
+    def close(self) -> None:
+        self.medium.close()
+
+
+class ChangelogStore(_OnMedium):
+    """Append-only log of per-batch write sets: the one record of
+    committed writes.
 
     The coordinator appends one record per committed batch; resolving a
     cut folds the records between its base and its position (module
@@ -169,21 +291,64 @@ class ChangelogStore:
     under new batch ids); ``truncate_through`` compacts the prefix no
     retained base can ever need again.
 
+    On the medium, records go into segment files rolled every
+    ``segment_records`` records and each named by its first record's
+    seq.  Opening loads what the medium holds: the records past the
+    manifest's ``changelog_floor``, up to the first torn segment (the
+    ones after it, and after any gap, are from a lost timeline and go).
+    Counters beyond the medium's: ``loaded`` (records found on open),
+    ``torn_tail_bytes`` and ``segments_dropped`` (compaction).
+
     The log publishes: :meth:`append` hands each record to every
     subscriber as ``callback(seq, writes, at_ms)``, in seq order and
-    only once it is persisted (the file store writes and syncs its
-    frame first), so no subscriber hears of a record a crash could take
+    only once the medium holds it (a directory has written and synced
+    its frame), so no subscriber hears of a record a crash could take
     back.  ``rewind_to(S)`` publishes nothing; the next record published
     is ``S + 1``."""
 
-    def __init__(self):
+    def __init__(self, medium: Medium | None = None, *,
+                 segment_records: int = 256):
+        self.medium = MemoryMedium() if medium is None else medium
+        self._segment_records = max(int(segment_records), 1)
         self._records: list[ChangelogRecord] = []
-        self._next_seq = 0
         self._subscribers: list[Callable[[int, dict, float], None]] = []
         self.appended = 0
         self.truncated = 0
         #: Records :meth:`rewind_to` dropped (``appended - rewound`` live).
         self.rewound = 0
+        self.loaded = 0
+        self.torn_tail_bytes = 0
+        self.segments_dropped = 0
+        #: Per segment, oldest first: its first seq, its name (made of
+        #: that seq) and the medium position just past each record in it.
+        self._segments: list[tuple[int, str, list[int]]] = []
+        self._load()
+
+    def _load(self) -> None:
+        self._floor = self.medium.manifest().get("changelog_floor", -1)
+        head = -1
+        names = self.medium.list(SEGMENTS)
+        for index, name in enumerate(names):
+            first = _number(name)
+            if self._segments and first != head + 1:
+                # A gap: what follows it is from a lost timeline.
+                self.medium.unlink(names[index:][::-1])
+                break
+            entries, torn = self.medium.read(name)
+            self._segments.append((first, name, [end for end, _ in entries]))
+            for _, record in entries:
+                head = record.seq
+                if record.seq > self._floor:
+                    self._records.append(record)
+            self.loaded += len(entries)
+            if torn:
+                # Appends are strictly sequential: segments past a torn
+                # one hold bytes that never logically existed.
+                self.torn_tail_bytes += torn
+                if index + 1 < len(names):
+                    self.medium.unlink(names[index + 1:][::-1])
+                break
+        self._next_seq = max(head, self._floor) + 1
 
     @property
     def head_seq(self) -> int:
@@ -200,18 +365,21 @@ class ChangelogStore:
     def append(self, batch_id: int,
                writes: dict[tuple[str, Any], dict[str, Any]], *,
                at_ms: float = 0.0) -> int:
-        """Append one closed batch's write set; returns its seq."""
-        return self._publish(ChangelogRecord(self._next_seq, batch_id,
-                                             dict(writes), at_ms))
-
-    def _publish(self, record: ChangelogRecord) -> int:
-        """Add *record*, once persisted, and hand it to every subscriber."""
+        """Append one closed batch's write set, then publish it; returns
+        its seq."""
+        seq = self._next_seq
+        record = ChangelogRecord(seq, batch_id, dict(writes), at_ms)
+        if (not self._segments
+                or len(self._segments[-1][2]) >= self._segment_records):
+            self._segments.append((seq, SEGMENT.format(seq), []))
+        _, name, ends = self._segments[-1]
+        ends.append(self.medium.append(name, record))
         self._next_seq += 1
         self._records.append(record)
         self.appended += 1
         for callback in self._subscribers:
-            callback(record.seq, record.writes, record.at_ms)
-        return record.seq
+            callback(seq, record.writes, at_ms)
+        return seq
 
     def records_between(self, after_seq: int,
                         up_to_seq: int) -> list[ChangelogRecord] | None:
@@ -226,14 +394,28 @@ class ChangelogStore:
 
     def rewind_to(self, seq: int) -> None:
         """Recovery rolled the run back to a cut at position *seq*:
-        drop the now-orphaned suffix and resume sequencing from there.
-        The dropped records count as ``rewound`` — they were written,
-        but they no longer exist on the surviving timeline."""
+        drop the now-orphaned suffix, from the medium too (a cold start
+        must never resurrect the rolled-back timeline), and resume
+        sequencing from there.  The dropped records count as
+        ``rewound`` — they were written, but they no longer exist on
+        the surviving timeline."""
         if seq >= self.head_seq:
             return
         kept = [record for record in self._records if record.seq <= seq]
         self.rewound += len(self._records) - len(kept)
         self._records, self._next_seq = kept, seq + 1
+        # Newest first, so a crash midway leaves a contiguous log.  A
+        # segment whose first record is orphaned goes whole (kept
+        # empty, it would share its name with a later roll's).
+        orphaned = [name for first, name, _ in self._segments
+                    if first > seq]
+        if orphaned:
+            self.medium.unlink(orphaned[::-1])
+            del self._segments[-len(orphaned):]
+        if self._segments:
+            first, name, ends = self._segments[-1]
+            del ends[seq + 1 - first:]
+            self.medium.truncate(name, ends[-1])
 
     def last_as_of(self, *, batch: int | None = None,
                    at_ms: float | None = None) -> ChangelogRecord | None:
@@ -248,11 +430,25 @@ class ChangelogStore:
 
     def truncate_through(self, seq: int) -> None:
         """Compaction: drop records no retained cut can need (their seq
-        is at or below the oldest retained base's position)."""
+        is at or below the oldest retained base's position).  The floor
+        goes into the manifest first; then every segment wholly at or
+        below it goes, oldest first, except the one being appended
+        into."""
         before = len(self._records)
         self._records = [record for record in self._records
                          if record.seq > seq]
         self.truncated += before - len(self._records)
+        if seq > self._floor:
+            self._floor = seq
+            self.medium.update_manifest(changelog_floor=seq)
+        dead = 0
+        while (dead + 1 < len(self._segments)
+               and self._segments[dead + 1][0] <= seq + 1):
+            dead += 1
+        if dead:
+            self.medium.unlink([name for _, name, _ in self._segments[:dead]])
+            del self._segments[:dead]
+            self.segments_dropped += dead
 
 
 def replay(payload: Any, records: list[ChangelogRecord]) -> Any:
@@ -264,19 +460,27 @@ def replay(payload: Any, records: list[ChangelogRecord]) -> Any:
     return apply_flat_writes(payload, writes)
 
 
-class SnapshotStore:
-    """Durable (simulated) home of completed snapshots.
+class SnapshotStore(_OnMedium):
+    """Home of completed snapshots.
 
     A base every ``base_every`` cuts and position cuts in between
     (module docstring); :meth:`next_kind` tells the coordinator what to
     capture, :meth:`resolve` turns a cut back into a state payload, and
-    :meth:`latest_recoverable` picks the newest cut that resolves."""
+    :meth:`latest_recoverable` picks the newest cut that resolves.
 
-    def __init__(self, *, keep: int = 4, base_every: int = 4,
-                 track_footprints: bool = False):
-        self._snapshots: list[Snapshot] = []
+    On the medium, each cut is one file replaced into place, and the
+    ``cut_log`` ledger one appended record per cut; the retention
+    window unlinks the files of cuts that fell out of it once the new
+    cut is on the medium.  Opening loads the retained cuts and the
+    ledger (``loaded``; an unreadable cut file is dropped and counted
+    in ``dropped_unreadable``), and ids continue past every id the cut
+    files and the ledger name.  The first cut after opening is a
+    base."""
+
+    def __init__(self, medium: Medium | None = None, *, keep: int = 4,
+                 base_every: int = 4, track_footprints: bool = False):
+        self.medium = MemoryMedium() if medium is None else medium
         self._keep = keep
-        self._next_id = 0
         self.base_every = max(base_every, 1)
         #: The base new position cuts resolve from (``None``: the next
         #: cut must be one) and the cuts taken since it, itself included.
@@ -286,9 +490,32 @@ class SnapshotStore:
         #: O(payload) repr work per base, so it is off unless asked for
         #: (the recovery bench turns it on for both sides of its sweep).
         self.track_footprints = track_footprints
+        self._load()
+
+    def _load(self) -> None:
+        entries, _ = self.medium.read(LEDGER)
         #: Ledger of what each cut captured (bench metrics); survives
         #: pruning like any other durable metadata.
-        self.cut_log: list[CutRecord] = []
+        self.cut_log: list[CutRecord] = [record for _, record in entries]
+        cuts, unreadable = [], []
+        for name in self.medium.list(CUTS):
+            entries, _ = self.medium.read(name)
+            if len(entries) == 1:
+                cuts.append(entries[0][1])
+            else:
+                # A crash before the atomic replace finished (or bit
+                # rot): the cut never completed, so it does not exist.
+                unreadable.append(name)
+        if unreadable:
+            self.medium.unlink(unreadable)
+        self.dropped_unreadable = len(unreadable)
+        self._snapshots: list[Snapshot] = sorted(
+            cuts, key=lambda cut: cut.snapshot_id)
+        self.loaded = len(cuts)
+        # Ids are never reused: a stale cut file from a slow unlink or a
+        # backup could otherwise shadow a new cut.
+        self._next_id = 1 + max(
+            (cut.snapshot_id for cut in [*cuts, *self.cut_log]), default=-1)
 
     # -- cut planning ---------------------------------------------------
     def next_kind(self) -> str:
@@ -335,11 +562,13 @@ class SnapshotStore:
             views_state=views_state)
         self._next_id += 1
         self._snapshots.append(snapshot)
+        self.medium.replace(CUT.format(snapshot_id), snapshot)
         keys, size = (payload_footprint(state)
                       if self.track_footprints else (0, 0))
         self.cut_log.append(CutRecord(
             snapshot_id=snapshot_id, kind=kind, keys=keys, bytes=size,
             taken_at_ms=taken_at_ms))
+        self.medium.append(LEDGER, self.cut_log[-1])
         self._prune()
         return snapshot
 
@@ -351,8 +580,12 @@ class SnapshotStore:
         newest = self._snapshots[-self._keep:]
         needed = ({cut.snapshot_id for cut in newest}
                   | {cut.base_id for cut in newest})
-        self._snapshots = [cut for cut in self._snapshots
-                           if cut.snapshot_id in needed]
+        dropped = [CUT.format(cut.snapshot_id) for cut in self._snapshots
+                   if cut.snapshot_id not in needed]
+        if dropped:
+            self._snapshots = [cut for cut in self._snapshots
+                               if cut.snapshot_id in needed]
+            self.medium.unlink(dropped)
 
     # -- resolution -----------------------------------------------------
     def latest(self) -> Snapshot | None:

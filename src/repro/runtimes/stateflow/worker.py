@@ -196,6 +196,11 @@ class Worker:
 
         self.cpu.submit(self._state_op_ms * max(len(writes), 1), install)
 
+    def unacked_since(self) -> None:
+        """Never a bucket awaiting its ack: the ack is part of the
+        commit here."""
+        return None
+
     # ------------------------------------------------------------------
     def _migration_cost_ms(self, slot: int) -> float:
         """*Modelled* CPU to capture/install one slot: O(keys).  The

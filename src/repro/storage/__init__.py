@@ -1,17 +1,14 @@
-"""Disk-backed durability: file-backed snapshot and changelog stores.
+"""Disk-backed durability: the stores on a durability directory.
 
-The in-memory :class:`~repro.runtimes.stateflow.snapshots.SnapshotStore`
-and :class:`~repro.runtimes.stateflow.snapshots.ChangelogStore` survive
-*simulated* crashes only; this package puts real files under the same
-interfaces so a real process death loses nothing:
+The stores of :mod:`repro.runtimes.stateflow.snapshots` are written
+once, against a medium; this package is the medium that puts them on
+real files, so a real process death loses nothing:
 
-- :class:`FileChangelogStore` — append-only segment files of
-  length-prefixed wire frames, fsync-on-append, torn-tail truncation on
-  open, compaction as whole-segment drops;
-- :class:`FileSnapshotStore` — base and position cuts and the
-  ``cut_log`` ledger persisted per cut (atomic rename, fsync);
-- :mod:`.manifest` — the schema module: directory layout, the
-  versioned ``MANIFEST.json`` and forward migration.
+- :mod:`.medium` — the durability contract: the directory layout, the
+  versioned ``MANIFEST.json`` and :class:`DirectoryMedium`, the only
+  code that opens, syncs, renames, truncates or unlinks its files;
+- :class:`FileChangelogStore` and :class:`FileSnapshotStore` — the two
+  stores over a :class:`DirectoryMedium`.
 
 Wire-up is one knob: ``StateflowConfig(durability_dir=...)`` (CLI
 ``--durable <dir>``) makes the runtime hand these to the coordinator
@@ -21,19 +18,14 @@ a cold start is construction over the existing directory.
 """
 
 from .changelog import FileChangelogStore
-from .manifest import (FORMAT_VERSION, DurabilityLayout, StorageError,
-                       open_layout, read_manifest, scan_frames,
-                       update_manifest)
+from .medium import FORMAT_VERSION, DirectoryMedium, StorageError, scan_frames
 from .snapstore import FileSnapshotStore
 
 __all__ = [
     "FORMAT_VERSION",
-    "DurabilityLayout",
+    "DirectoryMedium",
     "FileChangelogStore",
     "FileSnapshotStore",
     "StorageError",
-    "open_layout",
-    "read_manifest",
     "scan_frames",
-    "update_manifest",
 ]

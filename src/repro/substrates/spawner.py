@@ -40,13 +40,9 @@ class Spawner:
     """
 
     name = "abstract"
-    #: The kernel class the workers run on.
+    #: The kernel class the workers run on (its ``real_time`` says
+    #: whether the clock is real).
     kernel: type = Simulation
-
-    @property
-    def wallclock(self) -> bool:
-        """Whether the kernel's clock is real (bench rows say so)."""
-        return self.kernel.real_time
 
     def make_kernel(self, seed: int = 42) -> Any:
         return self.kernel(seed)

@@ -7,8 +7,7 @@ import pytest
 
 from repro.bench.recovery import tally_changelog_bytes
 from repro.runtimes.stateflow.snapshots import ChangelogStore
-from repro.storage import (FileChangelogStore, open_layout, read_manifest,
-                           scan_frames)
+from repro.storage import DirectoryMedium, FileChangelogStore, scan_frames
 
 
 def writes_for(n):
@@ -88,13 +87,12 @@ class TestTornTail:
     def test_corrupt_frame_body_drops_the_suffix(self, tmp_path):
         store = FileChangelogStore(tmp_path)
         fill(store, 4)
-        offsets = dict(store._offsets)
         store.close()
         [segment] = list((tmp_path / "changelog").glob("segment-*.log"))
         # Zero out record 2's bytes (frame framing intact, body rotted):
         # everything from the corruption on is untrusted.
-        _, end_1 = offsets[1]
-        _, end_2 = offsets[2]
+        _, end_1, end_2, _ = [end for end, _ in
+                              scan_frames(segment.read_bytes())[0]]
         data = bytearray(segment.read_bytes())
         data[end_1 + 8:end_2] = bytes(len(data[end_1 + 8:end_2]))
         segment.write_bytes(bytes(data))
@@ -118,6 +116,25 @@ class TestTornTail:
         assert [r.seq for r in reopened._records] == [0, 1, 2]
         assert not segments[2].exists()
 
+    def test_segments_after_a_gap_are_dropped(self, tmp_path):
+        """A crash between cutting a torn tail away and unlinking the
+        segments after it leaves a clean segment followed by a gap:
+        what follows the gap is from the same lost timeline."""
+        store = FileChangelogStore(tmp_path, segment_records=2)
+        fill(store, 6)
+        store.close()
+        segments = sorted((tmp_path / "changelog").glob("segment-*.log"))
+        middle = segments[1]
+        [(end, _), _] = scan_frames(middle.read_bytes())[0]
+        middle.write_bytes(middle.read_bytes()[:end])
+
+        reopened = FileChangelogStore(tmp_path, segment_records=2)
+        assert [r.seq for r in reopened._records] == [0, 1, 2]
+        assert reopened.torn_tail_bytes == 0
+        assert not segments[2].exists()
+        assert reopened.append(9, writes_for(9)) == 3
+        reopened.close()
+
 
 class TestSegments:
     def test_appends_roll_into_new_segments(self, tmp_path):
@@ -138,7 +155,7 @@ class TestSegments:
         names = sorted(p.name for p in
                        (tmp_path / "changelog").glob("segment-*.log"))
         assert names == ["segment-0000000004.log"]
-        assert read_manifest(open_layout(tmp_path))["changelog_floor"] == 3
+        assert DirectoryMedium(tmp_path).manifest()["changelog_floor"] == 3
         store.close()
         reopened = FileChangelogStore(tmp_path, segment_records=2)
         assert [r.seq for r in reopened._records] == [4, 5]
@@ -195,7 +212,8 @@ class TestRewind:
         store.close()
         reopened = FileChangelogStore(tmp_path, segment_records=2)
         assert [r.seq for r in reopened._records] == [0, 1, 2, 3]
-        names = [path.name for path in open_layout(tmp_path).segment_files()]
+        names = [path.name for path in
+                 sorted((tmp_path / "changelog").glob("segment-*.log"))]
         assert names == [f"segment-{seq:010d}.log" for seq in (0, 2)]
         reopened.close()
 
@@ -249,7 +267,8 @@ class TestPublish:
 
         def subscriber(seq, writes, at_ms):
             frames = [record
-                      for path in open_layout(tmp_path).segment_files()
+                      for path in sorted(
+                          (tmp_path / "changelog").glob("segment-*.log"))
                       for _, record in scan_frames(path.read_bytes())[0]]
             last = frames[-1] if frames else None
             heard.append((seq, writes, last and last.seq,

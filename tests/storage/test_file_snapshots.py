@@ -9,9 +9,9 @@ import shutil
 import pytest
 
 from repro.runtimes.stateflow.snapshots import SnapshotChainError
-from repro.storage import (FileChangelogStore, FileSnapshotStore,
-                           StorageError, read_manifest, open_layout)
-from repro.storage.manifest import FORMAT_VERSION
+from repro.storage import (FORMAT_VERSION, DirectoryMedium,
+                           FileChangelogStore, FileSnapshotStore,
+                           StorageError)
 
 #: The coordinator-owned consistency metadata every cut carries; these
 #: tests exercise the store, not the coordinator, so minimal values do.
@@ -190,7 +190,7 @@ class TestFullModeCuts:
 
         reopened = FileSnapshotStore(tmp_path)
         changelog = FileChangelogStore(tmp_path)
-        assert read_manifest(open_layout(tmp_path))["format_version"] == 3
+        assert DirectoryMedium(tmp_path).manifest()["format_version"] == 3
         assert [(c.snapshot_id, c.kind, c.base_id)
                 for c in reopened.retained()] == [
             (0, "full", 0), (1, "full", 1), (2, "full", 2)]
@@ -276,11 +276,11 @@ class TestLayoutVersioning:
     def _stamp(self, tmp_path, version):
         """A current-format directory whose manifest claims *version*."""
         cut(FileSnapshotStore(tmp_path, base_every=1), state=state_v(0))
-        layout = open_layout(tmp_path)
-        manifest = json.loads(layout.manifest_path.read_text())
+        path = tmp_path / "MANIFEST.json"
+        manifest = json.loads(path.read_text())
         assert manifest["format_version"] == FORMAT_VERSION
         manifest["format_version"] = version
-        layout.manifest_path.write_text(json.dumps(manifest))
+        path.write_text(json.dumps(manifest))
 
     def test_v1_layout_is_refused(self, tmp_path):
         self._stamp(tmp_path, 1)
@@ -294,7 +294,7 @@ class TestLayoutVersioning:
 
     def test_current_layout_reopens(self, tmp_path):
         FileChangelogStore(tmp_path).close()
-        assert read_manifest(open_layout(tmp_path))["format_version"] \
+        assert DirectoryMedium(tmp_path).manifest()["format_version"] \
             == FORMAT_VERSION
 
     def test_newer_layout_is_refused(self, tmp_path):

@@ -93,7 +93,8 @@ def test_a_profile_is_frozen(profile):
 def test_the_kernel_is_the_one_fact():
     assert cost_profile(Simulation()) is MODELLED
     assert cost_profile(WallClock()) is ZERO
-    assert SimulatorSpawner().wallclock is Simulation.real_time is False
-    assert ProcessSpawner().wallclock is WallClock.real_time is True
+    assert SimulatorSpawner().kernel.real_time is Simulation.real_time \
+        is False
+    assert ProcessSpawner().kernel.real_time is WallClock.real_time is True
     assert all(getattr(ZERO, field.name) == 0.0 for field in fields(ZERO)
                if field.name not in ("kafka", "network"))

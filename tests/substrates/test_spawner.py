@@ -76,8 +76,8 @@ def test_spawner_kernels() -> None:
     assert isinstance(SimulatorSpawner().make_kernel(7), Simulation)
     kernel = ProcessSpawner().make_kernel(7)
     assert isinstance(kernel, WallClock)
-    assert SimulatorSpawner().wallclock is False
-    assert ProcessSpawner().wallclock is True
+    assert SimulatorSpawner().kernel.real_time is False
+    assert ProcessSpawner().kernel.real_time is True
 
 
 def test_default_config_stays_on_the_simulator() -> None:
@@ -92,6 +92,16 @@ def test_fault_plan_rejected_on_process_spawner() -> None:
     with pytest.raises(RuntimeExecutionError, match="fault plans"):
         StateflowRuntime(program, config=StateflowConfig(
             spawner="process", fault_plan=FaultPlan(seed=1)))
+
+
+def test_fault_plan_rejected_on_a_real_clock_kernel() -> None:
+    """The kernel, not the spawner, says whether time is real: a
+    simulator-spawned runtime handed a wall clock refuses a fault plan
+    too."""
+    program = compile_program([Account])
+    with pytest.raises(RuntimeExecutionError, match="fault plans"):
+        StateflowRuntime(program, sim=WallClock(), config=StateflowConfig(
+            fault_plan=FaultPlan(seed=1)))
 
 
 def test_process_substrate_smoke() -> None:
