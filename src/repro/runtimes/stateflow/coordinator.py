@@ -50,11 +50,8 @@ fallback.  The invariants that keep this serializable and deterministic:
   close with still-executing batches folded back into the pending
   channel state — a snapshot never contains a half-committed batch.
 
-``pipeline_depth = 1`` restores strictly-serial one-batch-at-a-time
+``pipeline_depth = 1`` is strictly-serial one-batch-at-a-time
 scheduling: no pinned views, no cross-batch footprints, no overlap.
-(The idle-seal optimisation — the cost profile's ``idle_seal_fraction``
-— applies at every depth, so batch-formation *timing* still differs
-from the pre-pipeline coordinator.)
 
 Commit-phase writes are bucketed per owning worker (``hooks.worker_of``)
 so each worker installs only its own partition's writes; snapshots are
@@ -66,7 +63,8 @@ recovery fans the fragments back out.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from enum import Enum
+from typing import Any, Callable, Iterable
 
 from ...core.refs import EntityRef
 from ...ir.events import Event, EventKind, TxnContext
@@ -143,9 +141,15 @@ class _Batch:
     execution_done: bool = False
     execution_done_at: float = 0.0
     #: Keys written by this batch's commit (multi-key committed writes,
-    #: fallback writes, single-key targets): the write footprint younger
-    #: overlapping batches check their read sets against.
-    footprint: set = field(default_factory=set)
+    #: single-key targets, fallback writes), in the order they were
+    #: added: the write footprint younger overlapping batches check
+    #: their read sets against, and the key order of its changelog
+    #: record (a dict, not a set, so the bytes follow no string hash).
+    footprint: dict = field(default_factory=dict)
+    #: Aria's sequential fallback: the conflict-aborted transactions
+    #: still to re-execute, in TID order, and the one running now.
+    fallback: list[TxnRecord] = field(default_factory=list)
+    fallback_current: TxnRecord | None = None
 
     def all_records(self) -> list[TxnRecord]:
         return list(self.txns.values()) + list(self.single)
@@ -213,8 +217,7 @@ class CoordinatorConfig:
     release_txn_outputs_at_epoch: bool = True
     #: Bounded epoch pipeline: how many batches may be in flight at once
     #: (one in the ordered commit region, the rest executing against
-    #: pinned snapshot views).  1 = the strictly serial pre-pipeline
-    #: behaviour.
+    #: pinned snapshot views).  1 = strictly serial batches.
     pipeline_depth: int = 2
     #: A base cut every N cuts, position cuts in between (bounds the
     #: changelog span recovery must fold); 1 = every cut a base.
@@ -223,13 +226,48 @@ class CoordinatorConfig:
     #: ledger — O(payload) per base, so only the recovery bench does.
     snapshot_footprints: bool = False
     #: Simulated CPU cost of installing restored state, per key (models
-    #: recovery time growing with state size; 0 keeps the legacy fixed
-    #: recovery pause).
+    #: recovery time growing with state size; 0 = a recovery pauses for
+    #: ``RECOVERY_PAUSE_MS`` only).
     restore_cost_ms_per_key: float = 0.0
 
 
+class Phase(Enum):
+    """The coordinator's protocol state (see :class:`Coordinator`)."""
+
+    IDLE = "idle"
+    SERVING = "serving"
+    RESCALING = "rescaling"
+    RECOVERING = "recovering"
+    CRASHED = "crashed"
+
+
 class Coordinator:
-    """Single-core coordinator of the StateFlow dataflow."""
+    """Single-core coordinator of the StateFlow dataflow.
+
+    Its protocol state is one :attr:`phase`:
+
+    ==============================  ===========================  ==========
+    from                            on                           to
+    ==============================  ===========================  ==========
+    idle                            ``start()``                  serving
+    serving                         drained, a rescale queued    rescaling
+    rescaling                       every moved slot acked       serving
+    serving, rescaling, recovering  ``recover()``                recovering
+    recovering                      the recovery pause ends      serving
+    all but crashed                 ``crash()``                  crashed
+    crashed                         ``failover()``               recovering
+    any                             ``stop()``                   idle
+    ==============================  ===========================  ==========
+
+    Only *serving* seals batches and begins rescales; a committed
+    rescale begins the next queued target at once.  A crash during
+    recovery is a crash: that recovery's resume is dropped and
+    ``failover()`` runs a fresh one.  ``stop()`` during recovery leaves
+    the coordinator idle: the resume finds the phase changed.  A delayed
+    resume, migration launch or migration ack lands only under the
+    :attr:`_attempt` it was issued in; a tick chain only under the
+    ``failovers`` count that started it.
+    """
 
     def __init__(self, sim: Simulation, committed: PartitionedStore,
                  hooks: CoordinatorHooks,
@@ -278,10 +316,8 @@ class Coordinator:
         self.duplicate_requests = 0
         self.duplicate_replies = 0
         self.recoveries = 0
-        self.recovering = False
-        #: Fail-stop state: a crashed coordinator ignores all traffic
-        #: until :meth:`failover` brings the standby up.
-        self.crashed = False
+        #: Protocol state (the class docstring's transition table).
+        self.phase = Phase.IDLE
         self.failovers = 0
         #: ``(started_at_ms, resumed_at_ms)`` per completed (not
         #: superseded) recovery — an audit trail of the coordinator's
@@ -292,14 +328,10 @@ class Coordinator:
         self._arrival_seq = 0
         self._batch_seq = 0
         self._snapshot_requested = False
-        self._running = False
-        #: Bumped by every recover()/crash(): fences the delayed
-        #: ``resume`` closure of a recovery that was superseded.
-        self._recovery_epoch = 0
-        #: Bumped by every ``_start_ticks``: fences tick closures from a
-        #: previous incarnation (pre-crash chains that would otherwise
-        #: survive a short outage and double every tick rate).
-        self._tick_epoch = 0
+        #: Bumped by every recover(), rescale begin and crash(): fences
+        #: the delayed resume of a superseded recovery and the launch
+        #: and acks of a superseded migration attempt.
+        self._attempt = 0
         #: Pipeline bookkeeping: the batch holding the ordered commit
         #: region; the last closed batch id (the current committed-store
         #: version); versions pinned on the store; closed batches' write
@@ -309,33 +341,25 @@ class Coordinator:
         self._pinned: set[int] = set()
         self._footprints: dict[int, frozenset] = {}
         self._seal_scheduled = False
-        #: Sequential-fallback machinery: queue of aborted transactions
-        #: re-executing one at a time inside the current batch.
-        self._fallback_queue: list[TxnRecord] = []
-        self._fallback_current: TxnRecord | None = None
         self._fallback_tid = FALLBACK_TID_BASE
-        #: Elastic-rescale machinery.  ``rescaling`` bars batch formation
-        #: (the RESCALE barrier); requested targets queue FIFO and run
-        #: one at a time at batch boundaries once the pipeline drains.
-        self.rescaling = False
         self.rescales = 0
         self.rescale_aborts = 0
         self.slots_migrated = 0
         self.keys_migrated = 0
         self.rescale_log: list[RescaleRecord] = []
+        #: Requested worker counts, FIFO; they bar batch formation (the
+        #: RESCALE barrier) and run one at a time once the pipeline
+        #: drains.  The head is the running target: it leaves the queue
+        #: when its rescale commits, so a recovery that aborts the
+        #: migration finds it still at the head.
         self._rescale_requests: list[int] = []
-        self._rescale_target: int | None = None
         self._rescale_progress_at = 0.0
-        #: Bumped by every rescale begin/abort/crash: fences acks from a
-        #: superseded migration attempt.
-        self._rescale_epoch = 0
 
     # -- pipeline views -----------------------------------------------------
     @property
     def active(self) -> _Batch | None:
         """The oldest in-flight batch (the one whose stall the watchdog
-        tracks).  With ``pipeline_depth`` 1 this is the only batch, i.e.
-        exactly the pre-pipeline ``active`` attribute."""
+        tracks); with ``pipeline_depth`` 1 the only one."""
         if not self.inflight:
             return None
         return self.inflight[min(self.inflight)]
@@ -343,12 +367,11 @@ class Coordinator:
     # -- lifecycle ------------------------------------------------------
     def start(self) -> None:
         """Take the initial snapshot and start the periodic ticks."""
-        self._running = True
+        self.phase = Phase.SERVING
         self._take_snapshot()
         self._start_ticks()
 
     def _start_ticks(self) -> None:
-        self._tick_epoch += 1
         self._schedule_tick(self.config.batch_interval_ms, self._tick_batch)
         self._schedule_tick(self.config.epoch_interval_ms, self._flush_epoch)
         self._schedule_tick(self.config.snapshot_interval_ms,
@@ -363,18 +386,17 @@ class Coordinator:
                                 self._tick_autoscale)
 
     def stop(self) -> None:
-        self._running = False
+        self.phase = Phase.IDLE
 
     # -- fail-stop & fail-over ------------------------------------------
     def crash(self) -> None:
         """Fail-stop: every piece of volatile state is lost and all
         traffic is ignored until :meth:`failover`.  Durable state — the
         snapshot store and the replayable source — survives."""
-        if self.crashed:
+        if self.phase is Phase.CRASHED:
             return
-        self.crashed = True
-        self._running = False  # in-flight tick closures die off
-        self._recovery_epoch += 1  # a pre-crash resume must not land
+        self.phase = Phase.CRASHED  # in-flight tick closures die off
+        self._attempt += 1  # a pre-crash resume or ack must not land
         self._abandon_pipeline()
         self.pending.clear()
         self._epoch_buffer.clear()
@@ -382,34 +404,27 @@ class Coordinator:
         # migration is abandoned (installs already delivered are benign —
         # the barrier kept the slots quiescent, so the fragments equal
         # the live contents — and later ones are incarnation-fenced).
-        self.rescaling = False
-        self._rescale_epoch += 1
         self._rescale_requests.clear()
-        self._rescale_target = None
 
     def failover(self) -> None:
         """A standby coordinator takes over: restore the latest durable
         snapshot (state, offsets, dedup sets, channel state) and resume
         ticking.  Replies already emitted stay deduplicated because the
         ``replied`` set is part of the snapshot."""
-        if not self.crashed:
+        if self.phase is not Phase.CRASHED:
             return
-        self.crashed = False
         self.failovers += 1
-        self._running = True
         self.recover()
         self._start_ticks()
 
     def _abandon_pipeline(self) -> None:
         """Drop every in-flight batch and all pipeline metadata: pinned
-        snapshot views, write footprints, the commit region, the
-        fallback queue.  In-flight work is re-created by replay (the
-        abandoned batches' requests are either in the restored pending
-        channel state or re-consumed from the rewound source)."""
+        snapshot views, write footprints, the commit region.  In-flight
+        work is re-created by replay (the abandoned batches' requests
+        are either in the restored pending channel state or re-consumed
+        from the rewound source)."""
         self.inflight.clear()
         self._commit_batch = None
-        self._fallback_queue = []
-        self._fallback_current = None
         self._footprints.clear()
         for version in self._pinned:
             self.committed.release_view(version)
@@ -417,11 +432,12 @@ class Coordinator:
 
     def _schedule_tick(self, interval: float,
                        action: Callable[[], None]) -> None:
-        epoch = self._tick_epoch
+        incarnation = self.failovers
 
         def fire() -> None:
-            if not self._running or epoch != self._tick_epoch:
-                return  # this incarnation's chain was superseded
+            if (self.phase in (Phase.IDLE, Phase.CRASHED)
+                    or incarnation != self.failovers):
+                return  # stopped, or a previous incarnation's chain
             action()
             self.sim.schedule(interval, fire)
 
@@ -431,7 +447,7 @@ class Coordinator:
     def on_request(self, event: Event,
                    *, is_transactional_method: bool) -> None:
         """A client request arrived from the replayable source."""
-        if self.crashed:
+        if self.phase is Phase.CRASHED:
             return  # a dead coordinator consumes nothing
         request_id = event.request_id if event.request_id is not None else -1
         if request_id in self.admitted:
@@ -472,18 +488,17 @@ class Coordinator:
         execution phase (i.e. the newest batch has entered — or is
         queued for — the commit region).  Rescale intents drain the
         pipeline first."""
-        return (self._running and not self.crashed and not self.recovering
-                and not self.rescaling and not self._rescale_requests
+        return (self.phase is Phase.SERVING and not self._rescale_requests
                 and bool(self.pending)
                 and len(self.inflight) < max(self.config.pipeline_depth, 1)
                 and all(batch.execution_done
                         for batch in self.inflight.values()))
 
     def _tick_batch(self) -> None:
-        if self.recovering or self.rescaling:
+        if self.phase is not Phase.SERVING:
             return
         if self._rescale_requests and not self.inflight:
-            self._begin_rescale(self._rescale_requests.pop(0))
+            self._begin_rescale(self._rescale_requests[0])
         elif self._can_seal():
             self._start_batch()
 
@@ -539,7 +554,7 @@ class Coordinator:
 
     def on_txn_report(self, event: Event) -> None:
         """Root REPLY of a transaction's execution or fallback phase."""
-        if self.crashed:
+        if self.phase is Phase.CRASHED:
             return
         ctx = event.txn
         if ctx is None:
@@ -549,7 +564,7 @@ class Coordinator:
             if batch is None or ctx.batch_id != batch.batch_id:
                 return  # stale fallback report from before a recovery
             batch.last_progress = self.sim.now
-            self._on_fallback_report(event, ctx)
+            self._on_fallback_report(batch, event, ctx)
             return
         batch = self.inflight.get(ctx.batch_id)
         if batch is None:
@@ -593,17 +608,13 @@ class Coordinator:
         batch = self.inflight[min(self.inflight)]
         if not batch.execution_done:
             return
-        if self.config.pipeline_depth > 1:
-            self._pin_version(self._last_closed)
+        if (self.config.pipeline_depth > 1
+                and self._last_closed not in self._pinned):
+            self.committed.pin_view(self._last_closed)
+            self._pinned.add(self._last_closed)
         self.stats.stall_ms += self.sim.now - batch.execution_done_at
         self._commit_batch = batch
         self._commit_phase(batch)
-
-    def _pin_version(self, version: int) -> None:
-        if version in self._pinned:
-            return
-        self.committed.pin_view(version)
-        self._pinned.add(version)
 
     def _stale_keys_for(self, batch: _Batch) -> set:
         """Union of write footprints of every batch that committed
@@ -627,28 +638,11 @@ class Coordinator:
             report = decide(members, reordering=self.config.reordering,
                             stale_keys=self._stale_keys_for(batch))
             self.stats.observe(report)
-            committed_tids = [tid for tid in sorted(report.commits)
-                              if batch.txns[tid].error is None]
-            buckets: dict[int, dict] = {}
-            for tid in committed_tids:
-                ctx = batch.txns[tid].ctx
-                assert ctx is not None
-                for (entity, key), value in ctx.write_set.items():
-                    worker = self.hooks.worker_of(entity, key)
-                    buckets.setdefault(worker, {})[(entity, key)] = value
-                    batch.footprint.add((entity, key))
-            if not buckets:
-                self._finalize_batch(batch, report)
-                return
-            remaining = {"count": len(buckets)}
-
-            def one_ack() -> None:
-                remaining["count"] -= 1
-                if remaining["count"] == 0 and self._commit_batch is batch:
-                    self._finalize_batch(batch, report)
-
-            for worker, writes in buckets.items():
-                self.hooks.apply_writes(worker, writes, one_ack)
+            self._install_writes(
+                batch, [batch.txns[tid].ctx.write_set
+                        for tid in sorted(report.commits)
+                        if batch.txns[tid].error is None],
+                lambda: self._finalize_batch(batch, report))
 
         # A fixed cost of five members' checks on top of the members'
         # own: every modelled cost scales with the profile, so the real
@@ -657,13 +651,43 @@ class Coordinator:
         self.cpu.submit(per_txn * len(batch.txns) + per_txn * 5,
                         run_detection)
 
+    def _install_writes(self, batch: _Batch, write_sets: Iterable[dict],
+                        then: Callable[[], None]) -> None:
+        """Install *write_sets* in order: bucket the writes per owning
+        worker, add their keys to the batch footprint, and run *then*
+        once every owner acked (at once if there is nothing to write)."""
+        buckets: dict[int, dict] = {}
+        for write_set in write_sets:
+            for (entity, key), value in write_set.items():
+                worker = self.hooks.worker_of(entity, key)
+                buckets.setdefault(worker, {})[(entity, key)] = value
+                batch.footprint[(entity, key)] = None
+        if not buckets:
+            then()
+            return
+        ack = self._countdown(batch, len(buckets), then)
+        for worker, writes in buckets.items():
+            self.hooks.apply_writes(worker, writes, ack)
+
+    def _countdown(self, batch: _Batch, count: int,
+                   then: Callable[[], None]) -> Callable[[], None]:
+        """An ack callback that runs *then* at its *count*-th call, if
+        *batch* still holds the commit region by then."""
+
+        def ack() -> None:
+            nonlocal count
+            count -= 1
+            if count == 0 and self._commit_batch is batch:
+                then()
+
+        return ack
+
     def _finalize_batch(self, batch: _Batch, report) -> None:
         aborted = set(report.aborts)
-        fallback: list[TxnRecord] = []
         for tid, txn in batch.txns.items():
             if tid in aborted:
                 txn.attempt += 1
-                fallback.append(txn)
+                batch.fallback.append(txn)
             else:
                 self._observe_commit(txn.target.entity, txn.target.key)
                 self._enqueue_reply(txn, error=txn.error)
@@ -671,8 +695,7 @@ class Coordinator:
         # transactions serially, in TID order, against live state inside
         # the same batch — after the single-key phase has run, and with
         # no retry spiral under hot keys.
-        fallback.sort(key=lambda t: t.ctx.tid if t.ctx else 0)
-        self._fallback_queue = fallback
+        batch.fallback.sort(key=lambda t: t.ctx.tid if t.ctx else 0)
         self._single_key_phase(batch)
 
     # -- single-key phase ---------------------------------------------------
@@ -680,7 +703,7 @@ class Coordinator:
         """Execute the batch's single-key transactions serially per
         owning worker (parallel across workers), against live state."""
         if self._commit_batch is not batch or not batch.single:
-            self._fallback_or_close(batch)
+            self._fallback_next(batch)
             return
         groups: dict[int, list[TxnRecord]] = {}
         for txn in sorted(batch.single,
@@ -691,9 +714,10 @@ class Coordinator:
             # method is read-only: part of the batch's footprint for
             # cross-batch stale detection and the changelog.
             if not txn.read_only:
-                batch.footprint.add((txn.target.entity, txn.target.key))
+                batch.footprint[(txn.target.entity, txn.target.key)] = None
         by_request = {txn.request_id: txn for txn in batch.single}
-        remaining = {"count": len(groups)}
+        ack = self._countdown(batch, len(groups),
+                              lambda: self._fallback_next(batch))
 
         def on_worker_done(replies: list[Event]) -> None:
             if self._commit_batch is not batch:
@@ -708,27 +732,15 @@ class Coordinator:
                 txn.error = reply.error
                 self._observe_commit(txn.target.entity, txn.target.key)
                 self._enqueue_reply(txn, error=txn.error)
-            remaining["count"] -= 1
-            if remaining["count"] == 0:
-                self._fallback_or_close(batch)
+            ack()
 
         for worker, txns in groups.items():
             events = [txn.fresh_event() for txn in txns]
             self.hooks.execute_single_key(worker, events, on_worker_done)
 
-    def _fallback_or_close(self, batch: _Batch) -> None:
-        if self._commit_batch is not batch:
-            return
-        if self._fallback_queue:
-            self._fallback_next(batch)
-        else:
-            self._close_batch()
-
     def _close_batch(self) -> None:
         batch = self._commit_batch
         self._commit_batch = None
-        self._fallback_queue = []
-        self._fallback_current = None
         if batch is not None:
             self.inflight.pop(batch.batch_id, None)
             self._last_closed = batch.batch_id
@@ -739,13 +751,13 @@ class Coordinator:
             self._prune_pipeline_metadata()
         if self._snapshot_requested:
             self._take_snapshot()
-        if self.recovering:
+        if self.phase is not Phase.SERVING:
             return
         if self._rescale_requests and not self.inflight:
             # The drained-pipeline batch boundary is the RESCALE barrier:
             # no transaction is in flight, so slots are quiescent and
             # safe to migrate.
-            self._begin_rescale(self._rescale_requests.pop(0))
+            self._begin_rescale(self._rescale_requests[0])
             return
         self._maybe_promote()
         if self._can_seal():
@@ -792,11 +804,11 @@ class Coordinator:
     def _fallback_next(self, batch: _Batch) -> None:
         if self._commit_batch is not batch:
             return
-        if not self._fallback_queue:
+        if not batch.fallback:
             self._close_batch()
             return
-        txn = self._fallback_queue.pop(0)
-        self._fallback_current = txn
+        txn = batch.fallback.pop(0)
+        batch.fallback_current = txn
         self._fallback_tid += 1
         self.stats.fallback_runs += 1
         # Fallback re-runs read live state (base=None): every earlier
@@ -806,10 +818,10 @@ class Coordinator:
         batch.last_progress = self.sim.now
         self.hooks.dispatch(txn.fresh_event())
 
-    def _on_fallback_report(self, event: Event, ctx: TxnContext) -> None:
-        batch = self._commit_batch
-        txn = self._fallback_current
-        if batch is None or txn is None or txn.ctx is None:
+    def _on_fallback_report(self, batch: _Batch, event: Event,
+                            ctx: TxnContext) -> None:
+        txn = batch.fallback_current
+        if txn is None or txn.ctx is None:
             return
         # Match by identity *fields*, not object identity: on the
         # process substrate the report's context is a wire copy of the
@@ -822,28 +834,14 @@ class Coordinator:
         txn.result = event.payload
         txn.error = event.error
         txn.done = True
-        buckets: dict[int, dict] = {}
-        if txn.error is None:
-            for (entity, key), value in ctx.write_set.items():
-                worker = self.hooks.worker_of(entity, key)
-                buckets.setdefault(worker, {})[(entity, key)] = value
-                batch.footprint.add((entity, key))
-        if not buckets:
+
+        def committed() -> None:
             self._observe_commit(txn.target.entity, txn.target.key)
             self._enqueue_reply(txn, error=txn.error)
             self._fallback_next(batch)
-            return
-        remaining = {"count": len(buckets)}
 
-        def one_ack() -> None:
-            remaining["count"] -= 1
-            if remaining["count"] == 0 and self._commit_batch is batch:
-                self._observe_commit(txn.target.entity, txn.target.key)
-                self._enqueue_reply(txn, error=txn.error)
-                self._fallback_next(batch)
-
-        for worker, writes in buckets.items():
-            self.hooks.apply_writes(worker, writes, one_ack)
+        self._install_writes(
+            batch, [ctx.write_set] if txn.error is None else [], committed)
 
     # -- closed-loop autoscaling -------------------------------------------
     def _observe_commit(self, entity: str, key: Any) -> None:
@@ -871,13 +869,13 @@ class Coordinator:
         rescale is queued or migrating the controller still samples (its
         hysteresis streaks keep accumulating) but is barred from
         deciding, so intents never pile up behind the barrier."""
-        if self.crashed or self.recovering or self.autoscaler is None:
+        if self.phase is Phase.RECOVERING:
             return
         assignment = self.committed.assignment
         decision = self.autoscaler.observe(
             now_ms=self.sim.now, stats=self.stats,
             queue_depth=self._queue_depth(), workers=assignment.workers,
-            busy=self.rescaling or bool(self._rescale_requests),
+            busy=bool(self._rescale_requests),
             slot_owner=dict(enumerate(assignment.owners)))
         if decision is not None:
             self.request_rescale(decision.to_workers)
@@ -891,7 +889,7 @@ class Coordinator:
         from declarative plans that cannot know the slot count).  A
         crashed coordinator consumes nothing — like any other volatile
         intent, a rescale step lost to a crash is not replayed."""
-        if self.crashed:
+        if self.phase is Phase.CRASHED:
             return
         self._rescale_requests.append(
             max(1, min(workers, self.committed.assignment.slots)))
@@ -909,18 +907,18 @@ class Coordinator:
 
         Migration messages can be lost to injected faults or a worker
         crash; the rescale watchdog then aborts the attempt and runs
-        ordinary recovery, which re-queues the target (see
-        :meth:`_tick_watchdog`).  Aborting mid-migration is safe because
-        the barrier keeps slots quiescent: every install is a no-op
-        rewrite of identical contents, fenced by worker incarnations
-        once recovery restarts the workers."""
+        ordinary recovery, after which the target, still at the head of
+        the queue, runs again (see :meth:`_tick_watchdog`).  Aborting
+        mid-migration is safe because the barrier keeps slots quiescent:
+        every install is a no-op rewrite of identical contents, fenced
+        by worker incarnations once recovery restarts the workers."""
         old = self.committed.assignment.workers
         if target == old:
+            self._rescale_requests.pop(0)
             return
-        self.rescaling = True
-        self._rescale_target = target
-        self._rescale_epoch += 1
-        epoch = self._rescale_epoch
+        self.phase = Phase.RESCALING
+        self._attempt += 1
+        attempt = self._attempt
         self._rescale_progress_at = self.sim.now
         started = self.sim.now
         delta = self.committed.plan_rescale(target)
@@ -944,28 +942,29 @@ class Coordinator:
                 started_at_ms=started, committed_at_ms=self.sim.now,
                 from_workers=old, to_workers=target,
                 slots_moved=len(delta), keys_moved=keys_moved))
-            self.rescaling = False
-            self._rescale_target = None
+            self._rescale_requests.pop(0)
+            self.phase = Phase.SERVING
             # Durable cut of the new topology: a recovery from here on
             # replays under the post-rescale routing table.
             self._take_snapshot()
             if self._rescale_requests:
-                self._begin_rescale(self._rescale_requests.pop(0))
+                self._begin_rescale(self._rescale_requests[0])
             elif self._can_seal():
                 self._start_batch()
 
+        def current() -> bool:  # neither superseded nor committed
+            return attempt == self._attempt and self.phase is Phase.RESCALING
+
         def one_ack(slot: int) -> None:
-            if epoch != self._rescale_epoch or self.crashed:
-                return  # a superseded attempt's ack
-            if not self.rescaling:
-                return  # this attempt already committed
+            if not current():
+                return
             self._rescale_progress_at = self.sim.now
             outstanding.discard(slot)
             if not outstanding:
                 finish()
 
         def launch() -> None:
-            if epoch != self._rescale_epoch or self.crashed:
+            if not current():
                 return
             if not delta:
                 finish()
@@ -1007,7 +1006,7 @@ class Coordinator:
     # -- snapshots & recovery ----------------------------------------------
     def _tick_snapshot(self) -> None:
         self._snapshot_requested = True
-        if not self.inflight and not self.recovering:
+        if not self.inflight and self.phase is not Phase.RECOVERING:
             self._take_snapshot()
 
     def _take_snapshot(self) -> None:
@@ -1047,17 +1046,17 @@ class Coordinator:
         self.changelog.truncate_through(self.snapshots.floor_changelog_seq())
 
     def _tick_watchdog(self) -> None:
-        if self.recovering:
-            return
-        if self.rescaling:
+        if self.phase is Phase.RESCALING:
             # A migration can stall exactly like a batch (dead worker,
             # dropped transfer).  Abort the attempt and run ordinary
             # recovery — it restarts the workers, fences stale installs
-            # via their incarnations, and re-queues the target.
+            # via their incarnations, and leaves the target queued.
             if (self.sim.now - self._rescale_progress_at
                     >= self.config.failure_detect_ms):
                 self.rescale_aborts += 1
                 self.recover()
+            return
+        if self.phase is not Phase.SERVING:
             return
         # A bucket its worker never acked holds up no batch, yet that
         # worker may have lost it: the same stall, seen elsewhere.
@@ -1087,20 +1086,16 @@ class Coordinator:
             self.snapshots.latest_recoverable(self.changelog)
         assert snapshot is not None  # start() always takes one
         started_at = self.sim.now
-        self.recovering = True
+        # An in-flight rescale is aborted; its target stays at the head
+        # of the queue, so the migration re-runs from scratch against
+        # the restored state.
+        self.phase = Phase.RECOVERING
         self.recoveries += 1
-        self._recovery_epoch += 1
-        epoch = self._recovery_epoch
+        self._attempt += 1
+        attempt = self._attempt
         self._abandon_pipeline()
         self.pending.clear()
         self._epoch_buffer.clear()
-        # Abort any in-flight rescale and re-queue its target: the
-        # migration re-runs from scratch against the restored state.
-        self._rescale_epoch += 1
-        self.rescaling = False
-        if self._rescale_target is not None:
-            self._rescale_requests.insert(0, self._rescale_target)
-            self._rescale_target = None
         # Replay must route exactly as the original execution did, so
         # the routing table is restored before any worker restarts.
         if snapshot.assignment is not None:
@@ -1139,9 +1134,9 @@ class Coordinator:
         self.hooks.source_seek(snapshot.source_offsets)
 
         def resume() -> None:
-            if epoch != self._recovery_epoch or self.crashed:
-                return  # superseded by a later recovery or a crash
-            self.recovering = False
+            if attempt != self._attempt or self.phase is not Phase.RECOVERING:
+                return  # superseded by a later recovery, a crash or stop()
+            self.phase = Phase.SERVING
             self.recovery_log.append((started_at, self.sim.now))
 
         pause = RECOVERY_PAUSE_MS

@@ -94,7 +94,9 @@ class KafkaBroker:
         self.cpu = CpuPool(sim, BROKER_CORES, name="kafka")
         self._topics: dict[str, list[_Partition]] = {}
         self._groups: dict[str, _GroupState] = {}
-        self._subscriptions: dict[str, set[str]] = {}  # topic -> groups
+        #: topic -> {group: None}, in subscription order (a dict, so the
+        #: delivery order of one record follows no string hash).
+        self._subscriptions: dict[str, dict[str, None]] = {}
         self.records_produced = 0
         self.records_delivered = 0
         self.records_duplicated = 0
@@ -115,7 +117,7 @@ class KafkaBroker:
         if name in self._topics:
             raise KafkaError(f"topic {name!r} already exists")
         self._topics[name] = [_Partition() for _ in range(partitions)]
-        self._subscriptions.setdefault(name, set())
+        self._subscriptions.setdefault(name, {})
 
     def partitions(self, topic: str) -> int:
         return len(self._topic(topic))
@@ -204,7 +206,7 @@ class KafkaBroker:
             state.handler = handler
         for index in range(len(topic_partitions)):
             state.offsets.setdefault((topic, index), 0)
-        self._subscriptions[topic].add(group)
+        self._subscriptions[topic][group] = None
         for index in range(len(topic_partitions)):
             self._pump(group, topic, index)
 

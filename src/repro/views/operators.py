@@ -485,7 +485,7 @@ class GroupAggregate:
     def apply(self, delta: Delta) -> Delta:
         staged = self._stage(delta)  # may raise; no memo touched yet
         groups, ordered, summing = self._groups, self._ordered, self._summing
-        touched: set = set()
+        touched: dict = {}  # ordered: the output delta's key order
         for key, contribution in staged:
             old = self._contrib.pop(key, None)
             if old is not None:
@@ -498,7 +498,7 @@ class GroupAggregate:
                     ordered.remove(group, value, key)
                 if bucket[0] == 0:
                     del groups[group]
-                touched.add(group)
+                touched[group] = None
             if contribution is None:
                 continue
             group, value = contribution
@@ -511,7 +511,7 @@ class GroupAggregate:
                 _kahan_add(bucket, value)
             elif ordered is not None:
                 ordered.add(group, value, key)
-            touched.add(group)
+            touched[group] = None
         out: Delta = {}
         for group in touched:
             out[group] = (self._aggregate(group)
@@ -664,8 +664,9 @@ class DeltaJoin:
         self._left: dict[Any, dict] = {}
         #: joined-entity key -> its row.
         self._right: dict[Any, dict] = {}
-        #: joined-entity key -> {primary keys referencing it}.
-        self._by_fk: dict[Any, set] = {}
+        #: joined-entity key -> {primary keys referencing it: None}, in
+        #: link order (a dict, so fan-out order follows no string hash).
+        self._by_fk: dict[Any, dict] = {}
 
     def reset(self) -> None:
         self._left.clear()
@@ -688,7 +689,7 @@ class DeltaJoin:
     def _unlink(self, fk: Any, key: Any) -> None:
         peers = self._by_fk.get(fk)
         if peers is not None:
-            peers.discard(key)
+            peers.pop(key, None)
             if not peers:
                 del self._by_fk[fk]
 
@@ -708,7 +709,7 @@ class DeltaJoin:
                 continue
             fk, row = new
             self._left[key] = row
-            self._by_fk.setdefault(fk, set()).add(key)
+            self._by_fk.setdefault(fk, {})[key] = None
             partner = self._right.get(fk)
             out[key] = (self._joined(row, partner)
                         if partner is not None else TOMBSTONE)
@@ -742,7 +743,7 @@ class DeltaJoin:
         self._right = dict(state["right"])
         self._by_fk = {}
         for key, row in self._left.items():
-            self._by_fk.setdefault(row[self.on], set()).add(key)
+            self._by_fk.setdefault(row[self.on], {})[key] = None
 
 
 #: Exact types a shallow copy of a row may share with the original.

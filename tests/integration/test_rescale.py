@@ -220,6 +220,34 @@ def test_migration_survives_worker_crash_mid_rescale(account_program):
     assert runtime.coordinator.recoveries >= 1
 
 
+def test_an_aborted_rescale_keeps_its_place_in_the_queue(account_program):
+    """Targets 4 then 3 are queued together and the first migration
+    stalls on a crashed source: the recovery that aborts it must leave
+    4 at the head of the queue, so the rescales still commit 4, then
+    3."""
+    plan = FaultPlan(seed=5, events=[
+        FaultEvent(kind="crash_worker", at_ms=301.0, worker=2)])
+    runtime = StateflowRuntime(account_program, config=StateflowConfig(
+        workers=2,
+        rescale_plan=RescalePlan(steps=[RescaleStep(at_ms=300.0, workers=4),
+                                        RescaleStep(at_ms=300.0, workers=3)]),
+        fault_plan=plan, coordinator=chaos_coordinator_config()))
+    refs = runtime.preload(Account, [(f"acct-{i}", 50) for i in range(10)])
+    runtime.start()
+    for index in range(12):
+        runtime.sim.schedule_at(
+            index * 60.0,
+            lambda s=index % 10, t=(index + 3) % 10: runtime.submit(
+                refs[s], "transfer", (5, refs[t])))
+    _quiesce(runtime)
+    coordinator = runtime.coordinator
+    assert coordinator.rescale_aborts >= 1, (
+        "the crash should have stalled the first migration attempt")
+    assert [r.to_workers for r in coordinator.rescale_log] == [4, 3]
+    assert runtime.worker_count == 3
+    assert sum(runtime.entity_state(ref)["balance"] for ref in refs) == 500
+
+
 def test_rescale_with_message_faults_over_migration_channel(account_program):
     """Drop/delay windows covering the migration traffic itself: slot
     transfers are retried through recovery until they land."""

@@ -6,7 +6,7 @@ and ingress dedup."""
 from repro.core.refs import EntityRef
 from repro.ir.events import Event, EventKind, TxnContext
 from repro.runtimes.stateflow import StateflowConfig, StateflowRuntime
-from repro.runtimes.stateflow.coordinator import CoordinatorConfig
+from repro.runtimes.stateflow.coordinator import CoordinatorConfig, Phase
 from repro.workloads import Account
 
 
@@ -83,8 +83,8 @@ class TestRecoveryRaces:
 
     def test_double_watchdog_fire_recovers_once(self, account_program):
         """Two watchdog fires over the same stalled batch must trigger a
-        single recovery (the second sees ``recovering`` and stands
-        down)."""
+        single recovery (the second sees the recovering phase and
+        stands down)."""
         runtime = _runtime(account_program)
         (ref,) = runtime.preload(Account, [("hot", 0)])
         runtime.start()
@@ -99,7 +99,7 @@ class TestRecoveryRaces:
             runtime.sim.now - 2 * coordinator.config.failure_detect_ms)
         coordinator.active.started_at = coordinator.active.last_progress
         coordinator._tick_watchdog()
-        assert coordinator.recovering
+        assert coordinator.phase is Phase.RECOVERING
         coordinator._tick_watchdog()  # double fire
         assert coordinator.recoveries == 1
         runtime.sim.run_until(
@@ -107,6 +107,27 @@ class TestRecoveryRaces:
             max_time=60_000)
         assert runtime.entity_state(ref)["balance"] == 1
         assert len(coordinator.recovery_log) == coordinator.recoveries
+
+
+    def test_crash_or_stop_during_recovery_drops_its_resume(
+            self, account_program):
+        """The two combinations the phase table names: a crash during
+        recovery is a crash (fail-over recovers afresh), and ``stop()``
+        during recovery stays idle once the pause is over."""
+        runtime = _runtime(account_program)
+        runtime.preload(Account, [("idle", 0)])
+        runtime.start()
+        coordinator = runtime.coordinator
+        coordinator.recover()
+        coordinator.crash()
+        runtime.sim.run(until=runtime.sim.now + 100)
+        assert coordinator.phase is Phase.CRASHED
+        coordinator.failover()
+        assert coordinator.phase is Phase.RECOVERING
+        coordinator.stop()
+        runtime.sim.run(until=runtime.sim.now + 100)
+        assert coordinator.phase is Phase.IDLE
+        assert coordinator.recovery_log == []
 
 
 class TestCoordinatorFailover:

@@ -80,6 +80,23 @@ class TestProduceConsume:
         sim.run()
         assert first == ["v"] and second == ["v"]
 
+    def test_groups_receive_a_record_in_subscription_order(self):
+        """Not in string-hash order, so one seed gives one schedule in
+        every process."""
+        sim = Simulation(seed=3)
+        broker = KafkaBroker(sim, replace(
+            costs.MODELLED.kafka,
+            fetch_latency=LatencyModel(median_ms=1.0, sigma=0.0)))
+        broker.create_topic("t", 1)
+        groups = [f"g{i}" for i in reversed(range(40))]
+        delivered = []
+        for group in groups:
+            broker.subscribe(group, "t",
+                             lambda r, g=group: delivered.append(g))
+        broker.produce("t", "k", "v")
+        sim.run()
+        assert delivered == groups
+
     def test_ack_callback(self):
         sim, broker = _broker(partitions=2)
         acks = []

@@ -239,6 +239,15 @@ class TestDeltaJoin:
                          {"c1": {"tier": 3}})
         assert out["o1"]["Customer__tier"] == 3
 
+    def test_partner_change_fans_out_in_link_order(self):
+        """The fan-out follows the order rows were linked, not a string
+        hash, so the delta (and every memo filled from it) has the same
+        key order in every process."""
+        join = self._join()
+        orders = [f"o{i}" for i in reversed(range(40))]
+        join.apply({order: {"customer_id": "c1"} for order in orders}, {})
+        assert list(join.apply({}, {"c1": {"tier": 1}})) == orders
+
     def test_missing_fk_field_raises_without_corruption(self):
         join = self._join()
         join.apply({"o1": {"customer_id": "c1", "amount": 5}},

@@ -74,6 +74,15 @@ class TestGroupAggregate:
         assert out == {"x": 1, "y": 1}
         assert agg.result() == {"x": 1, "y": 1}
 
+    def test_output_lists_groups_in_first_touch_order(self):
+        """Not in string-hash order: the delta's key order is the same
+        in every process."""
+        agg = GroupAggregate("count", group_of=lambda r: r["g"])
+        groups = [f"g{i}" for i in reversed(range(40))]
+        out = agg.apply({f"k{i}": {"g": group}
+                         for i, group in enumerate(groups)})
+        assert list(out) == groups
+
     def test_sum_delete_emits_group_tombstone(self):
         agg = GroupAggregate("sum", group_of=lambda r: r["g"],
                              value_of=lambda r: r["v"])
