@@ -26,10 +26,11 @@ scanning state.
 
 A separate **durable-rehydrate leg** measures the cold-start story: a
 durable run is quiesced, cut, and reopened from its files alone; every
-view then resumes from the cut's sidecar (``Snapshot.views_state``)
-plus a fold of the log's records past the cut.  The leg gates that the
-sidecar path beats full-scan rehydration by >=10x at 10k keys, performs
-**zero** store rescans, and lands on byte-identical values.
+view then resumes from the sidecar of the cut's base
+(``SnapshotStore.sidecar``) plus a fold of the log's records past that
+base.  The leg gates that the sidecar path beats full-scan rehydration
+by >=10x at 10k keys, performs **zero** store rescans, and lands on
+byte-identical values.
 """
 
 from __future__ import annotations
@@ -180,7 +181,7 @@ def run_durable_rehydrate_leg(record_count: int = 10_000, *,
                               trials: int = 3) -> dict[str, Any]:
     """The cold-start leg: a durable run with every cell view
     registered, quiesced and cut; then, from the files alone, resume
-    the views twice — once from the cut's sidecar, once by full-scan
+    the views twice — once from its base's sidecar, once by full-scan
     rehydration — and compare cost and values."""
     from ..ir.dataflow import stable_hash
     from ..runtimes.state import DictStateBackend, materialize_snapshot
@@ -205,7 +206,8 @@ def run_durable_rehydrate_leg(record_count: int = 10_000, *,
             rps=rps, duration_ms=duration_ms, warmup_ms=0.0,
             drain_ms=6_000.0, seed=seed + 2))
         driver.run()
-        # One final cut at quiesce so the sidecar covers the whole run.
+        # One final cut at quiesce, so the store the views resume over
+        # is that cut's.
         runtime.coordinator._take_snapshot()
         live_values = {name: runtime.views.read(name).value
                        for name in names}
@@ -218,10 +220,13 @@ def run_durable_rehydrate_leg(record_count: int = 10_000, *,
         snapshot, _ = snapshots.latest_recoverable(changelog)
         store = DictStateBackend(materialize_snapshot(snapshots.resolve(
             snapshot, changelog, up_to_seq=changelog.head_seq)))
+        sidecar = snapshots.sidecar(snapshot)
+        (base,) = [cut for cut in snapshots.retained()
+                   if cut.snapshot_id == snapshot.base_id]
 
         def resume_from_sidecar() -> tuple[ViewManager, float]:
             manager = ViewManager(store, log=changelog)
-            manager.on_restore(snapshot.views_state)
+            manager.on_restore(sidecar)
             started = time.perf_counter_ns()
             for spec in specs:
                 manager.register(spec)
@@ -247,7 +252,7 @@ def run_durable_rehydrate_leg(record_count: int = 10_000, *,
         speedup = scan_ms / sidecar_ms if sidecar_ms > 0 else float("inf")
         return {
             "record_count": record_count,
-            "suffix_records": changelog.head_seq - snapshot.changelog_seq,
+            "suffix_records": changelog.head_seq - base.changelog_seq,
             "sidecar_resume_ms": round(sidecar_ms, 4),
             "scan_rehydrate_ms": round(scan_ms, 4),
             "rehydrate_speedup": round(speedup, 2),

@@ -204,6 +204,10 @@ class CoordinatorHooks:
     #: its ack (a process worker) reports one; a simulated worker's ack
     #: is part of the commit.
     unacked_since: Callable[[], float | None]
+    #: Source retention, run after every cut with
+    #: ``{(topic, partition): offset}``, the lowest offset a retained
+    #: cut can seek back to: records below it can go.
+    trim_source: Callable[[dict], None]
 
 
 @dataclass(slots=True)
@@ -288,9 +292,12 @@ class Coordinator:
         #: calls.
         self.autoscaler = autoscaler
         #: Materialized views (a ViewManager), fed by the changelog: the
-        #: coordinator only exports their sidecar at each cut and restores
-        #: it on recovery, so no view reflects an abandoned batch.
+        #: coordinator only exports their sidecar at each base and
+        #: restores it on recovery, so no view reflects an abandoned
+        #: batch.
         self.views = views
+        #: ``views.registrations`` when the last sidecar was exported.
+        self._sidecar_registrations = 0
         self.cpu = CpuPool(sim, 1, name="coordinator")
         #: Where cuts go; its ``next_kind`` decides what a cut
         #: captures.  Like the replayable source it survives crashes
@@ -1025,11 +1032,17 @@ class Coordinator:
             uncommitted.extend(self.inflight[batch_id].all_records())
         pending_copy = [txn.fresh_copy() for txn in
                         sorted(uncommitted, key=lambda t: t.arrival_seq)]
+        # A position cut's sidecar is its base's: once a view was
+        # registered or dropped since, that base no longer covers it.
+        if self.views.registrations != self._sidecar_registrations:
+            self.snapshots.rebase()
         kind = self.snapshots.next_kind()
+        base = kind != "position"
+        if base:
+            self._sidecar_registrations = self.views.registrations
         self.snapshots.take(
             taken_at_ms=self.sim.now,
-            state=(self.committed.snapshot() if kind != "position"
-                   else None),
+            state=self.committed.snapshot() if base else None,
             source_offsets=self.hooks.source_positions(),
             replied=self.replied,
             batch_seq=self._batch_seq,
@@ -1040,10 +1053,13 @@ class Coordinator:
             kind=kind,
             changelog_seq=self.changelog.head_seq,
             epoch_buffer=self._epoch_buffer,
-            views_state=self.views.export_sidecar())
-        # Changelog compaction rides the cut cadence: records at or
-        # below the oldest retained base can never be folded again.
+            views_state=self.views.export_sidecar() if base else None)
+        # Compaction rides the cut cadence: changelog records at or
+        # below the oldest retained base can never be folded again, and
+        # source records below every retained cut's offsets never
+        # replayed.
         self.changelog.truncate_through(self.snapshots.floor_changelog_seq())
+        self.hooks.trim_source(self.snapshots.floor_source_offsets())
 
     def _tick_watchdog(self) -> None:
         if self.phase is Phase.RESCALING:
@@ -1126,11 +1142,12 @@ class Coordinator:
         self._last_closed = self._batch_seq - 1
         # Views rewind with the store: nothing from the abandoned
         # pipeline may survive; replay re-appends its effects at the seqs
-        # past the cut.  The cut's sidecar carries every plan's operator
-        # memos at the cut's seq, the position the changelog was rewound
-        # to, so matching plans resume with nothing to fold; plans it
-        # does not cover rebuild from a scan.
-        self.views.on_restore(snapshot.views_state)
+        # past the cut.  The cut's sidecar (its base's) carries every
+        # plan's operator memos at the base's seq, so matching plans
+        # resume by folding the log up to the cut's position, where the
+        # changelog was rewound to; plans it does not cover rebuild from
+        # a scan.
+        self.views.on_restore(self.snapshots.sidecar(snapshot))
         self.hooks.source_seek(snapshot.source_offsets)
 
         def resume() -> None:

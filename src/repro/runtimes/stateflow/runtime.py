@@ -161,7 +161,8 @@ class StateflowRuntime(Runtime):
             self.workers[index].execute_single_key(events, on_done),
             set_worker_count=self._set_worker_count,
             migrate_slot=self._migrate_slot,
-            unacked_since=self._unacked_since)
+            unacked_since=self._unacked_since,
+            trim_source=self._trim_source)
         #: The closed-loop capacity controller, when enabled (a supplied
         #: policy implies enablement).  One controller per runtime: its
         #: windowed sampler state and decision log live outside the
@@ -358,6 +359,18 @@ class StateflowRuntime(Runtime):
         for (topic, partition), offset in offsets.items():
             self.broker.seek("stateflow-coord", topic, partition, offset)
         self.broker.resume("stateflow-coord")
+
+    def _trim_source(self, floor: dict) -> None:
+        """Kafka retention, run at every cut: ingress keeps what a
+        retained cut can seek back to, egress what the client has not
+        consumed yet."""
+        for (topic, partition), offset in floor.items():
+            self.broker.truncate_before(topic, partition, offset)
+        for partition in range(TOPIC_PARTITIONS):
+            self.broker.truncate_before(
+                EGRESS_TOPIC, partition,
+                self.broker.position("stateflow-client", EGRESS_TOPIC,
+                                     partition))
 
     # -- ingress / egress ---------------------------------------------------
     def _is_transactional(self, entity: str, method: str | None) -> bool:

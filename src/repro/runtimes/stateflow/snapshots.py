@@ -50,7 +50,9 @@ one record of committed writes.  A cut is one of
   cuts (``base_every=1``: every cut is a base); or
 - a **position cut** (``kind="position"``): channel state only, plus
   the changelog position it covers (``changelog_seq``) and the id of
-  its base (``base_id``).
+  its base (``base_id``).  Its view sidecar is its base's too
+  (:meth:`SnapshotStore.sidecar`): a resume folds the log past the
+  base, so a cut keeps nothing its base and the log can give back.
 
 Recovery, snapshot queries, as-of queries and a cold start all resolve
 a cut the same way (:meth:`SnapshotStore.resolve`): take its retained
@@ -60,7 +62,9 @@ dict update and replay is idempotent.  A cut whose base is gone or
 whose span has a gap does not resolve, and
 :meth:`SnapshotStore.latest_recoverable` skips it for the next older
 one.  The retention window keeps the newest ``keep`` cuts plus their
-bases; the changelog is truncated below the oldest retained base.
+bases; the changelog is truncated below the oldest retained base, and
+the runtime drops source records below the lowest offset a retained
+cut can seek to (:meth:`SnapshotStore.floor_source_offsets`).
 
 One store per log, one medium per place
 ---------------------------------------
@@ -151,11 +155,14 @@ class Snapshot:
     #: Position of the commit changelog at the cut (seq of the last
     #: record the cut's state includes; -1 = none).
     changelog_seq: int = -1
-    #: Durable-view sidecar: the versioned export of every registered
-    #: view plan's operator state at the cut (see
+    #: Durable-view sidecar of a base: the versioned export of every
+    #: registered view plan's operator state at the cut (see
     #: :meth:`~repro.views.manager.ViewManager.export_sidecar`), so
     #: recovery and cold starts resume views incrementally instead of
-    #: rescanning state.  ``None`` when no views were registered.
+    #: rescanning state.  ``None`` when no views were registered, and
+    #: for a position cut, whose sidecar is its base's
+    #: (:meth:`SnapshotStore.sidecar`; directories written before that
+    #: also hold position cuts with their own).
     views_state: Any = None
 
 
@@ -596,6 +603,21 @@ class SnapshotStore(_OnMedium):
         the candidate set as-of queries walk when picking an anchor."""
         return list(self._snapshots)
 
+    def _base_of(self, cut: Snapshot) -> Snapshot | None:
+        return next((candidate for candidate in self._snapshots
+                     if candidate.snapshot_id == cut.base_id), None)
+
+    def sidecar(self, cut: Snapshot) -> Any:
+        """The view sidecar *cut* resumes from: its own when it carries
+        one (a base, or a position cut written before position cuts
+        stopped carrying one), else its base's — whose memos sit at the
+        base's seq, so a resume folds the log from there.  ``None`` when
+        neither has one."""
+        if cut.views_state is not None or cut.kind != "position":
+            return cut.views_state
+        base = self._base_of(cut)
+        return base.views_state if base is not None else None
+
     def resolve(self, cut: Snapshot, changelog: ChangelogStore | None = None,
                 *, up_to_seq: int | None = None) -> Any:
         """*cut*'s committed state: its base's payload with the records
@@ -603,8 +625,7 @@ class SnapshotStore(_OnMedium):
         query) folds on past the cut to that position.  Raises
         :class:`SnapshotChainError` when the base is gone or the span
         has a gap."""
-        base = next((candidate for candidate in self._snapshots
-                     if candidate.snapshot_id == cut.base_id), None)
+        base = self._base_of(cut)
         if base is None:
             raise SnapshotChainError(
                 f"snapshot {cut.snapshot_id}'s base {cut.base_id} is gone")
@@ -637,6 +658,15 @@ class SnapshotStore(_OnMedium):
         below it are dead weight."""
         return min((cut.changelog_seq for cut in self._snapshots
                     if cut.kind != "position"), default=-1)
+
+    def floor_source_offsets(self) -> dict[tuple[str, int], int]:
+        """Per source partition, the lowest offset a retained cut can
+        seek back to: records below it can never be replayed."""
+        floor: dict[tuple[str, int], int] = {}
+        for cut in self._snapshots:
+            for slot, offset in cut.source_offsets.items():
+                floor[slot] = min(offset, floor.get(slot, offset))
+        return floor
 
     def __len__(self) -> int:
         return len(self._snapshots)

@@ -18,6 +18,13 @@ zero).
 Either way a delivery goes through the same pump, so offsets, per
 partition order and the ``seek``/``pause`` fences behave alike.
 
+Retention is the owner's call: :meth:`KafkaBroker.truncate_before`
+drops a partition's records below an offset, the way a Kafka
+``deleteRecords`` moves a log's start.  Offsets stay absolute (a
+partition keeps its log-start offset), so positions, ``end_offset`` and
+delivery order read as before, and a ``seek`` below the log start is a
+:class:`KafkaError`.  A broker nobody truncates keeps every record.
+
 A retried delivery is a fresh closure: one that rescheduled itself by
 name would be a reference cycle, left for the cycle collector by every
 record delivered.
@@ -56,13 +63,20 @@ class KafkaRecord:
 
 @dataclass(slots=True, eq=False)
 class _Partition:
+    #: The retained records: offsets ``start, start + 1, ...``.
     records: list[KafkaRecord] = field(default_factory=list)
+    #: Offset of ``records[0]`` (the log start; 0 until truncated).
+    start: int = 0
     #: Arrival time of the latest in-flight produce; appends are ordered
     #: per partition (single-connection producer semantics).
     last_append: float = 0.0
 
+    @property
+    def end(self) -> int:
+        return self.start + len(self.records)
+
     def append(self, record: KafkaRecord) -> int:
-        record.offset = len(self.records)
+        record.offset = self.start + len(self.records)
         self.records.append(record)
         return record.offset
 
@@ -204,15 +218,21 @@ class KafkaBroker:
             self._groups[group] = state
         elif handler is not None:
             state.handler = handler
-        for index in range(len(topic_partitions)):
-            state.offsets.setdefault((topic, index), 0)
+        for index, partition in enumerate(topic_partitions):
+            state.offsets.setdefault((topic, index), partition.start)
         self._subscriptions[topic][group] = None
         for index in range(len(topic_partitions)):
             self._pump(group, topic, index)
 
     def seek(self, group: str, topic: str, partition: int, offset: int) -> None:
         """Rewind a group (snapshot recovery uses this to replay).
-        Fences every in-flight delivery of the group first."""
+        Fences every in-flight delivery of the group first.  An offset
+        below the log start names records that are gone."""
+        start = self._topic(topic)[partition].start
+        if offset < start:
+            raise KafkaError(
+                f"offset {offset} of {topic}[{partition}] is below its "
+                f"log start {start}")
         state = self._group(group)
         state.epoch += 1
         slot = (topic, partition)
@@ -228,7 +248,26 @@ class KafkaBroker:
         return dict(self._group(group).offsets)
 
     def end_offset(self, topic: str, partition: int) -> int:
-        return len(self._topic(topic)[partition].records)
+        return self._topic(topic)[partition].end
+
+    def start_offset(self, topic: str, partition: int) -> int:
+        """The log start: the oldest offset still held."""
+        return self._topic(topic)[partition].start
+
+    def truncate_before(self, topic: str, partition: int,
+                        offset: int) -> None:
+        """Drop the records of (topic, partition) below *offset* (the
+        new log start); offsets of the rest do not change.  An offset
+        at or below the log start drops nothing; one past the end is a
+        :class:`KafkaError`."""
+        log = self._topic(topic)[partition]
+        if offset > log.end:
+            raise KafkaError(
+                f"offset {offset} of {topic}[{partition}] is past its "
+                f"end {log.end}")
+        if offset > log.start:
+            del log.records[:offset - log.start]
+            log.start = offset
 
     def pause(self, group: str) -> None:
         """Stop deliveries; in-flight scheduled ones are fenced."""
@@ -261,11 +300,13 @@ class KafkaBroker:
         if state.paused:
             return
         slot = (topic, partition)
-        records = self._topics[topic][partition].records
+        log = self._topics[topic][partition]
+        records, start = log.records, log.start
+        end = start + len(records)
         next_offset = state.scheduled.get(slot, state.offsets.get(slot, 0))
         epoch = state.epoch
-        while next_offset < len(records):
-            record = records[next_offset]
+        while next_offset < end:
+            record = records[next_offset - start]
             latency = self.config.fetch_latency.sample(self.sim)
             arrival = max(self.sim.now + latency,
                           state.last_arrival.get(slot, 0.0))

@@ -17,7 +17,7 @@ record that leaves every key's contribution as it was (see
 No row is copied into the view layer: the log's records carry the
 committed entries themselves (``PartitionedStore.entry``) and hydration
 reads them in place (``entries(entity)``), and from then on they are
-shared — by every plan, the changelog record and every cut's sidecar;
+shared — by every plan, the changelog record and every base's sidecar;
 :mod:`.operators` states the row contract.
 
 Off the commit path also means a view cannot take a commit down: a plan
@@ -48,10 +48,14 @@ the store at the head (``rehydrations`` once a sidecar was offered);
 both land on the same memos for scan-derivable plans.  Registration
 takes it against the sidecar last handed to :meth:`on_restore`;
 recovery rewinds the store and the log to a cut and calls
-:meth:`on_restore` with the cut's sidecar, so no view reflects an
-abandoned batch; a cold start builds the store at a reopened log's
-head, calls :meth:`on_restore` with the latest cut's sidecar on a
-manager over that log, then registers its views.
+:meth:`on_restore` with the sidecar of the cut's base (only bases carry
+one: ``SnapshotStore.sidecar``), so each plan resumes at the base's seq
+and folds ``(base seq, cut seq]``, and no view reflects an abandoned
+batch; a cold start builds the store at a reopened log's head, calls
+:meth:`on_restore` with the latest cut's base's sidecar on a manager
+over that log, then registers its views.  Registering or dropping a
+view makes the next cut a base (``registrations``), so a base's
+sidecar covers every plan registered at its position cuts.
 
 Windowed plans are what the sidecar exists for: their window assignment
 lives only in operator state, so a scan collapses history into one
@@ -177,6 +181,10 @@ class ViewManager:
         self.rehydrations = 0
         #: Plans resumed from a sidecar (recovery or cold start).
         self.sidecar_restores = 0
+        #: Registrations and unregistrations so far: a position cut's
+        #: sidecar is its base's, so once this moves the next cut must
+        #: be a base (the coordinator checks it at every cut).
+        self.registrations = 0
 
     def _head(self) -> int:
         return self._log.head_seq if self._log is not None else -1
@@ -204,6 +212,7 @@ class ViewManager:
                 raise
         compiled.names.append(spec.name)
         self._views[spec.name] = compiled
+        self.registrations += 1
         return self.read(spec.name)
 
     def unregister(self, name: str) -> None:
@@ -212,6 +221,7 @@ class ViewManager:
             raise ViewError(f"no registered view {name!r}")
         compiled.names.remove(name)
         self._subscribers.pop(name, None)
+        self.registrations += 1
         if not compiled.names:
             self._compiler.forget(compiled)
 
@@ -381,7 +391,7 @@ class ViewManager:
 
     # -- durable-view sidecar -------------------------------------------
     def export_sidecar(self) -> dict[str, Any] | None:
-        """The versioned payload riding each snapshot cut: every live
+        """The versioned payload riding each base cut: every live
         plan's operator memos and the seq they include, plus its
         registered names and structural schema.  Memo containers are
         copied, rows are shared with the cut (the row contract).  A
@@ -433,10 +443,11 @@ class ViewManager:
     def on_restore(self, sidecar: Any = None) -> None:
         """The committed store and the log were set to a cut (a
         recovery's rewind, or a cold start's reopen): keep *sidecar*,
-        the cut's ``views_state``, for every later registration, and
-        catch every registered plan up again (:meth:`_catch_up`), so no
-        view reflects an abandoned pipeline batch.  A plan whose scan
-        raises is failed instead of raising into recovery."""
+        the ``views_state`` of the cut's base, for every later
+        registration, and catch every registered plan up again
+        (:meth:`_catch_up`), so no view reflects an abandoned pipeline
+        batch.  A plan whose scan raises is failed instead of raising
+        into recovery."""
         self._sidecar = self._sidecar_entries(sidecar)
         for compiled in self._compiler.plans:
             try:

@@ -33,7 +33,7 @@ continued): no copy in — the commit hook (``entry``) and hydration
 there a row is immutable and *shared*.  :class:`FilterMap` passes the row
 itself, :class:`TopK` and :class:`DeltaJoin` memoize it as it is, every
 plan of a batch and the changelog record hold the same dict, and
-``export_state`` hands the same rows to the cut's sidecar.  A copy is
+``export_state`` hands the same rows to a base's sidecar.  A copy is
 made only where a row leaves the layer (:meth:`TopK.result`, behind
 reads and pushed updates; projection and joined rows are new dicts
 anyway).  ``where``/``group_by``/field callables therefore must not

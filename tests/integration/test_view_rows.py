@@ -3,7 +3,7 @@
 ``repro.views`` continues the entry contract of ``repro.runtimes.state``
 (see ``test_shared_entries.py``): a row is private to the view layer
 when it enters it, immutable and shared from there — by every plan of
-the batch, the changelog record and every cut's sidecar — and copied
+the batch, the changelog record and every base's sidecar — and copied
 only where it leaves (``TopK.result`` behind reads and pushed updates).
 Both halves are pinned here:
 

@@ -254,7 +254,7 @@ class TestCrashRecovery:
         runtime.sim.run(until=60_000)
         assert runtime.views.sidecar_restores >= \
             len(runtime.views._compiler.plans), (
-                "recovery must resume every plan from the cut's sidecar")
+                "recovery must resume every plan from a sidecar")
         assert runtime.views.rehydrations == 0, (
             "a sidecar-covered recovery must not rescan the store")
         assert failures == []
@@ -628,6 +628,125 @@ class TestWindowedViews:
         assert sum(windows.values()) == TOTAL
         with pytest.raises(ViewError):
             runtime.views.expected("sum-by-window")
+
+
+class TestSidecarOnBases:
+    """Only a base carries a view sidecar; a position cut resumes from
+    its base's and folds the log up to its own position."""
+
+    def _recovering_run(self, program, register, crash_at_ms):
+        """Cuts every 150 ms (a base every 4), *register* called at
+        200 ms — after the first base and the position cut at 150 — and
+        a coordinator crash at *crash_at_ms*.  Returns the runtime and,
+        per recovery, ``(restored cut, its base, view reads right after
+        the restore)``."""
+        runtime = StateflowRuntime(program, config=StateflowConfig(
+            coordinator=CoordinatorConfig(snapshot_interval_ms=150.0,
+                                          failure_detect_ms=200.0)))
+        restored = []
+        manager, coordinator = runtime.views, runtime.coordinator
+        on_restore = manager.on_restore
+
+        def recording_on_restore(sidecar):
+            on_restore(sidecar)
+            cut = coordinator.snapshots.latest()
+            (base,) = [b for b in coordinator.snapshots.retained()
+                       if b.snapshot_id == cut.base_id]
+            reads = {}
+            for name in manager.names():
+                try:
+                    reads[name] = manager.read(name).value
+                except ViewError as error:
+                    reads[name] = str(error)
+            restored.append((cut, base, reads))
+
+        manager.on_restore = recording_on_restore
+        runtime.sim.schedule_at(200.0, lambda: register(runtime))
+        runtime.fail_coordinator(at_ms=crash_at_ms, failover_after_ms=80.0)
+        return runtime, restored
+
+    def test_a_view_registered_mid_run_recovers_its_windows(
+            self, account_program):
+        """A windowed view registered after the first base makes the
+        next cut a base, so a crash after a later position cut resumes
+        the view from that base's sidecar: its windows right after the
+        restore are the ones the crash-free run had at the cut's seq,
+        and nothing was rescanned.  (Without the rebase the position
+        cut's base would predate the view, and a scan would collapse
+        every key into the recovery's window.)"""
+        spec = ViewSpec("by-window", "Account", "sum", field="balance",
+                        window_ms=100.0)
+        runtime, restored = self._recovering_run(
+            account_program, lambda rt: QueryEngine(rt).register_view(spec),
+            crash_at_ms=520.0)
+        history = {}
+
+        def probe(seq):
+            if "by-window" in runtime.views.names():
+                history[seq] = dict(runtime.views.read("by-window").value)
+
+        runtime.views.probe = probe
+        refs = runtime.preload(
+            Account, [(f"acct-{i}", SEED_BALANCE) for i in range(ACCOUNTS)])
+        runtime.start()
+        plan = [(i % ACCOUNTS, (i * 3 + 1) % ACCOUNTS, 5 + i % 11)
+                for i in range(25)]
+        submit_transfers(runtime, refs, plan)
+        runtime.sim.run(until=60_000)
+
+        assert runtime.coordinator.recoveries == 1
+        ((cut, base, reads),) = restored
+        assert reads["by-window"] == history[cut.changelog_seq]
+        assert len(reads["by-window"]) > 1
+        assert runtime.views.rehydrations == 0
+        assert runtime.views.sidecar_restores == 1
+        assert cut.kind == "position" and cut.views_state is None
+        assert base.taken_at_ms > 200.0, (
+            "registering the view must make the next cut a base")
+        assert base.changelog_seq < cut.changelog_seq, (
+            "the resume must fold records past the base")
+        windows = runtime.views.read("by-window").value
+        assert sum(windows.values()) == TOTAL
+
+    def test_a_plan_failed_after_its_base_is_failed_after_recovery(
+            self, item_program):
+        """A plan that fails between a base and the position cut a
+        recovery restores: the fold from the base's sidecar meets the
+        same poisoned record, so the plan rebuilds from a scan, which
+        fails on the same row — out of service, naming the rehydration,
+        as when the position cut carried its own sidecar without the
+        failed plan.  The other plan resumes with its value."""
+        def register(runtime):
+            engine = QueryEngine(runtime)
+            for spec in POISON_SPECS:
+                engine.register_view(spec)
+
+        runtime, restored = self._recovering_run(
+            item_program, register, crash_at_ms=620.0)
+        items = runtime.preload(
+            PItem, [("i0", 8, 1), ("i1", 9, 2), ("i2", 6, 3)])
+        runtime.start()
+        runtime.sim.schedule_at(
+            260.0, lambda: runtime.submit(items[0], "restock", (4,)))
+        runtime.sim.schedule_at(
+            400.0, lambda: runtime.submit(items[1], "clear", ()))
+        runtime.sim.schedule_at(
+            480.0, lambda: runtime.submit(items[2], "restock", (5,)))
+        runtime.sim.run(until=60_000)
+
+        assert runtime.coordinator.recoveries == 1
+        ((cut, base, reads),) = restored
+        assert cut.kind == "position"
+        assert base.taken_at_ms > 200.0
+        assert base.taken_at_ms < 400.0 < cut.taken_at_ms
+        for name, verb in (("best", "ordered"), ("score-sum", "summed")):
+            assert reads[name].startswith(
+                f"view {name!r} failed at rehydration at seq "
+                f"{cut.changelog_seq}: view row for key 'i1': value None "
+                f"cannot be {verb}")
+        assert reads["stock-sum"] == 1 + 4 + 2 + 3 + 5
+        assert runtime.views.rehydrations == 2
+        assert runtime.views.sidecar_restores == 1
 
 
 @pytest.mark.slow

@@ -22,7 +22,8 @@ from repro.faults import random_plan
 from repro.query import QueryEngine, ViewSpec
 from repro.runtimes.state import DictStateBackend, materialize_snapshot
 from repro.runtimes.stateflow import StateflowConfig, StateflowRuntime
-from repro.runtimes.stateflow.coordinator import CoordinatorConfig
+from repro.runtimes.stateflow.coordinator import Coordinator, CoordinatorConfig
+from repro.runtimes.stateflow.snapshots import SnapshotStore
 from repro.storage import FileChangelogStore, FileSnapshotStore
 from repro.substrates.simulation import Simulation
 from repro.views import ViewManager
@@ -165,15 +166,16 @@ VIEW_SPECS = [
 def cold_start_views(directory, specs):
     """The cold-start recipe for views: the store at the reopened log's
     head (the latest recoverable cut with the records past it folded
-    over), then a manager over that log restores the cut's sidecar and
-    registers — each view resumes from its memos at the cut's seq plus
-    a fold of the records past it.  The caller closes the log."""
+    over), then a manager over that log restores the cut's sidecar (its
+    base's) and registers — each view resumes from its memos at the
+    base's seq plus a fold of the records past it.  The caller closes
+    the log."""
     snapshots, changelog = reopen_stores(directory)
     snapshot, _ = snapshots.latest_recoverable(changelog)
     state = materialize_snapshot(snapshots.resolve(
         snapshot, changelog, up_to_seq=changelog.head_seq))
     manager = ViewManager(DictStateBackend(state), log=changelog)
-    manager.on_restore(snapshot.views_state)
+    manager.on_restore(snapshots.sidecar(snapshot))
     for spec in specs:
         manager.register(spec)
     return manager, state, changelog
@@ -218,9 +220,9 @@ class TestDurableViewsColdStart:
                                                      pipeline_depth):
         """The full durable loop: run with views, quiesce, reopen the
         *files* in a fresh manager, and resume every view — including
-        the windowed one no scan could rebuild — from the cut's sidecar
-        plus the changelog suffix.  Zero rehydrations, byte-identical
-        values."""
+        the windowed one no scan could rebuild — from the sidecar of the
+        cut's base plus the changelog suffix.  Zero rehydrations,
+        byte-identical values."""
         runtime = self._durable_run_with_views(tmp_path, pipeline_depth)
         live_values = {name: runtime.views.read(name).value
                        for name in runtime.views.names()}
@@ -277,6 +279,67 @@ class TestDurableViewsColdStart:
                 == twin.read("by-window").value
         assert len(manager.read("by-window").value) > 2
         changelog.close()
+
+    def test_only_bases_carry_a_sidecar(self, tmp_path, monkeypatch):
+        """A position cut's sidecar is its base's, so it carries none.
+        The views register after the first base, which therefore has
+        none either; every later base has one, on disk too."""
+        cuts = []
+        take = SnapshotStore.take
+
+        def recording_take(store, **kwargs):
+            cuts.append(take(store, **kwargs))
+            return cuts[-1]
+
+        monkeypatch.setattr(SnapshotStore, "take", recording_take)
+        runtime = self._durable_run_with_views(tmp_path, pipeline_depth=2)
+        runtime.coordinator.changelog.close()
+        assert {cut.kind for cut in cuts} == {"base", "position"}
+        snapshots, changelog = reopen_stores(tmp_path)
+        changelog.close()
+        for cut in [*cuts[1:], *snapshots.retained()]:
+            assert (cut.views_state is None) == (cut.kind == "position"), (
+                cut.snapshot_id, cut.kind)
+        assert cuts[0].views_state is None
+
+    def test_position_cuts_with_their_own_sidecars_cold_start(
+            self, tmp_path, monkeypatch):
+        """A directory written when every cut carried its own sidecar:
+        its position cuts resume from that sidecar, not their base's,
+        with zero rescans and the live run's values."""
+        coordinators = []
+        take_snapshot, take = Coordinator._take_snapshot, SnapshotStore.take
+
+        def recording_take_snapshot(coordinator):
+            coordinators.append(coordinator)
+            take_snapshot(coordinator)
+
+        def take_with_a_sidecar(store, **kwargs):
+            kwargs["views_state"] = coordinators[-1].views.export_sidecar()
+            return take(store, **kwargs)
+
+        monkeypatch.setattr(Coordinator, "_take_snapshot",
+                            recording_take_snapshot)
+        monkeypatch.setattr(SnapshotStore, "take", take_with_a_sidecar)
+        runtime = self._durable_run_with_views(tmp_path, pipeline_depth=2)
+        coordinator = runtime.coordinator
+        while coordinator.snapshots.latest().kind != "position":
+            coordinator._take_snapshot()
+        live_values = {name: runtime.views.read(name).value
+                       for name in runtime.views.names()}
+        coordinator.changelog.close()
+
+        snapshots, changelog = reopen_stores(tmp_path)
+        latest, _ = snapshots.latest_recoverable(changelog)
+        changelog.close()
+        assert latest.kind == "position"
+        assert snapshots.sidecar(latest) is latest.views_state is not None
+        manager, _, changelog = cold_start_views(tmp_path, VIEW_SPECS)
+        changelog.close()
+        assert manager.rehydrations == 0
+        assert manager.sidecar_restores == len(VIEW_SPECS)
+        assert {name: manager.read(name).value
+                for name in manager.names()} == live_values
 
 
 #: The child runs a deterministic durable workload, reports what its

@@ -4,7 +4,7 @@ the interpreter's string hash.
 Two subprocesses run the same small durable chaos run (the CI smoke
 plan's shape — worker crashes, message faults and a coordinator
 fail-over — cut to 600 ms) under ``PYTHONHASHSEED`` 1 and 2, with views
-registered so every cut carries a view sidecar.  The two directories
+registered so every base carries a view sidecar.  The two directories
 must be equal file for file, byte for byte: changelog segments, cut
 files, the ledger and the manifest.  Any ``set`` iterated on the way to
 the log, a cut or a sidecar (string tuples hash differently per

@@ -1,9 +1,15 @@
-"""Simulated Kafka: partitioning, ordering, offsets, replay, pause."""
+"""Simulated Kafka: partitioning, ordering, offsets, replay, pause,
+retention."""
 
 from dataclasses import replace
 
 import pytest
 
+from repro.bench import run_chaos_cell
+from repro.faults import random_plan
+from repro.runtimes.stateflow import StateflowRuntime
+from repro.runtimes.stateflow.coordinator import Coordinator
+from repro.runtimes.stateflow.runtime import EGRESS_TOPIC, INGRESS_TOPIC
 from repro.substrates import costs
 from repro.substrates.kafka import KafkaBroker, KafkaError
 from repro.substrates.network import LatencyModel
@@ -294,3 +300,127 @@ class TestZeroCostFold:
         sim.run()
         assert received == ["v"]
         assert sim.processed_events == 3
+
+
+class TestRetention:
+    """``truncate_before`` moves a partition's log start; offsets stay
+    absolute, so everything a consumer sees reads as before."""
+
+    def _truncated(self, make_broker=_broker):
+        """Ten records delivered to ``g``, then the first six dropped."""
+        sim, broker = make_broker(partitions=1)
+        received = []
+        broker.subscribe("g", "t", lambda r: received.append(
+            (r.offset, r.value)))
+        for index in range(10):
+            broker.produce("t", "k", index)
+        sim.run()
+        broker.truncate_before("t", 0, 6)
+        return sim, broker, received
+
+    @pytest.mark.parametrize("make_broker", [_broker, _free_broker],
+                             ids=["chain", "free"])
+    def test_offsets_order_and_replay_survive_truncation(self, make_broker):
+        sim, broker, received = self._truncated(make_broker)
+        assert (broker.start_offset("t", 0), broker.end_offset("t", 0),
+                broker.position("g", "t", 0)) == (6, 10, 10)
+        for index in range(10, 13):
+            broker.produce("t", "k", index)
+        sim.run()
+        assert received == [(index, index) for index in range(13)]
+        assert broker.end_offset("t", 0) == 13
+        broker.seek("g", "t", 0, 6)
+        sim.run()
+        assert received[13:] == [(index, index) for index in range(6, 13)]
+        assert broker.position("g", "t", 0) == 13
+
+    def test_a_seek_below_the_log_start_raises(self):
+        sim, broker, received = self._truncated()
+        with pytest.raises(KafkaError, match="below its log start 6"):
+            broker.seek("g", "t", 0, 5)
+        sim.run()
+        assert broker.position("g", "t", 0) == 10
+        assert len(received) == 10
+
+    def test_truncation_moves_the_start_forward_only(self):
+        _, broker, _ = self._truncated()
+        broker.truncate_before("t", 0, 3)
+        assert broker.start_offset("t", 0) == 6
+        with pytest.raises(KafkaError, match="past its end"):
+            broker.truncate_before("t", 0, 11)
+        broker.truncate_before("t", 0, 10)
+        assert (broker.start_offset("t", 0),
+                broker.end_offset("t", 0)) == (10, 10)
+
+    def test_pause_seek_resume_after_truncation(self):
+        """The recovery pattern, against a truncated log."""
+        sim, broker, received = self._truncated()
+        broker.pause("g")
+        broker.produce("t", "k", 10)
+        sim.run()
+        assert len(received) == 10
+        broker.seek("g", "t", 0, 8)
+        broker.resume("g")
+        sim.run()
+        assert received[10:] == [(8, 8), (9, 9), (10, 10)]
+
+    def test_a_new_group_starts_at_the_log_start(self):
+        sim, broker, _ = self._truncated()
+        late = []
+        broker.subscribe("late", "t", lambda r: late.append(r.offset))
+        sim.run()
+        assert late == [6, 7, 8, 9]
+        assert broker.position("late", "t", 0) == 10
+
+
+#: The CI chaos smoke run (``chaos plan --seed 7 --duration-ms 2000
+#: --coordinator-faults``, ``chaos run --seed 7 --duration-ms 2000``)
+#: and its trace digest.
+CHAOS_SEED = 7
+CHAOS_DURATION_MS = 2_000.0
+CHAOS_DIGEST = ("cf6f59fdfa72342bf22340a576c191a07e4f6740eb03d8f746721cdbe"
+                "5045a00")
+
+
+def test_stateflow_keeps_only_what_a_retained_cut_can_replay(
+        monkeypatch, tmp_path):
+    """The durable CI chaos run (worker crashes, message faults, a
+    coordinator fail-over) with the runtime trimming its source at
+    every cut: after each cut the ingress log starts exactly at the
+    lowest offset a retained cut can seek to, egress at what the client
+    has consumed, and the run's replies are the committed digest's."""
+    runtimes = []
+    init, take_snapshot = (StateflowRuntime.__init__,
+                           Coordinator._take_snapshot)
+    floors = []
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        runtimes.append(self)
+
+    def checked_take_snapshot(self):
+        take_snapshot(self)
+        (runtime,) = [r for r in runtimes if r.coordinator is self]
+        broker = runtime.broker
+        floor = self.snapshots.floor_source_offsets()
+        assert {topic for topic, _ in floor} == {INGRESS_TOPIC}
+        for (topic, partition), offset in floor.items():
+            assert broker.start_offset(topic, partition) == offset
+        for partition in range(broker.partitions(EGRESS_TOPIC)):
+            assert broker.start_offset(EGRESS_TOPIC, partition) == \
+                broker.position("stateflow-client", EGRESS_TOPIC, partition)
+        floors.append(sum(floor.values()))
+
+    monkeypatch.setattr(StateflowRuntime, "__init__", recording_init)
+    monkeypatch.setattr(Coordinator, "_take_snapshot", checked_take_snapshot)
+    report = run_chaos_cell(
+        "stateflow", "T", "uniform", duration_ms=CHAOS_DURATION_MS,
+        seed=CHAOS_SEED,
+        plan=random_plan(CHAOS_SEED, duration_ms=CHAOS_DURATION_MS,
+                         coordinator_faults=True),
+        runtime_overrides={"durability_dir": str(tmp_path / "state")})
+    assert report.trace_digest == CHAOS_DIGEST
+    assert not report.problems, report.problems
+    (runtime,) = runtimes
+    assert runtime.coordinator.recoveries >= 1
+    assert len(floors) > 2 and floors[-1] > 0, "the run must trim"

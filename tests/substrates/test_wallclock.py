@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -121,15 +122,21 @@ def test_a_burst_of_frames_costs_one_wait(monkeypatch) -> None:
     child.close()
 
 
-def test_only_a_fine_timer_is_spun_for() -> None:
+def test_only_a_fine_timer_is_spun_for(monkeypatch) -> None:
     """Within a spin slice of its deadline, a timer set well ahead — a
     periodic tick — is waited for by blocking; one set under a
     millisecond ahead gets non-blocking polls, so it fires within
-    microseconds instead of a scheduler tick."""
+    microseconds instead of a scheduler tick.  The clock's time source
+    is pinned, 0.1 ms further on each turn of the loop: on a real one a
+    preemption between the loop and ``_slice()`` could outlast the gap
+    left and make the timer due."""
+    seconds = [100.0]
+    monkeypatch.setattr(wallclock, "time",
+                        SimpleNamespace(monotonic=lambda: seconds[0]))
     clock = WallClock()
     clock.schedule(10.0, lambda: None)
     while clock._queue[0][0] - clock.now >= 0.9:
-        pass
+        seconds[0] += 0.0001
     assert clock._slice() > 0.0
     clock.schedule(0.5, lambda: None)
     assert clock._slice() == 0.0
