@@ -16,6 +16,7 @@ from .coordinator import (
     RescaleRecord,
     TxnRecord,
 )
+from .dedup import IdSet
 from .runtime import StateflowConfig, StateflowRuntime
 from .snapshots import Snapshot, SnapshotStore
 from .worker import Worker
@@ -23,6 +24,7 @@ from .worker import Worker
 __all__ = [
     "AriaStateView",
     "DictStateBackend",
+    "IdSet",
     "PartitionedSnapshot",
     "PartitionedStore",
     "StateBackend",

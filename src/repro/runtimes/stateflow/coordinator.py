@@ -72,6 +72,7 @@ from ...substrates.costs import cost_profile
 from ...substrates.simulation import CpuPool, Simulation
 from ..state import PartitionedStore, payload_keys
 from .aria import AriaStats, BatchMember, decide
+from .dedup import IdSet
 from .snapshots import ChangelogStore, SnapshotStore
 
 
@@ -314,12 +315,13 @@ class Coordinator:
         #: The oldest is (or will be promoted to) the ordered commit
         #: region; younger ones are executing against pinned views.
         self.inflight: dict[int, _Batch] = {}
-        self.replied: set[int] = set()
+        #: Egress dedup: request ids whose replies were emitted.
+        self.replied = IdSet()
         #: Ingress dedup: request ids ever admitted from the source.  An
         #: at-least-once producer (or an injected Kafka duplication
         #: fault) can append one request at two offsets; admitting it
         #: twice would commit its effects twice.
-        self.admitted: set[int] = set()
+        self.admitted = IdSet()
         self.duplicate_requests = 0
         self.duplicate_replies = 0
         self.recoveries = 0
@@ -457,12 +459,11 @@ class Coordinator:
         if self.phase is Phase.CRASHED:
             return  # a dead coordinator consumes nothing
         request_id = event.request_id if event.request_id is not None else -1
-        if request_id in self.admitted:
+        if not self.admitted.add(request_id):
             # At-least-once produce duplicated the request in the log;
             # admitting it again would double-commit its effects.
             self.duplicate_requests += 1
             return
-        self.admitted.add(request_id)
         record = TxnRecord(
             arrival_seq=self._arrival_seq,
             target=event.target, method=event.method or "",
@@ -999,10 +1000,9 @@ class Coordinator:
             self._emit(reply)
 
     def _emit(self, reply: Event) -> None:
-        if reply.request_id in self.replied:
+        if not self.replied.add(reply.request_id):
             self.duplicate_replies += 1
             return
-        self.replied.add(reply.request_id)
         self.hooks.emit_reply(reply)
 
     def _flush_epoch(self) -> None:
@@ -1125,8 +1125,8 @@ class Coordinator:
         # The next cut must be a base: the current one may postdate the
         # restored cut.
         self.snapshots.rebase()
-        self.replied = set(snapshot.replied)
-        self.admitted = set(snapshot.admitted)
+        self.replied = snapshot.replied.copy()
+        self.admitted = snapshot.admitted.copy()
         self.pending = [txn.fresh_copy() for txn in snapshot.pending]
         # Committed-but-unflushed replies are channel state: their
         # requests are admitted (replay drops them at the ingress) and

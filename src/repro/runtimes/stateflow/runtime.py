@@ -40,6 +40,7 @@ from ..base import InvocationResult, Runtime
 from ..executor import OperatorExecutor, run_constructor
 from ..state import PartitionedStore
 from .coordinator import Coordinator, CoordinatorConfig, CoordinatorHooks
+from .dedup import IdSet
 from .snapshots import ChangelogStore, SnapshotStore
 
 INGRESS_TOPIC = "stateflow-ingress"
@@ -211,7 +212,7 @@ class StateflowRuntime(Runtime):
 
         self._request_ids = iter(range(1, 1 << 62))
         self._sync_replies: dict[int, Event] = {}
-        self._delivered: set[int] = set()
+        self._delivered = IdSet()
         self.duplicate_client_replies = 0
         self._reply_callbacks: dict[int, Callable[[Event], None]] = {}
         self._started = False
@@ -390,10 +391,9 @@ class StateflowRuntime(Runtime):
     def _on_egress_record(self, record: KafkaRecord) -> None:
         reply: Event = record.value
         request_id = reply.request_id
-        if request_id in self._delivered:
+        if not self._delivered.add(request_id):
             self.duplicate_client_replies += 1
             return
-        self._delivered.add(request_id)
         if reply.ingress_time is not None:
             self.metrics.record(self.sim.now - reply.ingress_time,
                                 self.sim.now, label=reply.error or "")

@@ -20,7 +20,10 @@ boundary:
   still-*executing* batches: their effects are uncommitted at the cut,
   so they fold back into pending and replay re-forms them — a snapshot
   never contains a half-committed batch,
-- the set of request ids already answered (egress dedup),
+- the request ids already answered (egress dedup) and ever admitted
+  (ingress dedup), each an :class:`~.dedup.IdSet`: a watermark below
+  which every id is present plus the few ids past it, so a cut copies
+  O(requests in flight), not every id the run has served,
 - protocol counters (batch sequence, transaction arrival sequence).
 
 Recovery restores the latest complete snapshot and seeks the source back
@@ -84,9 +87,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
-from typing import Any, Callable, Protocol
+from typing import Any, Callable, Iterable, Protocol
 
 from ..state import apply_flat_writes, payload_footprint
+from .dedup import IdSet
 
 #: The names the stores give their files on a medium (the durability
 #: directory's layout, relative to its root).
@@ -120,8 +124,10 @@ class Snapshot:
     #: Kafka positions of the ingress consumer group:
     #: {(topic, partition): offset}.
     source_offsets: dict[tuple[str, int], int]
-    #: Request ids whose replies were emitted before this snapshot.
-    replied: set[int]
+    #: Request ids whose replies were emitted before this snapshot: the
+    #: watermark and the ids past it (:class:`~.dedup.IdSet`), so the
+    #: copy holds the replies in flight, not every reply ever sent.
+    replied: IdSet
     #: Monotonic counters to restore protocol determinism.
     batch_seq: int
     arrival_seq: int
@@ -138,8 +144,9 @@ class Snapshot:
     #: Request ids ever admitted from the source (ingress dedup: an
     #: at-least-once producer can append the same request twice; replayed
     #: requests after recovery must re-admit, so the set is snapshotted
-    #: with everything else).
-    admitted: set[int] = field(default_factory=set)
+    #: with everything else).  An :class:`~.dedup.IdSet` like
+    #: ``replied``: its copy holds the ids past the watermark only.
+    admitted: IdSet = field(default_factory=IdSet)
     #: Frozen slot assignment ``(workers, owners)`` at the cut — part of
     #: the consistent state because a recovery that lands after an
     #: elastic rescale must replay under the snapshot's routing table,
@@ -541,10 +548,10 @@ class SnapshotStore(_OnMedium):
         self._base_id = None
 
     def take(self, *, taken_at_ms: float, state: Any,
-             source_offsets: dict, replied: set[int],
+             source_offsets: dict, replied: Iterable[int],
              batch_seq: int, arrival_seq: int,
              pending: list[Any] | None = None,
-             admitted: set[int] | None = None,
+             admitted: Iterable[int] | None = None,
              assignment: Any = None, kind: str = "base",
              changelog_seq: int = -1,
              epoch_buffer: list[Any] | None = None,
@@ -561,9 +568,9 @@ class SnapshotStore(_OnMedium):
         snapshot = Snapshot(
             snapshot_id=snapshot_id, taken_at_ms=taken_at_ms,
             state=state, source_offsets=dict(source_offsets),
-            replied=set(replied), batch_seq=batch_seq,
+            replied=IdSet(replied), batch_seq=batch_seq,
             arrival_seq=arrival_seq, pending=list(pending or []),
-            admitted=set(admitted or ()), assignment=assignment,
+            admitted=IdSet(admitted or ()), assignment=assignment,
             kind=kind, base_id=self._base_id, changelog_seq=changelog_seq,
             epoch_buffer=list(epoch_buffer or []),
             views_state=views_state)

@@ -50,7 +50,7 @@ from ..substrates.wire import (MAGIC, MAX_FRAME_BYTES, FrameError,
                                decode_frame, encode_frame)
 
 #: The one layout version this build reads and writes.
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 _HEADER = len(MAGIC) + 4  # magic + big-endian u32 payload length
 _MANIFEST = "MANIFEST.json"

@@ -178,8 +178,8 @@ def _tree(root):
 class TestFullModeCuts:
     """Before the one durability mode, every cut of a full-mode run
     carried ``kind="full"`` (``perf/probes.py`` still takes such cuts).
-    A format-3 directory holding them reopens without a version bump:
-    a cut that is not a position cut is a base."""
+    A current-format directory holding them reopens: a cut that is not
+    a position cut is a base."""
 
     def test_full_cuts_reopen_and_resolve_the_newest(self, tmp_path):
         store = FileSnapshotStore(tmp_path, mode="full")
@@ -190,7 +190,8 @@ class TestFullModeCuts:
 
         reopened = FileSnapshotStore(tmp_path)
         changelog = FileChangelogStore(tmp_path)
-        assert DirectoryMedium(tmp_path).manifest()["format_version"] == 3
+        assert DirectoryMedium(tmp_path).manifest()["format_version"] \
+            == FORMAT_VERSION
         assert [(c.snapshot_id, c.kind, c.base_id)
                 for c in reopened.retained()] == [
             (0, "full", 0), (1, "full", 1), (2, "full", 2)]
@@ -291,6 +292,12 @@ class TestLayoutVersioning:
         cannot resolve them."""
         self._stamp(tmp_path, 2)
         self._assert_refused_untouched(tmp_path, 2)
+
+    def test_v3_layout_is_refused(self, tmp_path):
+        """Version 3 cut frames hold their dedup ids as plain sets of
+        every id; this build reads a watermark and the ids past it."""
+        self._stamp(tmp_path, 3)
+        self._assert_refused_untouched(tmp_path, 3)
 
     def test_current_layout_reopens(self, tmp_path):
         FileChangelogStore(tmp_path).close()
