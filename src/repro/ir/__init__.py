@@ -6,6 +6,7 @@ from .dataflow import (
     DataflowEdge,
     Operator,
     StatefulDataflow,
+    route_hash,
     stable_hash,
 )
 from .events import (
@@ -38,6 +39,7 @@ __all__ = [
     "dataflow_to_json",
     "load_dataflow",
     "next_event_id",
+    "route_hash",
     "save_dataflow",
     "stable_hash",
 ]

@@ -16,7 +16,6 @@ StateFun-style, and StateFlow runtimes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Any, Iterator
 
 from ..compiler.state_machine import StateMachine
@@ -32,7 +31,7 @@ class Operator:
     """A dataflow vertex holding the code and state of one entity class.
 
     Partitioned across the cluster by the entity's key (Figure 2); each
-    partition stores the entities whose key hashes to it.
+    partition stores the entities whose :func:`route_hash` maps to it.
     """
 
     name: str
@@ -45,11 +44,6 @@ class Operator:
 
     def method_names(self) -> list[str]:
         return list(self.machines)
-
-    def partition_of(self, key: Any, parallelism: int | None = None) -> int:
-        """Deterministic partition for *key* (the keyBy of Figure 2)."""
-        count = parallelism if parallelism is not None else self.parallelism
-        return stable_hash(key) % max(count, 1)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -74,24 +68,61 @@ def stable_hash(key: Any) -> int:
     """Deterministic, process-independent hash for routing keys.
 
     Python's builtin ``hash`` of str is salted per process; routing must be
-    stable so snapshots/replays land on the same partitions.
+    stable so snapshots/replays land on the same partitions.  An int
+    hashes to itself (its low 31 bits), anything else to the FNV-1a of
+    its ``str``.
     """
     if isinstance(key, int):
         return key & 0x7FFFFFFF
     return _fnv1a(str(key))
 
 
-@lru_cache(maxsize=1 << 16)
 def _fnv1a(text: str) -> int:
-    """31-bit FNV-1a of *text*.  Memoised: a byte loop in Python costs
-    more than the routing decision it feeds, and one transaction hashes
-    the same few ``"entity|key"`` strings at every hop.  Pure, so the
-    cache changes no value; bounded, so a key space larger than the
-    cache only costs the loop again."""
+    """31-bit FNV-1a of *text*.  Not memoised: :func:`route_hash`
+    remembers the routing hashes, the only ones computed per event."""
     value = 2166136261
     for byte in text.encode():
         value = ((value ^ byte) * 16777619) & 0xFFFFFFFF
     return value & 0x7FFFFFFF
+
+
+#: Most keys :func:`route_hash` remembers; the memo is emptied when full,
+#: so a key space larger than this only costs the byte loop again.
+ROUTE_MEMO_BOUND = 1 << 16
+#: ``{entity: {key: route hash}}``, exact ``str``/``int`` keys only.
+_ROUTES: dict[str, dict[str | int, int]] = {}
+_routes_held = 0
+
+
+def route_hash(entity: str, key: Any) -> int:
+    """The hash every keyed lookup routes by (the keyBy of Figure 2):
+    ``stable_hash(f"{entity}|{key}")``.  A state slot is this modulo the
+    slot count, and a Kafka record keyed by it lands on this modulo the
+    partition count.
+
+    Remembered per entity for keys of exact type ``str`` or ``int``,
+    whose dict equality agrees with their formatting.  ``1``, ``True``
+    and ``1.0`` are one dict key but format to three strings, so bool,
+    float, tuple and subclass keys are hashed on every call.
+    """
+    kind = type(key)
+    if kind is not str and kind is not int:
+        return _fnv1a(f"{entity}|{key}")
+    memo = _ROUTES.get(entity)
+    if memo is not None:
+        value = memo.get(key)
+        if value is not None:
+            return value
+    global _routes_held
+    if _routes_held >= ROUTE_MEMO_BOUND:
+        _ROUTES.clear()
+        _routes_held = 0
+        memo = None
+    if memo is None:
+        memo = _ROUTES[entity] = {}
+    value = memo[key] = _fnv1a(f"{entity}|{key}")
+    _routes_held += 1
+    return value
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,7 +8,7 @@ class implements it:
   HashMap data structure") with pinned overlays; a snapshot is a
   pointer copy of the map, O(keys) references and no entry copied;
 - :class:`PartitionedStore` — shards state into *slots* (a fixed
-  number of hash ranges: ``stable_hash("entity|key") % slots``), one
+  number of hash ranges: ``route_hash(entity, key) % slots``), one
   :class:`DictStateBackend` each, and maps slots to workers through a
   :class:`SlotAssignment`, so each StateFlow worker truly owns a set of
   slots: commit-phase writes touch only the owning worker's slots and
@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from typing import Any, Iterator, Protocol, runtime_checkable
 
 from ..core.refs import EntityRef
-from ..ir.dataflow import stable_hash
+from ..ir.dataflow import route_hash
 
 Key = tuple[str, Any]
 State = dict[str, Any]
@@ -199,7 +199,7 @@ def apply_flat_writes(payload: Any, writes: dict[Key, State]) -> Any:
         slots = len(payload.parts)
         buckets: dict[int, dict[Key, State]] = {}
         for (entity, key), state in writes.items():
-            index = stable_hash(f"{entity}|{key}") % slots
+            index = route_hash(entity, key) % slots
             buckets.setdefault(index, {})[(entity, key)] = state
         return PartitionedSnapshot(parts=tuple(
             apply_flat_writes(part, buckets[index])
@@ -448,7 +448,7 @@ class SlotAssignment:
 
     # -- routing --------------------------------------------------------
     def slot_of(self, entity: str, key: Any) -> int:
-        return stable_hash(f"{entity}|{key}") % self.slots
+        return route_hash(entity, key) % self.slots
 
     def worker_of(self, entity: str, key: Any) -> int:
         return self.owners[self.slot_of(entity, key)]
@@ -602,7 +602,7 @@ class PartitionedReadView(ReadView):
 class PartitionedStore:
     """Committed state sharded into hash slots owned by workers.
 
-    Routing is two-step: ``stable_hash("entity|key") % slots`` picks the
+    Routing is two-step: ``route_hash(entity, key) % slots`` picks the
     slot, the :class:`SlotAssignment` maps the slot to its owning
     worker — the same table the StateFlow runtime uses to pick the
     worker executing a key, so execution placement and state ownership

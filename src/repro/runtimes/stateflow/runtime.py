@@ -17,6 +17,10 @@ network from here.
 
 ``channel_mode="kafka"`` degrades function-to-function communication to
 Kafka loop-backs (what StateFun must do) — the ABL-COMM ablation.
+
+An ingress or loop-back record's Kafka key is its target's
+:func:`~repro.ir.dataflow.route_hash`, the hash the state slots route
+by: an int, which the broker partitions as is.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from ...control import AutoscaleController, AutoscalePolicy
 from ...core.errors import RuntimeExecutionError
 from ...core.refs import EntityRef
 from ...faults import FaultInjector, FaultPlan
+from ...ir.dataflow import route_hash
 from ...ir.events import Event, EventKind
 from ...rescale import RescalePlan
 from ...substrates.kafka import KafkaBroker, KafkaRecord
@@ -321,8 +326,9 @@ class StateflowRuntime(Runtime):
             self.coordinator.on_txn_report(event)
             return
         if self.config.channel_mode == "kafka":
+            target = event.target
             self.broker.produce(LOOPBACK_TOPIC,
-                                key=f"{event.target.entity}|{event.target.key}",
+                                key=route_hash(target.entity, target.key),
                                 value=event)
             return
         self._dispatch_to_worker(event, src=f"worker-{sender}")
@@ -408,7 +414,8 @@ class StateflowRuntime(Runtime):
     # -- client API ------------------------------------------------------
     def submit(self, ref: EntityRef, method: str, args: tuple,
                on_reply: Callable[[Event], None] | None = None) -> int:
-        """Asynchronous client request (bench driver entry point)."""
+        """Asynchronous client request (bench driver entry point).  The
+        ingress record's key is the target's :func:`route_hash`."""
         self.start()
         request_id = next(self._request_ids)
         event = Event(kind=EventKind.INVOKE, target=ref, method=method,
@@ -417,7 +424,7 @@ class StateflowRuntime(Runtime):
         if on_reply is not None:
             self._reply_callbacks[request_id] = on_reply
         self.broker.produce(INGRESS_TOPIC,
-                            key=f"{ref.entity}|{ref.key}", value=event)
+                            key=route_hash(ref.entity, ref.key), value=event)
         return request_id
 
     def _await_reply(self, request_id: int) -> Event:

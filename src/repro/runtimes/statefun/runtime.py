@@ -4,7 +4,9 @@ Architecture reproduced from the paper's description of its StateFun
 integration and deployment (Section 4):
 
 - a Kafka source pushes events to the ingress router (keyBy) inside the
-  Flink cluster — which got *half* of the system CPUs;
+  Flink cluster — which got *half* of the system CPUs; an ingress or
+  loop-back record is keyed by its target's
+  :func:`~repro.ir.dataflow.route_hash`;
 - every function invocation round-trips over HTTP to a remote, stateless
   Python function runtime — the other half of the CPUs ("all functions
   need to go to an external Python runtime, the cost of reads and writes
@@ -30,6 +32,7 @@ from ...compiler.pipeline import CompiledProgram
 from ...core.errors import RuntimeExecutionError, UnsupportedFeatureError
 from ...core.refs import EntityRef
 from ...faults import FaultInjector, FaultPlan
+from ...ir.dataflow import route_hash
 from ...ir.events import Event, EventKind
 from ...substrates.costs import cost_profile
 from ...substrates.kafka import KafkaBroker, KafkaRecord
@@ -209,7 +212,7 @@ class StatefunRuntime(Runtime):
             else:
                 self.broker.produce(
                     LOOPBACK_TOPIC,
-                    key=f"{event.target.entity}|{event.target.key}",
+                    key=route_hash(event.target.entity, event.target.key),
                     value=event)
 
     def _sink_batch(self, replies: list[Event]) -> None:
@@ -250,7 +253,7 @@ class StatefunRuntime(Runtime):
         if on_reply is not None:
             self._reply_callbacks[request_id] = on_reply
         self.broker.produce(INGRESS_TOPIC,
-                            key=f"{ref.entity}|{ref.key}", value=event)
+                            key=route_hash(ref.entity, ref.key), value=event)
         return request_id
 
     def _await_reply(self, request_id: int) -> Event:

@@ -144,6 +144,9 @@ class KafkaBroker:
 
     # -- producing -------------------------------------------------------
     def partition_for(self, topic: str, key: Any) -> int:
+        """``stable_hash(key) % partitions``.  The runtimes key a record
+        by its target's :func:`~repro.ir.dataflow.route_hash` (an int,
+        which hashes to itself) and a reply by its request id."""
         return stable_hash(key) % len(self._topic(topic))
 
     def _free(self, partition: _Partition) -> bool:

@@ -54,7 +54,7 @@ def _store():
 @pytest.fixture
 def counted(monkeypatch):
     """Count every ``fast_deepcopy`` (state layer and view operators)
-    and every ``stable_hash`` the state layer routes with."""
+    and every ``route_hash`` the state layer routes with."""
     counts = {"copies": 0, "hashes": 0}
 
     def counting(name, original):
@@ -66,8 +66,8 @@ def counted(monkeypatch):
     copy_fn = counting("copies", state_module.fast_deepcopy)
     monkeypatch.setattr(state_module, "fast_deepcopy", copy_fn)
     monkeypatch.setattr(operators_module, "fast_deepcopy", copy_fn)
-    monkeypatch.setattr(state_module, "stable_hash",
-                        counting("hashes", state_module.stable_hash))
+    monkeypatch.setattr(state_module, "route_hash",
+                        counting("hashes", state_module.route_hash))
     return counts
 
 
