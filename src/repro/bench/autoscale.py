@@ -11,7 +11,7 @@ cluster drowns: its backlog grows without bound and its tail latency
 blows through the SLO.  With ``--autoscale`` the
 :class:`~repro.control.AutoscaleController` must notice the saturation
 from its windowed commit-rate/queue metrics and pull the cluster up the
-worker curve on its own — no declarative rescale plan exists.
+worker curve on its own — no plan schedules a resize.
 
 The headline gate is the **post-scale p99**: tail latency over the
 replies that landed after the controller's last rescale committed.  The
@@ -34,6 +34,7 @@ from typing import Any
 from ..control import AutoscalePolicy
 from ..control.policy import (HIGH_QUEUE_DEPTH, HOT_KEY_SHARE,
                               HOT_SLOT_SHARE, MIN_WORKERS)
+from ..substrates.simulation import percentile
 from ..workloads.generator import DriverConfig, WorkloadDriver
 from ..workloads.ycsb import Account, YcsbWorkload
 from .harness import build_runtime, ycsb_program
@@ -136,19 +137,6 @@ class AutoscaleRunReport:
         }
 
 
-def _percentile(values: list[float], pct: float) -> float:
-    if not values:
-        return float("nan")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (pct / 100.0) * (len(ordered) - 1)
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    fraction = rank - low
-    return ordered[low] * (1 - fraction) + ordered[high] * fraction
-
-
 def run_autoscale_cell(*, autoscale: bool,
                        ramp: tuple[RampPhase, ...] = DEFAULT_RAMP,
                        workers: int = 2, state_slots: int = 64,
@@ -220,7 +208,7 @@ def run_autoscale_cell(*, autoscale: bool,
     report = AutoscaleRunReport(
         mode="autoscale" if autoscale else "fixed",
         rows=rows, sent=sent, completed=all_completed, errors=errors,
-        tail_p99_ms=_percentile(tail, 99), tail_cutoff_ms=cutoff,
+        tail_p99_ms=percentile(tail, 99), tail_cutoff_ms=cutoff,
         tail_samples=len(tail),
         workers_final=runtime.worker_count,
         rescales=coordinator.rescales,

@@ -1,8 +1,9 @@
 """Elastic-rescale benchmarking: what does a live resize cost?
 
-``run_rescale_cell`` drives one (workload, rescale-plan, seed) cell on
-the StateFlow runtime — optionally under a fault plan as well (rescale
-under chaos) — and returns a :class:`RescaleReport`:
+``run_rescale_cell`` drives one (workload, staged resizes, seed) cell
+on the StateFlow runtime — optionally under a fault plan as well
+(rescale under chaos), whose schedule the resizes join — and returns a
+:class:`RescaleReport`:
 
 - ``pauses_ms`` — per-rescale migration pause (batching barred from the
   RESCALE barrier to routing-table commit), from the coordinator's
@@ -22,9 +23,9 @@ under chaos) — and returns a :class:`RescaleReport`:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
-from ..rescale import RescalePlan, staged_plan
+from ..faults import staged_plan
 from ..runtimes.state import materialize_snapshot
 from ..workloads.generator import DriverConfig, WorkloadDriver
 from ..workloads.ycsb import Account, YcsbWorkload
@@ -106,31 +107,34 @@ class RescaleReport:
 def run_rescale_cell(workload_name: str = "T",
                      distribution: str = "uniform", *,
                      workers: int = 2,
-                     plan: RescalePlan | None = None,
+                     targets: Sequence[int] | None = None,
                      rps: float = 150.0, duration_ms: float = 4_000.0,
                      record_count: int = 60, seed: int = 42,
                      runtime_overrides: dict[str, Any] | None = None,
                      drain_ms: float = 30_000.0) -> RescaleReport:
-    """Run one rescale cell; ``plan=None`` uses the canonical
-    2 -> 4 -> 3 staged plan spread across the load window.
+    """Run one rescale cell: one resize per entry of *targets*, spread
+    across the load window (``None`` = double the workers, then one
+    fewer: the canonical 2 -> 4 -> 3).
 
     *runtime_overrides* is the :func:`~repro.bench.harness.build_runtime`
     mapping (``--faults`` and ``--pipeline-depth`` on the CLI), applied
     over the chaos coordinator preset; a ``fault_plan`` in it runs the
-    rescale under chaos.
+    rescale under chaos: the resizes go first in that plan, under its
+    seed (:func:`~repro.faults.staged_plan`).
 
     Every submitted request must complete exactly once and the final
     committed history must satisfy the serial oracle — violations land
     in ``problems`` rather than raising, so the CLI can report them.
     """
-    if plan is None:
-        plan = staged_plan((workers * 2, max(workers * 2 - 1, 1)),
-                           start_ms=duration_ms * 0.3,
-                           interval_ms=duration_ms * 0.3)
+    if targets is None:
+        targets = (workers * 2, max(workers * 2 - 1, 1))
     overrides: dict[str, Any] = {"coordinator": chaos_coordinator_config(),
                                  **(runtime_overrides or {})}
+    plan = overrides["fault_plan"] = staged_plan(
+        targets, start_ms=duration_ms * 0.3, interval_ms=duration_ms * 0.3,
+        faults=overrides.get("fault_plan"))
     runtime = build_runtime("stateflow", ycsb_program(), seed=seed,
-                            workers=workers, rescale_plan=plan, **overrides)
+                            workers=workers, **overrides)
 
     trace: list[tuple] = []
     completions: list[float] = []
@@ -186,11 +190,12 @@ def run_rescale_cell(workload_name: str = "T",
     problems = verify_history(sent=result.sent, completed=completed,
                               trace=trace, state=state, workload=workload,
                               workload_name=workload_name)
-    if runtime.config.fault_plan is None and plan.steps:
-        # Fault-free runs must land exactly on the plan's final target;
-        # under chaos a step can legitimately be lost to a coordinator
+    if plan.events and all(event.kind == "rescale" for event in plan.events):
+        # Fault-free runs must land exactly on the last resize's target;
+        # under chaos a resize can legitimately be lost to a coordinator
         # crash, so only the invariants above apply.
-        wanted = plan.steps[-1].workers
+        wanted = sorted(plan.events,
+                        key=lambda event: event.at_ms)[-1].target_workers
         if runtime.worker_count != wanted:
             problems.append(f"final topology is {runtime.worker_count} "
                             f"workers, plan targeted {wanted}")
@@ -208,7 +213,7 @@ def run_rescale_cell(workload_name: str = "T",
         mean_ms=result.mean(), sent=result.sent,
         completed=completed, errors=errors, extra=extra)
     return RescaleReport(
-        row=row, plan_name=plan.name or "rescale",
+        row=row, plan_name=plan.name,
         rescales=coordinator.rescales, pauses_ms=pauses,
         slots_moved=coordinator.slots_migrated,
         keys_moved=coordinator.keys_migrated,

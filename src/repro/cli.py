@@ -29,7 +29,6 @@ from .core.refs import EntityRef
 from .faults import INTENSITIES, FaultPlan, random_plan
 from .ir.dot import dataflow_to_dot, machine_to_dot
 from .ir.serde import dataflow_from_json, dataflow_to_json
-from .rescale import RescalePlan, staged_plan
 from .runtimes.local import LocalRuntime
 
 
@@ -127,13 +126,11 @@ positive_int = _positive(int)
 positive_float = _positive(float)
 
 
-def _plan_file(kind: type) -> Callable[[str], Any]:
-    def load(path: str):
-        try:
-            return kind.from_json(Path(path))
-        except (OSError, ValueError) as error:
-            raise argparse.ArgumentTypeError(f"cannot load {path}: {error}")
-    return load
+def _plan_file(path: str) -> FaultPlan:
+    try:
+        return FaultPlan.from_json(Path(path))
+    except (OSError, ValueError) as error:
+        raise argparse.ArgumentTypeError(f"cannot load {path}: {error}")
 
 
 def _parse_targets(text: str) -> list[int]:
@@ -184,11 +181,9 @@ RUNTIME_FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
                                       help="run the ycsb cell at each "
                                            "rate")),
     "fault_plan": ("--faults", dict(
-        type=_plan_file(FaultPlan), default=None, metavar="PLAN_JSON",
-        help="run under a fault plan (`repro chaos plan`)")),
-    "rescale_plan": ("--rescale", dict(
-        type=_plan_file(RescalePlan), default=None, metavar="PLAN_JSON",
-        help="resize the cluster mid-run (`repro rescale plan`)")),
+        type=_plan_file, default=None, metavar="PLAN_JSON",
+        help="run under a fault plan, whose rescale events resize the "
+             "cluster mid-run (`repro chaos plan`)")),
     "pipeline_depth": ("--pipeline-depth", dict(
         type=positive_int, default=None, metavar="N",
         help="epoch-pipeline depth; 1 = serial batches (default 2)")),
@@ -205,15 +200,14 @@ RUNTIME_FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
 }
 
 #: The flags (dests) that are ``build_runtime`` overrides.
-OVERRIDES = ("fault_plan", "rescale_plan", "pipeline_depth", "spawner",
-             "autoscale", "durability_dir")
+OVERRIDES = ("fault_plan", "pipeline_depth", "spawner", "autoscale",
+             "durability_dir")
 #: Flags only StateFlow can honour (StateFun has no coordinator, no
 #: snapshots and a fixed deployment).
-STATEFLOW_ONLY = ("rescale_plan", "pipeline_depth", "autoscale",
-                  "durability_dir")
+STATEFLOW_ONLY = ("pipeline_depth", "autoscale", "durability_dir")
 #: Flags the process spawner refuses: their plans drive simulator
 #: internals (virtual-time schedules, message hooks).
-PROCESS_REFUSES = ("fault_plan", "rescale_plan")
+PROCESS_REFUSES = ("fault_plan",)
 
 
 def _flag(dest: str) -> str:
@@ -406,8 +400,8 @@ class BenchCell:
 
 
 #: Flags only the ycsb cell honours: every sweep owns its deployment.
-_YCSB_ONLY = ("fault_plan", "rescale_plan", "pipeline_depth", "autoscale",
-              "durability_dir", "rps_sweep")
+_YCSB_ONLY = ("fault_plan", "pipeline_depth", "autoscale", "durability_dir",
+              "rps_sweep")
 
 BENCH_CELLS: dict[str, BenchCell] = {
     "ycsb": BenchCell(_run_ycsb_cell, systems=("stateflow", "statefun"),
@@ -456,10 +450,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     cell = BENCH_CELLS[args.cell]
     error = f"repro bench: error: --cell {args.cell}"
     given = _given(args)
-    if args.autoscale and args.rescale_plan is not None:
+    if args.autoscale and args.fault_plan is not None and any(
+            event.kind == "rescale" for event in args.fault_plan.events):
         raise SystemExit("repro bench: error: --autoscale does not compose "
-                         "with --rescale (both would drive the same rescale "
-                         "barrier); pick one scaling authority")
+                         "with a --faults plan's rescale events (both would "
+                         "drive the same rescale barrier); pick one scaling "
+                         "authority")
     if args.spawner not in cell.spawners:
         raise SystemExit(f"{error} is {'/'.join(cell.spawners)}-only (it "
                          f"measures virtual-time behaviour); "
@@ -487,22 +483,19 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 # repro chaos / repro rescale
 # ---------------------------------------------------------------------------
 
-def _write_plan(plan, out: str | None, size: str) -> int:
-    if out:
-        plan.to_json(Path(out))
-        print(f"wrote plan {plan.name!r} ({size}) to {out}")
-    else:
-        print(plan.to_json())
-    return 0
-
-
 def _cmd_chaos_plan(args: argparse.Namespace) -> int:
     plan = random_plan(args.seed, duration_ms=args.duration_ms,
                        workers=args.workers, intensity=args.intensity,
                        process_faults=not args.no_process_faults,
                        coordinator_faults=args.coordinator_faults,
                        rescales=args.rescales)
-    return _write_plan(plan, args.out, f"{len(plan.events)} events")
+    if args.out:
+        plan.to_json(Path(args.out))
+        print(f"wrote plan {plan.name!r} ({len(plan.events)} events) "
+              f"to {args.out}")
+    else:
+        print(plan.to_json())
+    return 0
 
 
 def _report(cell: str, report, title: str, columns: list[str]) -> int:
@@ -532,29 +525,20 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
                     "availability"])
 
 
-def _cmd_rescale_plan(args: argparse.Namespace) -> int:
-    plan = staged_plan(_parse_targets(args.targets),
-                       start_ms=args.start_ms, interval_ms=args.interval_ms)
-    return _write_plan(plan, args.out, f"{len(plan.steps)} steps")
-
-
 def _cmd_rescale_run(args: argparse.Namespace) -> int:
     from .bench import run_rescale_cell
 
-    plan = args.plan
-    if plan is None:
-        plan = staged_plan(_parse_targets(args.targets),
-                           start_ms=args.duration_ms * 0.3,
-                           interval_ms=args.duration_ms * 0.3)
+    targets = _parse_targets(args.targets)
     report = run_rescale_cell(
-        args.workload, args.distribution, workers=args.workers, plan=plan,
+        args.workload, args.distribution, workers=args.workers,
+        targets=targets,
         rps=args.rps, duration_ms=args.duration_ms,
         record_count=args.records, seed=args.seed,
         runtime_overrides=runtime_overrides(args))
     return _report("rescale", report,
                    f"rescale {args.workload}/{args.distribution} "
                    f"{args.workers} -> "
-                   f"{' -> '.join(str(t) for t in plan.targets)} "
+                   f"{' -> '.join(str(t) for t in targets)} "
                    f"(seed {args.seed})",
                    ["system", "workload", "rps", "p50_ms", "p99_ms",
                     "completed", "errors", "rescales", "mean_pause_ms",
@@ -590,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     for positional in ("module", "entity", "method", "key"):
         run_cmd.add_argument(positional)
     run_cmd.add_argument("args", nargs="*")
-    run_cmd.add_argument("--faults", type=_plan_file(FaultPlan),
+    run_cmd.add_argument("--faults", type=_plan_file,
                          metavar="PLAN_JSON", help="fault plan (Local "
                          "applies its message-reordering subset)")
     run_cmd.set_defaults(handler=_cmd_run)
@@ -635,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_run_cmd = chaos_sub.add_parser(
         "run", help="run a workload under a fault plan and verify the "
                     "committed history")
-    chaos_run_cmd.add_argument("--plan", type=_plan_file(FaultPlan),
+    chaos_run_cmd.add_argument("--plan", type=_plan_file,
                                metavar="PLAN_JSON", help="fault plan "
                                "(default: random_plan(--seed))")
     _add_flags(chaos_run_cmd, "system", "workload", "distribution", "rps",
@@ -650,26 +634,13 @@ def build_parser() -> argparse.ArgumentParser:
     rescale_sub = rescale_cmd.add_subparsers(dest="rescale_command",
                                              required=True)
 
-    rescale_plan_cmd = rescale_sub.add_parser(
-        "plan", help="generate a declarative rescale schedule")
-    rescale_plan_cmd.add_argument("--targets", default="4,3",
-                                  help="comma-separated worker counts, "
-                                       "one rescale per entry")
-    rescale_plan_cmd.add_argument("--start-ms", type=float, default=1_000.0)
-    rescale_plan_cmd.add_argument("--interval-ms", type=float,
-                                  default=1_000.0)
-    rescale_plan_cmd.add_argument("--out")
-    rescale_plan_cmd.set_defaults(handler=_cmd_rescale_plan)
-
     rescale_run_cmd = rescale_sub.add_parser(
         "run", help="run a workload that resizes the cluster mid-stream "
                     "and verify the committed history")
-    rescale_run_cmd.add_argument("--plan", type=_plan_file(RescalePlan),
-                                 metavar="PLAN_JSON", help="rescale plan "
-                                 "(default: --targets spread over the run)")
     rescale_run_cmd.add_argument("--targets", default="4,3",
-                                 help="worker counts when no --plan is "
-                                      "given")
+                                 help="comma-separated worker counts, one "
+                                      "resize per entry, spread over the "
+                                      "run")
     rescale_run_cmd.add_argument("--workers", type=positive_int, default=2,
                                  help="starting worker count")
     _add_flags(rescale_run_cmd, "workload", "distribution", "rps",

@@ -16,6 +16,7 @@ from .plan import (
     FaultPlanError,
     MessageFaultProfile,
     random_plan,
+    staged_plan,
 )
 
 __all__ = [
@@ -29,4 +30,5 @@ __all__ = [
     "KINDS",
     "MessageFaultProfile",
     "random_plan",
+    "staged_plan",
 ]

@@ -248,7 +248,9 @@ class FaultInjector:
             self.stats.rescales_requested += 1
             self.rescaler(event.target_workers)  # type: ignore[misc]
 
-        self.sim.schedule_at(event.at_ms, fire)
+        # A plan installed on a clock already past its first resize
+        # asks for it at once.
+        self.sim.schedule_at(max(event.at_ms, self.sim.now), fire)
 
     def _schedule_partition(self, event: FaultEvent) -> None:
         if self.network is None or (self.workers is None

@@ -36,10 +36,12 @@ Fault taxonomy
     set is dropped until the partition heals.
 
 ``rescale``
-    Ask the runtime to rescale to ``target_workers`` workers — elastic
-    topology change as a schedulable event, so one plan can interleave
-    rescales with crashes and partitions (rescale-under-chaos).  Not a
-    fault per se, but it shares the plan/schedule machinery.
+    Ask the runtime to rescale to ``target_workers`` workers at the next
+    batch boundary.  Not a fault per se: it is the one schedule of
+    elastic resizes, so one plan can interleave rescales with crashes
+    and partitions (rescale-under-chaos), and :func:`staged_plan` builds
+    the evenly spaced ones.  Events with equal ``at_ms`` run in list
+    order; the coordinator clamps a target to ``[1, slots]``.
 
 Runtimes without processes (Local) or without a coordinator (StateFun)
 apply the message-level subset only; process events are counted as
@@ -52,7 +54,7 @@ import json
 import random
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 #: Channel names a ``messages`` window may target.
 CHANNELS = ("network", "kafka", "all")
@@ -252,3 +254,21 @@ def random_plan(seed: int, *, duration_ms: float = 5_000.0,
     events.sort(key=lambda event: event.at_ms)
     return FaultPlan(seed=seed, events=events,
                      name=f"random-{intensity}-{seed}").validate()
+
+
+def staged_plan(targets: Iterable[int], *, start_ms: float = 1_000.0,
+                interval_ms: float = 1_000.0,
+                faults: FaultPlan | None = None) -> FaultPlan:
+    """Evenly spaced ``rescale`` events through *targets*, named after
+    them (``(4, 3)`` from a 2-worker start is the canonical
+    2 -> 4 -> 3 scenario, ``staged-4-3``).  With *faults*, the staged
+    events come first, then that plan's events under its seed: one
+    schedule for the resizes and the chaos."""
+    targets = tuple(targets)
+    events = [FaultEvent(kind="rescale",
+                         at_ms=round(start_ms + index * interval_ms, 3),
+                         target_workers=workers)
+              for index, workers in enumerate(targets)]
+    faults = faults or FaultPlan()
+    return FaultPlan(seed=faults.seed, events=events + faults.events,
+                     name="staged-" + "-".join(map(str, targets))).validate()

@@ -96,18 +96,23 @@ _routes_held = 0
 
 def route_hash(entity: str, key: Any) -> int:
     """The hash every keyed lookup routes by (the keyBy of Figure 2):
-    ``stable_hash(f"{entity}|{key}")``.  A state slot is this modulo the
-    slot count, and a Kafka record keyed by it lands on this modulo the
-    partition count.
+    ``stable_hash(f"{entity}|{key}")``, where a ``bool`` key or a whole
+    ``float`` key is formatted as its ``int`` first — ``True``, ``1``
+    and ``1.0`` are one dict key, so they route the same way.  A state
+    slot is this modulo the slot count, and a Kafka record keyed by it
+    lands on this modulo the partition count.
 
-    Remembered per entity for keys of exact type ``str`` or ``int``,
-    whose dict equality agrees with their formatting.  ``1``, ``True``
-    and ``1.0`` are one dict key but format to three strings, so bool,
-    float, tuple and subclass keys are hashed on every call.
+    Remembered per entity for keys of exact type ``str`` or ``int``
+    (those mapped to an int included), whose dict equality agrees with
+    their formatting; tuple, other float and subclass keys are hashed
+    on every call.
     """
     kind = type(key)
     if kind is not str and kind is not int:
-        return _fnv1a(f"{entity}|{key}")
+        if kind is bool or (kind is float and key.is_integer()):
+            key = int(key)
+        else:
+            return _fnv1a(f"{entity}|{key}")
     memo = _ROUTES.get(entity)
     if memo is not None:
         value = memo.get(key)

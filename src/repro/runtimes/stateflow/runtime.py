@@ -35,7 +35,6 @@ from ...core.refs import EntityRef
 from ...faults import FaultInjector, FaultPlan
 from ...ir.dataflow import route_hash
 from ...ir.events import Event, EventKind
-from ...rescale import RescalePlan
 from ...substrates.kafka import KafkaBroker, KafkaRecord
 from ...substrates.network import Network
 from ...substrates.simulation import MetricRecorder, Simulation
@@ -86,12 +85,10 @@ class StateflowConfig:
     #: either way.
     durability_dir: str | None = None
     coordinator: CoordinatorConfig = field(default_factory=CoordinatorConfig)
-    #: Deterministic fault schedule (chaos testing); ``None`` = a
-    #: fault-free run.  See :mod:`repro.faults`.
+    #: Deterministic schedule of faults and elastic resizes (its
+    #: ``rescale`` events); ``None`` = a fault-free, fixed-size run.
+    #: See :mod:`repro.faults`.
     fault_plan: FaultPlan | None = None
-    #: Declarative elastic-rescale schedule; ``None`` = a fixed-size
-    #: cluster.  See :mod:`repro.rescale`.
-    rescale_plan: RescalePlan | None = None
     #: Closed-loop autoscaling (``--autoscale``): attach an
     #: :class:`~repro.control.AutoscaleController` that samples windowed
     #: load off the coordinator's commit path and issues its own
@@ -197,12 +194,6 @@ class StateflowRuntime(Runtime):
                                        snapshots=snapshots,
                                        changelog=changelog, views=self.views,
                                        autoscaler=self.autoscaler)
-        if self.config.rescale_plan is not None:
-            for step in self.config.rescale_plan.validate().steps:
-                self.sim.schedule_at(
-                    max(step.at_ms, self.sim.now),
-                    lambda workers=step.workers:
-                    self.coordinator.request_rescale(workers))
 
         self.broker.create_topic(INGRESS_TOPIC, TOPIC_PARTITIONS)
         self.broker.create_topic(EGRESS_TOPIC, TOPIC_PARTITIONS)
@@ -247,7 +238,7 @@ class StateflowRuntime(Runtime):
     # -- elasticity --------------------------------------------------------
     def request_rescale(self, workers: int) -> None:
         """Ask the coordinator to rescale to *workers* at the next batch
-        boundary (the programmatic face of ``rescale_plan``)."""
+        boundary (what a plan's ``rescale`` event calls)."""
         self.coordinator.request_rescale(workers)
 
     def _set_worker_count(self, count: int) -> None:

@@ -154,8 +154,7 @@ class Snapshot:
     #: is not partitioned.
     assignment: Any = None
     #: ``"base"`` (whole state) or ``"position"`` (no state payload).
-    #: Directories written before the one durability mode also hold
-    #: ``"full"``, which reads as a base.
+    #: ``"full"`` (the cuts ``perf/``'s probes take) reads as a base.
     kind: str = "base"
     #: The base this cut resolves from: its own id for a base.
     base_id: int = -1
@@ -168,8 +167,7 @@ class Snapshot:
     #: recovery and cold starts resume views incrementally instead of
     #: rescanning state.  ``None`` when no views were registered, and
     #: for a position cut, whose sidecar is its base's
-    #: (:meth:`SnapshotStore.sidecar`; directories written before that
-    #: also hold position cuts with their own).
+    #: (:meth:`SnapshotStore.sidecar`).
     views_state: Any = None
 
 
@@ -615,12 +613,10 @@ class SnapshotStore(_OnMedium):
                      if candidate.snapshot_id == cut.base_id), None)
 
     def sidecar(self, cut: Snapshot) -> Any:
-        """The view sidecar *cut* resumes from: its own when it carries
-        one (a base, or a position cut written before position cuts
-        stopped carrying one), else its base's — whose memos sit at the
-        base's seq, so a resume folds the log from there.  ``None`` when
-        neither has one."""
-        if cut.views_state is not None or cut.kind != "position":
+        """The view sidecar *cut* resumes from: a base's own, a position
+        cut's base's — whose memos sit at the base's seq, so a resume
+        folds the log from there.  ``None`` when that base has none."""
+        if cut.kind != "position":
             return cut.views_state
         base = self._base_of(cut)
         return base.views_state if base is not None else None

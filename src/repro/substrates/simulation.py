@@ -159,6 +159,21 @@ class CpuPool:
         return max(0.0, min(self.busy_until) - self.sim.now)
 
 
+def percentile(values: list[float], pct: float) -> float:
+    """The *pct*-th percentile of *values*, interpolated linearly between
+    the two nearest ranks; ``nan`` when there are none."""
+    ordered = sorted(values)
+    if not ordered:
+        return float("nan")
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = (pct / 100.0) * (len(ordered) - 1)
+    low = int(rank)
+    high = min(low + 1, len(ordered) - 1)
+    fraction = rank - low
+    return ordered[low] * (1 - fraction) + ordered[high] * fraction
+
+
 @dataclass(slots=True)
 class LatencySample:
     """One recorded end-to-end latency."""
@@ -183,16 +198,7 @@ class MetricRecorder:
         return [s.value_ms for s in self.samples if s.label == label]
 
     def percentile(self, pct: float, label: str | None = None) -> float:
-        values = sorted(self.values(label))
-        if not values:
-            return float("nan")
-        if len(values) == 1:
-            return values[0]
-        rank = (pct / 100.0) * (len(values) - 1)
-        low = int(rank)
-        high = min(low + 1, len(values) - 1)
-        fraction = rank - low
-        return values[low] * (1 - fraction) + values[high] * fraction
+        return percentile(self.values(label), pct)
 
     def mean(self, label: str | None = None) -> float:
         values = self.values(label)

@@ -1,34 +1,25 @@
-"""Determinism regression: identical (seed, fault plan, rescale plan)
-tuples must reproduce the run bit for bit — byte-identical
-committed-state snapshots and identical reply traces.  This is the
-property that makes every chaos (and rescale) scenario a *test* instead
-of an anecdote."""
+"""Determinism regression: identical (seed, fault plan) pairs must
+reproduce the run bit for bit — byte-identical committed-state
+snapshots and identical reply traces.  This is the property that makes
+every chaos (and rescale) scenario a *test* instead of an anecdote."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench import chaos_coordinator_config
-from repro.faults import FaultEvent, FaultPlan, MessageFaultProfile, random_plan
-from repro.rescale import RescalePlan, staged_plan
+from repro.faults import (FaultEvent, FaultPlan, MessageFaultProfile,
+                          random_plan, staged_plan)
 from repro.runtimes.state import materialize_snapshot
 from repro.runtimes.stateflow import StateflowConfig, StateflowRuntime
 from repro.workloads import Account, DriverConfig, WorkloadDriver, YcsbWorkload
 
 
-def _chaos_config(plan: FaultPlan,
-                  rescale_plan: RescalePlan | None = None,
-                  workers: int = 5) -> StateflowConfig:
-    return StateflowConfig(workers=workers, fault_plan=plan,
-                           rescale_plan=rescale_plan,
-                           coordinator=chaos_coordinator_config())
-
-
 def _run_once(account_program, seed: int, plan: FaultPlan,
-              rescale_plan: RescalePlan | None = None, workers: int = 5):
+              workers: int = 5):
     """One chaos run; returns (committed-state bytes, reply trace)."""
-    runtime = StateflowRuntime(
-        account_program,
-        config=_chaos_config(plan, rescale_plan, workers))
+    runtime = StateflowRuntime(account_program, config=StateflowConfig(
+        workers=workers, fault_plan=plan,
+        coordinator=chaos_coordinator_config()))
     trace: list[tuple] = []
     runtime.reply_tap = lambda reply: trace.append(
         (reply.request_id, repr(reply.payload), reply.error,
@@ -93,40 +84,40 @@ def test_fixed_seed_regression(account_program):
 
 
 # ---------------------------------------------------------------------------
-# Rescale determinism: same (seed, workload, rescale plan, fault plan)
+# Rescale determinism: same (seed, workload, staged resizes, fault plan)
 # -> byte-identical final state and reply trace
 # ---------------------------------------------------------------------------
 
 
-rescale_plan_strategy = st.builds(
-    lambda targets, start, interval: staged_plan(
-        targets, start_ms=float(start), interval_ms=float(interval)),
-    targets=st.lists(st.integers(1, 8), min_size=1, max_size=3),
-    start=st.integers(100, 800),
-    interval=st.integers(200, 600))
+#: ``staged_plan`` keywords: one to three resizes at chosen times.
+staged_strategy = st.fixed_dictionaries({
+    "targets": st.lists(st.integers(1, 8), min_size=1, max_size=3),
+    "start_ms": st.integers(100, 800).map(float),
+    "interval_ms": st.integers(200, 600).map(float)})
 
 
-@given(seed=st.integers(0, 2**16), rescale_plan=rescale_plan_strategy)
+@given(seed=st.integers(0, 2**16), staged=staged_strategy)
 @settings(max_examples=5, deadline=None)
 def test_same_seed_and_rescale_plan_reproduce_identically(
-        account_program, seed, rescale_plan):
+        account_program, seed, staged):
     """Pure-rescale runs (no faults) replay byte-identically."""
-    empty = FaultPlan(seed=seed)
-    first = _run_once(account_program, seed, empty, rescale_plan, workers=2)
-    second = _run_once(account_program, seed, empty, rescale_plan, workers=2)
+    plan = staged_plan(**staged)
+    first = _run_once(account_program, seed, plan, workers=2)
+    second = _run_once(account_program, seed, plan, workers=2)
     assert first == second, (
         "a rescale run diverged across identical replays")
 
 
 @given(seed=st.integers(0, 2**16), plan=plan_strategy,
-       rescale_plan=rescale_plan_strategy)
+       staged=staged_strategy)
 @settings(max_examples=5, deadline=None)
 def test_combined_rescale_and_chaos_reproduce_identically(
-        account_program, seed, plan, rescale_plan):
+        account_program, seed, plan, staged):
     """The full battery: rescale steps interleaved with crashes, drops
     and fail-overs must still replay bit for bit."""
-    first = _run_once(account_program, seed, plan, rescale_plan, workers=2)
-    second = _run_once(account_program, seed, plan, rescale_plan, workers=2)
+    plan = staged_plan(**staged, faults=plan)
+    first = _run_once(account_program, seed, plan, workers=2)
+    second = _run_once(account_program, seed, plan, workers=2)
     assert first[0] == second[0], (
         "committed-state snapshots diverged across identical "
         "rescale+chaos runs")
@@ -135,8 +126,8 @@ def test_combined_rescale_and_chaos_reproduce_identically(
 
 
 def test_rescale_events_inside_fault_plan_reproduce(account_program):
-    """The other scheduling surface — ``rescale`` events inside the
-    fault plan itself — is deterministic too, and actually rescales."""
+    """Random ``rescale`` events mixed into a generated fault plan are
+    deterministic too."""
     plan = random_plan(31, duration_ms=1_500.0, workers=2,
                        intensity="medium", rescales=2)
     first_state, first_trace = _run_once(account_program, 31, plan,

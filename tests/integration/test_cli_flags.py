@@ -14,8 +14,7 @@ import pytest
 
 from repro import cli
 from repro.cli import main
-from repro.faults import FaultPlan, random_plan
-from repro.rescale import RescalePlan, staged_plan
+from repro.faults import FaultPlan, random_plan, staged_plan
 
 HARNESS, CHAOS, RESCALE = (importlib.import_module(f"repro.bench.{name}")
                            for name in ("harness", "chaos", "rescale"))
@@ -102,7 +101,8 @@ def test_chaos_plan_flags_shape_the_plan(capsys):
 # ---------------------------------------------------------------------------
 
 #: dest -> (argv after the flag name, the value the runner must see).
-#: Plans are written per test; ``None`` marks them.
+#: Plans are written per test; ``None`` marks them.  ``resizes`` is a
+#: plan of ``rescale`` events: it rides ``--faults`` (see ``VIA``).
 FLAG_VALUES = {
     "workload": (["B"], "B"),
     "seed": (["7"], 7),
@@ -110,15 +110,19 @@ FLAG_VALUES = {
     "duration_ms": (["500"], 500.0),
     "records": (["30"], 30),
     "fault_plan": (None, None),
-    "rescale_plan": (None, None),
+    "resizes": (None, None),
     "pipeline_depth": (["3"], 3),
     "autoscale": ([], True),
     "durability_dir": (["state"], "state"),
     "rps_sweep": (["40,80"], "40,80"),
 }
 
+#: Table rows that are not a dest of their own -> the dest they ride.
+VIA = {"resizes": "fault_plan"}
+
 
 def _refused(cell: str, system: str, spawner: str, dest: str) -> bool:
+    dest = VIA.get(dest, dest)
     spec = cli.BENCH_CELLS[cell]
     process = spawner == "process"
     return (spawner not in spec.spawners
@@ -144,7 +148,9 @@ PINNED = {
     ("recovery", "stateflow", "process", "seed"): True,
     ("ycsb", "stateflow", "process", "pipeline_depth"): False,
     ("ycsb", "statefun", "simulator", "fault_plan"): False,
-    ("ycsb", "stateflow", "simulator", "rescale_plan"): False,
+    ("ycsb", "stateflow", "simulator", "resizes"): False,
+    ("ycsb", "statefun", "simulator", "resizes"): False,
+    ("ycsb", "stateflow", "process", "resizes"): True,
     ("pipeline", "stateflow", "process", "records"): False,
     ("recovery", "stateflow", "simulator", "records"): False,
 }
@@ -169,15 +175,16 @@ def runners(monkeypatch):
 
 @pytest.fixture()
 def plans(tmp_path):
-    faults, rescale = tmp_path / "faults.json", tmp_path / "rescale.json"
+    faults, resizes = tmp_path / "faults.json", tmp_path / "resizes.json"
     random_plan(3, duration_ms=1_000.0).to_json(faults)
-    staged_plan((3,)).to_json(rescale)
+    staged_plan((3,)).to_json(resizes)
     return {"fault_plan": ([str(faults)], FaultPlan.from_json(faults)),
-            "rescale_plan": ([str(rescale)], RescalePlan.from_json(rescale))}
+            "resizes": ([str(resizes)], FaultPlan.from_json(resizes))}
 
 
 def _check_verdict(cell, system, spawner, dest, refused, runners, plans):
     values, expected = plans.get(dest) or FLAG_VALUES[dest]
+    dest = VIA.get(dest, dest)
     argv = ["bench", "--cell", cell, "--system", system, "--spawner",
             spawner, cli.RUNTIME_FLAGS[dest][0], *values]
     if refused:
@@ -208,8 +215,8 @@ def test_pinned_bench_verdicts(case, refused, runners, plans):
 @pytest.mark.parametrize("cell", list(cli.BENCH_CELLS))
 def test_bench_refuses_two_scaling_authorities(cell, runners, plans):
     with pytest.raises(SystemExit, match="scaling authority"):
-        main(["bench", "--cell", cell, "--autoscale", "--rescale",
-              *plans["rescale_plan"][0]])
+        main(["bench", "--cell", cell, "--autoscale", "--faults",
+              *plans["resizes"][0]])
     assert runners == []
 
 

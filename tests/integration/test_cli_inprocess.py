@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.faults import staged_plan
 
 SHOP = (
     "from repro import entity\n"
@@ -95,17 +96,11 @@ def test_run_refuses_runtime_flags(module_path, flag, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_rescale_plan_to_stdout(capsys):
-    assert main(["rescale", "plan", "--targets", "4,3"]) == 0
-    assert '"workers": 4' in capsys.readouterr().out
-
-
-def test_rescale_plan_rejects_bad_targets(capsys):
-    import pytest
+def test_rescale_run_rejects_bad_targets(capsys):
     with pytest.raises(SystemExit, match="targets"):
-        main(["rescale", "plan", "--targets", "4,x"])
+        main(["rescale", "run", "--targets", "4,x"])
     with pytest.raises(SystemExit, match="targets"):
-        main(["rescale", "plan", "--targets", "0"])
+        main(["rescale", "run", "--targets", "0"])
 
 
 def test_chaos_plan_with_rescales(capsys):
@@ -189,11 +184,10 @@ def test_bench_spawner_matrix_named_in_rejections(tmp_path):
 
 
 def test_bench_autoscale_flag_rejections(tmp_path):
-    rescale_path = str(tmp_path / "rescale.json")
-    assert main(["rescale", "plan", "--targets", "3",
-                 "--out", rescale_path]) == 0
+    plan_path = str(tmp_path / "resizes.json")
+    staged_plan((3,)).to_json(plan_path)
     with pytest.raises(SystemExit, match="scaling authority"):
-        main(["bench", "--autoscale", "--rescale", rescale_path])
+        main(["bench", "--autoscale", "--faults", plan_path])
     with pytest.raises(SystemExit, match="stateflow"):
         main(["bench", "--system", "statefun", "--autoscale"])
     with pytest.raises(SystemExit, match="autoscale"):

@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench import chaos_coordinator_config
-from repro.faults import FaultEvent, FaultPlan, MessageFaultProfile, random_plan
-from repro.rescale import RescalePlan, RescaleStep, staged_plan
+from repro.faults import (FaultEvent, FaultPlan, MessageFaultProfile,
+                          random_plan, staged_plan)
 from repro.runtimes.state import materialize_snapshot
 from repro.runtimes.stateflow import StateflowConfig, StateflowRuntime
 from repro.workloads import Account
@@ -28,9 +28,8 @@ def _rescale_config(targets=(4, 3), *, workers=2, start_ms=300.0,
                     fault_plan=None) -> StateflowConfig:
     return StateflowConfig(
         workers=workers,
-        rescale_plan=staged_plan(targets, start_ms=start_ms,
-                                 interval_ms=interval_ms),
-        fault_plan=fault_plan,
+        fault_plan=staged_plan(targets, start_ms=start_ms,
+                               interval_ms=interval_ms, faults=fault_plan),
         coordinator=replace(chaos_coordinator_config(),
                             pipeline_depth=pipeline_depth))
 
@@ -132,8 +131,9 @@ def test_tpcc_history_matches_serial_oracle_under_rescale(tpcc_program):
 
     elastic = StateflowRuntime(tpcc_program, config=StateflowConfig(
         workers=3,
-        rescale_plan=RescalePlan(steps=[RescaleStep(at_ms=30.0, workers=5),
-                                        RescaleStep(at_ms=400.0, workers=2)]),
+        fault_plan=FaultPlan(events=[
+            FaultEvent(kind="rescale", at_ms=30.0, target_workers=5),
+            FaultEvent(kind="rescale", at_ms=400.0, target_workers=2)]),
         coordinator=chaos_coordinator_config()))
     for entity_name, rows in sample_dataset().items():
         elastic.preload(entity_name, rows)
@@ -189,15 +189,14 @@ def test_migration_survives_worker_crash_mid_rescale(account_program):
     stale installs via their incarnations), and the re-queued rescale
     completes — with no data loss."""
     plan = FaultPlan(seed=5, events=[
+        FaultEvent(kind="rescale", at_ms=300.0, target_workers=4),
         # Crash a worker right as the (only) rescale begins migrating
         # (the injector resolves the index against the starting 2-worker
         # cluster, so this kills worker 0 — a migration source).
         FaultEvent(kind="crash_worker", at_ms=301.0, worker=2),
     ])
     runtime = StateflowRuntime(account_program, config=StateflowConfig(
-        workers=2,
-        rescale_plan=RescalePlan(steps=[RescaleStep(at_ms=300.0, workers=4)]),
-        fault_plan=plan, coordinator=chaos_coordinator_config()))
+        workers=2, fault_plan=plan, coordinator=chaos_coordinator_config()))
     refs = runtime.preload(Account,
                            [(f"acct-{i}", 50) for i in range(10)])
     runtime.start()
@@ -226,12 +225,11 @@ def test_an_aborted_rescale_keeps_its_place_in_the_queue(account_program):
     4 at the head of the queue, so the rescales still commit 4, then
     3."""
     plan = FaultPlan(seed=5, events=[
+        FaultEvent(kind="rescale", at_ms=300.0, target_workers=4),
+        FaultEvent(kind="rescale", at_ms=300.0, target_workers=3),
         FaultEvent(kind="crash_worker", at_ms=301.0, worker=2)])
     runtime = StateflowRuntime(account_program, config=StateflowConfig(
-        workers=2,
-        rescale_plan=RescalePlan(steps=[RescaleStep(at_ms=300.0, workers=4),
-                                        RescaleStep(at_ms=300.0, workers=3)]),
-        fault_plan=plan, coordinator=chaos_coordinator_config()))
+        workers=2, fault_plan=plan, coordinator=chaos_coordinator_config()))
     refs = runtime.preload(Account, [(f"acct-{i}", 50) for i in range(10)])
     runtime.start()
     for index in range(12):
@@ -252,17 +250,15 @@ def test_rescale_with_message_faults_over_migration_channel(account_program):
     """Drop/delay windows covering the migration traffic itself: slot
     transfers are retried through recovery until they land."""
     plan = FaultPlan(seed=23, events=[
+        FaultEvent(kind="rescale", at_ms=300.0, target_workers=4),
+        FaultEvent(kind="rescale", at_ms=700.0, target_workers=3),
         FaultEvent(kind="messages", at_ms=250.0, duration_ms=700.0,
                    channel="network",
                    profile=MessageFaultProfile(drop_p=0.08, delay_p=0.3,
                                                delay_ms=25.0)),
     ])
     runtime = StateflowRuntime(account_program, config=StateflowConfig(
-        workers=2,
-        rescale_plan=RescalePlan(steps=[RescaleStep(at_ms=300.0, workers=4),
-                                        RescaleStep(at_ms=700.0,
-                                                    workers=3)]),
-        fault_plan=plan, coordinator=chaos_coordinator_config()))
+        workers=2, fault_plan=plan, coordinator=chaos_coordinator_config()))
     refs = runtime.preload(Account, [(f"acct-{i}", 100) for i in range(6)])
     runtime.start()
     done: list[int] = []

@@ -3,14 +3,16 @@ and the ``BENCH_<cell>.json`` artifact persistence the perf trajectory
 depends on."""
 
 import json
+from pathlib import Path
 
 from repro.bench import (
     run_rescale_cell,
     write_bench_artifact,
 )
 from repro.cli import main
-from repro.faults import FaultEvent, FaultPlan
-from repro.rescale import staged_plan
+from repro.faults import FaultEvent, FaultPlan, random_plan, staged_plan
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 def test_rescale_cell_measures_migration_and_stays_correct():
@@ -32,6 +34,20 @@ def test_rescale_cell_measures_migration_and_stays_correct():
     rerun = run_rescale_cell(rps=100.0, duration_ms=2_000.0,
                              record_count=40, seed=21)
     assert rerun.trace_digest == report.trace_digest
+
+
+def test_the_rescale_smoke_writes_the_committed_artifact(tmp_path):
+    """The CI rescale smoke's inputs — a staged 2 -> 4 -> 3 under
+    ``random_plan(11, duration_ms=2500, rescales=1)`` — write the
+    committed ``BENCH_rescale.json`` byte for byte: a merged schedule
+    that drops the chaos plan's seed or moves a resize fails here."""
+    chaos = random_plan(11, duration_ms=2_500.0, rescales=1)
+    report = run_rescale_cell("T", "uniform", workers=2, seed=11,
+                              duration_ms=2_500.0,
+                              runtime_overrides={"fault_plan": chaos})
+    written = write_bench_artifact("rescale", report.as_artifact(),
+                                   directory=tmp_path)
+    assert written.read_bytes() == (ROOT / "BENCH_rescale.json").read_bytes()
 
 
 def test_rescale_cell_history_is_independent_of_pipeline_depth():
@@ -64,9 +80,8 @@ def test_cell_elides_duplicate_targets():
     """A step targeting the current worker count is a no-op: it commits
     no rescale, and the verifier still accepts the final topology
     because the cluster is already there."""
-    plan = staged_plan((3, 3), start_ms=500.0, interval_ms=400.0)
     report = run_rescale_cell(rps=80.0, duration_ms=1_500.0,
-                              record_count=20, seed=5, plan=plan)
+                              record_count=20, seed=5, targets=(3, 3))
     assert report.ok, report.problems
     assert report.final_workers == 3
     assert report.rescales == 1  # the duplicate target was elided
@@ -114,13 +129,9 @@ def test_cli_rescale_run_writes_artifact(tmp_path, monkeypatch, capsys):
     assert "exactly-once across rescales" in out
 
 
-def test_cli_rescale_plan_and_run_from_file(tmp_path, monkeypatch, capsys):
+def test_cli_rescale_run_to_chosen_targets(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
-    plan_path = tmp_path / "plan.json"
-    assert main(["rescale", "plan", "--targets", "4,2",
-                 "--start-ms", "400", "--interval-ms", "500",
-                 "--out", str(plan_path)]) == 0
-    assert main(["rescale", "run", "--plan", str(plan_path),
+    assert main(["rescale", "run", "--targets", "4,2",
                  "--duration-ms", "1500", "--records", "20",
                  "--rps", "80"]) == 0
     payload = json.loads((tmp_path / "BENCH_rescale.json").read_text())
@@ -137,19 +148,12 @@ def test_cli_chaos_run_writes_artifact(tmp_path, monkeypatch):
     assert "trace_digest" in payload
 
 
-def test_cli_bench_rejects_rescale_on_statefun(tmp_path):
-    plan_path = tmp_path / "plan.json"
-    staged_plan((2,)).to_json(plan_path)
-    import pytest
-    with pytest.raises(SystemExit, match="stateflow"):
-        main(["bench", "--system", "statefun", "--rescale",
-              str(plan_path)])
-
-
-def test_cli_bench_accepts_rescale_plan(tmp_path, monkeypatch):
+def test_cli_bench_resizes_from_a_fault_plan(tmp_path, monkeypatch):
+    """``bench --faults`` carries resizes: a plan of ``rescale`` events
+    resizes the ycsb cell mid-run."""
     monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
     plan_path = tmp_path / "plan.json"
     staged_plan((3,), start_ms=300.0).to_json(plan_path)
-    assert main(["bench", "--rescale", str(plan_path),
+    assert main(["bench", "--faults", str(plan_path),
                  "--duration-ms", "800", "--records", "20",
                  "--rps", "60"]) == 0

@@ -20,10 +20,9 @@ from hypothesis import strategies as st
 
 from repro import compile_program, entity
 from repro.bench import chaos_coordinator_config
-from repro.faults import random_plan
+from repro.faults import random_plan, staged_plan
 from repro.query import QueryEngine, QueryError, ViewSpec
 from repro.views import ViewError
-from repro.rescale import staged_plan
 from repro.runtimes import LocalRuntime
 from repro.runtimes.stateflow import (
     CoordinatorConfig,
@@ -292,8 +291,8 @@ class TestRescale:
         they stay exact through both barriers."""
         runtime = StateflowRuntime(account_program, config=StateflowConfig(
             workers=2,
-            rescale_plan=staged_plan((4, 3), start_ms=300.0,
-                                     interval_ms=400.0),
+            fault_plan=staged_plan((4, 3), start_ms=300.0,
+                                   interval_ms=400.0),
             coordinator=replace(chaos_coordinator_config(),
                                 pipeline_depth=pipeline_depth)))
         refs = runtime.preload(

@@ -18,8 +18,7 @@ conservative (the rewound source replays the difference).
 import pytest
 
 from repro.bench import verify_history
-from repro.faults import FaultEvent, FaultPlan, random_plan
-from repro.rescale import staged_plan
+from repro.faults import FaultEvent, FaultPlan, random_plan, staged_plan
 from repro.runtimes.state import materialize_snapshot
 from repro.runtimes.stateflow import StateflowConfig, StateflowRuntime
 from repro.runtimes.stateflow.coordinator import CoordinatorConfig
@@ -36,13 +35,13 @@ ALL_BASES = 1
 DEPTHS = (1, 2)
 
 
-def run_once(base_every, *, seed=11, fault_plan=None, rescale_plan=None,
+def run_once(base_every, *, seed=11, fault_plan=None,
              workers=3, pipeline_depth=2, rps=150.0, duration_ms=1_500.0,
              records=24):
     """One deterministic run; returns (trace, final_state, coordinator,
     sent, completed, workload)."""
     config = StateflowConfig(
-        workers=workers, fault_plan=fault_plan, rescale_plan=rescale_plan,
+        workers=workers, fault_plan=fault_plan,
         coordinator=CoordinatorConfig(
             pipeline_depth=pipeline_depth,
             snapshot_interval_ms=SNAPSHOT_INTERVAL_MS,
@@ -167,12 +166,12 @@ class TestEquivalenceUnderRescale:
     @pytest.mark.parametrize("pipeline_depth", DEPTHS)
     def test_rescale_with_chaos(self, pipeline_depth):
         """2 -> 4 -> 3 live rescales under a message-fault plan."""
-        rescale_plan = staged_plan((4, 3), start_ms=400.0,
-                                   interval_ms=500.0)
-        fault_plan = random_plan(31, duration_ms=1_500.0, workers=2,
-                                 process_faults=False)
+        fault_plan = staged_plan(
+            (4, 3), start_ms=400.0, interval_ms=500.0,
+            faults=random_plan(31, duration_ms=1_500.0, workers=2,
+                               process_faults=False))
         all_bases, mixed = assert_equivalent(
-            workers=2, rescale_plan=rescale_plan, fault_plan=fault_plan,
+            workers=2, fault_plan=fault_plan,
             seed=31, pipeline_depth=pipeline_depth)
         assert mixed[2].rescales >= 2
         assert all_bases[2].rescales == mixed[2].rescales

@@ -6,8 +6,8 @@ mid-rescale."""
 import pytest
 
 from repro.bench import chaos_coordinator_config
-from repro.faults import FaultEvent, FaultPlan, FaultPlanError, random_plan
-from repro.rescale import RescalePlan, RescalePlanError, RescaleStep, staged_plan
+from repro.faults import (FaultEvent, FaultInjector, FaultPlan,
+                          FaultPlanError, random_plan, staged_plan)
 from repro.runtimes.stateflow import StateflowConfig, StateflowRuntime
 from repro.workloads import Account
 
@@ -209,23 +209,43 @@ class TestFaultPlanIntegration:
         assert random_plan(17).to_dict() == \
             random_plan(17, rescales=0).to_dict()
 
+    def test_a_resize_already_due_fires_at_once(self):
+        """A plan installed on a clock past a resize's time asks for it
+        at the current time instead of refusing to schedule the past."""
+        from repro.substrates.simulation import Simulation
 
-class TestRescalePlanSerde:
+        sim = Simulation()
+        sim.schedule(100.0, lambda: None)
+        sim.run()
+        asked: list[tuple[float, int]] = []
+        FaultInjector(staged_plan((4,), start_ms=50.0), sim=sim,
+                      rescaler=lambda workers: asked.append(
+                          (sim.now, workers))).install()
+        sim.run()
+        assert asked == [(100.0, 4)]
+
+
+class TestStagedPlan:
     def test_round_trip(self, tmp_path):
         plan = staged_plan((4, 3), start_ms=250.0, interval_ms=500.0)
         path = tmp_path / "plan.json"
         plan.to_json(path)
-        clone = RescalePlan.from_json(path)
+        clone = FaultPlan.from_json(path)
         assert clone.to_dict() == plan.to_dict()
-        assert clone.targets == [4, 3]
+        assert clone.name == "staged-4-3"
+        assert [(event.kind, event.at_ms, event.target_workers)
+                for event in clone.events] == [("rescale", 250.0, 4),
+                                               ("rescale", 750.0, 3)]
 
-    def test_from_json_text(self):
-        clone = RescalePlan.from_json(
-            '{"name": "x", "steps": [{"at_ms": 5, "workers": 2}]}')
-        assert clone.steps == [RescaleStep(at_ms=5.0, workers=2)]
+    def test_faults_follow_the_resizes_under_their_seed(self):
+        crash = FaultEvent(kind="crash_worker", at_ms=100.0, worker=1)
+        plan = staged_plan((3,), faults=FaultPlan(seed=9, events=[crash]))
+        assert plan.seed == 9
+        assert [event.kind for event in plan.events] == ["rescale",
+                                                          "crash_worker"]
 
     def test_validation(self):
-        with pytest.raises(RescalePlanError):
-            RescalePlan(steps=[RescaleStep(at_ms=-1.0, workers=2)]).validate()
-        with pytest.raises(RescalePlanError):
-            RescalePlan(steps=[RescaleStep(at_ms=0.0, workers=0)]).validate()
+        with pytest.raises(FaultPlanError):
+            staged_plan((2,), start_ms=-1.0)
+        with pytest.raises(FaultPlanError):
+            staged_plan((0,))

@@ -1,13 +1,15 @@
 """Every keyed lookup routes by one definition:
-``route_hash(entity, key) == stable_hash(f"{entity}|{key}")``.
+``route_hash(entity, key) == stable_hash(f"{entity}|{key}")``, with a
+``bool`` or whole ``float`` key formatted as its ``int``.
 
 ``route_hash`` remembers that hash per entity for exact ``str``/``int``
 keys, in a memo bounded at ``ROUTE_MEMO_BOUND`` entries.  These tests
 hold the memo to the definition: whatever the order keys are first
-routed in (``1``, ``True`` and ``1.0`` are one dict key but three
-strings), across rescales and pickled tables, past the bound, and for
-the Kafka partition a request's ingress record lands on.  One test
-measures what routing a fresh key retains.
+routed in (``1``, ``True`` and ``1.0`` are one dict key and one route;
+``"1"`` and subclasses that format differently are not), across
+rescales and pickled tables, past the bound, and for the Kafka
+partition a request's ingress record lands on.  One test measures what
+routing a fresh key retains.
 """
 
 import gc
@@ -44,10 +46,13 @@ class Counted(int):
 #: Keys that collide as dict keys but not as formatted strings, and a
 #: few that only look alike.
 MIXED_KEYS = [1, True, 1.0, "1", (1,), -5, 2 ** 40, Tagged("1"),
-              Counted(1), "acct-000001", 0, False, "True"]
+              Counted(1), "acct-000001", 0, False, "True", -0.0, 2.5,
+              (True,)]
 
 
 def _definition(entity, key):
+    if type(key) is bool or (type(key) is float and key.is_integer()):
+        key = int(key)
     return stable_hash(f"{entity}|{key}")
 
 
@@ -152,17 +157,17 @@ def test_ingress_partition_is_the_one_the_string_key_gave():
                 broker.partition_for("ingress", f"Account|{key}")
 
 
-def test_true_and_one_are_one_key_but_two_routes():
-    """Pinned, not endorsed: every write set, footprint and changelog
-    dict treats ``True`` and ``1`` as one key, yet they format to two
-    strings and so route to two slots.  Changing this moves routing,
-    and with it every trace digest."""
+def test_true_and_one_are_one_key_and_one_route():
+    """Every write set, footprint and changelog dict treats ``True``,
+    ``1`` and ``1.0`` as one key, so they route to one slot: what is
+    put under one is read under the others."""
     store = PartitionedStore(4, slots=64)
     store.put("A", True, {"v": 1})
-    assert store.slot_of("A", True) == 8
-    assert store.slot_of("A", 1) == 51
-    assert store.get("A", 1) is None
-    assert store.get("A", True) == {"v": 1}
+    assert {store.slot_of("A", key) for key in (True, 1, 1.0)} == {51}
+    assert store.get("A", 1) == {"v": 1}
+    assert store.get("A", 1.0) == {"v": 1}
+    store.put("A", 0.0, {"v": 0})
+    assert store.get("A", False) == {"v": 0}
 
 
 def test_routing_a_fresh_key_retains_under_80_bytes():

@@ -5,8 +5,8 @@ import hashlib
 import pytest
 
 from repro.core.refs import EntityRef
+from repro.faults import FaultEvent, FaultPlan
 from repro.runtimes.stateflow import StateflowConfig, StateflowRuntime
-from repro.rescale import RescalePlan, RescaleStep
 from repro.runtimes.stateflow.coordinator import CoordinatorConfig
 from repro.workloads import Account, DriverConfig, WorkloadDriver, YcsbWorkload
 
@@ -179,8 +179,8 @@ class TestArchitecture:
         moving a hop between the runtime and its workers must not move
         it."""
         runtime = StateflowRuntime(account_program, config=StateflowConfig(
-            workers=2, rescale_plan=RescalePlan(
-                [RescaleStep(at_ms=500.0, workers=3)])))
+            workers=2, fault_plan=FaultPlan(events=[
+                FaultEvent(kind="rescale", at_ms=500.0, target_workers=3)])))
         hops: list[str] = []
 
         def tap(src, dst):

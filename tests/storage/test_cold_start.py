@@ -22,7 +22,7 @@ from repro.faults import random_plan
 from repro.query import QueryEngine, ViewSpec
 from repro.runtimes.state import DictStateBackend, materialize_snapshot
 from repro.runtimes.stateflow import StateflowConfig, StateflowRuntime
-from repro.runtimes.stateflow.coordinator import Coordinator, CoordinatorConfig
+from repro.runtimes.stateflow.coordinator import CoordinatorConfig
 from repro.runtimes.stateflow.snapshots import SnapshotStore
 from repro.storage import FileChangelogStore, FileSnapshotStore
 from repro.substrates.simulation import Simulation
@@ -301,45 +301,6 @@ class TestDurableViewsColdStart:
             assert (cut.views_state is None) == (cut.kind == "position"), (
                 cut.snapshot_id, cut.kind)
         assert cuts[0].views_state is None
-
-    def test_position_cuts_with_their_own_sidecars_cold_start(
-            self, tmp_path, monkeypatch):
-        """A directory written when every cut carried its own sidecar:
-        its position cuts resume from that sidecar, not their base's,
-        with zero rescans and the live run's values."""
-        coordinators = []
-        take_snapshot, take = Coordinator._take_snapshot, SnapshotStore.take
-
-        def recording_take_snapshot(coordinator):
-            coordinators.append(coordinator)
-            take_snapshot(coordinator)
-
-        def take_with_a_sidecar(store, **kwargs):
-            kwargs["views_state"] = coordinators[-1].views.export_sidecar()
-            return take(store, **kwargs)
-
-        monkeypatch.setattr(Coordinator, "_take_snapshot",
-                            recording_take_snapshot)
-        monkeypatch.setattr(SnapshotStore, "take", take_with_a_sidecar)
-        runtime = self._durable_run_with_views(tmp_path, pipeline_depth=2)
-        coordinator = runtime.coordinator
-        while coordinator.snapshots.latest().kind != "position":
-            coordinator._take_snapshot()
-        live_values = {name: runtime.views.read(name).value
-                       for name in runtime.views.names()}
-        coordinator.changelog.close()
-
-        snapshots, changelog = reopen_stores(tmp_path)
-        latest, _ = snapshots.latest_recoverable(changelog)
-        changelog.close()
-        assert latest.kind == "position"
-        assert snapshots.sidecar(latest) is latest.views_state is not None
-        manager, _, changelog = cold_start_views(tmp_path, VIEW_SPECS)
-        changelog.close()
-        assert manager.rehydrations == 0
-        assert manager.sidecar_restores == len(VIEW_SPECS)
-        assert {name: manager.read(name).value
-                for name in manager.names()} == live_values
 
 
 #: The child runs a deterministic durable workload, reports what its

@@ -103,8 +103,6 @@ ROWS: dict[tuple[str, str], Row] = {
         CHAOS, "chaos_coordinator_config()", "the chaos preset"),
     ("StateflowConfig", "fault_plan"): preset(CHAOS, None,
                                               "every chaos cell"),
-    ("StateflowConfig", "rescale_plan"): preset(
-        "src/repro/bench/rescale.py", None, "every rescale cell"),
     ("StateflowConfig", "autoscale"): Row(
         "cli", "src/repro/cli.py", '"autoscale": ("--autoscale"',
         "--autoscale"),
@@ -181,9 +179,6 @@ ROWS: dict[tuple[str, str], Row] = {
     ("repro bench", "--faults"): by_test(
         "tests/integration/test_cli_and_dot.py", None,
         "a YCSB cell under a fault plan"),
-    ("repro bench", "--rescale"): by_test(
-        "tests/integration/test_rescale_bench.py", None,
-        "a YCSB cell that resizes mid-run"),
     ("repro bench", "--pipeline-depth"): by_test(
         CLI_TESTS, None, "serial batches on the ycsb cell"),
     ("repro bench", "--spawner"): ci(),
@@ -219,19 +214,6 @@ ROWS: dict[tuple[str, str], Row] = {
         "the controller's decisions under injected failures"),
     ("repro chaos run", "--durable"): ci(),
     # -- repro rescale ----------------------------------------------------
-    ("repro rescale plan", "--targets"): by_test(
-        CLI_TESTS, None, "a schedule of chosen sizes"),
-    ("repro rescale plan", "--start-ms"): by_test(
-        "tests/integration/test_rescale_bench.py", None,
-        "a schedule at chosen times"),
-    ("repro rescale plan", "--interval-ms"): by_test(
-        "tests/integration/test_rescale_bench.py", None,
-        "a schedule at chosen times"),
-    ("repro rescale plan", "--out"): by_test(
-        CLI_TESTS, None, "the schedule written to a file"),
-    ("repro rescale run", "--plan"): by_test(
-        "tests/integration/test_rescale_bench.py", None,
-        "a schedule read from a file"),
     ("repro rescale run", "--targets"): ci(),
     ("repro rescale run", "--workers"): ci(),
     ("repro rescale run", "--workload"): FIG3,
@@ -321,4 +303,4 @@ def test_the_count_only_falls():
     """The census started from 138 values (71 fields, 64 options, 3
     variables); a change that adds a value adds its row and raises this
     bound in the same diff."""
-    assert len(settable_values()) <= 92
+    assert len(settable_values()) <= 85
