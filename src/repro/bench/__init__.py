@@ -16,21 +16,15 @@ from .chaos import (
     verify_history,
 )
 from .harness import (
-    FIG3_CELLS,
-    FIG4_RATES,
     ExperimentRow,
     build_runtime,
-    check_figure3_shape,
-    check_figure4_shape,
-    env_ms,
     format_table,
     process_stateflow_overrides,
-    run_figure3,
-    run_figure4,
     run_ycsb_cell,
     write_bench_artifact,
     ycsb_program,
 )
+from .paper import format_paper_summary, run_paper_cell
 from .pipeline import (
     PipelineReport,
     PipelineRow,
@@ -72,8 +66,6 @@ __all__ = [
     "ExperimentRow",
     "chaos_coordinator_config",
     "run_chaos_cell",
-    "FIG3_CELLS",
-    "FIG4_RATES",
     "OverheadRow",
     "PipelineReport",
     "PipelineRow",
@@ -89,17 +81,14 @@ __all__ = [
     "trace_state_digest",
     "verify_history",
     "write_bench_artifact",
-    "check_figure3_shape",
-    "check_figure4_shape",
-    "env_ms",
     "format_overhead_table",
+    "format_paper_summary",
     "format_table",
     "format_views_summary",
     "run_views_cell",
     "run_views_leg",
-    "run_figure3",
-    "run_figure4",
     "run_overhead_breakdown",
+    "run_paper_cell",
     "run_ycsb_cell",
     "ycsb_program",
 ]

@@ -1,9 +1,11 @@
-"""Benchmark harness: runs paper experiments and prints their tables.
+"""Benchmark harness: one YCSB cell on any runtime, and its table.
 
-Each experiment in DESIGN.md §4 has a ``run_*`` function here returning
-structured rows, plus a ``format_table`` pretty-printer that produces the
-series the paper plots.  The pytest-benchmark files under ``benchmarks/``
-are thin wrappers over these functions.
+:func:`run_ycsb_cell` runs one (system, workload, distribution, rate)
+cell and returns an :class:`ExperimentRow`; :func:`format_table` prints
+rows the way the paper plots them.  Every bench cell builds its runtimes
+through :func:`build_runtime`, and persists its results with
+:func:`write_bench_artifact`.  The paper's figures and ablations are
+sections of one cell, :mod:`repro.bench.paper`.
 """
 
 from __future__ import annotations
@@ -25,12 +27,6 @@ from ..substrates.simulation import Simulation
 from ..substrates.spawner import make_spawner
 from ..workloads.generator import DriverConfig, WorkloadDriver
 from ..workloads.ycsb import Account, YcsbWorkload
-
-
-def env_ms(name: str, default: float) -> float:
-    """Benchmark durations are tunable via environment variables."""
-    value = os.environ.get(name)
-    return float(value) if value else default
 
 
 _PROGRAM_CACHE: dict[int, CompiledProgram] = {}
@@ -228,106 +224,3 @@ def format_table(rows: list[ExperimentRow], title: str,
         lines.append("  ".join(str(d.get(c, "")).ljust(widths[c])
                                for c in columns))
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Figure 3: p99 latency bars, YCSB A/B/T x {zipfian, uniform} at 100 RPS
-# ---------------------------------------------------------------------------
-
-FIG3_CELLS: list[tuple[str, str, str]] = [
-    # (system, workload, distribution); no Statefun T — "we did not run
-    # Statefun against transactional workloads since it offers no support
-    # for transactions" (Section 4).
-    ("statefun", "A", "zipfian"), ("statefun", "A", "uniform"),
-    ("statefun", "B", "zipfian"), ("statefun", "B", "uniform"),
-    ("stateflow", "A", "zipfian"), ("stateflow", "A", "uniform"),
-    ("stateflow", "B", "zipfian"), ("stateflow", "B", "uniform"),
-    ("stateflow", "T", "zipfian"), ("stateflow", "T", "uniform"),
-]
-
-
-def run_figure3(*, duration_ms: float | None = None,
-                record_count: int = 1000, seed: int = 42,
-                ) -> list[ExperimentRow]:
-    duration = duration_ms or env_ms("REPRO_FIG3_DURATION_MS", 20_000.0)
-    return [run_ycsb_cell(system, workload, distribution, rps=100.0,
-                          duration_ms=duration, record_count=record_count,
-                          seed=seed)
-            for system, workload, distribution in FIG3_CELLS]
-
-
-# ---------------------------------------------------------------------------
-# Figure 4: p50/p99 latency vs input throughput, workload M
-# ---------------------------------------------------------------------------
-
-FIG4_RATES: list[float] = [1000, 1500, 2000, 2500, 3000, 3500, 4000]
-
-
-def run_figure4(*, duration_ms: float | None = None,
-                rates: list[float] | None = None,
-                record_count: int = 1000, seed: int = 42,
-                ) -> list[ExperimentRow]:
-    duration = duration_ms or env_ms("REPRO_FIG4_DURATION_MS", 6_000.0)
-    rows = []
-    for system in ("statefun", "stateflow"):
-        for rate in (rates or FIG4_RATES):
-            rows.append(run_ycsb_cell(
-                system, "M", "zipfian", rps=rate, duration_ms=duration,
-                record_count=record_count, seed=seed,
-                drain_ms=4_000.0))
-    return rows
-
-
-def check_figure3_shape(rows: list[ExperimentRow]) -> list[str]:
-    """DESIGN.md acceptance criteria for Figure 3; returns violations."""
-    by_cell = {(r.system, r.workload, r.distribution): r for r in rows}
-    problems = []
-    statefun = [r for r in rows if r.system == "statefun"]
-    if statefun:
-        p99s = [r.p99_ms for r in statefun]
-        if max(p99s) > 2.0 * min(p99s):
-            problems.append(
-                "Statefun p99 should be roughly equal across A/B and "
-                f"distributions; got {sorted(round(p, 1) for p in p99s)}")
-    for workload in ("A", "B"):
-        for distribution in ("zipfian", "uniform"):
-            fun = by_cell.get(("statefun", workload, distribution))
-            flow = by_cell.get(("stateflow", workload, distribution))
-            if fun and flow and not flow.p99_ms < fun.p99_ms:
-                problems.append(
-                    f"StateFlow should beat Statefun on {workload}-"
-                    f"{distribution}: {flow.p99_ms:.1f} vs {fun.p99_ms:.1f}")
-    for distribution in ("zipfian", "uniform"):
-        t_row = by_cell.get(("stateflow", "T", distribution))
-        if t_row and not t_row.p99_ms < 200.0:
-            problems.append(
-                f"StateFlow T-{distribution} p99 should stay below 200 ms "
-                f"(paper: sub-100ms average, bars < 200); got "
-                f"{t_row.p99_ms:.1f}")
-    if any(r.system == "statefun" and r.workload == "T" for r in rows):
-        problems.append("Statefun must not run workload T")
-    return problems
-
-
-def check_figure4_shape(rows: list[ExperimentRow]) -> list[str]:
-    """Acceptance criteria for Figure 4: Statefun saturates (p99
-    diverges) before the top rate; StateFlow stays far lower."""
-    problems = []
-    statefun = sorted((r for r in rows if r.system == "statefun"),
-                      key=lambda r: r.rps)
-    stateflow = sorted((r for r in rows if r.system == "stateflow"),
-                       key=lambda r: r.rps)
-    if statefun:
-        low, high = statefun[0], statefun[-1]
-        if not high.p99_ms > 3.0 * low.p99_ms:
-            problems.append(
-                "Statefun p99 should blow up with load: "
-                f"{low.p99_ms:.1f} -> {high.p99_ms:.1f}")
-    if stateflow and statefun:
-        top_flow = stateflow[-1]
-        top_fun = statefun[-1]
-        if not top_flow.p99_ms < top_fun.p99_ms:
-            problems.append(
-                "StateFlow should sustain the top rate better than "
-                f"Statefun: {top_flow.p99_ms:.1f} vs {top_fun.p99_ms:.1f}")
-    return problems

@@ -386,6 +386,17 @@ def _run_views_cell(args: argparse.Namespace) -> int:
     return 0 if artifact["ok"] else 1
 
 
+def _run_paper_cell(args: argparse.Namespace) -> int:
+    from .bench import (format_paper_summary, run_paper_cell,
+                        write_bench_artifact)
+
+    artifact = run_paper_cell(seed=args.seed)
+    _print_titled("the paper's evaluation: figures 3-4, ablations, "
+                  "overhead", format_paper_summary(artifact))
+    print(f"wrote {write_bench_artifact('paper', artifact)}")
+    return 0 if artifact["ok"] else 1
+
+
 @dataclass(frozen=True)
 class BenchCell:
     """One ``repro bench --cell``: its runner, the systems and spawners
@@ -403,9 +414,16 @@ class BenchCell:
 _YCSB_ONLY = ("fault_plan", "pipeline_depth", "autoscale", "durability_dir",
               "rps_sweep")
 
+#: The load flags a cell that fixes its own load refuses.
+_LOAD = ("rps", "duration_ms", "records")
+
 BENCH_CELLS: dict[str, BenchCell] = {
     "ycsb": BenchCell(_run_ycsb_cell, systems=("stateflow", "statefun"),
                       spawners=("simulator", "process")),
+    "paper": BenchCell(
+        _run_paper_cell, refuses=_LOAD + _YCSB_ONLY,
+        why="runs each figure and ablation at the paper's sizes and runs "
+            "both systems itself (use --cell ycsb for one cell)"),
     "pipeline": BenchCell(
         _run_pipeline_cell, spawners=("simulator", "process"),
         refuses=_YCSB_ONLY,
@@ -417,7 +435,7 @@ BENCH_CELLS: dict[str, BenchCell] = {
             "injects its own fail-over and owns its durability directory"),
     "autoscale": BenchCell(
         _run_autoscale_cell,
-        refuses=("rps", "duration_ms", "records") + _YCSB_ONLY,
+        refuses=_LOAD + _YCSB_ONLY,
         why="drives one fixed ramp in canonical configurations and owns "
             "its scaling authority (use `repro chaos run --autoscale` for "
             "the controller under chaos)"),
@@ -585,7 +603,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench_cmd.add_argument("--cell", default="ycsb", choices=list(BENCH_CELLS),
                            help="ycsb (default; load flags default to 100 "
                                 "rps / 2000 ms / 100 records), or a sweep "
-                                "with its own gates: pipeline (depth 1/2/4), "
+                                "with its own gates: paper (figures 3-4, "
+                                "the ablations and the overhead breakdown, "
+                                "into BENCH_paper.json), pipeline (depth "
+                                "1/2/4), "
                                 "recovery (every cut a base vs position "
                                 "cuts), "
                                 "autoscale (a zipfian ramp with and without "

@@ -42,9 +42,6 @@ class Operator:
     def machine(self, method: str) -> StateMachine:
         return self.machines[method]
 
-    def method_names(self) -> list[str]:
-        return list(self.machines)
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "name": self.name,

@@ -218,7 +218,6 @@ class CoordinatorConfig:
     epoch_interval_ms: float = 40.0
     snapshot_interval_ms: float = 500.0
     failure_detect_ms: float = 400.0
-    reordering: bool = True
     release_txn_outputs_at_epoch: bool = True
     #: Bounded epoch pipeline: how many batches may be in flight at once
     #: (one in the ordered commit region, the rest executing against
@@ -643,8 +642,7 @@ class Coordinator:
                 BatchMember.from_context(txn.ctx, failed=txn.error is not None)
                 for txn in batch.txns.values()
             ]
-            report = decide(members, reordering=self.config.reordering,
-                            stale_keys=self._stale_keys_for(batch))
+            report = decide(members, stale_keys=self._stale_keys_for(batch))
             self.stats.observe(report)
             self._install_writes(
                 batch, [batch.txns[tid].ctx.write_set

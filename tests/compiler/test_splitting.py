@@ -12,6 +12,7 @@ from repro.compiler.blocks import (
     InvokeTerminator,
     ReturnTerminator,
 )
+from repro.workloads.ycsb import Account
 
 
 def _split(classes, entity_name, method, **kwargs):
@@ -34,6 +35,9 @@ class TestPaperExample:
         result = _split([Item, User], "User", "buy_item")
         assert result.was_split
         assert len(result.blocks) >= 4
+        # YCSB's transfer calls its peer: it splits the same way.
+        transfer = _split([Account], "Account", "transfer")
+        assert transfer.was_split and transfer.entry == "transfer_0"
 
     def test_first_block_suspends_at_price(self):
         result = _split([Item, User], "User", "buy_item")

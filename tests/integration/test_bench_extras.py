@@ -1,23 +1,13 @@
-"""Bench plumbing: env knobs, runtime overrides, Blob entity, hashing."""
+"""Bench plumbing: runtime overrides, Blob entity, hashing."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench import Blob, build_runtime, env_ms, ycsb_program
+from repro.bench import Blob, build_runtime, ycsb_program
 from repro.core.serialization import state_size_bytes
 from repro.ir.dataflow import stable_hash
 from repro.runtimes import LocalRuntime
-
-
-class TestEnvKnobs:
-    def test_default_when_unset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TEST_KNOB", raising=False)
-        assert env_ms("REPRO_TEST_KNOB", 123.0) == 123.0
-
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_KNOB", "4500")
-        assert env_ms("REPRO_TEST_KNOB", 123.0) == 4500.0
 
 
 class TestBuildRuntime:

@@ -153,6 +153,9 @@ PINNED = {
     ("ycsb", "stateflow", "process", "resizes"): True,
     ("pipeline", "stateflow", "process", "records"): False,
     ("recovery", "stateflow", "simulator", "records"): False,
+    ("paper", "stateflow", "simulator", "duration_ms"): True,
+    ("paper", "statefun", "simulator", "seed"): True,
+    ("paper", "stateflow", "simulator", "seed"): False,
 }
 
 

@@ -109,7 +109,8 @@ class TestHarness:
         assert empty.share("function_execution") is None
 
     def test_figure3_shape_checker(self):
-        from repro.bench import ExperimentRow, check_figure3_shape
+        from repro.bench import ExperimentRow
+        from repro.bench.paper import check_figure3_shape
 
         def row(system, workload, distribution, p99):
             return ExperimentRow(system=system, workload=workload,
@@ -127,7 +128,8 @@ class TestHarness:
         assert check_figure3_shape(bad)
 
     def test_figure4_shape_checker(self):
-        from repro.bench import ExperimentRow, check_figure4_shape
+        from repro.bench import ExperimentRow
+        from repro.bench.paper import check_figure4_shape
 
         def row(system, rps, p99):
             return ExperimentRow(system=system, workload="M",

@@ -94,14 +94,6 @@ class TestSerializability:
             "hot zipfian transfers should conflict")
         assert stats.fallback_runs > 0
 
-    @pytest.mark.parametrize("pipeline_depth", [1, 2])
-    def test_no_reordering_also_conserves(self, account_program,
-                                          pipeline_depth):
-        runtime, result, total, workload = self._run_transfers(
-            account_program, reordering=False,
-            pipeline_depth=pipeline_depth)
-        assert total == workload.total_balance()
-
     def test_increments_apply_exactly_once(self, account_program):
         """Commutative increments: final balance certifies that each
         request applied exactly once."""

@@ -41,6 +41,7 @@ CONFIGS = (StateflowConfig, CoordinatorConfig, StatefunConfig, KafkaConfig,
            NetworkConfig, AutoscalePolicy)
 CI = ".github/workflows/ci.yml"
 HARNESS = "src/repro/bench/harness.py"
+PAPER = "src/repro/bench/paper.py"
 COSTS = "src/repro/substrates/costs.py"
 CHAOS = "src/repro/bench/chaos.py"
 RECOVERY = "src/repro/bench/recovery.py"
@@ -73,11 +74,11 @@ def by_test(path, needle, why):
     return Row("test", path, needle, why)
 
 
-FIG3 = paper(HARNESS, "FIG3_CELLS",
+FIG3 = paper(PAPER, "FIG3_CELLS",
              "Figure 3's axes: YCSB workload x key distribution, and the "
              "StateFun baseline")
-FIG4 = paper(HARNESS, "FIG4_RATES", "Figure 4's input-rate axis")
-ABL_TXN_KEYS = paper("benchmarks/bench_ablation_txn.py", "record_count=64",
+FIG4 = paper(PAPER, "FIG4_RATES", "Figure 4's input-rate axis")
+ABL_TXN_KEYS = paper(PAPER, "record_count=64",
                      "ABL-TXN's contention axis (64 hot keys vs the "
                      "paper's 1000)")
 PROFILES = "the cost profiles: the simulator's numbers, and all zero"
@@ -92,8 +93,7 @@ ROWS: dict[tuple[str, str], Row] = {
     ("StateflowConfig", "spawner"): preset(HARNESS, '"spawner": "process"',
                                            "the process preset"),
     ("StateflowConfig", "channel_mode"): paper(
-        "benchmarks/bench_ablation_channels.py", None,
-        "ABL-COMM: Kafka loop-backs instead of direct channels"),
+        PAPER, None, "ABL-COMM: Kafka loop-backs instead of direct channels"),
     ("StateflowConfig", "state_slots"): preset(
         "src/repro/bench/pipeline.py", "state_slots=state_slots",
         "the saturating pipeline cell shards 128 slots"),
@@ -123,9 +123,6 @@ ROWS: dict[tuple[str, str], Row] = {
         CHAOS, None, "the chaos preset cuts often"),
     ("CoordinatorConfig", "failure_detect_ms"): preset(
         CHAOS, None, "the chaos preset detects failures fast"),
-    ("CoordinatorConfig", "reordering"): paper(
-        "benchmarks/bench_ablation_txn.py", None,
-        "ABL-TXN: Aria's deterministic reordering switched off"),
     ("CoordinatorConfig", "release_txn_outputs_at_epoch"): preset(
         HARNESS, None, "the process preset releases replies at commit"),
     ("CoordinatorConfig", "pipeline_depth"): preset(
@@ -229,12 +226,6 @@ ROWS: dict[tuple[str, str], Row] = {
     ("env", "REPRO_BENCH_DIR"): by_test(
         "tests/conftest.py", None,
         "artifacts kept out of the working tree"),
-    ("env", "REPRO_FIG3_DURATION_MS"): paper(
-        "benchmarks/bench_fig3_latency.py", "run_figure3",
-        "a shorter Figure 3 reproduction"),
-    ("env", "REPRO_FIG4_DURATION_MS"): paper(
-        "benchmarks/bench_fig4_throughput.py", "run_figure4",
-        "a shorter Figure 4 reproduction"),
 }
 
 
@@ -252,7 +243,7 @@ def _cli_options(parser: argparse.ArgumentParser,
 
 #: A literal variable name passed to an environment read.
 _ENV_READ = re.compile(
-    r"""(?:environ\.get|getenv|environ\[|env_ms)\(?\s*["']([A-Z0-9_]+)["']""")
+    r"""(?:environ\.get|getenv|environ\[)\(?\s*["']([A-Z0-9_]+)["']""")
 
 
 def _env_reads() -> set[tuple[str, str]]:
@@ -303,4 +294,4 @@ def test_the_count_only_falls():
     """The census started from 138 values (71 fields, 64 options, 3
     variables); a change that adds a value adds its row and raises this
     bound in the same diff."""
-    assert len(settable_values()) <= 85
+    assert len(settable_values()) <= 82
