@@ -36,10 +36,6 @@ from .recovery import (
     RecoveryRow,
     run_recovery_cell,
 )
-from .rescale import (
-    RescaleReport,
-    run_rescale_cell,
-)
 from .views import (
     format_views_summary,
     run_views_cell,
@@ -71,13 +67,11 @@ __all__ = [
     "PipelineRow",
     "RecoveryReport",
     "RecoveryRow",
-    "RescaleReport",
     "process_stateflow_overrides",
     "run_pipeline_bench",
     "run_pipeline_cell",
     "run_recovery_cell",
     "build_runtime",
-    "run_rescale_cell",
     "trace_state_digest",
     "verify_history",
     "write_bench_artifact",

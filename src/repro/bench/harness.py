@@ -147,28 +147,22 @@ def run_ycsb_cell(system: str, workload_name: str, distribution: str,
                   ) -> ExperimentRow:
     """Run one (system, workload, distribution, rate) cell.
 
-    *runtime_overrides* is the :func:`build_runtime` mapping: a
-    ``fault_plan`` runs the cell under a :class:`~repro.faults.
-    FaultPlan` (``--faults`` on the CLI), and ``spawner="process"`` runs
-    it on real worker processes (StateFlow only) under
-    :func:`process_stateflow_overrides`; the duration is then
-    wall-clock milliseconds, so callers should pick a far smaller cell
-    than the simulator defaults.
+    *runtime_overrides* is the :func:`build_runtime` mapping:
+    ``spawner="process"`` runs the cell on real worker processes
+    (StateFlow only) under :func:`process_stateflow_overrides`; the
+    duration is then wall-clock milliseconds, so callers should pick a
+    far smaller cell than the simulator defaults.  Fault plans run
+    through :func:`~repro.bench.chaos.run_chaos_cell`.
     """
     from ..ir.dataflow import stable_hash
 
     overrides = dict(runtime_overrides or {})
-    fault_plan = overrides.get("fault_plan")
     spawner = overrides.get("spawner", "simulator")
     wallclock = spawner != "simulator"
     if wallclock and system != "stateflow":
         raise ValueError(
             f"spawner {spawner!r} requires system='stateflow'; "
             f"{system!r} has no process substrate")
-    if wallclock and fault_plan is not None:
-        raise ValueError(
-            "fault plans drive simulator internals and are not "
-            "supported on the process spawner")
     # Derive a per-cell seed so cells are independent samples (while
     # still reproducible for a given base seed).
     seed = seed + stable_hash(
@@ -197,9 +191,6 @@ def run_ycsb_cell(system: str, workload_name: str, distribution: str,
         stats = runtime.coordinator.stats
         extra["txn_aborts"] = stats.aborts_waw + stats.aborts_raw
         extra["batches"] = stats.batches
-        if fault_plan is not None:
-            extra["recoveries"] = runtime.coordinator.recoveries
-            extra["msg_dropped"] = runtime.faults.stats.dropped
     if wallclock:
         runtime.close()
     return ExperimentRow(

@@ -1,13 +1,14 @@
 """Command-line interface: ``python -m repro <command>``; ``--help`` on
 any command lists its flags.
 
-``bench``, ``chaos run`` and ``rescale run`` persist their results as
+``bench`` and ``chaos run`` persist their results as
 ``BENCH_<cell>.json`` in the working directory (override with
 ``$REPRO_BENCH_DIR``); payloads carry no wall-clock timestamps, so a
 simulator rerun of the same seed writes the same bytes.  Their runtime
 and load flags are declared once (:data:`RUNTIME_FLAGS`) and become one
 :func:`~repro.bench.harness.build_runtime` overrides mapping
-(:func:`runtime_overrides`).  Which ``bench`` cell accepts which system,
+(:func:`runtime_overrides`).  A fault plan, resizes included, runs
+through ``chaos run`` only.  Which ``bench`` cell accepts which system,
 spawner and flag is one table (:data:`BENCH_CELLS`); every rejection is
 generated from it.
 """
@@ -133,16 +134,17 @@ def _plan_file(path: str) -> FaultPlan:
         raise argparse.ArgumentTypeError(f"cannot load {path}: {error}")
 
 
-def _parse_targets(text: str) -> list[int]:
+def _worker_counts(text: str) -> list[int]:
+    """An argparse type: comma-separated positive worker counts."""
     try:
-        targets = [int(part) for part in text.split(",") if part.strip()]
+        counts = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise SystemExit(f"--targets expects comma-separated worker "
-                         f"counts, got {text!r}")
-    if not targets or any(target < 1 for target in targets):
-        raise SystemExit(f"--targets needs positive worker counts, "
-                         f"got {text!r}")
-    return targets
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated worker counts, got {text!r}")
+    if not counts or any(count < 1 for count in counts):
+        raise argparse.ArgumentTypeError(
+            f"needs positive worker counts, got {text!r}")
+    return counts
 
 
 def _parse_rps_sweep(text: str) -> list[float]:
@@ -163,9 +165,9 @@ def _parse_rps_sweep(text: str) -> list[float]:
 
 #: Every runtime and load flag: dest -> (flag, ``add_argument`` keywords).
 #: A flag that sets a ``build_runtime`` override has that override's name
-#: as its dest.  ``bench`` takes them all, ``chaos run`` and ``rescale
-#: run`` the ones they honour; a command sets its own load defaults
-#: (``set_defaults``).
+#: as its dest.  ``bench`` takes all but the deployment ones
+#: (:data:`CHAOS_ONLY`), ``chaos run`` the ones it honours; a command sets
+#: its own load defaults (:func:`_add_flags`).
 RUNTIME_FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
     "system": ("--system", dict(default="stateflow",
                                 choices=["stateflow", "statefun"])),
@@ -180,10 +182,12 @@ RUNTIME_FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
     "rps_sweep": ("--rps-sweep", dict(default=None, metavar="R1,R2,...",
                                       help="run the ycsb cell at each "
                                            "rate")),
-    "fault_plan": ("--faults", dict(
-        type=_plan_file, default=None, metavar="PLAN_JSON",
-        help="run under a fault plan, whose rescale events resize the "
-             "cluster mid-run (`repro chaos plan`)")),
+    "workers": ("--workers", dict(type=positive_int, default=5,
+                                  help="StateFlow workers at the start")),
+    "targets": ("--targets", dict(
+        type=_worker_counts, default=None, metavar="N1,N2,...",
+        help="resize to each worker count in turn, spread over the run "
+             "ahead of the plan's events")),
     "pipeline_depth": ("--pipeline-depth", dict(
         type=positive_int, default=None, metavar="N",
         help="epoch-pipeline depth; 1 = serial batches (default 2)")),
@@ -200,32 +204,37 @@ RUNTIME_FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
 }
 
 #: The flags (dests) that are ``build_runtime`` overrides.
-OVERRIDES = ("fault_plan", "pipeline_depth", "spawner", "autoscale",
-             "durability_dir")
+OVERRIDES = ("pipeline_depth", "spawner", "autoscale", "durability_dir")
 #: Flags only StateFlow can honour (StateFun has no coordinator, no
 #: snapshots and a fixed deployment).
-STATEFLOW_ONLY = ("pipeline_depth", "autoscale", "durability_dir")
-#: Flags the process spawner refuses: their plans drive simulator
-#: internals (virtual-time schedules, message hooks).
-PROCESS_REFUSES = ("fault_plan",)
+STATEFLOW_ONLY = ("pipeline_depth", "autoscale", "durability_dir", "workers",
+                  "targets")
+#: The deployment flags only ``chaos run`` takes: a bench cell owns its
+#: deployment.
+CHAOS_ONLY = ("workers", "targets")
 
 
 def _flag(dest: str) -> str:
     return RUNTIME_FLAGS[dest][0]
 
 
-def _add_flags(parser: argparse.ArgumentParser, *dests: str) -> None:
+def _add_flags(parser: argparse.ArgumentParser, *dests: str,
+               **defaults: Any) -> None:
+    """Add the flags *dests*; *defaults* are this command's own defaults
+    for some of them (its load flags), which :func:`_given` compares
+    against."""
     for dest in dests:
         flag, spec = RUNTIME_FLAGS[dest]
-        parser.add_argument(flag, dest=dest, **spec)
+        parser.add_argument(flag, dest=dest, **{
+            **spec, "default": defaults.get(dest, spec.get("default"))})
+    parser.set_defaults(flag_defaults={
+        dest: parser.get_default(dest) for dest in dests})
 
 
 def _given(args: argparse.Namespace) -> list[str]:
-    """The runtime flags (dests) set away from their declared default.
-    Flags a command re-defaults (its load flags) are never asked about."""
-    values = vars(args)
-    return [dest for dest, (_, spec) in RUNTIME_FLAGS.items()
-            if dest in values and values[dest] != spec.get("default")]
+    """The runtime flags (dests) set away from the command's default."""
+    return [dest for dest, default in args.flag_defaults.items()
+            if getattr(args, dest) != default]
 
 
 def runtime_overrides(args: argparse.Namespace) -> dict[str, Any]:
@@ -265,11 +274,7 @@ def _run_ycsb_cell(args: argparse.Namespace) -> int:
                           record_count=args.records or 100, seed=args.seed,
                           runtime_overrides=overrides)
             for rate in rates]
-    columns = ["system", "workload", "distribution", "rps", "p50_ms",
-               "p99_ms", "mean_ms", "completed", "errors"]
-    if args.fault_plan is not None and args.system == "stateflow":
-        columns += ["recoveries", "msg_dropped"]
-    print(format_table(rows, title, columns=columns))
+    print(format_table(rows, title))
     path = write_bench_artifact("ycsb", {"cell": "ycsb",
                                          "rows": [row.as_dict()
                                                   for row in rows]})
@@ -411,17 +416,19 @@ class BenchCell:
 
 
 #: Flags only the ycsb cell honours: every sweep owns its deployment.
-_YCSB_ONLY = ("fault_plan", "pipeline_depth", "autoscale", "durability_dir",
-              "rps_sweep")
+_YCSB_ONLY = ("pipeline_depth", "autoscale", "durability_dir", "rps_sweep")
 
 #: The load flags a cell that fixes its own load refuses.
 _LOAD = ("rps", "duration_ms", "records")
+
+#: The workload flags a cell that picks its own workload refuses.
+_WORKLOAD = ("workload", "distribution")
 
 BENCH_CELLS: dict[str, BenchCell] = {
     "ycsb": BenchCell(_run_ycsb_cell, systems=("stateflow", "statefun"),
                       spawners=("simulator", "process")),
     "paper": BenchCell(
-        _run_paper_cell, refuses=_LOAD + _YCSB_ONLY,
+        _run_paper_cell, refuses=_WORKLOAD + _LOAD + _YCSB_ONLY,
         why="runs each figure and ablation at the paper's sizes and runs "
             "both systems itself (use --cell ycsb for one cell)"),
     "pipeline": BenchCell(
@@ -430,17 +437,17 @@ BENCH_CELLS: dict[str, BenchCell] = {
         why="sweeps depths 1/2/4 on one fixed, fault-free, in-memory "
             "deployment (use `repro chaos run --pipeline-depth`)"),
     "recovery": BenchCell(
-        _run_recovery_cell, refuses=_YCSB_ONLY,
+        _run_recovery_cell, refuses=_WORKLOAD + _YCSB_ONLY,
         why="sweeps two base cadences in canonical configurations, "
             "injects its own fail-over and owns its durability directory"),
     "autoscale": BenchCell(
         _run_autoscale_cell,
-        refuses=_LOAD + _YCSB_ONLY,
+        refuses=_WORKLOAD + _LOAD + _YCSB_ONLY,
         why="drives one fixed ramp in canonical configurations and owns "
             "its scaling authority (use `repro chaos run --autoscale` for "
             "the controller under chaos)"),
     "views": BenchCell(
-        _run_views_cell, refuses=_YCSB_ONLY,
+        _run_views_cell, refuses=_WORKLOAD + _YCSB_ONLY,
         why="measures a clean run in canonical configurations (default "
             "snapshots and pipeline) and owns its durable leg; tests/ "
             "cover views under chaos and rescale"),
@@ -453,8 +460,7 @@ def _spawner_matrix() -> str:
                        if spawner in cell.spawners)
             for spawner in ("simulator", "process")]
     return ("valid combinations: " + "; ".join(runs)
-            + "; --spawner process needs --system stateflow and refuses "
-            + "/".join(_flag(dest) for dest in PROCESS_REFUSES))
+            + "; --spawner process needs --system stateflow")
 
 
 #: The supported cell/spawner matrix, spelled out in every spawner
@@ -467,38 +473,25 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     built; then run it."""
     cell = BENCH_CELLS[args.cell]
     error = f"repro bench: error: --cell {args.cell}"
-    given = _given(args)
-    if args.autoscale and args.fault_plan is not None and any(
-            event.kind == "rescale" for event in args.fault_plan.events):
-        raise SystemExit("repro bench: error: --autoscale does not compose "
-                         "with a --faults plan's rescale events (both would "
-                         "drive the same rescale barrier); pick one scaling "
-                         "authority")
     if args.spawner not in cell.spawners:
         raise SystemExit(f"{error} is {'/'.join(cell.spawners)}-only (it "
                          f"measures virtual-time behaviour); "
                          f"{SPAWNER_MATRIX}")
-    if args.spawner == "process":
-        if args.system != "stateflow":
-            raise SystemExit("repro bench: error: --spawner process "
-                             f"requires --system stateflow; {SPAWNER_MATRIX}")
-        refused = [_flag(dest) for dest in PROCESS_REFUSES if dest in given]
-        if refused:
-            raise SystemExit(f"repro bench: error: --spawner process does "
-                             f"not take {'/'.join(refused)}; "
-                             f"{SPAWNER_MATRIX}")
+    if args.spawner == "process" and args.system != "stateflow":
+        raise SystemExit("repro bench: error: --spawner process requires "
+                         f"--system stateflow; {SPAWNER_MATRIX}")
     if args.system not in cell.systems:
         raise SystemExit(f"{error} runs on --system "
                          f"{'/'.join(cell.systems)} only")
     _require_stateflow("bench", args)
-    refused = [_flag(dest) for dest in given if dest in cell.refuses]
+    refused = [_flag(dest) for dest in _given(args) if dest in cell.refuses]
     if refused:
         raise SystemExit(f"{error} {cell.why}; drop {', '.join(refused)}")
     return cell.run(args)
 
 
 # ---------------------------------------------------------------------------
-# repro chaos / repro rescale
+# repro chaos
 # ---------------------------------------------------------------------------
 
 def _cmd_chaos_plan(args: argparse.Namespace) -> int:
@@ -516,51 +509,37 @@ def _cmd_chaos_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report(cell: str, report, title: str, columns: list[str]) -> int:
-    from .bench import format_table, write_bench_artifact
-
-    print(format_table([report.row], title, columns=columns))
-    print()
-    print(report.summary())
-    print(f"wrote {write_bench_artifact(cell, report.as_artifact())}")
-    return 0 if report.ok else 1
-
-
 def _cmd_chaos_run(args: argparse.Namespace) -> int:
-    from .bench import run_chaos_cell
+    from .bench import format_table, run_chaos_cell, write_bench_artifact
 
     _require_stateflow("chaos run", args)
+    targets = args.targets or []
+    resizes = targets or (args.plan is not None and any(
+        event.kind == "rescale" for event in args.plan.events))
+    if args.autoscale and resizes:
+        raise SystemExit("repro chaos run: error: --autoscale does not "
+                         "compose with resizes from --targets or the plan's "
+                         "rescale events (both would drive the same rescale "
+                         "barrier); pick one scaling authority")
     report = run_chaos_cell(
         args.system, args.workload, args.distribution, rps=args.rps,
         duration_ms=args.duration_ms, record_count=args.records,
-        seed=args.seed, plan=args.plan,
-        runtime_overrides=runtime_overrides(args))
-    return _report("chaos", report,
-                   f"chaos {args.workload}/{args.distribution} on "
-                   f"{args.system} (seed {args.seed})",
-                   ["system", "workload", "rps", "p50_ms", "p99_ms",
-                    "completed", "errors", "recoveries", "recovery_time_ms",
-                    "availability"])
-
-
-def _cmd_rescale_run(args: argparse.Namespace) -> int:
-    from .bench import run_rescale_cell
-
-    targets = _parse_targets(args.targets)
-    report = run_rescale_cell(
-        args.workload, args.distribution, workers=args.workers,
-        targets=targets,
-        rps=args.rps, duration_ms=args.duration_ms,
-        record_count=args.records, seed=args.seed,
-        runtime_overrides=runtime_overrides(args))
-    return _report("rescale", report,
-                   f"rescale {args.workload}/{args.distribution} "
-                   f"{args.workers} -> "
-                   f"{' -> '.join(str(t) for t in targets)} "
-                   f"(seed {args.seed})",
-                   ["system", "workload", "rps", "p50_ms", "p99_ms",
-                    "completed", "errors", "rescales", "mean_pause_ms",
-                    "keys_moved", "final_workers"])
+        seed=args.seed, workers=args.workers, plan=args.plan,
+        targets=targets, runtime_overrides=runtime_overrides(args))
+    title = f"chaos {args.workload}/{args.distribution} on {args.system}"
+    if targets:
+        title += (f", {args.workers} -> "
+                  + " -> ".join(str(target) for target in targets))
+    columns = ["system", "workload", "rps", "p50_ms", "p99_ms", "completed",
+               "errors", "recoveries", "recovery_time_ms", "availability"]
+    if report.rescales:
+        columns += ["rescales", "mean_pause_ms", "final_workers"]
+    print(format_table([report.row], f"{title} (seed {args.seed})",
+                       columns=columns))
+    print()
+    print(report.summary())
+    print(f"wrote {write_bench_artifact('chaos', report.as_artifact())}")
+    return 0 if report.ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -599,7 +578,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_cmd = commands.add_parser(
         "bench", help="run one benchmark cell and write BENCH_<cell>.json")
-    _add_flags(bench_cmd, *RUNTIME_FLAGS)
+    _add_flags(bench_cmd, *(dest for dest in RUNTIME_FLAGS
+                            if dest not in CHAOS_ONLY),
+               workload="A", distribution="zipfian")
     bench_cmd.add_argument("--cell", default="ycsb", choices=list(BENCH_CELLS),
                            help="ycsb (default; load flags default to 100 "
                                 "rps / 2000 ms / 100 records), or a sweep "
@@ -612,8 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "autoscale (a zipfian ramp with and without "
                                 "the controller), views (incremental views "
                                 "vs full scans)")
-    bench_cmd.set_defaults(handler=_cmd_bench, workload="A",
-                           distribution="zipfian")
+    bench_cmd.set_defaults(handler=_cmd_bench)
 
     chaos_cmd = commands.add_parser(
         "chaos", help="deterministic fault-injection runs")
@@ -638,38 +618,19 @@ def build_parser() -> argparse.ArgumentParser:
     plan_cmd.set_defaults(handler=_cmd_chaos_plan)
 
     chaos_run_cmd = chaos_sub.add_parser(
-        "run", help="run a workload under a fault plan and verify the "
-                    "committed history")
+        "run", help="run a workload under a fault plan, resizes included, "
+                    "and verify the committed history")
     chaos_run_cmd.add_argument("--plan", type=_plan_file,
                                metavar="PLAN_JSON", help="fault plan "
-                               "(default: random_plan(--seed))")
+                               "(default: random_plan(--seed) unless "
+                               "--targets is given)")
     _add_flags(chaos_run_cmd, "system", "workload", "distribution", "rps",
-               "duration_ms", "records", "seed", "pipeline_depth",
-               "autoscale", "durability_dir")
-    chaos_run_cmd.set_defaults(handler=_cmd_chaos_run, workload="T",
-                               distribution="uniform", rps=120.0,
-                               duration_ms=3_000.0, records=50)
+               "duration_ms", "records", "seed", "workers", "targets",
+               "pipeline_depth", "autoscale", "durability_dir",
+               workload="T", distribution="uniform", rps=120.0,
+               duration_ms=3_000.0, records=50)
+    chaos_run_cmd.set_defaults(handler=_cmd_chaos_run)
 
-    rescale_cmd = commands.add_parser(
-        "rescale", help="elastic rescaling with live state migration")
-    rescale_sub = rescale_cmd.add_subparsers(dest="rescale_command",
-                                             required=True)
-
-    rescale_run_cmd = rescale_sub.add_parser(
-        "run", help="run a workload that resizes the cluster mid-stream "
-                    "and verify the committed history")
-    rescale_run_cmd.add_argument("--targets", default="4,3",
-                                 help="comma-separated worker counts, one "
-                                      "resize per entry, spread over the "
-                                      "run")
-    rescale_run_cmd.add_argument("--workers", type=positive_int, default=2,
-                                 help="starting worker count")
-    _add_flags(rescale_run_cmd, "workload", "distribution", "rps",
-               "duration_ms", "records", "seed", "fault_plan",
-               "pipeline_depth")
-    rescale_run_cmd.set_defaults(handler=_cmd_rescale_run, workload="T",
-                                 distribution="uniform", rps=150.0,
-                                 duration_ms=4_000.0, records=60)
     return parser
 
 

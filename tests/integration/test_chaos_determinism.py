@@ -100,12 +100,12 @@ staged_strategy = st.fixed_dictionaries({
 @settings(max_examples=5, deadline=None)
 def test_same_seed_and_rescale_plan_reproduce_identically(
         account_program, seed, staged):
-    """Pure-rescale runs (no faults) replay byte-identically."""
+    """Resize-only plans (no faults) replay byte-identically."""
     plan = staged_plan(**staged)
     first = _run_once(account_program, seed, plan, workers=2)
     second = _run_once(account_program, seed, plan, workers=2)
     assert first == second, (
-        "a rescale run diverged across identical replays")
+        "a resize-only run diverged across identical replays")
 
 
 @given(seed=st.integers(0, 2**16), plan=plan_strategy,

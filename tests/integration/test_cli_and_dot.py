@@ -146,17 +146,19 @@ class TestChaosCli:
             outputs.append(digest_line.split()[-1])
         assert outputs[0] != outputs[1]
 
-    def test_bench_accepts_faults_flag(self, tmp_path):
+    def test_chaos_run_resizes_under_a_plan(self, tmp_path):
         plan_path = tmp_path / "plan.json"
         completed = _cli("chaos", "plan", "--seed", 5, "--duration-ms", 1000,
                          "--out", plan_path)
         assert completed.returncode == 0, completed.stderr
         bench_env = {**os.environ, "REPRO_BENCH_DIR": str(tmp_path)}
-        completed = _cli("bench", "--duration-ms", 1000, "--rps", 60,
-                         "--records", 25, "--faults", plan_path, timeout=300,
+        completed = _cli("chaos", "run", "--targets", "4,3", "--workers", 2,
+                         "--plan", plan_path, "--duration-ms", 1000,
+                         "--rps", 60, "--records", 25, timeout=300,
                          env=bench_env)
-        assert completed.returncode == 0, completed.stderr
+        assert completed.returncode == 0, completed.stdout + completed.stderr
         assert "recoveries" in completed.stdout
+        assert "migration pause" in completed.stdout
 
 
 class TestDot:

@@ -1,7 +1,8 @@
 """The CLI's flag plumbing: numeric input is checked at the parser, the
 shared runtime flags reach the runtime each command builds, and every
-``repro bench`` combination the cell table refuses fails before any
-runtime exists while every one it accepts reaches its runner."""
+``repro bench`` combination the cell table refuses, and every ``repro
+chaos run`` flag StateFun cannot honour, fails before any runtime exists
+while every one accepted reaches its runner."""
 
 from __future__ import annotations
 
@@ -16,8 +17,8 @@ from repro import cli
 from repro.cli import main
 from repro.faults import FaultPlan, random_plan, staged_plan
 
-HARNESS, CHAOS, RESCALE = (importlib.import_module(f"repro.bench.{name}")
-                           for name in ("harness", "chaos", "rescale"))
+HARNESS, CHAOS = (importlib.import_module(f"repro.bench.{name}")
+                  for name in ("harness", "chaos"))
 
 
 @pytest.mark.parametrize("argv", [
@@ -28,7 +29,7 @@ HARNESS, CHAOS, RESCALE = (importlib.import_module(f"repro.bench.{name}")
     ["bench", "--duration-ms", "-1"],
     ["bench", "--pipeline-depth", "0"],
     ["bench", "--pipeline-depth", "-3"],
-    ["rescale", "run", "--workers", "0"],
+    ["chaos", "run", "--workers", "0"],
     ["chaos", "plan", "--duration-ms", "-10"],
 ], ids=" ".join)
 def test_numeric_input_is_checked_at_the_parser(argv, tmp_path, monkeypatch,
@@ -51,7 +52,7 @@ def built(monkeypatch):
         runtimes.append(real(*args, **kwargs))
         return runtimes[-1]
 
-    for module in (HARNESS, CHAOS, RESCALE):
+    for module in (HARNESS, CHAOS):
         monkeypatch.setattr(module, "build_runtime", spy)
     return runtimes
 
@@ -60,28 +61,30 @@ def built(monkeypatch):
     ["bench", "--duration-ms", "600", "--rps", "60", "--records", "20"],
     ["chaos", "run", "--seed", "11", "--duration-ms", "800", "--rps", "60",
      "--records", "20"],
-    ["rescale", "run", "--seed", "9", "--duration-ms", "1200", "--rps",
-     "60", "--records", "20"],
-], ids=lambda argv: " ".join(argv[:2]))
+    ["chaos", "run", "--targets", "4,3", "--workers", "2", "--seed", "9",
+     "--duration-ms", "1200", "--rps", "60", "--records", "20"],
+], ids=["bench --duration-ms", "chaos run", "chaos run --targets"])
 def test_shared_flags_reach_the_runtime(command, built, tmp_path,
                                         monkeypatch):
-    """``chaos run`` and ``rescale run`` build on their own coordinator
-    preset: the CLI's depth must land on it, not be replaced by it.
-    ``rescale run`` takes no durability directory.  Every command's run
-    logs its commits and cuts at its preset's base cadence."""
+    """``chaos run`` builds on its own coordinator preset: the CLI's
+    depth must land on it, not be replaced by it.  Every command's run,
+    a resize included, logs its commits and cuts at its preset's base
+    cadence under the durability directory."""
     monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
     state = tmp_path / "state"
-    durable = [] if command[0] == "rescale" else ["--durable", str(state)]
-    assert main([*command, "--pipeline-depth", "1", *durable]) == 0
+    assert main([*command, "--pipeline-depth", "1", "--durable",
+                 str(state)]) == 0
     (runtime,) = built
     coordinator = runtime.coordinator
     assert coordinator.config.pipeline_depth == 1
     assert coordinator.snapshots.base_every \
         == coordinator.config.snapshot_base_every
     assert coordinator.changelog.appended > 0
-    assert (state / "MANIFEST.json").exists() == bool(durable)
+    assert (state / "MANIFEST.json").exists()
     if command[0] != "bench":
         assert runtime.coordinator.config.failure_detect_ms == 200.0
+    if "--targets" in command:
+        assert (coordinator.rescales, runtime.worker_count) == (2, 3)
 
 
 def test_chaos_plan_flags_shape_the_plan(capsys):
@@ -101,33 +104,24 @@ def test_chaos_plan_flags_shape_the_plan(capsys):
 # ---------------------------------------------------------------------------
 
 #: dest -> (argv after the flag name, the value the runner must see).
-#: Plans are written per test; ``None`` marks them.  ``resizes`` is a
-#: plan of ``rescale`` events: it rides ``--faults`` (see ``VIA``).
 FLAG_VALUES = {
     "workload": (["B"], "B"),
+    "distribution": (["uniform"], "uniform"),
     "seed": (["7"], 7),
     "rps": (["77"], 77.0),
     "duration_ms": (["500"], 500.0),
     "records": (["30"], 30),
-    "fault_plan": (None, None),
-    "resizes": (None, None),
     "pipeline_depth": (["3"], 3),
     "autoscale": ([], True),
     "durability_dir": (["state"], "state"),
     "rps_sweep": (["40,80"], "40,80"),
 }
 
-#: Table rows that are not a dest of their own -> the dest they ride.
-VIA = {"resizes": "fault_plan"}
-
 
 def _refused(cell: str, system: str, spawner: str, dest: str) -> bool:
-    dest = VIA.get(dest, dest)
     spec = cli.BENCH_CELLS[cell]
-    process = spawner == "process"
     return (spawner not in spec.spawners
-            or (process and (system != "stateflow"
-                             or dest in cli.PROCESS_REFUSES))
+            or (spawner == "process" and system != "stateflow")
             or system not in spec.systems
             or (system != "stateflow" and dest in cli.STATEFLOW_ONLY)
             or dest in spec.refuses)
@@ -139,18 +133,17 @@ CASES = list(itertools.product(cli.BENCH_CELLS, ("stateflow", "statefun"),
 #: Verdicts written down independently of the table (True = refused), so
 #: an edit to the table that changes what the CLI accepts fails here.
 PINNED = {
-    ("pipeline", "stateflow", "simulator", "fault_plan"): True,
+    ("pipeline", "stateflow", "simulator", "autoscale"): True,
     ("recovery", "stateflow", "simulator", "durability_dir"): True,
     ("autoscale", "stateflow", "simulator", "rps"): True,
+    ("autoscale", "stateflow", "simulator", "workload"): True,
+    ("recovery", "stateflow", "simulator", "distribution"): True,
     ("views", "stateflow", "simulator", "pipeline_depth"): True,
     ("ycsb", "statefun", "simulator", "pipeline_depth"): True,
-    ("ycsb", "stateflow", "process", "fault_plan"): True,
     ("recovery", "stateflow", "process", "seed"): True,
     ("ycsb", "stateflow", "process", "pipeline_depth"): False,
-    ("ycsb", "statefun", "simulator", "fault_plan"): False,
-    ("ycsb", "stateflow", "simulator", "resizes"): False,
-    ("ycsb", "statefun", "simulator", "resizes"): False,
-    ("ycsb", "stateflow", "process", "resizes"): True,
+    ("ycsb", "statefun", "simulator", "workload"): False,
+    ("pipeline", "stateflow", "simulator", "workload"): False,
     ("pipeline", "stateflow", "process", "records"): False,
     ("recovery", "stateflow", "simulator", "records"): False,
     ("paper", "stateflow", "simulator", "duration_ms"): True,
@@ -168,7 +161,7 @@ def runners(monkeypatch):
     def refuse_runtime(*args, **kwargs):
         raise AssertionError("a runtime was built")
 
-    for module in (HARNESS, CHAOS, RESCALE):
+    for module in (HARNESS, CHAOS):
         monkeypatch.setattr(module, "build_runtime", refuse_runtime)
     for name, cell in cli.BENCH_CELLS.items():
         monkeypatch.setitem(cli.BENCH_CELLS, name, replace(
@@ -176,18 +169,8 @@ def runners(monkeypatch):
     return calls
 
 
-@pytest.fixture()
-def plans(tmp_path):
-    faults, resizes = tmp_path / "faults.json", tmp_path / "resizes.json"
-    random_plan(3, duration_ms=1_000.0).to_json(faults)
-    staged_plan((3,)).to_json(resizes)
-    return {"fault_plan": ([str(faults)], FaultPlan.from_json(faults)),
-            "resizes": ([str(resizes)], FaultPlan.from_json(resizes))}
-
-
-def _check_verdict(cell, system, spawner, dest, refused, runners, plans):
-    values, expected = plans.get(dest) or FLAG_VALUES[dest]
-    dest = VIA.get(dest, dest)
+def _check_verdict(cell, system, spawner, dest, refused, runners):
+    values, expected = FLAG_VALUES[dest]
     argv = ["bench", "--cell", cell, "--system", system, "--spawner",
             spawner, cli.RUNTIME_FLAGS[dest][0], *values]
     if refused:
@@ -204,23 +187,129 @@ def _check_verdict(cell, system, spawner, dest, refused, runners, plans):
 
 @pytest.mark.parametrize("cell,system,spawner,dest", CASES,
                          ids=["-".join(case) for case in CASES])
-def test_bench_cell_table(cell, system, spawner, dest, runners, plans):
+def test_bench_cell_table(cell, system, spawner, dest, runners):
     _check_verdict(cell, system, spawner, dest,
-                   _refused(cell, system, spawner, dest), runners, plans)
+                   _refused(cell, system, spawner, dest), runners)
 
 
 @pytest.mark.parametrize("case,refused", PINNED.items(),
                          ids=["-".join(case) for case in PINNED])
-def test_pinned_bench_verdicts(case, refused, runners, plans):
-    _check_verdict(*case, refused, runners, plans)
+def test_pinned_bench_verdicts(case, refused, runners):
+    _check_verdict(*case, refused, runners)
 
 
-@pytest.mark.parametrize("cell", list(cli.BENCH_CELLS))
-def test_bench_refuses_two_scaling_authorities(cell, runners, plans):
-    with pytest.raises(SystemExit, match="scaling authority"):
-        main(["bench", "--cell", cell, "--autoscale", "--faults",
-              *plans["resizes"][0]])
+def test_bench_takes_no_fault_plan(runners, tmp_path, capsys):
+    """A fault plan runs through ``chaos run --plan`` only."""
+    plan = tmp_path / "plan.json"
+    random_plan(3, duration_ms=1_000.0).to_json(plan)
+    with pytest.raises(SystemExit) as exited:
+        main(["bench", "--faults", str(plan)])
+    assert exited.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
     assert runners == []
+
+
+@pytest.mark.parametrize("source", ["targets", "plan"])
+def test_chaos_run_refuses_two_scaling_authorities(source, runners,
+                                                    tmp_path):
+    """Resizes from ``--targets`` or from the plan's ``rescale`` events
+    and the autoscaler would drive the same rescale barrier."""
+    resizes = tmp_path / "resizes.json"
+    staged_plan((3,)).to_json(resizes)
+    argv = (["--targets", "4,3"] if source == "targets"
+            else ["--plan", str(resizes)])
+    with pytest.raises(SystemExit, match="scaling authority"):
+        main(["chaos", "run", "--autoscale", *argv])
+
+
+# ---------------------------------------------------------------------------
+# repro chaos run: its flags, exhaustively
+# ---------------------------------------------------------------------------
+
+#: dest -> (argv after the flag name, the ``run_chaos_cell`` argument that
+#: must carry it, the value it must carry).  An ``int`` names a positional
+#: argument; an override rides ``runtime_overrides``.
+CHAOS_VALUES = {
+    "workload": (["B"], 1, "B"),
+    "distribution": (["zipfian"], 2, "zipfian"),
+    "rps": (["77"], "rps", 77.0),
+    "duration_ms": (["500"], "duration_ms", 500.0),
+    "records": (["30"], "record_count", 30),
+    "seed": (["7"], "seed", 7),
+    "workers": (["3"], "workers", 3),
+    "targets": (["4,2"], "targets", [4, 2]),
+    "pipeline_depth": (["3"], "runtime_overrides", {"pipeline_depth": 3}),
+    "autoscale": ([], "runtime_overrides", {"autoscale": True}),
+    "durability_dir": (["state"], "runtime_overrides",
+                       {"durability_dir": "state"}),
+}
+
+CHAOS_CASES = list(itertools.product(("stateflow", "statefun"),
+                                     CHAOS_VALUES))
+
+#: ``chaos run`` verdicts written down independently of ``STATEFLOW_ONLY``
+#: (True = refused).
+CHAOS_PINNED = {
+    ("statefun", "workers"): True,
+    ("statefun", "targets"): True,
+    ("statefun", "durability_dir"): True,
+    ("statefun", "seed"): False,
+    ("stateflow", "targets"): False,
+}
+
+
+class _Ran(Exception):
+    """Raised by the stand-in runner once it has recorded its call."""
+
+
+@pytest.fixture()
+def chaos_calls(monkeypatch):
+    """``run_chaos_cell`` records what it was called with and runs
+    nothing."""
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        raise _Ran
+
+    monkeypatch.setattr("repro.bench.run_chaos_cell", record)
+    return calls
+
+
+def _check_chaos_verdict(system, dest, refused, calls):
+    values, where, expected = CHAOS_VALUES[dest]
+    argv = ["chaos", "run", "--system", system, cli.RUNTIME_FLAGS[dest][0],
+            *values]
+    if refused:
+        with pytest.raises(SystemExit, match="requires --system stateflow"):
+            main(argv)
+        assert calls == []
+        return
+    with pytest.raises(_Ran):
+        main(argv)
+    ((args, kwargs),) = calls
+    assert args[0] == system
+    seen = args[where] if isinstance(where, int) else kwargs[where]
+    assert seen == expected
+
+
+def test_chaos_table_covers_every_chaos_run_flag():
+    args = cli.build_parser().parse_args(["chaos", "run"])
+    assert set(args.flag_defaults) == {"system", *CHAOS_VALUES}
+
+
+@pytest.mark.parametrize("system,dest", CHAOS_CASES,
+                         ids=["-".join(case) for case in CHAOS_CASES])
+def test_chaos_run_flag_table(system, dest, chaos_calls):
+    _check_chaos_verdict(system, dest, (system != "stateflow"
+                                        and dest in cli.STATEFLOW_ONLY),
+                         chaos_calls)
+
+
+@pytest.mark.parametrize("case,refused", CHAOS_PINNED.items(),
+                         ids=["-".join(case) for case in CHAOS_PINNED])
+def test_pinned_chaos_run_verdicts(case, refused, chaos_calls):
+    _check_chaos_verdict(*case, refused, chaos_calls)
 
 
 def test_spawner_matrix_is_generated_from_the_table():
@@ -230,7 +319,7 @@ def test_spawner_matrix_is_generated_from_the_table():
         assert f"--spawner {spawner} runs --cell {cells}" in cli.SPAWNER_MATRIX
 
 
-def test_ycsb_overrides_reach_run_ycsb_cell(monkeypatch, tmp_path, plans):
+def test_ycsb_overrides_reach_run_ycsb_cell(monkeypatch, tmp_path):
     """The ycsb runner hands the parsed flags on as one overrides
     mapping."""
     monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
@@ -242,10 +331,8 @@ def test_ycsb_overrides_reach_run_ycsb_cell(monkeypatch, tmp_path, plans):
                                      1.0, 1.0, 1, 1, 0)
 
     monkeypatch.setattr("repro.bench.run_ycsb_cell", fake_cell)
-    assert main(["bench", "--faults", *plans["fault_plan"][0],
-                 "--pipeline-depth", "1", "--autoscale", "--durable",
-                 "state"]) == 0
-    assert seen == [{"fault_plan": plans["fault_plan"][1],
-                     "pipeline_depth": 1, "autoscale": True,
+    assert main(["bench", "--pipeline-depth", "1", "--autoscale",
+                 "--durable", "state"]) == 0
+    assert seen == [{"pipeline_depth": 1, "autoscale": True,
                      "durability_dir": "state"}]
     assert json.loads((tmp_path / "BENCH_ycsb.json").read_text())["rows"]

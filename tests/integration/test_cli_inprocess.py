@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.faults import staged_plan
 
 SHOP = (
     "from repro import entity\n"
@@ -96,11 +95,21 @@ def test_run_refuses_runtime_flags(module_path, flag, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_rescale_run_rejects_bad_targets(capsys):
-    with pytest.raises(SystemExit, match="targets"):
-        main(["rescale", "run", "--targets", "4,x"])
-    with pytest.raises(SystemExit, match="targets"):
-        main(["rescale", "run", "--targets", "0"])
+@pytest.mark.parametrize("targets", ["4,x", "0", ","])
+def test_chaos_run_rejects_bad_targets(targets, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["chaos", "run", "--targets", targets])
+    assert exited.value.code == 2
+    assert "argument --targets" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--workers", "3"], ["--targets", "4,3"]],
+                         ids=lambda flag: flag[0])
+def test_chaos_run_deployment_flags_require_stateflow(flag):
+    """StateFun has a fixed deployment: no worker count to start from or
+    resize to."""
+    with pytest.raises(SystemExit, match="requires --system stateflow"):
+        main(["chaos", "run", "--system", "statefun", *flag])
 
 
 def test_chaos_plan_with_rescales(capsys):
@@ -126,14 +135,17 @@ def test_chaos_run_inprocess(capsys):
     assert "serializable, loss-free, exactly-once" in out
 
 
-def test_bench_with_faults_inprocess(tmp_path, monkeypatch, capsys):
+def test_chaos_run_plan_on_a_ycsb_workload_inprocess(tmp_path, monkeypatch,
+                                                     capsys):
     monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
     plan_path = str(tmp_path / "plan.json")
     assert main(["chaos", "plan", "--seed", "5", "--duration-ms", "1000",
                  "--out", plan_path]) == 0
-    assert main(["bench", "--duration-ms", "1000", "--rps", "60",
-                 "--records", "25", "--faults", plan_path]) == 0
-    assert "recoveries" in capsys.readouterr().out
+    assert main(["chaos", "run", "--plan", plan_path, "--workload", "A",
+                 "--distribution", "zipfian", "--duration-ms", "1000",
+                 "--rps", "60", "--records", "25"]) == 0
+    out = capsys.readouterr().out
+    assert "recoveries" in out and "exactly-once" in out
 
 
 def test_bench_pipeline_depth_flag(tmp_path, monkeypatch, capsys):
@@ -155,18 +167,14 @@ def test_chaos_run_pipeline_depth_requires_stateflow(capsys):
               "--pipeline-depth", "2"])
 
 
-def test_bench_pipeline_cell_rejects_unsupported_flags(tmp_path):
+def test_bench_pipeline_cell_rejects_unsupported_flags():
     with pytest.raises(SystemExit):
         main(["bench", "--cell", "pipeline", "--system", "statefun"])
     with pytest.raises(SystemExit):
         main(["bench", "--cell", "pipeline", "--pipeline-depth", "2"])
-    plan_path = str(tmp_path / "plan.json")
-    assert main(["chaos", "plan", "--seed", "3", "--out", plan_path]) == 0
-    with pytest.raises(SystemExit):
-        main(["bench", "--cell", "pipeline", "--faults", plan_path])
 
 
-def test_bench_spawner_matrix_named_in_rejections(tmp_path):
+def test_bench_spawner_matrix_named_in_rejections():
     """Every process-spawner rejection spells out the valid
     cell/spawner matrix instead of just naming the offending flag."""
     with pytest.raises(SystemExit, match="valid combinations"):
@@ -177,17 +185,9 @@ def test_bench_spawner_matrix_named_in_rejections(tmp_path):
         main(["bench", "--spawner", "process", "--cell", "recovery"])
     with pytest.raises(SystemExit, match="simulator-only"):
         main(["bench", "--spawner", "process", "--cell", "autoscale"])
-    plan_path = str(tmp_path / "plan.json")
-    assert main(["chaos", "plan", "--seed", "3", "--out", plan_path]) == 0
-    with pytest.raises(SystemExit, match="valid combinations"):
-        main(["bench", "--spawner", "process", "--faults", plan_path])
 
 
-def test_bench_autoscale_flag_rejections(tmp_path):
-    plan_path = str(tmp_path / "resizes.json")
-    staged_plan((3,)).to_json(plan_path)
-    with pytest.raises(SystemExit, match="scaling authority"):
-        main(["bench", "--autoscale", "--faults", plan_path])
+def test_bench_autoscale_flag_rejections():
     with pytest.raises(SystemExit, match="stateflow"):
         main(["bench", "--system", "statefun", "--autoscale"])
     with pytest.raises(SystemExit, match="autoscale"):
@@ -241,7 +241,7 @@ def test_bench_views_cell_inprocess(tmp_path, monkeypatch, capsys):
     assert leg["freshness"]["final_lag"] == 0
 
 
-def test_bench_views_cell_flag_rejections(tmp_path):
+def test_bench_views_cell_flag_rejections():
     with pytest.raises(SystemExit, match="stateflow"):
         main(["bench", "--cell", "views", "--system", "statefun"])
     with pytest.raises(SystemExit, match="simulator-only"):
@@ -252,10 +252,8 @@ def test_bench_views_cell_flag_rejections(tmp_path):
         main(["bench", "--cell", "views", "--autoscale"])
     with pytest.raises(SystemExit, match="rps-sweep"):
         main(["bench", "--cell", "views", "--rps-sweep", "60"])
-    plan_path = str(tmp_path / "plan.json")
-    assert main(["chaos", "plan", "--seed", "3", "--out", plan_path]) == 0
-    with pytest.raises(SystemExit, match="chaos"):
-        main(["bench", "--cell", "views", "--faults", plan_path])
+    with pytest.raises(SystemExit, match="workload"):
+        main(["bench", "--cell", "views", "--workload", "B"])
 
 
 def test_bench_rps_sweep(tmp_path, monkeypatch, capsys):

@@ -1,23 +1,35 @@
-"""The rescale bench cell (migration pause + post-rescale throughput)
-and the ``BENCH_<cell>.json`` artifact persistence the perf trajectory
-depends on."""
+"""Resizes through the chaos cell (migration pause + post-rescale
+throughput), the committed chaos and rescale artifacts, and the
+``BENCH_<cell>.json`` persistence the perf trajectory depends on."""
 
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.bench import (
-    run_rescale_cell,
+    run_chaos_cell,
     write_bench_artifact,
 )
 from repro.cli import main
-from repro.faults import FaultEvent, FaultPlan, random_plan, staged_plan
+from repro.faults import FaultEvent, FaultPlan, staged_plan
 
 ROOT = Path(__file__).resolve().parents[2]
 
+#: The CI rescale smoke's committed trace digest.
+RESCALE_DIGEST = ("8ec7b576a928ef00ca481ac60c379bdca337e5d6c473273e3a53178d"
+                  "7e3cbade")
+
+
+def _resize(**kwargs):
+    """A 2 -> 4 -> 3 resize at the old rescale cell's load size."""
+    return run_chaos_cell(**{"workers": 2, "targets": (4, 3),
+                             "record_count": 60, **kwargs})
+
 
 def test_rescale_cell_measures_migration_and_stays_correct():
-    report = run_rescale_cell(rps=100.0, duration_ms=2_000.0,
-                              record_count=40, seed=21)
+    report = _resize(rps=100.0, duration_ms=2_000.0, record_count=40,
+                     seed=21)
     assert report.ok, report.problems
     assert report.rescales == 2
     assert report.final_workers == 3
@@ -31,23 +43,65 @@ def test_rescale_cell_measures_migration_and_stays_correct():
     assert report.row.completed == report.row.sent
     assert report.row.extra["rescales"] == 2
 
-    rerun = run_rescale_cell(rps=100.0, duration_ms=2_000.0,
-                             record_count=40, seed=21)
+    rerun = _resize(rps=100.0, duration_ms=2_000.0, record_count=40,
+                    seed=21)
     assert rerun.trace_digest == report.trace_digest
 
 
-def test_the_rescale_smoke_writes_the_committed_artifact(tmp_path):
-    """The CI rescale smoke's inputs — a staged 2 -> 4 -> 3 under
-    ``random_plan(11, duration_ms=2500, rescales=1)`` — write the
-    committed ``BENCH_rescale.json`` byte for byte: a merged schedule
-    that drops the chaos plan's seed or moves a resize fails here."""
-    chaos = random_plan(11, duration_ms=2_500.0, rescales=1)
-    report = run_rescale_cell("T", "uniform", workers=2, seed=11,
-                              duration_ms=2_500.0,
-                              runtime_overrides={"fault_plan": chaos})
-    written = write_bench_artifact("rescale", report.as_artifact(),
-                                   directory=tmp_path)
-    assert written.read_bytes() == (ROOT / "BENCH_rescale.json").read_bytes()
+def _chaos_plan(tmp_path, *argv: str) -> str:
+    path = str(tmp_path / "plan.json")
+    assert main(["chaos", "plan", *argv, "--out", path]) == 0
+    return path
+
+
+#: The CI rescale smoke's ``chaos run`` options, after ``--plan``.
+RESCALE_SMOKE = ["--targets", "4,3", "--workers", "2", "--seed", "11",
+                 "--duration-ms", "2500", "--rps", "150", "--records", "60"]
+
+
+def test_the_rescale_smoke_writes_the_committed_artifact(tmp_path,
+                                                         monkeypatch):
+    """The CI rescale smoke's command line — a staged 2 -> 4 -> 3 ahead
+    of ``chaos plan --seed 11 --duration-ms 2500 --rescales 1`` — writes
+    the committed ``BENCH_rescale.json`` byte for byte: a merged
+    schedule that drops the chaos plan's seed or moves a resize fails
+    here."""
+    monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
+    plan = _chaos_plan(tmp_path, "--seed", "11", "--duration-ms", "2500",
+                       "--rescales", "1")
+    assert main(["chaos", "run", *RESCALE_SMOKE, "--plan", plan]) == 0
+    assert (tmp_path / "BENCH_chaos.json").read_bytes() \
+        == (ROOT / "BENCH_rescale.json").read_bytes()
+
+
+def test_the_chaos_smoke_writes_the_committed_artifact(tmp_path,
+                                                       monkeypatch):
+    """The CI chaos smoke's two commands write the committed
+    ``BENCH_chaos.json`` byte for byte."""
+    monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
+    plan = _chaos_plan(tmp_path, "--seed", "7", "--duration-ms", "2000",
+                       "--coordinator-faults")
+    assert main(["chaos", "run", "--plan", plan, "--seed", "7",
+                 "--duration-ms", "2000"]) == 0
+    assert (tmp_path / "BENCH_chaos.json").read_bytes() \
+        == (ROOT / "BENCH_chaos.json").read_bytes()
+
+
+def test_a_resize_on_disk_commits_what_memory_commits(tmp_path,
+                                                      monkeypatch):
+    """The rescale smoke in memory, with ``--durable DIR`` and on a cold
+    rerun over DIR: one committed history."""
+    monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
+    plan = _chaos_plan(tmp_path, "--seed", "11", "--duration-ms", "2500",
+                       "--rescales", "1")
+    state = str(tmp_path / "state")
+    for durable in ([], ["--durable", state], ["--durable", state]):
+        assert main(["chaos", "run", *RESCALE_SMOKE, "--plan", plan,
+                     *durable]) == 0
+        payload = json.loads((tmp_path / "BENCH_chaos.json").read_text())
+        assert payload["trace_digest"] == RESCALE_DIGEST, durable
+        assert payload["rescales"] == 3
+    assert (tmp_path / "state" / "MANIFEST.json").exists()
 
 
 def test_rescale_cell_history_is_independent_of_pipeline_depth():
@@ -55,9 +109,8 @@ def test_rescale_cell_history_is_independent_of_pipeline_depth():
     pipeline change when batches commit, never what commits."""
     digests = set()
     for depth in (1, 2):
-        report = run_rescale_cell(rps=90.0, duration_ms=1_500.0,
-                                  record_count=30, seed=33,
-                                  runtime_overrides={"pipeline_depth": depth})
+        report = _resize(rps=90.0, duration_ms=1_500.0, record_count=30,
+                         seed=33, runtime_overrides={"pipeline_depth": depth})
         assert report.ok, (depth, report.problems)
         assert report.rescales == 2
         digests.add(report.trace_digest)
@@ -69,19 +122,19 @@ def test_rescale_cell_under_chaos():
     run still reports its migration metrics."""
     fault_plan = FaultPlan(seed=3, events=[
         FaultEvent(kind="crash_worker", at_ms=700.0, worker=1)])
-    report = run_rescale_cell(rps=90.0, duration_ms=2_000.0,
-                              record_count=30, seed=7,
-                              runtime_overrides={"fault_plan": fault_plan})
+    report = _resize(rps=90.0, duration_ms=2_000.0, record_count=30,
+                     seed=7, plan=fault_plan)
     assert report.ok, report.problems
     assert report.rescales >= 2
+    assert report.recoveries >= 1
 
 
 def test_cell_elides_duplicate_targets():
     """A step targeting the current worker count is a no-op: it commits
     no rescale, and the verifier still accepts the final topology
     because the cluster is already there."""
-    report = run_rescale_cell(rps=80.0, duration_ms=1_500.0,
-                              record_count=20, seed=5, targets=(3, 3))
+    report = _resize(rps=80.0, duration_ms=1_500.0, record_count=20,
+                     seed=5, targets=(3, 3))
     assert report.ok, report.problems
     assert report.final_workers == 3
     assert report.rescales == 1  # the duplicate target was elided
@@ -116,12 +169,15 @@ def test_cli_bench_writes_artifact(tmp_path, monkeypatch, capsys):
     assert "BENCH_ycsb.json" in capsys.readouterr().out
 
 
-def test_cli_rescale_run_writes_artifact(tmp_path, monkeypatch, capsys):
+def test_cli_chaos_run_with_targets_writes_artifact(tmp_path, monkeypatch,
+                                                    capsys):
     monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
-    assert main(["rescale", "run", "--duration-ms", "1500",
-                 "--records", "20", "--rps", "80", "--seed", "9"]) == 0
-    payload = json.loads((tmp_path / "BENCH_rescale.json").read_text())
-    assert payload["cell"] == "rescale"
+    assert main(["chaos", "run", "--targets", "4,3", "--workers", "2",
+                 "--duration-ms", "1500", "--records", "20", "--rps", "80",
+                 "--seed", "9"]) == 0
+    payload = json.loads((tmp_path / "BENCH_chaos.json").read_text())
+    assert payload["cell"] == "chaos"
+    assert payload["plan"] == "staged-4-3"
     assert payload["rescales"] == 2
     assert payload["mean_pause_ms"] > 0
     assert payload["problems"] == []
@@ -129,14 +185,14 @@ def test_cli_rescale_run_writes_artifact(tmp_path, monkeypatch, capsys):
     assert "exactly-once across rescales" in out
 
 
-def test_cli_rescale_run_to_chosen_targets(tmp_path, monkeypatch, capsys):
+def test_cli_chaos_run_to_chosen_targets(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
-    assert main(["rescale", "run", "--targets", "4,2",
+    assert main(["chaos", "run", "--targets", "4,2", "--workers", "2",
                  "--duration-ms", "1500", "--records", "20",
                  "--rps", "80"]) == 0
-    payload = json.loads((tmp_path / "BENCH_rescale.json").read_text())
+    payload = json.loads((tmp_path / "BENCH_chaos.json").read_text())
     assert payload["final_workers"] == 2
-    assert "4 -> 2" in capsys.readouterr().out
+    assert "2 -> 4 -> 2" in capsys.readouterr().out
 
 
 def test_cli_chaos_run_writes_artifact(tmp_path, monkeypatch):
@@ -148,12 +204,20 @@ def test_cli_chaos_run_writes_artifact(tmp_path, monkeypatch):
     assert "trace_digest" in payload
 
 
-def test_cli_bench_resizes_from_a_fault_plan(tmp_path, monkeypatch):
-    """``bench --faults`` carries resizes: a plan of ``rescale`` events
-    resizes the ycsb cell mid-run."""
+@pytest.mark.parametrize("workload,distribution",
+                         [("A", "zipfian"), ("B", "uniform")])
+def test_cli_chaos_run_resizes_a_ycsb_cell_from_a_plan(
+        workload, distribution, tmp_path, monkeypatch):
+    """``chaos run --plan`` carries resizes on any YCSB workload: a plan
+    of ``rescale`` events resizes the cell mid-run, and the run lands
+    on its target."""
     monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
     plan_path = tmp_path / "plan.json"
     staged_plan((3,), start_ms=300.0).to_json(plan_path)
-    assert main(["bench", "--faults", str(plan_path),
+    assert main(["chaos", "run", "--plan", str(plan_path),
+                 "--workload", workload, "--distribution", distribution,
                  "--duration-ms", "800", "--records", "20",
                  "--rps", "60"]) == 0
+    payload = json.loads((tmp_path / "BENCH_chaos.json").read_text())
+    assert (payload["rescales"], payload["final_workers"]) == (1, 3)
+    assert payload["row"]["workload"] == workload

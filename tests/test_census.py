@@ -173,9 +173,6 @@ ROWS: dict[tuple[str, str], Row] = {
     ("repro bench", "--records"): ci(),
     ("repro bench", "--seed"): by_test(
         CLI_TESTS, '"--seed", "3"', "an independent sample of a cell"),
-    ("repro bench", "--faults"): by_test(
-        "tests/integration/test_cli_and_dot.py", None,
-        "a YCSB cell under a fault plan"),
     ("repro bench", "--pipeline-depth"): by_test(
         CLI_TESTS, None, "serial batches on the ycsb cell"),
     ("repro bench", "--spawner"): ci(),
@@ -205,23 +202,13 @@ ROWS: dict[tuple[str, str], Row] = {
     ("repro chaos run", "--duration-ms"): ci(),
     ("repro chaos run", "--records"): ABL_TXN_KEYS,
     ("repro chaos run", "--seed"): ci(),
+    ("repro chaos run", "--workers"): ci(),
+    ("repro chaos run", "--targets"): ci(),
     ("repro chaos run", "--pipeline-depth"): ci(),
     ("repro chaos run", "--autoscale"): by_test(
         "tests/integration/test_autoscale.py", '"autoscale": True',
         "the controller's decisions under injected failures"),
     ("repro chaos run", "--durable"): ci(),
-    # -- repro rescale ----------------------------------------------------
-    ("repro rescale run", "--targets"): ci(),
-    ("repro rescale run", "--workers"): ci(),
-    ("repro rescale run", "--workload"): FIG3,
-    ("repro rescale run", "--distribution"): FIG3,
-    ("repro rescale run", "--rps"): FIG4,
-    ("repro rescale run", "--duration-ms"): ci(),
-    ("repro rescale run", "--records"): ABL_TXN_KEYS,
-    ("repro rescale run", "--seed"): ci(),
-    ("repro rescale run", "--faults"): ci(),
-    ("repro rescale run", "--pipeline-depth"): by_test(
-        FLAG_TESTS, None, "serial batches across a resize"),
     # -- environment ------------------------------------------------------
     ("env", "REPRO_BENCH_DIR"): by_test(
         "tests/conftest.py", None,
@@ -294,4 +281,4 @@ def test_the_count_only_falls():
     """The census started from 138 values (71 fields, 64 options, 3
     variables); a change that adds a value adds its row and raises this
     bound in the same diff."""
-    assert len(settable_values()) <= 82
+    assert len(settable_values()) <= 73
