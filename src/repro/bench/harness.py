@@ -1,11 +1,14 @@
 """Benchmark harness: one YCSB cell on any runtime, and its table.
 
-:func:`run_ycsb_cell` runs one (system, workload, distribution, rate)
-cell and returns an :class:`ExperimentRow`; :func:`format_table` prints
-rows the way the paper plots them.  Every bench cell builds its runtimes
-through :func:`build_runtime`, and persists its results with
-:func:`write_bench_artifact`.  The paper's figures and ablations are
-sections of one cell, :mod:`repro.bench.paper`.
+:func:`ycsb_row` measures one (system, workload, distribution, rate)
+point as an :class:`ExperimentRow`; :func:`format_table` prints rows the
+way the paper plots them.  Every bench cell builds its runtimes through
+:func:`build_runtime`.  ``repro bench --cell ycsb`` is
+:func:`run_ycsb_cell`: like every cell (``repro.cli.BENCH_CELLS``), one
+function that takes the cell's flags as keywords and returns its
+``BENCH_<cell>.json`` payload, which carries ``ok``, and a
+``summarize(artifact)`` in the same module.  The paper's figures and
+ablations are sections of one cell, :mod:`repro.bench.paper`.
 """
 
 from __future__ import annotations
@@ -125,9 +128,9 @@ def write_bench_artifact(cell: str, payload: dict[str, Any],
                          directory: str | Path | None = None) -> Path:
     """Persist one bench cell's results as ``BENCH_<cell>.json``.
 
-    Every CLI bench entry point calls this, so the perf trajectory is
-    recorded run over run instead of scrolling away.  The directory
-    defaults to ``$REPRO_BENCH_DIR`` or the current working directory;
+    ``repro bench`` and ``repro chaos run`` call this, so the perf
+    trajectory is recorded run over run instead of scrolling away.  The
+    directory defaults to ``$REPRO_BENCH_DIR`` or the working directory;
     payloads are pure simulation output (no wall-clock timestamps), so
     reruns of the same seed produce byte-identical artifacts.
     """
@@ -139,13 +142,13 @@ def write_bench_artifact(cell: str, payload: dict[str, Any],
     return path
 
 
-def run_ycsb_cell(system: str, workload_name: str, distribution: str,
-                  *, rps: float = 100.0, duration_ms: float = 20_000.0,
-                  record_count: int = 1000, seed: int = 42,
-                  drain_ms: float = 8_000.0,
-                  runtime_overrides: dict[str, Any] | None = None,
-                  ) -> ExperimentRow:
-    """Run one (system, workload, distribution, rate) cell.
+def ycsb_row(system: str, workload_name: str, distribution: str,
+             *, rps: float = 100.0, duration_ms: float = 20_000.0,
+             record_count: int = 1000, seed: int = 42,
+             drain_ms: float = 8_000.0,
+             runtime_overrides: dict[str, Any] | None = None,
+             ) -> ExperimentRow:
+    """Measure one (system, workload, distribution, rate) point.
 
     *runtime_overrides* is the :func:`build_runtime` mapping:
     ``spawner="process"`` runs the cell on real worker processes
@@ -200,18 +203,38 @@ def run_ycsb_cell(system: str, workload_name: str, distribution: str,
         completed=result.completed, errors=result.errors, extra=extra)
 
 
-def format_table(rows: list[ExperimentRow], title: str,
+def run_ycsb_cell(*, system: str = "stateflow", workload: str = "A",
+                  distribution: str = "zipfian", rps: float = 100.0,
+                  duration_ms: float = 2_000.0, records: int = 100,
+                  seed: int = 42, **overrides: Any) -> dict[str, Any]:
+    """The ``BENCH_ycsb.json`` payload: one YCSB row.  *overrides* are
+    the runtime flags given (``spawner``, ``pipeline_depth``,
+    ``autoscale``, ``durability_dir``), passed to :func:`build_runtime`.
+    A reply that carries an error fails the cell."""
+    row = ycsb_row(system, workload, distribution, rps=rps,
+                   duration_ms=duration_ms, record_count=records, seed=seed,
+                   runtime_overrides=overrides)
+    return {"cell": "ycsb", "rows": [row.as_dict()], "ok": row.errors == 0}
+
+
+def summarize(artifact: dict[str, Any]) -> str:
+    (row,) = artifact["rows"]
+    return format_table(artifact["rows"], f"YCSB {row['workload']}/"
+                        f"{row['distribution']} on {row['system']}")
+
+
+def format_table(rows: list[dict[str, Any]], title: str,
                  columns: list[str] | None = None) -> str:
-    """Fixed-width table of experiment rows (the paper-style output)."""
+    """Fixed-width table of experiment rows, as ``as_dict`` gives them
+    (the paper-style output)."""
     columns = columns or ["system", "workload", "distribution", "rps",
                           "p50_ms", "p99_ms", "mean_ms", "completed",
                           "errors"]
-    dicts = [row.as_dict() for row in rows]
-    widths = {c: max(len(c), *(len(str(d.get(c, ""))) for d in dicts))
+    widths = {c: max(len(c), *(len(str(d.get(c, ""))) for d in rows))
               for c in columns}
     lines = [title, "-" * len(title)]
     lines.append("  ".join(c.ljust(widths[c]) for c in columns))
-    for d in dicts:
+    for d in rows:
         lines.append("  ".join(str(d.get(c, "")).ljust(widths[c])
                                for c in columns))
     return "\n".join(lines)

@@ -30,7 +30,7 @@ from ..runtimes.stateflow.aria import BatchMember, decide
 from ..workloads import order_line_refs, sample_dataset
 from ..workloads.distributions import ZipfianDistribution
 from ..workloads.tpcc import TPCC_ENTITIES
-from .harness import ExperimentRow, run_ycsb_cell
+from .harness import ExperimentRow, ycsb_row
 from .overhead import COMPONENTS, OverheadRow, run_overhead_breakdown
 
 MODELLED = "modelled"
@@ -104,8 +104,8 @@ def check_figure3_shape(rows: list[ExperimentRow]) -> list[str]:
 
 
 def figure3(seed: int) -> dict[str, Any]:
-    rows = [run_ycsb_cell(system, workload, distribution, rps=100.0,
-                          duration_ms=20_000.0, seed=seed)
+    rows = [ycsb_row(system, workload, distribution, rps=100.0,
+                     duration_ms=20_000.0, seed=seed)
             for system, workload, distribution in FIG3_CELLS]
     return _section(
         "Figure 3: StateFlow's p99 beats Statefun's on YCSB A/B, and its "
@@ -148,8 +148,8 @@ def check_figure4_shape(rows: list[ExperimentRow]) -> list[str]:
 
 
 def figure4(seed: int) -> dict[str, Any]:
-    rows = [run_ycsb_cell(system, "M", "zipfian", rps=rate,
-                          duration_ms=6_000.0, seed=seed, drain_ms=4_000.0)
+    rows = [ycsb_row(system, "M", "zipfian", rps=rate,
+                     duration_ms=6_000.0, seed=seed, drain_ms=4_000.0)
             for system in ("statefun", "stateflow") for rate in FIG4_RATES]
     return _section(
         "Figure 4: under workload M Statefun's p99 diverges before "
@@ -170,7 +170,7 @@ def abl_comm(seed: int) -> dict[str, Any]:
     per hop (what a cycle-free dataflow engine must do)."""
     rows = []
     for channel_mode in ("direct", "kafka"):
-        row = run_ycsb_cell(
+        row = ycsb_row(
             "stateflow", "T", "zipfian", rps=100.0, duration_ms=10_000.0,
             seed=seed, runtime_overrides={"channel_mode": channel_mode})
         row.extra["channel_mode"] = channel_mode
@@ -234,11 +234,11 @@ def abl_txn() -> dict[str, Any]:
     rows: list[dict[str, Any]] = [
         {"reordering": True, "abort_rate": round(with_reordering, 4)},
         {"reordering": False, "abort_rate": round(without, 4)}]
-    hot = run_ycsb_cell("stateflow", "T", "zipfian", rps=400.0,
-                        duration_ms=8_000.0, record_count=64, seed=7)
+    hot = ycsb_row("stateflow", "T", "zipfian", rps=400.0,
+                   duration_ms=8_000.0, record_count=64, seed=7)
     hot.extra["contention"] = "hot-64-keys"
-    cold = run_ycsb_cell("stateflow", "T", "zipfian", rps=400.0,
-                         duration_ms=8_000.0, record_count=1000, seed=7)
+    cold = ycsb_row("stateflow", "T", "zipfian", rps=400.0,
+                    duration_ms=8_000.0, record_count=1000, seed=7)
     cold.extra["contention"] = "paper-1000-keys"
     rows += [hot.as_dict(), cold.as_dict()]
     problems = []
@@ -376,15 +376,16 @@ SECTIONS: dict[str, Callable[[int], dict[str, Any]]] = {
 }
 
 
-def run_paper_cell(seed: int = 42) -> dict[str, Any]:
+def run_paper_cell(*, seed: int = 42) -> dict[str, Any]:
     """Every section, as the ``BENCH_paper.json`` payload."""
     sections = {name: run(seed) for name, run in SECTIONS.items()}
     return {"cell": "paper", "seed": seed, "sections": sections,
             "ok": all(section["ok"] for section in sections.values())}
 
 
-def format_paper_summary(artifact: dict[str, Any]) -> str:
-    lines = []
+def summarize(artifact: dict[str, Any]) -> str:
+    title = "the paper's evaluation: figures 3-4, ablations, overhead"
+    lines = [title, "-" * len(title)]
     for name, section in artifact["sections"].items():
         verdict = "holds" if section["ok"] else "FAILS"
         lines.append(f"{name:<10} {section['clock']:<9} {verdict}")

@@ -1,7 +1,7 @@
 """Recovery benchmarking: what do snapshots and recovery actually cost?
 
 ``run_recovery_cell`` sweeps (state size x base cadence) on the
-StateFlow runtime and returns a :class:`RecoveryReport`:
+StateFlow runtime and returns the ``BENCH_recovery.json`` payload:
 
 - per-cut capture volume (``mean_keys_per_cut`` / ``mean_bytes_per_cut``
   from the snapshot store's cut ledger, the initial preload-covering
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import tempfile
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
@@ -58,6 +57,8 @@ GATE_MAX_RATIO = 0.25
 GATE_RECORDS = 10_000
 #: The sweep's baseline cadence: every cut a base.
 EVERY_CUT_A_BASE = 1
+#: Virtual time each run gets after its load stops.
+DRAIN_MS = 20_000.0
 
 
 def recovery_coordinator_config() -> CoordinatorConfig:
@@ -70,119 +71,6 @@ def recovery_coordinator_config() -> CoordinatorConfig:
                              snapshot_base_every=6,
                              snapshot_footprints=True,
                              restore_cost_ms_per_key=0.0005)
-
-
-@dataclass(slots=True)
-class RecoveryRow:
-    """One (records, base cadence) run of the sweep."""
-
-    base_every: int
-    records: int
-    cuts: int
-    base_cuts: int
-    #: Position cuts (the artifact keeps the historical column name).
-    delta_cuts: int
-    mean_keys_per_cut: float
-    mean_bytes_per_cut: float
-    total_bytes: int
-    changelog_records: int
-    changelog_bytes: int
-    recoveries: int
-    recovery_ms: float
-    completed: int
-    sent: int
-    trace_digest: str
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "base_every": self.base_every, "records": self.records,
-            "cuts": self.cuts,
-            "base_cuts": self.base_cuts, "delta_cuts": self.delta_cuts,
-            "mean_keys_per_cut": round(self.mean_keys_per_cut, 1),
-            "mean_bytes_per_cut": round(self.mean_bytes_per_cut, 1),
-            "total_bytes": self.total_bytes,
-            "changelog_records": self.changelog_records,
-            "changelog_bytes": self.changelog_bytes,
-            "recoveries": self.recoveries,
-            "recovery_ms": round(self.recovery_ms, 2),
-            "completed": self.completed, "sent": self.sent,
-            "trace_digest": self.trace_digest,
-        }
-
-
-@dataclass(slots=True)
-class RecoveryReport:
-    """The full sweep (see module docstring)."""
-
-    rows: list[RecoveryRow]
-    #: records -> preset/every-cut-a-base mean-bytes-per-cut ratio.
-    bytes_ratios: dict[int, float]
-    #: records -> both cadences produced identical trace+state digests.
-    digests_match: dict[int, bool]
-    problems: list[str] = field(default_factory=list)
-    #: The disk leg (module docstring), or None when it was skipped.
-    disk: dict[str, Any] | None = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-    @property
-    def gate_ratio(self) -> float | None:
-        """The ratio at the gated state size (>= GATE_RECORDS keys)."""
-        gated = [ratio for records, ratio in self.bytes_ratios.items()
-                 if records >= GATE_RECORDS]
-        return max(gated) if gated else None
-
-    def as_artifact(self) -> dict[str, Any]:
-        """JSON-ready payload for ``BENCH_recovery.json`` persistence."""
-        return {
-            "cell": "recovery",
-            "rows": [row.as_dict() for row in self.rows],
-            "bytes_ratios": {str(records): round(ratio, 4)
-                             for records, ratio in self.bytes_ratios.items()},
-            "digests_match": {str(records): match for records, match
-                              in self.digests_match.items()},
-            "gate_max_ratio": GATE_MAX_RATIO,
-            "gate_records": GATE_RECORDS,
-            "gate_ratio": (round(self.gate_ratio, 4)
-                           if self.gate_ratio is not None else None),
-            "gate_ok": (self.gate_ratio is not None
-                        and self.gate_ratio <= GATE_MAX_RATIO),
-            "disk": self.disk,
-            "problems": list(self.problems),
-        }
-
-    def summary(self) -> str:
-        lines = []
-        for records in sorted(self.bytes_ratios):
-            ratio = self.bytes_ratios[records]
-            match = self.digests_match[records]
-            lines.append(
-                f"{records} keys: preset-cadence cuts capture {ratio:.1%} "
-                f"of the bytes/cut of all-base cuts; digests "
-                f"{'match' if match else 'DIVERGE'}")
-        gate = self.gate_ratio
-        if gate is not None:
-            verdict = "PASS" if gate <= GATE_MAX_RATIO else "FAIL"
-            lines.append(f"gate ({verdict}): {gate:.3f} <= "
-                         f"{GATE_MAX_RATIO} at >= {GATE_RECORDS} keys")
-        if self.disk is not None:
-            disk = self.disk
-            lines.append(
-                f"disk leg ({disk['records']} keys): "
-                f"{disk['disk_bytes']} bytes on disk across "
-                f"{disk['segment_files']} segment + {disk['cut_files']} "
-                f"cut files; {disk['fsyncs']} fsyncs "
-                f"({disk['fsync_wall_ms']:.1f}ms); cold start "
-                f"{disk['cold_start_ms']:.1f}ms vs in-memory resolve "
-                f"{disk['memory_resolve_ms']:.1f}ms; durable trace "
-                f"{'matches' if disk['digest_matches_memory'] else 'DIVERGES from'} "
-                f"the in-memory run")
-        if self.problems:
-            lines.append("PROBLEMS:")
-            lines.extend(f"  - {problem}" for problem in self.problems)
-        return "\n".join(lines)
 
 
 def tally_changelog_bytes(changelog: Any) -> Callable[[], int]:
@@ -202,9 +90,10 @@ def tally_changelog_bytes(changelog: Any) -> Callable[[], int]:
 
 
 def _run_one(base_every: int, records: int, *, seed: int,
-             rps: float, duration_ms: float, drain_ms: float,
-             durability_dir: str | None = None
-             ) -> tuple[RecoveryRow, Any]:
+             rps: float, duration_ms: float, durability_dir: str | None = None
+             ) -> tuple[dict[str, Any], float, Any]:
+    """One run: its artifact row, its unrounded mean bytes per cut (the
+    ratios divide these) and the runtime."""
     runtime = build_runtime(
         "stateflow", ycsb_program(), seed=seed,
         durability_dir=durability_dir,
@@ -223,9 +112,9 @@ def _run_one(base_every: int, records: int, *, seed: int,
                              failover_after_ms=50.0)
     driver = WorkloadDriver(runtime, workload, DriverConfig(
         rps=rps, duration_ms=duration_ms, warmup_ms=0.0,
-        drain_ms=drain_ms, seed=seed + 2))
+        drain_ms=DRAIN_MS, seed=seed + 2))
     result = driver.run()
-    runtime.sim.run(until=runtime.sim.now + drain_ms)
+    runtime.sim.run(until=runtime.sim.now + DRAIN_MS)
 
     coordinator = runtime.coordinator
     # Steady-state capture volume: skip the initial base (it covers the
@@ -233,41 +122,43 @@ def _run_one(base_every: int, records: int, *, seed: int,
     cuts = [cut for cut in coordinator.snapshots.cut_log
             if cut.snapshot_id > 0]
     count = max(len(cuts), 1)
+    bytes_per_cut = sum(cut.bytes for cut in cuts) / count
     recovery_times = [resumed - started
                       for started, resumed in coordinator.recovery_log]
     state = materialize_snapshot(runtime.committed.snapshot())
     changelog = coordinator.changelog
-    row = RecoveryRow(
-        base_every=base_every, records=records, cuts=len(cuts),
-        base_cuts=sum(1 for cut in cuts if cut.kind == "base"),
-        delta_cuts=sum(1 for cut in cuts if cut.kind == "position"),
-        mean_keys_per_cut=sum(cut.keys for cut in cuts) / count,
-        mean_bytes_per_cut=sum(cut.bytes for cut in cuts) / count,
-        total_bytes=sum(cut.bytes for cut in cuts),
+    row = {
+        "base_every": base_every, "records": records, "cuts": len(cuts),
+        "base_cuts": sum(1 for cut in cuts if cut.kind == "base"),
+        # Position cuts (the artifact keeps the historical column name).
+        "delta_cuts": sum(1 for cut in cuts if cut.kind == "position"),
+        "mean_keys_per_cut": round(sum(cut.keys for cut in cuts) / count, 1),
+        "mean_bytes_per_cut": round(bytes_per_cut, 1),
+        "total_bytes": sum(cut.bytes for cut in cuts),
         # Net of rewinds: the injected recovery rolls back the orphaned
         # suffix, which must not be double-counted as retained volume.
-        changelog_records=changelog.appended - changelog.rewound,
-        changelog_bytes=changelog_bytes(),
-        recoveries=coordinator.recoveries,
-        recovery_ms=(sum(recovery_times) / len(recovery_times)
-                     if recovery_times else 0.0),
-        completed=driver.completed, sent=result.sent,
-        trace_digest=trace_state_digest(trace, state))
-    return row, runtime
+        "changelog_records": changelog.appended - changelog.rewound,
+        "changelog_bytes": changelog_bytes(),
+        "recoveries": coordinator.recoveries,
+        "recovery_ms": round(sum(recovery_times) / len(recovery_times)
+                             if recovery_times else 0.0, 2),
+        "completed": driver.completed, "sent": result.sent,
+        "trace_digest": trace_state_digest(trace, state),
+    }
+    return row, bytes_per_cut, runtime
 
 
-def _disk_leg(memory_row: RecoveryRow, *, seed: int,
-              rps: float, duration_ms: float,
-              drain_ms: float) -> tuple[dict[str, Any], list[str]]:
+def _disk_leg(memory_row: dict[str, Any], *, seed: int, rps: float,
+              duration_ms: float) -> tuple[dict[str, Any], list[str]]:
     """Repeat *memory_row*'s run with a real durability directory, then
     measure what the files cost (module docstring, "disk leg")."""
     from ..storage import FileChangelogStore, FileSnapshotStore
     problems: list[str] = []
-    records = memory_row.records
+    records = memory_row["records"]
     with tempfile.TemporaryDirectory(prefix="repro-recovery-") as tmp:
-        row, runtime = _run_one(
-            memory_row.base_every, records, seed=seed, rps=rps,
-            duration_ms=duration_ms, drain_ms=drain_ms, durability_dir=tmp)
+        row, _, runtime = _run_one(
+            memory_row["base_every"], records, seed=seed, rps=rps,
+            duration_ms=duration_ms, durability_dir=tmp)
         coordinator = runtime.coordinator
         changelog = coordinator.changelog
         snapshots = coordinator.snapshots
@@ -297,7 +188,7 @@ def _disk_leg(memory_row: RecoveryRow, *, seed: int,
         cold_start_ms = (time.perf_counter() - started) * 1e3
         cold_changelog.close()
         cold_state = materialize_snapshot(cold_payload)
-        digest_match = row.trace_digest == memory_row.trace_digest
+        digest_match = row["trace_digest"] == memory_row["trace_digest"]
         state_match = (cold_state == live_state
                        and cold_snapshot.snapshot_id
                        == live_snapshot.snapshot_id)
@@ -312,13 +203,13 @@ def _disk_leg(memory_row: RecoveryRow, *, seed: int,
                 f"live store's latest recoverable state")
         disk = {
             "records": records,
-            "trace_digest": row.trace_digest,
+            "trace_digest": row["trace_digest"],
             "digest_matches_memory": digest_match,
             "cold_state_matches": state_match,
             "disk_bytes": disk_bytes,
             "segment_files": segment_files,
             "cut_files": cut_files,
-            "changelog_records": row.changelog_records,
+            "changelog_records": row["changelog_records"],
             "changelog_bytes_on_disk": changelog.bytes_written,
             "snapshot_bytes_on_disk": snapshots.bytes_written,
             "fsyncs": changelog.fsyncs + snapshots.fsyncs,
@@ -332,57 +223,103 @@ def _disk_leg(memory_row: RecoveryRow, *, seed: int,
     return disk, problems
 
 
-def run_recovery_cell(*, seed: int = 42,
-                      record_counts: tuple[int, ...] = (1_000, GATE_RECORDS),
+def run_recovery_cell(*, seed: int = 42, records: int | None = None,
                       rps: float = 200.0, duration_ms: float = 2_000.0,
-                      drain_ms: float = 20_000.0,
-                      disk: bool = True) -> RecoveryReport:
-    """Run the cadence sweep (see module docstring)."""
-    rows: list[RecoveryRow] = []
+                      ) -> dict[str, Any]:
+    """Run the cadence sweep (see module docstring) at 1k and
+    ``GATE_RECORDS`` keys, or at *records* keys alone."""
+    rows: list[dict[str, Any]] = []
     ratios: dict[int, float] = {}
     matches: dict[int, bool] = {}
     problems: list[str] = []
-    preset_rows: dict[int, RecoveryRow] = {}
     cadences = (EVERY_CUT_A_BASE,
                 recovery_coordinator_config().snapshot_base_every)
-    for records in record_counts:
-        every, preset = [_run_one(base_every, records, seed=seed, rps=rps,
-                                  duration_ms=duration_ms,
-                                  drain_ms=drain_ms)[0]
-                         for base_every in cadences]
+    record_counts = (records,) if records else (1_000, GATE_RECORDS)
+    for count in record_counts:
+        (every, every_bytes, _), (preset, preset_bytes, _) = [
+            _run_one(base_every, count, seed=seed, rps=rps,
+                     duration_ms=duration_ms)
+            for base_every in cadences]
         for row in (every, preset):
             rows.append(row)
-            label = f"base_every={row.base_every}/{records}"
-            if row.completed < row.sent:
+            label = f"base_every={row['base_every']}/{count}"
+            if row["completed"] < row["sent"]:
                 problems.append(
                     f"{label}: lost replies "
-                    f"({row.completed} of {row.sent} completed)")
-            if row.recoveries < 1:
+                    f"({row['completed']} of {row['sent']} completed)")
+            if row["recoveries"] < 1:
                 problems.append(
                     f"{label}: the injected fail-over never recovered")
-        preset_rows[records] = preset
-        if every.mean_bytes_per_cut > 0:
-            ratios[records] = (preset.mean_bytes_per_cut
-                               / every.mean_bytes_per_cut)
-        matches[records] = every.trace_digest == preset.trace_digest
-        if not matches[records]:
+        if every_bytes > 0:
+            ratios[count] = preset_bytes / every_bytes
+        matches[count] = every["trace_digest"] == preset["trace_digest"]
+        if not matches[count]:
             problems.append(
-                f"{records}: the two base cadences diverged "
+                f"{count}: the two base cadences diverged "
                 f"(trace/state digests differ)")
-    disk_leg = None
-    if disk and preset_rows:
-        largest = preset_rows[max(preset_rows)]
-        disk_leg, disk_problems = _disk_leg(
-            largest, seed=seed, rps=rps,
-            duration_ms=duration_ms, drain_ms=drain_ms)
-        problems.extend(disk_problems)
-    report = RecoveryReport(rows=rows, bytes_ratios=ratios,
-                            digests_match=matches, problems=problems,
-                            disk=disk_leg)
-    gate = report.gate_ratio
+    # The disk leg repeats the preset-cadence run at the largest size.
+    disk, disk_problems = _disk_leg(rows[-1], seed=seed, rps=rps,
+                                    duration_ms=duration_ms)
+    problems.extend(disk_problems)
+    # The ratio at the gated state size (>= GATE_RECORDS keys).
+    gate = max((ratio for count, ratio in ratios.items()
+                if count >= GATE_RECORDS), default=None)
     if gate is not None and gate > GATE_MAX_RATIO:
-        report.problems.append(
+        problems.append(
             f"gate violated: preset-cadence cuts capture {gate:.3f}x of "
             f"the bytes of all-base cuts at >= {GATE_RECORDS} keys "
             f"(allowed {GATE_MAX_RATIO}x)")
-    return report
+    return {
+        "cell": "recovery",
+        "rows": rows,
+        "bytes_ratios": {str(count): round(ratio, 4)
+                         for count, ratio in ratios.items()},
+        "digests_match": {str(count): match
+                          for count, match in matches.items()},
+        "gate_max_ratio": GATE_MAX_RATIO,
+        "gate_records": GATE_RECORDS,
+        "gate_ratio": round(gate, 4) if gate is not None else None,
+        "gate_ok": gate is not None and gate <= GATE_MAX_RATIO,
+        "disk": disk,
+        "problems": problems,
+        "ok": not problems,
+    }
+
+
+def summarize(artifact: dict[str, Any]) -> str:
+    title = "recovery sweep: every cut a base vs the preset cadence"
+    lines = [title, "-" * len(title),
+             "base_every  records  cuts  keys/cut  bytes/cut  "
+             "recovery_ms  changelog"]
+    for row in artifact["rows"]:
+        lines.append(
+            f"{row['base_every']:<10}  {row['records']:<7}  "
+            f"{row['cuts']:<4}  {row['mean_keys_per_cut']:<8.1f}  "
+            f"{row['mean_bytes_per_cut']:<9.0f}  "
+            f"{row['recovery_ms']:<11.2f}  {row['changelog_records']}")
+    lines.append("")
+    for count, ratio in artifact["bytes_ratios"].items():
+        lines.append(
+            f"{count} keys: preset-cadence cuts capture {ratio:.1%} of the "
+            f"bytes/cut of all-base cuts; digests "
+            f"{'match' if artifact['digests_match'][count] else 'DIVERGE'}")
+    gate = artifact["gate_ratio"]
+    if gate is not None:
+        lines.append(f"gate ({'PASS' if artifact['gate_ok'] else 'FAIL'}): "
+                     f"{gate:.3f} <= {GATE_MAX_RATIO} at >= "
+                     f"{GATE_RECORDS} keys")
+    disk = artifact["disk"]
+    lines.append(
+        f"disk leg ({disk['records']} keys): "
+        f"{disk['disk_bytes']} bytes on disk across "
+        f"{disk['segment_files']} segment + {disk['cut_files']} "
+        f"cut files; {disk['fsyncs']} fsyncs "
+        f"({disk['fsync_wall_ms']:.1f}ms); cold start "
+        f"{disk['cold_start_ms']:.1f}ms vs in-memory resolve "
+        f"{disk['memory_resolve_ms']:.1f}ms; durable trace "
+        f"{'matches' if disk['digest_matches_memory'] else 'DIVERGES from'} "
+        f"the in-memory run")
+    if artifact["problems"]:
+        lines.append("PROBLEMS:")
+        lines.extend(f"  - {problem}" for problem in artifact["problems"])
+    return "\n".join(lines)

@@ -5,12 +5,11 @@ any command lists its flags.
 ``BENCH_<cell>.json`` in the working directory (override with
 ``$REPRO_BENCH_DIR``); payloads carry no wall-clock timestamps, so a
 simulator rerun of the same seed writes the same bytes.  Their runtime
-and load flags are declared once (:data:`RUNTIME_FLAGS`) and become one
-:func:`~repro.bench.harness.build_runtime` overrides mapping
-(:func:`runtime_overrides`).  A fault plan, resizes included, runs
-through ``chaos run`` only.  Which ``bench`` cell accepts which system,
-spawner and flag is one table (:data:`BENCH_CELLS`); every rejection is
-generated from it.
+and load flags are declared once (:data:`RUNTIME_FLAGS`).  A fault plan,
+resizes included, runs through ``chaos run`` only.  Which ``bench`` cell
+accepts which system, spawner and flag is one table
+(:data:`BENCH_CELLS`): every rejection is generated from it, and every
+flag it accepts reaches the cell's function as a keyword.
 """
 
 from __future__ import annotations
@@ -147,18 +146,6 @@ def _worker_counts(text: str) -> list[int]:
     return counts
 
 
-def _parse_rps_sweep(text: str) -> list[float]:
-    try:
-        rates = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise SystemExit(f"repro bench: error: --rps-sweep expects "
-                         f"comma-separated rates, got {text!r}")
-    if not rates or any(rate <= 0 for rate in rates):
-        raise SystemExit(f"repro bench: error: --rps-sweep needs positive "
-                         f"rates, got {text!r}")
-    return rates
-
-
 # ---------------------------------------------------------------------------
 # the runtime and load flags, declared once
 # ---------------------------------------------------------------------------
@@ -166,8 +153,9 @@ def _parse_rps_sweep(text: str) -> list[float]:
 #: Every runtime and load flag: dest -> (flag, ``add_argument`` keywords).
 #: A flag that sets a ``build_runtime`` override has that override's name
 #: as its dest.  ``bench`` takes all but the deployment ones
-#: (:data:`CHAOS_ONLY`), ``chaos run`` the ones it honours; a command sets
-#: its own load defaults (:func:`_add_flags`).
+#: (:data:`CHAOS_ONLY`), ``chaos run`` the ones it honours.  ``chaos run``
+#: sets its own load defaults (:func:`_add_flags`); ``bench`` leaves them
+#: to each cell's function.
 RUNTIME_FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
     "system": ("--system", dict(default="stateflow",
                                 choices=["stateflow", "statefun"])),
@@ -179,9 +167,6 @@ RUNTIME_FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
                     dict(type=positive_float, default=None)),
     "records": ("--records", dict(type=positive_int, default=None)),
     "seed": ("--seed", dict(type=int, default=42)),
-    "rps_sweep": ("--rps-sweep", dict(default=None, metavar="R1,R2,...",
-                                      help="run the ycsb cell at each "
-                                           "rate")),
     "workers": ("--workers", dict(type=positive_int, default=5,
                                   help="StateFlow workers at the start")),
     "targets": ("--targets", dict(
@@ -239,7 +224,7 @@ def _given(args: argparse.Namespace) -> list[str]:
 
 def runtime_overrides(args: argparse.Namespace) -> dict[str, Any]:
     """The runtime flags given on the command line as the overrides
-    mapping every cell runner passes to ``build_runtime``."""
+    mapping ``chaos run`` passes to ``build_runtime``."""
     return {dest: getattr(args, dest) for dest in _given(args)
             if dest in OVERRIDES}
 
@@ -257,158 +242,16 @@ def _require_stateflow(command: str, args: argparse.Namespace) -> None:
 # repro bench: one table of cells
 # ---------------------------------------------------------------------------
 
-def _run_ycsb_cell(args: argparse.Namespace) -> int:
-    from .bench import format_table, run_ycsb_cell, write_bench_artifact
-
-    title = f"YCSB {args.workload}/{args.distribution} on {args.system}"
-    if args.rps_sweep is not None:
-        # Every rate lands in one BENCH_ycsb.json, so the rate/latency
-        # curve is an artifact, not scrollback.
-        rates = _parse_rps_sweep(args.rps_sweep)
-        title += f", rps sweep {'/'.join(str(rate) for rate in rates)}"
-    else:
-        rates = [args.rps or 100.0]
-    overrides = runtime_overrides(args)
-    rows = [run_ycsb_cell(args.system, args.workload, args.distribution,
-                          rps=rate, duration_ms=args.duration_ms or 2_000.0,
-                          record_count=args.records or 100, seed=args.seed,
-                          runtime_overrides=overrides)
-            for rate in rates]
-    print(format_table(rows, title))
-    path = write_bench_artifact("ycsb", {"cell": "ycsb",
-                                         "rows": [row.as_dict()
-                                                  for row in rows]})
-    print(f"wrote {path}")
-    return 0
-
-
-def _load_args(args: argparse.Namespace, records: str) -> dict[str, Any]:
-    """The load flags given, as a sweep runner's keyword arguments (an
-    absent one keeps the runner's default); a ``record_counts`` sweep
-    runs the one size given."""
-    given = {"rps": args.rps, "duration_ms": args.duration_ms,
-             records: args.records}
-    loads = {key: value for key, value in given.items() if value is not None}
-    if records == "record_counts" and records in loads:
-        loads[records] = (loads[records],)
-    return loads
-
-
-def _print_titled(title: str, *blocks: str) -> None:
-    print(title)
-    print("-" * len(title))
-    print("\n".join(blocks))
-
-
-def _pipeline_rows(report) -> str:
-    lines = ["mode       depth  txn/s     mean_ms  p99_ms   batches  "
-             "stall_ms"]
-    for row in report.rows:
-        lines.append(f"{row.mode:<9}  {row.depth:<5}  "
-                     f"{row.throughput_txn_s:<8.0f}  "
-                     f"{row.mean_ms:<7.1f}  {row.p99_ms:<7.1f}  "
-                     f"{row.batches:<7}  {row.stall_ms:.1f}")
-    return "\n".join(lines)
-
-
-def _run_pipeline_cell(args: argparse.Namespace) -> int:
-    """The depth 1/2/4 sweep; ``--spawner process`` re-runs it on real
-    worker processes and adds the wall-clock rows to the artifact."""
-    from .bench import run_pipeline_bench, run_pipeline_cell, \
-        write_bench_artifact
-
-    sweep_args = dict(_load_args(args, "record_count"),
-                      workload_name=args.workload,
-                      distribution=args.distribution)
-    if args.spawner == "process":
-        artifact, sim_report, wall_report = run_pipeline_bench(
-            seed=args.seed, simulator_kwargs=sweep_args)
-        _print_titled(f"pipeline sweep: YCSB {sim_report.workload}/"
-                      f"{sim_report.distribution}, simulator + process "
-                      f"substrates", _pipeline_rows(sim_report),
-                      _pipeline_rows(wall_report), "",
-                      sim_report.summary(), wall_report.summary())
-        ok = (sim_report.replies_identical
-              and artifact["wallclock"]["meets_speedup_target"] is not False)
-    else:
-        report = run_pipeline_cell(seed=args.seed, **sweep_args)
-        artifact = report.as_artifact()
-        _print_titled(f"pipeline sweep: YCSB {report.workload}/"
-                      f"{report.distribution}, {report.workers} workers",
-                      _pipeline_rows(report), "", report.summary())
-        ok = report.replies_identical
-    print(f"wrote {write_bench_artifact('pipeline', artifact)}")
-    return 0 if ok else 1
-
-
-def _run_recovery_cell(args: argparse.Namespace) -> int:
-    from .bench import run_recovery_cell, write_bench_artifact
-
-    report = run_recovery_cell(seed=args.seed,
-                               **_load_args(args, "record_counts"))
-    lines = ["base_every  records  cuts  keys/cut  bytes/cut  "
-             "recovery_ms  changelog"]
-    for row in report.rows:
-        lines.append(
-            f"{row.base_every:<10}  {row.records:<7}  {row.cuts:<4}  "
-            f"{row.mean_keys_per_cut:<8.1f}  {row.mean_bytes_per_cut:<9.0f}  "
-            f"{row.recovery_ms:<11.2f}  {row.changelog_records}")
-    _print_titled("recovery sweep: every cut a base vs the preset cadence",
-                  *lines, "", report.summary())
-    print(f"wrote {write_bench_artifact('recovery', report.as_artifact())}")
-    return 0 if report.ok else 1
-
-
-def _run_autoscale_cell(args: argparse.Namespace) -> int:
-    from .bench import (format_autoscale_summary, run_autoscale_bench,
-                        write_bench_artifact)
-
-    artifact, _scaled, _fixed = run_autoscale_bench(seed=args.seed)
-    lines = ["mode       phase  rps    theta  p99_ms   workers  rescales"]
-    for mode in ("autoscale", "fixed"):
-        for row in artifact["runs"][mode]["rows"]:
-            lines.append(
-                f"{mode:<9}  {row['phase']:<5}  {row['rps']:<5.0f}  "
-                f"{row['theta']:<5}  {row['p99_ms']:<7.1f}  "
-                f"{row['workers_at_end']:<7}  {row['rescales_so_far']}")
-    _print_titled(f"autoscale ramp: YCSB A/zipfian "
-                  f"(theta {artifact['ramp'][0]['theta']} -> "
-                  f"{artifact['ramp'][-1]['theta']})", *lines, "",
-                  format_autoscale_summary(artifact))
-    print(f"wrote {write_bench_artifact('autoscale', artifact)}")
-    return 0 if artifact["gates"]["closed_loop_proven"] else 1
-
-
-def _run_views_cell(args: argparse.Namespace) -> int:
-    from .bench import (format_views_summary, run_views_cell,
-                        write_bench_artifact)
-
-    artifact = run_views_cell(seed=args.seed,
-                              **_load_args(args, "record_counts"))
-    _print_titled("incremental views: maintenance vs full scan",
-                  format_views_summary(artifact))
-    print(f"wrote {write_bench_artifact('views', artifact)}")
-    return 0 if artifact["ok"] else 1
-
-
-def _run_paper_cell(args: argparse.Namespace) -> int:
-    from .bench import (format_paper_summary, run_paper_cell,
-                        write_bench_artifact)
-
-    artifact = run_paper_cell(seed=args.seed)
-    _print_titled("the paper's evaluation: figures 3-4, ablations, "
-                  "overhead", format_paper_summary(artifact))
-    print(f"wrote {write_bench_artifact('paper', artifact)}")
-    return 0 if artifact["ok"] else 1
-
-
 @dataclass(frozen=True)
 class BenchCell:
-    """One ``repro bench --cell``: its runner, the systems and spawners
-    it runs on, and the flags (dests) it refuses because it owns or
-    cannot honour them."""
+    """One ``repro bench --cell NAME``: the module
+    ``repro.bench.<module>`` that holds its two functions,
+    ``run_<NAME>_cell(**flags) -> artifact`` and ``summarize(artifact)
+    -> str``; the systems and spawners it runs on; and the flags (dests)
+    it refuses because it owns or cannot honour them.  Every other flag
+    given reaches ``run_<NAME>_cell`` as a keyword."""
 
-    run: Callable[[argparse.Namespace], int]
+    module: str
     systems: tuple[str, ...] = ("stateflow",)
     spawners: tuple[str, ...] = ("simulator",)
     refuses: tuple[str, ...] = ()
@@ -416,7 +259,7 @@ class BenchCell:
 
 
 #: Flags only the ycsb cell honours: every sweep owns its deployment.
-_YCSB_ONLY = ("pipeline_depth", "autoscale", "durability_dir", "rps_sweep")
+_YCSB_ONLY = ("pipeline_depth", "autoscale", "durability_dir")
 
 #: The load flags a cell that fixes its own load refuses.
 _LOAD = ("rps", "duration_ms", "records")
@@ -425,29 +268,28 @@ _LOAD = ("rps", "duration_ms", "records")
 _WORKLOAD = ("workload", "distribution")
 
 BENCH_CELLS: dict[str, BenchCell] = {
-    "ycsb": BenchCell(_run_ycsb_cell, systems=("stateflow", "statefun"),
+    "ycsb": BenchCell("harness", systems=("stateflow", "statefun"),
                       spawners=("simulator", "process")),
     "paper": BenchCell(
-        _run_paper_cell, refuses=_WORKLOAD + _LOAD + _YCSB_ONLY,
+        "paper", refuses=_WORKLOAD + _LOAD + _YCSB_ONLY,
         why="runs each figure and ablation at the paper's sizes and runs "
             "both systems itself (use --cell ycsb for one cell)"),
     "pipeline": BenchCell(
-        _run_pipeline_cell, spawners=("simulator", "process"),
+        "pipeline", spawners=("simulator", "process"),
         refuses=_YCSB_ONLY,
         why="sweeps depths 1/2/4 on one fixed, fault-free, in-memory "
             "deployment (use `repro chaos run --pipeline-depth`)"),
     "recovery": BenchCell(
-        _run_recovery_cell, refuses=_WORKLOAD + _YCSB_ONLY,
+        "recovery", refuses=_WORKLOAD + _YCSB_ONLY,
         why="sweeps two base cadences in canonical configurations, "
             "injects its own fail-over and owns its durability directory"),
     "autoscale": BenchCell(
-        _run_autoscale_cell,
-        refuses=_WORKLOAD + _LOAD + _YCSB_ONLY,
+        "autoscale", refuses=_WORKLOAD + _LOAD + _YCSB_ONLY,
         why="drives one fixed ramp in canonical configurations and owns "
             "its scaling authority (use `repro chaos run --autoscale` for "
             "the controller under chaos)"),
     "views": BenchCell(
-        _run_views_cell, refuses=_WORKLOAD + _YCSB_ONLY,
+        "views", refuses=_WORKLOAD + _YCSB_ONLY,
         why="measures a clean run in canonical configurations (default "
             "snapshots and pipeline) and owns its durable leg; tests/ "
             "cover views under chaos and rescale"),
@@ -470,7 +312,8 @@ SPAWNER_MATRIX = _spawner_matrix()
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     """Refuse every flag the cell cannot honour, before any runtime is
-    built; then run it."""
+    built; then run it with the flags given, print its summary, write its
+    artifact and exit on its ``ok``."""
     cell = BENCH_CELLS[args.cell]
     error = f"repro bench: error: --cell {args.cell}"
     if args.spawner not in cell.spawners:
@@ -487,7 +330,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     refused = [_flag(dest) for dest in _given(args) if dest in cell.refuses]
     if refused:
         raise SystemExit(f"{error} {cell.why}; drop {', '.join(refused)}")
-    return cell.run(args)
+    from .bench import write_bench_artifact
+
+    module = importlib.import_module(f".bench.{cell.module}", __package__)
+    artifact = getattr(module, f"run_{args.cell}_cell")(
+        **{dest: getattr(args, dest) for dest in _given(args)})
+    print(module.summarize(artifact))
+    print(f"wrote {write_bench_artifact(args.cell, artifact)}")
+    return 0 if artifact["ok"] else 1
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +384,7 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
                "errors", "recoveries", "recovery_time_ms", "availability"]
     if report.rescales:
         columns += ["rescales", "mean_pause_ms", "final_workers"]
-    print(format_table([report.row], f"{title} (seed {args.seed})",
+    print(format_table([report.row.as_dict()], f"{title} (seed {args.seed})",
                        columns=columns))
     print()
     print(report.summary())
@@ -579,11 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
     bench_cmd = commands.add_parser(
         "bench", help="run one benchmark cell and write BENCH_<cell>.json")
     _add_flags(bench_cmd, *(dest for dest in RUNTIME_FLAGS
-                            if dest not in CHAOS_ONLY),
-               workload="A", distribution="zipfian")
+                            if dest not in CHAOS_ONLY))
     bench_cmd.add_argument("--cell", default="ycsb", choices=list(BENCH_CELLS),
-                           help="ycsb (default; load flags default to 100 "
-                                "rps / 2000 ms / 100 records), or a sweep "
+                           help="ycsb (default; load flags default to YCSB "
+                                "A/zipfian, 100 rps / 2000 ms / 100 "
+                                "records), or a sweep "
                                 "with its own gates: paper (figures 3-4, "
                                 "the ablations and the overhead breakdown, "
                                 "into BENCH_paper.json), pipeline (depth "

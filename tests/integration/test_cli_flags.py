@@ -2,15 +2,14 @@
 shared runtime flags reach the runtime each command builds, and every
 ``repro bench`` combination the cell table refuses, and every ``repro
 chaos run`` flag StateFun cannot honour, fails before any runtime exists
-while every one accepted reaches its runner."""
+while every one accepted reaches the cell's function as a keyword."""
 
 from __future__ import annotations
 
 import importlib
+import inspect
 import itertools
 import json
-from dataclasses import replace
-
 import pytest
 
 from repro import cli
@@ -103,7 +102,8 @@ def test_chaos_plan_flags_shape_the_plan(capsys):
 # repro bench: the cell table, exhaustively
 # ---------------------------------------------------------------------------
 
-#: dest -> (argv after the flag name, the value the runner must see).
+#: dest -> (argv after the flag name, the keyword value the cell's
+#: function must receive).
 FLAG_VALUES = {
     "workload": (["B"], "B"),
     "distribution": (["uniform"], "uniform"),
@@ -114,7 +114,6 @@ FLAG_VALUES = {
     "pipeline_depth": (["3"], 3),
     "autoscale": ([], True),
     "durability_dir": (["state"], "state"),
-    "rps_sweep": (["40,80"], "40,80"),
 }
 
 
@@ -154,18 +153,25 @@ PINNED = {
 
 @pytest.fixture()
 def runners(monkeypatch):
-    """Every cell runner records what it was called with; no runtime may
-    be built."""
+    """Every cell's function records the keywords it was called with and
+    returns a passing artifact; no runtime may be built."""
     calls = []
 
     def refuse_runtime(*args, **kwargs):
         raise AssertionError("a runtime was built")
 
+    def recorder(name):
+        def run(**flags):
+            calls.append((name, flags))
+            return {"cell": name, "ok": True}
+        return run
+
+    for name, cell in cli.BENCH_CELLS.items():
+        module = importlib.import_module(f"repro.bench.{cell.module}")
+        monkeypatch.setattr(module, f"run_{name}_cell", recorder(name))
+        monkeypatch.setattr(module, "summarize", lambda artifact: "")
     for module in (HARNESS, CHAOS):
         monkeypatch.setattr(module, "build_runtime", refuse_runtime)
-    for name, cell in cli.BENCH_CELLS.items():
-        monkeypatch.setitem(cli.BENCH_CELLS, name, replace(
-            cell, run=lambda args, name=name: calls.append((name, args)) or 0))
     return calls
 
 
@@ -180,9 +186,13 @@ def _check_verdict(cell, system, spawner, dest, refused, runners):
         assert runners == []
         return
     assert main(argv) == 0
-    ((ran, args),) = runners
-    assert (ran, args.system, args.spawner) == (cell, system, spawner)
-    assert getattr(args, dest) == expected
+    # Every flag given, and no other, reaches the cell's function.
+    given = {dest: expected}
+    if system != "stateflow":
+        given["system"] = system
+    if spawner != "simulator":
+        given["spawner"] = spawner
+    assert runners == [(cell, given)]
 
 
 @pytest.mark.parametrize("cell,system,spawner,dest", CASES,
@@ -196,6 +206,40 @@ def test_bench_cell_table(cell, system, spawner, dest, runners):
                          ids=["-".join(case) for case in PINNED])
 def test_pinned_bench_verdicts(case, refused, runners):
     _check_verdict(*case, refused, runners)
+
+
+#: The cell choice keywords, beside the flags of :data:`FLAG_VALUES`.
+CHOICE_VALUES = {"system": "statefun", "spawner": "process"}
+
+SIGNATURE_CASES = list(itertools.product(cli.BENCH_CELLS,
+                                         [*FLAG_VALUES, *CHOICE_VALUES]))
+
+
+def _passed_on(cell: str, dest: str) -> bool:
+    """Whether ``_cmd_bench`` can hand *dest* to the cell's function."""
+    spec = cli.BENCH_CELLS[cell]
+    if dest in CHOICE_VALUES:
+        return len(getattr(spec, f"{dest}s")) > 1
+    return any(not _refused(cell, system, spawner, dest)
+               for system in spec.systems for spawner in spec.spawners)
+
+
+@pytest.mark.parametrize("cell,dest", SIGNATURE_CASES,
+                         ids=["-".join(case) for case in SIGNATURE_CASES])
+def test_cell_function_takes_what_the_table_passes(cell, dest):
+    """The ``runners`` fixture stands in for every cell's function, so
+    this is what ties the table to the real one: a keyword the table can
+    pass binds to ``run_<cell>_cell``'s signature, and a flag the table
+    always refuses is not one of its parameters."""
+    module = importlib.import_module(
+        f"repro.bench.{cli.BENCH_CELLS[cell].module}")
+    signature = inspect.signature(getattr(module, f"run_{cell}_cell"))
+    if _passed_on(cell, dest):
+        value = (CHOICE_VALUES[dest] if dest in CHOICE_VALUES
+                 else FLAG_VALUES[dest][1])
+        signature.bind(**{dest: value})
+    else:
+        assert dest not in signature.parameters
 
 
 def test_bench_takes_no_fault_plan(runners, tmp_path, capsys):
@@ -320,7 +364,7 @@ def test_spawner_matrix_is_generated_from_the_table():
 
 
 def test_ycsb_overrides_reach_run_ycsb_cell(monkeypatch, tmp_path):
-    """The ycsb runner hands the parsed flags on as one overrides
+    """The ycsb cell hands the runtime flags on as one overrides
     mapping."""
     monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
     seen = []
@@ -330,7 +374,7 @@ def test_ycsb_overrides_reach_run_ycsb_cell(monkeypatch, tmp_path):
         return HARNESS.ExperimentRow("stateflow", "A", "zipfian", 1.0, 1.0,
                                      1.0, 1.0, 1, 1, 0)
 
-    monkeypatch.setattr("repro.bench.run_ycsb_cell", fake_cell)
+    monkeypatch.setattr(HARNESS, "ycsb_row", fake_cell)
     assert main(["bench", "--pipeline-depth", "1", "--autoscale",
                  "--durable", "state"]) == 0
     assert seen == [{"pipeline_depth": 1, "autoscale": True,

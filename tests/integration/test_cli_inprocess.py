@@ -3,10 +3,13 @@ subprocess tests in test_cli_and_dot.py check the real entry point; these
 make the handler logic visible to the coverage gate)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+
+ROOT = Path(__file__).resolve().parents[2]
 
 SHOP = (
     "from repro import entity\n"
@@ -226,6 +229,9 @@ def test_bench_pipeline_cell_honours_load_flags(tmp_path, monkeypatch,
 
 
 def test_bench_views_cell_inprocess(tmp_path, monkeypatch, capsys):
+    """A 400-key run holds every gate but the rehydrate floor, which
+    binds at 10k keys only (both timings are a few ms here); its legs,
+    durable leg and gates have the committed file's keys."""
     monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
     assert main(["bench", "--cell", "views", "--records", "400",
                  "--duration-ms", "800", "--rps", "120"]) == 0
@@ -235,10 +241,18 @@ def test_bench_views_cell_inprocess(tmp_path, monkeypatch, capsys):
     assert payload["cell"] == "views"
     assert payload["gates"]["zero_mismatches"] is True
     assert payload["gates"]["speedup_ok"] is True
+    assert payload["gates"]["rehydrate_floor"] is None
+    assert payload["gates"]["rehydrate_ok"] is True
     (leg,) = payload["legs"]
     assert leg["record_count"] == 400
     assert leg["probe_mismatches"] == 0
     assert leg["freshness"]["final_lag"] == 0
+    committed = json.loads((ROOT / "BENCH_views.json").read_text())
+    assert sorted(payload) == sorted(committed)
+    assert {tuple(sorted(leg)) for leg in payload["legs"]} == {
+        tuple(sorted(leg)) for leg in committed["legs"]}
+    for section in ("durable_rehydrate", "gates"):
+        assert sorted(payload[section]) == sorted(committed[section])
 
 
 def test_bench_views_cell_flag_rejections():
@@ -250,25 +264,5 @@ def test_bench_views_cell_flag_rejections():
         main(["bench", "--cell", "views", "--pipeline-depth", "1"])
     with pytest.raises(SystemExit, match="autoscale"):
         main(["bench", "--cell", "views", "--autoscale"])
-    with pytest.raises(SystemExit, match="rps-sweep"):
-        main(["bench", "--cell", "views", "--rps-sweep", "60"])
     with pytest.raises(SystemExit, match="workload"):
         main(["bench", "--cell", "views", "--workload", "B"])
-
-
-def test_bench_rps_sweep(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
-    assert main(["bench", "--rps-sweep", "40,80", "--duration-ms", "600",
-                 "--records", "20"]) == 0
-    assert "rps sweep" in capsys.readouterr().out
-    payload = json.loads((tmp_path / "BENCH_ycsb.json").read_text())
-    assert [row["rps"] for row in payload["rows"]] == [40.0, 80.0]
-
-
-def test_bench_rps_sweep_rejections():
-    with pytest.raises(SystemExit, match="rps-sweep"):
-        main(["bench", "--cell", "recovery", "--rps-sweep", "60"])
-    with pytest.raises(SystemExit, match="positive"):
-        main(["bench", "--rps-sweep", "0"])
-    with pytest.raises(SystemExit, match="comma-separated"):
-        main(["bench", "--rps-sweep", "abc"])

@@ -40,20 +40,20 @@ def test_example_runs(script):
 
 class TestHarness:
     def test_ycsb_cell_shape(self):
-        from repro.bench import run_ycsb_cell
+        from repro.bench import ycsb_row
 
-        row = run_ycsb_cell("stateflow", "A", "zipfian", rps=100,
-                            duration_ms=2_000, record_count=50)
+        row = ycsb_row("stateflow", "A", "zipfian", rps=100,
+                       duration_ms=2_000, record_count=50)
         assert row.completed > 0
         assert row.errors == 0
         assert 0 < row.p50_ms <= row.p99_ms
         assert row.as_dict()["system"] == "stateflow"
 
     def test_statefun_cell(self):
-        from repro.bench import run_ycsb_cell
+        from repro.bench import ycsb_row
 
-        row = run_ycsb_cell("statefun", "B", "uniform", rps=100,
-                            duration_ms=2_000, record_count=50)
+        row = ycsb_row("statefun", "B", "uniform", rps=100,
+                       duration_ms=2_000, record_count=50)
         assert row.completed > 0
         assert row.p99_ms > 0
 
@@ -64,11 +64,11 @@ class TestHarness:
             build_runtime("spark", ycsb_program())
 
     def test_format_table(self):
-        from repro.bench import format_table, run_ycsb_cell
+        from repro.bench import format_table, ycsb_row
 
-        row = run_ycsb_cell("stateflow", "A", "uniform", rps=100,
-                            duration_ms=1_000, record_count=20)
-        text = format_table([row], "title")
+        row = ycsb_row("stateflow", "A", "uniform", rps=100,
+                       duration_ms=1_000, record_count=20)
+        text = format_table([row.as_dict()], "title")
         assert "title" in text
         assert "stateflow" in text
 

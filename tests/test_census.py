@@ -180,7 +180,6 @@ ROWS: dict[tuple[str, str], Row] = {
         CLI_TESTS, None, "the controller on the ycsb cell"),
     ("repro bench", "--durable"): by_test(
         FLAG_TESTS, None, "the ycsb cell persisted under DIR"),
-    ("repro bench", "--rps-sweep"): FIG4,
     ("repro bench", "--cell"): ci(),
     # -- repro chaos ------------------------------------------------------
     ("repro chaos plan", "--seed"): ci(),
@@ -281,4 +280,4 @@ def test_the_count_only_falls():
     """The census started from 138 values (71 fields, 64 options, 3
     variables); a change that adds a value adds its row and raises this
     bound in the same diff."""
-    assert len(settable_values()) <= 73
+    assert len(settable_values()) <= 72
