@@ -20,7 +20,6 @@ from .harness import (
 from .overhead import (
     Blob,
     OverheadRow,
-    format_overhead_table,
     run_overhead_breakdown,
 )
 
@@ -30,7 +29,6 @@ __all__ = [
     "OverheadRow",
     "build_runtime",
     "chaos_coordinator_config",
-    "format_overhead_table",
     "format_table",
     "run_chaos_cell",
     "run_overhead_breakdown",

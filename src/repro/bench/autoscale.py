@@ -37,7 +37,7 @@ from ..control.policy import (HIGH_QUEUE_DEPTH, HOT_KEY_SHARE,
 from ..substrates.simulation import percentile
 from ..workloads.generator import DriverConfig, WorkloadDriver
 from ..workloads.ycsb import Account, YcsbWorkload
-from .harness import build_runtime, ycsb_program
+from . import harness
 
 #: Tail-latency SLO the autoscaled run must restore (and the fixed
 #: baseline must violate) over the post-scale window.
@@ -77,8 +77,8 @@ def _run_ramp(autoscale: bool, seed: int) -> dict[str, Any]:
     overrides: dict[str, Any] = dict(workers=WORKERS, state_slots=STATE_SLOTS)
     if autoscale:
         overrides["autoscale_policy"] = AutoscalePolicy()
-    runtime = build_runtime("stateflow", ycsb_program(), seed=seed,
-                            **overrides)
+    runtime = harness.build_runtime("stateflow", harness.ycsb_program(),
+                                    seed=seed, **overrides)
     runtime.preload(Account, YcsbWorkload(
         "A", record_count=RECORDS, distribution="zipfian",
         seed=seed + 1).dataset_rows())

@@ -2,8 +2,8 @@
 what the paper only claims — recovery and elastic-scaling behaviour.
 
 ``run_chaos_cell`` drives one (workload, fault-plan, seed) cell on a
-simulated runtime and returns a :class:`ChaosReport`: the usual
-latency/throughput row plus
+simulated runtime and returns the ``BENCH_chaos.json`` payload: the
+usual latency/throughput ``row`` plus
 
 - ``recoveries`` / ``failovers`` — how often the snapshot-replay path ran;
 - ``recovery_time_ms`` — mean client-visible outage after a process
@@ -24,7 +24,8 @@ latency/throughput row plus
   final committed state: two runs with the same seeds and plan must
   produce the same digest (the reproducibility contract);
 - ``problems`` — violated invariants (lost/duplicated replies, broken
-  conservation, a wrong final worker count), empty on a correct run.
+  conservation, a wrong final worker count), empty on a correct run,
+  and ``ok`` when there are none.
 
 A resize is one more plan event: ``targets`` stages one per entry ahead
 of the plan's own events (:func:`~repro.faults.staged_plan`).
@@ -33,7 +34,6 @@ of the plan's own events (:func:`~repro.faults.staged_plan`).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from ..faults import FaultPlan, random_plan, staged_plan
@@ -41,7 +41,8 @@ from ..runtimes.state import materialize_snapshot
 from ..runtimes.stateflow.coordinator import CoordinatorConfig
 from ..workloads.generator import DriverConfig, WorkloadDriver
 from ..workloads.ycsb import Account, YcsbWorkload
-from .harness import ExperimentRow, build_runtime, ycsb_program
+from . import harness
+from .harness import ExperimentRow, format_table, ycsb_program
 
 
 def chaos_coordinator_config() -> CoordinatorConfig:
@@ -51,98 +52,6 @@ def chaos_coordinator_config() -> CoordinatorConfig:
                              failure_detect_ms=200.0)
 
 
-@dataclass(slots=True)
-class ChaosReport:
-    """One chaos cell's outcome (see module docstring)."""
-
-    row: ExperimentRow
-    plan_name: str
-    recoveries: int
-    failovers: int
-    recovery_time_ms: float
-    availability: float
-    fault_stats: dict[str, int]
-    rescales: int
-    pauses_ms: list[float]
-    slots_moved: int
-    keys_moved: int
-    pre_throughput_rps: float
-    post_throughput_rps: float
-    final_workers: int
-    trace_digest: str
-    problems: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-    @property
-    def mean_pause_ms(self) -> float:
-        return (sum(self.pauses_ms) / len(self.pauses_ms)
-                if self.pauses_ms else 0.0)
-
-    @property
-    def max_pause_ms(self) -> float:
-        return max(self.pauses_ms) if self.pauses_ms else 0.0
-
-    def as_artifact(self) -> dict[str, Any]:
-        """JSON-ready payload for ``BENCH_chaos.json`` persistence."""
-        return {
-            "cell": "chaos",
-            "row": self.row.as_dict(),
-            "plan": self.plan_name,
-            "recoveries": self.recoveries,
-            "failovers": self.failovers,
-            "recovery_time_ms": round(self.recovery_time_ms, 2),
-            "availability": round(self.availability, 3),
-            "fault_stats": self.fault_stats,
-            "rescales": self.rescales,
-            "pauses_ms": [round(p, 3) for p in self.pauses_ms],
-            "mean_pause_ms": round(self.mean_pause_ms, 3),
-            "max_pause_ms": round(self.max_pause_ms, 3),
-            "slots_moved": self.slots_moved,
-            "keys_moved": self.keys_moved,
-            "pre_throughput_rps": round(self.pre_throughput_rps, 2),
-            "post_throughput_rps": round(self.post_throughput_rps, 2),
-            "final_workers": self.final_workers,
-            "trace_digest": self.trace_digest,
-            "problems": list(self.problems),
-        }
-
-    def summary(self) -> str:
-        lines = [
-            f"plan:             {self.plan_name}",
-            f"recoveries:       {self.recoveries} "
-            f"(+{self.failovers} coordinator failovers)",
-            f"recovery time:    {self.recovery_time_ms:.1f} ms (mean, "
-            f"disruption -> next completed reply)",
-            f"availability:     {self.availability:.3f}",
-            f"faults injected:  "
-            + (", ".join(f"{k}={v}" for k, v in self.fault_stats.items()
-                         if v) or "none"),
-        ]
-        if self.rescales:
-            lines += [
-                f"rescales:         {self.rescales} "
-                f"(final topology: {self.final_workers} workers)",
-                f"migration pause:  mean {self.mean_pause_ms:.2f} ms, "
-                f"max {self.max_pause_ms:.2f} ms",
-                f"state migrated:   {self.slots_moved} slots / "
-                f"{self.keys_moved} keys",
-                f"throughput:       {self.pre_throughput_rps:.1f} rps "
-                f"before -> {self.post_throughput_rps:.1f} rps after",
-            ]
-        lines.append(f"trace digest:     {self.trace_digest}")
-        if self.problems:
-            lines.append("PROBLEMS:")
-            lines.extend(f"  - {problem}" for problem in self.problems)
-        else:
-            lines.append("verdict:          serializable, loss-free, "
-                         "exactly-once"
-                         + (" across rescales" if self.rescales else ""))
-        return "\n".join(lines)
-
-
 def trace_state_digest(trace: list[tuple], state: dict) -> str:
     """SHA-256 over (reply trace, final committed state): the
     reproducibility fingerprint of a chaos cell — identical across reruns
@@ -150,7 +59,6 @@ def trace_state_digest(trace: list[tuple], state: dict) -> str:
     blob = repr((sorted(trace),
                  sorted(state.items(), key=repr))).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
-
 
 
 def verify_history(*, sent: int, completed: int, trace: list[tuple],
@@ -182,24 +90,23 @@ def verify_history(*, sent: int, completed: int, trace: list[tuple],
     return problems
 
 
-def run_chaos_cell(system: str = "stateflow", workload_name: str = "T",
-                   distribution: str = "uniform", *, rps: float = 120.0,
-                   duration_ms: float = 3_000.0, record_count: int = 50,
+def run_chaos_cell(*, system: str = "stateflow", workload: str = "T",
+                   distribution: str = "uniform", rps: float = 120.0,
+                   duration_ms: float = 3_000.0, records: int = 50,
                    seed: int = 42, workers: int = 5,
                    plan: FaultPlan | None = None,
                    targets: Sequence[int] = (),
-                   runtime_overrides: dict[str, Any] | None = None,
-                   drain_ms: float = 30_000.0,
-                   bucket_ms: float = 250.0) -> ChaosReport:
+                   drain_ms: float = 30_000.0, bucket_ms: float = 250.0,
+                   **overrides: Any) -> dict[str, Any]:
     """Run one chaos cell on *workers* StateFlow workers (StateFun has a
-    fixed deployment).
+    fixed deployment) and return its ``BENCH_chaos.json`` payload.
 
     *targets* stages one resize per entry, spread across the load window
     ahead of *plan*'s events, under its seed; with neither, the plan is
-    ``random_plan(seed)``.  *runtime_overrides* is the
-    :func:`~repro.bench.harness.build_runtime` mapping
-    (``--pipeline-depth``, ``--autoscale``, ``--durable`` on the CLI);
-    StateFlow runs it over :func:`chaos_coordinator_config`.  Under
+    ``random_plan(seed)``.  *overrides* are
+    :func:`~repro.bench.harness.build_runtime` overrides
+    (``pipeline_depth``, ``autoscale``, ``durability_dir`` on the CLI);
+    StateFlow runs them over :func:`chaos_coordinator_config`.  Under
     ``autoscale`` the controller's decisions must compose with, and
     survive, the injected failures.
 
@@ -224,12 +131,12 @@ def run_chaos_cell(system: str = "stateflow", workload_name: str = "T",
                 if event.kind == "messages":
                     event.profile.drop_p = 0.0
                     event.profile.duplicate_p = 0.0
-    overrides: dict[str, Any] = {"fault_plan": plan}
+    deployment: dict[str, Any] = {"fault_plan": plan}
     if system == "stateflow":
-        overrides["coordinator"] = chaos_coordinator_config()
-        overrides["workers"] = workers
-    overrides.update(runtime_overrides or {})
-    runtime = build_runtime(system, program, seed=seed, **overrides)
+        deployment["coordinator"] = chaos_coordinator_config()
+        deployment["workers"] = workers
+    runtime = harness.build_runtime(system, program, seed=seed,
+                                    **{**deployment, **overrides})
 
     trace: list[tuple] = []
     completions: list[float] = []
@@ -239,13 +146,13 @@ def run_chaos_cell(system: str = "stateflow", workload_name: str = "T",
         completions.append(runtime.sim.now)
 
     runtime.reply_tap = tap
-    workload = YcsbWorkload(workload_name, record_count=record_count,
-                            distribution=distribution, seed=seed + 1,
-                            initial_balance=1_000)
-    runtime.preload(Account, workload.dataset_rows())
+    ycsb = YcsbWorkload(workload, record_count=records,
+                        distribution=distribution, seed=seed + 1,
+                        initial_balance=1_000)
+    runtime.preload(Account, ycsb.dataset_rows())
     if hasattr(runtime, "start"):
         runtime.start()
-    driver = WorkloadDriver(runtime, workload, DriverConfig(
+    driver = WorkloadDriver(runtime, ycsb, DriverConfig(
         rps=rps, duration_ms=duration_ms, warmup_ms=0.0,
         drain_ms=drain_ms, seed=seed + 2))
     started_at = runtime.sim.now
@@ -285,9 +192,8 @@ def run_chaos_cell(system: str = "stateflow", workload_name: str = "T",
 
     def window_rps(begin: float, end: float) -> float:
         span_s = (end - begin) / 1000.0
-        if span_s <= 0:
-            return 0.0
-        return sum(1 for at in completions if begin <= at < end) / span_s
+        return (sum(1 for at in completions if begin <= at < end) / span_s
+                if span_s > 0 else 0.0)
 
     if rescale_log:
         pre_rps = window_rps(started_at, rescale_log[0].started_at_ms)
@@ -308,8 +214,8 @@ def run_chaos_cell(system: str = "stateflow", workload_name: str = "T",
         if hasattr(runtime, "committed") else {
             key: runtime.state.get(*key) for key in runtime.state.keys()}
     problems = verify_history(sent=result.sent, completed=completed,
-                              trace=trace, state=state, workload=workload,
-                              workload_name=workload_name)
+                              trace=trace, state=state, workload=ycsb,
+                              workload_name=workload)
     final_workers = runtime.worker_count if coordinator else 0
     if coordinator and plan.events and all(
             event.kind == "rescale" for event in plan.events):
@@ -322,32 +228,77 @@ def run_chaos_cell(system: str = "stateflow", workload_name: str = "T",
             problems.append(f"final topology is {final_workers} "
                             f"workers, plan targeted {wanted}")
 
-    rescales = coordinator.rescales if coordinator else 0
-    keys_moved = coordinator.keys_migrated if coordinator else 0
-    extra = {
-        "recoveries": coordinator.recoveries if coordinator else 0,
-        "recovery_time_ms": round(recovery_time, 2),
-        "availability": round(availability, 3),
-        "msg_dropped": injector.stats.dropped,
-        "kafka_dup": injector.stats.kafka_duplicated,
-        "rescales": rescales,
-        "mean_pause_ms": round(sum(pauses) / len(pauses), 3) if pauses else 0.0,
-        "keys_moved": keys_moved,
-        "final_workers": final_workers,
-    }
     row = ExperimentRow(
-        system=system, workload=workload_name, distribution=distribution,
+        system=system, workload=workload, distribution=distribution,
         rps=rps, p50_ms=result.percentile(50), p99_ms=result.percentile(99),
         mean_ms=result.mean(), sent=result.sent,
-        completed=completed, errors=errors, extra=extra)
-    return ChaosReport(
-        row=row, plan_name=plan.name or f"seed-{plan.seed}",
-        recoveries=coordinator.recoveries if coordinator else 0,
-        failovers=coordinator.failovers if coordinator else 0,
-        recovery_time_ms=recovery_time, availability=availability,
-        fault_stats=injector.stats.as_dict(), rescales=rescales,
-        pauses_ms=pauses,
-        slots_moved=coordinator.slots_migrated if coordinator else 0,
-        keys_moved=keys_moved, pre_throughput_rps=pre_rps,
-        post_throughput_rps=post_rps, final_workers=final_workers,
-        trace_digest=trace_state_digest(trace, state), problems=problems)
+        completed=completed, errors=errors)
+    return {
+        "cell": "chaos",
+        "row": row.as_dict(),
+        "plan": plan.name or f"seed-{plan.seed}",
+        "seed": seed,
+        "workers": workers,
+        "targets": list(targets),
+        "recoveries": coordinator.recoveries if coordinator else 0,
+        "failovers": coordinator.failovers if coordinator else 0,
+        "recovery_time_ms": round(recovery_time, 2),
+        "availability": round(availability, 3),
+        "fault_stats": injector.stats.as_dict(),
+        "rescales": coordinator.rescales if coordinator else 0,
+        "pauses_ms": [round(pause, 3) for pause in pauses],
+        "mean_pause_ms": round(sum(pauses) / len(pauses), 3) if pauses
+        else 0.0,
+        "max_pause_ms": round(max(pauses), 3) if pauses else 0.0,
+        "slots_moved": coordinator.slots_migrated if coordinator else 0,
+        "keys_moved": coordinator.keys_migrated if coordinator else 0,
+        "pre_throughput_rps": round(pre_rps, 2),
+        "post_throughput_rps": round(post_rps, 2),
+        "final_workers": final_workers,
+        "trace_digest": trace_state_digest(trace, state),
+        "problems": problems,
+        "ok": not problems,
+    }
+
+
+def summarize(artifact: dict[str, Any]) -> str:
+    row = artifact["row"]
+    title = (f"chaos {row['workload']}/{row['distribution']} on "
+             f"{row['system']}")
+    if artifact["targets"]:
+        title += ", " + " -> ".join(
+            map(str, [artifact["workers"], *artifact["targets"]]))
+    columns = ["system", "workload", "rps", "p50_ms", "p99_ms", "completed",
+               "errors", "recoveries", "recovery_time_ms", "availability"]
+    rescales = artifact["rescales"]
+    if rescales:
+        columns += ["rescales", "mean_pause_ms", "final_workers"]
+    lines = [
+        format_table([{**row, **artifact}],
+                     f"{title} (seed {artifact['seed']})", columns=columns),
+        "",
+        f"plan:             {artifact['plan']}",
+        f"recoveries:       {artifact['recoveries']} "
+        f"(+{artifact['failovers']} coordinator failovers)",
+        f"faults injected:  "
+        + (", ".join(f"{k}={v}" for k, v in artifact["fault_stats"].items()
+                     if v) or "none"),
+    ]
+    if rescales:
+        lines += [
+            f"migration pause:  mean {artifact['mean_pause_ms']:.2f} ms, "
+            f"max {artifact['max_pause_ms']:.2f} ms",
+            f"state migrated:   {artifact['slots_moved']} slots / "
+            f"{artifact['keys_moved']} keys",
+            f"throughput:       {artifact['pre_throughput_rps']:.1f} rps "
+            f"before -> {artifact['post_throughput_rps']:.1f} rps after",
+        ]
+    lines.append(f"trace digest:     {artifact['trace_digest']}")
+    if artifact["problems"]:
+        lines.append("PROBLEMS:")
+        lines.extend(f"  - {problem}" for problem in artifact["problems"])
+    else:
+        lines.append("verdict:          serializable, loss-free, "
+                     "exactly-once"
+                     + (" across rescales" if rescales else ""))
+    return "\n".join(lines)

@@ -8,8 +8,9 @@ way the paper plots them.  Every bench cell builds its runtimes through
 function that takes the cell's flags as keywords and returns its
 ``BENCH_<cell>.json`` payload, which carries ``ok``, and a
 ``summarize(artifact)`` in the same module.  The paper's figures and
-ablations are sections of one cell, :mod:`repro.bench.paper`.
-"""
+ablations are sections of one cell, :mod:`repro.bench.paper`.  Cells
+call :func:`build_runtime` and :func:`ycsb_row` through this module, so
+a test's stand-in for either reaches every cell."""
 
 from __future__ import annotations
 
@@ -124,20 +125,71 @@ class ExperimentRow:
         }
 
 
-def write_bench_artifact(cell: str, payload: dict[str, Any],
-                         directory: str | Path | None = None) -> Path:
-    """Persist one bench cell's results as ``BENCH_<cell>.json``.
+def key_paths(doc: Any, path: str = "") -> set[str]:
+    """Every key path in *doc*: nested keys joined by ``.``, the items
+    of a list as ``[]`` (``legs[].speedup``)."""
+    if isinstance(doc, list):
+        return set().union(*(key_paths(item, path + "[]") for item in doc))
+    if not isinstance(doc, dict):
+        return set()
+    children = {f"{path}.{key}" if path else key: value
+                for key, value in doc.items()}
+    return set(children).union(*(key_paths(value, child)
+                                 for child, value in children.items()))
 
-    ``repro bench`` and ``repro chaos run`` call this, so the perf
-    trajectory is recorded run over run instead of scrolling away.  The
-    directory defaults to ``$REPRO_BENCH_DIR`` or the working directory;
-    payloads are pure simulation output (no wall-clock timestamps), so
-    reruns of the same seed produce byte-identical artifacts.
-    """
-    base = Path(directory or os.environ.get("REPRO_BENCH_DIR", "."))
+
+def drift(committed: dict[str, Any], fresh: dict[str, Any]) -> list[str]:
+    """How *fresh* departs from the *committed* artifact of the same
+    command: a key only one of them has, at its concrete path
+    (``rows[1].n: only in committed``), or a value that differs outside
+    the committed artifact's ``wall_clock`` paths (a path there covers
+    the values below it, not their keys).  An empty list is a match."""
+    problems: list[str] = []
+
+    def compare(a: Any, b: Any, path: str, shape: str) -> None:
+        if isinstance(a, dict) and isinstance(b, dict):
+            for key in sorted(a.keys() | b.keys()):
+                child = f"{path}.{key}" if path else key
+                if key in a and key in b:
+                    compare(a[key], b[key], child,
+                            f"{shape}.{key}" if shape else key)
+                else:
+                    side = "committed" if key in a else "fresh"
+                    problems.append(f"{child}: only in {side}")
+        elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+            for index, (x, y) in enumerate(zip(a, b)):
+                compare(x, y, f"{path}[{index}]", shape + "[]")
+        elif not any(f"{shape}.".startswith((f"{wall}.", f"{wall}[]"))
+                     for wall in committed.get("wall_clock", [])):
+            if a != b:
+                problems.append(f"{path}: committed {a!r}, fresh {b!r}")
+        else:
+            old, new = key_paths(a, path), key_paths(b, path)
+            problems.extend(
+                f"{key}: only in {'committed' if key in old else 'fresh'}"
+                for key in sorted(old ^ new))
+
+    compare(committed, fresh, "", "")
+    return problems
+
+
+def write_bench_artifact(cell: str, payload: dict[str, Any],
+                         command: str) -> Path:
+    """Persist one cell's results as ``BENCH_<cell>.json`` in
+    ``$REPRO_BENCH_DIR`` or the working directory, with the *command*
+    that wrote them and the ``wall_clock`` key paths the payload
+    declares (fields other hardware may change; :func:`drift` skips
+    them).  No timestamp or commit is written, so a simulator rerun of
+    the same command writes the same bytes."""
+    artifact = {"wall_clock": [], **payload, "command": command}
+    unknown = set(artifact["wall_clock"]) - key_paths(payload)
+    if unknown:
+        raise ValueError(f"{cell}: wall_clock names no field of the "
+                         f"artifact: {sorted(unknown)}")
+    base = Path(os.environ.get("REPRO_BENCH_DIR", "."))
     base.mkdir(parents=True, exist_ok=True)
     path = base / f"BENCH_{cell}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+    path.write_text(json.dumps(artifact, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
     return path
 
@@ -174,17 +226,21 @@ def ycsb_row(system: str, workload_name: str, distribution: str,
     if wallclock:
         overrides = process_stateflow_overrides(**overrides)
     runtime = build_runtime(system, program, seed=seed, **overrides)
-    workload = YcsbWorkload(workload_name, record_count=record_count,
-                            distribution=distribution, seed=seed + 1)
-    runtime.preload(Account, workload.dataset_rows())
-    if hasattr(runtime, "start"):
-        runtime.start()
-    driver = WorkloadDriver(runtime, workload, DriverConfig(
-        rps=rps, duration_ms=duration_ms,
-        warmup_ms=min(2_000.0, duration_ms / 5),
-        drain_ms=drain_ms, seed=seed + 2,
-        stop_when_drained=wallclock))
-    result = driver.run()
+    try:
+        workload = YcsbWorkload(workload_name, record_count=record_count,
+                                distribution=distribution, seed=seed + 1)
+        runtime.preload(Account, workload.dataset_rows())
+        if hasattr(runtime, "start"):
+            runtime.start()
+        driver = WorkloadDriver(runtime, workload, DriverConfig(
+            rps=rps, duration_ms=duration_ms,
+            warmup_ms=min(2_000.0, duration_ms / 5),
+            drain_ms=drain_ms, seed=seed + 2,
+            stop_when_drained=wallclock))
+        result = driver.run()
+    finally:
+        if wallclock:
+            runtime.close()
     extra: dict[str, Any] = {}
     if wallclock:
         extra["mode"] = "wallclock"
@@ -194,8 +250,6 @@ def ycsb_row(system: str, workload_name: str, distribution: str,
         stats = runtime.coordinator.stats
         extra["txn_aborts"] = stats.aborts_waw + stats.aborts_raw
         extra["batches"] = stats.batches
-    if wallclock:
-        runtime.close()
     return ExperimentRow(
         system=system, workload=workload_name, distribution=distribution,
         rps=rps, p50_ms=result.percentile(50), p99_ms=result.percentile(99),
@@ -214,7 +268,8 @@ def run_ycsb_cell(*, system: str = "stateflow", workload: str = "A",
     row = ycsb_row(system, workload, distribution, rps=rps,
                    duration_ms=duration_ms, record_count=records, seed=seed,
                    runtime_overrides=overrides)
-    return {"cell": "ycsb", "rows": [row.as_dict()], "ok": row.errors == 0}
+    return {"cell": "ycsb", "rows": [row.as_dict()], "ok": row.errors == 0,
+            "wall_clock": ["rows"] if "mode" in row.extra else []}
 
 
 def summarize(artifact: dict[str, Any]) -> str:

@@ -114,18 +114,3 @@ def run_overhead_breakdown(state_kbs: list[int] | None = None,
                           in instrumentation.components.items()},
             component_counts=dict(instrumentation.counts)))
     return rows
-
-
-def format_overhead_table(rows: list[OverheadRow]) -> str:
-    header = (["state_kb", "ops", "total_ms"]
-              + [f"{c}_%" for c in COMPONENTS])
-    lines = ["System overhead breakdown (Section 4)",
-             "-" * 42,
-             "  ".join(h.ljust(22 if "_%" in h else 9) for h in header)]
-    for row in rows:
-        cells = [str(row.state_kb).ljust(9), str(row.operations).ljust(9),
-                 f"{row.total_ms:.1f}".ljust(9)]
-        cells += ["n/a".ljust(22) if (share := row.share(c)) is None
-                  else f"{share * 100:.2f}".ljust(22) for c in COMPONENTS]
-        lines.append("  ".join(cells))
-    return "\n".join(lines)

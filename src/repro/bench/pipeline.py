@@ -38,7 +38,7 @@ from typing import Any
 
 from ..workloads.generator import DriverConfig, WorkloadDriver
 from ..workloads.ycsb import Account, YcsbWorkload
-from .harness import build_runtime, process_stateflow_overrides, ycsb_program
+from . import harness
 
 #: Wall-clock acceptance target: depth-2 committed-txn throughput over
 #: depth-1, binding only when the host has at least MIN_CORES cores.
@@ -78,7 +78,7 @@ def _sweep(mode: str, *, seed: int, depths: tuple[int, ...], workload: str,
            drain_ms: float) -> dict[str, Any]:
     """One leg: sweep ``pipeline_depth`` on one substrate; its rows and
     the headline ratios (depth 2 over depth 1)."""
-    program = ycsb_program()
+    program = harness.ycsb_program()
     wallclock = mode == "wallclock"
     rows: list[dict[str, Any]] = []
     throughput: dict[int, float] = {}
@@ -88,20 +88,24 @@ def _sweep(mode: str, *, seed: int, depths: tuple[int, ...], workload: str,
         overrides: dict[str, Any] = dict(
             workers=workers, state_slots=state_slots, pipeline_depth=depth)
         if wallclock:
-            overrides = process_stateflow_overrides(**overrides)
-        runtime = build_runtime("stateflow", program, seed=seed, **overrides)
-        ycsb = YcsbWorkload(workload, record_count=records,
-                            distribution=distribution, seed=seed + 1)
-        runtime.preload(Account, ycsb.dataset_rows())
-        replies: list[tuple] = []
-        runtime.reply_tap = (lambda reply, sink=replies: sink.append(
-            (reply.request_id, repr(reply.payload), reply.error)))
-        runtime.start()
-        driver = WorkloadDriver(runtime, ycsb, DriverConfig(
-            rps=rps, duration_ms=duration_ms, warmup_ms=0.0,
-            drain_ms=drain_ms, seed=seed + 2,
-            stop_when_drained=wallclock))
-        result = driver.run()
+            overrides = harness.process_stateflow_overrides(**overrides)
+        runtime = harness.build_runtime("stateflow", program, seed=seed,
+                                        **overrides)
+        try:
+            ycsb = YcsbWorkload(workload, record_count=records,
+                                distribution=distribution, seed=seed + 1)
+            runtime.preload(Account, ycsb.dataset_rows())
+            replies: list[tuple] = []
+            runtime.reply_tap = (lambda reply, sink=replies: sink.append(
+                (reply.request_id, repr(reply.payload), reply.error)))
+            runtime.start()
+            driver = WorkloadDriver(runtime, ycsb, DriverConfig(
+                rps=rps, duration_ms=duration_ms, warmup_ms=0.0,
+                drain_ms=drain_ms, seed=seed + 2,
+                stop_when_drained=wallclock))
+            result = driver.run()
+        finally:
+            runtime.close()
         # Sustained throughput: completed work over the time the last
         # reply actually landed (the drain is charged, not hidden).
         last_reply_ms = max((s.at_ms for s in runtime.metrics.samples),
@@ -127,7 +131,6 @@ def _sweep(mode: str, *, seed: int, depths: tuple[int, ...], workload: str,
         })
         if not wallclock:
             digests[depth] = _reply_digest(replies)
-        runtime.close()
     leg: dict[str, Any] = {
         "rows": rows,
         "speedup_depth2_over_depth1": round(
@@ -181,10 +184,8 @@ def run_pipeline_cell(*, spawner: str = "simulator", seed: int = 42,
             "meets_speedup_target": (bool(speedup >= SPEEDUP_TARGET)
                                      if cpu_count >= MIN_CORES else None),
         }
-        artifact["simulator"] = {"rps": sim_leg["rps"],
-                                 **{key: value for key, value in sim.items()
-                                    if key != "rows"}}
         ok = ok and artifact["wallclock"]["meets_speedup_target"] is not False
+        artifact["wall_clock"] = ["rows", "wallclock"]
     artifact["ok"] = ok
     return artifact
 

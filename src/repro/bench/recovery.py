@@ -48,7 +48,7 @@ from ..runtimes.stateflow.coordinator import CoordinatorConfig
 from ..workloads.generator import DriverConfig, WorkloadDriver
 from ..workloads.ycsb import Account, YcsbWorkload
 from .chaos import trace_state_digest
-from .harness import build_runtime, ycsb_program
+from . import harness
 
 #: The acceptance gate: cuts at the preset's cadence must capture at
 #: most this fraction of the bytes of cuts that are all bases, at the
@@ -94,8 +94,8 @@ def _run_one(base_every: int, records: int, *, seed: int,
              ) -> tuple[dict[str, Any], float, Any]:
     """One run: its artifact row, its unrounded mean bytes per cut (the
     ratios divide these) and the runtime."""
-    runtime = build_runtime(
-        "stateflow", ycsb_program(), seed=seed,
+    runtime = harness.build_runtime(
+        "stateflow", harness.ycsb_program(), seed=seed,
         durability_dir=durability_dir,
         coordinator=recovery_coordinator_config(),
         snapshot_base_every=base_every)
@@ -283,6 +283,8 @@ def run_recovery_cell(*, seed: int = 42, records: int | None = None,
         "disk": disk,
         "problems": problems,
         "ok": not problems,
+        "wall_clock": [f"disk.{key}" for key in (
+            "cold_start_ms", "fsync_wall_ms", "memory_resolve_ms")],
     }
 
 

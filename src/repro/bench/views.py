@@ -55,6 +55,13 @@ SPEEDUP_FLOOR = 10.0
 REHYDRATE_FLOOR = 10.0
 #: The smallest durable leg the rehydrate floor binds at.
 REHYDRATE_GATE_RECORDS = 10_000
+#: The timings (real time; all else is virtual) and speedups from them.
+WALL_CLOCK = [
+    "legs[].full_scan_ms", "legs[].maintenance_ms_per_commit",
+    "legs[].speedup", "durable_rehydrate.scan_rehydrate_ms",
+    "durable_rehydrate.sidecar_resume_ms",
+    "durable_rehydrate.rehydrate_speedup",
+    "gates.speedup_at_smallest_leg", "gates.rehydrate_speedup"]
 #: Ceiling on observed subscription delivery lag, in simulated ms.
 LAG_CEILING_MS = 50.0
 #: The record counts swept by default ("10k-100k keys").
@@ -310,6 +317,7 @@ def run_views_cell(*, seed: int = 42, records: int | None = None,
         "gates": gates,
         "ok": gates["speedup_ok"] and gates["lag_ok"]
               and gates["zero_mismatches"] and gates["rehydrate_ok"],
+        "wall_clock": WALL_CLOCK,
     }
 
 

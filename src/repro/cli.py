@@ -1,13 +1,13 @@
 """Command-line interface: ``python -m repro <command>``; ``--help`` on
 any command lists its flags.
 
-``bench`` and ``chaos run`` persist their results as
-``BENCH_<cell>.json`` in the working directory (override with
-``$REPRO_BENCH_DIR``); payloads carry no wall-clock timestamps, so a
-simulator rerun of the same seed writes the same bytes.  Their runtime
-and load flags are declared once (:data:`RUNTIME_FLAGS`).  A fault plan,
-resizes included, runs through ``chaos run`` only.  Which ``bench`` cell
-accepts which system, spawner and flag is one table
+``bench`` and ``chaos run`` each run one cell and persist its artifact
+as ``BENCH_<cell>.json`` in the working directory (override with
+``$REPRO_BENCH_DIR``), recording the command that wrote it
+(:func:`recorded_command`).  Their runtime and load flags are declared
+once (:data:`RUNTIME_FLAGS`).  A fault plan, resizes included, runs
+through ``chaos run`` only.  Which ``bench`` cell accepts which system,
+spawner and flag is one table
 (:data:`BENCH_CELLS`): every rejection is generated from it, and every
 flag it accepts reaches the cell's function as a keyword.
 """
@@ -18,6 +18,7 @@ import argparse
 import importlib.util
 import json
 import math
+import shlex
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -153,9 +154,8 @@ def _worker_counts(text: str) -> list[int]:
 #: Every runtime and load flag: dest -> (flag, ``add_argument`` keywords).
 #: A flag that sets a ``build_runtime`` override has that override's name
 #: as its dest.  ``bench`` takes all but the deployment ones
-#: (:data:`CHAOS_ONLY`), ``chaos run`` the ones it honours.  ``chaos run``
-#: sets its own load defaults (:func:`_add_flags`); ``bench`` leaves them
-#: to each cell's function.
+#: (:data:`CHAOS_ONLY`), ``chaos run`` the ones it honours; both leave
+#: the load defaults to the cell's function.
 RUNTIME_FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
     "system": ("--system", dict(default="stateflow",
                                 choices=["stateflow", "statefun"])),
@@ -188,8 +188,6 @@ RUNTIME_FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
              "DIR cold-starts from them")),
 }
 
-#: The flags (dests) that are ``build_runtime`` overrides.
-OVERRIDES = ("pipeline_depth", "spawner", "autoscale", "durability_dir")
 #: Flags only StateFlow can honour (StateFun has no coordinator, no
 #: snapshots and a fixed deployment).
 STATEFLOW_ONLY = ("pipeline_depth", "autoscale", "durability_dir", "workers",
@@ -203,30 +201,21 @@ def _flag(dest: str) -> str:
     return RUNTIME_FLAGS[dest][0]
 
 
-def _add_flags(parser: argparse.ArgumentParser, *dests: str,
-               **defaults: Any) -> None:
-    """Add the flags *dests*; *defaults* are this command's own defaults
-    for some of them (its load flags), which :func:`_given` compares
-    against."""
+def _add_flags(parser: argparse.ArgumentParser, *dests: str) -> None:
+    """Add the flags *dests*, remembering their defaults for
+    :func:`_given`."""
     for dest in dests:
         flag, spec = RUNTIME_FLAGS[dest]
-        parser.add_argument(flag, dest=dest, **{
-            **spec, "default": defaults.get(dest, spec.get("default"))})
+        parser.add_argument(flag, dest=dest, **spec)
     parser.set_defaults(flag_defaults={
         dest: parser.get_default(dest) for dest in dests})
 
 
-def _given(args: argparse.Namespace) -> list[str]:
-    """The runtime flags (dests) set away from the command's default."""
-    return [dest for dest, default in args.flag_defaults.items()
-            if getattr(args, dest) != default]
-
-
-def runtime_overrides(args: argparse.Namespace) -> dict[str, Any]:
-    """The runtime flags given on the command line as the overrides
-    mapping ``chaos run`` passes to ``build_runtime``."""
-    return {dest: getattr(args, dest) for dest in _given(args)
-            if dest in OVERRIDES}
+def _given(args: argparse.Namespace) -> dict[str, Any]:
+    """The runtime flags set away from the command's default, by dest."""
+    return {dest: getattr(args, dest)
+            for dest, default in args.flag_defaults.items()
+            if getattr(args, dest) != default}
 
 
 def _require_stateflow(command: str, args: argparse.Namespace) -> None:
@@ -330,13 +319,39 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     refused = [_flag(dest) for dest in _given(args) if dest in cell.refuses]
     if refused:
         raise SystemExit(f"{error} {cell.why}; drop {', '.join(refused)}")
+    return _run_cell(args, args.cell, cell.module, _given(args))
+
+
+#: Flags whose value is a path, and the metavar a recorded command
+#: writes in its place (a path names one host's files, not the run);
+#: ``bench`` and ``chaos run`` take no flag prefix, so none is missed.
+PATH_METAVARS = {"--plan": "PLAN_JSON", _flag("durability_dir"): "DIR"}
+
+
+def recorded_command(argv: list[str]) -> str:
+    """*argv* as an artifact records it: ``repro`` and the arguments as
+    given, with each path value written as its flag's metavar
+    (:data:`PATH_METAVARS`), so one command writes one set of bytes
+    wherever it runs."""
+    words = ["repro"]
+    for word in argv:
+        flag, equals, _ = word.partition("=")
+        words.append(f"{flag}={PATH_METAVARS[flag]}"
+                     if equals and flag in PATH_METAVARS
+                     else PATH_METAVARS.get(words[-1], word))
+    return shlex.join(words)
+
+
+def _run_cell(args: argparse.Namespace, cell: str, module: str,
+              flags: dict[str, Any]) -> int:
+    """Run ``repro.bench.<module>.run_<cell>_cell(**flags)``, print its
+    summary, write its artifact and exit on its ``ok``."""
     from .bench import write_bench_artifact
 
-    module = importlib.import_module(f".bench.{cell.module}", __package__)
-    artifact = getattr(module, f"run_{args.cell}_cell")(
-        **{dest: getattr(args, dest) for dest in _given(args)})
-    print(module.summarize(artifact))
-    print(f"wrote {write_bench_artifact(args.cell, artifact)}")
+    runner = importlib.import_module(f".bench.{module}", __package__)
+    artifact = getattr(runner, f"run_{cell}_cell")(**flags)
+    print(runner.summarize(artifact))
+    print(f"wrote {write_bench_artifact(cell, artifact, args.command_line)}")
     return 0 if artifact["ok"] else 1
 
 
@@ -360,36 +375,16 @@ def _cmd_chaos_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos_run(args: argparse.Namespace) -> int:
-    from .bench import format_table, run_chaos_cell, write_bench_artifact
-
     _require_stateflow("chaos run", args)
-    targets = args.targets or []
-    resizes = targets or (args.plan is not None and any(
+    resizes = args.targets or (args.plan is not None and any(
         event.kind == "rescale" for event in args.plan.events))
     if args.autoscale and resizes:
         raise SystemExit("repro chaos run: error: --autoscale does not "
                          "compose with resizes from --targets or the plan's "
                          "rescale events (both would drive the same rescale "
                          "barrier); pick one scaling authority")
-    report = run_chaos_cell(
-        args.system, args.workload, args.distribution, rps=args.rps,
-        duration_ms=args.duration_ms, record_count=args.records,
-        seed=args.seed, workers=args.workers, plan=args.plan,
-        targets=targets, runtime_overrides=runtime_overrides(args))
-    title = f"chaos {args.workload}/{args.distribution} on {args.system}"
-    if targets:
-        title += (f", {args.workers} -> "
-                  + " -> ".join(str(target) for target in targets))
-    columns = ["system", "workload", "rps", "p50_ms", "p99_ms", "completed",
-               "errors", "recoveries", "recovery_time_ms", "availability"]
-    if report.rescales:
-        columns += ["rescales", "mean_pause_ms", "final_workers"]
-    print(format_table([report.row.as_dict()], f"{title} (seed {args.seed})",
-                       columns=columns))
-    print()
-    print(report.summary())
-    print(f"wrote {write_bench_artifact('chaos', report.as_artifact())}")
-    return 0 if report.ok else 1
+    return _run_cell(args, "chaos", "chaos",
+                     {**_given(args), "plan": args.plan})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -427,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.set_defaults(handler=_cmd_run)
 
     bench_cmd = commands.add_parser(
-        "bench", help="run one benchmark cell and write BENCH_<cell>.json")
+        "bench", help="run one benchmark cell and write BENCH_<cell>.json",
+        allow_abbrev=False)
     _add_flags(bench_cmd, *(dest for dest in RUNTIME_FLAGS
                             if dest not in CHAOS_ONLY))
     bench_cmd.add_argument("--cell", default="ycsb", choices=list(BENCH_CELLS),
@@ -469,23 +465,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     chaos_run_cmd = chaos_sub.add_parser(
         "run", help="run a workload under a fault plan, resizes included, "
-                    "and verify the committed history")
+                    "and verify the committed history", allow_abbrev=False)
     chaos_run_cmd.add_argument("--plan", type=_plan_file,
                                metavar="PLAN_JSON", help="fault plan "
                                "(default: random_plan(--seed) unless "
                                "--targets is given)")
     _add_flags(chaos_run_cmd, "system", "workload", "distribution", "rps",
                "duration_ms", "records", "seed", "workers", "targets",
-               "pipeline_depth", "autoscale", "durability_dir",
-               workload="T", distribution="uniform", rps=120.0,
-               duration_ms=3_000.0, records=50)
+               "pipeline_depth", "autoscale", "durability_dir")
     chaos_run_cmd.set_defaults(handler=_cmd_chaos_run)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    args.command_line = recorded_command(argv)
     return args.handler(args)
 
 

@@ -159,16 +159,6 @@ class WallClock:
             fired += 1
         return fired
 
-    def step(self) -> bool:
-        """Run one due event or one poll slice; False when idle with no
-        timers and no connections."""
-        if self._dispatch_due():
-            return True
-        if not self._queue and not self._connections:
-            return False
-        self._poll(self._slice())
-        return True
-
     def _slice(self) -> float:
         """How long the loop may wait for I/O: until the next timer, at
         most ``_MAX_POLL_MS``, and not at all (a spin) while a timer

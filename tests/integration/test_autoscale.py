@@ -310,8 +310,6 @@ class TestClosedLoop:
         assert replay == (signature, rescales, trace, sent, completed)
 
     def test_chaos_cell_accepts_autoscale(self):
-        report = run_chaos_cell("stateflow", "T", rps=80.0,
-                                duration_ms=1_500.0, record_count=30,
-                                seed=23,
-                                runtime_overrides={"autoscale": True})
-        assert report.ok, report.problems
+        report = run_chaos_cell(rps=80.0, duration_ms=1_500.0, records=30,
+                                seed=23, autoscale=True)
+        assert report["ok"], report["problems"]

@@ -1,10 +1,15 @@
-"""Bench plumbing: runtime overrides, Blob entity, hashing."""
+"""Bench plumbing: runtime overrides, stand-ins for the harness, closing
+wall-clock runtimes, Blob entity, hashing."""
+
+import importlib
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench import Blob, build_runtime, ycsb_program
+import repro.bench
+from repro.bench import Blob, build_runtime, harness, pipeline, ycsb_program
 from repro.core.serialization import state_size_bytes
 from repro.ir.dataflow import stable_hash
 from repro.runtimes import LocalRuntime
@@ -24,6 +29,69 @@ class TestBuildRuntime:
         first = build_runtime("stateflow", ycsb_program(), seed=1)
         second = build_runtime("stateflow", ycsb_program(), seed=1)
         assert first.sim.rng.random() == second.sim.rng.random()
+
+
+@pytest.mark.parametrize(
+    "name", ["autoscale", "chaos", "paper", "pipeline", "recovery"])
+def test_a_stand_in_does_not_outlive_its_test(name, monkeypatch):
+    """A cell module imported for the first time while a test stands in
+    for ``harness.build_runtime`` and ``harness.ycsb_row`` reaches the
+    real functions once the stand-ins are gone."""
+    def stand_in(*args, **kwargs):
+        raise AssertionError("a stand-in outlived its test")
+
+    module = f"repro.bench.{name}"
+    monkeypatch.delitem(sys.modules, module, raising=False)
+    monkeypatch.delattr(repro.bench, name, raising=False)
+    with monkeypatch.context() as patch:
+        for attribute in ("build_runtime", "ycsb_row"):
+            patch.setattr(harness, attribute, stand_in)
+        fresh = importlib.import_module(module)
+    assert stand_in not in vars(fresh).values()
+    if name == "chaos":
+        with pytest.raises(ValueError, match="unknown system"):
+            fresh.run_chaos_cell(system="nonesuch")
+
+
+class _FailingRuntime:
+    """A wall-clock runtime whose kernel fails once the load starts."""
+
+    def __init__(self):
+        self.sim = self
+        self.now = 0.0
+        self.closed = False
+
+    def preload(self, *args):
+        pass
+
+    def start(self):
+        pass
+
+    def schedule(self, *args):
+        pass
+
+    def run_until(self, *args, **kwargs):
+        raise RuntimeError("the kernel failed")
+
+    def close(self):
+        self.closed = True
+
+
+@pytest.mark.parametrize("run", [
+    lambda: harness.ycsb_row("stateflow", "T", "uniform", record_count=10,
+                             runtime_overrides={"spawner": "process"}),
+    lambda: pipeline._sweep("wallclock", seed=1, **{
+        **pipeline.LEGS["wallclock"], "records": 10}),
+], ids=["ycsb_row", "pipeline"])
+def test_a_wall_clock_run_that_raises_still_closes_its_runtime(run,
+                                                               monkeypatch):
+    """Worker processes must not outlive a failed run."""
+    runtime = _FailingRuntime()
+    monkeypatch.setattr(harness, "build_runtime",
+                        lambda *args, **kwargs: runtime)
+    with pytest.raises(RuntimeError, match="kernel failed"):
+        run()
+    assert runtime.closed
 
 
 class TestBlob:

@@ -17,19 +17,18 @@ def _plan() -> FaultPlan:
 
 def test_chaos_cell_measures_recovery_and_stays_correct():
     report = run_chaos_cell(rps=100.0, duration_ms=1_500.0,
-                            record_count=30, seed=21, plan=_plan())
-    assert report.ok, report.problems
-    assert report.recoveries >= 1
-    assert report.fault_stats["worker_crashes"] == 1
+                            records=30, seed=21, plan=_plan())
+    assert report["ok"], report["problems"]
+    assert report["recoveries"] >= 1
+    assert report["fault_stats"]["worker_crashes"] == 1
     # A crash happened: the outage metric must be a real, positive gap.
-    assert report.recovery_time_ms > 0
-    assert 0.0 < report.availability <= 1.0
-    assert report.row.completed == report.row.sent
-    assert report.row.extra["recoveries"] == report.recoveries
+    assert report["recovery_time_ms"] > 0
+    assert 0.0 < report["availability"] <= 1.0
+    assert report["row"]["completed"] == report["row"]["sent"]
 
     rerun = run_chaos_cell(rps=100.0, duration_ms=1_500.0,
-                           record_count=30, seed=21, plan=_plan())
-    assert rerun.trace_digest == report.trace_digest
+                           records=30, seed=21, plan=_plan())
+    assert rerun["trace_digest"] == report["trace_digest"]
 
 
 def test_chaos_cell_with_a_random_plan_is_loss_free():
@@ -37,8 +36,8 @@ def test_chaos_cell_with_a_random_plan_is_loss_free():
     ``random_plan(seed)`` (coordinator faults included) and must still
     recover loss-free."""
     report = run_chaos_cell(rps=90.0, duration_ms=1_200.0,
-                            record_count=25, seed=33)
-    assert report.ok, report.problems
+                            records=25, seed=33)
+    assert report["ok"], report["problems"]
 
 
 def test_chaos_cell_history_is_independent_of_pipeline_depth():
@@ -47,9 +46,8 @@ def test_chaos_cell_history_is_independent_of_pipeline_depth():
     digests = set()
     for depth in (1, 2):
         report = run_chaos_cell(rps=90.0, duration_ms=1_200.0,
-                                record_count=25, seed=33,
-                                runtime_overrides={"pipeline_depth": depth})
-        assert report.ok, (depth, report.problems)
-        assert report.recoveries >= 1
-        digests.add(report.trace_digest)
+                                records=25, seed=33, pipeline_depth=depth)
+        assert report["ok"], (depth, report["problems"])
+        assert report["recoveries"] >= 1
+        digests.add(report["trace_digest"])
     assert len(digests) == 1

@@ -16,8 +16,7 @@ from repro import cli
 from repro.cli import main
 from repro.faults import FaultPlan, random_plan, staged_plan
 
-HARNESS, CHAOS = (importlib.import_module(f"repro.bench.{name}")
-                  for name in ("harness", "chaos"))
+HARNESS = importlib.import_module("repro.bench.harness")
 
 
 @pytest.mark.parametrize("argv", [
@@ -51,8 +50,7 @@ def built(monkeypatch):
         runtimes.append(real(*args, **kwargs))
         return runtimes[-1]
 
-    for module in (HARNESS, CHAOS):
-        monkeypatch.setattr(module, "build_runtime", spy)
+    monkeypatch.setattr(HARNESS, "build_runtime", spy)
     return runtimes
 
 
@@ -167,11 +165,10 @@ def runners(monkeypatch):
         return run
 
     for name, cell in cli.BENCH_CELLS.items():
-        module = importlib.import_module(f"repro.bench.{cell.module}")
-        monkeypatch.setattr(module, f"run_{name}_cell", recorder(name))
-        monkeypatch.setattr(module, "summarize", lambda artifact: "")
-    for module in (HARNESS, CHAOS):
-        monkeypatch.setattr(module, "build_runtime", refuse_runtime)
+        module = f"repro.bench.{cell.module}"
+        monkeypatch.setattr(f"{module}.run_{name}_cell", recorder(name))
+        monkeypatch.setattr(f"{module}.summarize", lambda artifact: "")
+    monkeypatch.setattr(HARNESS, "build_runtime", refuse_runtime)
     return calls
 
 
@@ -270,22 +267,20 @@ def test_chaos_run_refuses_two_scaling_authorities(source, runners,
 # repro chaos run: its flags, exhaustively
 # ---------------------------------------------------------------------------
 
-#: dest -> (argv after the flag name, the ``run_chaos_cell`` argument that
-#: must carry it, the value it must carry).  An ``int`` names a positional
-#: argument; an override rides ``runtime_overrides``.
+#: dest -> (argv after the flag name, the keyword value
+#: ``run_chaos_cell`` must receive).
 CHAOS_VALUES = {
-    "workload": (["B"], 1, "B"),
-    "distribution": (["zipfian"], 2, "zipfian"),
-    "rps": (["77"], "rps", 77.0),
-    "duration_ms": (["500"], "duration_ms", 500.0),
-    "records": (["30"], "record_count", 30),
-    "seed": (["7"], "seed", 7),
-    "workers": (["3"], "workers", 3),
-    "targets": (["4,2"], "targets", [4, 2]),
-    "pipeline_depth": (["3"], "runtime_overrides", {"pipeline_depth": 3}),
-    "autoscale": ([], "runtime_overrides", {"autoscale": True}),
-    "durability_dir": (["state"], "runtime_overrides",
-                       {"durability_dir": "state"}),
+    "workload": (["B"], "B"),
+    "distribution": (["zipfian"], "zipfian"),
+    "rps": (["77"], 77.0),
+    "duration_ms": (["500"], 500.0),
+    "records": (["30"], 30),
+    "seed": (["7"], 7),
+    "workers": (["3"], 3),
+    "targets": (["4,2"], [4, 2]),
+    "pipeline_depth": (["3"], 3),
+    "autoscale": ([], True),
+    "durability_dir": (["state"], "state"),
 }
 
 CHAOS_CASES = list(itertools.product(("stateflow", "statefun"),
@@ -316,12 +311,12 @@ def chaos_calls(monkeypatch):
         calls.append((args, kwargs))
         raise _Ran
 
-    monkeypatch.setattr("repro.bench.run_chaos_cell", record)
+    monkeypatch.setattr("repro.bench.chaos.run_chaos_cell", record)
     return calls
 
 
 def _check_chaos_verdict(system, dest, refused, calls):
-    values, where, expected = CHAOS_VALUES[dest]
+    values, expected = CHAOS_VALUES[dest]
     argv = ["chaos", "run", "--system", system, cli.RUNTIME_FLAGS[dest][0],
             *values]
     if refused:
@@ -331,10 +326,11 @@ def _check_chaos_verdict(system, dest, refused, calls):
         return
     with pytest.raises(_Ran):
         main(argv)
-    ((args, kwargs),) = calls
-    assert args[0] == system
-    seen = args[where] if isinstance(where, int) else kwargs[where]
-    assert seen == expected
+    # Every flag given, and no other, reaches the cell's function.
+    given = {dest: expected, "plan": None}
+    if system != "stateflow":
+        given["system"] = system
+    assert calls == [((), given)]
 
 
 def test_chaos_table_covers_every_chaos_run_flag():

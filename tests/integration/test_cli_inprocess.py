@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench.harness import key_paths
 from repro.cli import main
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -230,8 +231,8 @@ def test_bench_pipeline_cell_honours_load_flags(tmp_path, monkeypatch,
 
 def test_bench_views_cell_inprocess(tmp_path, monkeypatch, capsys):
     """A 400-key run holds every gate but the rehydrate floor, which
-    binds at 10k keys only (both timings are a few ms here); its legs,
-    durable leg and gates have the committed file's keys."""
+    binds at 10k keys only (both timings are a few ms here); it has the
+    committed file's key paths."""
     monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
     assert main(["bench", "--cell", "views", "--records", "400",
                  "--duration-ms", "800", "--rps", "120"]) == 0
@@ -248,11 +249,7 @@ def test_bench_views_cell_inprocess(tmp_path, monkeypatch, capsys):
     assert leg["probe_mismatches"] == 0
     assert leg["freshness"]["final_lag"] == 0
     committed = json.loads((ROOT / "BENCH_views.json").read_text())
-    assert sorted(payload) == sorted(committed)
-    assert {tuple(sorted(leg)) for leg in payload["legs"]} == {
-        tuple(sorted(leg)) for leg in committed["legs"]}
-    for section in ("durable_rehydrate", "gates"):
-        assert sorted(payload[section]) == sorted(committed[section])
+    assert key_paths(payload) == key_paths(committed)
 
 
 def test_bench_views_cell_flag_rejections():

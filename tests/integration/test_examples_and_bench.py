@@ -75,7 +75,7 @@ class TestHarness:
     def test_overhead_rows(self):
         from itertools import count
 
-        from repro.bench import format_overhead_table, run_overhead_breakdown
+        from repro.bench import run_overhead_breakdown
 
         ticks = count()
         rows = run_overhead_breakdown([50], operations=50,
@@ -91,10 +91,9 @@ class TestHarness:
         assert row.component_counts["object_construction"] == 50
         assert row.component_counts["function_execution"] >= 50
         assert row.split_share is not None and 0 < row.split_share < 1
-        assert "state_kb" in format_overhead_table(rows)
 
     def test_overhead_share_distinguishes_absent_from_free(self):
-        from repro.bench import OverheadRow, format_overhead_table
+        from repro.bench import OverheadRow
 
         row = OverheadRow(state_kb=50, operations=10, total_ms=5.0,
                           component_ms={"function_execution": 5.0},
@@ -103,7 +102,6 @@ class TestHarness:
         assert row.share("object_construction") is None
         assert row.split_share is None
         assert row.share("function_execution") == 1.0
-        assert "n/a" in format_overhead_table([row])
         empty = OverheadRow(state_kb=50, operations=0, total_ms=0.0,
                             component_ms={}, component_counts={})
         assert empty.share("function_execution") is None

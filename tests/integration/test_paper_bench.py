@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench import paper
+from repro.bench.harness import drift, key_paths
 from repro.bench.overhead import OverheadRow
 from repro.cli import main
 
@@ -18,16 +19,6 @@ COMMITTED = json.loads((ROOT / "BENCH_paper.json").read_text(encoding="utf-8"))
 def _fresh(name: str) -> dict:
     """One section, run now and passed through JSON as the artifact is."""
     return json.loads(json.dumps(paper.SECTIONS[name](COMMITTED["seed"])))
-
-
-def _keys(doc, prefix=""):
-    if isinstance(doc, list):
-        return {path for item in doc for path in _keys(item, prefix + "[].")}
-    if not isinstance(doc, dict):
-        return set()
-    return {prefix + key for key in doc} | {
-        path for key, value in doc.items()
-        for path in _keys(value, prefix + key + ".")}
 
 
 def test_the_committed_artifact_has_every_section_and_holds():
@@ -46,13 +37,13 @@ def test_the_committed_artifact_has_every_section_and_holds():
 def test_a_modelled_section_equals_the_committed_one(name):
     """Virtual time: the same seed gives the same bytes.  Figure 4 (about
     23 s) is diffed by CI's paper job instead."""
-    assert _fresh(name) == COMMITTED["sections"][name]
+    assert drift(COMMITTED["sections"][name], _fresh(name)) == []
 
 
 @pytest.mark.parametrize("name", ["abl_split", "overhead"])
 def test_a_measured_section_keeps_its_keys_and_verdict(name):
     fresh, committed = _fresh(name), COMMITTED["sections"][name]
-    assert _keys(fresh) == _keys(committed)
+    assert key_paths(fresh) == key_paths(committed)
     assert fresh["ok"] == committed["ok"], fresh["problems"]
 
 

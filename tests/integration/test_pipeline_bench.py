@@ -10,14 +10,19 @@ from pathlib import Path
 import pytest
 
 from repro.bench import pipeline
+from repro.bench.harness import key_paths
 from repro.bench.pipeline import run_pipeline_cell
+from repro.cli import main
 
 ROOT = Path(__file__).resolve().parents[2]
 
 
-def test_pipeline_cell_sweeps_depths_and_reports():
-    artifact = run_pipeline_cell(seed=7, rps=4_000.0, duration_ms=300.0,
-                                 records=300)
+def test_pipeline_cell_sweeps_depths_and_reports(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
+    assert main(["bench", "--cell", "pipeline", "--seed", "7", "--rps",
+                 "4000", "--duration-ms", "300", "--records", "300"]) == 0
+    written = tmp_path / "BENCH_pipeline.json"
+    artifact = json.loads(written.read_text(encoding="utf-8"))
     rows = artifact["rows"]
     assert [row["depth"] for row in rows] == [1, 2, 4]
     for row in rows:
@@ -39,13 +44,13 @@ def test_pipeline_cell_sweeps_depths_and_reports():
     assert artifact["ok"] is True
     assert (artifact["cell"], artifact["mode"], artifact["rps"],
             artifact["workers"]) == ("pipeline", "simulator", 4_000.0, 32)
-    # The simulator-only artifact has the committed file's keys, at the
-    # top level and in every row.
-    committed = json.loads(
-        (ROOT / "BENCH_pipeline.json").read_text(encoding="utf-8"))
-    assert sorted(artifact) == sorted(committed)
-    assert {tuple(sorted(row)) for row in rows} == {
-        tuple(sorted(row)) for row in committed["rows"]}
+    # The simulator-only artifact has the committed file's key paths but
+    # for the depths a small load's batches reached.
+    def shape(path: Path) -> set[str]:
+        return {key for key in key_paths(json.loads(path.read_text()))
+                if ".depth_hist." not in key}
+
+    assert shape(written) == shape(ROOT / "BENCH_pipeline.json")
 
 
 def test_load_flags_reach_every_leg(monkeypatch):
@@ -80,7 +85,7 @@ def test_pipeline_bench_combined_artifact_with_wallclock():
                                  duration_ms=1_500.0, records=500)
     modes = [row["mode"] for row in artifact["rows"]]
     assert modes.count("simulator") == 3 and modes.count("wallclock") == 2
-    assert artifact["simulator"]["replies_identical"] is True
+    assert artifact["replies_identical"] is True
     wall = artifact["wallclock"]
     assert wall["cpu_count"] >= 1
     assert isinstance(wall["mean_latency_improved"], bool)

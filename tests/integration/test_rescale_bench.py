@@ -24,28 +24,25 @@ RESCALE_DIGEST = ("8ec7b576a928ef00ca481ac60c379bdca337e5d6c473273e3a53178d"
 def _resize(**kwargs):
     """A 2 -> 4 -> 3 resize at the old rescale cell's load size."""
     return run_chaos_cell(**{"workers": 2, "targets": (4, 3),
-                             "record_count": 60, **kwargs})
+                             "records": 60, **kwargs})
 
 
 def test_rescale_cell_measures_migration_and_stays_correct():
-    report = _resize(rps=100.0, duration_ms=2_000.0, record_count=40,
-                     seed=21)
-    assert report.ok, report.problems
-    assert report.rescales == 2
-    assert report.final_workers == 3
-    assert len(report.pauses_ms) == 2
-    assert all(pause > 0 for pause in report.pauses_ms)
-    assert report.mean_pause_ms > 0
-    assert report.max_pause_ms >= report.mean_pause_ms
-    assert report.slots_moved > 0 and report.keys_moved > 0
+    report = _resize(rps=100.0, duration_ms=2_000.0, records=40, seed=21)
+    assert report["ok"], report["problems"]
+    assert report["rescales"] == 2
+    assert report["final_workers"] == 3
+    assert len(report["pauses_ms"]) == 2
+    assert all(pause > 0 for pause in report["pauses_ms"])
+    assert report["mean_pause_ms"] > 0
+    assert report["max_pause_ms"] >= report["mean_pause_ms"]
+    assert report["slots_moved"] > 0 and report["keys_moved"] > 0
     # The cluster keeps serving on the new topology.
-    assert report.post_throughput_rps > 0
-    assert report.row.completed == report.row.sent
-    assert report.row.extra["rescales"] == 2
+    assert report["post_throughput_rps"] > 0
+    assert report["row"]["completed"] == report["row"]["sent"]
 
-    rerun = _resize(rps=100.0, duration_ms=2_000.0, record_count=40,
-                    seed=21)
-    assert rerun.trace_digest == report.trace_digest
+    rerun = _resize(rps=100.0, duration_ms=2_000.0, records=40, seed=21)
+    assert rerun["trace_digest"] == report["trace_digest"]
 
 
 def _chaos_plan(tmp_path, *argv: str) -> str:
@@ -109,11 +106,11 @@ def test_rescale_cell_history_is_independent_of_pipeline_depth():
     pipeline change when batches commit, never what commits."""
     digests = set()
     for depth in (1, 2):
-        report = _resize(rps=90.0, duration_ms=1_500.0, record_count=30,
-                         seed=33, runtime_overrides={"pipeline_depth": depth})
-        assert report.ok, (depth, report.problems)
-        assert report.rescales == 2
-        digests.add(report.trace_digest)
+        report = _resize(rps=90.0, duration_ms=1_500.0, records=30,
+                         seed=33, pipeline_depth=depth)
+        assert report["ok"], (depth, report["problems"])
+        assert report["rescales"] == 2
+        digests.add(report["trace_digest"])
     assert len(digests) == 1
 
 
@@ -122,22 +119,22 @@ def test_rescale_cell_under_chaos():
     run still reports its migration metrics."""
     fault_plan = FaultPlan(seed=3, events=[
         FaultEvent(kind="crash_worker", at_ms=700.0, worker=1)])
-    report = _resize(rps=90.0, duration_ms=2_000.0, record_count=30,
+    report = _resize(rps=90.0, duration_ms=2_000.0, records=30,
                      seed=7, plan=fault_plan)
-    assert report.ok, report.problems
-    assert report.rescales >= 2
-    assert report.recoveries >= 1
+    assert report["ok"], report["problems"]
+    assert report["rescales"] >= 2
+    assert report["recoveries"] >= 1
 
 
 def test_cell_elides_duplicate_targets():
     """A step targeting the current worker count is a no-op: it commits
     no rescale, and the verifier still accepts the final topology
     because the cluster is already there."""
-    report = _resize(rps=80.0, duration_ms=1_500.0, record_count=20,
+    report = _resize(rps=80.0, duration_ms=1_500.0, records=20,
                      seed=5, targets=(3, 3))
-    assert report.ok, report.problems
-    assert report.final_workers == 3
-    assert report.rescales == 1  # the duplicate target was elided
+    assert report["ok"], report["problems"]
+    assert report["final_workers"] == 3
+    assert report["rescales"] == 1  # the duplicate target was elided
 
 
 # ---------------------------------------------------------------------------
@@ -145,16 +142,24 @@ def test_cell_elides_duplicate_targets():
 # ---------------------------------------------------------------------------
 
 
-def test_write_bench_artifact_round_trips(tmp_path):
+def test_write_bench_artifact_round_trips(tmp_path, monkeypatch):
+    """The artifact records its command, and its wall-clock fields (none
+    unless the payload names some, each of which must exist)."""
+    monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
     path = write_bench_artifact("demo", {"cell": "demo", "rows": [1, 2]},
-                                directory=tmp_path)
+                                "repro demo")
     assert path == tmp_path / "BENCH_demo.json"
-    assert json.loads(path.read_text()) == {"cell": "demo", "rows": [1, 2]}
+    assert json.loads(path.read_text()) == {
+        "cell": "demo", "rows": [1, 2], "command": "repro demo",
+        "wall_clock": []}
+    with pytest.raises(ValueError, match="wall_clock"):
+        write_bench_artifact("demo", {"wall_clock": ["rows[].ms"]},
+                             "repro demo")
 
 
 def test_write_bench_artifact_honours_env_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path / "out"))
-    path = write_bench_artifact("env", {"cell": "env"})
+    path = write_bench_artifact("env", {"cell": "env"}, "repro env")
     assert path == tmp_path / "out" / "BENCH_env.json"
     assert path.exists()
 

@@ -75,10 +75,10 @@ def run_ci_chaos(monkeypatch, durability_dir=None, after_cut=None,
     if durability_dir is not None:
         overrides["durability_dir"] = str(durability_dir)
     report = run_chaos_cell(
-        "stateflow", "T", "uniform", duration_ms=DURATION_MS, seed=SEED,
+        duration_ms=DURATION_MS, seed=SEED,
         plan=random_plan(SEED, duration_ms=DURATION_MS,
                          coordinator_faults=True),
-        runtime_overrides=overrides)
+        **overrides)
     (coordinator,) = coordinators
     return report, coordinator, expected
 
@@ -133,8 +133,8 @@ def test_every_retained_cut_resolves_to_its_recorded_state(
 
     report, coordinator, _ = run_ci_chaos(monkeypatch, directory, after_cut,
                                           base_every)
-    assert report.trace_digest == CHAOS_DIGEST
-    assert not report.problems, report.problems
+    assert report["trace_digest"] == CHAOS_DIGEST
+    assert not report["problems"], report["problems"]
     assert coordinator.recoveries >= 1, "the plan must force a recovery"
     if base_every == 1:
         assert {cut.kind for cut in coordinator.snapshots.cut_log} \

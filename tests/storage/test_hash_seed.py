@@ -47,10 +47,10 @@ def start_with_views(self):
 
 StateflowRuntime.start = start_with_views
 report = run_chaos_cell(
-    "stateflow", "T", "uniform", duration_ms=600.0, seed=7,
+    duration_ms=600.0, seed=7,
     plan=random_plan(7, duration_ms=600.0, coordinator_faults=True),
-    runtime_overrides={"durability_dir": sys.argv[1]})
-assert report.ok, report.problems
+    durability_dir=sys.argv[1])
+assert report["ok"], report["problems"]
 """
 
 

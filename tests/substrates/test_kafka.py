@@ -414,13 +414,12 @@ def test_stateflow_keeps_only_what_a_retained_cut_can_replay(
     monkeypatch.setattr(StateflowRuntime, "__init__", recording_init)
     monkeypatch.setattr(Coordinator, "_take_snapshot", checked_take_snapshot)
     report = run_chaos_cell(
-        "stateflow", "T", "uniform", duration_ms=CHAOS_DURATION_MS,
-        seed=CHAOS_SEED,
+        duration_ms=CHAOS_DURATION_MS, seed=CHAOS_SEED,
         plan=random_plan(CHAOS_SEED, duration_ms=CHAOS_DURATION_MS,
                          coordinator_faults=True),
-        runtime_overrides={"durability_dir": str(tmp_path / "state")})
-    assert report.trace_digest == CHAOS_DIGEST
-    assert not report.problems, report.problems
+        durability_dir=str(tmp_path / "state"))
+    assert report["trace_digest"] == CHAOS_DIGEST
+    assert not report["problems"], report["problems"]
     (runtime,) = runtimes
     assert runtime.coordinator.recoveries >= 1
     assert len(floors) > 2 and floors[-1] > 0, "the run must trim"

@@ -205,7 +205,7 @@ ROWS: dict[tuple[str, str], Row] = {
     ("repro chaos run", "--targets"): ci(),
     ("repro chaos run", "--pipeline-depth"): ci(),
     ("repro chaos run", "--autoscale"): by_test(
-        "tests/integration/test_autoscale.py", '"autoscale": True',
+        "tests/integration/test_autoscale.py", "autoscale=True",
         "the controller's decisions under injected failures"),
     ("repro chaos run", "--durable"): ci(),
     # -- environment ------------------------------------------------------
